@@ -161,6 +161,14 @@ let run_micro_fast ppf =
    trace; the driver run is the seed scalar baseline the ISSUE's >=5x
    batch-speedup acceptance is measured against. *)
 
+(* Minor words allocated so far by every domain, live or joined:
+   [Gc.minor_words] counts only the calling domain, which misses the
+   parallel legs' workers. The [Gc.minor] flushes this domain's own
+   minor heap into the totals [Gc.quick_stat] sums. *)
+let all_minor_words () =
+  Gc.minor ();
+  (Gc.quick_stat ()).Gc.minor_words
+
 let replay_modes () =
   let auto = Harness.Replay.auto_shards () in
   [ ("scalar", Harness.Replay.Scalar); ("batch", Harness.Replay.Batch);
@@ -218,9 +226,9 @@ let replay_section ppf ~smoke =
          sharded parallel/sequential pairs in particular must differ
          only by the replay loop, not by run order *)
       Gc.compact ();
-      let minor0 = Gc.minor_words () in
+      let minor0 = all_minor_words () in
       let r = Harness.Replay.run ~mode ~make_switch ~trace ~controls:[] () in
-      let minor = Gc.minor_words () -. minor0 in
+      let minor = all_minor_words () -. minor0 in
       let r = ref r in
       for _ = 2 to repeats do
         Gc.compact ();
@@ -341,13 +349,13 @@ let replay_scale_section ppf ~connections =
      long, so noise is already well averaged; 2 is enough) *)
   let run_leg name parallel =
     Gc.compact ();
-    let minor0 = Gc.minor_words () in
+    let minor0 = all_minor_words () in
     let r0 =
       Harness.Replay.run
         ~mode:(Harness.Replay.Sharded { shards = auto; parallel })
         ~make_switch ~trace ~controls:[] ()
     in
-    let minor = Gc.minor_words () -. minor0 in
+    let minor = all_minor_words () -. minor0 in
     Gc.compact ();
     let r1 =
       Harness.Replay.run
@@ -831,7 +839,11 @@ let run_replay ppf ~smoke ~scale ~connections ~baseline =
       let sm = replay_section ppf ~smoke:true in
       sm @ preserve_full_section "BENCH_replay.json" sm
     end
-    else replay_section ppf ~smoke:true @ replay_section ppf ~smoke:false
+    else begin
+      (* bind to force smoke-before-full evaluation (and print) order *)
+      let sm = replay_section ppf ~smoke:true in
+      sm @ replay_section ppf ~smoke:false
+    end
   in
   let fields =
     sections

@@ -327,11 +327,9 @@ type model = {
   mutable n_forced : int;
   mutable n_repairs : int;
   mutable recycle_bad : bool;
-  (* PCC (mirrors Harness.Replay.judge) *)
-  pcc_first : Ep.t option array;
-  pcc_state : int array;  (* bit 1 live, bit 2 excluded, bit 4 bad *)
-  mutable n_violations : int;
-  mutable n_broken : int;
+  (* PCC: the judge every replay engine calls *)
+  pcc : Lb.Pcc.Flat.t;
+  pcc_counts : Lb.Pcc.Flat.counters;
 }
 
 let make_model ~cfg ~deadline ~eager_gc ~flows ~removed ~collide ~alias =
@@ -369,10 +367,8 @@ let make_model ~cfg ~deadline ~eager_gc ~flows ~removed ~collide ~alias =
     n_forced = 0;
     n_repairs = 0;
     recycle_bad = false;
-    pcc_first = Array.make n None;
-    pcc_state = Array.make n 0;
-    n_violations = 0;
-    n_broken = 0;
+    pcc = Lb.Pcc.Flat.create n;
+    pcc_counts = Lb.Pcc.Flat.counters ();
   }
 
 let live_conn m f =
@@ -607,45 +603,11 @@ let advance m ~now =
     release_stuck m ~now
   end
 
-(* ----- PCC oracle (mirrors Harness.Replay.judge / exclude_dip) ----- *)
-
-let st_live = 1
-let st_excluded = 2
-let st_bad = 4
+(* ----- PCC: Lb.Pcc.Flat, the replay engines' judge ----- *)
 
 let judge m f dip ~ends =
-  let b = m.pcc_state.(f) in
-  if b land st_live = 0 then begin
-    let bad = dip = None in
-    if bad then begin
-      m.n_broken <- m.n_broken + 1;
-      m.n_violations <- m.n_violations + 1
-    end;
-    m.pcc_first.(f) <- dip;
-    m.pcc_state.(f) <- st_live lor (if bad then st_bad else 0)
-  end
-  else if b land st_excluded = 0 then begin
-    let consistent =
-      match (m.pcc_first.(f), dip) with Some a, Some d -> Ep.equal a d | _ -> false
-    in
-    if not consistent then begin
-      m.n_violations <- m.n_violations + 1;
-      if b land st_bad = 0 then begin
-        m.n_broken <- m.n_broken + 1;
-        m.pcc_state.(f) <- m.pcc_state.(f) lor st_bad
-      end
-    end
-  end;
-  if ends then m.pcc_state.(f) <- 0
-
-let exclude_dip m dip =
-  Array.iteri
-    (fun f b ->
-      if b land st_live <> 0 then
-        match m.pcc_first.(f) with
-        | Some d when Ep.equal d dip -> m.pcc_state.(f) <- b lor st_excluded
-        | Some _ | None -> ())
-    m.pcc_state
+  let dip = match dip with Some d -> d | None -> Silkroad.Switch.no_dip in
+  Lb.Pcc.Flat.judge m.pcc m.pcc_counts f dip ~ends
 
 (* ----- packet path (mirrors Switch.process_flow) ----- *)
 
@@ -754,7 +716,7 @@ let process_packet m ~now f ~syn ~ends =
 
 let process_update m ~now j =
   advance m ~now;
-  exclude_dip m m.removed.(j);
+  Lb.Pcc.Flat.exclude m.pcc m.removed.(j);
   match m.job with
   | Some _ -> Queue.add (now, j) m.queue
   | None -> start_job m ~now j
@@ -799,8 +761,8 @@ let run_model ~cfg ~deadline ~eager_gc ~flows ~removed ~collide ~alias ~events ~
   check_recycle_invariant m;
   {
     rr_dips = dips;
-    rr_violations = m.n_violations;
-    rr_broken = m.n_broken;
+    rr_violations = m.pcc_counts.Lb.Pcc.Flat.violations;
+    rr_broken = m.pcc_counts.Lb.Pcc.Flat.broken;
     rr_completed = m.n_completed;
     rr_failed = m.n_failed;
     rr_forced = m.n_forced;
@@ -1066,8 +1028,8 @@ let model_observe ~cfg ~flows ~removed ~events ~horizon =
     ob_repairs = r.rr_repairs;
   }
 
-let switch_observe ?conn_layout ~cfg ~flows ~removed ~events ~horizon () =
-  let sw = Silkroad.Switch.create ~check:`Off ?conn_layout cfg in
+let switch_observe ~cfg ~flows ~removed ~events ~horizon =
+  let sw = Silkroad.Switch.create ~check:`Off cfg in
   Silkroad.Switch.add_vip sw model_vip (pool_full ());
   let n_pkts =
     List.length (List.filter (fun (_, e) -> match e with Pkt _ -> true | Upd _ -> false) events)

@@ -11,8 +11,8 @@
     several timing regimes, and checks two properties after every event:
 
     - {b PCC}: every judged packet of a connection is forwarded to the
-      DIP of its first packet (mirroring {!Harness.Replay}'s judge,
-      including the removed-DIP exclusion rule);
+      DIP of its first packet, judged by {!Lb.Pcc.Flat} — the judge the
+      replay engines call, including the removed-DIP exclusion rule;
     - {b no premature version recycle}: no live connection ever
       references a DIP-pool version that has been destroyed.
 
@@ -167,19 +167,15 @@ val model_observe :
   obs
 
 val switch_observe :
-  ?conn_layout:Silkroad.Conn_table.layout ->
   cfg:Silkroad.Config.t ->
   flows:Netcore.Five_tuple.t array ->
   removed:Netcore.Endpoint.t array ->
   events:(float * event) list ->
   horizon:float ->
-  unit ->
   obs
 (** Drive a real {!Silkroad.Switch.process_flow} through the same
     schedule ({!Harness.Replay.Stepper}'s discipline: packets strictly
-    between controls, update exclusion before request). [?conn_layout]
-    selects the ConnTable layout (default [`Flat]); the conformance
-    suite runs both and pins them to the model. *)
+    between controls, update exclusion before request). *)
 
 val model_vip : Netcore.Endpoint.t
 val model_dips : unit -> Netcore.Endpoint.t array

@@ -22,7 +22,7 @@
      table no longer allocates a queue, hashtable and chain nodes per
      insert.
 
-   The differential suite (test_asic, test_replay) pins this module's
+   The differential suite in test_asic pins this module's
    placements, sizes, moves and lookups byte-identical to Cuckoo_boxed
    for identical operation sequences. *)
 

@@ -16,6 +16,11 @@
      collision class than the scalar run, which is why shard equivalence
      is stated over the collision-free counter set.
 
+   Every packet is judged by Lb.Pcc.Flat, the flow-indexed refinement of
+   the Lb.Pcc oracle that Netwide.Replay and the model checker call too;
+   the flow-indexed state is shared by all shards, its counters are per
+   shard.
+
    The engine is factored as an incremental [Stepper] (one per shard)
    so the long-running serve mode can drive the identical loop one
    control command at a time: [run] below is nothing but "apply every
@@ -81,68 +86,6 @@ type counts = {
   c_violations : int;
 }
 
-(* per-shard accounting; summed at the end *)
-type counters = {
-  mutable sc_packets : int;
-  mutable sc_dropped : int;
-  mutable sc_total : int;
-  mutable sc_broken : int;
-  mutable sc_violations : int;
-}
-
-(* flat PCC state bytes (shared arrays, disjoint writes by flow owner) *)
-let st_live = 1
-let st_excluded = 2
-let st_bad = 4
-
-(* Mirrors Lb.Pcc.judge + on_finish, flow-indexed and allocation-free.
-   [no_dip] is the physically-unique drop sentinel (tested with [==]),
-   which doubles as the oracle's "first packet was dropped" marker —
-   exactly Pcc's [first = None]. *)
-let judge ~no_dip ~first ~state (c : counters) i dip ~ends =
-  c.sc_packets <- c.sc_packets + 1;
-  if dip == no_dip then c.sc_dropped <- c.sc_dropped + 1;
-  let b = Char.code (Bytes.unsafe_get state i) in
-  if b land st_live = 0 then begin
-    c.sc_total <- c.sc_total + 1;
-    let bad = dip == no_dip in
-    if bad then begin
-      c.sc_broken <- c.sc_broken + 1;
-      c.sc_violations <- c.sc_violations + 1
-    end;
-    Array.unsafe_set first i dip;
-    Bytes.unsafe_set state i (Char.unsafe_chr (st_live lor (if bad then st_bad else 0)))
-  end
-  else if b land st_excluded = 0 then begin
-    let f = Array.unsafe_get first i in
-    let consistent = f != no_dip && dip != no_dip && Netcore.Endpoint.equal f dip in
-    if not consistent then begin
-      c.sc_violations <- c.sc_violations + 1;
-      if b land st_bad = 0 then begin
-        c.sc_broken <- c.sc_broken + 1;
-        Bytes.unsafe_set state i (Char.unsafe_chr (b lor st_bad))
-      end
-    end
-  end;
-  (* Pcc.on_finish: drop the tracking state (the verdict counters keep
-     what happened; [first] keeps the assignment for introspection) *)
-  if ends then Bytes.unsafe_set state i '\000'
-
-(* Pcc.on_dip_removed over this shard's flows only: a flow is judged
-   exclusively by its owner shard, so shard-local exclusion is globally
-   equivalent. *)
-let exclude_dip ~no_dip ~first ~state ~flow_shard ~shard dip =
-  for i = 0 to Array.length first - 1 do
-    if Array.unsafe_get flow_shard i = shard then begin
-      let b = Char.code (Bytes.unsafe_get state i) in
-      if b land st_live <> 0 then begin
-        let f = Array.unsafe_get first i in
-        if f != no_dip && Netcore.Endpoint.equal f dip then
-          Bytes.unsafe_set state i (Char.unsafe_chr (b lor st_excluded))
-      end
-    end
-  done
-
 (* flows are partitioned by a dedicated hash seed, independent of every
    table/ECMP seed, so sharding never correlates with placement *)
 let shard_seed = 0x51a9
@@ -157,13 +100,44 @@ let shard_of ~shards tuple =
    domains would not. *)
 let auto_shards () = Int.max 1 (Domain.recommended_domain_count ())
 
+let counts_of (c : Lb.Pcc.Flat.counters) =
+  {
+    c_packets = c.Lb.Pcc.Flat.packets;
+    c_dropped = c.Lb.Pcc.Flat.dropped;
+    c_connections = c.Lb.Pcc.Flat.total;
+    c_broken = c.Lb.Pcc.Flat.broken;
+    c_violations = c.Lb.Pcc.Flat.violations;
+  }
+
+(* Worker groups, not one Domain per task: [workers] is capped at what
+   the machine can actually run ([auto_shards]), each worker owns the
+   stride [w, w+workers, ...] of tasks and runs them start to finish,
+   and exactly [workers - 1] Domains are spawned per call. With one
+   available core, workers = 1 and the parallel branch is the literal
+   sequential loop — parallel can never lose to sequential by
+   oversubscription. *)
+let run_tasks ~parallel n task =
+  let workers = if parallel && n > 1 then Int.min n (auto_shards ()) else 1 in
+  let run_worker w =
+    let k = ref w in
+    while !k < n do
+      task !k;
+      k := !k + workers
+    done
+  in
+  if workers > 1 then begin
+    let doms = Array.init (workers - 1) (fun j -> Domain.spawn (fun () -> run_worker (j + 1))) in
+    run_worker 0;
+    Array.iter Domain.join doms
+  end
+  else run_worker 0
+
 module Stepper = struct
   type shared = {
     horizon : float;
     shards : int;
     part : Packed_trace.partition;
-    first : Netcore.Endpoint.t array;
-    state : Bytes.t;
+    pcc : Lb.Pcc.Flat.t;
   }
 
   let make_shared ~(trace : Packed_trace.t) ~shards =
@@ -174,19 +148,18 @@ module Stepper = struct
       horizon = trace.Packed_trace.horizon;
       shards;
       part;
-      first = Array.make n_flows Silkroad.Switch.no_dip;
-      state = Bytes.make n_flows '\000';
+      pcc = Lb.Pcc.Flat.create n_flows;
     }
 
   let horizon sh = sh.horizon
-  let first_dip sh = sh.first
+  let first_dip sh = Lb.Pcc.Flat.first_dip sh.pcc
 
   type t = {
     sh : shared;
     shard : int;
     switch : Silkroad.Switch.t;
     batched : bool;
-    counters : counters;
+    counters : Lb.Pcc.Flat.counters;
     dips : Netcore.Endpoint.t array;
     mutable cursor : int;  (** next unprocessed packet of this shard *)
   }
@@ -198,15 +171,13 @@ module Stepper = struct
       shard;
       switch;
       batched;
-      counters =
-        { sc_packets = 0; sc_dropped = 0; sc_total = 0; sc_broken = 0; sc_violations = 0 };
+      counters = Lb.Pcc.Flat.counters ();
       dips = Array.make (Array.length sh.part.Packed_trace.sh_times.(shard)) Silkroad.Switch.no_dip;
       cursor = 0;
     }
 
   let switch st = st.switch
 
-  let no_dip = Silkroad.Switch.no_dip
   let payload_len = 1024
 
   let process_range st lo hi =
@@ -224,9 +195,9 @@ module Stepper = struct
             Silkroad.Switch.process_flow st.switch ~now:times.(j) ~flags:flags.(j) ~payload_len
               flows.(j)
         done;
-      let first = st.sh.first and state = st.sh.state and c = st.counters in
+      let pcc = st.sh.pcc and c = st.counters in
       for j = lo to hi - 1 do
-        judge ~no_dip ~first ~state c (Array.unsafe_get pflow j) (Array.unsafe_get st.dips j)
+        Lb.Pcc.Flat.judge pcc c (Array.unsafe_get pflow j) (Array.unsafe_get st.dips j)
           ~ends:(Netcore.Tcp_flags.is_connection_end (Array.unsafe_get flags j))
       done
     end
@@ -243,9 +214,10 @@ module Stepper = struct
     process_range st st.cursor !j;
     st.cursor <- !j
 
+  (* a flow is judged by its owner shard alone, so shard-local exclusion
+     is globally equivalent *)
   let exclude st dip =
-    exclude_dip ~no_dip ~first:st.sh.first ~state:st.sh.state
-      ~flow_shard:st.sh.part.Packed_trace.flow_shard ~shard:st.shard dip
+    Lb.Pcc.Flat.exclude ~owner:(st.sh.part.Packed_trace.flow_shard, st.shard) st.sh.pcc dip
 
   let apply st ~at ctrl =
     flush_to st at;
@@ -288,15 +260,7 @@ module Stepper = struct
     st.cursor <- n;
     Silkroad.Switch.advance st.switch ~now
 
-  let counts st =
-    let c = st.counters in
-    {
-      c_packets = c.sc_packets;
-      c_dropped = c.sc_dropped;
-      c_connections = c.sc_total;
-      c_broken = c.sc_broken;
-      c_violations = c.sc_violations;
-    }
+  let counts st = counts_of st.counters
 end
 
 let sum_counts l =
@@ -311,6 +275,16 @@ let sum_counts l =
       })
     { c_packets = 0; c_dropped = 0; c_connections = 0; c_broken = 0; c_violations = 0 }
     l
+
+let registry_of_counts c =
+  let own = Telemetry.Registry.create () in
+  let add name v = Telemetry.Registry.Counter.add (Telemetry.Registry.counter own name) v in
+  add "replay.packets" c.c_packets;
+  add "replay.dropped_packets" c.c_dropped;
+  add "replay.connections" c.c_connections;
+  add "replay.broken_connections" c.c_broken;
+  add "replay.violation_packets" c.c_violations;
+  own
 
 let run ?(mode = Batch) ~make_switch ~(trace : Packed_trace.t) ~controls () =
   let horizon = trace.Packed_trace.horizon in
@@ -336,35 +310,7 @@ let run ?(mode = Batch) ~make_switch ~(trace : Packed_trace.t) ~controls () =
     Array.iter (fun (at, ctrl) -> Stepper.apply st ~at ctrl) controls;
     Stepper.finish st ~now:horizon
   in
-  (* Worker groups, not one Domain per shard: [workers] is capped at
-     what the machine can actually run ([auto_shards]), each worker owns
-     the stride [w, w+workers, ...] of shards and runs them start to
-     finish, and exactly [workers - 1] Domains are spawned per run.
-     With one available core, workers = 1 and the parallel branch is the
-     literal sequential loop — parallel can never lose to sequential by
-     oversubscription. *)
-  let workers = if parallel && shards > 1 then Int.min shards (auto_shards ()) else 1 in
-  let run_worker w =
-    let k = ref w in
-    while !k < shards do
-      run_shard !k;
-      k := !k + workers
-    done
-  in
-  let (), elapsed =
-    Stopwatch.time (fun () ->
-        if workers > 1 then begin
-          let doms =
-            Array.init (workers - 1) (fun j -> Domain.spawn (fun () -> run_worker (j + 1)))
-          in
-          run_worker 0;
-          Array.iter Domain.join doms
-        end
-        else
-          for k = 0 to shards - 1 do
-            run_shard k
-          done)
-  in
+  let (), elapsed = Stopwatch.time (fun () -> run_tasks ~parallel shards run_shard) in
   let tot = sum_counts (Array.to_list (Array.map Stepper.counts steppers)) in
   let switches = Array.map Stepper.switch steppers in
   let false_hits = ref 0 in
@@ -375,16 +321,9 @@ let run ?(mode = Batch) ~make_switch ~(trace : Packed_trace.t) ~controls () =
       false_hits := !false_hits + s.Silkroad.Switch.false_hits;
       repairs := !repairs + s.Silkroad.Switch.collision_repairs)
     switches;
-  let own = Telemetry.Registry.create () in
-  let c name v = Telemetry.Registry.Counter.add (Telemetry.Registry.counter own name) v in
-  c "replay.packets" tot.c_packets;
-  c "replay.dropped_packets" tot.c_dropped;
-  c "replay.connections" tot.c_connections;
-  c "replay.broken_connections" tot.c_broken;
-  c "replay.violation_packets" tot.c_violations;
   let telemetry =
     Telemetry.Registry.merge_all
-      (own :: Array.to_list (Array.map Silkroad.Switch.metrics switches))
+      (registry_of_counts tot :: Array.to_list (Array.map Silkroad.Switch.metrics switches))
   in
   {
     mode;

@@ -18,9 +18,10 @@
       scalar run — so equivalence with [Scalar] is stated over the
       collision-free counters only.
 
-    Judged-workload accounting mirrors {!Lb.Pcc} exactly; attack SYNs
-    go through the switch but touch neither the packet counters nor the
-    oracle, as in the driver. *)
+    Every judged packet goes through {!Lb.Pcc.Flat}, the flow-indexed
+    refinement of the {!Lb.Pcc} oracle; attack SYNs go through the
+    switch but touch neither the packet counters nor the judge, as in
+    the driver. *)
 
 type control =
   | Update of Netcore.Endpoint.t * Lb.Balancer.update
@@ -84,7 +85,7 @@ type result = {
           packet was dropped or the flow never sent *)
   telemetry : Telemetry.Registry.t;
       (** replay.* counters merged with every shard switch's registry *)
-  elapsed : float;  (** CPU seconds spent replaying (gather excluded) *)
+  elapsed : float;  (** wall-clock seconds spent replaying (gather excluded) *)
 }
 
 val shard_of : shards:int -> Netcore.Five_tuple.t -> int
@@ -101,6 +102,19 @@ type counts = {
 
 val sum_counts : counts list -> counts
 
+val counts_of : Lb.Pcc.Flat.counters -> counts
+
+val registry_of_counts : counts -> Telemetry.Registry.t
+(** A fresh registry holding the five [replay.*] counters every replay
+    engine merges into its telemetry. *)
+
+val run_tasks : parallel:bool -> int -> (int -> unit) -> unit
+(** [run_tasks ~parallel n task] runs [task 0 .. task (n-1)]: in order on
+    the calling domain, or, when [parallel], on a worker group of
+    [min n (auto_shards ())] domains, each taking the stride
+    [w, w + workers, ...] start to finish. Tasks must touch disjoint
+    state. *)
+
 (** The replay loop, exposed incrementally: one stepper per shard, each
     owning a switch and a cursor into its share of the packed trace.
     {!run} is exactly "apply every control in time order, then finish" on
@@ -115,9 +129,9 @@ val sum_counts : counts list -> counts
     control plane is advanced outside the packet path. *)
 module Stepper : sig
   type shared
-  (** The trace gathered per shard plus the flow-indexed PCC arrays
-      (first-DIP and state) all shards of a run share; writes are
-      disjoint by flow owner, so parallel steppers need no locks. *)
+  (** The trace gathered per shard plus the {!Lb.Pcc.Flat} judge state
+      all shards of a run share; writes are disjoint by flow owner, so
+      parallel steppers need no locks. *)
 
   val make_shared : trace:Packed_trace.t -> shards:int -> shared
   val horizon : shared -> float

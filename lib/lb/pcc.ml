@@ -66,3 +66,82 @@ let broken t = t.broken
 let broken_fraction t = if t.total = 0 then 0. else float_of_int t.broken /. float_of_int t.total
 
 let violations t = t.violations
+
+(* The flow-indexed refinement of the oracle above: the same transitions
+   over a state byte per flow instead of a hashtable of records, so the
+   replay engines can judge every packet without allocating. *)
+module Flat = struct
+  let st_live = 1
+  let st_excluded = 2
+  let st_bad = 4
+
+  (* physically unique (tested with [==]); doubles as the spec's
+     [first = None] *)
+  let no_dip = Netcore.Endpoint.none
+
+  type t = {
+    first : Netcore.Endpoint.t array;
+    state : Bytes.t;
+  }
+
+  let create n_flows = { first = Array.make n_flows no_dip; state = Bytes.make n_flows '\000' }
+  let first_dip t = t.first
+
+  type counters = {
+    mutable packets : int;
+    mutable dropped : int;
+    mutable total : int;
+    mutable broken : int;
+    mutable violations : int;
+  }
+
+  let counters () = { packets = 0; dropped = 0; total = 0; broken = 0; violations = 0 }
+
+  let judge t c i dip ~ends =
+    c.packets <- c.packets + 1;
+    if dip == no_dip then c.dropped <- c.dropped + 1;
+    let b = Char.code (Bytes.unsafe_get t.state i) in
+    if b land st_live = 0 then begin
+      c.total <- c.total + 1;
+      let bad = dip == no_dip in
+      if bad then begin
+        c.broken <- c.broken + 1;
+        c.violations <- c.violations + 1
+      end;
+      Array.unsafe_set t.first i dip;
+      Bytes.unsafe_set t.state i (Char.unsafe_chr (st_live lor (if bad then st_bad else 0)))
+    end
+    else if b land st_excluded = 0 then begin
+      let f = Array.unsafe_get t.first i in
+      let consistent = f != no_dip && dip != no_dip && Netcore.Endpoint.equal f dip in
+      if not consistent then begin
+        c.violations <- c.violations + 1;
+        if b land st_bad = 0 then begin
+          c.broken <- c.broken + 1;
+          Bytes.unsafe_set t.state i (Char.unsafe_chr (b lor st_bad))
+        end
+      end
+    end;
+    (* on_finish: drop the tracking state; the counters keep the verdict
+       and [first] keeps the assignment for introspection *)
+    if ends then Bytes.unsafe_set t.state i '\000'
+
+  let exclude_flow t i dip =
+    let b = Char.code (Bytes.unsafe_get t.state i) in
+    if b land st_live <> 0 then begin
+      let f = Array.unsafe_get t.first i in
+      if f != no_dip && Netcore.Endpoint.equal f dip then
+        Bytes.unsafe_set t.state i (Char.unsafe_chr (b lor st_excluded))
+    end
+
+  let exclude ?owner t dip =
+    match owner with
+    | None ->
+      for i = 0 to Array.length t.first - 1 do
+        exclude_flow t i dip
+      done
+    | Some (owner_of, me) ->
+      for i = 0 to Array.length t.first - 1 do
+        if Array.unsafe_get owner_of i = me then exclude_flow t i dip
+      done
+end

@@ -50,3 +50,48 @@ val broken_fraction : t -> float
 val violations : t -> int
 (** Total inconsistent packets (a single broken connection may count
     several). *)
+
+(** The flow-indexed, allocation-free refinement of the oracle above —
+    the one judge every replay engine ({!Harness.Replay},
+    [Netwide.Replay], [Analysis.Modelcheck]) calls. Flows are dense
+    indices [0 .. n-1]; the verdict counters live in caller-owned
+    {!counters}, so engines that judge disjoint flow sets on several
+    Domains keep one set per owner and sum them afterwards. *)
+module Flat : sig
+  val no_dip : Netcore.Endpoint.t
+  (** The drop marker ({!Netcore.Endpoint.none}, compared with [==]):
+      a dropped packet is judged with [no_dip], and a flow whose first
+      packet was dropped keeps [no_dip] as its first DIP — the spec's
+      [first = None]. *)
+
+  type t
+
+  val create : int -> t
+  (** Judge state for [n] flows, none of them tracked yet. *)
+
+  val first_dip : t -> Netcore.Endpoint.t array
+  (** Per flow: the DIP of its most recent connection's first packet
+      ([no_dip] when dropped or never sent). Kept after the flow ends. *)
+
+  type counters = {
+    mutable packets : int;
+    mutable dropped : int;
+    mutable total : int;  (** the spec's [total] *)
+    mutable broken : int;  (** the spec's [broken] *)
+    mutable violations : int;  (** the spec's [violations] *)
+  }
+
+  val counters : unit -> counters
+  (** All zero. *)
+
+  val judge : t -> counters -> int -> Netcore.Endpoint.t -> ends:bool -> unit
+  (** [judge t c i dip ~ends] is {!on_packet} for flow [i] (with
+      [dip == no_dip] for [None]), followed by {!on_finish} when [ends].
+      Also counts the packet, and the drop when [dip == no_dip]. *)
+
+  val exclude : ?owner:int array * int -> t -> Netcore.Endpoint.t -> unit
+  (** {!on_dip_removed}. With [~owner:(owner_of, me)] only the flows [i]
+      with [owner_of.(i) = me] are visited — a sharded engine excludes
+      over its own flows, which is globally equivalent because each flow
+      is judged by its owner alone. *)
+end

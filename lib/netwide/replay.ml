@@ -4,9 +4,9 @@
    driven independently (optionally on a worker group) while one global
    flow-indexed judge enforces PCC across the whole network.
 
-   The judge mirrors Harness.Replay's flat PCC accounting (same state
-   bytes, same transitions); the degenerate-topology differential in
-   test/test_netwide.ml pins the two byte-identical. *)
+   The judge is Lb.Pcc.Flat, the one Harness.Replay calls; the
+   degenerate-topology differential in test/test_netwide.ml pins the two
+   engines byte-identical. *)
 
 type event =
   | Switch_down of int
@@ -27,76 +27,19 @@ type result = {
 
 let payload_len = 1024
 
-(* flat PCC state bytes — Harness.Replay's encoding *)
-let st_live = 1
-let st_excluded = 2
-let st_bad = 4
-
-type counters = {
-  mutable nc_packets : int;
-  mutable nc_dropped : int;
-  mutable nc_total : int;
-  mutable nc_broken : int;
-  mutable nc_violations : int;
-}
-
-let fresh_counters () =
-  { nc_packets = 0; nc_dropped = 0; nc_total = 0; nc_broken = 0; nc_violations = 0 }
-
-let judge ~no_dip ~first ~state (c : counters) i dip ~ends =
-  c.nc_packets <- c.nc_packets + 1;
-  if dip == no_dip then c.nc_dropped <- c.nc_dropped + 1;
-  let b = Char.code (Bytes.unsafe_get state i) in
-  if b land st_live = 0 then begin
-    c.nc_total <- c.nc_total + 1;
-    let bad = dip == no_dip in
-    if bad then begin
-      c.nc_broken <- c.nc_broken + 1;
-      c.nc_violations <- c.nc_violations + 1
-    end;
-    Array.unsafe_set first i dip;
-    Bytes.unsafe_set state i (Char.unsafe_chr (st_live lor (if bad then st_bad else 0)))
-  end
-  else if b land st_excluded = 0 then begin
-    let f = Array.unsafe_get first i in
-    let consistent = f != no_dip && dip != no_dip && Netcore.Endpoint.equal f dip in
-    if not consistent then begin
-      c.nc_violations <- c.nc_violations + 1;
-      if b land st_bad = 0 then begin
-        c.nc_broken <- c.nc_broken + 1;
-        Bytes.unsafe_set state i (Char.unsafe_chr (b lor st_bad))
-      end
-    end
-  end;
-  if ends then Bytes.unsafe_set state i '\000'
-
-(* Pcc.on_dip_removed, network-wide: there is one judge, so no
-   shard-ownership filter is needed *)
-let exclude_dip ~no_dip ~first ~state dip =
-  for i = 0 to Array.length first - 1 do
-    let b = Char.code (Bytes.unsafe_get state i) in
-    if b land st_live <> 0 then begin
-      let f = Array.unsafe_get first i in
-      if f != no_dip && Netcore.Endpoint.equal f dip then
-        Bytes.unsafe_set state i (Char.unsafe_chr (b lor st_excluded))
-    end
-  done
-
 type action =
   | A_control of Harness.Replay.control
   | A_event of event
 
-let run ?(cfg = Silkroad.Config.default) ?(batched = true) ?(parallel = false) ?(events = [])
-    ?(controls = []) ~topo ~(trace : Harness.Packed_trace.t) () =
-  let no_dip = Silkroad.Switch.no_dip in
+let run ?(cfg = Silkroad.Config.default) ?(parallel = false) ?(events = []) ?(controls = []) ~topo
+    ~(trace : Harness.Packed_trace.t) () =
   let n_flows = Array.length trace.Harness.Packed_trace.flow_ids in
   let n_pkts = Array.length trace.Harness.Packed_trace.times in
   let times = trace.Harness.Packed_trace.times in
   let pkt_flow = trace.Harness.Packed_trace.pkt_flow in
   let pkt_flags = trace.Harness.Packed_trace.pkt_flags in
   let tuples = trace.Harness.Packed_trace.flow_tuples in
-  let first = Array.make n_flows no_dip in
-  let state = Bytes.make n_flows '\000' in
+  let pcc = Lb.Pcc.Flat.create n_flows in
   let flow_vip_ep =
     Array.map
       (fun v -> trace.Harness.Packed_trace.vips.(v))
@@ -167,54 +110,23 @@ let run ?(cfg = Silkroad.Config.default) ?(batched = true) ?(parallel = false) ?
     done;
     !moved
   in
-  let totals = fresh_counters () in
+  (* judge counters per node (a node's packets are judged by whoever
+     drives its switch in the segment) plus one for undeliverable
+     packets; summed once at the end *)
+  let node_counters = Array.init n_nodes (fun _ -> Lb.Pcc.Flat.counters ()) in
+  let undelivered = Lb.Pcc.Flat.counters () in
   let cursor = ref 0 in
-  (* process one node's gathered packets; [c] is private to the caller
-     (per node in the parallel path), the judge's flow cells are owned
-     by exactly one node per segment *)
-  let process_node id (idxs : int array) (c : counters) =
-    let m = Array.length idxs in
-    let sw =
-      match switches.(id) with
-      | Some sw -> sw
-      | None -> ensure_switch id
-    in
-    if batched then begin
-      let ts = Array.make m 0. in
-      let fls = Array.make m Harness.Packed_trace.dummy_tuple in
-      let fgs = Array.make m Netcore.Tcp_flags.none in
-      let dips = Array.make m no_dip in
-      for j = 0 to m - 1 do
-        let i = idxs.(j) in
-        ts.(j) <- times.(i);
-        fls.(j) <- tuples.(pkt_flow.(i));
-        fgs.(j) <- flag_tbl.(Char.code (Bytes.get pkt_flags i))
-      done;
-      Silkroad.Switch.process_batch sw ~times:ts ~flows:fls ~flags:fgs ~payload_len ~dips ~pos:0
-        ~len:m;
-      for j = 0 to m - 1 do
-        let i = idxs.(j) in
-        judge ~no_dip ~first ~state c pkt_flow.(i) dips.(j)
-          ~ends:(Netcore.Tcp_flags.is_connection_end fgs.(j))
-      done
-    end
-    else
-      for j = 0 to m - 1 do
-        let i = idxs.(j) in
-        let flags = flag_tbl.(Char.code (Bytes.get pkt_flags i)) in
-        let dip =
-          Silkroad.Switch.process_flow sw ~now:times.(i) ~flags ~payload_len tuples.(pkt_flow.(i))
-        in
-        judge ~no_dip ~first ~state c pkt_flow.(i) dip
-          ~ends:(Netcore.Tcp_flags.is_connection_end flags)
-      done
-  in
-  let add_counters into c =
-    into.nc_packets <- into.nc_packets + c.nc_packets;
-    into.nc_dropped <- into.nc_dropped + c.nc_dropped;
-    into.nc_total <- into.nc_total + c.nc_total;
-    into.nc_broken <- into.nc_broken + c.nc_broken;
-    into.nc_violations <- into.nc_violations + c.nc_violations
+  (* the judge's flow cells are owned by exactly one node per segment *)
+  let process_node id (idxs : int array) =
+    let sw = ensure_switch id and c = node_counters.(id) in
+    for j = 0 to Array.length idxs - 1 do
+      let i = idxs.(j) in
+      let flags = flag_tbl.(Char.code (Bytes.get pkt_flags i)) in
+      let dip =
+        Silkroad.Switch.process_flow sw ~now:times.(i) ~flags ~payload_len tuples.(pkt_flow.(i))
+      in
+      Lb.Pcc.Flat.judge pcc c pkt_flow.(i) dip ~ends:(Netcore.Tcp_flags.is_connection_end flags)
+    done
   in
   (* process every packet with time <= [at] (Driver's tie order: probes
      scheduled before control events at the same timestamp) *)
@@ -231,7 +143,7 @@ let run ?(cfg = Silkroad.Config.default) ?(batched = true) ?(parallel = false) ?
         let o = owner.(pkt_flow.(i)) in
         if o >= 0 then counts.(o) <- counts.(o) + 1
         else
-          judge ~no_dip ~first ~state totals pkt_flow.(i) no_dip
+          Lb.Pcc.Flat.judge pcc undelivered pkt_flow.(i) Lb.Pcc.Flat.no_dip
             ~ends:
               (Netcore.Tcp_flags.is_connection_end
                  flag_tbl.(Char.code (Bytes.get pkt_flags i)))
@@ -255,31 +167,8 @@ let run ?(cfg = Silkroad.Config.default) ?(batched = true) ?(parallel = false) ?
         end
       done;
       let active = Array.of_list !active in
-      let n_active = Array.length active in
-      let seg_counters = Array.init n_active (fun _ -> fresh_counters ()) in
-      let run_one k = process_node active.(k) bufs.(active.(k)) seg_counters.(k) in
-      let workers =
-        if parallel && n_active > 1 then Int.min n_active (Harness.Replay.auto_shards ()) else 1
-      in
-      if workers > 1 then begin
-        let run_worker w =
-          let k = ref w in
-          while !k < n_active do
-            run_one !k;
-            k := !k + workers
-          done
-        in
-        let doms =
-          Array.init (workers - 1) (fun j -> Domain.spawn (fun () -> run_worker (j + 1)))
-        in
-        run_worker 0;
-        Array.iter Domain.join doms
-      end
-      else
-        for k = 0 to n_active - 1 do
-          run_one k
-        done;
-      Array.iter (add_counters totals) seg_counters
+      Harness.Replay.run_tasks ~parallel (Array.length active) (fun k ->
+          process_node active.(k) bufs.(active.(k)))
     end;
     cursor := hi
   in
@@ -289,15 +178,15 @@ let run ?(cfg = Silkroad.Config.default) ?(batched = true) ?(parallel = false) ?
       (* Stepper order: advance, dead-server PCC accounting, update *)
       iter_live_switches (fun sw -> Silkroad.Switch.advance sw ~now:at);
       (match u with
-       | Lb.Balancer.Dip_remove d -> exclude_dip ~no_dip ~first ~state d
-       | Lb.Balancer.Dip_replace { old_dip; _ } -> exclude_dip ~no_dip ~first ~state old_dip
+       | Lb.Balancer.Dip_remove d -> Lb.Pcc.Flat.exclude pcc d
+       | Lb.Balancer.Dip_replace { old_dip; _ } -> Lb.Pcc.Flat.exclude pcc old_dip
        | Lb.Balancer.Dip_add _ -> ());
       (match Hashtbl.find_opt cur_pools vip with
        | Some pool -> Hashtbl.replace cur_pools vip (Lb.Balancer.apply_update pool u)
        | None -> ());
       iter_live_switches (fun sw ->
           if Silkroad.Switch.has_vip sw vip then Silkroad.Switch.request_update sw ~now:at ~vip u)
-    | Harness.Replay.Dip_dead d -> exclude_dip ~no_dip ~first ~state d
+    | Harness.Replay.Dip_dead d -> Lb.Pcc.Flat.exclude pcc d
     | Harness.Replay.Cpu_backlog n ->
       iter_live_switches (fun sw ->
           Silkroad.Switch.advance sw ~now:at;
@@ -388,24 +277,22 @@ let run ?(cfg = Silkroad.Config.default) ?(batched = true) ?(parallel = false) ?
         iter_live_switches (fun sw ->
             Silkroad.Switch.advance sw ~now:trace.Harness.Packed_trace.horizon))
   in
-  let c name v = Telemetry.Registry.Counter.add (Telemetry.Registry.counter own name) v in
-  c "replay.packets" totals.nc_packets;
-  c "replay.dropped_packets" totals.nc_dropped;
-  c "replay.connections" totals.nc_total;
-  c "replay.broken_connections" totals.nc_broken;
-  c "replay.violation_packets" totals.nc_violations;
-  let node_regs =
-    Array.to_list registries |> List.filter_map (fun r -> r)
+  let tot =
+    Harness.Replay.sum_counts
+      (List.map Harness.Replay.counts_of (undelivered :: Array.to_list node_counters))
   in
-  let telemetry = Telemetry.Registry.merge_all (own :: node_regs) in
+  let node_regs = Array.to_list registries |> List.filter_map (fun r -> r) in
+  let telemetry =
+    Telemetry.Registry.merge_all (Harness.Replay.registry_of_counts tot :: own :: node_regs)
+  in
   {
-    packets = totals.nc_packets;
-    dropped = totals.nc_dropped;
-    connections = totals.nc_total;
-    broken = totals.nc_broken;
-    violations = totals.nc_violations;
+    packets = tot.Harness.Replay.c_packets;
+    dropped = tot.Harness.Replay.c_dropped;
+    connections = tot.Harness.Replay.c_connections;
+    broken = tot.Harness.Replay.c_broken;
+    violations = tot.Harness.Replay.c_violations;
     moved_flows = !moved_total;
-    first_dip = first;
+    first_dip = Lb.Pcc.Flat.first_dip pcc;
     telemetry;
     elapsed;
   }

@@ -3,10 +3,10 @@
     judge spanning the whole network.
 
     Each switch is a shard whose partition is defined by the topology
-    ({!Route.owner}) instead of a hash — the PR 9 worker-group replay
-    machinery with ECMP as the shard function. The judge's flat
-    first-DIP/state arrays are global and flow-indexed, never
-    per-switch: when a topology event moves a flow to a switch that
+    ({!Route.owner}) instead of a hash — {!Harness.Replay.run_tasks}'
+    worker group with ECMP as the shard function. The judge is
+    {!Lb.Pcc.Flat}, the one the single-switch engine calls, and its
+    state is global and flow-indexed, never per-switch: when a topology event moves a flow to a switch that
     never learned it, the oracle keeps holding the connection to the
     DIP its very first packet got. That is the paper's network-wide
     claim stated as code — a connection must survive pool updates
@@ -15,8 +15,8 @@
     Equivalence contract (pinned by test/test_netwide.ml): on a
     degenerate topology whose placement puts every VIP on a single
     switch and with no topology events, [run] is byte-identical in
-    merged telemetry to {!Harness.Replay.run} [~mode:Scalar] (or
-    [Batch] when [batched]) over the same trace and controls. The
+    merged telemetry to {!Harness.Replay.run} (in [Scalar] and in
+    [Batch] mode) over the same trace and controls. The
     [netwide.*] counters are registered only when a topology event
     actually fires, so event-free runs add nothing to the snapshot. *)
 
@@ -43,12 +43,11 @@ type result = {
           fired, [netwide.*]) counters plus every node's registry in
           node-id order. Registries survive switch failure/recovery, so
           counters continue across a down/up cycle. *)
-  elapsed : float;
+  elapsed : float;  (** wall-clock seconds spent replaying *)
 }
 
 val run :
   ?cfg:Silkroad.Config.t ->
-  ?batched:bool ->
   ?parallel:bool ->
   ?events:(float * event) list ->
   ?controls:(float * Harness.Replay.control) list ->
@@ -59,9 +58,9 @@ val run :
 (** Replay [trace] through [topo]. [controls] are the ordinary replay
     controls (updates, chaos), applied network-wide with the driver's
     tie order (packets at a control's time fire first; at equal times
-    controls fire before topology [events]). [batched] (default true)
-    uses {!Silkroad.Switch.process_batch}; [parallel] (default false)
-    processes the switches of each segment on a worker group of
+    controls fire before topology [events]). Each switch gets one
+    {!Silkroad.Switch.process_flow} call per packet. [parallel] (default
+    false) processes the switches of each segment on a worker group of
     [min switches (auto_shards ())] domains — safe because a flow is
     owned by exactly one switch between consecutive topology events,
     and events are barriers. *)

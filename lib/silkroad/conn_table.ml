@@ -5,304 +5,243 @@ module Key = struct
   let hash = Netcore.Five_tuple.hash
 end
 
-module Flat_table = Asic.Cuckoo.Make (Key)
-module Boxed_table = Asic.Cuckoo_boxed.Make (Key)
+module Table = Asic.Cuckoo.Make (Key)
 
 type lookup_result = {
   version : int;
   exact : bool;
 }
 
-type layout =
-  [ `Flat
-  | `Boxed
-  ]
+type t = {
+  table : int Table.t;
+  probe : int Table.probe;  (** reusable lookup buffer for {!lookup_code} *)
+  digest_bits : int;
+  version_bits : int;
+  n_stages : int;
+  n_rows : int;
+  (* per-stage hash seeds and scratch probe positions: [lookup_code]
+     computes rows/digests itself with the directly-inlinable
+     Five_tuple.hash (the functorised [Key.hash] inside [Table] is an
+     opaque call that boxes its int64 per invocation) and hands them
+     to [Table.lookup_pos_into]. *)
+  row_seeds : int array;
+  dig_seeds : int array;
+  scratch_rows : int array;
+  scratch_digs : int array;
+  (* software shadow index: packed (stage, row, digest) -> tracked
+     connections whose hardware lookup would match an entry stored
+     there. Placement of new entries is vetoed at positions that would
+     shadow a tracked connection. *)
+  probe_index : (int, Netcore.Five_tuple.t list ref) Hashtbl.t;
+  c_false_hits : Telemetry.Registry.Counter.t;
+  c_repairs : Telemetry.Registry.Counter.t;
+  g_size : Telemetry.Registry.Gauge.t;
+  g_occupancy : Telemetry.Registry.Gauge.t;
+}
 
-(* The table logic is written once against the shared cuckoo signature;
-   the flat (production) and boxed (differential reference) layouts are
-   two instantiations dispatched by the wrapper type at the bottom. *)
-module Core (Table : Asic.Cuckoo_intf.S with type key = Netcore.Five_tuple.t) = struct
-  type t = {
-    table : int Table.t;
-    probe : int Table.probe;  (** reusable lookup buffer for {!lookup_code} *)
-    digest_bits : int;
-    version_bits : int;
-    n_stages : int;
-    n_rows : int;
-    (* per-stage hash seeds and scratch probe positions: [lookup_code]
-       computes rows/digests itself with the directly-inlinable
-       Five_tuple.hash (the functorised [Key.hash] inside [Table] is an
-       opaque call that boxes its int64 per invocation) and hands them
-       to [Table.lookup_pos_into]. *)
-    row_seeds : int array;
-    dig_seeds : int array;
-    scratch_rows : int array;
-    scratch_digs : int array;
-    (* software shadow index: packed (stage, row, digest) -> tracked
-       connections whose hardware lookup would match an entry stored
-       there. Placement of new entries is vetoed at positions that would
-       shadow a tracked connection. *)
-    probe_index : (int, Netcore.Five_tuple.t list ref) Hashtbl.t;
-    c_false_hits : Telemetry.Registry.Counter.t;
-    c_repairs : Telemetry.Registry.Counter.t;
-    g_size : Telemetry.Registry.Gauge.t;
-    g_occupancy : Telemetry.Registry.Gauge.t;
-  }
+(* ConnTable always runs in digest mode (digest_bits >= 1), so the
+   digest is non-negative and the packed key is injective. *)
+let pack_pos t ~stage ~row ~digest = (((stage * t.n_rows) + row) lsl t.digest_bits) lor digest
 
-  (* ConnTable always runs in digest mode (digest_bits >= 1), so the
-     digest is non-negative and the packed key is injective. *)
-  let pack_pos t ~stage ~row ~digest = (((stage * t.n_rows) + row) lsl t.digest_bits) lor digest
-
-  let register t k =
-    for stage = 0 to t.n_stages - 1 do
-      let row = Table.probe_row t.table k ~stage in
-      let digest = Table.probe_digest t.table k ~stage in
-      let pos = pack_pos t ~stage ~row ~digest in
-      match Hashtbl.find_opt t.probe_index pos with
-      | Some l -> l := k :: !l
-      | None -> Hashtbl.replace t.probe_index pos (ref [ k ])
-    done
-
-  let unregister t k =
-    for stage = 0 to t.n_stages - 1 do
-      let row = Table.probe_row t.table k ~stage in
-      let digest = Table.probe_digest t.table k ~stage in
-      let pos = pack_pos t ~stage ~row ~digest in
-      match Hashtbl.find_opt t.probe_index pos with
-      | Some l ->
-        l := List.filter (fun k' -> not (Netcore.Five_tuple.equal k' k)) !l;
-        if !l = [] then Hashtbl.remove t.probe_index pos
-      | None -> ()
-    done
-
-  (* Would an entry for [k] placed at (stage, row) be falsely matched by a
-     tracked connection other than [k] itself? Callers always pass the
-     row [k] itself hashes to at [stage]. *)
-  let placement_safe t k ~stage ~row =
+let register t k =
+  for stage = 0 to t.n_stages - 1 do
+    let row = Table.probe_row t.table k ~stage in
     let digest = Table.probe_digest t.table k ~stage in
-    match Hashtbl.find t.probe_index (pack_pos t ~stage ~row ~digest) with
-    | l -> not (List.exists (fun k' -> not (Netcore.Five_tuple.equal k' k)) !l)
-    | exception Not_found -> true
+    let pos = pack_pos t ~stage ~row ~digest in
+    match Hashtbl.find_opt t.probe_index pos with
+    | Some l -> l := k :: !l
+    | None -> Hashtbl.replace t.probe_index pos (ref [ k ])
+  done
 
-  let create ?metrics (cfg : Config.t) =
-    let reg = match metrics with Some r -> r | None -> Telemetry.Registry.create () in
-    let table =
-      Table.create ~seed:cfg.Config.seed ~digest_bits:cfg.Config.digest_bits
-        ~stages:cfg.Config.conn_table_stages ~rows_per_stage:cfg.Config.conn_table_rows
-        ~ways:cfg.Config.conn_table_ways ()
-    in
-    let stages = cfg.Config.conn_table_stages in
-    let t =
-      {
-        table;
-        probe = Table.make_probe 0;
-        digest_bits = cfg.Config.digest_bits;
-        version_bits = cfg.Config.version_bits;
-        n_stages = stages;
-        n_rows = cfg.Config.conn_table_rows;
-        row_seeds = Array.init stages (fun stage -> Table.row_seed table ~stage);
-        dig_seeds = Array.init stages (fun stage -> Table.digest_seed table ~stage);
-        scratch_rows = Array.make stages 0;
-        scratch_digs = Array.make stages 0;
-        probe_index = Hashtbl.create 4096;
-        c_false_hits = Telemetry.Registry.counter reg "conn_table.false_hits";
-        c_repairs = Telemetry.Registry.counter reg "conn_table.repairs";
-        g_size = Telemetry.Registry.gauge reg "conn_table.size";
-        g_occupancy = Telemetry.Registry.gauge reg "conn_table.occupancy";
-      }
-    in
-    Table.set_placement_filter t.table
-      (Some (fun k ~stage ~row -> placement_safe t k ~stage ~row));
-    t
+let unregister t k =
+  for stage = 0 to t.n_stages - 1 do
+    let row = Table.probe_row t.table k ~stage in
+    let digest = Table.probe_digest t.table k ~stage in
+    let pos = pack_pos t ~stage ~row ~digest in
+    match Hashtbl.find_opt t.probe_index pos with
+    | Some l ->
+      l := List.filter (fun k' -> not (Netcore.Five_tuple.equal k' k)) !l;
+      if !l = [] then Hashtbl.remove t.probe_index pos
+    | None -> ()
+  done
 
-  let capacity t = Table.capacity t.table
-  let size t = Table.size t.table
-  let occupancy t = Table.occupancy t.table
+(* Would an entry for [k] placed at (stage, row) be falsely matched by a
+   tracked connection other than [k] itself? Callers always pass the
+   row [k] itself hashes to at [stage]. *)
+let placement_safe t k ~stage ~row =
+  let digest = Table.probe_digest t.table k ~stage in
+  match Hashtbl.find t.probe_index (pack_pos t ~stage ~row ~digest) with
+  | l -> not (List.exists (fun k' -> not (Netcore.Five_tuple.equal k' k)) !l)
+  | exception Not_found -> true
 
-  let track_size t =
-    Telemetry.Registry.Gauge.set t.g_size (float_of_int (Table.size t.table));
-    Telemetry.Registry.Gauge.set t.g_occupancy (Table.occupancy t.table)
+let create ?metrics (cfg : Config.t) =
+  let reg = match metrics with Some r -> r | None -> Telemetry.Registry.create () in
+  let table =
+    Table.create ~seed:cfg.Config.seed ~digest_bits:cfg.Config.digest_bits
+      ~stages:cfg.Config.conn_table_stages ~rows_per_stage:cfg.Config.conn_table_rows
+      ~ways:cfg.Config.conn_table_ways ()
+  in
+  let stages = cfg.Config.conn_table_stages in
+  let t =
+    {
+      table;
+      probe = Table.make_probe 0;
+      digest_bits = cfg.Config.digest_bits;
+      version_bits = cfg.Config.version_bits;
+      n_stages = stages;
+      n_rows = cfg.Config.conn_table_rows;
+      row_seeds = Array.init stages (fun stage -> Table.row_seed table ~stage);
+      dig_seeds = Array.init stages (fun stage -> Table.digest_seed table ~stage);
+      scratch_rows = Array.make stages 0;
+      scratch_digs = Array.make stages 0;
+      probe_index = Hashtbl.create 4096;
+      c_false_hits = Telemetry.Registry.counter reg "conn_table.false_hits";
+      c_repairs = Telemetry.Registry.counter reg "conn_table.repairs";
+      g_size = Telemetry.Registry.gauge reg "conn_table.size";
+      g_occupancy = Telemetry.Registry.gauge reg "conn_table.occupancy";
+    }
+  in
+  Table.set_placement_filter t.table
+    (Some (fun k ~stage ~row -> placement_safe t k ~stage ~row));
+  t
 
-  let lookup t flow =
-    match Table.lookup t.table flow with
-    | None -> None
-    | Some hit ->
-      if not hit.Table.exact then Telemetry.Registry.Counter.incr t.c_false_hits;
-      Some { version = hit.Table.value; exact = hit.Table.exact }
+let capacity t = Table.capacity t.table
+let size t = Table.size t.table
+let occupancy t = Table.occupancy t.table
 
-  (* Allocation-free [lookup]: [-1] on a miss, otherwise
-     [(version lsl 1) lor exact_bit]. Versions are small non-negative ints
-     (at most [version_bits] wide), so the encoding is lossless. Counts
-     false positives exactly like [lookup]. *)
-  let lookup_code t flow =
-    let rows = t.scratch_rows and digs = t.scratch_digs in
-    for stage = 0 to t.n_stages - 1 do
-      Array.unsafe_set rows stage
-        (Netcore.Hashing.to_range
-           (Netcore.Five_tuple.hash ~seed:(Array.unsafe_get t.row_seeds stage) flow)
-           t.n_rows);
-      Array.unsafe_set digs stage
-        (Netcore.Hashing.truncate_bits
-           (Netcore.Five_tuple.hash ~seed:(Array.unsafe_get t.dig_seeds stage) flow)
-           t.digest_bits)
-    done;
-    Table.lookup_pos_into t.table ~key:flow ~rows ~digests:digs t.probe;
-    if not t.probe.Table.probe_hit then -1
-    else begin
-      if not t.probe.Table.probe_exact then Telemetry.Registry.Counter.incr t.c_false_hits;
-      (t.probe.Table.probe_value lsl 1) lor (if t.probe.Table.probe_exact then 1 else 0)
-    end
+let track_size t =
+  Telemetry.Registry.Gauge.set t.g_size (float_of_int (Table.size t.table));
+  Telemetry.Registry.Gauge.set t.g_occupancy (Table.occupancy t.table)
 
-  let probe_positions t flow = Table.probe_positions t.table flow
-  let mem_exact t flow = Table.mem_exact t.table flow
+let lookup t flow =
+  match Table.lookup t.table flow with
+  | None -> None
+  | Some hit ->
+    if not hit.Table.exact then Telemetry.Registry.Counter.incr t.c_false_hits;
+    Some { version = hit.Table.value; exact = hit.Table.exact }
 
-  let insert t flow ~version =
-    match Table.insert t.table flow version with
-    | Ok moves ->
-      register t flow;
-      track_size t;
-      Ok moves
-    | (Error (`Full | `Duplicate)) as e -> e
-
-  let remove t flow =
-    if Table.remove t.table flow then begin
-      unregister t flow;
-      track_size t;
-      true
-    end
-    else false
-
-  (* Separating two digest-colliding connections: neither entry may stay in
-     a stage where the other falsely matches it. We move the resident away
-     from its current stage, insert the newcomer avoiding that stage too,
-     then verify both now hit exactly; on a bad verify we widen the set of
-     forbidden stages and retry. *)
-  let repair_collision t flow ~version =
-    let exact_hit key =
-      match Table.lookup t.table key with
-      | Some hit -> hit.Table.exact
-      | None -> false
-    in
-    let rec attempt forbidden tries residents =
-      if tries > 2 * Table.stages t.table then Error `Full
-      else
-        match Table.lookup t.table flow with
-        | Some hit when not hit.Table.exact ->
-          (* Move the colliding resident out of the stage where the two
-             connections are indistinguishable, then retry. *)
-          let forbidden =
-            if List.mem hit.Table.stage forbidden then forbidden else hit.Table.stage :: forbidden
-          in
-          (match Table.relocate t.table hit.Table.key ~forbid_stages:forbidden with
-           | Ok _ | Error `Not_found -> attempt forbidden (tries + 1) (hit.Table.key :: residents)
-           | Error `Full -> Error `Full)
-        | Some _ | None ->
-          (* No false hit left for the newcomer; make sure it has its own
-             entry (avoiding the collision stages) ... *)
-          (match
-             if Table.mem_exact t.table flow then Ok 0
-             else Table.insert ~forbid_stages:forbidden t.table flow version
-           with
-           | Error `Full -> Error `Full
-           | Error `Duplicate | Ok _ ->
-             (* ... and verify that the newcomer and every relocated
-                resident now resolve exactly. *)
-             if not (exact_hit flow) then begin
-               ignore (Table.remove t.table flow);
-               attempt forbidden (tries + 1) residents
-             end
-             else
-               let stale = List.filter (fun k -> not (exact_hit k)) residents in
-               (match stale with
-                | [] ->
-                  Telemetry.Registry.Counter.incr t.c_repairs;
-                  track_size t;
-                  (* the raw table insert above bypassed [insert]: (re)index
-                     the newcomer exactly once *)
-                  unregister t flow;
-                  register t flow;
-                  Ok ()
-                | k :: _ ->
-                  (* a resident falsely hits the newcomer's entry: move the
-                     newcomer instead *)
-                  (match Table.lookup t.table k with
-                   | Some h ->
-                     let forbidden =
-                       if List.mem h.Table.stage forbidden then forbidden
-                       else h.Table.stage :: forbidden
-                     in
-                     ignore (Table.remove t.table flow);
-                     attempt forbidden (tries + 1) residents
-                   | None ->
-                     ignore (Table.remove t.table flow);
-                     Error `Full)))
-    in
-    attempt [] 0 []
-
-  let false_hits t = Telemetry.Registry.Counter.value t.c_false_hits
-  let repairs t = Telemetry.Registry.Counter.value t.c_repairs
-  let moves t = Table.moves t.table
-  let failed_inserts t = Table.failed_inserts t.table
-  let greedy_kicks t = Table.greedy_kicks t.table
-  let bfs_expansions t = Table.bfs_expansions t.table
-  let first_full_occupancy t = Table.first_full_occupancy t.table
-end
-
-module F = Core (Flat_table)
-module B = Core (Boxed_table)
-
-type t =
-  | Flat of F.t
-  | Boxed of B.t
-
-let create ?metrics ?(layout = `Flat) cfg =
-  match layout with
-  | `Flat -> Flat (F.create ?metrics cfg)
-  | `Boxed -> Boxed (B.create ?metrics cfg)
-
-let layout = function Flat _ -> `Flat | Boxed _ -> `Boxed
-let capacity = function Flat t -> F.capacity t | Boxed t -> B.capacity t
-let size = function Flat t -> F.size t | Boxed t -> B.size t
-let occupancy = function Flat t -> F.occupancy t | Boxed t -> B.occupancy t
-let lookup t flow = match t with Flat t -> F.lookup t flow | Boxed t -> B.lookup t flow
-
+(* Allocation-free [lookup]: [-1] on a miss, otherwise
+   [(version lsl 1) lor exact_bit]. Versions are small non-negative ints
+   (at most [version_bits] wide), so the encoding is lossless. Counts
+   false positives exactly like [lookup]. *)
 let lookup_code t flow =
-  match t with Flat t -> F.lookup_code t flow | Boxed t -> B.lookup_code t flow
+  let rows = t.scratch_rows and digs = t.scratch_digs in
+  for stage = 0 to t.n_stages - 1 do
+    Array.unsafe_set rows stage
+      (Netcore.Hashing.to_range
+         (Netcore.Five_tuple.hash ~seed:(Array.unsafe_get t.row_seeds stage) flow)
+         t.n_rows);
+    Array.unsafe_set digs stage
+      (Netcore.Hashing.truncate_bits
+         (Netcore.Five_tuple.hash ~seed:(Array.unsafe_get t.dig_seeds stage) flow)
+         t.digest_bits)
+  done;
+  Table.lookup_pos_into t.table ~key:flow ~rows ~digests:digs t.probe;
+  if not t.probe.Table.probe_hit then -1
+  else begin
+    if not t.probe.Table.probe_exact then Telemetry.Registry.Counter.incr t.c_false_hits;
+    (t.probe.Table.probe_value lsl 1) lor (if t.probe.Table.probe_exact then 1 else 0)
+  end
 
-let probe_positions t flow =
-  match t with Flat t -> F.probe_positions t flow | Boxed t -> B.probe_positions t flow
-
-let mem_exact t flow = match t with Flat t -> F.mem_exact t flow | Boxed t -> B.mem_exact t flow
+let probe_positions t flow = Table.probe_positions t.table flow
+let mem_exact t flow = Table.mem_exact t.table flow
 
 let insert t flow ~version =
-  match t with Flat t -> F.insert t flow ~version | Boxed t -> B.insert t flow ~version
+  match Table.insert t.table flow version with
+  | Ok moves ->
+    register t flow;
+    track_size t;
+    Ok moves
+  | (Error (`Full | `Duplicate)) as e -> e
 
-let remove t flow = match t with Flat t -> F.remove t flow | Boxed t -> B.remove t flow
+let remove t flow =
+  if Table.remove t.table flow then begin
+    unregister t flow;
+    track_size t;
+    true
+  end
+  else false
 
+(* Separating two digest-colliding connections: neither entry may stay in
+   a stage where the other falsely matches it. We move the resident away
+   from its current stage, insert the newcomer avoiding that stage too,
+   then verify both now hit exactly; on a bad verify we widen the set of
+   forbidden stages and retry. *)
 let repair_collision t flow ~version =
-  match t with
-  | Flat t -> F.repair_collision t flow ~version
-  | Boxed t -> B.repair_collision t flow ~version
+  let exact_hit key =
+    match Table.lookup t.table key with
+    | Some hit -> hit.Table.exact
+    | None -> false
+  in
+  let rec attempt forbidden tries residents =
+    if tries > 2 * Table.stages t.table then Error `Full
+    else
+      match Table.lookup t.table flow with
+      | Some hit when not hit.Table.exact ->
+        (* Move the colliding resident out of the stage where the two
+           connections are indistinguishable, then retry. *)
+        let forbidden =
+          if List.mem hit.Table.stage forbidden then forbidden else hit.Table.stage :: forbidden
+        in
+        (match Table.relocate t.table hit.Table.key ~forbid_stages:forbidden with
+         | Ok _ | Error `Not_found -> attempt forbidden (tries + 1) (hit.Table.key :: residents)
+         | Error `Full -> Error `Full)
+      | Some _ | None ->
+        (* No false hit left for the newcomer; make sure it has its own
+           entry (avoiding the collision stages) ... *)
+        (match
+           if Table.mem_exact t.table flow then Ok 0
+           else Table.insert ~forbid_stages:forbidden t.table flow version
+         with
+         | Error `Full -> Error `Full
+         | Error `Duplicate | Ok _ ->
+           (* ... and verify that the newcomer and every relocated
+              resident now resolve exactly. *)
+           if not (exact_hit flow) then begin
+             ignore (Table.remove t.table flow);
+             attempt forbidden (tries + 1) residents
+           end
+           else
+             let stale = List.filter (fun k -> not (exact_hit k)) residents in
+             (match stale with
+              | [] ->
+                Telemetry.Registry.Counter.incr t.c_repairs;
+                track_size t;
+                (* the raw table insert above bypassed [insert]: (re)index
+                   the newcomer exactly once *)
+                unregister t flow;
+                register t flow;
+                Ok ()
+              | k :: _ ->
+                (* a resident falsely hits the newcomer's entry: move the
+                   newcomer instead *)
+                (match Table.lookup t.table k with
+                 | Some h ->
+                   let forbidden =
+                     if List.mem h.Table.stage forbidden then forbidden
+                     else h.Table.stage :: forbidden
+                   in
+                   ignore (Table.remove t.table flow);
+                   attempt forbidden (tries + 1) residents
+                 | None ->
+                   ignore (Table.remove t.table flow);
+                   Error `Full)))
+  in
+  attempt [] 0 []
 
-let false_hits = function Flat t -> F.false_hits t | Boxed t -> B.false_hits t
-let repairs = function Flat t -> F.repairs t | Boxed t -> B.repairs t
-let moves = function Flat t -> F.moves t | Boxed t -> B.moves t
-let failed_inserts = function Flat t -> F.failed_inserts t | Boxed t -> B.failed_inserts t
-let greedy_kicks = function Flat t -> F.greedy_kicks t | Boxed t -> B.greedy_kicks t
-let bfs_expansions = function Flat t -> F.bfs_expansions t | Boxed t -> B.bfs_expansions t
-
-let first_full_occupancy = function
-  | Flat t -> F.first_full_occupancy t
-  | Boxed t -> B.first_full_occupancy t
+let false_hits t = Telemetry.Registry.Counter.value t.c_false_hits
+let repairs t = Telemetry.Registry.Counter.value t.c_repairs
+let moves t = Table.moves t.table
+let failed_inserts t = Table.failed_inserts t.table
+let greedy_kicks t = Table.greedy_kicks t.table
+let bfs_expansions t = Table.bfs_expansions t.table
+let first_full_occupancy t = Table.first_full_occupancy t.table
 
 (* digest + version + "a couple bytes of packing overhead" — the paper's
    §6.1 configuration packs 16 + 6 + 6 = 28 bits, four entries per
    112-bit word. *)
 let overhead_bits = 6
 
-let entry_bits t =
-  match t with
-  | Flat t -> t.F.digest_bits + t.F.version_bits + overhead_bits
-  | Boxed t -> t.B.digest_bits + t.B.version_bits + overhead_bits
+let entry_bits t = t.digest_bits + t.version_bits + overhead_bits
 
 let sram_bits t = Asic.Sram.bits_for_entries ~entry_bits:(entry_bits t) ~entries:(capacity t)

@@ -18,22 +18,11 @@ type lookup_result = {
   exact : bool;  (** false when the hit is a digest false positive *)
 }
 
-type layout =
-  [ `Flat  (** the flat SoA {!Asic.Cuckoo} layout (production default) *)
-  | `Boxed  (** the per-slot boxed {!Asic.Cuckoo_boxed} reference layout *)
-  ]
-(** Both layouts are pinned placement-identical by the differential
-    suite; [`Boxed] exists so tests can run the same traffic through
-    both and compare counters byte-for-byte. *)
-
-val create : ?metrics:Telemetry.Registry.t -> ?layout:layout -> Config.t -> t
+val create : ?metrics:Telemetry.Registry.t -> Config.t -> t
 (** [?metrics] is the registry the table reports through:
     [conn_table.false_hits] / [conn_table.repairs] counters and
     [conn_table.size] / [conn_table.occupancy] gauges. The dedicated
-    accessors below read the same counters. [?layout] defaults to
-    [`Flat]. *)
-
-val layout : t -> layout
+    accessors below read the same counters. *)
 
 val capacity : t -> int
 val size : t -> int
@@ -76,8 +65,7 @@ val moves : t -> int
 val failed_inserts : t -> int
 
 val greedy_kicks : t -> int
-(** Inserts resolved by the cuckoo greedy depth-1 kick pass (always 0 on
-    the boxed layout, whose insert path is the plain BFS). *)
+(** Inserts resolved by the cuckoo greedy depth-1 kick pass. *)
 
 val bfs_expansions : t -> int
 (** Cumulative cuckoo BFS node expansions across all inserts. *)

@@ -153,7 +153,7 @@ let overflow_batch = 64
 let overflow_retry_cost = 4
 let overflow_cap = 65536
 
-let create ?metrics ?(check = `Warn) ?conn_layout cfg =
+let create ?metrics ?(check = `Warn) cfg =
   (match Config.validate cfg with
    | Ok () -> ()
    | Error msg -> invalid_arg ("Switch.create: " ^ msg));
@@ -174,7 +174,7 @@ let create ?metrics ?(check = `Warn) ?conn_layout cfg =
   let counter = Telemetry.Registry.counter reg in
   {
     cfg;
-    conns = Conn_table.create ~metrics:reg ?layout:conn_layout cfg;
+    conns = Conn_table.create ~metrics:reg cfg;
     pools = Dip_pool_table.create ~version_bits:cfg.Config.version_bits ~seed:cfg.Config.seed;
     vips = Vip_table.create ();
     transit =

@@ -35,7 +35,6 @@ type t
 val create :
   ?metrics:Telemetry.Registry.t ->
   ?check:[ `Fail | `Warn | `Off ] ->
-  ?conn_layout:Conn_table.layout ->
   Config.t ->
   t
 (** [?metrics] is the registry the switch and all its ASIC primitives
@@ -46,11 +45,7 @@ val create :
     configuration: [`Fail] raises [Invalid_argument] when the implied
     tables cannot be placed on the chip's stages, [`Warn] logs the first
     infeasible resource class and proceeds (the software model can still
-    simulate what hardware could not hold), [`Off] skips the check.
-
-    [?conn_layout] (default [`Flat]) selects the ConnTable memory
-    layout; the differential suite runs the same traffic through both
-    layouts and pins their counters byte-identical. *)
+    simulate what hardware could not hold), [`Off] skips the check. *)
 
 val config : t -> Config.t
 

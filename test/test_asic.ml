@@ -354,7 +354,7 @@ let cuckoo_bfs_boundary () =
 (* Same op sequence through the SoA table and the boxed reference: the
    greedy-kick scan order is the boxed BFS's pop order, so placements,
    move counts, sizes and stage assignments must be identical — the
-   cross-layout contract Conn_table's differential suite builds on. *)
+   reference the flat insert ladder is checked against. *)
 let layout_differential ?placement_filter ops =
   let tf = IC.create ~stages:3 ~rows_per_stage:64 ~ways:2 () in
   let tb = ICB.create ~stages:3 ~rows_per_stage:64 ~ways:2 () in

@@ -135,6 +135,94 @@ let qcheck_pcc_counts =
         packets;
       Lb.Pcc.broken o <= Lb.Pcc.total o && Lb.Pcc.broken o <= Lb.Pcc.violations o)
 
+(* ---------- Pcc.Flat refines the spec ---------- *)
+
+type pcc_op =
+  | Pkt of int * int option * bool  (** flow, DIP (None = drop), ends *)
+  | Remove of int  (** DIP removed from its pool *)
+
+let n_pcc_flows = 5
+
+let pp_pcc_op = function
+  | Pkt (f, d, ends) ->
+    Printf.sprintf "pkt(%d,%s%s)" f
+      (match d with Some d -> string_of_int d | None -> "drop")
+      (if ends then ",end" else "")
+  | Remove d -> Printf.sprintf "remove(%d)" d
+
+(* Drive the spec and the flat judge through the same stream. The spec
+   has no first-DIP accessor, so a flow's expected first DIP is the one
+   of the packet that raised the spec's [total]. *)
+let flat_matches_spec ops =
+  let no_dip = Lb.Pcc.Flat.no_dip in
+  let spec = Lb.Pcc.create () in
+  let flat = Lb.Pcc.Flat.create n_pcc_flows and c = Lb.Pcc.Flat.counters () in
+  let expected_first = Array.make n_pcc_flows no_dip in
+  let packets = ref 0 and dropped = ref 0 in
+  List.iter
+    (function
+      | Pkt (f, d, ends) ->
+        let d = Option.map dip d in
+        let before = Lb.Pcc.total spec in
+        Lb.Pcc.on_packet spec ~flow_id:f ~dip:d;
+        if ends then Lb.Pcc.on_finish spec ~flow_id:f;
+        let d = Option.value d ~default:no_dip in
+        if Lb.Pcc.total spec > before then expected_first.(f) <- d;
+        incr packets;
+        if d == no_dip then incr dropped;
+        Lb.Pcc.Flat.judge flat c f d ~ends
+      | Remove d ->
+        Lb.Pcc.on_dip_removed spec ~dip:(dip d);
+        Lb.Pcc.Flat.exclude flat (dip d))
+    ops;
+  let same_first a b = if a == no_dip then b == no_dip else b != no_dip && Netcore.Endpoint.equal a b in
+  c.total = Lb.Pcc.total spec
+  && c.broken = Lb.Pcc.broken spec
+  && c.violations = Lb.Pcc.violations spec
+  && c.packets = !packets && c.dropped = !dropped
+  && List.for_all
+       (fun f -> same_first expected_first.(f) (Lb.Pcc.Flat.first_dip flat).(f))
+       (List.init n_pcc_flows Fun.id)
+
+(* the orders no replay workload pins directly *)
+let flat_edge_orders () =
+  let ops =
+    [ (* drop on the first packet, then a delivered one: still broken *)
+      Pkt (0, None, false); Pkt (0, Some 1, false);
+      (* excluding DIP 1 must not excuse flow 0, whose first was a drop *)
+      Remove 1; Pkt (0, Some 2, false);
+      (* restart after an end is a fresh connection *)
+      Pkt (1, Some 2, true); Pkt (1, Some 3, false); Pkt (1, Some 3, false);
+      (* an excluded flow is no longer judged *)
+      Pkt (2, Some 3, false); Remove 3; Pkt (2, None, false); Pkt (1, Some 2, true) ]
+  in
+  check Alcotest.bool "flat judge = spec" true (flat_matches_spec ops);
+  (* the owner filter visits the owner's flows only *)
+  let t = Lb.Pcc.Flat.create 2 in
+  let c = [| Lb.Pcc.Flat.counters (); Lb.Pcc.Flat.counters () |] in
+  List.iter (fun f -> Lb.Pcc.Flat.judge t c.(f) f (dip 1) ~ends:false) [ 0; 1 ];
+  Lb.Pcc.Flat.exclude ~owner:([| 0; 1 |], 0) t (dip 1);
+  List.iter (fun f -> Lb.Pcc.Flat.judge t c.(f) f (dip 2) ~ends:false) [ 0; 1 ];
+  check Alcotest.int "owner 0's flow excused" 0 c.(0).Lb.Pcc.Flat.broken;
+  check Alcotest.int "owner 1's flow still judged" 1 c.(1).Lb.Pcc.Flat.broken
+
+let gen_pcc_ops =
+  QCheck.Gen.(
+    list_size (int_bound 60)
+      (frequency
+         [ ( 8,
+             map3
+               (fun f d ends -> Pkt (f, d, ends))
+               (int_bound (n_pcc_flows - 1))
+               (frequency [ (1, return None); (4, map Option.some (int_range 1 3)) ])
+               (map (fun k -> k = 0) (int_bound 4)) );
+           (1, map (fun d -> Remove d) (int_range 1 3)) ]))
+
+let qcheck_flat_refines_spec =
+  QCheck.Test.make ~name:"Flat judge = spec on random streams" ~count:500
+    (QCheck.make ~print:(fun ops -> String.concat " " (List.map pp_pcc_op ops)) gen_pcc_ops)
+    flat_matches_spec
+
 let suites =
   [
     ( "lb.dip_pool",
@@ -154,5 +242,7 @@ let suites =
         tc "dip removal excuses" `Quick pcc_excluded_after_dip_removed;
         tc "finish frees" `Quick pcc_finish_frees_state;
         QCheck_alcotest.to_alcotest qcheck_pcc_counts;
+        tc "flat judge edge orders" `Quick flat_edge_orders;
+        QCheck_alcotest.to_alcotest qcheck_flat_refines_spec;
       ] );
   ]

@@ -17,7 +17,7 @@
    - differential: on a degenerate 1-Core/1-Agg/1-ToR topology whose
      placement puts every VIP on the single ToR, [Netwide.Replay.run]
      must be byte-identical in merged telemetry to the single-switch
-     [Harness.Replay.run] — scalar and batched, on scripted-update,
+     [Harness.Replay.run] — in scalar and in batch mode, on scripted-update,
      digest-collision and chaos traces. The netwide engine earns no
      slack on the workloads the single-switch engine already pins.
 
@@ -230,18 +230,12 @@ let check_differential name (h : Harness.Replay.result) (n : Netwide.Replay.resu
     h.Harness.Replay.first_dip
 
 let differential ?(cfg = Silkroad.Config.default) ~name ~trace ~controls () =
-  let scalar =
-    Harness.Replay.run ~mode:Harness.Replay.Scalar ~make_switch:(make_switch ~cfg ()) ~trace
-      ~controls ()
-  in
-  let nw_scalar = Netwide.Replay.run ~cfg ~batched:false ~topo:(degenerate_topo ()) ~trace ~controls () in
-  check_differential (name ^ " (scalar)") scalar nw_scalar;
-  let batch =
-    Harness.Replay.run ~mode:Harness.Replay.Batch ~make_switch:(make_switch ~cfg ()) ~trace
-      ~controls ()
-  in
-  let nw_batch = Netwide.Replay.run ~cfg ~batched:true ~topo:(degenerate_topo ()) ~trace ~controls () in
-  check_differential (name ^ " (batched)") batch nw_batch
+  let nw = Netwide.Replay.run ~cfg ~topo:(degenerate_topo ()) ~trace ~controls () in
+  List.iter
+    (fun (mode, label) ->
+      let single = Harness.Replay.run ~mode ~make_switch:(make_switch ~cfg ()) ~trace ~controls () in
+      check_differential (name ^ label) single nw)
+    [ (Harness.Replay.Scalar, " (scalar)"); (Harness.Replay.Batch, " (batch)") ]
 
 let differential_scripted () =
   let s =

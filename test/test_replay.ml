@@ -33,8 +33,8 @@ let tc = Alcotest.test_case
 
 let default_vips = Experiments.Common.vips_of ~n_vips:4 ~dips_per_vip:8
 
-let make_switch ?(cfg = Silkroad.Config.default) ?(vips = default_vips) ?conn_layout () () =
-  let sw = Silkroad.Switch.create ?conn_layout cfg in
+let make_switch ?(cfg = Silkroad.Config.default) ?(vips = default_vips) () () =
+  let sw = Silkroad.Switch.create cfg in
   List.iter (fun (vip, pool) -> Silkroad.Switch.add_vip sw vip pool) vips;
   sw
 
@@ -99,12 +99,12 @@ let tiny_cfg =
 
 (* ----- oracle tests ----- *)
 
-let oracle_update_free ?conn_layout cfg name =
+let oracle_update_free cfg name =
   QCheck.Test.make ~name ~count:10 QCheck.(int_bound 1_000_000) (fun seed ->
       let flows = random_flows ~seed ~n:150 ~span:100. default_vips in
       let trace = Harness.Packed_trace.compile ~horizon:170. flows in
       let r =
-        Harness.Replay.run ~make_switch:(make_switch ~cfg ?conn_layout ()) ~trace ~controls:[] ()
+        Harness.Replay.run ~make_switch:(make_switch ~cfg ()) ~trace ~controls:[] ()
       in
       List.iteri
         (fun i flow ->
@@ -120,17 +120,6 @@ let qcheck_oracle_default = oracle_update_free Silkroad.Config.default "oracle: 
 let qcheck_oracle_tiny =
   oracle_update_free tiny_cfg
     "oracle: update-free trace matches reference even with 6-bit digest collisions"
-
-(* the same oracle legs over the boxed reference ConnTable layout: the
-   pure-function reference knows nothing about memory layout, so both
-   layouts must satisfy it independently *)
-let qcheck_oracle_default_boxed =
-  oracle_update_free ~conn_layout:`Boxed Silkroad.Config.default
-    "oracle: update-free trace matches reference model (boxed layout)"
-
-let qcheck_oracle_tiny_boxed =
-  oracle_update_free ~conn_layout:`Boxed tiny_cfg
-    "oracle: boxed layout matches reference under 6-bit digest collisions"
 
 (* With an update in flight versions diverge, so the reference holds for
    collision-free flows only: flows whose first packet precedes the
@@ -345,73 +334,6 @@ let parallel_matches_sequential () =
   check Alcotest.int "parallel packets" seq.Harness.Replay.packets par.Harness.Replay.packets;
   check Alcotest.int "parallel broken" seq.Harness.Replay.broken par.Harness.Replay.broken
 
-(* ----- flat vs boxed ConnTable layouts ----- *)
-
-(* The cross-layout contract: the SoA table and the boxed reference are
-   placement-identical, so the same traffic through both layouts must
-   produce byte-identical PCC counters, collision counters AND
-   first-DIP assignments — including on digest-collision workloads,
-   where any layout divergence would surface as a different false-hit
-   or repair count. *)
-let check_layout_equal name (f : Harness.Replay.result) (b : Harness.Replay.result) =
-  check Alcotest.string (name ^ ": telemetry byte-identical") (telemetry_json f)
-    (telemetry_json b);
-  check Alcotest.int (name ^ ": packets") f.Harness.Replay.packets b.Harness.Replay.packets;
-  check Alcotest.int (name ^ ": dropped") f.Harness.Replay.dropped b.Harness.Replay.dropped;
-  check Alcotest.int (name ^ ": connections") f.Harness.Replay.connections
-    b.Harness.Replay.connections;
-  check Alcotest.int (name ^ ": broken") f.Harness.Replay.broken b.Harness.Replay.broken;
-  check Alcotest.int (name ^ ": violations") f.Harness.Replay.violations
-    b.Harness.Replay.violations;
-  check Alcotest.int (name ^ ": false hits") f.Harness.Replay.false_hits
-    b.Harness.Replay.false_hits;
-  check Alcotest.int (name ^ ": repairs") f.Harness.Replay.repairs b.Harness.Replay.repairs;
-  let no = Silkroad.Switch.no_dip in
-  Array.iteri
-    (fun i x ->
-      let y = b.Harness.Replay.first_dip.(i) in
-      let same =
-        if x == no then y == no else y != no && Netcore.Endpoint.equal x y
-      in
-      if not same then Alcotest.failf "%s: flow %d first DIP differs across layouts" name i)
-    f.Harness.Replay.first_dip
-
-let layout_runs ?(cfg = Silkroad.Config.default) ~trace ~controls () =
-  let run layout =
-    Harness.Replay.run ~mode:Harness.Replay.Batch
-      ~make_switch:(make_switch ~cfg ~conn_layout:layout ())
-      ~trace ~controls ()
-  in
-  (run `Flat, run `Boxed)
-
-let layout_equiv_scripted () =
-  let s = scripted_scenario () in
-  let trace =
-    Harness.Packed_trace.compile ~horizon:s.Experiments.Common.horizon s.Experiments.Common.flows
-  in
-  let controls =
-    Harness.Replay.controls_of_updates ~horizon:s.Experiments.Common.horizon
-      s.Experiments.Common.updates
-  in
-  let f, b = layout_runs ~trace ~controls () in
-  check_layout_equal "scripted" f b
-
-(* the digest-collision fixture: tiny_cfg plus a dense workload makes
-   false hits and SYN repairs certain, so this leg is non-vacuous *)
-let layout_equiv_tiny_collisions () =
-  let flows = random_flows ~seed:4242 ~n:400 ~span:50. default_vips in
-  let trace = Harness.Packed_trace.compile ~horizon:120. flows in
-  let f, b = layout_runs ~cfg:tiny_cfg ~trace ~controls:[] () in
-  check Alcotest.bool "false hits occurred" true (f.Harness.Replay.false_hits > 0);
-  check_layout_equal "tiny collisions" f b
-
-let layout_equiv_chaos (scenario : Chaos.Scenario.t) () =
-  let flows, inj, horizon = chaos_workload scenario in
-  let trace = Harness.Packed_trace.compile ~horizon flows in
-  let controls = Harness.Replay.controls_of_chaos ~horizon (Chaos.Injector.events inj) in
-  let f, b = layout_runs ~trace ~controls () in
-  check_layout_equal scenario.Chaos.Scenario.name f b
-
 (* shard_of must be a total assignment, stable in the tuple *)
 let qcheck_shard_of_range =
   QCheck.Test.make ~name:"shard_of lands in range and is deterministic" ~count:200
@@ -490,15 +412,9 @@ let suites =
       [
         QCheck_alcotest.to_alcotest qcheck_oracle_default;
         QCheck_alcotest.to_alcotest qcheck_oracle_tiny;
-        QCheck_alcotest.to_alcotest qcheck_oracle_default_boxed;
-        QCheck_alcotest.to_alcotest qcheck_oracle_tiny_boxed;
         QCheck_alcotest.to_alcotest qcheck_oracle_under_update;
         tc "tiny config actually collides" `Quick tiny_config_collides;
       ] );
-    ( "replay.layout_equivalence",
-      tc "scripted updates" `Quick layout_equiv_scripted
-      :: tc "digest collisions" `Quick layout_equiv_tiny_collisions
-      :: chaos_cases layout_equiv_chaos );
     ( "replay.driver_equivalence",
       tc "scripted updates" `Quick driver_vs_scalar_scripted :: chaos_cases driver_vs_scalar_chaos
     );

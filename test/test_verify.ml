@@ -461,16 +461,7 @@ let qcheck_model_conforms =
       let events = conformance_events sched in
       let horizon = float_of_int (List.length picks + 4) *. gap +. 1. in
       let m = Mc.model_observe ~cfg ~flows ~removed ~events ~horizon in
-      let s = Mc.switch_observe ~cfg ~flows ~removed ~events ~horizon () in
-      (* the boxed reference layout must be indistinguishable from the
-         flat one under the model's eyes — same DIPs, same update and
-         repair counters on every sampled interleaving *)
-      let sb = Mc.switch_observe ~conn_layout:`Boxed ~cfg ~flows ~removed ~events ~horizon () in
-      if s <> sb then
-        QCheck.Test.fail_reportf
-          "flat/boxed switch divergence: completed %d/%d failed %d/%d forced %d/%d repairs %d/%d"
-          s.Mc.ob_completed sb.Mc.ob_completed s.Mc.ob_failed sb.Mc.ob_failed s.Mc.ob_forced
-          sb.Mc.ob_forced s.Mc.ob_repairs sb.Mc.ob_repairs;
+      let s = Mc.switch_observe ~cfg ~flows ~removed ~events ~horizon in
       if m <> s then
         QCheck.Test.fail_reportf
           "model/switch divergence: completed %d/%d failed %d/%d forced %d/%d repairs %d/%d \
