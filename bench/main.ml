@@ -303,17 +303,6 @@ let replay_section ppf ~smoke =
    judge: the parallel leg must reproduce its PCC counters
    byte-for-byte or the bench exits non-zero. *)
 
-let scale_label = "full10m"
-
-(* static template: which full10m_ keys exist and their JSON type, so a
-   smoke/full rewrite of BENCH_replay.json can carry a previously
-   committed full-scale section over verbatim *)
-let scale_field_template =
-  [ ("target_connections", `I); ("connections", `I); ("packets", `I); ("auto_shards", `I);
-    ("compile_s", `F); ("broken", `I); ("seq_pps", `F); ("seq_ns_per_packet", `F);
-    ("seq_minor_words_per_packet", `F); ("par_pps", `F); ("par_ns_per_packet", `F);
-    ("par_minor_words_per_packet", `F); ("parallel_vs_sequential_ratio", `F) ]
-
 let replay_scale_section ppf ~connections =
   let n_vips = 4 and dips_per_vip = 8 in
   let trace_seconds = 50. in
@@ -409,7 +398,7 @@ let replay_scale_section ppf ~connections =
     Format.fprintf ppf "REGRESSION: full-scale parallel sharded replay is slower than sequential@.";
     exit 1
   end;
-  let f k v = (scale_label ^ "_" ^ k, v) in
+  let f k v = ("full10m_" ^ k, v) in
   [ f "target_connections" (Telemetry.Json.Int connections);
     f "connections" (Telemetry.Json.Int rs.Harness.Replay.connections);
     f "packets" (Telemetry.Json.Int rs.Harness.Replay.packets);
@@ -733,33 +722,33 @@ let netwide_section ppf ~smoke =
   field "netwide_par_pps" (Telemetry.Json.Float par_pps);
   List.rev !fields
 
-(* The CI regression gate: flat string scan for "<key>": <number> in the
-   committed baseline (no JSON parser needed for one float). *)
-let scan_json_float content key =
-  let needle = "\"" ^ key ^ "\":" in
-  let nlen = String.length needle and clen = String.length content in
-  let rec find i =
-    if i + nlen > clen then None
-    else if String.sub content i nlen = needle then Some (i + nlen)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-    let stop = ref start in
-    while
-      !stop < clen
-      && (match content.[!stop] with
-          | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' | ' ' -> true
-          | _ -> false)
-    do
-      incr stop
-    done;
-    float_of_string_opt (String.trim (String.sub content start (!stop - start)))
+(* The fields of a bench JSON file; [None] when it is missing or not a
+   JSON object. *)
+let read_fields path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error _ -> None
+  | content ->
+    (match Telemetry.Json.parse content with
+     | Ok (Telemetry.Json.Obj fields) -> Some fields
+     | Ok _ | Error _ -> None)
 
+(* The CI regression gate: this run's [key] must reach 70% of the
+   committed baseline's. A baseline without the key skips the gate; a
+   run that did not produce it as a float is a broken bench, not a
+   regression. *)
 let check_baseline ppf ~file ~key fields =
-  let content = In_channel.with_open_bin file In_channel.input_all in
-  match scan_json_float content key with
+  let base =
+    match read_fields file with
+    | None ->
+      Format.fprintf ppf "FATAL: baseline %s is missing or not a JSON object@." file;
+      exit 1
+    | Some base ->
+      (match List.assoc_opt key base with
+       | Some (Telemetry.Json.Float v) -> Some v
+       | Some (Telemetry.Json.Int v) -> Some (float_of_int v)
+       | Some _ | None -> None)
+  in
+  match base with
   | None ->
     Format.fprintf ppf "baseline %s has no %s; skipping regression gate@." file key;
     true
@@ -767,7 +756,9 @@ let check_baseline ppf ~file ~key fields =
     let current =
       match List.assoc_opt key fields with
       | Some (Telemetry.Json.Float v) -> v
-      | _ -> 0.
+      | Some _ | None ->
+        Format.fprintf ppf "FATAL: this run produced no float %s to gate on@." key;
+        exit 1
     in
     if current < 0.7 *. base then begin
       Format.fprintf ppf "REGRESSION: %s %.3e is below 70%% of baseline %.3e@." key current
@@ -793,104 +784,25 @@ let write_bench_json ppf path fields =
   Sys.rename tmp path;
   Format.fprintf ppf "wrote %s@." path
 
-(* A --smoke run rewrites the committed bench file; carry the existing
-   full_ section over verbatim so `make check` and the CI smoke gates
-   never clobber the offline-produced full-scale numbers. Each smoke
-   field doubles as the type template for its full_ mirror. *)
-let preserve_full_section path smoke_fields =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error _ -> []
-  | content ->
-    List.filter_map
-      (fun (k, template) ->
-        if not (String.starts_with ~prefix:"smoke_" k) then None
-        else begin
-          let full_key = "full_" ^ String.sub k 6 (String.length k - 6) in
-          match (scan_json_float content full_key, template) with
-          | None, _ -> None
-          | Some v, Telemetry.Json.Int _ ->
-            Some (full_key, Telemetry.Json.Int (int_of_float v))
-          | Some v, _ -> Some (full_key, Telemetry.Json.Float v)
-        end)
-      smoke_fields
-
-(* Same idea for the full-scale (full10m_) section, whose keys have no
-   smoke template: the static [scale_field_template] supplies them. *)
-let preserve_scale_section path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error _ -> []
-  | content ->
-    List.filter_map
-      (fun (k, ty) ->
-        let key = scale_label ^ "_" ^ k in
-        match scan_json_float content key with
-        | None -> None
-        | Some v ->
-          Some
-            ( key,
-              match ty with
-              | `I -> Telemetry.Json.Int (int_of_float v)
-              | `F -> Telemetry.Json.Float v ))
-      scale_field_template
-
-let run_replay ppf ~smoke ~scale ~connections ~baseline =
-  let sections =
-    if smoke then begin
-      let sm = replay_section ppf ~smoke:true in
-      sm @ preserve_full_section "BENCH_replay.json" sm
-    end
-    else begin
-      (* bind to force smoke-before-full evaluation (and print) order *)
-      let sm = replay_section ppf ~smoke:true in
-      sm @ replay_section ppf ~smoke:false
-    end
+(* One committed bench report: the smoke section, then (without
+   [smoke]) the full one, then [extra]. Every key of the existing [file]
+   this run did not produce is carried over verbatim, so `make check`
+   and the CI smoke gates never clobber the offline full_ and full10m_
+   numbers. With [baseline], gate on [gate_key]. *)
+let run_section ppf ~file ~gate_key ~smoke ~baseline ?(extra = fun () -> []) section =
+  (* bind to force smoke-before-full evaluation (and print) order *)
+  let sm = section ppf ~smoke:true in
+  let ran = if smoke then sm else sm @ section ppf ~smoke:false in
+  let ran = ran @ extra () in
+  let kept =
+    List.filter
+      (fun (k, _) -> not (List.mem_assoc k ran))
+      (Option.value (read_fields file) ~default:[])
   in
-  let fields =
-    sections
-    @
-    if scale then replay_scale_section ppf ~connections
-    else preserve_scale_section "BENCH_replay.json"
-  in
-  write_bench_json ppf "BENCH_replay.json" fields;
+  write_bench_json ppf file (ran @ kept);
   match baseline with
-  | None -> ()
-  | Some file -> if not (check_baseline ppf ~file ~key:"smoke_batch_pps" fields) then exit 1
-
-let run_control ppf ~smoke ~baseline =
-  let fields =
-    if smoke then begin
-      let sm = control_section ppf ~smoke:true in
-      sm @ preserve_full_section "BENCH_control.json" sm
-    end
-    else begin
-      (* bind to force smoke-before-full evaluation (and print) order *)
-      let sm = control_section ppf ~smoke:true in
-      sm @ control_section ppf ~smoke:false
-    end
-  in
-  write_bench_json ppf "BENCH_control.json" fields;
-  match baseline with
-  | None -> ()
-  | Some file ->
-    if not (check_baseline ppf ~file ~key:"smoke_updates_per_sec" fields) then exit 1
-
-let run_netwide ppf ~smoke ~baseline =
-  let fields =
-    if smoke then begin
-      let sm = netwide_section ppf ~smoke:true in
-      sm @ preserve_full_section "BENCH_netwide.json" sm
-    end
-    else begin
-      (* bind to force smoke-before-full evaluation (and print) order *)
-      let sm = netwide_section ppf ~smoke:true in
-      sm @ netwide_section ppf ~smoke:false
-    end
-  in
-  write_bench_json ppf "BENCH_netwide.json" fields;
-  match baseline with
-  | None -> ()
-  | Some file ->
-    if not (check_baseline ppf ~file ~key:"smoke_netwide_seq_pps" fields) then exit 1
+  | Some b when not (check_baseline ppf ~file:b ~key:gate_key ran) -> exit 1
+  | Some _ | None -> ()
 
 (* Reference driver run whose registry snapshot is written next to the
    bench output: a machine-readable record of what the run measured
@@ -1000,18 +912,22 @@ let () =
   else if control then begin
     Format.fprintf ppf "SilkRoad bench — control mode (%s)@."
       (if smoke then "smoke" else "smoke + full");
-    run_control ppf ~smoke ~baseline
+    run_section ppf ~file:"BENCH_control.json" ~gate_key:"smoke_updates_per_sec" ~smoke
+      ~baseline control_section
   end
   else if netwide then begin
     Format.fprintf ppf "SilkRoad bench — netwide mode (%s)@."
       (if smoke then "smoke" else "smoke + full");
-    run_netwide ppf ~smoke ~baseline
+    run_section ppf ~file:"BENCH_netwide.json" ~gate_key:"smoke_netwide_seq_pps" ~smoke
+      ~baseline netwide_section
   end
   else if replay then begin
     Format.fprintf ppf "SilkRoad bench — replay mode (%s%s)@."
       (if smoke then "smoke" else "smoke + full")
       (if scale then " + full-scale" else "");
-    run_replay ppf ~smoke ~scale ~connections ~baseline
+    run_section ppf ~file:"BENCH_replay.json" ~gate_key:"smoke_batch_pps" ~smoke ~baseline
+      ~extra:(fun () -> if scale then replay_scale_section ppf ~connections else [])
+      replay_section
   end
   else if smoke then begin
     (* `make check` entry point: reference run + snapshot, plus the

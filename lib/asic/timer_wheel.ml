@@ -49,15 +49,19 @@ let advance t ~now =
     let n = Array.length t.slots in
     let last = target_tick - 1 in
     (* at most one full revolution: n consecutive ticks visit every
-       slot, and the [at <= now] filter keeps future-revolution entries
-       in place regardless of which tick index visits their slot *)
+       slot. The filter is on the entry's own tick, not [at <= now]: a
+       slot visited for an earlier-revolution tick also holds entries
+       whose tick is still running, and those must wait for it *)
     let first = Int.max (t.last_swept + 1) (last - n + 1) in
     let expired = ref [] in
     for tick = first to last do
       let h = t.slots.(tick mod n) in
       if Hashtbl.length h > 0 then begin
         let due =
-          Hashtbl.fold (fun key at acc -> if at <= now then (key, at) :: acc else acc) h []
+          Hashtbl.fold
+            (fun key at acc ->
+              if int_of_float (at /. t.granularity) <= last then (key, at) :: acc else acc)
+            h []
         in
         List.iter
           (fun (key, _) ->

@@ -71,15 +71,12 @@ let observe_latency acc per_location v =
   Telemetry.Histogram.observe acc.h_latency v;
   Telemetry.Histogram.observe per_location v
 
-(* One probe of [flow] at [at], carrying the traffic volume of the
-   [weight_dt] seconds preceding it. *)
-let probe acc ~flags ~weight_dt (flow : Simnet.Flow.t) at sim =
-  ignore sim;
-  let pkt = Netcore.Packet.make ~flags ~payload_len:1024 flow.Simnet.Flow.tuple in
+(* One probe of flow [fi] at [at], carrying [bytes] of traffic. *)
+let probe acc (trace : Packed_trace.t) ~flags ~bytes fi at =
+  let pkt = Netcore.Packet.make ~flags ~payload_len:1024 trace.Packed_trace.flow_tuples.(fi) in
   acc.balancer.Lb.Balancer.advance ~now:at;
   let outcome = acc.balancer.Lb.Balancer.process ~now:at pkt in
   Telemetry.Registry.Counter.incr acc.c_packets;
-  let bytes = flow.Simnet.Flow.bytes_per_sec *. Float.max weight_dt 1e-4 in
   (match outcome.Lb.Balancer.location with
    | Lb.Balancer.Asic ->
      Telemetry.Registry.Gauge.add acc.g_asic_bytes bytes;
@@ -91,128 +88,97 @@ let probe acc ~flags ~weight_dt (flow : Simnet.Flow.t) at sim =
      Telemetry.Registry.Gauge.add acc.g_slb_bytes bytes;
      observe_latency acc acc.h_lat_slb (Simnet.Dist.sample slb_latency acc.lat_rng));
   if outcome.Lb.Balancer.dip = None then Telemetry.Registry.Counter.incr acc.c_dropped;
-  (match Lb.Pcc.judge acc.pcc ~flow_id:flow.Simnet.Flow.id ~dip:outcome.Lb.Balancer.dip with
+  let flow_id = trace.Packed_trace.flow_ids.(fi) in
+  (match Lb.Pcc.judge acc.pcc ~flow_id ~dip:outcome.Lb.Balancer.dip with
    | Lb.Pcc.Violation ->
      (match acc.chaos with
       | Some inj -> Chaos.Injector.attribute_violation inj ~now:at
       | None -> ())
    | Lb.Pcc.First | Lb.Pcc.Consistent | Lb.Pcc.Excluded -> ());
-  if Netcore.Tcp_flags.is_connection_end flags then
-    Lb.Pcc.on_finish acc.pcc ~flow_id:flow.Simnet.Flow.id
+  if Netcore.Tcp_flags.is_connection_end flags then Lb.Pcc.on_finish acc.pcc ~flow_id
 
-let default_early = [ 250e-6; 1e-3; 5e-3; 20e-3; 0.1 ]
-
-(* The packet train of one flow, as (time, flags) pairs in strictly
-   increasing time order: SYN at start, early + steady data probes, FIN
-   when the flow ends inside the horizon. Shared with the packed-trace
-   compiler so replay sees byte-identical packet schedules. *)
-let probe_points ~early_offsets ~probe_interval ~horizon (flow : Simnet.Flow.t) =
-  let start = flow.Simnet.Flow.start in
-  let finish = Float.min (Simnet.Flow.finish flow) horizon in
-  if start >= horizon then []
-  else begin
-    let times = ref [] in
-    List.iter
-      (fun off ->
-        let at = start +. off in
-        if at < finish then times := at :: !times)
-      early_offsets;
-    let rec steady at =
-      if at < finish then begin
-        times := at :: !times;
-        steady (at +. probe_interval)
-      end
-    in
-    steady (start +. probe_interval);
-    let times = List.sort_uniq Float.compare !times in
-    let pts =
-      (start, Netcore.Tcp_flags.syn)
-      :: List.map (fun at -> (at, Netcore.Tcp_flags.data)) times
-    in
-    if Simnet.Flow.finish flow < horizon then
-      pts @ [ (Simnet.Flow.finish flow, Netcore.Tcp_flags.fin) ]
-    else pts
-  end
-
-let schedule_flow acc ~early_offsets ~probe_interval ~horizon sim (flow : Simnet.Flow.t) =
-  let last = ref flow.Simnet.Flow.start in
-  List.iter
-    (fun (at, flags) ->
-      let dt = at -. !last in
-      last := at;
-      Simnet.Sim.schedule sim ~at (probe acc ~flags ~weight_dt:dt flow at))
-    (probe_points ~early_offsets ~probe_interval ~horizon flow)
-
-(* Replay one compiled chaos event into the running simulation. *)
-let inject_chaos_event acc inj (ev : Chaos.Engine.event) sim =
-  ignore sim;
-  let now = ev.Chaos.Engine.time in
-  Chaos.Injector.note_event inj ev;
-  match ev.Chaos.Engine.op with
-  | Chaos.Engine.Deliver_update (vip, u) ->
-    acc.balancer.Lb.Balancer.advance ~now;
-    (* same dead-server accounting as for scripted updates *)
+(* One control event against the balancer. *)
+let apply acc ~at (ctrl : Replay.control) =
+  let b = acc.balancer in
+  match ctrl with
+  | Replay.Update (vip, u) ->
+    b.Lb.Balancer.advance ~now:at;
+    (* a removed DIP's server is gone: its connections are dead on
+       arrival, not PCC victims *)
     (match u with
      | Lb.Balancer.Dip_remove d -> Lb.Pcc.on_dip_removed acc.pcc ~dip:d
      | Lb.Balancer.Dip_replace { old_dip; _ } -> Lb.Pcc.on_dip_removed acc.pcc ~dip:old_dip
      | Lb.Balancer.Dip_add _ -> ());
-    acc.balancer.Lb.Balancer.update ~now ~vip u
-  | Chaos.Engine.Update_dropped _ | Chaos.Engine.Update_suppressed _ ->
-    (* the balancer never hears about these; accounting only *)
-    ()
-  | Chaos.Engine.Dip_died d ->
+    b.Lb.Balancer.update ~now:at ~vip u
+  | Replay.Dip_dead d ->
     (* ground truth: connections pinned to a dead server are dead on
        arrival whatever the balancer does — exclude them from PCC *)
     Lb.Pcc.on_dip_removed acc.pcc ~dip:d
-  | Chaos.Engine.Dip_recovered _ -> ()
-  | Chaos.Engine.Cpu_backlog n ->
-    acc.balancer.Lb.Balancer.advance ~now;
-    acc.balancer.Lb.Balancer.disturb ~now (Lb.Balancer.Cpu_backlog n)
-  | Chaos.Engine.Switch_failed r
-  | Chaos.Engine.Switch_recovered r
-  | Chaos.Engine.Vip_migrated r ->
+  | Replay.Cpu_backlog n ->
+    b.Lb.Balancer.advance ~now:at;
+    b.Lb.Balancer.disturb ~now:at (Lb.Balancer.Cpu_backlog n)
+  | Replay.Attack_syn tuple ->
+    (* attack traffic: goes through the balancer (filling tables and
+       queues) but is not part of the measured workload, so it touches
+       neither the PCC oracle nor the driver.* counters *)
+    b.Lb.Balancer.advance ~now:at;
+    let pkt = Netcore.Packet.make ~flags:Netcore.Tcp_flags.syn ~payload_len:0 tuple in
+    ignore (b.Lb.Balancer.process ~now:at pkt)
+  | Replay.Reroute r ->
     (* topology re-route: the affected flows land on a balancer instance
        without their state. The connections themselves are fine — the
        PCC oracle keeps judging them, which is the point: a stateful
        balancer must survive the re-route without remapping them. *)
-    acc.balancer.Lb.Balancer.advance ~now;
-    acc.balancer.Lb.Balancer.disturb ~now (Lb.Balancer.Reroute r)
-  | Chaos.Engine.Syn_packet tuple ->
-    (* attack traffic: goes through the balancer (filling tables and
-       queues) but is not part of the measured workload, so it touches
-       neither the PCC oracle nor the driver.* counters *)
-    acc.balancer.Lb.Balancer.advance ~now;
-    let pkt = Netcore.Packet.make ~flags:Netcore.Tcp_flags.syn ~payload_len:0 tuple in
-    ignore (acc.balancer.Lb.Balancer.process ~now pkt)
+    b.Lb.Balancer.advance ~now:at;
+    b.Lb.Balancer.disturb ~now:at (Lb.Balancer.Reroute r)
 
-let run ?(early_offsets = default_early) ?(probe_interval = 15.) ?chaos ~balancer ~flows ~updates
-    ~horizon () =
-  let sim = Simnet.Sim.create () in
+let run ?(early_offsets = Packed_trace.default_early) ?(probe_interval = 15.) ?chaos ~balancer
+    ~flows ~updates ~horizon () =
+  let trace = Packed_trace.compile ~early_offsets ~probe_interval ~horizon flows in
   let acc = make_acc ?chaos balancer in
-  List.iter (fun flow -> schedule_flow acc ~early_offsets ~probe_interval ~horizon sim flow) flows;
+  let events = match chaos with Some inj -> Chaos.Injector.events inj | None -> [] in
   (match chaos with
-   | None -> ()
    | Some inj ->
      List.iter
        (fun (ev : Chaos.Engine.event) ->
-         if ev.Chaos.Engine.time < horizon then
-           Simnet.Sim.schedule sim ~at:ev.Chaos.Engine.time (inject_chaos_event acc inj ev))
-       (Chaos.Injector.events inj));
+         if ev.Chaos.Engine.time < horizon then Chaos.Injector.note_event inj ev)
+       events
+   | None -> ());
+  (* chaos before scripted updates at equal times; the stable sort keeps
+     each stream's own order *)
+  let controls =
+    List.stable_sort
+      (fun (a, _) (b, _) -> Float.compare a b)
+      (Replay.controls_of_chaos ~horizon events @ Replay.controls_of_updates ~horizon updates)
+  in
+  (* per flow index (the compiled trace keeps exactly the flows starting
+     before the horizon, in order): byte rate and previous packet time *)
+  let kept = Array.of_list (List.filter (fun f -> f.Simnet.Flow.start < horizon) flows) in
+  let rate = Array.map (fun f -> f.Simnet.Flow.bytes_per_sec) kept in
+  let last = Array.map (fun f -> f.Simnet.Flow.start) kept in
+  let flags_tab = Array.init 64 Netcore.Tcp_flags.of_byte in
+  let times = trace.Packed_trace.times in
+  let n = Array.length times in
+  let cursor = ref 0 in
+  (* packets at time <= [at] fire first: a control at [at] sees every
+     probe stamped [at] already processed, as in Replay.Stepper *)
+  let fire_to at =
+    while !cursor < n && times.(!cursor) <= at do
+      let p = !cursor in
+      let fi = trace.Packed_trace.pkt_flow.(p) and t = times.(p) in
+      let flags = flags_tab.(Char.code (Bytes.get trace.Packed_trace.pkt_flags p)) in
+      let bytes = rate.(fi) *. Float.max (t -. last.(fi)) 1e-4 in
+      last.(fi) <- t;
+      probe acc trace ~flags ~bytes fi t;
+      incr cursor
+    done
+  in
   List.iter
-    (fun (at, vip, u) ->
-      if at < horizon then
-        Simnet.Sim.schedule sim ~at (fun _ ->
-            balancer.Lb.Balancer.advance ~now:at;
-            (* a removed DIP's server is gone: its connections are dead
-               on arrival, not PCC victims *)
-            (match u with
-             | Lb.Balancer.Dip_remove d -> Lb.Pcc.on_dip_removed acc.pcc ~dip:d
-             | Lb.Balancer.Dip_replace { old_dip; _ } ->
-               Lb.Pcc.on_dip_removed acc.pcc ~dip:old_dip
-             | Lb.Balancer.Dip_add _ -> ());
-            balancer.Lb.Balancer.update ~now:at ~vip u))
-    updates;
-  Simnet.Sim.run sim ~until:horizon;
+    (fun (at, ctrl) ->
+      fire_to at;
+      apply acc ~at ctrl)
+    controls;
+  fire_to horizon;
   balancer.Lb.Balancer.advance ~now:horizon;
   let asic_bytes = Telemetry.Registry.Gauge.value acc.g_asic_bytes in
   let cpu_bytes = Telemetry.Registry.Gauge.value acc.g_cpu_bytes in

@@ -2,14 +2,18 @@
     schedule against any {!Lb.Balancer.t}, and measure what the paper
     measures.
 
-    Each flow is turned into a packet train: a SYN at its start, a burst
-    of early probes (250 µs, 1 ms, 5 ms, 20 ms, 100 ms — inside the
-    connection-learning race window §4.3 is about), steady probes every
-    [probe_interval] for its lifetime (which expose Duet-style breakage
-    at migration time), and a FIN at its end. Every probe is checked by
-    the {!Lb.Pcc} oracle against the flow's first assignment; traffic
-    volume is attributed to whichever component handled each probe,
-    weighted by the flow's rate over the preceding inter-probe gap. *)
+    The driver is a front end over the one packet schedule: the flows
+    are compiled with {!Packed_trace.compile} (a SYN at each flow's
+    start, early probes inside the connection-learning race window
+    §4.3 is about, steady probes every [probe_interval] — which expose
+    Duet-style breakage at migration time — and a FIN at its end), the
+    chaos timeline and scripted updates become one {!Replay.control}
+    stream, and a single cursor walks the packets, applying each control
+    once every packet stamped at or before it has fired — the tie order
+    of {!Replay.Stepper}. Every probe is checked by the {!Lb.Pcc} oracle
+    against the flow's first assignment; traffic volume is attributed to
+    whichever component handled each probe, weighted by the flow's rate
+    over the preceding inter-probe gap. *)
 
 type result = {
   balancer_name : string;
@@ -43,22 +47,6 @@ val asic_latency : float
 val slb_latency : Simnet.Dist.t
 val cpu_latency : Simnet.Dist.t
 
-val default_early : float list
-(** The default [early_offsets]: 250 µs, 1 ms, 5 ms, 20 ms, 100 ms. *)
-
-val probe_points :
-  early_offsets:float list ->
-  probe_interval:float ->
-  horizon:float ->
-  Simnet.Flow.t ->
-  (float * Netcore.Tcp_flags.t) list
-(** The packet train {!run} generates for one flow, as (time, flags)
-    pairs in strictly increasing time order — SYN at the flow's start,
-    early and steady data probes, FIN when the flow ends before the
-    horizon; empty when the flow starts at or after the horizon. The
-    packed-trace compiler uses the same function, so a replayed trace is
-    packet-for-packet identical to a driver run. *)
-
 val run :
   ?early_offsets:float list ->
   ?probe_interval:float ->
@@ -72,8 +60,10 @@ val run :
 (** Flows starting after [horizon] are ignored; probes are truncated at
     [horizon]. Updates are applied at their scheduled times.
 
-    With [?chaos], the injector's compiled timeline is scheduled into
-    the simulation alongside the workload: delivered updates drive
+    With [?chaos], the injector's compiled timeline is replayed
+    alongside the workload (chaos before scripted updates at equal
+    times), and every event before the horizon is counted in the
+    injector's [chaos.*] metrics: delivered updates drive
     [balancer.update] (with the same dead-server PCC accounting as
     scripted [updates]), CPU-backlog events hit [balancer.disturb],
     SYN-flood packets are processed by the balancer but excluded from

@@ -1,9 +1,9 @@
-(* Flat pre-encoded packet traces for the replay fast path: one float
-   per packet time, one int per flow index, one byte per flag set, all
-   in time-sorted arrays. Compilation shares Driver.probe_points, so a
-   packed trace is packet-for-packet the schedule the driver would have
-   fired, including tie order (equal-time packets keep flow-major
-   emission order, exactly the event queue's insertion order). *)
+(* Flat pre-encoded packet traces: one float per packet time, one int
+   per flow index, one byte per flag set, all in time-sorted arrays.
+   This is the one packet schedule of the library: the experiment
+   driver and the replay engine both walk it with a single cursor, so
+   tie order is fixed here — equal-time packets keep flow-major
+   emission order. *)
 
 type t = {
   horizon : float;
@@ -23,11 +23,44 @@ let dummy_tuple =
   Netcore.Five_tuple.make ~src:Netcore.Endpoint.none ~dst:Netcore.Endpoint.none
     ~proto:Netcore.Protocol.Tcp
 
-let compile ?(early_offsets = Driver.default_early) ?(probe_interval = 15.) ~horizon flows =
+let default_early = [ 250e-6; 1e-3; 5e-3; 20e-3; 0.1 ]
+
+(* The packet train of one flow, as (time, flags) pairs in strictly
+   increasing time order: SYN at start, early + steady data probes, FIN
+   when the flow ends inside the horizon. *)
+let probe_points ~early_offsets ~probe_interval ~horizon (flow : Simnet.Flow.t) =
+  let start = flow.Simnet.Flow.start in
+  let finish = Float.min (Simnet.Flow.finish flow) horizon in
+  if start >= horizon then []
+  else begin
+    let times = ref [] in
+    List.iter
+      (fun off ->
+        let at = start +. off in
+        if at < finish then times := at :: !times)
+      early_offsets;
+    let rec steady at =
+      if at < finish then begin
+        times := at :: !times;
+        steady (at +. probe_interval)
+      end
+    in
+    steady (start +. probe_interval);
+    let times = List.sort_uniq Float.compare !times in
+    let pts =
+      (start, Netcore.Tcp_flags.syn)
+      :: List.map (fun at -> (at, Netcore.Tcp_flags.data)) times
+    in
+    if Simnet.Flow.finish flow < horizon then
+      pts @ [ (Simnet.Flow.finish flow, Netcore.Tcp_flags.fin) ]
+    else pts
+  end
+
+let compile ?(early_offsets = default_early) ?(probe_interval = 15.) ~horizon flows =
   let kept =
     List.filter_map
       (fun f ->
-        match Driver.probe_points ~early_offsets ~probe_interval ~horizon f with
+        match probe_points ~early_offsets ~probe_interval ~horizon f with
         | [] -> None
         | pts -> Some (f, pts))
       flows
@@ -67,8 +100,8 @@ let compile ?(early_offsets = Driver.default_early) ?(probe_interval = 15.) ~hor
           incr p)
         pts)
     kept;
-  (* sort by (time, emission index): the driver schedules flows
-     first-to-last, so emission order is its tie order *)
+  (* sort by (time, emission index): flows in list order, so emission
+     order is the tie order *)
   let order = Array.init total (fun i -> i) in
   Array.sort
     (fun a b ->

@@ -1,12 +1,14 @@
-(** Flat pre-encoded packet traces for the replay fast path.
+(** Flat pre-encoded packet traces: the one packet schedule.
 
-    A packed trace is the driver's packet schedule with all the boxing
+    A packed trace is a workload's probe schedule with all the boxing
     stripped: per-packet time, flow index and flag byte live in three
-    parallel arrays sorted by (time, emission order) — the exact order
-    {!Driver.run}'s event queue would fire them in — and per-flow
-    metadata (5-tuple, VIP, id) lives in flow-indexed arrays. The
-    replay engine streams these through {!Silkroad.Switch.process_batch}
-    without allocating a packet record per probe.
+    parallel arrays sorted by (time, emission order), and per-flow
+    metadata (5-tuple, VIP, id) lives in flow-indexed arrays. Every
+    engine walks this schedule with one cursor: the experiment driver
+    against any balancer, and the replay engine through
+    {!Silkroad.Switch.process_batch} without allocating a packet record
+    per probe. Tie order is defined here once: equal-time packets fire
+    in flow-major emission order.
 
     The binary codec ([save]/[load]) makes a compiled trace a reusable
     artifact: compile a big workload once, replay it under many
@@ -30,15 +32,34 @@ val dummy_tuple : Netcore.Five_tuple.t
 (** Placeholder tuple ([Endpoint.none] to [Endpoint.none]) used to
     initialise flow arrays before they are filled. *)
 
+val default_early : float list
+(** The default [early_offsets]: 250 µs, 1 ms, 5 ms, 20 ms, 100 ms —
+    inside the connection-learning race window §4.3 is about. *)
+
+val probe_points :
+  early_offsets:float list ->
+  probe_interval:float ->
+  horizon:float ->
+  Simnet.Flow.t ->
+  (float * Netcore.Tcp_flags.t) list
+(** One flow's packet train, as (time, flags) pairs in strictly
+    increasing time order: a SYN at the flow's start, a data probe at
+    each early offset and every [probe_interval] after the start while
+    the flow lives, and a FIN when the flow ends before the horizon.
+    Empty when the flow starts at or after the horizon. *)
+
 val compile :
   ?early_offsets:float list ->
   ?probe_interval:float ->
   horizon:float ->
   Simnet.Flow.t list ->
   t
-(** Pre-encode the packet trains {!Driver.probe_points} generates for
-    these flows (same defaults as {!Driver.run}). Flows starting at or
-    after the horizon are dropped. *)
+(** Pre-encode the packet trains of these flows. Each flow's train is
+    a SYN at its start, a data probe at each early offset (default
+    {!default_early}) and every [probe_interval] (default 15 s) after
+    the start while the flow lives, and a FIN when it ends before the
+    horizon. Flows starting at or after the horizon are dropped; the
+    rest keep their list order as flow indices. *)
 
 type partition = {
   pt_shards : int;

@@ -606,6 +606,38 @@ let qcheck_wheel_delivers_all =
       && sorted_ok
       && Asic.Timer_wheel.scheduled w = 0)
 
+(* The documented delivery bound, call by call: a key due at [at] fires
+   in the first [advance] with [now >= (floor (at / g) + 1) * g] — never
+   earlier, never a call later. Power-of-two granularities keep [at / g]
+   exact; few slots push deadlines several revolutions out. *)
+let qcheck_wheel_delivery_bound =
+  QCheck.Test.make ~name:"wheel fires each key in the first call past its tick" ~count:200
+    QCheck.(
+      triple (int_range 0 3)
+        (list_of_size (Gen.int_range 1 30) (float_bound_inclusive 40.))
+        (list_of_size (Gen.int_range 1 30) (float_bound_inclusive 6.)))
+    (fun (g_exp, deadlines, steps) ->
+      let g = Float.ldexp 1. (g_exp - 2) in
+      let w = Asic.Timer_wheel.create ~granularity:g ~slots:4 () in
+      List.iteri (fun k at -> Asic.Timer_wheel.schedule w ~key:k ~at) deadlines;
+      (* non-decreasing call times; the last one clears every deadline *)
+      let rev = List.fold_left (fun acc dt -> (List.hd acc +. dt) :: acc) [ 0. ] steps in
+      let nows = List.rev ((List.hd rev +. 50.) :: rev) in
+      let fired_at = Hashtbl.create 16 in
+      List.iteri
+        (fun call now ->
+          List.iter (fun k -> Hashtbl.replace fired_at k call) (Asic.Timer_wheel.advance w ~now))
+        nows;
+      List.for_all
+        (fun (k, at) ->
+          let bound = (Float.of_int (int_of_float (at /. g)) +. 1.) *. g in
+          let rec first call = function
+            | now :: rest -> if now >= bound then call else first (call + 1) rest
+            | [] -> -1
+          in
+          Hashtbl.find_opt fired_at k = Some (first 0 nows))
+        (List.mapi (fun k at -> (k, at)) deadlines))
+
 (* ---------- Resources / Table_spec ---------- *)
 
 let resources_math () =
@@ -685,6 +717,7 @@ let suites =
         tc "cancel" `Quick wheel_cancel;
         tc "beyond a revolution" `Quick wheel_beyond_revolution;
         QCheck_alcotest.to_alcotest qcheck_wheel_delivers_all;
+        QCheck_alcotest.to_alcotest qcheck_wheel_delivery_bound;
       ] );
     ( "asic.resources",
       [ tc "arithmetic" `Quick resources_math; tc "table spec sram" `Quick table_spec_sram ] );

@@ -81,16 +81,6 @@ let prng_shuffle_permutes () =
   check Alcotest.bool "same elements" true (sorted = Array.init 50 (fun i -> i));
   check Alcotest.bool "actually shuffled" true (arr <> Array.init 50 (fun i -> i))
 
-let sim_step_pending () =
-  let sim = Simnet.Sim.create () in
-  Simnet.Sim.schedule sim ~at:1. (fun _ -> ());
-  Simnet.Sim.schedule sim ~at:2. (fun _ -> ());
-  check Alcotest.int "pending" 2 (Simnet.Sim.pending sim);
-  check Alcotest.bool "step" true (Simnet.Sim.step sim);
-  check Alcotest.int "processed" 1 (Simnet.Sim.events_processed sim);
-  check Alcotest.bool "step2" true (Simnet.Sim.step sim);
-  check Alcotest.bool "empty" false (Simnet.Sim.step sim)
-
 let endpoint_hash_fold_differs () =
   let a = Netcore.Endpoint.v4 1 2 3 4 80 and b = Netcore.Endpoint.v4 1 2 3 4 81 in
   check Alcotest.bool "different ports differ" true
@@ -122,7 +112,6 @@ let suites =
         tc "histogram" `Quick stats_histogram;
         tc "scaled dist" `Quick dist_scaled;
         tc "shuffle" `Quick prng_shuffle_permutes;
-        tc "sim step/pending" `Quick sim_step_pending;
         tc "endpoint hash fold" `Quick endpoint_hash_fold_differs;
         tc "balancer record" `Quick balancer_interface_complete;
         tc "memory units" `Quick memory_model_units;

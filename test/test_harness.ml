@@ -149,6 +149,32 @@ let update_delivery_order () =
   ignore (Harness.Driver.run ~balancer:b ~flows:[] ~updates ~horizon:10. ());
   check (Alcotest.list (Alcotest.float 1e-9)) "time order" [ 1.; 3.; 5. ] (List.rev !seen)
 
+(* Golden digests of the driver's whole telemetry snapshot (PCC and
+   packet counters, byte gauges, latency histograms, balancer and chaos
+   metrics) on the chaos smoke operating point, seed 3. Any change to
+   the packet schedule, the control tie order, the latency draws or the
+   byte weighting shows up here. *)
+let golden =
+  [
+    ("dip-mass-failure", "silkroad", "a0a52a76f4d4530b20273b20b0f77646");
+    ("dip-mass-failure", "slb", "823643178061ef10fd39285d06dd99b9");
+    ("dip-mass-failure", "duet", "cba788e128899b352a8eb4b94c76999c");
+    ("dip-mass-failure", "ecmp", "8acf97dc52060b6309ea05f85edbc773");
+    ("switch-failure", "silkroad", "eb33e40d098174483cd2d828395a245e");
+    ("switch-failure", "slb", "6998c7385ceed7ee66fde74613958a7c");
+    ("switch-failure", "duet", "fbf1a240f7e1f0d9f875129389c653e4");
+    ("switch-failure", "ecmp", "1c9081642b25de07a0e1394aa866a98f");
+  ]
+
+let golden_case (scenario, balancer, digest) =
+  tc (scenario ^ " " ^ balancer) `Quick (fun () ->
+      let spec =
+        Experiments.Chaos_runner.smoke_spec (Option.get (Chaos.Scenario.find scenario)) ~seed:3
+      in
+      let r, _ = Experiments.Chaos_runner.run spec ~balancer in
+      check Alcotest.string "telemetry digest" digest
+        (Digest.to_hex (Digest.string (Telemetry.Snapshot.to_json r.Harness.Driver.telemetry))))
+
 let suites =
   [
     ( "harness.driver",
@@ -159,4 +185,5 @@ let suites =
         tc "traffic & latency attribution" `Quick traffic_attribution;
         tc "update ordering" `Quick update_delivery_order;
       ] );
+    ("harness.driver_golden", List.map golden_case golden);
   ]

@@ -239,6 +239,64 @@ let driver_vs_scalar_chaos (scenario : Chaos.Scenario.t) () =
   in
   check_counters scenario.Chaos.Scenario.name d r
 
+(* Exact ties. Flow starts, lifetimes and scripted update times sit on a
+   0.5 s grid, and the chaos scenarios fire at round times, so controls
+   land exactly on packet timestamps — where "packets at t fire before a
+   control at t, chaos before scripted updates" is the whole contract.
+   The scripted updates add and later remove fresh DIPs the chaos
+   timeline never touches, so the two streams cannot desynchronise
+   membership. *)
+let tie_scenarios = [ "quiet"; "dip-mass-failure"; "dip-flap"; "cpu-stall"; "switch-failure" ]
+
+let qcheck_driver_vs_scalar_ties =
+  QCheck.Test.make ~name:"driver = scalar when controls tie with packets" ~count:20
+    QCheck.(pair (int_bound 1_000_000) (int_bound (List.length tie_scenarios - 1)))
+    (fun (seed, sc) ->
+      let horizon = 60. in
+      let grid x = 0.5 *. Float.round (x /. 0.5) in
+      let flows =
+        List.map
+          (fun (f : Simnet.Flow.t) ->
+            { f with Simnet.Flow.start = grid f.Simnet.Flow.start;
+                     duration = Float.max 0.5 (grid f.Simnet.Flow.duration) })
+          (random_flows ~seed ~n:150 ~span:50. default_vips)
+      in
+      let rng = Random.State.make [| seed; 0x71e |] in
+      let updates =
+        List.concat
+          (List.mapi
+             (fun i (vip, _) ->
+               let fresh = Experiments.Common.dip (7000 + i) in
+               let t_add = 0.5 *. float_of_int (1 + Random.State.int rng 100) in
+               let t_rm = t_add +. (0.5 *. float_of_int (1 + Random.State.int rng 20)) in
+               [ (t_add, vip, Lb.Balancer.Dip_add fresh); (t_rm, vip, Lb.Balancer.Dip_remove fresh) ])
+             default_vips)
+      in
+      let scenario = Option.get (Chaos.Scenario.find (List.nth tie_scenarios sc)) in
+      let inj = Chaos.Injector.create ~scenario ~seed ~vips:default_vips ~horizon () in
+      let _sw, balancer = Experiments.Common.silkroad ~vips:default_vips () in
+      let d = Harness.Driver.run ~chaos:inj ~balancer ~flows ~updates ~horizon () in
+      let r =
+        Harness.Replay.run ~mode:Harness.Replay.Scalar ~make_switch:(make_switch ())
+          ~trace:(Harness.Packed_trace.compile ~horizon flows)
+          ~controls:
+            (Harness.Replay.controls_of_chaos ~horizon (Chaos.Injector.events inj)
+            @ Harness.Replay.controls_of_updates ~horizon updates)
+          ()
+      in
+      let driver =
+        ( d.Harness.Driver.packets, d.Harness.Driver.dropped_packets, d.Harness.Driver.connections,
+          d.Harness.Driver.broken_connections, d.Harness.Driver.violation_packets )
+      and scalar =
+        ( r.Harness.Replay.packets, r.Harness.Replay.dropped, r.Harness.Replay.connections,
+          r.Harness.Replay.broken, r.Harness.Replay.violations )
+      in
+      let pp (p, dr, c, b, v) = Printf.sprintf "packets %d dropped %d conns %d broken %d viol %d" p dr c b v in
+      if driver <> scalar then
+        QCheck.Test.fail_reportf "%s: driver %s, scalar %s" scenario.Chaos.Scenario.name (pp driver)
+          (pp scalar);
+      true)
+
 (* ----- scalar vs batch vs sharded ----- *)
 
 let telemetry_json (r : Harness.Replay.result) =
@@ -416,8 +474,9 @@ let suites =
         tc "tiny config actually collides" `Quick tiny_config_collides;
       ] );
     ( "replay.driver_equivalence",
-      tc "scripted updates" `Quick driver_vs_scalar_scripted :: chaos_cases driver_vs_scalar_chaos
-    );
+      tc "scripted updates" `Quick driver_vs_scalar_scripted
+      :: QCheck_alcotest.to_alcotest qcheck_driver_vs_scalar_ties
+      :: chaos_cases driver_vs_scalar_chaos );
     ( "replay.batch_equivalence",
       tc "scripted updates" `Quick scalar_vs_batch_scripted :: chaos_cases scalar_vs_batch_chaos
     );

@@ -1,6 +1,5 @@
 (* Tests for the simulation substrate: PRNG, distributions, statistics,
-   event queue, sim engine, workload generation, update traces,
-   cluster populations. *)
+   workload generation, update traces, cluster populations. *)
 
 let check = Alcotest.check
 let tc = Alcotest.test_case
@@ -133,61 +132,6 @@ let qcheck_percentile_bounds =
       let mn = List.fold_left Float.min infinity xs in
       let mx = List.fold_left Float.max neg_infinity xs in
       v >= mn -. 1e-9 && v <= mx +. 1e-9)
-
-(* ---------- Event_queue / Sim ---------- *)
-
-let queue_ordering () =
-  let q = Simnet.Event_queue.create () in
-  Simnet.Event_queue.add q ~time:3. "c";
-  Simnet.Event_queue.add q ~time:1. "a";
-  Simnet.Event_queue.add q ~time:2. "b";
-  Simnet.Event_queue.add q ~time:1. "a2";
-  let order = ref [] in
-  let rec drain () =
-    match Simnet.Event_queue.pop q with
-    | Some (_, v) ->
-      order := v :: !order;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  check (Alcotest.list Alcotest.string) "time then fifo order" [ "a"; "a2"; "b"; "c" ]
-    (List.rev !order)
-
-let qcheck_queue_sorted =
-  QCheck.Test.make ~name:"event queue pops in time order" ~count:100
-    QCheck.(list (float_bound_inclusive 1000.))
-    (fun times ->
-      let q = Simnet.Event_queue.create () in
-      List.iter (fun t -> Simnet.Event_queue.add q ~time:t ()) times;
-      let rec drain last =
-        match Simnet.Event_queue.pop q with
-        | Some (t, ()) -> t >= last && drain t
-        | None -> true
-      in
-      drain neg_infinity)
-
-let sim_run_until () =
-  let sim = Simnet.Sim.create () in
-  let fired = ref [] in
-  List.iter
-    (fun t -> Simnet.Sim.schedule sim ~at:t (fun _ -> fired := t :: !fired))
-    [ 1.; 2.; 3.; 4. ];
-  Simnet.Sim.run sim ~until:2.5;
-  check Alcotest.int "two fired" 2 (List.length !fired);
-  check (Alcotest.float 1e-9) "clock at horizon" 2.5 (Simnet.Sim.now sim);
-  Simnet.Sim.run sim;
-  check Alcotest.int "all fired" 4 (List.length !fired)
-
-let sim_nested_schedule () =
-  let sim = Simnet.Sim.create () in
-  let log = ref [] in
-  Simnet.Sim.schedule sim ~at:1. (fun sim ->
-      log := "outer" :: !log;
-      Simnet.Sim.schedule_in sim ~delay:0.5 (fun _ -> log := "inner" :: !log));
-  Simnet.Sim.run sim;
-  check (Alcotest.list Alcotest.string) "nested" [ "outer"; "inner" ] (List.rev !log);
-  check (Alcotest.float 1e-9) "final clock" 1.5 (Simnet.Sim.now sim)
 
 (* ---------- Workload ---------- *)
 
@@ -492,13 +436,6 @@ let suites =
         tc "percentiles" `Quick stats_percentiles;
         tc "cdf" `Quick stats_cdf;
         QCheck_alcotest.to_alcotest qcheck_percentile_bounds;
-      ] );
-    ( "simnet.sim",
-      [
-        tc "queue ordering" `Quick queue_ordering;
-        tc "run until" `Quick sim_run_until;
-        tc "nested schedule" `Quick sim_nested_schedule;
-        QCheck_alcotest.to_alcotest qcheck_queue_sorted;
       ] );
     ( "simnet.workload",
       [
