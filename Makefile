@@ -64,4 +64,4 @@ clean:
 	dune clean
 	rm -f BENCH_telemetry.json CHAOS_soak.*.json chaos_report*.json
 	rm -f BENCH_control.json.tmp BENCH_replay.json.tmp BENCH_netwide.json.tmp
-	rm -f netwide_metrics.json *.sock *.srptrc
+	rm -f netwide_metrics.json *.sock

@@ -36,8 +36,7 @@ let switch0 t = Stepper.switch t.steppers.(0)
    histogram's default range. *)
 let transit_spec = { Telemetry.Histogram.lo = 1.0; decades = 9; buckets_per_decade = 10 }
 
-let create ?(cfg = Silkroad.Config.default) ?(shards = 1) ?(batched = true) ?(vips = [])
-    ?trace () =
+let create ?(cfg = Silkroad.Config.default) ?(shards = 1) ?(vips = []) ?trace () =
   if shards < 1 then invalid_arg "Session.create: shards must be >= 1";
   let trace =
     match trace with
@@ -49,7 +48,7 @@ let create ?(cfg = Silkroad.Config.default) ?(shards = 1) ?(batched = true) ?(vi
     Array.init shards (fun k ->
         let sw = Silkroad.Switch.create cfg in
         List.iter (fun (v, pool) -> Silkroad.Switch.add_vip sw v pool) vips;
-        Stepper.create sh ~shard:k ~batched sw)
+        Stepper.create sh ~shard:k ~batched:true sw)
   in
   let registry = Registry.create () in
   let members = Hashtbl.create 16 in

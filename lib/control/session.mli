@@ -41,18 +41,17 @@ type t
 val create :
   ?cfg:Silkroad.Config.t ->
   ?shards:int ->
-  ?batched:bool ->
   ?vips:(Netcore.Endpoint.t * Lb.Dip_pool.t) list ->
   ?trace:Harness.Packed_trace.t ->
   unit ->
   t
-(** [?shards] (default 1) switches partitioned as in sharded replay;
-    [?batched] (default true) selects {!Silkroad.Switch.process_batch}
-    for the packet path; [?vips] are pre-registered on every switch
-    before any traffic, exactly like [make_switch] in a batch run (VIPs
-    can equally be added with [vip-add] commands at time 0); [?trace]
-    (default empty) is the concurrent data-plane load, whose packets are
-    interleaved with commands in virtual-time order. *)
+(** [?shards] (default 1) switches partitioned as in sharded replay,
+    each on the {!Silkroad.Switch.process_batch} packet path; [?vips]
+    are pre-registered on every switch before any traffic, exactly like
+    [make_switch] in a batch run (VIPs can equally be added with
+    [vip-add] commands at time 0); [?trace] (default empty) is the
+    concurrent data-plane load, whose packets are interleaved with
+    commands in virtual-time order. *)
 
 val exec : t -> Protocol.line -> Protocol.response
 val exec_line : t -> string -> Protocol.response option

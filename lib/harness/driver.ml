@@ -28,7 +28,8 @@ let cpu_latency = Simnet.Dist.lognormal_of_quantiles ~median:2e-3 ~p99:10e-3
 
 type acc = {
   balancer : Lb.Balancer.t;
-  pcc : Lb.Pcc.t;
+  pcc : Lb.Pcc.Flat.t;
+  judged : Lb.Pcc.Flat.counters;
   chaos : Chaos.Injector.t option;
   lat_rng : Simnet.Prng.t;
   metrics : Telemetry.Registry.t;
@@ -38,21 +39,20 @@ type acc = {
   h_lat_asic : Telemetry.Histogram.t;
   h_lat_cpu : Telemetry.Histogram.t;
   h_lat_slb : Telemetry.Histogram.t;
-  c_packets : Telemetry.Registry.Counter.t;
-  c_dropped : Telemetry.Registry.Counter.t;
   g_asic_bytes : Telemetry.Registry.Gauge.t;
   g_cpu_bytes : Telemetry.Registry.Gauge.t;
   g_slb_bytes : Telemetry.Registry.Gauge.t;
 }
 
-let make_acc ?chaos balancer =
+let make_acc ?chaos ~n_flows balancer =
   let reg = Telemetry.Registry.create () in
   let lat where =
     Telemetry.Registry.histogram reg ~labels:[ ("location", where) ] "driver.latency"
   in
   {
     balancer;
-    pcc = Lb.Pcc.create ();
+    pcc = Lb.Pcc.Flat.create n_flows;
+    judged = Lb.Pcc.Flat.counters ();
     chaos;
     lat_rng = Simnet.Prng.create ~seed:0x1a7;
     metrics = reg;
@@ -60,8 +60,6 @@ let make_acc ?chaos balancer =
     h_lat_asic = lat "asic";
     h_lat_cpu = lat "switch-cpu";
     h_lat_slb = lat "slb";
-    c_packets = Telemetry.Registry.counter reg "driver.packets";
-    c_dropped = Telemetry.Registry.counter reg "driver.dropped_packets";
     g_asic_bytes = Telemetry.Registry.gauge reg "driver.asic_bytes";
     g_cpu_bytes = Telemetry.Registry.gauge reg "driver.cpu_bytes";
     g_slb_bytes = Telemetry.Registry.gauge reg "driver.slb_bytes";
@@ -76,7 +74,6 @@ let probe acc (trace : Packed_trace.t) ~flags ~bytes fi at =
   let pkt = Netcore.Packet.make ~flags ~payload_len:1024 trace.Packed_trace.flow_tuples.(fi) in
   acc.balancer.Lb.Balancer.advance ~now:at;
   let outcome = acc.balancer.Lb.Balancer.process ~now:at pkt in
-  Telemetry.Registry.Counter.incr acc.c_packets;
   (match outcome.Lb.Balancer.location with
    | Lb.Balancer.Asic ->
      Telemetry.Registry.Gauge.add acc.g_asic_bytes bytes;
@@ -87,55 +84,16 @@ let probe acc (trace : Packed_trace.t) ~flags ~bytes fi at =
    | Lb.Balancer.Slb ->
      Telemetry.Registry.Gauge.add acc.g_slb_bytes bytes;
      observe_latency acc acc.h_lat_slb (Simnet.Dist.sample slb_latency acc.lat_rng));
-  if outcome.Lb.Balancer.dip = None then Telemetry.Registry.Counter.incr acc.c_dropped;
-  let flow_id = trace.Packed_trace.flow_ids.(fi) in
-  (match Lb.Pcc.judge acc.pcc ~flow_id ~dip:outcome.Lb.Balancer.dip with
-   | Lb.Pcc.Violation ->
-     (match acc.chaos with
-      | Some inj -> Chaos.Injector.attribute_violation inj ~now:at
-      | None -> ())
-   | Lb.Pcc.First | Lb.Pcc.Consistent | Lb.Pcc.Excluded -> ());
-  if Netcore.Tcp_flags.is_connection_end flags then Lb.Pcc.on_finish acc.pcc ~flow_id
-
-(* One control event against the balancer. *)
-let apply acc ~at (ctrl : Replay.control) =
-  let b = acc.balancer in
-  match ctrl with
-  | Replay.Update (vip, u) ->
-    b.Lb.Balancer.advance ~now:at;
-    (* a removed DIP's server is gone: its connections are dead on
-       arrival, not PCC victims *)
-    (match u with
-     | Lb.Balancer.Dip_remove d -> Lb.Pcc.on_dip_removed acc.pcc ~dip:d
-     | Lb.Balancer.Dip_replace { old_dip; _ } -> Lb.Pcc.on_dip_removed acc.pcc ~dip:old_dip
-     | Lb.Balancer.Dip_add _ -> ());
-    b.Lb.Balancer.update ~now:at ~vip u
-  | Replay.Dip_dead d ->
-    (* ground truth: connections pinned to a dead server are dead on
-       arrival whatever the balancer does — exclude them from PCC *)
-    Lb.Pcc.on_dip_removed acc.pcc ~dip:d
-  | Replay.Cpu_backlog n ->
-    b.Lb.Balancer.advance ~now:at;
-    b.Lb.Balancer.disturb ~now:at (Lb.Balancer.Cpu_backlog n)
-  | Replay.Attack_syn tuple ->
-    (* attack traffic: goes through the balancer (filling tables and
-       queues) but is not part of the measured workload, so it touches
-       neither the PCC oracle nor the driver.* counters *)
-    b.Lb.Balancer.advance ~now:at;
-    let pkt = Netcore.Packet.make ~flags:Netcore.Tcp_flags.syn ~payload_len:0 tuple in
-    ignore (b.Lb.Balancer.process ~now:at pkt)
-  | Replay.Reroute r ->
-    (* topology re-route: the affected flows land on a balancer instance
-       without their state. The connections themselves are fine — the
-       PCC oracle keeps judging them, which is the point: a stateful
-       balancer must survive the re-route without remapping them. *)
-    b.Lb.Balancer.advance ~now:at;
-    b.Lb.Balancer.disturb ~now:at (Lb.Balancer.Reroute r)
+  let dip = Option.value outcome.Lb.Balancer.dip ~default:Lb.Pcc.Flat.no_dip in
+  let violations = acc.judged.Lb.Pcc.Flat.violations in
+  Lb.Pcc.Flat.judge acc.pcc acc.judged fi dip ~ends:(Netcore.Tcp_flags.is_connection_end flags);
+  if acc.judged.Lb.Pcc.Flat.violations > violations then
+    Option.iter (fun inj -> Chaos.Injector.attribute_violation inj ~now:at) acc.chaos
 
 let run ?(early_offsets = Packed_trace.default_early) ?(probe_interval = 15.) ?chaos ~balancer
     ~flows ~updates ~horizon () =
   let trace = Packed_trace.compile ~early_offsets ~probe_interval ~horizon flows in
-  let acc = make_acc ?chaos balancer in
+  let acc = make_acc ?chaos ~n_flows:(Packed_trace.n_flows trace) balancer in
   let events = match chaos with Some inj -> Chaos.Injector.events inj | None -> [] in
   (match chaos with
    | Some inj ->
@@ -176,13 +134,18 @@ let run ?(early_offsets = Packed_trace.default_early) ?(probe_interval = 15.) ?c
   List.iter
     (fun (at, ctrl) ->
       fire_to at;
-      apply acc ~at ctrl)
+      Option.iter (Lb.Pcc.Flat.exclude acc.pcc) (Replay.retired_dip ctrl);
+      Replay.apply_to balancer ~at ctrl)
     controls;
   fire_to horizon;
   balancer.Lb.Balancer.advance ~now:horizon;
   let asic_bytes = Telemetry.Registry.Gauge.value acc.g_asic_bytes in
   let cpu_bytes = Telemetry.Registry.Gauge.value acc.g_cpu_bytes in
   let slb_bytes = Telemetry.Registry.Gauge.value acc.g_slb_bytes in
+  let j = acc.judged in
+  let count name = Telemetry.Registry.Counter.add (Telemetry.Registry.counter acc.metrics name) in
+  count "driver.packets" j.Lb.Pcc.Flat.packets;
+  count "driver.dropped_packets" j.Lb.Pcc.Flat.dropped;
   let total_bytes = asic_bytes +. cpu_bytes +. slb_bytes in
   (* one combined snapshot: the driver's own metrics plus everything the
      balancer reports (merged, so neither registry is mutated) *)
@@ -194,12 +157,14 @@ let run ?(early_offsets = Packed_trace.default_early) ?(probe_interval = 15.) ?c
    | None -> ());
   {
     balancer_name = balancer.Lb.Balancer.name;
-    connections = Lb.Pcc.total acc.pcc;
-    broken_connections = Lb.Pcc.broken acc.pcc;
-    broken_fraction = Lb.Pcc.broken_fraction acc.pcc;
-    violation_packets = Lb.Pcc.violations acc.pcc;
-    packets = Telemetry.Registry.Counter.value acc.c_packets;
-    dropped_packets = Telemetry.Registry.Counter.value acc.c_dropped;
+    connections = j.Lb.Pcc.Flat.total;
+    broken_connections = j.Lb.Pcc.Flat.broken;
+    broken_fraction =
+      (if j.Lb.Pcc.Flat.total = 0 then 0.
+       else float_of_int j.Lb.Pcc.Flat.broken /. float_of_int j.Lb.Pcc.Flat.total);
+    violation_packets = j.Lb.Pcc.Flat.violations;
+    packets = j.Lb.Pcc.Flat.packets;
+    dropped_packets = j.Lb.Pcc.Flat.dropped;
     asic_bytes;
     cpu_bytes;
     slb_bytes;

@@ -10,10 +10,13 @@
     chaos timeline and scripted updates become one {!Replay.control}
     stream, and a single cursor walks the packets, applying each control
     once every packet stamped at or before it has fired — the tie order
-    of {!Replay.Stepper}. Every probe is checked by the {!Lb.Pcc} oracle
-    against the flow's first assignment; traffic volume is attributed to
-    whichever component handled each probe, weighted by the flow's rate
-    over the preceding inter-probe gap. *)
+    of {!Replay.Stepper}. A control excludes its {!Replay.retired_dip}
+    from the judge and goes to the balancer through {!Replay.apply_to},
+    the one control semantics every engine shares. Every probe is
+    checked by {!Lb.Pcc.Flat}, indexed by the compiled trace's flow
+    index, against the flow's first assignment; traffic volume is
+    attributed to whichever component handled each probe, weighted by
+    the flow's rate over the preceding inter-probe gap. *)
 
 type result = {
   balancer_name : string;
@@ -67,11 +70,12 @@ val run :
     [balancer.update] (with the same dead-server PCC accounting as
     scripted [updates]), CPU-backlog events hit [balancer.disturb],
     SYN-flood packets are processed by the balancer but excluded from
-    the measured workload, and every PCC violation a probe observes is
-    attributed to the active fault window in the injector's [chaos.*]
-    counters, which are merged into [result.telemetry]. A chaos scenario
-    that generates pool churn assumes it owns the update stream — don't
-    also pass scripted [updates] that touch the same pools, the two
-    streams would desynchronise membership. *)
+    the measured workload, and every probe whose judgement raised the
+    violation count is attributed to the active fault window in the
+    injector's [chaos.*] counters, which are merged into
+    [result.telemetry]. A chaos scenario that generates pool churn
+    assumes it owns the update stream — don't also pass scripted
+    [updates] that touch the same pools, the two streams would
+    desynchronise membership. *)
 
 val pp_result : Format.formatter -> result -> unit

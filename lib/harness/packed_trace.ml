@@ -176,90 +176,3 @@ let partition t ~shards ~shard_of =
     sh_pflow.(k).(j) <- fi
   done;
   { pt_shards = shards; flow_shard; sh_times; sh_flows; sh_flags; sh_pflow }
-
-(* ----- binary codec ----- *)
-
-let magic = "SRPTRC01"
-
-let save path t =
-  let buf = Buffer.create (65536 + (17 * Array.length t.times)) in
-  Buffer.add_string buf magic;
-  Buffer.add_int64_le buf (Int64.bits_of_float t.horizon);
-  Buffer.add_int64_le buf (Int64.of_int (Array.length t.vips));
-  Array.iter (fun v -> Netcore.Endpoint.write buf v) t.vips;
-  Buffer.add_int64_le buf (Int64.of_int (Array.length t.flow_ids));
-  Array.iteri
-    (fun i id ->
-      Buffer.add_int64_le buf (Int64.of_int id);
-      Buffer.add_int32_le buf (Int32.of_int t.flow_vip.(i));
-      Netcore.Endpoint.write buf t.flow_tuples.(i).Netcore.Five_tuple.src;
-      Buffer.add_uint8 buf (Netcore.Protocol.to_byte t.flow_tuples.(i).Netcore.Five_tuple.proto))
-    t.flow_ids;
-  Buffer.add_int64_le buf (Int64.of_int (Array.length t.times));
-  Array.iteri
-    (fun i at ->
-      Buffer.add_int64_le buf (Int64.bits_of_float at);
-      Buffer.add_int32_le buf (Int32.of_int t.pkt_flow.(i));
-      Buffer.add_char buf (Bytes.get t.pkt_flags i))
-    t.times;
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Buffer.output_buffer oc buf)
-
-let load path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let b = Bytes.create len in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> really_input ic b 0 len);
-  if len < 8 || not (String.equal (Bytes.sub_string b 0 8) magic) then
-    failwith "Packed_trace.load: bad magic";
-  let pos = ref 8 in
-  let i64 () =
-    let v = Bytes.get_int64_le b !pos in
-    pos := !pos + 8;
-    v
-  in
-  let i32 () =
-    let v = Bytes.get_int32_le b !pos in
-    pos := !pos + 4;
-    Int32.to_int v
-  in
-  let int () = Int64.to_int (i64 ()) in
-  let horizon = Int64.float_of_bits (i64 ()) in
-  let n_vips = int () in
-  let vips = Array.make n_vips Netcore.Endpoint.none in
-  for i = 0 to n_vips - 1 do
-    let v, p = Netcore.Endpoint.read b !pos in
-    pos := p;
-    vips.(i) <- v
-  done;
-  let n_flows = int () in
-  let flow_ids = Array.make n_flows 0 in
-  let flow_vip = Array.make n_flows 0 in
-  let flow_tuples = Array.make n_flows dummy_tuple in
-  for i = 0 to n_flows - 1 do
-    flow_ids.(i) <- int ();
-    flow_vip.(i) <- i32 ();
-    let src, p = Netcore.Endpoint.read b !pos in
-    pos := p;
-    let proto =
-      match Netcore.Protocol.of_byte (Bytes.get_uint8 b !pos) with
-      | Some pr -> pr
-      | None -> failwith "Packed_trace.load: bad protocol byte"
-    in
-    incr pos;
-    (* intern the destination: every flow of a VIP shares one endpoint
-       record, as after [compile] *)
-    flow_tuples.(i) <-
-      Netcore.Five_tuple.make ~src ~dst:vips.(flow_vip.(i)) ~proto
-  done;
-  let n_pkts = int () in
-  let times = Array.make n_pkts 0. in
-  let pkt_flow = Array.make n_pkts 0 in
-  let pkt_flags = Bytes.create n_pkts in
-  for i = 0 to n_pkts - 1 do
-    times.(i) <- Int64.float_of_bits (i64 ());
-    pkt_flow.(i) <- i32 ();
-    Bytes.set pkt_flags i (Bytes.get b !pos);
-    incr pos
-  done;
-  { horizon; vips; flow_ids; flow_vip; flow_tuples; times; pkt_flow; pkt_flags }

@@ -8,11 +8,7 @@
     against any balancer, and the replay engine through
     {!Silkroad.Switch.process_batch} without allocating a packet record
     per probe. Tie order is defined here once: equal-time packets fire
-    in flow-major emission order.
-
-    The binary codec ([save]/[load]) makes a compiled trace a reusable
-    artifact: compile a big workload once, replay it under many
-    configurations. *)
+    in flow-major emission order. *)
 
 type t = {
   horizon : float;
@@ -72,7 +68,7 @@ type partition = {
 (** A trace pre-partitioned into per-shard packed sub-traces: one
     contiguous (times, flows, flags, flow-index) quadruple per shard,
     each preserving the global (time, emission) order. Built once at
-    compile/load time so the replay hot loop — including the parallel
+    compile time so the replay hot loop — including the parallel
     worker handoff — touches only flat arrays. *)
 
 val partition : t -> shards:int -> shard_of:(Netcore.Five_tuple.t -> int) -> partition
@@ -80,11 +76,3 @@ val partition : t -> shards:int -> shard_of:(Netcore.Five_tuple.t -> int) -> par
     passes; flag bytes decoded through a 64-entry table). [shard_of]
     must return values in [0, shards); raises [Invalid_argument]
     otherwise or when [shards < 1]. *)
-
-val save : string -> t -> unit
-(** Write the binary format (little-endian, magic ["SRPTRC01"]). *)
-
-val load : string -> t
-(** Read a trace written by {!save}; VIP endpoints are interned so every
-    flow of a VIP shares one record. Raises [Failure] on malformed
-    input. *)

@@ -3,9 +3,10 @@
 
    Equivalence contract (pinned by test/test_replay.ml):
    - [Scalar] reproduces Driver.run's observable counters exactly: same
-     packets in the same order, controls applied with the driver's tie
-     order (packets at a control's timestamp fire first, because the
-     driver schedules every probe before any control event).
+     packets in the same order, controls applied with the same tie order
+     (packets at a control's timestamp fire first) and the same
+     semantics ([retired_dip] and [apply_to] below, shared by every
+     engine).
    - [Batch] is byte-identical to [Scalar]: same single switch, same
      packet order — only the boxing differs.
    - [Sharded] partitions flows by 5-tuple hash across K independent
@@ -63,6 +64,36 @@ let controls_of_updates ~horizon updates =
   List.filter_map
     (fun (at, vip, u) -> if at >= horizon then None else Some (at, Update (vip, u)))
     updates
+
+(* A removed, replaced or dead DIP's server is gone: its connections are
+   dead on arrival, not PCC victims (§4.3). *)
+let retired_dip = function
+  | Update (_, (Lb.Balancer.Dip_remove d | Lb.Balancer.Dip_replace { old_dip = d; _ }))
+  | Dip_dead d ->
+    Some d
+  | Update (_, Lb.Balancer.Dip_add _) | Cpu_backlog _ | Attack_syn _ | Reroute _ -> None
+
+let apply_to (b : Lb.Balancer.t) ~at ctrl =
+  match ctrl with
+  | Update (vip, u) ->
+    b.Lb.Balancer.advance ~now:at;
+    b.Lb.Balancer.update ~now:at ~vip u
+  | Dip_dead _ -> ()
+  | Cpu_backlog n ->
+    b.Lb.Balancer.advance ~now:at;
+    b.Lb.Balancer.disturb ~now:at (Lb.Balancer.Cpu_backlog n)
+  | Attack_syn tuple ->
+    (* attack traffic fills tables and queues but is not measured
+       workload: the caller neither counts nor judges it *)
+    b.Lb.Balancer.advance ~now:at;
+    let pkt = Netcore.Packet.make ~flags:Netcore.Tcp_flags.syn ~payload_len:0 tuple in
+    ignore (b.Lb.Balancer.process ~now:at pkt)
+  | Reroute r ->
+    (* the selected flows lose their balancer-side state; the judge
+       keeps holding them to their first DIP, which is the network-wide
+       consistency question *)
+    b.Lb.Balancer.advance ~now:at;
+    b.Lb.Balancer.disturb ~now:at (Lb.Balancer.Reroute r)
 
 type result = {
   mode : mode;
@@ -158,6 +189,7 @@ module Stepper = struct
     sh : shared;
     shard : int;
     switch : Silkroad.Switch.t;
+    balancer : Lb.Balancer.t;
     batched : bool;
     counters : Lb.Pcc.Flat.counters;
     dips : Netcore.Endpoint.t array;
@@ -170,6 +202,7 @@ module Stepper = struct
       sh;
       shard;
       switch;
+      balancer = Silkroad.Switch.balancer switch;
       batched;
       counters = Lb.Pcc.Flat.counters ();
       dips = Array.make (Array.length sh.part.Packed_trace.sh_times.(shard)) Silkroad.Switch.no_dip;
@@ -202,8 +235,8 @@ module Stepper = struct
       done
     end
 
-  (* process this shard's packets with time <= [at] (the driver
-     schedules every probe before any control event at the same time) *)
+  (* process this shard's packets with time <= [at]: every probe stamped
+     at a control's time fires before the control *)
   let flush_to st at =
     let times = st.sh.part.Packed_trace.sh_times.(st.shard) in
     let n = Array.length times in
@@ -215,44 +248,16 @@ module Stepper = struct
     st.cursor <- !j
 
   (* a flow is judged by its owner shard alone, so shard-local exclusion
-     is globally equivalent *)
-  let exclude st dip =
-    Lb.Pcc.Flat.exclude ~owner:(st.sh.part.Packed_trace.flow_shard, st.shard) st.sh.pcc dip
-
+     is globally equivalent; an attack SYN goes to its flow's owner shard
+     only *)
   let apply st ~at ctrl =
     flush_to st at;
+    Option.iter
+      (Lb.Pcc.Flat.exclude ~owner:(st.sh.part.Packed_trace.flow_shard, st.shard) st.sh.pcc)
+      (retired_dip ctrl);
     match ctrl with
-    | Update (vip, u) ->
-      (* driver order: advance, dead-server PCC accounting, update *)
-      Silkroad.Switch.advance st.switch ~now:at;
-      (match u with
-       | Lb.Balancer.Dip_remove d -> exclude st d
-       | Lb.Balancer.Dip_replace { old_dip; _ } -> exclude st old_dip
-       | Lb.Balancer.Dip_add _ -> ());
-      Silkroad.Switch.request_update st.switch ~now:at ~vip u
-    | Dip_dead d ->
-      (* ground truth only: no balancer interaction *)
-      exclude st d
-    | Cpu_backlog n ->
-      Silkroad.Switch.advance st.switch ~now:at;
-      Silkroad.Switch.inject_cpu_backlog st.switch ~now:at ~work_items:n
-    | Attack_syn tuple ->
-      (* routed to the flow's owner shard; fills tables and queues but
-         is not measured workload: no counter, no PCC *)
-      if shard_of ~shards:st.sh.shards tuple = st.shard then begin
-        Silkroad.Switch.advance st.switch ~now:at;
-        ignore
-          (Silkroad.Switch.process_flow st.switch ~now:at ~flags:Netcore.Tcp_flags.syn
-             ~payload_len:0 tuple)
-      end
-    | Reroute r ->
-      (* topology re-route: selected flows lose their switch-side state.
-         No PCC effect here — the oracle keeps judging them, which is
-         exactly the network-wide consistency question. *)
-      Silkroad.Switch.advance st.switch ~now:at;
-      ignore
-        (Silkroad.Switch.forget_flows st.switch ~now:at (fun flow _vip ->
-             Lb.Balancer.reroute_selects r flow))
+    | Attack_syn tuple when shard_of ~shards:st.sh.shards tuple <> st.shard -> ()
+    | _ -> apply_to st.balancer ~at ctrl
 
   let finish st ~now =
     let n = Array.length st.sh.part.Packed_trace.sh_times.(st.shard) in
@@ -297,10 +302,10 @@ let run ?(mode = Batch) ~make_switch ~(trace : Packed_trace.t) ~controls () =
   in
   let batched = match mode with Scalar -> false | Batch | Sharded _ -> true in
   let sh = Stepper.make_shared ~trace ~shards in
-  (* controls: stable time sort keeps the driver's tie order (chaos
-     events before scripted updates when the caller concatenates them in
-     that order); [Stepper.apply] routes attack SYNs to their flow's
-     owner shard and broadcasts every other control *)
+  (* controls: the stable time sort keeps chaos events before scripted
+     updates when the caller concatenates them in that order;
+     [Stepper.apply] routes attack SYNs to their flow's owner shard and
+     broadcasts every other control *)
   let controls =
     Array.of_list (List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) controls)
   in

@@ -20,22 +20,37 @@
 
     Every judged packet goes through {!Lb.Pcc.Flat}, the flow-indexed
     refinement of the {!Lb.Pcc} oracle; attack SYNs go through the
-    switch but touch neither the packet counters nor the judge, as in
-    the driver. *)
+    switch but touch neither the packet counters nor the judge. *)
 
+(** A control event. Its meaning is defined once, by {!retired_dip}
+    (the judge side) and {!apply_to} (the balancer side); every engine —
+    {!Driver}, {!Stepper}, [Netwide.Replay] — calls both and keeps only
+    its own routing of the control to switches. *)
 type control =
   | Update of Netcore.Endpoint.t * Lb.Balancer.update
-      (** apply to the switch, with dead-server PCC exclusion for
-          removals/replacements — the driver's scripted-update rule *)
-  | Dip_dead of Netcore.Endpoint.t  (** ground truth only: PCC exclusion *)
+      (** a DIP-pool update; a removal or replacement retires the old DIP *)
+  | Dip_dead of Netcore.Endpoint.t
+      (** ground truth only: the DIP's server died; no balancer effect *)
   | Cpu_backlog of int
   | Attack_syn of Netcore.Five_tuple.t
   | Reroute of Lb.Balancer.reroute
       (** topology re-route (switch failure/recovery, VIP migration):
-          the selected flows lose their switch-side connection state via
-          {!Silkroad.Switch.forget_flows}; the PCC arrays are untouched,
-          so the oracle keeps holding the re-routed connections to their
-          original DIP — the network-wide consistency question. *)
+          the selected flows lose their balancer-side connection state;
+          the judge is untouched, so it keeps holding the re-routed
+          connections to their original DIP — the network-wide
+          consistency question (§5.3). *)
+
+val retired_dip : control -> Netcore.Endpoint.t option
+(** The DIP whose server the control retires: the removed DIP of a
+    [Dip_remove], the old DIP of a [Dip_replace], the DIP of a
+    [Dip_dead]. Connections pinned to it are dead on arrival, not PCC
+    victims (§4.3), so every engine excludes it from the judge. *)
+
+val apply_to : Lb.Balancer.t -> at:float -> control -> unit
+(** The balancer side of a control: advance to [at], then [update],
+    [disturb (Cpu_backlog n)], [disturb (Reroute r)], or [process] the
+    attack SYN (payload 0, not counted or judged by the caller).
+    [Dip_dead] is a no-op. *)
 
 type mode =
   | Scalar
@@ -57,18 +72,18 @@ val auto_shards : unit -> int
     count matched to this machine. *)
 
 val controls_of_chaos : horizon:float -> Chaos.Engine.event list -> (float * control) list
-(** The control stream {!Driver.run} would derive from a compiled chaos
-    timeline: delivered updates, DIP deaths, CPU backlogs and attack
-    SYNs, with dropped/suppressed updates and recoveries elided.
-    Events at or after the horizon are discarded. *)
+(** The control stream of a compiled chaos timeline: delivered updates,
+    DIP deaths, CPU backlogs, attack SYNs and re-routes, with
+    dropped/suppressed updates and DIP recoveries elided. Events at or
+    after the horizon are discarded. *)
 
 val controls_of_updates :
   horizon:float ->
   (float * Netcore.Endpoint.t * Lb.Balancer.update) list ->
   (float * control) list
 (** Scripted updates as controls. When combining with chaos controls,
-    concatenate chaos first — {!run} sorts stably by time, so the
-    driver's tie order is preserved. *)
+    concatenate chaos first — {!run} sorts stably by time, so chaos
+    fires before scripted updates at equal times, as in {!Driver.run}. *)
 
 type result = {
   mode : mode;
@@ -123,8 +138,8 @@ val run_tasks : parallel:bool -> int -> (int -> unit) -> unit
     a scripted serve session counter-identical to a batch replay by
     construction.
 
-    Discipline (shared with {!run}): packets at time [t <= at] fire
-    before a control applied at [at] (the driver's tie order), and
+    Discipline (shared with {!run} and {!Driver}): packets at time
+    [t <= at] fire before a control applied at [at], and
     {!Stepper.apply}/{!Stepper.finish} are the only places the switch's
     control plane is advanced outside the packet path. *)
 module Stepper : sig
@@ -156,11 +171,11 @@ module Stepper : sig
       exactly the batch loop's behaviour between controls. *)
 
   val apply : t -> at:float -> control -> unit
-  (** [flush_to at], then apply the control: updates/backlogs advance
-      the switch to [at] first; DIP removals and deaths exclude the DIP
-      from PCC over this shard's flows; attack SYNs are applied only on
-      their flow's owner shard (broadcast-safe). Controls must be
-      applied in non-decreasing time order. *)
+  (** [flush_to at], exclude the {!retired_dip} over this shard's flows,
+      then {!apply_to} the switch — except an attack SYN, which only its
+      flow's owner shard applies (so broadcasting every control to every
+      shard is safe). Controls must be applied in non-decreasing time
+      order. *)
 
   val finish : t -> now:float -> unit
   (** Process every remaining packet, then advance the switch to [now]

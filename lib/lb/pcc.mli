@@ -2,7 +2,7 @@
 
     PCC (§2.1): for a given connection c, every packet of c must be
     mapped to the DIP chosen for c's first packet. The oracle watches
-    every (flow, packet, chosen DIP) the harness produces and records,
+    every (flow, packet, chosen DIP) it is given and records,
     per flow, the first assignment and any later deviation. A flow with
     at least one deviating or dropped packet is a {e broken} connection —
     the quantity Figures 5b, 16, 17 and 18 report. *)
@@ -52,8 +52,9 @@ val violations : t -> int
     several). *)
 
 (** The flow-indexed, allocation-free refinement of the oracle above —
-    the one judge every replay engine ({!Harness.Replay},
-    [Netwide.Replay], [Analysis.Modelcheck]) calls. Flows are dense
+    the one judge every engine ([Harness.Driver], [Harness.Replay],
+    [Netwide.Replay], [Analysis.Modelcheck]) calls; the oracle itself is
+    the reference a qcheck property holds it equal to. Flows are dense
     indices [0 .. n-1]; the verdict counters live in caller-owned
     {!counters}, so engines that judge disjoint flow sets on several
     Domains keep one set per owner and sum them afterwards. *)

@@ -52,29 +52,3 @@ let of_string s =
       (match Ip.of_string addr, parse_port port with
        | Some ip, Some p when p >= 0 && p < 65536 -> Some (make ip p)
        | _, _ -> None)
-
-(* ----- binary codec (packed traces) ----- *)
-
-let write buf { ip; port } =
-  (match ip with
-   | Ip.V4 x ->
-     Buffer.add_char buf '\004';
-     Buffer.add_int32_be buf x
-   | Ip.V6 (h, l) ->
-     Buffer.add_char buf '\006';
-     Buffer.add_int64_be buf h;
-     Buffer.add_int64_be buf l);
-  Buffer.add_uint16_be buf port
-
-let read b pos =
-  match Char.code (Bytes.get b pos) with
-  | 4 ->
-    let ip = Ip.V4 (Bytes.get_int32_be b (pos + 1)) in
-    let port = Bytes.get_uint16_be b (pos + 5) in
-    (make ip port, pos + 7)
-  | 6 ->
-    let h = Bytes.get_int64_be b (pos + 1) in
-    let l = Bytes.get_int64_be b (pos + 9) in
-    let port = Bytes.get_uint16_be b (pos + 17) in
-    (make (Ip.V6 (h, l)) port, pos + 19)
-  | tag -> failwith (Printf.sprintf "Endpoint.read: bad family tag %d" tag)

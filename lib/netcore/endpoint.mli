@@ -25,11 +25,3 @@ val to_string : t -> string
 val of_string : string -> t option
 (** Parses ["a.b.c.d:port"] (or an IPv6 literal in square brackets,
     ["[h:...:h]:port"]). *)
-
-val write : Buffer.t -> t -> unit
-(** Binary codec used by packed traces: family tag byte (4 or 6), the
-    address in network byte order, then the port as big-endian u16. *)
-
-val read : Bytes.t -> int -> t * int
-(** [read b pos] decodes an endpoint written by {!write} and returns it
-    with the position just past it. Raises [Failure] on a bad tag. *)

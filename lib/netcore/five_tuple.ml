@@ -15,21 +15,6 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let write buf { src; dst; proto } =
-  Endpoint.write buf src;
-  Endpoint.write buf dst;
-  Buffer.add_uint8 buf (Protocol.to_byte proto)
-
-let read b pos =
-  let src, pos = Endpoint.read b pos in
-  let dst, pos = Endpoint.read b pos in
-  let proto =
-    match Protocol.of_byte (Bytes.get_uint8 b pos) with
-    | Some p -> p
-    | None -> failwith "Five_tuple.read: bad protocol byte"
-  in
-  ({ src; dst; proto }, pos + 1)
-
 (* [@inline] so callers outside the Cuckoo functor (whose [Key.hash]
    parameter can never be inlined) get the whole Int64 chain unboxed. *)
 let[@inline] hash ~seed { src; dst; proto } =

@@ -30,13 +30,5 @@ val key_bytes : t -> int
 
 val is_v6 : t -> bool
 
-val write : Buffer.t -> t -> unit
-(** Binary codec used by packed traces: [src], [dst] ({!Endpoint.write})
-    then the IANA protocol byte. *)
-
-val read : Bytes.t -> int -> t * int
-(** Decodes a tuple written by {!write}; returns it with the position
-    just past it. Raises [Failure] on malformed input. *)
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -4,6 +4,5 @@ type t =
 
 let equal a b = a = b
 let to_byte = function Tcp -> 6 | Udp -> 17
-let of_byte = function 6 -> Some Tcp | 17 -> Some Udp | _ -> None
 let compare a b = Int.compare (to_byte a) (to_byte b)
 let pp ppf t = Format.pp_print_string ppf (match t with Tcp -> "tcp" | Udp -> "udp")

@@ -9,7 +9,4 @@ val compare : t -> t -> int
 val to_byte : t -> int
 (** IANA protocol number: 6 for TCP, 17 for UDP. *)
 
-val of_byte : int -> t option
-(** Inverse of {!to_byte}; [None] for any other protocol number. *)
-
 val pp : Format.formatter -> t -> unit

@@ -128,8 +128,8 @@ let run ?(cfg = Silkroad.Config.default) ?(parallel = false) ?(events = []) ?(co
       Lb.Pcc.Flat.judge pcc c pkt_flow.(i) dip ~ends:(Netcore.Tcp_flags.is_connection_end flags)
     done
   in
-  (* process every packet with time <= [at] (Driver's tie order: probes
-     scheduled before control events at the same timestamp) *)
+  (* process every packet with time <= [at]: probes stamped at a
+     control's time fire before it, as in every engine *)
   let flush_to at =
     let stop = ref !cursor in
     while !stop < n_pkts && times.(!stop) <= at do
@@ -172,41 +172,26 @@ let run ?(cfg = Silkroad.Config.default) ?(parallel = false) ?(events = []) ?(co
     end;
     cursor := hi
   in
+  (* the judge excludes once, network-wide; each switch applies the
+     control's balancer side, except that an update goes only to the
+     switches hosting its VIP (the rest just advance) and an attack SYN
+     is routed like any packet of its (spoofed) VIP *)
   let apply_control at (ctrl : Harness.Replay.control) =
+    Option.iter (Lb.Pcc.Flat.exclude pcc) (Harness.Replay.retired_dip ctrl);
+    let apply sw = Harness.Replay.apply_to (Silkroad.Switch.balancer sw) ~at ctrl in
     match ctrl with
     | Harness.Replay.Update (vip, u) ->
-      (* Stepper order: advance, dead-server PCC accounting, update *)
-      iter_live_switches (fun sw -> Silkroad.Switch.advance sw ~now:at);
-      (match u with
-       | Lb.Balancer.Dip_remove d -> Lb.Pcc.Flat.exclude pcc d
-       | Lb.Balancer.Dip_replace { old_dip; _ } -> Lb.Pcc.Flat.exclude pcc old_dip
-       | Lb.Balancer.Dip_add _ -> ());
       (match Hashtbl.find_opt cur_pools vip with
        | Some pool -> Hashtbl.replace cur_pools vip (Lb.Balancer.apply_update pool u)
        | None -> ());
       iter_live_switches (fun sw ->
-          if Silkroad.Switch.has_vip sw vip then Silkroad.Switch.request_update sw ~now:at ~vip u)
-    | Harness.Replay.Dip_dead d -> Lb.Pcc.Flat.exclude pcc d
-    | Harness.Replay.Cpu_backlog n ->
-      iter_live_switches (fun sw ->
-          Silkroad.Switch.advance sw ~now:at;
-          Silkroad.Switch.inject_cpu_backlog sw ~now:at ~work_items:n)
+          if Silkroad.Switch.has_vip sw vip then apply sw else Silkroad.Switch.advance sw ~now:at)
     | Harness.Replay.Attack_syn tuple ->
-      (* routed like any packet of its (spoofed) VIP; not measured *)
-      (match Route.owner topo ~vip:tuple.Netcore.Five_tuple.dst tuple with
-       | Some n ->
-         let sw = ensure_switch n.Topology.node_id in
-         Silkroad.Switch.advance sw ~now:at;
-         ignore
-           (Silkroad.Switch.process_flow sw ~now:at ~flags:Netcore.Tcp_flags.syn ~payload_len:0
-              tuple)
-       | None -> ())
-    | Harness.Replay.Reroute r ->
-      iter_live_switches (fun sw ->
-          Silkroad.Switch.advance sw ~now:at;
-          ignore
-            (Silkroad.Switch.forget_flows sw ~now:at (fun flow _vip ->
-                 Lb.Balancer.reroute_selects r flow)))
+      Option.iter
+        (fun n -> apply (ensure_switch n.Topology.node_id))
+        (Route.owner topo ~vip:tuple.Netcore.Five_tuple.dst tuple)
+    | Harness.Replay.Dip_dead _ | Harness.Replay.Cpu_backlog _ | Harness.Replay.Reroute _ ->
+      iter_live_switches apply
   in
   let moved_total = ref 0 in
   let note_moved () =

@@ -56,11 +56,16 @@ val run :
   unit ->
   result
 (** Replay [trace] through [topo]. [controls] are the ordinary replay
-    controls (updates, chaos), applied network-wide with the driver's
-    tie order (packets at a control's time fire first; at equal times
-    controls fire before topology [events]). Each switch gets one
+    controls (updates, chaos) with their one meaning,
+    {!Harness.Replay.retired_dip} and {!Harness.Replay.apply_to}: the
+    retired DIP is excluded from the network-wide judge once, an update
+    is applied to the switches hosting its VIP (the rest only advance),
+    an attack SYN to its {!Route.owner}, and every other control to
+    every live switch.
+    Packets at a control's time fire first, and at equal times controls
+    fire before topology [events]. Each switch gets one
     {!Silkroad.Switch.process_flow} call per packet. [parallel] (default
     false) processes the switches of each segment on a worker group of
     [min switches (auto_shards ())] domains — safe because a flow is
-    owned by exactly one switch between consecutive topology events,
-    and events are barriers. *)
+    owned by exactly one switch between consecutive topology events, and
+    events are barriers. *)

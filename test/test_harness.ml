@@ -149,21 +149,111 @@ let update_delivery_order () =
   ignore (Harness.Driver.run ~balancer:b ~flows:[] ~updates ~horizon:10. ());
   check (Alcotest.list (Alcotest.float 1e-9)) "time order" [ 1.; 3.; 5. ] (List.rev !seen)
 
+(* Replay.retired_dip and Replay.apply_to are the one definition of
+   what a control does: which DIP it retires from the judge, and which
+   balancer calls it makes, in order. *)
+let control_semantics () =
+  let calls = ref [] in
+  let note fmt = Printf.ksprintf (fun s -> calls := s :: !calls) fmt in
+  let b =
+    {
+      Lb.Balancer.name = "calls";
+      advance = (fun ~now -> note "advance %g" now);
+      process =
+        (fun ~now pkt ->
+          note "process %g %s len=%d" now
+            (Format.asprintf "%a" Netcore.Tcp_flags.pp pkt.Netcore.Packet.flags)
+            pkt.Netcore.Packet.payload_len;
+          { Lb.Balancer.dip = None; location = Lb.Balancer.Asic });
+      update =
+        (fun ~now ~vip:_ u ->
+          note "update %g %s" now (Format.asprintf "%a" Lb.Balancer.pp_update u));
+      connections = (fun () -> 0);
+      metrics =
+        (let reg = Telemetry.Registry.create () in
+         fun () -> reg);
+      disturb =
+        (fun ~now d ->
+          match d with
+          | Lb.Balancer.Cpu_backlog n -> note "backlog %g %d" now n
+          | Lb.Balancer.Reroute r -> note "reroute %g salt=%d" now r.Lb.Balancer.rr_salt);
+    }
+  in
+  let tuple = (flow ~id:0 ~start:0. ~duration:1.).Simnet.Flow.tuple in
+  let syn = Format.asprintf "%a" Netcore.Tcp_flags.pp Netcore.Tcp_flags.syn in
+  let reroute = { Lb.Balancer.rr_vip = None; rr_fraction = 0.5; rr_salt = 7 } in
+  let upd u = Harness.Replay.Update (vip, u) in
+  let cases =
+    [
+      (upd (Lb.Balancer.Dip_add (dip 1)), None, [ "advance 1"; "update 1 add 10.0.0.1:20" ]);
+      ( upd (Lb.Balancer.Dip_remove (dip 2)),
+        Some 2,
+        [ "advance 1"; "update 1 remove 10.0.0.2:20" ] );
+      ( upd (Lb.Balancer.Dip_replace { old_dip = dip 3; new_dip = dip 4 }),
+        Some 3,
+        [ "advance 1"; "update 1 replace 10.0.0.3:20 -> 10.0.0.4:20" ] );
+      (Harness.Replay.Dip_dead (dip 5), Some 5, []);
+      (Harness.Replay.Cpu_backlog 9, None, [ "advance 1"; "backlog 1 9" ]);
+      (Harness.Replay.Attack_syn tuple, None, [ "advance 1"; "process 1 " ^ syn ^ " len=0" ]);
+      (Harness.Replay.Reroute reroute, None, [ "advance 1"; "reroute 1 salt=7" ]);
+    ]
+  in
+  List.iter
+    (fun (ctrl, retired, expected) ->
+      check
+        (Alcotest.option Alcotest.string)
+        "retired DIP"
+        (Option.map (fun i -> Netcore.Endpoint.to_string (dip i)) retired)
+        (Option.map Netcore.Endpoint.to_string (Harness.Replay.retired_dip ctrl));
+      calls := [];
+      Harness.Replay.apply_to b ~at:1. ctrl;
+      check (Alcotest.list Alcotest.string) "balancer calls" expected (List.rev !calls))
+    cases
+
 (* Golden digests of the driver's whole telemetry snapshot (PCC and
    packet counters, byte gauges, latency histograms, balancer and chaos
-   metrics) on the chaos smoke operating point, seed 3. Any change to
-   the packet schedule, the control tie order, the latency draws or the
+   metrics) on the chaos smoke operating point, seed 3, for every chaos
+   scenario and balancer. Any change to the packet schedule, the control
+   tie order, the control semantics, the judge, the latency draws or the
    byte weighting shows up here. *)
 let golden =
   [
+    ("quiet", "silkroad", "2dbe2920a52a52cee7fe33996282b44c");
+    ("quiet", "slb", "ed51c984429661b947fa4b83ca6dc7f0");
+    ("quiet", "duet", "42d792f5c5da02409d48647c2641b580");
+    ("quiet", "ecmp", "9d0c0a86ce7ef65dfd571445ac7e0723");
     ("dip-mass-failure", "silkroad", "a0a52a76f4d4530b20273b20b0f77646");
     ("dip-mass-failure", "slb", "823643178061ef10fd39285d06dd99b9");
     ("dip-mass-failure", "duet", "cba788e128899b352a8eb4b94c76999c");
     ("dip-mass-failure", "ecmp", "8acf97dc52060b6309ea05f85edbc773");
+    ("dip-flap", "silkroad", "01e0c533a12fc048dba2c588cdcb53c3");
+    ("dip-flap", "slb", "d78cfaf4ad519b896e794f5767f19405");
+    ("dip-flap", "duet", "bb3a44b96cd510eaf2962120c02037bb");
+    ("dip-flap", "ecmp", "638549752dce34401ffbb8b99358832b");
+    ("cpu-stall", "silkroad", "6b73b68136f69a047eef3a6eb71d6205");
+    ("cpu-stall", "slb", "937cdf54b29a1b3c8a81cead3ed54e89");
+    ("cpu-stall", "duet", "b03f00e2b0b7121e7d4c087130cd1ae0");
+    ("cpu-stall", "ecmp", "043052fafb07e2f86d2e689e5afab4c1");
+    ("control-partition", "silkroad", "a2f21dffaa0759b4221f3cc5b39cdf07");
+    ("control-partition", "slb", "62dab63f4fb0a935bdf52f2c04b3031b");
+    ("control-partition", "duet", "c3f6551bfd463224b222ad63d5bd4dc4");
+    ("control-partition", "ecmp", "62a6873106df3a449228dacfadff45f2");
+    ("syn-flood", "silkroad", "5e54948d00d5a66bdc3681ea41b3e76f");
+    ("syn-flood", "slb", "1acf47c07aacd763c1bbe9a038f8090e");
+    ("syn-flood", "duet", "39e47d4059da0cd26cf471ab64ceb829");
+    ("syn-flood", "ecmp", "4792f20794d120202f5b2ad4a2901828");
+    ("update-storm", "silkroad", "e5d64cd58b11c07bce8b076cd3ce6441");
+    ("update-storm", "slb", "d8416cadd225cb9710e6da1243041784");
+    ("update-storm", "duet", "1a98ef133190a4253e9ebcde300e91a6");
+    ("update-storm", "ecmp", "cd7795282a12585a6f69a5b6df8c8f47");
     ("switch-failure", "silkroad", "eb33e40d098174483cd2d828395a245e");
     ("switch-failure", "slb", "6998c7385ceed7ee66fde74613958a7c");
     ("switch-failure", "duet", "fbf1a240f7e1f0d9f875129389c653e4");
     ("switch-failure", "ecmp", "1c9081642b25de07a0e1394aa866a98f");
+    ("vip-migration", "silkroad", "ff519c2b5525cbf4a8fe568281e31405");
+    ("vip-migration", "slb", "b198e58b2df88f946ab64d43cb2bf7d3");
+    ("vip-migration", "duet", "a9da3a4fc9d749d65855cc6bf6e06be8");
+    ("vip-migration", "ecmp", "e0cdd89673b96426ab0e897f813cbfd7");
   ]
 
 let golden_case (scenario, balancer, digest) =
@@ -184,6 +274,7 @@ let suites =
         tc "violations counted" `Quick unstable_balancer_counted;
         tc "traffic & latency attribution" `Quick traffic_attribution;
         tc "update ordering" `Quick update_delivery_order;
+        tc "control semantics" `Quick control_semantics;
       ] );
     ("harness.driver_golden", List.map golden_case golden);
   ]

@@ -369,6 +369,50 @@ let parallel_matches_sequential () =
   check Alcotest.int "parallel moved" seq.Netwide.Replay.moved_flows
     par.Netwide.Replay.moved_flows
 
+(* ----- golden: multi-switch netwide under every chaos control ----- *)
+
+(* 1 Core / 2 Agg / 3 ToR, state on the ToRs (node ids 3..5) *)
+let golden_layers =
+  [ layer "core" 1 0 10_000.; layer "agg" 2 0 10_000.; layer "tor" 3 big 10_000. ]
+
+(* MD5 of the merged telemetry JSON and of every flow's first DIP, for
+   each chaos scenario replayed across a ToR failure and recovery. Pins
+   every control kind (updates, DIP deaths, CPU backlogs, attack SYNs,
+   re-routes) on a fabric with more than one state-holding switch. *)
+let netwide_golden =
+  [
+    ("quiet", "dc20dd0ee78513386ad2a36e2a47497b", "6fdde45615fe8e7b0b3ddf407d87a029");
+    ("dip-mass-failure", "275d2c30b5db01715f881ec5682a7985", "9f3ce027f6eb9c8088736cdbe64be2d8");
+    ("dip-flap", "855575fbc1a009871cfd29bcb065bb66", "e82df28ff581209bbbf904f671648a7d");
+    ("cpu-stall", "0af3d336c26946064955a062e59ab584", "a143317e1c3b9e1d1f92ec22ad64c65e");
+    ("control-partition", "3cc348023a067a2fc9ca5b1f2f0b6d5e", "fa0049e1647839f37102154f9ef93b82");
+    ("syn-flood", "55a3d8deecf60fcdfe11b45ad09ab245", "78c7c620056b06949c400efdd0f47c8e");
+    ("update-storm", "baf522a717cf45b12384a721bb94681e", "53c6634a1ffc1f05033c1ef55b040b2c");
+    ("switch-failure", "bd09532ca4a1964658b3d6aefd0b047e", "e046186d8fcc52dabdadf7c16b8a48e8");
+    ("vip-migration", "b3d0ad2b3831a77ee904d11785998634", "e046186d8fcc52dabdadf7c16b8a48e8");
+  ]
+
+let netwide_golden_case (scenario, tel_digest, dip_digest) =
+  tc scenario `Quick (fun () ->
+      let horizon = 120. in
+      let topo = Netwide.Topology.build ~layers:golden_layers ~vips:default_vips () in
+      let flows = random_flows ~seed:9091 ~n:2000 ~span:90. default_vips in
+      let scenario = Option.get (Chaos.Scenario.find scenario) in
+      let inj = Chaos.Injector.create ~scenario ~seed:1117 ~vips:default_vips ~horizon () in
+      let trace = Harness.Packed_trace.compile ~probe_interval:1. ~horizon flows in
+      let controls = Harness.Replay.controls_of_chaos ~horizon (Chaos.Injector.events inj) in
+      let events = [ (30., Netwide.Replay.Switch_down 3); (70., Netwide.Replay.Switch_up 3) ] in
+      let r = Netwide.Replay.run ~topo ~trace ~controls ~events () in
+      let dips =
+        Array.map
+          (fun d -> if d == Silkroad.Switch.no_dip then "-" else Netcore.Endpoint.to_string d)
+          r.Netwide.Replay.first_dip
+      in
+      check Alcotest.string "telemetry digest" tel_digest
+        (Digest.to_hex (Digest.string (telemetry_json_n r)));
+      check Alcotest.string "first-DIP digest" dip_digest
+        (Digest.to_hex (Digest.string (String.concat "," (Array.to_list dips)))))
+
 let chaos_cases make =
   List.map
     (fun (sc : Chaos.Scenario.t) -> tc sc.Chaos.Scenario.name `Slow (make sc))
@@ -400,4 +444,5 @@ let suites =
         tc "vip migration moves only its flows" `Quick vip_migration_moves_only_its_flows;
         tc "parallel = sequential" `Quick parallel_matches_sequential;
       ] );
+    ("netwide.golden", List.map netwide_golden_case netwide_golden);
   ]

@@ -404,47 +404,7 @@ let qcheck_shard_of_range =
           k >= 0 && k < 7 && k = Harness.Replay.shard_of ~shards:7 f.Simnet.Flow.tuple)
         flows)
 
-(* ----- packed trace codec ----- *)
-
-let codec_round_trip () =
-  let s = Experiments.Common.scenario ~conns_per_sec_per_vip:5. ~updates_per_min:0.
-      ~trace_seconds:30. ()
-  in
-  let t = Harness.Packed_trace.compile ~horizon:s.Experiments.Common.horizon s.Experiments.Common.flows in
-  let path = Filename.temp_file "silkroad-trace" ".srp" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Harness.Packed_trace.save path t;
-      let t' = Harness.Packed_trace.load path in
-      check (Alcotest.float 0.) "horizon" t.Harness.Packed_trace.horizon t'.Harness.Packed_trace.horizon;
-      check Alcotest.bool "vips" true (t.Harness.Packed_trace.vips = t'.Harness.Packed_trace.vips);
-      check Alcotest.bool "flow ids" true (t.Harness.Packed_trace.flow_ids = t'.Harness.Packed_trace.flow_ids);
-      check Alcotest.bool "flow vips" true (t.Harness.Packed_trace.flow_vip = t'.Harness.Packed_trace.flow_vip);
-      check Alcotest.bool "flow tuples" true
-        (t.Harness.Packed_trace.flow_tuples = t'.Harness.Packed_trace.flow_tuples);
-      check Alcotest.bool "times" true (t.Harness.Packed_trace.times = t'.Harness.Packed_trace.times);
-      check Alcotest.bool "pkt flows" true (t.Harness.Packed_trace.pkt_flow = t'.Harness.Packed_trace.pkt_flow);
-      check Alcotest.bool "pkt flags" true
-        (Bytes.equal t.Harness.Packed_trace.pkt_flags t'.Harness.Packed_trace.pkt_flags);
-      (* a loaded trace replays identically to the in-memory one *)
-      let run trace =
-        Harness.Replay.run ~make_switch:(make_switch ()) ~trace ~controls:[] ()
-      in
-      check Alcotest.string "replay identical" (telemetry_json (run t)) (telemetry_json (run t')))
-
-let codec_rejects_garbage () =
-  let path = Filename.temp_file "silkroad-trace" ".srp" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      output_string oc "NOTATRACE";
-      close_out oc;
-      check Alcotest.bool "load fails" true
-        (match Harness.Packed_trace.load path with
-         | (_ : Harness.Packed_trace.t) -> false
-         | exception Failure _ -> true))
+(* ----- packed trace ----- *)
 
 let compile_matches_driver_schedule () =
   let s = scripted_scenario () in
@@ -487,8 +447,6 @@ let suites =
       :: chaos_cases sharded_vs_scalar_chaos );
     ( "replay.packed_trace",
       [
-        tc "codec round trip" `Quick codec_round_trip;
-        tc "rejects garbage" `Quick codec_rejects_garbage;
         tc "compile matches driver schedule" `Quick compile_matches_driver_schedule;
       ] );
   ]
