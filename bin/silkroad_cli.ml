@@ -311,168 +311,54 @@ let p4_cmd =
     (Cmd.info "p4" ~doc:"Emit the SilkRoad data plane as a P4_16 program sketch.")
     Term.(const run $ digest $ conns)
 
-(* ---- trace generate / replay ---- *)
+(* ---- trace generate ---- *)
 
 let trace_generate_cmd =
   let flows_path =
     Arg.(value & opt string "flows.trace" & info [ "flows" ] ~docv:"FILE" ~doc:"Flow trace output file.")
   in
-  let updates_path =
-    Arg.(value & opt string "updates.trace" & info [ "updates" ] ~docv:"FILE" ~doc:"Update trace output file.")
+  let script_path =
+    Arg.(
+      value & opt string "updates.script"
+      & info [ "script" ] ~docv:"FILE"
+          ~doc:
+            "Serve script output file: the VIPs with their full pools, the update schedule, \
+             then drain, stats and quit. Replay with serve --script FILE --flows FILE.")
   in
   let rate = Arg.(value & opt float 100. & info [ "rate" ] ~doc:"New connections per second.") in
   let upd = Arg.(value & opt float 10. & info [ "upd-per-min" ] ~doc:"Updates per minute.") in
   let seconds = Arg.(value & opt float 300. & info [ "seconds" ] ~doc:"Trace length in seconds.") in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic seed.") in
-  let run flows_path updates_path rate upd seconds seed =
+  let run flows_path script_path rate upd seconds seed =
+    let n_vips = 1 and dips_per_vip = 8 in
     let s =
-      Experiments.Common.scenario ~seed ~n_vips:1 ~dips_per_vip:8 ~conns_per_sec_per_vip:rate
+      Experiments.Common.scenario ~seed ~n_vips ~dips_per_vip ~conns_per_sec_per_vip:rate
         ~updates_per_min:upd ~trace_seconds:seconds ()
     in
     Simnet.Trace_io.save_flows flows_path s.Experiments.Common.flows;
-    Simnet.Trace_io.save_updates updates_path
-      (List.map
-         (fun (t, v, u) ->
-           match u with
-           | Lb.Balancer.Dip_add d -> (t, v, `Add, d)
-           | Lb.Balancer.Dip_remove d -> (t, v, `Remove, d)
-           | Lb.Balancer.Dip_replace { new_dip; _ } -> (t, v, `Add, new_dip))
-         s.Experiments.Common.updates);
+    let vip_adds =
+      List.map
+        (fun (v, pool) -> Control.Protocol.Vip_add (v, Array.to_list (Lb.Dip_pool.members pool)))
+        (Experiments.Common.vips_of ~n_vips ~dips_per_vip)
+    in
+    Out_channel.with_open_text script_path (fun oc ->
+        List.iter
+          (fun cmd ->
+            output_string oc (Control.Protocol.render { Control.Protocol.seq = None; cmd });
+            output_char oc '\n')
+          (vip_adds
+          @ Control.Protocol.of_updates s.Experiments.Common.updates
+          @ [ Control.Protocol.Drain; Control.Protocol.Stats None; Control.Protocol.Quit ]));
     Format.fprintf ppf "wrote %d flows to %s and %d updates to %s@."
       (List.length s.Experiments.Common.flows)
       flows_path
       (List.length s.Experiments.Common.updates)
-      updates_path
+      script_path
   in
-  Cmd.v (Cmd.info "trace-generate" ~doc:"Generate a synthetic flow + update trace to files.")
-    Term.(const run $ flows_path $ updates_path $ rate $ upd $ seconds $ seed)
-
-let trace_replay_cmd =
-  let flows_path =
-    Arg.(required & opt (some string) None & info [ "flows" ] ~docv:"FILE" ~doc:"Flow trace file.")
-  in
-  let updates_path =
-    Arg.(value & opt (some string) None & info [ "updates" ] ~docv:"FILE" ~doc:"Update trace file.")
-  in
-  let fast =
-    Arg.(
-      value & flag
-      & info [ "fast" ]
-          ~doc:
-            "Replay through the packed-trace fast path (batched, allocation-free) instead of \
-             the event-driven driver. Reports the same PCC counters.")
-  in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:"With --fast: partition flows by 5-tuple hash across N independent switches.")
-  in
-  let parallel =
-    Arg.(
-      value & flag
-      & info [ "parallel" ] ~doc:"With --fast --shards N: run each shard on its own Domain.")
-  in
-  let run flows_path updates_path fast shards parallel metrics_json verbose =
-    setup_logs verbose;
-    match Simnet.Trace_io.load_flows flows_path with
-    | Error e -> `Error (false, flows_path ^ ": " ^ e)
-    | Ok flows ->
-      let updates =
-        match updates_path with
-        | None -> Ok []
-        | Some p ->
-          Result.map
-            (List.map (fun (t, v, k, d) ->
-                 ( t,
-                   v,
-                   match k with
-                   | `Add -> Lb.Balancer.Dip_add d
-                   | `Remove -> Lb.Balancer.Dip_remove d )))
-            (Simnet.Trace_io.load_updates p)
-      in
-      (match updates with
-       | Error e -> `Error (false, Option.value ~default:"" updates_path ^ ": " ^ e)
-       | Ok updates ->
-         (* derive VIPs and initial pools from the traces: every DIP an
-            update ever removes, or that could be selected, must start in
-            the pool — we collect VIPs from flows and DIPs from updates *)
-         let vips = Hashtbl.create 8 in
-         List.iter
-           (fun f ->
-             let v = Simnet.Flow.vip f in
-             if not (Hashtbl.mem vips v) then Hashtbl.replace vips v [])
-           flows;
-         List.iter
-           (fun (_, v, u) ->
-             let d =
-               match u with
-               | Lb.Balancer.Dip_add d | Lb.Balancer.Dip_remove d -> d
-               | Lb.Balancer.Dip_replace { old_dip; _ } -> old_dip
-             in
-             let cur = Option.value ~default:[] (Hashtbl.find_opt vips v) in
-             if not (List.exists (Netcore.Endpoint.equal d) cur) then
-               Hashtbl.replace vips v (d :: cur))
-           updates;
-         let vip_pools =
-           Hashtbl.fold
-             (fun v dips acc ->
-               let dips = if dips = [] then [ Netcore.Endpoint.v4 10 0 0 1 20 ] else dips in
-               (v, Lb.Dip_pool.of_list dips) :: acc)
-             vips []
-         in
-         let horizon =
-           List.fold_left (fun acc f -> Float.max acc (Simnet.Flow.finish f)) 0. flows +. 60.
-         in
-         if fast then begin
-           if shards < 1 then `Error (false, "--shards must be >= 1")
-           else begin
-             let trace = Harness.Packed_trace.compile ~horizon flows in
-             let controls = Harness.Replay.controls_of_updates ~horizon updates in
-             let mode =
-               if shards > 1 then Harness.Replay.Sharded { shards; parallel }
-               else Harness.Replay.Batch
-             in
-             let make_switch () =
-               let sw = Silkroad.Switch.create Silkroad.Config.default in
-               List.iter (fun (v, pool) -> Silkroad.Switch.add_vip sw v pool) vip_pools;
-               sw
-             in
-             let r = Harness.Replay.run ~mode ~make_switch ~trace ~controls () in
-             Format.fprintf ppf
-               "silkroad (fast%s): conns=%d broken=%d packets=%d dropped=%d violations=%d  \
-                %.2e pkt/s@."
-               (if shards > 1 then Printf.sprintf ", %d shards" shards else "")
-               r.Harness.Replay.connections r.Harness.Replay.broken r.Harness.Replay.packets
-               r.Harness.Replay.dropped r.Harness.Replay.violations
-               (float_of_int r.Harness.Replay.packets /. r.Harness.Replay.elapsed);
-             (match metrics_json with
-              | None -> ()
-              | Some path ->
-                write_metrics_json path
-                  [ ("silkroad", Telemetry.Registry.snapshot r.Harness.Replay.telemetry) ];
-                Format.fprintf ppf "wrote telemetry snapshot to %s@." path);
-             `Ok ()
-           end
-         end
-         else begin
-           let _, balancer = Experiments.Common.silkroad ~vips:vip_pools () in
-           let r = Harness.Driver.run ~balancer ~flows ~updates ~horizon () in
-           Format.fprintf ppf "%a@." Harness.Driver.pp_result r;
-           (match metrics_json with
-            | None -> ()
-            | Some path ->
-              write_metrics_json path
-                [ (r.Harness.Driver.balancer_name, r.Harness.Driver.telemetry) ];
-              Format.fprintf ppf "wrote telemetry snapshot to %s@." path);
-           `Ok ()
-         end)
-  in
-  Cmd.v (Cmd.info "trace-replay" ~doc:"Replay trace files against a SilkRoad switch.")
-    Term.(
-      ret
-        (const run $ flows_path $ updates_path $ fast $ shards $ parallel $ metrics_json_flag
-        $ verbose_flag))
+  Cmd.v
+    (Cmd.info "trace-generate"
+       ~doc:"Generate a synthetic flow trace and its update schedule as a serve script.")
+    Term.(const run $ flows_path $ script_path $ rate $ upd $ seconds $ seed)
 
 (* ---- netwide ---- *)
 
@@ -867,5 +753,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ list_cmd; experiment_cmd; experiments_cmd; demo_cmd; chaos_cmd; memory_cmd; p4_cmd;
-            trace_generate_cmd; trace_replay_cmd; netwide_cmd; serve_cmd; lint_cmd;
+            trace_generate_cmd; netwide_cmd; serve_cmd; lint_cmd;
             verify_cmd ]))

@@ -951,14 +951,16 @@ let ce_trace ce =
     pkt_flags;
   }
 
-let ce_controls ce =
+let ce_updates ce =
   List.filter_map
     (fun (t, ev) ->
       match ev with
-      | Upd j ->
-        Some (t, Harness.Replay.Update (ce.ce_vip, Lb.Balancer.Dip_remove ce.ce_removed.(j)))
+      | Upd j -> Some (t, ce.ce_vip, Lb.Balancer.Dip_remove ce.ce_removed.(j))
       | Pkt _ -> None)
     ce.ce_events
+
+let ce_controls ce =
+  List.map (fun (t, vip, u) -> (t, Harness.Replay.Update (vip, u))) (ce_updates ce)
 
 let ce_script ce =
   let b = Buffer.create 512 in
@@ -977,23 +979,11 @@ let ce_script ce =
        "# replay config: use_transit=%b cpu_insertions_per_sec=%g learning_timeout=%g"
        ce.ce_cfg.Silkroad.Config.use_transit ce.ce_cfg.Silkroad.Config.cpu_insertions_per_sec
        ce.ce_cfg.Silkroad.Config.learning_timeout);
-  line "# packets ride in via --trace; this script is the control half of the schedule";
-  render (Control.Protocol.Vip_add (ce.ce_vip, Array.to_list ce.ce_dips));
-  let now = ref 0. in
-  List.iter
-    (fun (t, ev) ->
-      match ev with
-      | Pkt _ -> ()
-      | Upd j ->
-        if t > !now then begin
-          render (Control.Protocol.Advance (t -. !now));
-          now := t
-        end;
-        render (Control.Protocol.Dip_remove (ce.ce_vip, ce.ce_removed.(j))))
-    ce.ce_events;
-  render Control.Protocol.Drain;
-  render (Control.Protocol.Stats None);
-  render Control.Protocol.Quit;
+  line "# packets come from the counterexample trace; this script is the control half";
+  List.iter render
+    ((Control.Protocol.Vip_add (ce.ce_vip, Array.to_list ce.ce_dips)
+     :: Control.Protocol.of_updates (ce_updates ce))
+    @ [ Control.Protocol.Drain; Control.Protocol.Stats None; Control.Protocol.Quit ]);
   Buffer.contents b
 
 let replay_on_switch ce =

@@ -76,6 +76,28 @@ let render { seq; cmd } =
   let words = match seq with None -> words | Some n -> Printf.sprintf "@%d" n :: words in
   String.concat " " words
 
+(* Serve [advance] is relative, and [a +. (b -. a)] is not always [b],
+   so each delta is taken from the clock the session will hold (the sum
+   of the deltas already emitted), never from the previous scheduled
+   time: rounding then cannot accumulate across a long schedule. *)
+let of_updates updates =
+  let now = ref 0. in
+  List.concat_map
+    (fun (t, vip, u) ->
+      let cmd =
+        match u with
+        | Lb.Balancer.Dip_add dip -> Dip_add (vip, dip)
+        | Lb.Balancer.Dip_remove dip -> Dip_remove (vip, dip)
+        | Lb.Balancer.Dip_replace { old_dip; new_dip } -> Dip_replace { vip; old_dip; new_dip }
+      in
+      if t > !now then begin
+        let dt = t -. !now in
+        now := !now +. dt;
+        [ Advance dt; cmd ]
+      end
+      else [ cmd ])
+    updates
+
 let tokenize s =
   String.map (fun c -> if c = '\t' || c = '\r' then ' ' else c) s
   |> String.split_on_char ' '

@@ -66,6 +66,15 @@ val equal_response : response -> response -> bool
 val render : line -> string
 (** One line, no trailing newline. *)
 
+val of_updates : (float * Netcore.Endpoint.t * Lb.Balancer.update) list -> command list
+(** The commands that replay a time-sorted update schedule on a session
+    whose clock starts at 0: an [advance] up to each later time, then the
+    update as [dip-add] / [dip-remove] / [dip-replace]. Each delta is
+    computed from the clock the session will hold, not from the previous
+    scheduled time, so rounding error does not accumulate along the
+    schedule: each update lands within a few ulps of its scheduled time.
+    This is the one writer of update schedules as serve scripts. *)
+
 val parse : string -> (line option, string) result
 (** [Ok None] for blank/comment lines, [Error _] (human-readable, never
     raising) for anything else that is not a well-formed command.

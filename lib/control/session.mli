@@ -48,8 +48,11 @@ val create :
 (** [?shards] (default 1) switches partitioned as in sharded replay,
     each on the {!Silkroad.Switch.process_batch} packet path; [?vips]
     are pre-registered on every switch before any traffic, exactly like
-    [make_switch] in a batch run (VIPs can equally be added with
-    [vip-add] commands at time 0); [?trace] (default empty) is the
+    [make_switch] in a batch run. A [vip-add] at time 0 is equivalent
+    only when no flow of the trace starts at exactly 0: like every pool
+    change, it first delivers the packets due at the session clock, so
+    a SYN at 0 reaches a switch without the VIP, is dropped and its
+    connection counts as broken. [?trace] (default empty) is the
     concurrent data-plane load, whose packets are interleaved with
     commands in virtual-time order. *)
 

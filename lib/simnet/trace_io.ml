@@ -1,14 +1,10 @@
+(* %.17g round-trips every finite float exactly, so a saved trace
+   compiles to the very packet times of the one in memory. *)
 let flow_to_line (f : Flow.t) =
-  Printf.sprintf "flow %d %s %s %.6f %.6f %.3f" f.Flow.id
+  Printf.sprintf "flow %d %s %s %.17g %.17g %.17g" f.Flow.id
     (Netcore.Endpoint.to_string f.Flow.tuple.Netcore.Five_tuple.src)
     (Netcore.Endpoint.to_string f.Flow.tuple.Netcore.Five_tuple.dst)
     f.Flow.start f.Flow.duration f.Flow.bytes_per_sec
-
-let update_to_line (time, vip, kind, dip) =
-  Printf.sprintf "update %.6f %s %s %s" time
-    (Netcore.Endpoint.to_string vip)
-    (match kind with `Add -> "add" | `Remove -> "remove")
-    (Netcore.Endpoint.to_string dip)
 
 let fields line = String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
 
@@ -50,39 +46,18 @@ let flow_of_line line =
   | "flow" :: _ -> Error "flow line needs: flow <id> <src> <dst> <start> <duration> <rate>"
   | _ -> Error "not a flow line"
 
-let update_of_line line =
-  match fields line with
-  | [ "update"; time; vip; kind; dip ] ->
-    let* time = parse_float "time" time in
-    let* vip = parse_endpoint "vip" vip in
-    let* kind =
-      match kind with
-      | "add" -> Ok `Add
-      | "remove" -> Ok `Remove
-      | other -> Error (Printf.sprintf "bad update kind %S (want add|remove)" other)
-    in
-    let* dip = parse_endpoint "dip" dip in
-    Ok (time, vip, kind, dip)
-  | "update" :: _ -> Error "update line needs: update <time> <vip> add|remove <dip>"
-  | _ -> Error "not an update line"
-
-let save path header to_line items =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc header;
+let save_flows path flows =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        "# silkroad flow trace: flow <id> <src> <dst> <start> <duration> <bytes/s>\n";
       List.iter
-        (fun item ->
-          output_string oc (to_line item);
+        (fun f ->
+          output_string oc (flow_to_line f);
           output_char oc '\n')
-        items)
+        flows)
 
-let load path of_line =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
+let load_flows path =
+  In_channel.with_open_text path (fun ic ->
       let rec go n acc =
         match In_channel.input_line ic with
         | None -> Ok (List.rev acc)
@@ -90,20 +65,8 @@ let load path of_line =
           let trimmed = String.trim line in
           if trimmed = "" || trimmed.[0] = '#' then go (n + 1) acc
           else (
-            match of_line trimmed with
-            | Ok item -> go (n + 1) (item :: acc)
+            match flow_of_line trimmed with
+            | Ok f -> go (n + 1) (f :: acc)
             | Error msg -> Error (Printf.sprintf "line %d: %s" n msg))
       in
       go 1 [])
-
-let save_flows path flows =
-  save path "# silkroad flow trace: flow <id> <src> <dst> <start> <duration> <bytes/s>\n"
-    flow_to_line flows
-
-let load_flows path = load path flow_of_line
-
-let save_updates path updates =
-  save path "# silkroad update trace: update <time> <vip> add|remove <dip>\n" update_to_line
-    updates
-
-let load_updates path = load path update_of_line

@@ -5,9 +5,10 @@
    because both drive the very same Replay.Stepper calls in the same
    order.
 
-   Control times in the identity scripts are dyadic rationals so that
-   the relative [advance] deltas the script carries re-accumulate to
-   exactly the absolute times the batch control list uses. *)
+   Scripts carry relative [advance] deltas, so the batch leg applies
+   each control at the clock the session reaches by summing them
+   ([script_controls]); control times need not be exactly representable
+   as sums. *)
 
 let check = Alcotest.check
 let tc = Alcotest.test_case
@@ -354,7 +355,6 @@ let update_hook_observes_latency () =
 
 (* ----- scripted serve == batch replay ----- *)
 
-(* Dyadic control times: step 1/4 keeps every partial sum exact. *)
 let identity_updates =
   [
     (4.25, vip 0, Lb.Balancer.Dip_remove (dip 2));
@@ -365,29 +365,62 @@ let identity_updates =
     (15.25, vip 2, Lb.Balancer.Dip_add (dip 30));
   ]
 
-let script_of_updates updates =
-  (* absolute times -> relative advance lines + the update commands *)
-  let buf = Buffer.create 256 in
+(* The batch controls a script amounts to: each update at the clock the
+   session holds when it runs, the running sum of the [advance]s. *)
+let script_controls cmds =
   let now = ref 0. in
+  List.filter_map
+    (fun (cmd : P.command) ->
+      let update vip u = Some (!now, Harness.Replay.Update (vip, u)) in
+      match cmd with
+      | Advance dt ->
+          now := !now +. dt;
+          None
+      | Dip_add (vip, d) -> update vip (Lb.Balancer.Dip_add d)
+      | Dip_remove (vip, d) -> update vip (Lb.Balancer.Dip_remove d)
+      | Dip_replace { vip; old_dip; new_dip } ->
+          update vip (Lb.Balancer.Dip_replace { old_dip; new_dip })
+      | Vip_add _ | Vip_remove _ | Health _ | Stats _ | Drain | Quit -> None)
+    cmds
+
+(* Run [cmds] through the full parse -> session path, failing on any
+   [err] ack. *)
+let run_script session cmds =
   List.iter
-    (fun (t, v, u) ->
-      if t > !now then begin
-        Buffer.add_string buf (P.render { P.seq = None; cmd = P.Advance (t -. !now) });
-        Buffer.add_char buf '\n';
-        now := t
-      end;
-      let cmd =
-        match u with
-        | Lb.Balancer.Dip_add d -> P.Dip_add (v, d)
-        | Lb.Balancer.Dip_remove d -> P.Dip_remove (v, d)
-        | Lb.Balancer.Dip_replace { old_dip; new_dip } ->
-            P.Dip_replace { vip = v; old_dip; new_dip }
-      in
-      Buffer.add_string buf (P.render { P.seq = None; cmd });
-      Buffer.add_char buf '\n')
-    updates;
-  Buffer.add_string buf "drain\nquit\n";
-  Buffer.contents buf
+    (fun cmd ->
+      let l = P.render { P.seq = None; cmd } in
+      match Control.Session.exec_line session l with
+      | Some { P.body = Error m; _ } -> Alcotest.failf "%S failed: %s" l m
+      | Some { P.body = Ok _; _ } | None -> ())
+    cmds
+
+(* A batch [Replay.run] whose switches all carry [vips] up front, with
+   the merged telemetry of every switch it created. *)
+let batch_replay ?(mode = Harness.Replay.Batch) ~vips ~trace controls =
+  let captured = ref [] in
+  let make_switch () =
+    let sw = Silkroad.Switch.create Silkroad.Config.default in
+    List.iter (fun (v, pool) -> Silkroad.Switch.add_vip sw v pool) vips;
+    captured := sw :: !captured;
+    sw
+  in
+  let r = Harness.Replay.run ~mode ~make_switch ~trace ~controls () in
+  ( r,
+    Telemetry.Registry.snapshot
+      (Telemetry.Registry.merge_all (List.rev_map Silkroad.Switch.metrics !captured)) )
+
+let check_same_as_batch (batch, batch_switch_snapshot) session =
+  let c = Control.Session.counts session in
+  check Alcotest.int "packets" batch.Harness.Replay.packets c.c_packets;
+  check Alcotest.int "dropped" batch.Harness.Replay.dropped c.c_dropped;
+  check Alcotest.int "connections" batch.Harness.Replay.connections c.c_connections;
+  check Alcotest.int "broken" batch.Harness.Replay.broken c.c_broken;
+  check Alcotest.int "violations" batch.Harness.Replay.violations c.c_violations;
+  check Alcotest.bool "switch telemetry byte-identical" true
+    (Telemetry.Snapshot.equal batch_switch_snapshot (session_state session));
+  check Alcotest.string "switch telemetry JSON byte-identical"
+    (Telemetry.Snapshot.to_json batch_switch_snapshot)
+    (Telemetry.Snapshot.to_json (session_state session))
 
 let serve_vs_batch ~shards () =
   let vips =
@@ -398,45 +431,117 @@ let serve_vs_batch ~shards () =
     ]
   in
   let flows = Test_replay.random_flows ~seed:42 ~n:150 ~span:16. vips in
-  let horizon = 40. in
-  let trace = Harness.Packed_trace.compile ~horizon flows in
-  (* batch leg, capturing the switches it creates *)
-  let captured = ref [] in
-  let make_switch () =
-    let sw = Silkroad.Switch.create Silkroad.Config.default in
-    List.iter (fun (v, pool) -> Silkroad.Switch.add_vip sw v pool) vips;
-    captured := sw :: !captured;
-    sw
-  in
+  let trace = Harness.Packed_trace.compile ~horizon:40. flows in
+  let cmds = P.of_updates identity_updates @ [ P.Drain; P.Quit ] in
   let mode =
     if shards > 1 then Harness.Replay.Sharded { shards; parallel = false }
     else Harness.Replay.Batch
   in
-  let controls = Harness.Replay.controls_of_updates ~horizon identity_updates in
-  let batch = Harness.Replay.run ~mode ~make_switch ~trace ~controls () in
-  (* serve leg: the same workload as a command script through the full
-     parse -> session -> stepper path *)
+  let batch = batch_replay ~mode ~vips ~trace (script_controls cmds) in
   let session = Control.Session.create ~shards ~vips ~trace () in
-  String.split_on_char '\n' (script_of_updates identity_updates)
-  |> List.iter (fun l ->
-         match Control.Session.exec_line session l with
-         | Some { P.body = Error m; _ } -> Alcotest.failf "%S failed: %s" l m
-         | Some { P.body = Ok _; _ } | None -> ());
-  let c = Control.Session.counts session in
-  check Alcotest.int "packets" batch.Harness.Replay.packets c.c_packets;
-  check Alcotest.int "dropped" batch.Harness.Replay.dropped c.c_dropped;
-  check Alcotest.int "connections" batch.Harness.Replay.connections c.c_connections;
-  check Alcotest.int "broken" batch.Harness.Replay.broken c.c_broken;
-  check Alcotest.int "violations" batch.Harness.Replay.violations c.c_violations;
-  let batch_switch_snapshot =
-    Telemetry.Registry.snapshot
-      (Telemetry.Registry.merge_all (List.rev_map Silkroad.Switch.metrics !captured))
+  run_script session cmds;
+  check_same_as_batch batch session
+
+(* The file path end to end: a generated scenario (update times are not
+   dyadic) saved and loaded through Trace_io, its pools and schedule as
+   the script trace-generate writes, is byte-identical to a batch replay
+   of the in-memory flows with the pools registered up front. *)
+let generated_script_vs_batch () =
+  let n_vips = 1 and dips_per_vip = 8 in
+  let s =
+    Experiments.Common.scenario ~seed:3 ~n_vips ~dips_per_vip ~conns_per_sec_per_vip:20.
+      ~updates_per_min:30. ~trace_seconds:300. ()
   in
-  check Alcotest.bool "switch telemetry byte-identical" true
-    (Telemetry.Snapshot.equal batch_switch_snapshot (session_state session));
-  check Alcotest.string "switch telemetry JSON byte-identical"
-    (Telemetry.Snapshot.to_json batch_switch_snapshot)
-    (Telemetry.Snapshot.to_json (session_state session))
+  let vips = Experiments.Common.vips_of ~n_vips ~dips_per_vip in
+  let path = Filename.temp_file "silkroad" ".flows" in
+  Simnet.Trace_io.save_flows path s.flows;
+  let loaded =
+    match Simnet.Trace_io.load_flows path with Ok fs -> fs | Error m -> Alcotest.fail m
+  in
+  Sys.remove path;
+  let compile flows =
+    let horizon =
+      List.fold_left (fun acc f -> Float.max acc (Simnet.Flow.finish f)) 0. flows +. 60.
+    in
+    Harness.Packed_trace.compile ~horizon flows
+  in
+  let cmds =
+    List.map (fun (v, pool) -> P.Vip_add (v, Array.to_list (Lb.Dip_pool.members pool))) vips
+    @ P.of_updates s.updates
+    @ [ P.Drain; P.Stats None; P.Quit ]
+  in
+  check Alcotest.bool "the schedule has updates" true (List.length s.updates > 50);
+  let batch = batch_replay ~vips ~trace:(compile s.flows) (script_controls cmds) in
+  let session = Control.Session.create ~trace:(compile loaded) () in
+  run_script session cmds;
+  check_same_as_batch batch session
+
+(* vip-add flushes the packets due at or before the session clock
+   first, so a SYN at exactly t=0 meets a switch without the VIP. *)
+let vip_add_at_time_zero () =
+  let flow id start =
+    {
+      Simnet.Flow.id;
+      tuple =
+        Netcore.Five_tuple.make
+          ~src:(Netcore.Endpoint.v4 9 9 9 (1 + id) 4000)
+          ~dst:(vip 0) ~proto:Netcore.Protocol.Tcp;
+      start;
+      duration = 5.;
+      bytes_per_sec = 1000.;
+    }
+  in
+  let trace = Harness.Packed_trace.compile ~horizon:30. [ flow 0 0.; flow 1 1. ] in
+  let pool = [ dip 0; dip 1 ] in
+  let up_front =
+    Control.Session.create ~vips:[ (vip 0, Lb.Dip_pool.of_list pool) ] ~trace ()
+  in
+  let by_command = Control.Session.create ~trace () in
+  run_script by_command [ P.Vip_add (vip 0, pool) ];
+  List.iter (fun session -> run_script session [ P.Drain ]) [ up_front; by_command ];
+  let a = Control.Session.counts up_front and b = Control.Session.counts by_command in
+  check Alcotest.int "same packets" a.c_packets b.c_packets;
+  check Alcotest.int "same connections" 2 b.c_connections;
+  check Alcotest.(pair int int) "~vips: nothing dropped" (0, 0) (a.c_dropped, a.c_broken);
+  check Alcotest.(pair int int) "vip-add at 0: the t=0 SYN dropped, its flow broken" (1, 1)
+    (b.c_dropped, b.c_broken)
+
+(* Deltas are taken from the session clock, not from the previous
+   scheduled time. So an update lands exactly on its time whenever the
+   clock before it is at least half that time (the subtraction is then
+   exact), even right after a step that had to round; and no update is
+   more than a couple of ulps off. *)
+let qcheck_of_updates_on_time =
+  (* alternate jumps past twice the current time, where the delta may
+     round, with steps that stay under it, where it must not *)
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun steps ->
+          List.rev
+            (snd
+               (List.fold_left
+                  (fun (t, acc) (jump, u) ->
+                    let t = if jump then (t *. (2. +. (10. *. u))) +. u else t +. (u *. t /. 2.) in
+                    (t, t :: acc))
+                  (0., []) steps)))
+        (list_size (int_range 1 60) (pair bool (float_bound_inclusive 1.))))
+  in
+  QCheck.Test.make ~name:"of_updates lands updates on time" ~count:500
+    (QCheck.make ~print:QCheck.Print.(list float) gen)
+    (fun times ->
+      let cmds = P.of_updates (List.map (fun t -> (t, vip 0, Lb.Balancer.Dip_add (dip 0))) times) in
+      let clocks = List.map fst (script_controls cmds) in
+      List.fold_left2
+        (fun prev t at ->
+          if Float.abs (at -. t) > 2. *. Float.epsilon *. t then
+            QCheck.Test.fail_reportf "update for %.17g applied at %.17g" t at;
+          if t >= prev && prev >= t /. 2. && not (Float.equal at t) then
+            QCheck.Test.fail_reportf "clock %.17g, update for %.17g applied at %.17g" prev t at;
+          at)
+        0. times clocks
+      |> ignore;
+      true)
 
 let health_matches_updates () =
   (* health down/up must be byte-equivalent to the Dip_remove/Dip_add
@@ -458,17 +563,8 @@ let health_matches_updates () =
       (9.5, vip 1, Lb.Balancer.Dip_add (dip 0));
     ]
   in
-  let captured = ref [] in
-  let make_switch () =
-    let sw = Silkroad.Switch.create Silkroad.Config.default in
-    List.iter (fun (v, pool) -> Silkroad.Switch.add_vip sw v pool) vips;
-    captured := sw :: !captured;
-    sw
-  in
   let batch =
-    Harness.Replay.run ~make_switch ~trace
-      ~controls:(Harness.Replay.controls_of_updates ~horizon expanded)
-      ()
+    batch_replay ~vips ~trace (Harness.Replay.controls_of_updates ~horizon expanded)
   in
   let session = Control.Session.create ~vips ~trace () in
   List.iter
@@ -480,15 +576,7 @@ let health_matches_updates () =
       Printf.sprintf "health up %s" (e (dip 0));
       "drain";
     ];
-  let c = Control.Session.counts session in
-  check Alcotest.int "packets" batch.Harness.Replay.packets c.c_packets;
-  check Alcotest.int "broken" batch.Harness.Replay.broken c.c_broken;
-  let batch_switch_snapshot =
-    Telemetry.Registry.snapshot
-      (Telemetry.Registry.merge_all (List.rev_map Silkroad.Switch.metrics !captured))
-  in
-  check Alcotest.bool "switch telemetry byte-identical" true
-    (Telemetry.Snapshot.equal batch_switch_snapshot (session_state session))
+  check_same_as_batch batch session
 
 let suites =
   [
@@ -514,5 +602,8 @@ let suites =
         tc "scripted serve == batch replay" `Quick (serve_vs_batch ~shards:1);
         tc "scripted serve == sharded replay" `Quick (serve_vs_batch ~shards:4);
         tc "health events == expanded updates" `Quick health_matches_updates;
+        tc "saved trace + generated script == batch replay" `Quick generated_script_vs_batch;
+        tc "vip-add at t=0 drops a t=0 SYN" `Quick vip_add_at_time_zero;
+        QCheck_alcotest.to_alcotest qcheck_of_updates_on_time;
       ] );
   ]

@@ -221,40 +221,6 @@ let packet_rewrite () =
     (Netcore.Endpoint.equal p'.Netcore.Packet.flow.Netcore.Five_tuple.src
        p.Netcore.Packet.flow.Netcore.Five_tuple.src)
 
-(* ---------- Checksum ---------- *)
-
-let checksum_rfc1071 () =
-  let b = Bytes.of_string "\x00\x01\xf2\x03\xf4\xf5\xf6\xf7" in
-  check Alcotest.int "sum" 0xddf2 (Netcore.Checksum.ones_complement_sum b);
-  check Alcotest.int "checksum" 0x220d (Netcore.Checksum.checksum b)
-
-let checksum_verify () =
-  let b =
-    Bytes.of_string
-      "\x45\x00\x00\x28\x00\x01\x00\x00\x40\x06\x00\x00\x0a\x00\x00\x01\x0a\x00\x00\x02"
-  in
-  let c = Netcore.Checksum.checksum b in
-  Bytes.set b 10 (Char.chr (c lsr 8));
-  Bytes.set b 11 (Char.chr (c land 0xff));
-  check Alcotest.bool "verifies" true (Netcore.Checksum.verify b)
-
-let qcheck_incremental_update =
-  QCheck.Test.make ~name:"incremental checksum equals recompute" ~count:300
-    QCheck.(triple (list_of_size (Gen.return 10) (int_bound 255)) (int_bound 4) (int_bound 65535))
-    (fun (bytes10, word_idx, new_word) ->
-      let b = Bytes.create 10 in
-      List.iteri (fun i v -> Bytes.set b i (Char.chr v)) bytes10;
-      let old_checksum = Netcore.Checksum.checksum b in
-      let old_word =
-        (Char.code (Bytes.get b (2 * word_idx)) lsl 8)
-        lor Char.code (Bytes.get b ((2 * word_idx) + 1))
-      in
-      let incr = Netcore.Checksum.incremental_update ~old_checksum ~old_word ~new_word in
-      Bytes.set b (2 * word_idx) (Char.chr (new_word lsr 8));
-      Bytes.set b ((2 * word_idx) + 1) (Char.chr (new_word land 0xff));
-      let full = Netcore.Checksum.checksum b in
-      incr land 0xffff = full land 0xffff)
-
 let suites =
   [
     ( "netcore.ip",
@@ -295,11 +261,5 @@ let suites =
         tc "flag predicates" `Quick flags_predicates;
         tc "wire sizes" `Quick packet_sizes;
         tc "rewrite dst" `Quick packet_rewrite;
-      ] );
-    ( "netcore.checksum",
-      [
-        tc "rfc1071 example" `Quick checksum_rfc1071;
-        tc "verify" `Quick checksum_verify;
-        QCheck_alcotest.to_alcotest qcheck_incremental_update;
       ] );
   ]

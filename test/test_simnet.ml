@@ -342,29 +342,11 @@ let trace_flow_roundtrip () =
          check Alcotest.int "id" a.Simnet.Flow.id b.Simnet.Flow.id;
          check Alcotest.bool "tuple" true
            (Netcore.Five_tuple.equal a.Simnet.Flow.tuple b.Simnet.Flow.tuple);
-         check (Alcotest.float 1e-5) "start" a.Simnet.Flow.start b.Simnet.Flow.start)
+         check Alcotest.bool "start, duration and rate exact" true
+           (Float.equal a.Simnet.Flow.start b.Simnet.Flow.start
+           && Float.equal a.Simnet.Flow.duration b.Simnet.Flow.duration
+           && Float.equal a.Simnet.Flow.bytes_per_sec b.Simnet.Flow.bytes_per_sec))
        flows loaded
-   | Error e -> Alcotest.fail e);
-  Sys.remove path
-
-let trace_update_roundtrip () =
-  let vip = Netcore.Endpoint.v4 20 0 0 1 80 in
-  let dip6 = Netcore.Endpoint.make (Netcore.Ip.v6 0xfd00L 7L) 8443 in
-  let updates =
-    [ (1.5, vip, `Remove, Netcore.Endpoint.v4 10 0 0 1 20); (2.25, vip, `Add, dip6) ]
-  in
-  let path = Filename.temp_file "silkroad" ".updates" in
-  Simnet.Trace_io.save_updates path updates;
-  (match Simnet.Trace_io.load_updates path with
-   | Ok loaded ->
-     check Alcotest.int "count" 2 (List.length loaded);
-     List.iter2
-       (fun (t, v, k, d) (t', v', k', d') ->
-         check (Alcotest.float 1e-6) "time" t t';
-         check Alcotest.bool "vip" true (Netcore.Endpoint.equal v v');
-         check Alcotest.bool "kind" true (k = k');
-         check Alcotest.bool "dip" true (Netcore.Endpoint.equal d d'))
-       updates loaded
    | Error e -> Alcotest.fail e);
   Sys.remove path
 
@@ -381,9 +363,7 @@ let trace_rejects_garbage () =
 let trace_line_errors () =
   check Alcotest.bool "not a flow" true (Result.is_error (Simnet.Trace_io.flow_of_line "update 1"));
   check Alcotest.bool "bad endpoint" true
-    (Result.is_error (Simnet.Trace_io.flow_of_line "flow 1 nonsense 20.0.0.1:80 0 1 1"));
-  check Alcotest.bool "bad kind" true
-    (Result.is_error (Simnet.Trace_io.update_of_line "update 1 20.0.0.1:80 frobnicate 10.0.0.1:20"))
+    (Result.is_error (Simnet.Trace_io.flow_of_line "flow 1 nonsense 20.0.0.1:80 0 1 1"))
 
 let qcheck_trace_line_roundtrip =
   QCheck.Test.make ~name:"trace line print/parse roundtrip" ~count:200
@@ -408,7 +388,9 @@ let qcheck_trace_line_roundtrip =
       | Ok f' ->
         f'.Simnet.Flow.id = f.Simnet.Flow.id
         && Netcore.Five_tuple.equal f'.Simnet.Flow.tuple f.Simnet.Flow.tuple
-        && abs_float (f'.Simnet.Flow.start -. f.Simnet.Flow.start) < 1e-5
+        && Float.equal f'.Simnet.Flow.start f.Simnet.Flow.start
+        && Float.equal f'.Simnet.Flow.duration f.Simnet.Flow.duration
+        && Float.equal f'.Simnet.Flow.bytes_per_sec f.Simnet.Flow.bytes_per_sec
       | Error _ -> false)
 
 let suites =
@@ -457,7 +439,6 @@ let suites =
     ( "simnet.trace_io",
       [
         tc "flow roundtrip" `Quick trace_flow_roundtrip;
-        tc "update roundtrip" `Quick trace_update_roundtrip;
         tc "rejects garbage" `Quick trace_rejects_garbage;
         tc "line errors" `Quick trace_line_errors;
         QCheck_alcotest.to_alcotest qcheck_trace_line_roundtrip;
