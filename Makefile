@@ -9,16 +9,20 @@ test:
 	dune runtest
 
 # Full verification: build everything, run the test suite and the
-# silkroad-verify gate, then a smoke bench run that exercises the
-# telemetry pipeline end to end (leaving its registry snapshot in
+# silkroad-verify gate, then a demo run that exercises the telemetry
+# pipeline end to end (leaving every balancer's registry snapshot in
 # BENCH_telemetry.json) and the control-plane smoke bench (serve-mode
 # update churn under replay load).
 check: build test verify
-	dune exec bench/main.exe -- --smoke
+	dune exec bin/silkroad_cli.exe -- demo --rate 50 --updates 6 --seconds 30 --dips 8 \
+	  --metrics-json BENCH_telemetry.json
 	dune exec bench/main.exe -- --control --smoke
 
+# The paper reproduction: every table and figure of the evaluation at
+# the quick operating point (`silkroad_cli experiments --full` for the
+# larger one, `silkroad_cli experiment ID` for one of them).
 bench:
-	dune exec bench/main.exe
+	dune exec bin/silkroad_cli.exe -- experiments
 
 # silkroad-lint: pipeline feasibility (stage/SRAM/ALU budgets on the §6
 # chip), network-wide VIP placement, and the determinism source lint
@@ -36,12 +40,22 @@ verify: build
 	dune exec bin/silkroad_cli.exe -- verify
 
 # The chaos soak: every built-in fault scenario crossed with every
-# balancer at the full operating point (~10 minutes). Writes one
-# CHAOS_soak.<scenario>.<balancer>.json report per run and fails if
-# silkroad breaks per-connection consistency anywhere. CI runs this
-# nightly and on manual dispatch (the `soak` workflow job).
+# balancer at the full operating point (about 30 s on a 2-core host).
+# Writes one CHAOS_soak.<scenario>.<balancer>.json report per run, runs
+# every scenario, then fails if silkroad's broken fraction exceeded
+# 0.001 in any of them. CI runs this nightly and on manual dispatch (the
+# `soak` workflow job).
 soak: build
-	dune exec bench/main.exe -- --soak
+	@scenarios=$$(dune exec bin/silkroad_cli.exe -- chaos --list \
+	  | grep -E '^[a-z][a-z-]*:' | cut -d: -f1); \
+	test -n "$$scenarios" || exit 1; \
+	failed=; \
+	for s in $$scenarios; do \
+	  dune exec bin/silkroad_cli.exe -- chaos --scenario $$s --seed 1 \
+	    --report CHAOS_soak.$$s.json || failed="$$failed $$s"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "soak FAILED:$$failed"; exit 1; fi; \
+	echo "soak OK: silkroad held PCC in every scenario"
 
 # Formatting gates. ocamlformat is not vendored: when the binary is
 # missing (e.g. a minimal container) these targets skip with a notice

@@ -1,165 +1,21 @@
-(* The benchmark harness.
+(* The CI-gated benchmarks. Each section writes one committed report
+   and, with --baseline, gates on it:
 
-   Two halves:
-   1. the paper reproduction — every table and figure of the evaluation
-      section, printed as the same rows/series the paper reports
-      (Experiments.Registry drives them; `--full` uses the larger
-      operating points, the default `quick` scale finishes in a couple
-      of minutes);
-   2. Bechamel micro-benchmarks of the core data structures (one
-      Test.make per structure), reported as ns/op. *)
+     --replay [--full-scale [--connections N]]   BENCH_replay.json
+     --control                                   BENCH_control.json
+     --netwide                                   BENCH_netwide.json
 
-open Bechamel
-
-let vip = Netcore.Endpoint.v4 20 0 0 1 80
-
-let flow i =
-  Netcore.Five_tuple.make
-    ~src:(Netcore.Endpoint.v4 1 2 ((i / 60000) + 1) 4 (1 + (i mod 60000)))
-    ~dst:vip ~proto:Netcore.Protocol.Tcp
-
-module Int_cuckoo = Asic.Cuckoo.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash ~seed x = Netcore.Hashing.seeded ~seed (Int64.of_int x)
-end)
-
-(* One closure per micro-benchmark, shared by the two reporting paths:
-   Bechamel OLS estimates in full mode, plain timed loops under --smoke
-   (CI cannot afford Bechamel's trial schedule). Each closure prepares
-   its structure at construction time; the returned thunk is the op. *)
-let micro_ops () =
-  let tuple_hash =
-    let f = flow 1 in
-    fun () -> ignore (Netcore.Five_tuple.hash ~seed:1 f)
-  in
-  let tuple_digest =
-    let f = flow 2 in
-    fun () -> ignore (Netcore.Five_tuple.digest ~bits:16 ~seed:1 f)
-  in
-  let cuckoo_lookup =
-    let t = Int_cuckoo.create ~stages:2 ~rows_per_stage:65536 ~ways:4 () in
-    for i = 0 to 99_999 do
-      ignore (Int_cuckoo.insert t i i)
-    done;
-    let i = ref 0 in
-    fun () ->
-      incr i;
-      ignore (Int_cuckoo.lookup t (!i mod 100_000))
-  in
-  let cuckoo_insert_delete =
-    let t = Int_cuckoo.create ~stages:2 ~rows_per_stage:65536 ~ways:4 () in
-    for i = 0 to 99_999 do
-      ignore (Int_cuckoo.insert t i i)
-    done;
-    let i = ref 100_000 in
-    fun () ->
-      incr i;
-      ignore (Int_cuckoo.insert t !i !i);
-      ignore (Int_cuckoo.remove t !i)
-  in
-  let bloom =
-    let b = Asic.Bloom_filter.create ~bits:2048 ~hashes:2 () in
-    let i = ref 0 in
-    fun () ->
-      incr i;
-      Asic.Bloom_filter.add b (Int64.of_int !i);
-      ignore (Asic.Bloom_filter.mem b (Int64.of_int !i))
-  in
-  let warm_switch () =
-    let sw = Silkroad.Switch.create Silkroad.Config.default in
-    Silkroad.Switch.add_vip sw vip
-      (Lb.Dip_pool.of_list (List.init 8 (fun i -> Netcore.Endpoint.v4 10 0 0 (i + 1) 20)));
-    (* warm the table *)
-    for i = 0 to 9_999 do
-      ignore (Silkroad.Switch.process sw ~now:(float_of_int i *. 1e-4) (Netcore.Packet.syn (flow i)))
-    done;
-    Silkroad.Switch.advance sw ~now:10.;
-    sw
-  in
-  let switch_process =
-    let sw = warm_switch () in
-    let i = ref 0 in
-    fun () ->
-      i := (!i + 1) mod 10_000;
-      ignore (Silkroad.Switch.process sw ~now:11. (Netcore.Packet.data (flow !i)))
-  in
-  let switch_process_flow =
-    let sw = warm_switch () in
-    let i = ref 0 in
-    fun () ->
-      i := (!i + 1) mod 10_000;
-      ignore
-        (Silkroad.Switch.process_flow sw ~now:11. ~flags:Netcore.Tcp_flags.data
-           ~payload_len:1024 (flow !i))
-  in
-  let maglev =
-    let dips = List.init 16 (fun i -> Netcore.Endpoint.v4 10 0 0 (i + 1) 20) in
-    fun () -> ignore (Baselines.Maglev_hash.create ~table_size:4099 dips)
-  in
-  let meter =
-    let m = Asic.Meter.create ~cir:1e9 ~cbs:100000 ~eir:1e9 ~ebs:100000 in
-    let t = ref 0. in
-    fun () ->
-      t := !t +. 1e-6;
-      ignore (Asic.Meter.mark m ~now:!t ~bytes:1500)
-  in
-  [ ("five_tuple.hash", tuple_hash); ("five_tuple.digest16", tuple_digest);
-    ("cuckoo.lookup@100k", cuckoo_lookup); ("cuckoo.insert+remove@100k", cuckoo_insert_delete);
-    ("bloom.add+mem", bloom); ("switch.process(hit)", switch_process);
-    ("switch.process_flow(hit)", switch_process_flow); ("maglev.build@4099", maglev);
-    ("meter.mark", meter) ]
-
-let run_micro ppf =
-  Format.fprintf ppf "@.=== Micro-benchmarks (Bechamel, ns/op) ===@.";
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-  List.iter
-    (fun (name, op) ->
-      let test = Test.make ~name (Staged.stage op) in
-      let results = Benchmark.all cfg [ instance ] test in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |])
-          instance results
-      in
-      (* collect and sort: Hashtbl order is seed-dependent and this
-         prints straight into the report *)
-      Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) ols []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      |> List.iter (fun (name, ols) ->
-             match Analyze.OLS.estimates ols with
-             | Some [ ns ] -> Format.fprintf ppf "  %-28s %10.1f ns/op@." name ns
-             | Some _ | None -> Format.fprintf ppf "  %-28s (no estimate)@." name))
-    (micro_ops ())
-
-(* The --smoke variant: fixed-count timed loops, coarse but seconds-fast
-   (maglev.build is ~100 µs/op, so counts are per-op). *)
-let run_micro_fast ppf =
-  Format.fprintf ppf "@.=== Micro-benchmarks (timed loops, ns/op) ===@.";
-  List.iter
-    (fun (name, op) ->
-      let iters = if name = "maglev.build@4099" then 200 else 100_000 in
-      for _ = 1 to 1_000 do
-        op ()
-      done;
-      let (), dt =
-        Harness.Stopwatch.time (fun () ->
-            for _ = 1 to iters do
-              op ()
-            done)
-      in
-      Format.fprintf ppf "  %-28s %10.1f ns/op@." name (dt *. 1e9 /. float_of_int iters))
-    (micro_ops ())
+   --smoke runs only the section's CI-speed operating point. The paper
+   reproduction is `silkroad_cli experiments`, the chaos soak is
+   `make soak`, and per-primitive timings are perfbench's traced run. *)
 
 (* ----- the replay benchmark (BENCH_replay.json) -----
 
    One operating point per section: --smoke is the CI gate (6K
    connections), full is the paper-scale point (4 VIPs x 5000 conn/s x
    50 s = 1M connections). Every mode replays the identical packed
-   trace; the driver run is the seed scalar baseline the ISSUE's >=5x
-   batch-speedup acceptance is measured against. *)
+   trace; the driver run is the scalar baseline every mode's speedup is
+   measured against. *)
 
 (* Minor words allocated so far by every domain, live or joined:
    [Gc.minor_words] counts only the calling domain, which misses the
@@ -260,7 +116,7 @@ let replay_section ppf ~smoke =
     (replay_modes ());
   (* parallel-vs-sequential: the sharded pairs replay the identical
      per-shard sub-traces, so parallel < sequential means the Domain
-     handoff itself is losing — the regression this PR exists to fix.
+     handoff itself is losing — the regression this ratio guards.
      Smoke warns (CI annotation, exit 0: tiny traces are noisy); full
      runs gate at 0.97 to absorb wall-clock noise without letting a real
      regression through. *)
@@ -585,26 +441,6 @@ let control_section ppf ~smoke =
       non-zero. The parallel worker-group run must reproduce the
       sequential leg's telemetry byte-for-byte. *)
 
-let netwide_flows ~seed ~n ~span vips =
-  let rng = Random.State.make [| seed; 0x5eed |] in
-  let vips = Array.of_list vips in
-  List.init n (fun id ->
-      let vip, _ = vips.(Random.State.int rng (Array.length vips)) in
-      let src =
-        Netcore.Endpoint.v4
-          (1 + Random.State.int rng 200)
-          (Random.State.int rng 250) (Random.State.int rng 250)
-          (1 + Random.State.int rng 250)
-          (1024 + Random.State.int rng 50000)
-      in
-      {
-        Simnet.Flow.id;
-        tuple = Netcore.Five_tuple.make ~src ~dst:vip ~proto:Netcore.Protocol.Tcp;
-        start = Random.State.float rng span;
-        duration = 0.5 +. Random.State.float rng 60.;
-        bytes_per_sec = 1000.;
-      })
-
 let netwide_layer name switches sram_budget_bits =
   { Silkroad.Assignment.layer_name = name; switches; sram_budget_bits;
     capacity_gbps = 10_000. }
@@ -662,7 +498,7 @@ let netwide_section ppf ~smoke =
   field "degenerate_pps" (Telemetry.Json.Float degen_pps);
   (* --- leg 2: ToR failure + concurrent update + recovery --- *)
   let n_flows = if smoke then 800 else 6000 in
-  let flows = netwide_flows ~seed:777 ~n:n_flows ~span:25. vips in
+  let flows = Experiments.Common.fabric_flows ~seed:777 ~n:n_flows ~span:25. vips in
   let ftrace = Harness.Packed_trace.compile ~probe_interval:1. ~horizon:120. flows in
   let vip0, pool0 = List.hd vips in
   let removed = (Lb.Dip_pool.members pool0).(0) in
@@ -804,89 +640,14 @@ let run_section ppf ~file ~gate_key ~smoke ~baseline ?(extra = fun () -> []) sec
   | Some b when not (check_baseline ppf ~file:b ~key:gate_key ran) -> exit 1
   | Some _ | None -> ()
 
-(* Reference driver run whose registry snapshot is written next to the
-   bench output: a machine-readable record of what the run measured
-   (latency histograms included), comparable across commits. *)
-let emit_telemetry ppf path =
-  let scenario =
-    Experiments.Common.scenario ~n_vips:1 ~dips_per_vip:8 ~conns_per_sec_per_vip:50.
-      ~updates_per_min:6. ~trace_seconds:30. ()
-  in
-  let vips = Experiments.Common.vips_of ~n_vips:1 ~dips_per_vip:8 in
-  let _, balancer = Experiments.Common.silkroad ~vips () in
-  let r = Experiments.Common.run balancer scenario in
-  let json =
-    Telemetry.Json.Obj
-      [ (r.Harness.Driver.balancer_name,
-         Telemetry.Snapshot.to_json_value r.Harness.Driver.telemetry) ]
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Telemetry.Json.to_string_pretty json);
-      output_char oc '\n');
-  Format.fprintf ppf "wrote %s (latency median %.2e s, p99 %.2e s)@." path
-    r.Harness.Driver.latency_median r.Harness.Driver.latency_p99
 
-(* The chaos soak: every built-in scenario crossed with every balancer,
-   at the full operating point. One line per run, a summary table at the
-   end, non-zero exit if silkroad breaks PCC anywhere. Reports land in
-   CHAOS_soak.<scenario>.<balancer>.json. *)
-let run_soak ppf ~seed =
-  Format.fprintf ppf "@.=== Chaos soak (seed %d): %d scenarios x %d balancers ===@." seed
-    (List.length Chaos.Scenario.all)
-    (List.length Experiments.Chaos_runner.balancer_names);
-  let silkroad_failures = ref [] in
-  let rows = ref [] in
-  List.iter
-    (fun scenario ->
-      List.iter
-        (fun balancer ->
-          let spec = Experiments.Chaos_runner.default_spec scenario ~seed in
-          let result, report = Experiments.Chaos_runner.run spec ~balancer in
-          let path =
-            Printf.sprintf "CHAOS_soak.%s.%s.json" scenario.Chaos.Scenario.name balancer
-          in
-          Chaos.Report.save path report;
-          Format.fprintf ppf "  %-18s %-10s broken %6d/%6d (%.6f)  violations %6d@."
-            scenario.Chaos.Scenario.name balancer report.Chaos.Report.broken_connections
-            report.Chaos.Report.connections report.Chaos.Report.broken_fraction
-            report.Chaos.Report.violation_packets;
-          rows := (scenario.Chaos.Scenario.name, balancer, report) :: !rows;
-          if String.equal balancer "silkroad" && report.Chaos.Report.broken_fraction > 0.001
-          then
-            silkroad_failures :=
-              Printf.sprintf "%s: broken fraction %.6f" scenario.Chaos.Scenario.name
-                report.Chaos.Report.broken_fraction
-              :: !silkroad_failures;
-          ignore result)
-        Experiments.Chaos_runner.balancer_names)
-    Chaos.Scenario.all;
-  Format.fprintf ppf "@.%d reports written (CHAOS_soak.*.json)@." (List.length !rows);
-  match !silkroad_failures with
-  | [] -> Format.fprintf ppf "soak OK: silkroad held PCC in every scenario@."
-  | fs ->
-    Format.fprintf ppf "soak FAILED: %s@." (String.concat "; " (List.rev fs));
-    exit 1
+let usage =
+  "usage: main.exe (--replay [--full-scale] [--connections N] | --control | --netwide) [--smoke] \
+   [--baseline FILE]\n"
 
 let () =
   let args = Array.to_list Sys.argv in
-  let quick = not (List.mem "--full" args) in
   let smoke = List.mem "--smoke" args in
-  let soak = List.mem "--soak" args in
-  let only =
-    let rec find = function
-      | "--only" :: id :: _ -> Some id
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  let skip_micro = List.mem "--no-micro" args in
-  let replay = List.mem "--replay" args in
-  let control = List.mem "--control" args in
-  let netwide = List.mem "--netwide" args in
   let scale = List.mem "--full-scale" args in
   let connections =
     let rec find = function
@@ -908,49 +669,26 @@ let () =
     find args
   in
   let ppf = Format.std_formatter in
-  if soak then run_soak ppf ~seed:1
-  else if control then begin
-    Format.fprintf ppf "SilkRoad bench — control mode (%s)@."
-      (if smoke then "smoke" else "smoke + full");
+  let mode = if smoke then "smoke" else "smoke + full" in
+  if List.mem "--control" args then begin
+    Format.fprintf ppf "SilkRoad bench — control mode (%s)@." mode;
     run_section ppf ~file:"BENCH_control.json" ~gate_key:"smoke_updates_per_sec" ~smoke
       ~baseline control_section
   end
-  else if netwide then begin
-    Format.fprintf ppf "SilkRoad bench — netwide mode (%s)@."
-      (if smoke then "smoke" else "smoke + full");
+  else if List.mem "--netwide" args then begin
+    Format.fprintf ppf "SilkRoad bench — netwide mode (%s)@." mode;
     run_section ppf ~file:"BENCH_netwide.json" ~gate_key:"smoke_netwide_seq_pps" ~smoke
       ~baseline netwide_section
   end
-  else if replay then begin
-    Format.fprintf ppf "SilkRoad bench — replay mode (%s%s)@."
-      (if smoke then "smoke" else "smoke + full")
+  else if List.mem "--replay" args then begin
+    Format.fprintf ppf "SilkRoad bench — replay mode (%s%s)@." mode
       (if scale then " + full-scale" else "");
     run_section ppf ~file:"BENCH_replay.json" ~gate_key:"smoke_batch_pps" ~smoke ~baseline
       ~extra:(fun () -> if scale then replay_scale_section ppf ~connections else [])
       replay_section
   end
-  else if smoke then begin
-    (* `make check` entry point: reference run + snapshot, plus the
-       micro-benchmarks as fast timed loops *)
-    Format.fprintf ppf "SilkRoad bench — smoke mode@.";
-    emit_telemetry ppf "BENCH_telemetry.json";
-    if not skip_micro then run_micro_fast ppf
-  end
   else begin
-    Format.fprintf ppf "SilkRoad paper reproduction — %s mode@."
-      (if quick then "quick" else "full");
-    (match only with
-     | Some id ->
-       (match Experiments.Registry.find id with
-        | Some e -> e.Experiments.Registry.run ~quick ppf
-        | None ->
-          Format.fprintf ppf "unknown experiment %S; available:@." id;
-          List.iter
-            (fun e -> Format.fprintf ppf "  %-16s %s@." e.Experiments.Registry.id e.Experiments.Registry.title)
-            Experiments.Registry.all)
-     | None ->
-       Experiments.Registry.run_all ~quick ppf;
-       if not skip_micro then run_micro ppf;
-       emit_telemetry ppf "BENCH_telemetry.json")
+    prerr_string usage;
+    exit 2
   end;
   Format.pp_print_flush ppf ()

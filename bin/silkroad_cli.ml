@@ -177,8 +177,8 @@ let chaos_cmd =
       & opt (some float) None
       & info [ "max-broken" ] ~docv:"FRAC"
           ~doc:
-            "Exit non-zero if any run's broken-connection fraction exceeds $(docv). With \
-             $(b,--smoke) and no explicit value, 0.001 is enforced for silkroad.")
+            "Exit non-zero if any run's broken-connection fraction exceeds $(docv). Without \
+             it, 0.001 is enforced for silkroad only.")
   in
   let run scenario_name list seed seconds rate dips balancer report smoke max_broken metrics_json
       verbose =
@@ -212,10 +212,10 @@ let chaos_cmd =
           | None -> Experiments.Chaos_runner.balancer_names
         in
         let threshold_for name =
-          match (max_broken, smoke) with
-          | Some v, _ -> Some v
-          | None, true when String.equal name "silkroad" -> Some 0.001
-          | None, _ -> None
+          match max_broken with
+          | Some v -> Some v
+          | None when String.equal name "silkroad" -> Some 0.001
+          | None -> None
         in
         let report_path name =
           match report with
@@ -413,26 +413,7 @@ let netwide_cmd =
         @ [ layer "tor" tors sram ]
       in
       let topo = Netwide.Topology.build ~layers ~vips () in
-      let rng = Random.State.make [| seed; 0x5eed |] in
-      let vip_arr = Array.of_list vips in
-      let flows =
-        List.init flows_n (fun id ->
-            let vip, _ = vip_arr.(Random.State.int rng (Array.length vip_arr)) in
-            let src =
-              Netcore.Endpoint.v4
-                (1 + Random.State.int rng 200)
-                (Random.State.int rng 250) (Random.State.int rng 250)
-                (1 + Random.State.int rng 250)
-                (1024 + Random.State.int rng 50000)
-            in
-            {
-              Simnet.Flow.id;
-              tuple = Netcore.Five_tuple.make ~src ~dst:vip ~proto:Netcore.Protocol.Tcp;
-              start = Random.State.float rng 25.;
-              duration = 0.5 +. Random.State.float rng 60.;
-              bytes_per_sec = 1000.;
-            })
-      in
+      let flows = Experiments.Common.fabric_flows ~seed ~n:flows_n ~span:25. vips in
       let trace = Harness.Packed_trace.compile ~probe_interval:1. ~horizon:120. flows in
       let controls =
         (if stall_at >= 0. then [ (stall_at, Harness.Replay.Cpu_backlog 1_000_000) ] else [])

@@ -170,40 +170,10 @@ module Make (Key : KEY) = struct
 
   let make_probe v = { probe_hit = false; probe_exact = false; probe_stage = 0; probe_value = v }
 
-  (* [lookup] without the hit record: results land in a caller-owned
-     probe buffer, so the hardware fast path allocates nothing. *)
-  let lookup_into t k (p : 'v probe) =
-    p.probe_hit <- false;
-    match t.cells with
-    | None -> ()
-    | Some c ->
-      let rec by_stage stage =
-        if stage < t.n_stages then begin
-          let b = base t stage (row_of t stage k) in
-          let code = code_of t stage k in
-          let rec by_way way =
-            if way >= t.n_ways then by_stage (stage + 1)
-            else
-              let i = b + way in
-              let stored = Array.unsafe_get t.codes i in
-              if
-                if t.exact_mode then stored >= 0 && Key.equal (Array.unsafe_get c.ckeys i) k
-                else stored = code
-              then begin
-                p.probe_hit <- true;
-                p.probe_exact <- Key.equal (Array.unsafe_get c.ckeys i) k;
-                p.probe_stage <- stage;
-                p.probe_value <- Array.unsafe_get c.cvals i
-              end
-              else by_way (way + 1)
-          in
-          by_way 0
-        end
-      in
-      by_stage 0
-
-  (* As [lookup_into], with the per-stage probe rows/digests precomputed
-     by the caller: inside the functor [Key.hash] is an opaque closure
+  (* [lookup] without the hit record, with the per-stage probe
+     rows/digests precomputed by the caller: results land in a
+     caller-owned probe buffer, so the hardware fast path allocates
+     nothing. Inside the functor [Key.hash] is an opaque closure
      call that boxes its int64 result on every invocation, so hot paths
      whose key module has an inlinable hash compute the positions
      themselves (via [row_seed]/[digest_seed]) and skip it. *)

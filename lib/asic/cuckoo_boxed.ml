@@ -107,36 +107,9 @@ module Make (Key : KEY) = struct
 
   let make_probe v = { probe_hit = false; probe_exact = false; probe_stage = 0; probe_value = v }
 
-  (* [lookup] without the hit record: results land in a caller-owned
-     probe buffer, so the hardware fast path allocates nothing. *)
-  let lookup_into t k (p : 'v probe) =
-    p.probe_hit <- false;
-    let rec by_stage stage =
-      if stage < t.n_stages then begin
-        let row = row_of t stage k in
-        let rec by_way way =
-          if way >= t.n_ways then by_stage (stage + 1)
-          else
-            let slot = t.slots.(stage).(slot_index t row way) in
-            if matches t stage k slot then begin
-              match (slot : _ entry option) with
-              | Some e ->
-                p.probe_hit <- true;
-                p.probe_exact <- Key.equal e.key k;
-                p.probe_stage <- stage;
-                p.probe_value <- e.value
-              | None -> assert false
-            end
-            else by_way (way + 1)
-        in
-        by_way 0
-      end
-    in
-    by_stage 0
-
-  (* As [lookup_into], with the per-stage rows/digests precomputed by the
-     caller (via [row_seed]/[digest_seed]); probes the same slots in the
-     same order. *)
+  (* [lookup] without the hit record, with the per-stage rows/digests
+     precomputed by the caller (via [row_seed]/[digest_seed]); probes the
+     same slots in the same order and writes into the caller's buffer. *)
   let lookup_pos_into t ~key:k ~(rows : int array) ~(digests : int array) (p : 'v probe) =
     p.probe_hit <- false;
     let exact_mode = t.digest_bits = None in

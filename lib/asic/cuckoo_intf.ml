@@ -64,17 +64,13 @@ module type S = sig
     mutable probe_stage : int;
     mutable probe_value : 'v;
   }
-  (** Caller-owned result buffer for {!lookup_into}: the replay fast
+  (** Caller-owned result buffer for {!lookup_pos_into}: the replay fast
       path reuses one per table instead of allocating a hit record per
       packet. Fields other than [probe_hit] are meaningful only when
       [probe_hit] is true. *)
 
   val make_probe : 'v -> 'v probe
   (** A fresh buffer; the argument is a placeholder value. *)
-
-  val lookup_into : 'v t -> key -> 'v probe -> unit
-  (** Allocation-free {!lookup}: probes the same slots in the same order
-      and writes the outcome into the buffer. *)
 
   val row_seed : _ t -> stage:int -> int
   (** Seed for the stage's row-index hash: callers whose key module has
@@ -96,11 +92,12 @@ module type S = sig
 
   val lookup_pos_into :
     'v t -> key:key -> rows:int array -> digests:int array -> 'v probe -> unit
-  (** {!lookup_into} with caller-precomputed probe positions:
-      [rows.(stage)] and [digests.(stage)] must equal
+  (** Allocation-free {!lookup} with caller-precomputed probe
+      positions: [rows.(stage)] and [digests.(stage)] must equal
       [probe_row]/[probe_digest] for [key] (computed via
       {!row_seed}/{!digest_seed}). Probes the same slots in the same
-      order as {!lookup_into}; [digests] is ignored in exact mode. *)
+      order as {!lookup} and writes the outcome into the buffer;
+      [digests] is ignored in exact mode. *)
 
   val find_exact : 'v t -> key -> 'v option
   (** Software lookup by true key. *)

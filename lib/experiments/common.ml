@@ -63,6 +63,26 @@ let scenario ?(seed = 7011) ?(n_vips = 4) ?(dips_per_vip = 8) ?duration ~conns_p
   in
   { flows; updates; horizon = trace_seconds +. 60. }
 
+let fabric_flows ~seed ~n ~span vips =
+  let rng = Random.State.make [| seed; 0x5eed |] in
+  let vips = Array.of_list vips in
+  List.init n (fun id ->
+      let vip, _ = vips.(Random.State.int rng (Array.length vips)) in
+      let src =
+        Netcore.Endpoint.v4
+          (1 + Random.State.int rng 200)
+          (Random.State.int rng 250) (Random.State.int rng 250)
+          (1 + Random.State.int rng 250)
+          (1024 + Random.State.int rng 50000)
+      in
+      {
+        Simnet.Flow.id;
+        tuple = Netcore.Five_tuple.make ~src ~dst:vip ~proto:Netcore.Protocol.Tcp;
+        start = Random.State.float rng span;
+        duration = 0.5 +. Random.State.float rng 60.;
+        bytes_per_sec = 1000.;
+      })
+
 let silkroad ?(cfg = Silkroad.Config.default) ~vips () =
   let sw = Silkroad.Switch.create cfg in
   List.iter (fun (v, p) -> Silkroad.Switch.add_vip sw v p) vips;

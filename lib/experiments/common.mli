@@ -42,6 +42,15 @@ val scenario :
 
 val vips_of : n_vips:int -> dips_per_vip:int -> (Netcore.Endpoint.t * Lb.Dip_pool.t) list
 
+val fabric_flows :
+  seed:int -> n:int -> span:float -> (Netcore.Endpoint.t * Lb.Dip_pool.t) list -> Simnet.Flow.t list
+(** [n] seeded random TCP flows for the multi-switch and replay
+    workloads: each picks a uniform VIP from the list, a random client
+    endpoint, a start uniform below [span] and a duration uniform
+    between 0.5 and 60.5 seconds at 1000 B/s. Ids run from 0 to
+    [n - 1]. The RNG call order is fixed: the netwide goldens and the
+    netwide bench gate depend on it. *)
+
 val silkroad : ?cfg:Silkroad.Config.t -> vips:(Netcore.Endpoint.t * Lb.Dip_pool.t) list ->
   unit -> Silkroad.Switch.t * Lb.Balancer.t
 

@@ -294,7 +294,7 @@ let health_semantics () =
 
 let vip_remove_drops_traffic () =
   let vips = [ (vip 0, Lb.Dip_pool.of_list [ dip 0; dip 1 ]) ] in
-  let flows = Test_replay.random_flows ~seed:77 ~n:40 ~span:20. vips in
+  let flows = Experiments.Common.fabric_flows ~seed:77 ~n:40 ~span:20. vips in
   let trace = Harness.Packed_trace.compile ~horizon:60. flows in
   let session = Control.Session.create ~vips ~trace () in
   ignore (expect_ok session "advance 10");
@@ -333,7 +333,7 @@ let update_hook_observes_latency () =
           bytes_per_sec = 1000.;
         })
   in
-  let flows = Test_replay.random_flows ~seed:3 ~n:200 ~span:10. vips @ burst in
+  let flows = Experiments.Common.fabric_flows ~seed:3 ~n:200 ~span:10. vips @ burst in
   let trace = Harness.Packed_trace.compile ~horizon:80. flows in
   let session = Control.Session.create ~vips ~trace () in
   ignore (expect_ok session "advance 5");
@@ -430,7 +430,7 @@ let serve_vs_batch ~shards () =
       (vip 2, Lb.Dip_pool.of_list [ dip 30; dip 31 ]);
     ]
   in
-  let flows = Test_replay.random_flows ~seed:42 ~n:150 ~span:16. vips in
+  let flows = Experiments.Common.fabric_flows ~seed:42 ~n:150 ~span:16. vips in
   let trace = Harness.Packed_trace.compile ~horizon:40. flows in
   let cmds = P.of_updates identity_updates @ [ P.Drain; P.Quit ] in
   let mode =
@@ -552,7 +552,7 @@ let health_matches_updates () =
       (vip 1, Lb.Dip_pool.of_list [ dip 0; dip 21 ]);
     ]
   in
-  let flows = Test_replay.random_flows ~seed:9 ~n:100 ~span:12. vips in
+  let flows = Experiments.Common.fabric_flows ~seed:9 ~n:100 ~span:12. vips in
   let horizon = 30. in
   let trace = Harness.Packed_trace.compile ~horizon flows in
   let expanded =

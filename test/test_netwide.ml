@@ -54,26 +54,6 @@ let make_switch ?(cfg = Silkroad.Config.default) ?(vips = default_vips) () () =
   List.iter (fun (vip, pool) -> Silkroad.Switch.add_vip sw vip pool) vips;
   sw
 
-let random_flows ~seed ~n ~span vips =
-  let rng = Random.State.make [| seed; 0x5eed |] in
-  let vips = Array.of_list vips in
-  List.init n (fun id ->
-      let vip, _ = vips.(Random.State.int rng (Array.length vips)) in
-      let src =
-        Netcore.Endpoint.v4
-          (1 + Random.State.int rng 200)
-          (Random.State.int rng 250) (Random.State.int rng 250)
-          (1 + Random.State.int rng 250)
-          (1024 + Random.State.int rng 50000)
-      in
-      {
-        Simnet.Flow.id;
-        tuple = Netcore.Five_tuple.make ~src ~dst:vip ~proto:Netcore.Protocol.Tcp;
-        start = Random.State.float rng span;
-        duration = 0.5 +. Random.State.float rng 60.;
-        bytes_per_sec = 1000.;
-      })
-
 let tiny_cfg =
   {
     Silkroad.Config.default with
@@ -140,7 +120,7 @@ let qcheck_route_deterministic =
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let topo = fabric () in
-      let flows = random_flows ~seed ~n:40 ~span:10. default_vips in
+      let flows = Experiments.Common.fabric_flows ~seed ~n:40 ~span:10. default_vips in
       List.for_all
         (fun (f : Simnet.Flow.t) ->
           let vip = f.Simnet.Flow.tuple.Netcore.Five_tuple.dst in
@@ -157,7 +137,7 @@ let qcheck_route_terminates_at_placement =
     (fun seed ->
       let topo = fabric () in
       let assignment = topo.Netwide.Topology.placement.Silkroad.Assignment.assignment in
-      let flows = random_flows ~seed ~n:40 ~span:10. default_vips in
+      let flows = Experiments.Common.fabric_flows ~seed ~n:40 ~span:10. default_vips in
       List.for_all
         (fun (f : Simnet.Flow.t) ->
           let vip = f.Simnet.Flow.tuple.Netcore.Five_tuple.dst in
@@ -175,7 +155,7 @@ let qcheck_agg_failure_minimal_disruption =
     (fun (seed, agg_member) ->
       let topo = fabric () in
       let dead = topo.Netwide.Topology.layer_nodes.(1).(agg_member) in
-      let flows = random_flows ~seed ~n:60 ~span:10. default_vips in
+      let flows = Experiments.Common.fabric_flows ~seed ~n:60 ~span:10. default_vips in
       let tuples =
         List.map
           (fun (f : Simnet.Flow.t) ->
@@ -252,7 +232,7 @@ let differential_scripted () =
   differential ~name:"scripted" ~trace ~controls ()
 
 let differential_collisions () =
-  let flows = random_flows ~seed:4242 ~n:400 ~span:50. default_vips in
+  let flows = Experiments.Common.fabric_flows ~seed:4242 ~n:400 ~span:50. default_vips in
   let trace = Harness.Packed_trace.compile ~horizon:120. flows in
   (* non-vacuity: this workload must actually exercise false hits *)
   let probe =
@@ -263,7 +243,7 @@ let differential_collisions () =
 
 let differential_chaos (scenario : Chaos.Scenario.t) () =
   let horizon = 120. in
-  let flows = random_flows ~seed:9091 ~n:2000 ~span:90. default_vips in
+  let flows = Experiments.Common.fabric_flows ~seed:9091 ~n:2000 ~span:90. default_vips in
   let inj = Chaos.Injector.create ~scenario ~seed:1117 ~vips:default_vips ~horizon () in
   let trace = Harness.Packed_trace.compile ~horizon flows in
   let controls = Harness.Replay.controls_of_chaos ~horizon (Chaos.Injector.events inj) in
@@ -288,7 +268,7 @@ let tor_a = 1
    from. *)
 let failure_with_concurrent_update () =
   let topo = two_tor () in
-  let flows = random_flows ~seed:777 ~n:800 ~span:25. default_vips in
+  let flows = Experiments.Common.fabric_flows ~seed:777 ~n:800 ~span:25. default_vips in
   let trace = Harness.Packed_trace.compile ~probe_interval:1. ~horizon:120. flows in
   let vip0, pool0 = List.hd default_vips in
   let removed = (Lb.Dip_pool.members pool0).(0) in
@@ -308,7 +288,7 @@ let failure_with_concurrent_update () =
 
 let failure_and_recovery () =
   let topo = two_tor () in
-  let flows = random_flows ~seed:888 ~n:600 ~span:25. default_vips in
+  let flows = Experiments.Common.fabric_flows ~seed:888 ~n:600 ~span:25. default_vips in
   let trace = Harness.Packed_trace.compile ~probe_interval:1. ~horizon:120. flows in
   let events =
     [ (30., Netwide.Replay.Switch_down tor_a); (60., Netwide.Replay.Switch_up tor_a) ]
@@ -332,7 +312,7 @@ let vip_migration_moves_only_its_flows () =
      the ToRs; the migration then pulls one VIP up to the Agg switch *)
   let layers = [ layer "agg" 1 0 10_000.; layer "tor" 2 big 10_000. ] in
   let topo = Netwide.Topology.build ~layers ~vips:default_vips () in
-  let flows = random_flows ~seed:999 ~n:600 ~span:25. default_vips in
+  let flows = Experiments.Common.fabric_flows ~seed:999 ~n:600 ~span:25. default_vips in
   let trace = Harness.Packed_trace.compile ~probe_interval:1. ~horizon:120. flows in
   let vip0, _ = List.hd default_vips in
   let events = [ (40., Netwide.Replay.Vip_move (vip0, "agg")) ] in
@@ -353,7 +333,7 @@ let vip_migration_moves_only_its_flows () =
     (Netwide.Topology.layer_of_vip topo vip0)
 
 let parallel_matches_sequential () =
-  let flows = random_flows ~seed:31337 ~n:400 ~span:25. default_vips in
+  let flows = Experiments.Common.fabric_flows ~seed:31337 ~n:400 ~span:25. default_vips in
   let trace = Harness.Packed_trace.compile ~probe_interval:1. ~horizon:90. flows in
   let events =
     [ (30., Netwide.Replay.Switch_down tor_a); (60., Netwide.Replay.Switch_up tor_a) ]
@@ -396,7 +376,7 @@ let netwide_golden_case (scenario, tel_digest, dip_digest) =
   tc scenario `Quick (fun () ->
       let horizon = 120. in
       let topo = Netwide.Topology.build ~layers:golden_layers ~vips:default_vips () in
-      let flows = random_flows ~seed:9091 ~n:2000 ~span:90. default_vips in
+      let flows = Experiments.Common.fabric_flows ~seed:9091 ~n:2000 ~span:90. default_vips in
       let scenario = Option.get (Chaos.Scenario.find scenario) in
       let inj = Chaos.Injector.create ~scenario ~seed:1117 ~vips:default_vips ~horizon () in
       let trace = Harness.Packed_trace.compile ~probe_interval:1. ~horizon flows in

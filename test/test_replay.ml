@@ -38,26 +38,6 @@ let make_switch ?(cfg = Silkroad.Config.default) ?(vips = default_vips) () () =
   List.iter (fun (vip, pool) -> Silkroad.Switch.add_vip sw vip pool) vips;
   sw
 
-let random_flows ~seed ~n ~span vips =
-  let rng = Random.State.make [| seed; 0x5eed |] in
-  let vips = Array.of_list vips in
-  List.init n (fun id ->
-      let vip, _ = vips.(Random.State.int rng (Array.length vips)) in
-      let src =
-        Netcore.Endpoint.v4
-          (1 + Random.State.int rng 200)
-          (Random.State.int rng 250) (Random.State.int rng 250)
-          (1 + Random.State.int rng 250)
-          (1024 + Random.State.int rng 50000)
-      in
-      {
-        Simnet.Flow.id;
-        tuple = Netcore.Five_tuple.make ~src ~dst:vip ~proto:Netcore.Protocol.Tcp;
-        start = Random.State.float rng span;
-        duration = 0.5 +. Random.State.float rng 60.;
-        bytes_per_sec = 1000.;
-      })
-
 (* The pure reference model: a flow's DIP is a function of its 5-tuple
    and its VIP's pool — exactly the per-flow ECMP choice Dip_pool_table
    makes, with none of the switch's machinery. *)
@@ -101,7 +81,7 @@ let tiny_cfg =
 
 let oracle_update_free cfg name =
   QCheck.Test.make ~name ~count:10 QCheck.(int_bound 1_000_000) (fun seed ->
-      let flows = random_flows ~seed ~n:150 ~span:100. default_vips in
+      let flows = Experiments.Common.fabric_flows ~seed ~n:150 ~span:100. default_vips in
       let trace = Harness.Packed_trace.compile ~horizon:170. flows in
       let r =
         Harness.Replay.run ~make_switch:(make_switch ~cfg ()) ~trace ~controls:[] ()
@@ -133,7 +113,7 @@ let qcheck_oracle_under_update =
     (fun seed ->
       let cfg = tiny_cfg in
       let vips = default_vips in
-      let flows = random_flows ~seed ~n:150 ~span:100. vips in
+      let flows = Experiments.Common.fabric_flows ~seed ~n:150 ~span:100. vips in
       let vip0, pool0 = List.hd vips in
       let removed = (Lb.Dip_pool.members pool0).(0) in
       let update_at = 60. in
@@ -169,7 +149,7 @@ let qcheck_oracle_under_update =
 (* The tiny config must actually produce false hits on a dense workload
    — otherwise the collision leg of the oracle is vacuous. *)
 let tiny_config_collides () =
-  let flows = random_flows ~seed:4242 ~n:400 ~span:50. default_vips in
+  let flows = Experiments.Common.fabric_flows ~seed:4242 ~n:400 ~span:50. default_vips in
   let trace = Harness.Packed_trace.compile ~horizon:120. flows in
   let r = Harness.Replay.run ~make_switch:(make_switch ~cfg:tiny_cfg ()) ~trace ~controls:[] () in
   check Alcotest.bool "false hits occurred" true (r.Harness.Replay.false_hits > 0);
@@ -221,7 +201,7 @@ let driver_vs_scalar_scripted () =
 
 let chaos_workload (scenario : Chaos.Scenario.t) =
   let horizon = 120. in
-  let flows = random_flows ~seed:9091 ~n:2000 ~span:90. default_vips in
+  let flows = Experiments.Common.fabric_flows ~seed:9091 ~n:2000 ~span:90. default_vips in
   let inj =
     Chaos.Injector.create ~scenario ~seed:1117 ~vips:default_vips ~horizon ()
   in
@@ -259,7 +239,7 @@ let qcheck_driver_vs_scalar_ties =
           (fun (f : Simnet.Flow.t) ->
             { f with Simnet.Flow.start = grid f.Simnet.Flow.start;
                      duration = Float.max 0.5 (grid f.Simnet.Flow.duration) })
-          (random_flows ~seed ~n:150 ~span:50. default_vips)
+          (Experiments.Common.fabric_flows ~seed ~n:150 ~span:50. default_vips)
       in
       let rng = Random.State.make [| seed; 0x71e |] in
       let updates =
@@ -397,7 +377,7 @@ let qcheck_shard_of_range =
   QCheck.Test.make ~name:"shard_of lands in range and is deterministic" ~count:200
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let flows = random_flows ~seed ~n:20 ~span:10. default_vips in
+      let flows = Experiments.Common.fabric_flows ~seed ~n:20 ~span:10. default_vips in
       List.for_all
         (fun (f : Simnet.Flow.t) ->
           let k = Harness.Replay.shard_of ~shards:7 f.Simnet.Flow.tuple in
