@@ -87,7 +87,7 @@ let lint_structure ~file str =
       else if List.mem p poly_hash then
         add ~loc "det.poly-hash" Diag.Error
           (Printf.sprintf "%s hashes arbitrary structure" p)
-          "hash an explicit key (e.g. Five_tuple.digest) instead"
+          "hash an explicit key (e.g. Five_tuple.bits) instead"
       else if nargs < 2 && List.mem p poly_compare then
         add ~loc "det.poly-compare" Diag.Error
           (Printf.sprintf "polymorphic %s passed as a value orders by physical structure"

@@ -175,37 +175,38 @@ module Make (Key : KEY) = struct
      caller-owned probe buffer, so the hardware fast path allocates
      nothing. Inside the functor [Key.hash] is an opaque closure
      call that boxes its int64 result on every invocation, so hot paths
-     whose key module has an inlinable hash compute the positions
-     themselves (via [row_seed]/[digest_seed]) and skip it. *)
+     whose key can derive int positions without boxing compute them
+     themselves (via [row_seed]/[digest_seed]) and skip it. Plain loops
+     over local refs, not local recursive functions: those closures
+     would be allocated on every call. *)
   let lookup_pos_into t ~key:k ~(rows : int array) ~(digests : int array) (p : 'v probe) =
     p.probe_hit <- false;
     match t.cells with
     | None -> ()
     | Some c ->
-      let rec by_stage stage =
-        if stage < t.n_stages then begin
-          let b = base t stage (Array.unsafe_get rows stage) in
-          let code = Array.unsafe_get digests stage in
-          let rec by_way way =
-            if way >= t.n_ways then by_stage (stage + 1)
-            else
-              let i = b + way in
-              let stored = Array.unsafe_get t.codes i in
-              if
-                if t.exact_mode then stored >= 0 && Key.equal (Array.unsafe_get c.ckeys i) k
-                else stored = code
-              then begin
-                p.probe_hit <- true;
-                p.probe_exact <- Key.equal (Array.unsafe_get c.ckeys i) k;
-                p.probe_stage <- stage;
-                p.probe_value <- Array.unsafe_get c.cvals i
-              end
-              else by_way (way + 1)
-          in
-          by_way 0
-        end
-      in
-      by_stage 0
+      let stage = ref 0 in
+      while !stage < t.n_stages do
+        let b = base t !stage (Array.unsafe_get rows !stage) in
+        let code = Array.unsafe_get digests !stage in
+        let way = ref 0 in
+        while !way < t.n_ways do
+          let i = b + !way in
+          let stored = Array.unsafe_get t.codes i in
+          if
+            if t.exact_mode then stored >= 0 && Key.equal (Array.unsafe_get c.ckeys i) k
+            else stored = code
+          then begin
+            p.probe_hit <- true;
+            p.probe_exact <- Key.equal (Array.unsafe_get c.ckeys i) k;
+            p.probe_stage <- !stage;
+            p.probe_value <- Array.unsafe_get c.cvals i;
+            way := t.n_ways;
+            stage := t.n_stages
+          end
+          else incr way
+        done;
+        incr stage
+      done
 
   let lookup t k =
     match t.cells with

@@ -73,11 +73,11 @@ module type S = sig
   (** A fresh buffer; the argument is a placeholder value. *)
 
   val row_seed : _ t -> stage:int -> int
-  (** Seed for the stage's row-index hash: callers whose key module has
-      a directly inlinable hash can compute
-      [Hashing.to_range (hash ~seed k) rows_per_stage] themselves and
-      feed the result to {!lookup_pos_into}, bypassing the functorised
-      (non-inlinable) [Key.hash] call. *)
+  (** Seed for the stage's row-index hash: callers whose key can yield
+      [Hashing.to_range (hash ~seed k) rows_per_stage] as an unboxed int
+      (as [Five_tuple.range] does from the tuple's cached hash) compute
+      it themselves and feed the result to {!lookup_pos_into}, bypassing
+      the functorised [Key.hash] call and its boxed int64. *)
 
   val digest_seed : _ t -> stage:int -> int
   (** Seed for the stage's digest hash; the digest is

@@ -15,7 +15,9 @@ let resilient ?(slots_per_member = 64) members =
   let n = Array.length members * slots_per_member in
   { slots = Array.init n (fun i -> members.(i mod Array.length members)); members }
 
-let resilient_select t h = t.slots.(Netcore.Hashing.to_range h (Array.length t.slots))
+let resilient_slots t = Array.length t.slots
+let resilient_slot t i = t.slots.(i)
+let resilient_select t h = resilient_slot t (Netcore.Hashing.to_range h (resilient_slots t))
 
 let resilient_members t = t.members
 

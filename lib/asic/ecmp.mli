@@ -27,6 +27,15 @@ val resilient : ?slots_per_member:int -> 'a array -> 'a resilient
 (** Build a slot table (default 64 slots per member, in round-robin). *)
 
 val resilient_select : 'a resilient -> int64 -> 'a
+(** [resilient_select t h] is [resilient_slot t (to_range h (resilient_slots t))]. *)
+
+val resilient_slots : 'a resilient -> int
+(** Size of the slot table. *)
+
+val resilient_slot : 'a resilient -> int -> 'a
+(** Owner of one slot, for callers that derive the slot index from a
+    hash themselves (e.g. {!Netcore.Five_tuple.range}). *)
+
 val resilient_members : 'a resilient -> 'a array
 
 val resilient_remove : equal:('a -> 'a -> bool) -> 'a resilient -> 'a -> 'a resilient

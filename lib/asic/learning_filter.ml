@@ -1,8 +1,8 @@
-type ('k, 'm) t = {
+type 'm t = {
   capacity : int;
   timeout : float;
-  keys : ('k, unit) Hashtbl.t;
-  queue : ('k * 'm * float) Queue.t;
+  keys : unit Netcore.Five_tuple.Tbl.t;
+  queue : (Netcore.Five_tuple.t * 'm * float) Queue.t;
   mutable dropped : int;
   c_offered : Telemetry.Registry.Counter.t;
   c_dropped : Telemetry.Registry.Counter.t;
@@ -16,7 +16,7 @@ let create ?metrics ~capacity ~timeout () =
   {
     capacity;
     timeout;
-    keys = Hashtbl.create 256;
+    keys = Netcore.Five_tuple.Tbl.create 256;
     queue = Queue.create ();
     dropped = 0;
     c_offered = Telemetry.Registry.counter reg "learning.offered";
@@ -32,14 +32,14 @@ let dropped t = t.dropped
 
 let offer t ~now k m =
   Telemetry.Registry.Counter.incr t.c_offered;
-  if Hashtbl.mem t.keys k then `Duplicate
+  if Netcore.Five_tuple.Tbl.mem t.keys k then `Duplicate
   else if Queue.length t.queue >= t.capacity then begin
     t.dropped <- t.dropped + 1;
     Telemetry.Registry.Counter.incr t.c_dropped;
     `Dropped
   end
   else begin
-    Hashtbl.replace t.keys k ();
+    Netcore.Five_tuple.Tbl.replace t.keys k ();
     Queue.add (k, m, now) t.queue;
     Telemetry.Registry.Gauge.set t.g_pending (float_of_int (Queue.length t.queue));
     `Accepted
@@ -74,6 +74,6 @@ let[@inline] next_deadline_or t ~default =
 let drain t =
   let events = Queue.fold (fun acc (k, m, _) -> (k, m) :: acc) [] t.queue in
   Queue.clear t.queue;
-  Hashtbl.reset t.keys;
+  Netcore.Five_tuple.Tbl.reset t.keys;
   Telemetry.Registry.Gauge.set t.g_pending 0.;
   List.rev events

@@ -10,13 +10,14 @@
     This window is precisely what creates {e pending connections}: flows
     the hardware has seen but whose ConnTable entry is not yet installed.
 
-    The filter is generic in the event key ['k] (deduplication key) and
-    payload ['m]. Time is the simulator's float seconds. *)
+    Events are deduplicated by connection 5-tuple (hashed on its cached
+    [pre], {!Netcore.Five_tuple.Tbl}) and carry a payload ['m]. Time is
+    the simulator's float seconds. *)
 
-type ('k, 'm) t
+type 'm t
 
 val create :
-  ?metrics:Telemetry.Registry.t -> capacity:int -> timeout:float -> unit -> ('k, 'm) t
+  ?metrics:Telemetry.Registry.t -> capacity:int -> timeout:float -> unit -> 'm t
 (** [capacity] is the number of distinct pending events the filter can
     hold ("up to thousands"); [timeout] the notification deadline in
     seconds. [?metrics] is the registry the filter reports through:
@@ -26,7 +27,7 @@ val create :
 val capacity : _ t -> int
 val timeout : _ t -> float
 
-val offer : ('k, 'm) t -> now:float -> 'k -> 'm -> [ `Accepted | `Duplicate | `Dropped ]
+val offer : 'm t -> now:float -> Netcore.Five_tuple.t -> 'm -> [ `Accepted | `Duplicate | `Dropped ]
 (** Record an event. [`Duplicate] when the key is already pending
     (removed by hardware dedup); [`Dropped] when the filter is full —
     the connection will be re-learned by a later packet. *)
@@ -47,6 +48,6 @@ val next_deadline_or : _ t -> default:float -> float
 (** Allocation-free {!next_deadline}: the deadline, or [default] when no
     event is pending. Hot-path variant for per-packet polling. *)
 
-val drain : ('k, 'm) t -> ('k * 'm) list
+val drain : 'm t -> (Netcore.Five_tuple.t * 'm) list
 (** Hand all pending events to the CPU, oldest first, and empty the
     filter. *)

@@ -1,8 +1,16 @@
-type 'k t = {
+module Tbl = Netcore.Five_tuple.Tbl
+
+type entry = {
+  at : float;
+  seq : int;  (** scheduling order: breaks ties between equal deadlines *)
+}
+
+type t = {
   granularity : float;
-  slots : ('k, float) Hashtbl.t array;
-  index : ('k, int) Hashtbl.t;  (** key -> slot currently holding it *)
+  slots : entry Tbl.t array;
+  index : int Tbl.t;  (** key -> slot currently holding it *)
   mutable last_swept : int;  (** highest completed tick already swept *)
+  mutable next_seq : int;
 }
 
 let create ~granularity ~slots () =
@@ -10,16 +18,17 @@ let create ~granularity ~slots () =
   assert (slots >= 2);
   {
     granularity;
-    slots = Array.init slots (fun _ -> Hashtbl.create 16);
-    index = Hashtbl.create 64;
+    slots = Array.init slots (fun _ -> Tbl.create 16);
+    index = Tbl.create 64;
     last_swept = -1;
+    next_seq = 0;
   }
 
 let cancel t ~key =
-  match Hashtbl.find_opt t.index key with
+  match Tbl.find_opt t.index key with
   | Some slot ->
-    Hashtbl.remove t.slots.(slot) key;
-    Hashtbl.remove t.index key
+    Tbl.remove t.slots.(slot) key;
+    Tbl.remove t.index key
   | None -> ()
 
 let schedule t ~key ~at =
@@ -28,12 +37,16 @@ let schedule t ~key ~at =
      unseen until the wheel came all the way around again *)
   let tick = Int.max (int_of_float (at /. t.granularity)) (t.last_swept + 1) in
   let slot = tick mod Array.length t.slots in
-  Hashtbl.replace t.slots.(slot) key at;
-  Hashtbl.replace t.index key slot
+  Tbl.replace t.slots.(slot) key { at; seq = t.next_seq };
+  t.next_seq <- t.next_seq + 1;
+  Tbl.replace t.index key slot
 
-let mem t ~key = Hashtbl.mem t.index key
+let mem t ~key = Tbl.mem t.index key
 
-let scheduled t = Hashtbl.length t.index
+let scheduled t = Tbl.length t.index
+
+let by_deadline (_, a) (_, b) =
+  match Float.compare a.at b.at with 0 -> Int.compare a.seq b.seq | c -> c
 
 (* Deadlines are delivered when their tick completes, i.e. up to one
    granularity late. The payoff is the fast path: [advance] is called on
@@ -56,21 +69,23 @@ let advance t ~now =
     let expired = ref [] in
     for tick = first to last do
       let h = t.slots.(tick mod n) in
-      if Hashtbl.length h > 0 then begin
+      if Tbl.length h > 0 then begin
         let due =
-          Hashtbl.fold
-            (fun key at acc ->
-              if int_of_float (at /. t.granularity) <= last then (key, at) :: acc else acc)
+          Tbl.fold
+            (fun key e acc ->
+              if int_of_float (e.at /. t.granularity) <= last then (key, e) :: acc else acc)
             h []
         in
         List.iter
           (fun (key, _) ->
-            Hashtbl.remove h key;
-            Hashtbl.remove t.index key)
+            Tbl.remove h key;
+            Tbl.remove t.index key)
           due;
         expired := due @ !expired
       end
     done;
     t.last_swept <- last;
-    List.sort (fun (_, a) (_, b) -> Float.compare a b) !expired |> List.map fst
+    (* the order is fixed by (deadline, scheduling order), never by the
+       slot tables' layout *)
+    List.sort by_deadline !expired |> List.map fst
   end

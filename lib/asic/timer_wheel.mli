@@ -7,25 +7,29 @@
     key replaces its previous deadline, so the lazy-refresh idiom —
     schedule once, verify staleness on expiry, reschedule if the entry
     saw traffic — costs one wheel operation per timeout rather than one
-    per packet. *)
+    per packet.
 
-type 'k t
+    Keys are 5-tuples, the only thing the switch ages: the slot tables
+    hash each tuple's cached [pre] ({!Netcore.Five_tuple.Tbl}). *)
 
-val create : granularity:float -> slots:int -> unit -> 'k t
+type t
+
+val create : granularity:float -> slots:int -> unit -> t
 (** A wheel spanning [granularity *. slots] seconds; deadlines further
     out than one revolution are handled correctly (they survive
     intermediate passes). [granularity > 0], [slots >= 2]. *)
 
-val schedule : 'k t -> key:'k -> at:float -> unit
+val schedule : t -> key:Netcore.Five_tuple.t -> at:float -> unit
 (** (Re)schedule [key] to fire at absolute time [at]. *)
 
-val cancel : 'k t -> key:'k -> unit
-val mem : 'k t -> key:'k -> bool
-val scheduled : 'k t -> int
+val cancel : t -> key:Netcore.Five_tuple.t -> unit
+val mem : t -> key:Netcore.Five_tuple.t -> bool
+val scheduled : t -> int
 
-val advance : 'k t -> now:float -> 'k list
+val advance : t -> now:float -> Netcore.Five_tuple.t list
 (** All keys whose deadline lies in a tick that has completed by [now],
-    in deadline order; they are removed from the wheel. Delivery is at
+    in deadline order, equal deadlines in the order they were
+    (last) scheduled; they are removed from the wheel. Delivery is at
     wheel precision: a key scheduled at [at] fires on the first call
     with [now >= (floor (at / granularity) + 1) * granularity], i.e. up
     to one granularity late. Calls that do not cross a tick boundary

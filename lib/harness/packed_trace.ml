@@ -56,6 +56,13 @@ let probe_points ~early_offsets ~probe_interval ~horizon (flow : Simnet.Flow.t) 
     else pts
   end
 
+(* A stable sort on time alone: indices start in emission order, and
+   stability keeps that order among equal times. *)
+let time_order times =
+  let order = Array.init (Array.length times) (fun i -> i) in
+  Array.stable_sort (fun a b -> Float.compare times.(a) times.(b)) order;
+  order
+
 let compile ?(early_offsets = default_early) ?(probe_interval = 15.) ~horizon flows =
   let kept =
     List.filter_map
@@ -100,15 +107,8 @@ let compile ?(early_offsets = default_early) ?(probe_interval = 15.) ~horizon fl
           incr p)
         pts)
     kept;
-  (* sort by (time, emission index): flows in list order, so emission
-     order is the tie order *)
-  let order = Array.init total (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      match Float.compare raw_times.(a) raw_times.(b) with
-      | 0 -> Int.compare a b
-      | c -> c)
-    order;
+  (* flows in list order, so emission order is the tie order *)
+  let order = time_order raw_times in
   let times = Array.make total 0. in
   let pkt_flow = Array.make total 0 in
   let pkt_flags = Bytes.create total in

@@ -44,6 +44,10 @@ val probe_points :
     the flow lives, and a FIN when the flow ends before the horizon.
     Empty when the flow starts at or after the horizon. *)
 
+val time_order : float array -> int array
+(** The indices of [times] sorted by time, equal times in index order:
+    the permutation {!compile} applies to the emitted packets. *)
+
 val compile :
   ?early_offsets:float list ->
   ?probe_interval:float ->

@@ -18,9 +18,9 @@
      is stated over the collision-free counter set.
 
    Every packet is judged by Lb.Pcc.Flat, the flow-indexed refinement of
-   the Lb.Pcc oracle that Netwide.Replay and the model checker call too;
-   the flow-indexed state is shared by all shards, its counters are per
-   shard.
+   the Lb.Pcc oracle; Netwide.Replay and the model checker judge with
+   Lb.Pcc.Flat too. The flow-indexed state is shared by all shards, its
+   counters are per shard.
 
    The engine is factored as an incremental [Stepper] (one per shard)
    so the long-running serve mode can drive the identical loop one
@@ -123,7 +123,7 @@ let shard_seed = 0x51a9
 
 let shard_of ~shards tuple =
   if shards = 1 then 0
-  else Netcore.Hashing.to_range (Netcore.Five_tuple.hash ~seed:shard_seed tuple) shards
+  else Netcore.Five_tuple.range ~seed:shard_seed tuple shards
 
 (* Shard count matched to the machine: one shard per domain the runtime
    recommends, never fewer than one. On a single-core box this is 1 —

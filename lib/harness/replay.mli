@@ -1,6 +1,8 @@
 (** The fast-path replay engine: stream a {!Packed_trace.t} through one
     or more {!Silkroad.Switch.t} instances with flat-array PCC
-    accounting, allocation-free on the per-packet path.
+    accounting. On an exact ConnTable hit the per-packet path allocates
+    only the boxed packet time the switch keeps as the connection's
+    last-seen time.
 
     Three modes, with a pinned equivalence contract:
 

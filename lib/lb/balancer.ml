@@ -55,8 +55,7 @@ let reroute_selects r flow =
   vip_matches
   && (r.rr_fraction >= 1.
      ||
-     let h = Netcore.Five_tuple.hash ~seed:r.rr_salt flow in
-     Netcore.Hashing.to_range h 1_000_000
+     Netcore.Five_tuple.range ~seed:r.rr_salt flow 1_000_000
      < int_of_float (r.rr_fraction *. 1_000_000.))
 
 let apply_update pool = function

@@ -16,11 +16,11 @@ let size t = Array.length t.members
 let is_empty t = size t = 0
 let mem t d = Array.exists (Netcore.Endpoint.equal d) t.members
 
-let select t h =
-  if is_empty t then invalid_arg "Dip_pool.select: empty pool";
-  Asic.Ecmp.select t.members h
-
-let select_flow ~seed t flow = select t (Netcore.Five_tuple.hash ~seed flow)
+(* ECMP-style selection on the flow's seeded hash, derived as an int from
+   the tuple's cached hash so the per-packet path allocates nothing *)
+let select_flow ~seed t flow =
+  if is_empty t then invalid_arg "Dip_pool.select_flow: empty pool";
+  t.members.(Netcore.Five_tuple.range ~seed flow (size t))
 
 let add t d =
   if mem t d then invalid_arg "Dip_pool.add: already present";

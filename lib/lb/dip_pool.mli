@@ -17,12 +17,10 @@ val size : t -> int
 val is_empty : t -> bool
 val mem : t -> Netcore.Endpoint.t -> bool
 
-val select : t -> int64 -> Netcore.Endpoint.t
-(** ECMP-style selection by packet hash. The pool must be non-empty. *)
-
 val select_flow : seed:int -> t -> Netcore.Five_tuple.t -> Netcore.Endpoint.t
-(** Hash the flow's 5-tuple (with [seed]) and select. All packets of a
-    flow select the same member — as long as the pool is the same. *)
+(** ECMP-style selection by the flow's 5-tuple hash (with [seed]). All
+    packets of a flow select the same member — as long as the pool is
+    the same. The pool must be non-empty. *)
 
 val add : t -> Netcore.Endpoint.t -> t
 (** Append a member. Raises [Invalid_argument] if already present. *)

@@ -3,12 +3,18 @@
 
     This is the match key of the load balancer's ConnTable. For an IPv6
     connection it is 37 bytes on the wire — the very size SilkRoad's
-    digest compression exists to avoid storing. *)
+    digest compression exists to avoid storing.
 
-type t = {
+    Like the ASIC's hash units, which fold the 5-tuple once per packet
+    and derive every stage row and digest from that fold (§4.2), a tuple
+    carries its seed-independent hash [pre], computed once by {!make}.
+    The type is private so that no tuple exists with a stale [pre]. *)
+
+type t = private {
   src : Endpoint.t;
   dst : Endpoint.t;
   proto : Protocol.t;
+  pre : int64;  (** seed-independent hash of the three fields above *)
 }
 
 val make : src:Endpoint.t -> dst:Endpoint.t -> proto:Protocol.t -> t
@@ -16,13 +22,22 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val hash : seed:int -> t -> int64
-(** Seed-keyed hash over the canonical byte representation. Different
-    seeds give independent functions (cuckoo stages, Bloom indices,
-    ECMP selection each use their own seed). *)
+(** Seed-keyed hash over the canonical byte representation:
+    [Hashing.seeded ~seed pre]. Different seeds give independent
+    functions (cuckoo stages, Bloom indices, ECMP selection each use
+    their own seed). *)
 
-val digest : bits:int -> seed:int -> t -> int
-(** [digest ~bits ~seed t] is the [bits]-bit connection digest stored in
+val range : seed:int -> t -> int -> int
+(** [range ~seed t n] is [Hashing.to_range (hash ~seed t) n], without
+    allocating. *)
+
+val bits : seed:int -> t -> int -> int
+(** [bits ~seed t k] is [Hashing.truncate_bits (hash ~seed t) k],
+    without allocating: the [k]-bit connection digest stored in
     ConnTable instead of the full key (SilkRoad §4.2). *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Tuple-keyed hashtable: hashes [pre], compares with {!equal}. *)
 
 val key_bytes : t -> int
 (** Match-key size if the full tuple were stored: 13 bytes for IPv4,

@@ -1,6 +1,8 @@
-(* [@inline] matters on the replay hot path: once mix64/seeded inline
-   into their callers, the compiler can keep the Int64 intermediates
-   unboxed inside one function body instead of boxing each step. *)
+(* [@inline] only reaches callers in this module: dune's default dev
+   profile compiles every module with [-opaque], so no other module sees
+   these bodies and each cross-module call boxes its int64 result.
+   [seeded_range]/[seeded_bits] below keep the whole chain in one body,
+   where the Int64 intermediates stay unboxed, and return a plain int. *)
 let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
@@ -40,6 +42,9 @@ let[@inline] to_range h n =
 let[@inline] truncate_bits h k =
   assert (k > 0 && k <= 30);
   Int64.to_int (Int64.logand h (Int64.of_int ((1 lsl k) - 1)))
+
+let seeded_range ~seed x n = to_range (seeded ~seed x) n
+let seeded_bits ~seed x k = truncate_bits (seeded ~seed x) k
 
 type family = { seed : int }
 

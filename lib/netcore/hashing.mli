@@ -28,6 +28,15 @@ val truncate_bits : int64 -> int -> int
 (** [truncate_bits h k] keeps the low [k] bits of [h] (the hardware
     "digest" extraction). [0 < k <= 30]. *)
 
+val seeded_range : seed:int -> int64 -> int -> int
+(** [seeded_range ~seed x n] is [to_range (seeded ~seed x) n], computed
+    without boxing an intermediate: the int64 steps stay inside this
+    module, so callers elsewhere allocate nothing. *)
+
+val seeded_bits : seed:int -> int64 -> int -> int
+(** [seeded_bits ~seed x k] is [truncate_bits (seeded ~seed x) k],
+    allocation-free like {!seeded_range}. *)
+
 type family
 (** A family of independent hash functions [h_0 ... h_{k-1}]. *)
 

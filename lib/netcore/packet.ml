@@ -22,7 +22,10 @@ let wire_size_of ~payload_len flow =
 
 let wire_size { flow; flags = _; payload_len } = wire_size_of ~payload_len flow
 
-let rewrite_dst t dip = { t with flow = { t.flow with Five_tuple.dst = dip } }
+(* through [make], so the rewritten tuple carries its own cached hash *)
+let rewrite_dst t dip =
+  let { Five_tuple.src; proto; _ } = t.flow in
+  { t with flow = Five_tuple.make ~src ~dst:dip ~proto }
 
 let pp ppf { flow; flags; payload_len } =
   Format.fprintf ppf "%a [%a] %dB" Five_tuple.pp flow Tcp_flags.pp flags payload_len

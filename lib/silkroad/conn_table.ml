@@ -20,10 +20,10 @@ type t = {
   n_stages : int;
   n_rows : int;
   (* per-stage hash seeds and scratch probe positions: [lookup_code]
-     computes rows/digests itself with the directly-inlinable
-     Five_tuple.hash (the functorised [Key.hash] inside [Table] is an
-     opaque call that boxes its int64 per invocation) and hands them
-     to [Table.lookup_pos_into]. *)
+     derives rows/digests itself as ints from the tuple's cached hash
+     (Five_tuple.range/bits, allocation-free) and hands them to
+     [Table.lookup_pos_into]; the functorised [Key.hash] inside [Table]
+     returns a boxed int64 per call. *)
   row_seeds : int array;
   dig_seeds : int array;
   scratch_rows : int array;
@@ -128,13 +128,9 @@ let lookup_code t flow =
   let rows = t.scratch_rows and digs = t.scratch_digs in
   for stage = 0 to t.n_stages - 1 do
     Array.unsafe_set rows stage
-      (Netcore.Hashing.to_range
-         (Netcore.Five_tuple.hash ~seed:(Array.unsafe_get t.row_seeds stage) flow)
-         t.n_rows);
+      (Netcore.Five_tuple.range ~seed:(Array.unsafe_get t.row_seeds stage) flow t.n_rows);
     Array.unsafe_set digs stage
-      (Netcore.Hashing.truncate_bits
-         (Netcore.Five_tuple.hash ~seed:(Array.unsafe_get t.dig_seeds stage) flow)
-         t.digest_bits)
+      (Netcore.Five_tuple.bits ~seed:(Array.unsafe_get t.dig_seeds stage) flow t.digest_bits)
   done;
   Table.lookup_pos_into t.table ~key:flow ~rows ~digests:digs t.probe;
   if not t.probe.Table.probe_hit then -1

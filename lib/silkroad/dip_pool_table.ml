@@ -19,13 +19,22 @@ type t = {
   vips : (Netcore.Endpoint.t, vip_state) Hashtbl.t;
   version_bits : int;
   mutable reuses : int;
-  (* one-slot VIP cache; invalidated by [remove_vip], the only way an
-     entry ever leaves the table *)
-  mutable vip_cache : (Netcore.Endpoint.t * vip_state) option;
+  (* one-slot VIP cache as two fields, so a hit returns the stored
+     option instead of boxing a fresh one per packet; invalidated by
+     [remove_vip], the only way an entry ever leaves the table *)
+  mutable vc_vip : Netcore.Endpoint.t;
+  mutable vc : vip_state option;
 }
 
 let create ~version_bits ~seed =
-  { seed; vips = Hashtbl.create 64; version_bits; reuses = 0; vip_cache = None }
+  {
+    seed;
+    vips = Hashtbl.create 64;
+    version_bits;
+    reuses = 0;
+    vc_vip = Netcore.Endpoint.none;
+    vc = None;
+  }
 
 let add_vip t vip pool =
   if Hashtbl.mem t.vips vip then Error `Exists
@@ -42,9 +51,11 @@ let has_vip t vip = Hashtbl.mem t.vips vip
 
 let remove_vip t vip =
   Hashtbl.remove t.vips vip;
-  match t.vip_cache with
-  | Some (v, _) when Netcore.Endpoint.equal v vip -> t.vip_cache <- None
-  | Some _ | None -> ()
+  if Netcore.Endpoint.equal t.vc_vip vip then begin
+    t.vc_vip <- Netcore.Endpoint.none;
+    t.vc <- None
+  end
+
 let vips t = Hashtbl.fold (fun vip _ acc -> vip :: acc) t.vips []
 
 let info t ~vip ~version =
@@ -63,12 +74,13 @@ let select_dip t ~vip ~version flow =
   | Some p -> if Lb.Dip_pool.is_empty p then None else Some (Lb.Dip_pool.select_flow ~seed:t.seed p flow)
 
 let find_vip_state t vip =
-  match t.vip_cache with
-  | Some (v, vs) when Netcore.Endpoint.equal v vip -> Some vs
+  match t.vc with
+  | Some _ when Netcore.Endpoint.equal t.vc_vip vip -> t.vc
   | Some _ | None ->
     (match Hashtbl.find_opt t.vips vip with
-     | Some vs as r ->
-       t.vip_cache <- Some (vip, vs);
+     | Some _ as r ->
+       t.vc_vip <- vip;
+       t.vc <- r;
        r
      | None -> None)
 

@@ -2,19 +2,21 @@
    VIPTable in hashtables, atomic updates) — deliberately local so the
    silkroad library does not depend on the baselines library. *)
 
+module Ftbl = Netcore.Five_tuple.Tbl
+
 type soft_lb = {
   soft_seed : int;
   soft_vips : (Netcore.Endpoint.t, Lb.Dip_pool.t) Hashtbl.t;
-  soft_conns : (Netcore.Five_tuple.t, Netcore.Endpoint.t) Hashtbl.t;
+  soft_conns : Netcore.Endpoint.t Ftbl.t;
 }
 
 let soft_process slb (pkt : Netcore.Packet.t) =
   let flow = pkt.Netcore.Packet.flow in
   let finish dip = { Lb.Balancer.dip; location = Lb.Balancer.Slb } in
-  match Hashtbl.find_opt slb.soft_conns flow with
+  match Ftbl.find_opt slb.soft_conns flow with
   | Some dip ->
     if Netcore.Tcp_flags.is_connection_end pkt.Netcore.Packet.flags then
-      Hashtbl.remove slb.soft_conns flow;
+      Ftbl.remove slb.soft_conns flow;
     finish (Some dip)
   | None ->
     (match Hashtbl.find_opt slb.soft_vips flow.Netcore.Five_tuple.dst with
@@ -24,7 +26,7 @@ let soft_process slb (pkt : Netcore.Packet.t) =
        else begin
          let dip = Lb.Dip_pool.select_flow ~seed:slb.soft_seed pool flow in
          if not (Netcore.Tcp_flags.is_connection_end pkt.Netcore.Packet.flags) then
-           Hashtbl.replace slb.soft_conns flow dip;
+           Ftbl.replace slb.soft_conns flow dip;
          finish (Some dip)
        end)
 
@@ -35,7 +37,7 @@ type t = {
   pinned : (Netcore.Endpoint.t, unit) Hashtbl.t;
   (* connections spilled to the SLB by the overflow rule: they must stay
      there for life even if occupancy later drops *)
-  spilled : (Netcore.Five_tuple.t, unit) Hashtbl.t;
+  spilled : unit Ftbl.t;
   metrics : Telemetry.Registry.t;
   c_spilled : Telemetry.Registry.Counter.t;
   (* soft-path packets bypass the switch, so the hybrid bumps the shared
@@ -50,7 +52,7 @@ let create ?metrics ?(cfg = Config.default) ?(overflow_threshold = 0.95) ?(slb_v
   let reg = match metrics with Some r -> r | None -> Telemetry.Registry.create () in
   let sw = Switch.create ~metrics:reg cfg in
   let slb =
-    { soft_seed = seed; soft_vips = Hashtbl.create 16; soft_conns = Hashtbl.create 1024 }
+    { soft_seed = seed; soft_vips = Hashtbl.create 16; soft_conns = Ftbl.create 1024 }
   in
   let pinned = Hashtbl.create 8 in
   List.iter (fun v -> Hashtbl.replace pinned v ()) slb_vips;
@@ -64,7 +66,7 @@ let create ?metrics ?(cfg = Config.default) ?(overflow_threshold = 0.95) ?(slb_v
     slb;
     overflow_threshold;
     pinned;
-    spilled = Hashtbl.create 1024;
+    spilled = Ftbl.create 1024;
     metrics = reg;
     c_spilled = Telemetry.Registry.counter reg "hybrid.spilled";
     c_lb_packets = Telemetry.Registry.counter reg "lb.packets";
@@ -80,17 +82,17 @@ let soft_forward t pkt =
    | Some _ -> Telemetry.Registry.Counter.incr t.c_lb_packets
    | None -> Telemetry.Registry.Counter.incr t.c_lb_dropped);
   Telemetry.Registry.Gauge.set t.g_slb_conns
-    (float_of_int (Hashtbl.length t.slb.soft_conns));
+    (float_of_int (Ftbl.length t.slb.soft_conns));
   outcome
 
 let process t ~now pkt =
   let flow = pkt.Netcore.Packet.flow in
   let vip = flow.Netcore.Five_tuple.dst in
-  if Hashtbl.mem t.pinned vip || Hashtbl.mem t.spilled flow then begin
+  if Hashtbl.mem t.pinned vip || Ftbl.mem t.spilled flow then begin
     if
-      Hashtbl.mem t.spilled flow
+      Ftbl.mem t.spilled flow
       && Netcore.Tcp_flags.is_connection_end pkt.Netcore.Packet.flags
-    then Hashtbl.remove t.spilled flow;
+    then Ftbl.remove t.spilled flow;
     soft_forward t pkt
   end
   else if
@@ -99,7 +101,7 @@ let process t ~now pkt =
     Netcore.Tcp_flags.is_connection_start pkt.Netcore.Packet.flags
     && Conn_table.occupancy (Switch.conn_table t.sw) >= t.overflow_threshold
   then begin
-    Hashtbl.replace t.spilled flow ();
+    Ftbl.replace t.spilled flow ();
     Telemetry.Registry.Counter.incr t.c_spilled;
     soft_forward t pkt
   end
@@ -118,7 +120,7 @@ let balancer t =
     advance = (fun ~now -> Switch.advance t.sw ~now);
     process = (fun ~now pkt -> process t ~now pkt);
     update = (fun ~now ~vip u -> update t ~now ~vip u);
-    connections = (fun () -> Switch.connections t.sw + Hashtbl.length t.slb.soft_conns);
+    connections = (fun () -> Switch.connections t.sw + Ftbl.length t.slb.soft_conns);
     metrics = (fun () -> t.metrics);
     disturb =
       (fun ~now d ->
@@ -131,13 +133,13 @@ let balancer t =
           ignore (Switch.forget_flows t.sw ~now (fun flow _vip -> selects flow));
           let drop tbl =
             let doomed =
-              Hashtbl.fold (fun flow _ acc -> if selects flow then flow :: acc else acc) tbl []
+              Ftbl.fold (fun flow _ acc -> if selects flow then flow :: acc else acc) tbl []
             in
-            List.iter (Hashtbl.remove tbl) doomed
+            List.iter (Ftbl.remove tbl) doomed
           in
           drop t.slb.soft_conns;
           drop t.spilled);
   }
 
 let spilled_connections t = Telemetry.Registry.Counter.value t.c_spilled
-let slb_connections t = Hashtbl.length t.slb.soft_conns
+let slb_connections t = Ftbl.length t.slb.soft_conns

@@ -1,3 +1,5 @@
+module Ftbl = Netcore.Five_tuple.Tbl
+
 type conn_state = {
   cs_vip : Netcore.Endpoint.t;
   cs_version : int;  (** version assigned when the connection arrived *)
@@ -20,10 +22,10 @@ type update_job = {
      from [Job_dual] on (initialised to the version current at start) *)
   mutable old_version : int;
   (* pending connections gating the next phase transition *)
-  waiting : (Netcore.Five_tuple.t, unit) Hashtbl.t;
+  waiting : unit Ftbl.t;
   (* connections recorded in the Bloom filter during step 1, still
      pending; becomes [waiting] at execution time *)
-  recorded : (Netcore.Five_tuple.t, unit) Hashtbl.t;
+  recorded : unit Ftbl.t;
   mutable job_phase : job_phase;
 }
 
@@ -71,7 +73,7 @@ type t = {
   pools : Dip_pool_table.t;
   vips : Vip_table.t;
   transit : Asic.Bloom_filter.t;
-  learning : (Netcore.Five_tuple.t, unit) Asic.Learning_filter.t;
+  learning : unit Asic.Learning_filter.t;
   cpu : Asic.Switch_cpu.t;
   (* completion times are monotone (FIFO CPU), so a plain queue works *)
   cpu_done : (float * cpu_work) Queue.t;
@@ -82,10 +84,10 @@ type t = {
      the learning pipeline. *)
   overflow : (Netcore.Five_tuple.t * int) Queue.t;
   mutable overflow_inflight : bool;
-  flows : (Netcore.Five_tuple.t, conn_state) Hashtbl.t;
+  flows : conn_state Ftbl.t;
   (* lazy idle-timeout timers: one wheel entry per tracked connection,
      verified against last_seen on expiry *)
-  aging : Netcore.Five_tuple.t Asic.Timer_wheel.t;
+  aging : Asic.Timer_wheel.t;
   meters : (Netcore.Endpoint.t, Asic.Meter.t) Hashtbl.t;  (** per-VIP rate limiters *)
   jobs : (Netcore.Endpoint.t, update_job) Hashtbl.t;  (** active job per VIP *)
   (* queued updates keep their request time so the control plane can
@@ -189,7 +191,7 @@ let create ?metrics ?(check = `Warn) cfg =
     cpu_done = Queue.create ();
     overflow = Queue.create ();
     overflow_inflight = false;
-    flows = Hashtbl.create 4096;
+    flows = Ftbl.create 4096;
     aging =
       Asic.Timer_wheel.create ~granularity:(cfg.Config.idle_timeout /. 4.) ~slots:16 ();
     meters = Hashtbl.create 8;
@@ -293,9 +295,9 @@ and execute_job t ~now job =
      Vip_table.execute t.vips vip ~new_version;
      job.job_phase <- Job_dual;
      (* step 3 waits for the connections recorded during step 1 *)
-     Hashtbl.reset job.waiting;
-     Hashtbl.iter (fun k () -> Hashtbl.replace job.waiting k ()) job.recorded;
-     if Hashtbl.length job.waiting = 0 then finish_job t ~now job
+     Ftbl.reset job.waiting;
+     Ftbl.iter (fun k () -> Ftbl.replace job.waiting k ()) job.recorded;
+     if Ftbl.length job.waiting = 0 then finish_job t ~now job
    | Error ((`No_such_vip | `Versions_exhausted | `Bad_update _) as err) ->
      Log.warn (fun m ->
          m "update %a on %a aborted: %s" Lb.Balancer.pp_update job.job_update
@@ -324,7 +326,7 @@ and execute_job t ~now job =
      start_next_queued t ~now vip)
 
 and check_job_transition t ~now job =
-  if Hashtbl.length job.waiting = 0 then begin
+  if Ftbl.length job.waiting = 0 then begin
     match job.job_phase with
     | Job_recording -> execute_job t ~now job
     | Job_dual -> finish_job t ~now job
@@ -338,8 +340,8 @@ and start_job t ~now ~requested vip update =
       requested;
       started = now;
       old_version = current_version t vip;
-      waiting = Hashtbl.create 64;
-      recorded = Hashtbl.create 64;
+      waiting = Ftbl.create 64;
+      recorded = Ftbl.create 64;
       job_phase = Job_recording;
     }
   in
@@ -349,10 +351,10 @@ and start_job t ~now ~requested vip update =
      there is nothing to wait for — the update executes immediately and
      pending connections are left unprotected (Figure 16's ablation). *)
   if t.cfg.Config.use_transit then
-    Hashtbl.iter
+    Ftbl.iter
       (fun flow (st : conn_state) ->
         if Netcore.Endpoint.equal st.cs_vip vip && (not st.inserted) && not st.ended then
-          Hashtbl.replace job.waiting flow ())
+          Ftbl.replace job.waiting flow ())
       t.flows;
   Hashtbl.replace t.jobs vip job;
   check_job_transition t ~now job
@@ -363,9 +365,9 @@ let barrier_resolved t ~now ~vip flow =
   match Hashtbl.find_opt t.jobs vip with
   | None -> ()
   | Some job ->
-    Hashtbl.remove job.recorded flow;
-    if Hashtbl.mem job.waiting flow then begin
-      Hashtbl.remove job.waiting flow;
+    Ftbl.remove job.recorded flow;
+    if Ftbl.mem job.waiting flow then begin
+      Ftbl.remove job.waiting flow;
       check_job_transition t ~now job
     end
 
@@ -377,108 +379,108 @@ let destroy_state t flow (st : conn_state) =
    | Some current ->
      Dip_pool_table.release t.pools ~vip:st.cs_vip ~version:st.cs_version ~current
    | None -> ());
-  Hashtbl.remove t.flows flow
+  Ftbl.remove t.flows flow
 
 (* ----- control plane ----- *)
 
-let complete_cpu_work t ~now =
-  let rec go () =
-    (* option-free peek: this runs on every packet via [advance] *)
-    if not (Queue.is_empty t.cpu_done) then begin
-      let at, _ = Queue.peek t.cpu_done in
-      if at <= now then begin
-        let _, work = Queue.pop t.cpu_done in
-        (match work with
-         | Insert_batch flows ->
-           List.iter
-             (fun flow ->
-               match Hashtbl.find_opt t.flows flow with
-               | None -> ()  (* state already destroyed *)
-               | Some st ->
+(* A top-level recursion, not a local [go] closure: [advance] calls
+   this on every packet, and a closure would be allocated even when
+   nothing is due. *)
+let rec complete_cpu_work t ~now =
+  (* option-free peek: this runs on every packet via [advance] *)
+  if not (Queue.is_empty t.cpu_done) then begin
+    let at, _ = Queue.peek t.cpu_done in
+    if at <= now then begin
+      let _, work = Queue.pop t.cpu_done in
+      (match work with
+       | Insert_batch flows ->
+         List.iter
+           (fun flow ->
+             match Ftbl.find_opt t.flows flow with
+             | None -> ()  (* state already destroyed *)
+             | Some st ->
+               st.in_pipeline <- false;
+               if st.ended then begin
+                 (* flow finished before its entry was installed *)
+                 barrier_resolved t ~now ~vip:st.cs_vip flow;
+                 destroy_state t flow st
+               end
+               else if not st.inserted then begin
+                 (match Conn_table.insert t.conns flow ~version:st.cs_version with
+                  | Ok _ -> st.inserted <- true
+                  | Error `Duplicate -> st.inserted <- true
+                  | Error `Full ->
+                    (* defer to the overflow queue: the switch CPU
+                       retries the insert later at its real cost
+                       instead of abandoning state on first failure *)
+                    if Queue.length t.overflow < overflow_cap then begin
+                      Telemetry.Registry.Counter.incr t.c_insert_overflows;
+                      Queue.add (flow, 1) t.overflow;
+                      st.in_pipeline <- true
+                    end
+                    else begin
+                      Telemetry.Registry.Counter.incr t.c_table_full_drops;
+                      Log.warn (fun m ->
+                          m "ConnTable full (%.1f%%), overflow queue full: connection left \
+                             stateless"
+                            (100. *. Conn_table.occupancy t.conns))
+                    end;
+                    (* stays a pending connection; must not gate updates *)
+                    st.inserted <- false);
+                 barrier_resolved t ~now ~vip:st.cs_vip flow
+               end)
+           flows
+       | Delete_batch flows ->
+         List.iter
+           (fun flow ->
+             ignore (Conn_table.remove t.conns flow);
+             match Ftbl.find_opt t.flows flow with
+             | Some st -> destroy_state t flow st
+             | None -> ())
+           flows
+       | Repair_batch flows ->
+         (* repairs were applied synchronously at submission; completion
+            only accounts the CPU time *)
+         List.iter (fun _ -> Telemetry.Registry.Counter.incr t.c_repairs_completed) flows
+       | Overflow_retry_batch items ->
+         t.overflow_inflight <- false;
+         List.iter
+           (fun (flow, attempts) ->
+             Telemetry.Registry.Counter.incr t.c_overflow_retries;
+             match Ftbl.find_opt t.flows flow with
+             | None -> ()  (* state destroyed while queued *)
+             | Some st ->
+               if st.ended then begin
                  st.in_pipeline <- false;
-                 if st.ended then begin
-                   (* flow finished before its entry was installed *)
-                   barrier_resolved t ~now ~vip:st.cs_vip flow;
-                   destroy_state t flow st
-                 end
-                 else if not st.inserted then begin
-                   (match Conn_table.insert t.conns flow ~version:st.cs_version with
-                    | Ok _ -> st.inserted <- true
-                    | Error `Duplicate -> st.inserted <- true
-                    | Error `Full ->
-                      (* defer to the overflow queue: the switch CPU
-                         retries the insert later at its real cost
-                         instead of abandoning state on first failure *)
-                      if Queue.length t.overflow < overflow_cap then begin
-                        Telemetry.Registry.Counter.incr t.c_insert_overflows;
-                        Queue.add (flow, 1) t.overflow;
-                        st.in_pipeline <- true
-                      end
-                      else begin
-                        Telemetry.Registry.Counter.incr t.c_table_full_drops;
-                        Log.warn (fun m ->
-                            m "ConnTable full (%.1f%%), overflow queue full: connection left \
-                               stateless"
-                              (100. *. Conn_table.occupancy t.conns))
-                      end;
-                      (* stays a pending connection; must not gate updates *)
-                      st.inserted <- false);
-                   barrier_resolved t ~now ~vip:st.cs_vip flow
-                 end)
-             flows
-         | Delete_batch flows ->
-           List.iter
-             (fun flow ->
-               ignore (Conn_table.remove t.conns flow);
-               match Hashtbl.find_opt t.flows flow with
-               | Some st -> destroy_state t flow st
-               | None -> ())
-             flows
-         | Repair_batch flows ->
-           (* repairs were applied synchronously at submission; completion
-              only accounts the CPU time *)
-           List.iter (fun _ -> Telemetry.Registry.Counter.incr t.c_repairs_completed) flows
-         | Overflow_retry_batch items ->
-           t.overflow_inflight <- false;
-           List.iter
-             (fun (flow, attempts) ->
-               Telemetry.Registry.Counter.incr t.c_overflow_retries;
-               match Hashtbl.find_opt t.flows flow with
-               | None -> ()  (* state destroyed while queued *)
-               | Some st ->
-                 if st.ended then begin
+                 barrier_resolved t ~now ~vip:st.cs_vip flow;
+                 destroy_state t flow st
+               end
+               else if st.inserted then st.in_pipeline <- false
+               else (
+                 match Conn_table.insert t.conns flow ~version:st.cs_version with
+                 | Ok _ | Error `Duplicate ->
+                   st.inserted <- true;
                    st.in_pipeline <- false;
-                   barrier_resolved t ~now ~vip:st.cs_vip flow;
-                   destroy_state t flow st
-                 end
-                 else if st.inserted then st.in_pipeline <- false
-                 else (
-                   match Conn_table.insert t.conns flow ~version:st.cs_version with
-                   | Ok _ | Error `Duplicate ->
-                     st.inserted <- true;
+                   barrier_resolved t ~now ~vip:st.cs_vip flow
+                 | Error `Full ->
+                   if attempts < max_overflow_retries && Queue.length t.overflow < overflow_cap
+                   then Queue.add (flow, attempts + 1) t.overflow
+                   else begin
+                     (* give up: the connection stays stateless, the
+                        paper's §7 overflow outcome *)
                      st.in_pipeline <- false;
-                     barrier_resolved t ~now ~vip:st.cs_vip flow
-                   | Error `Full ->
-                     if attempts < max_overflow_retries && Queue.length t.overflow < overflow_cap
-                     then Queue.add (flow, attempts + 1) t.overflow
-                     else begin
-                       (* give up: the connection stays stateless, the
-                          paper's §7 overflow outcome *)
-                       st.in_pipeline <- false;
-                       Telemetry.Registry.Counter.incr t.c_table_full_drops;
-                       barrier_resolved t ~now ~vip:st.cs_vip flow;
-                       Log.warn (fun m ->
-                           m "ConnTable full (%.1f%%) after %d insert attempts: connection left \
-                              stateless"
-                             (100. *. Conn_table.occupancy t.conns)
-                             (attempts + 1))
-                     end))
-             items);
-        go ()
-      end
+                     Telemetry.Registry.Counter.incr t.c_table_full_drops;
+                     barrier_resolved t ~now ~vip:st.cs_vip flow;
+                     Log.warn (fun m ->
+                         m "ConnTable full (%.1f%%) after %d insert attempts: connection left \
+                            stateless"
+                           (100. *. Conn_table.occupancy t.conns)
+                           (attempts + 1))
+                   end))
+           items);
+      complete_cpu_work t ~now
     end
-  in
-  go ()
+  end
 
 (* launch the next overflow retry batch once the previous one finished;
    one batch in flight at a time keeps deferred inserts from starving
@@ -505,66 +507,71 @@ let submit_delete t ~now flow =
   let done_at = Asic.Switch_cpu.submit t.cpu ~now ~work_items:1 in
   Queue.add (done_at, Delete_batch [ flow ]) t.cpu_done
 
-let expire_idle t ~now =
-  List.iter
-    (fun flow ->
-      match Hashtbl.find_opt t.flows flow with
-      | None -> ()
-      | Some (st : conn_state) ->
-        if st.ended then ()
-        else if now -. st.last_seen >= t.cfg.Config.idle_timeout then begin
-          st.ended <- true;
-          if st.inserted then submit_delete t ~now flow
-          else begin
-            (* never installed (e.g. table full): just drop the state *)
-            barrier_resolved t ~now ~vip:st.cs_vip flow;
-            destroy_state t flow st
-          end
-        end
-        else
-          (* saw traffic since: re-arm for the remaining idle budget *)
-          Asic.Timer_wheel.schedule t.aging ~key:flow
-            ~at:(st.last_seen +. t.cfg.Config.idle_timeout))
-    (Asic.Timer_wheel.advance t.aging ~now)
+let expire_one t ~now flow =
+  match Ftbl.find_opt t.flows flow with
+  | None -> ()
+  | Some (st : conn_state) ->
+    if st.ended then ()
+    else if now -. st.last_seen >= t.cfg.Config.idle_timeout then begin
+      st.ended <- true;
+      if st.inserted then submit_delete t ~now flow
+      else begin
+        (* never installed (e.g. table full): just drop the state *)
+        barrier_resolved t ~now ~vip:st.cs_vip flow;
+        destroy_state t flow st
+      end
+    end
+    else
+      (* saw traffic since: re-arm for the remaining idle budget *)
+      Asic.Timer_wheel.schedule t.aging ~key:flow ~at:(st.last_seen +. t.cfg.Config.idle_timeout)
+
+(* closure-free: the wheel returns [] on every same-tick packet *)
+let rec expire_all t ~now = function
+  | [] -> ()
+  | flow :: rest ->
+    expire_one t ~now flow;
+    expire_all t ~now rest
+
+let expire_idle t ~now = expire_all t ~now (Asic.Timer_wheel.advance t.aging ~now)
 
 let release_stuck_barriers t ~now =
   Hashtbl.iter
     (fun _ job ->
-      if now -. job.started > barrier_deadline && Hashtbl.length job.waiting > 0 then begin
+      if now -. job.started > barrier_deadline && Ftbl.length job.waiting > 0 then begin
         Telemetry.Registry.Counter.incr t.c_forced_transitions;
         Log.warn (fun m ->
             m "update barrier on %a stuck for %.1fs: force-releasing %d pending connections"
               Netcore.Endpoint.pp job.job_vip (now -. job.started)
-              (Hashtbl.length job.waiting));
-        Hashtbl.reset job.waiting
+              (Ftbl.length job.waiting));
+        Ftbl.reset job.waiting
       end)
     t.jobs;
   (* transitions for any job whose barrier was force-cleared *)
   let ready = Hashtbl.fold (fun _ job acc -> job :: acc) t.jobs [] in
   List.iter
-    (fun job -> if Hashtbl.length job.waiting = 0 then check_job_transition t ~now job)
+    (fun job -> if Ftbl.length job.waiting = 0 then check_job_transition t ~now job)
     ready
+
+(* due learning batches first: their completions may already be due.
+   The option-free deadline probe keeps this per-packet loop off the GC
+   ([infinity <= now] is never true). *)
+let rec drain_due t ~now =
+  let deadline = Asic.Learning_filter.next_deadline_or t.learning ~default:infinity in
+  if deadline <= now then begin
+    drain_learning t ~at:deadline;
+    drain_due t ~now
+  end
 
 let advance t ~now =
   if now >= t.clock then begin
     t.clock <- now;
-    (* due learning batches first: their completions may already be due.
-       The option-free deadline probe keeps this per-packet loop off the
-       GC ([infinity <= now] is never true). *)
-    let rec drain_due () =
-      let deadline = Asic.Learning_filter.next_deadline_or t.learning ~default:infinity in
-      if deadline <= now then begin
-        drain_learning t ~at:deadline;
-        drain_due ()
-      end
-    in
-    drain_due ();
+    drain_due t ~now;
     complete_cpu_work t ~now;
     schedule_overflow_retries t ~now;
     expire_idle t ~now;
     if Hashtbl.length t.jobs > 0 then release_stuck_barriers t ~now;
     (* the gauge write boxes a float: only touch it when the count moved *)
-    let tracked = Hashtbl.length t.flows in
+    let tracked = Ftbl.length t.flows in
     if tracked <> t.last_tracked then begin
       t.last_tracked <- tracked;
       Telemetry.Registry.Gauge.set t.g_tracked_flows (float_of_int tracked)
@@ -640,14 +647,14 @@ let handle_miss t ~now ~ends flow ~vip ~vh ~syn =
   in
   (* find + exception: pending flows take this path on every packet, and
      find_opt's [Some] box was visible in the replay allocation counters *)
-  match Hashtbl.find t.flows flow with
+  match Ftbl.find t.flows flow with
   | st ->
     (* a pending connection's later packet *)
     st.last_seen <- now;
     if ends then st.ended <- true;
     if how = how_recorded then
       (match Hashtbl.find_opt t.jobs vip with
-       | Some job when not st.inserted -> Hashtbl.replace job.recorded flow ()
+       | Some job when not st.inserted -> Ftbl.replace job.recorded flow ()
        | Some _ | None -> ());
     learn t ~now flow st;
     (* the software slow path knows the connection's true version; the
@@ -672,12 +679,12 @@ let handle_miss t ~now ~ends flow ~vip ~vh ~syn =
           last_seen = now;
         }
       in
-      Hashtbl.replace t.flows flow st;
+      Ftbl.replace t.flows flow st;
       Asic.Timer_wheel.schedule t.aging ~key:flow ~at:(now +. t.cfg.Config.idle_timeout);
       Dip_pool_table.retain t.pools ~vip ~version;
       if how = how_recorded then
         (match Hashtbl.find_opt t.jobs vip with
-         | Some job -> Hashtbl.replace job.recorded flow ()
+         | Some job -> Ftbl.replace job.recorded flow ()
          | None -> ());
       learn t ~now flow st;
       forward t ~vip ~version flow ~location
@@ -690,7 +697,7 @@ let handle_false_hit_syn t ~now flow ~vip ~vh =
   let version = code lsr 2 in
   begin
     let st =
-      match Hashtbl.find_opt t.flows flow with
+      match Ftbl.find_opt t.flows flow with
       | Some st ->
         st.last_seen <- now;
         st
@@ -706,7 +713,7 @@ let handle_false_hit_syn t ~now flow ~vip ~vh =
             last_seen = now;
           }
         in
-        Hashtbl.replace t.flows flow st;
+        Ftbl.replace t.flows flow st;
         Asic.Timer_wheel.schedule t.aging ~key:flow ~at:(now +. t.cfg.Config.idle_timeout);
         Dip_pool_table.retain t.pools ~vip ~version;
         st
@@ -773,7 +780,7 @@ let process_flow t ~now ~flags ~payload_len flow =
         let version = code lsr 1 in
         if code land 1 = 1 then begin
           (* exact hit *)
-          (match Hashtbl.find t.flows flow with
+          (match Ftbl.find t.flows flow with
            | st ->
              st.last_seen <- now;
              if ends && not st.ended then begin
@@ -841,7 +848,7 @@ let remove_vip t vip =
   (* tear down tracked connections: ConnTable entries, aging timers and
      version refcounts all go through the same path a deletion takes *)
   let doomed =
-    Hashtbl.fold
+    Ftbl.fold
       (fun flow (st : conn_state) acc ->
         if Netcore.Endpoint.equal st.cs_vip vip then (flow, st) :: acc else acc)
       t.flows []
@@ -881,7 +888,7 @@ let forget_flows t ~now select =
      themselves are still alive; they will reappear as unknown
      connections wherever ECMP sends them next. *)
   let doomed =
-    Hashtbl.fold
+    Ftbl.fold
       (fun flow (st : conn_state) acc ->
         if select flow st.cs_vip then (flow, st) :: acc else acc)
       t.flows []
@@ -962,7 +969,7 @@ let check_invariants t =
   let bad fmt = Format.kasprintf (fun s -> problems := s :: !problems) fmt in
   (* installed flows have entries; count tracked users per (vip, version) *)
   let users = Hashtbl.create 64 in
-  Hashtbl.iter
+  Ftbl.iter
     (fun flow (st : conn_state) ->
       if st.inserted && not (Conn_table.mem_exact t.conns flow) then
         bad "installed connection %a has no ConnTable entry" Netcore.Five_tuple.pp flow;
@@ -982,9 +989,9 @@ let check_invariants t =
           vip refs n)
     users;
   (* ConnTable entries all belong to tracked flows *)
-  if Conn_table.size t.conns > Hashtbl.length t.flows then
+  if Conn_table.size t.conns > Ftbl.length t.flows then
     bad "ConnTable holds %d entries for %d tracked connections" (Conn_table.size t.conns)
-      (Hashtbl.length t.flows);
+      (Ftbl.length t.flows);
   (* VIP phases and current versions *)
   Vip_table.iter
     (fun vip current phase ->

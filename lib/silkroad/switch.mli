@@ -116,8 +116,10 @@ val process_batch :
   unit
 (** Run {!process_flow} over [times/flows/flags] indices
     [pos .. pos+len-1] (times must be non-decreasing), writing each
-    result into [dips]. One bounds check per array per batch; the loop
-    body allocates nothing on the exact-hit path. *)
+    result into [dips]. One bounds check per array per batch. On the
+    exact-hit path the loop allocates only the boxed packet time it
+    hands to {!process_flow} (two words a packet), which allocates
+    nothing itself; [test/test_alloc.ml] checks both. *)
 
 val request_update : t -> now:float -> vip:Netcore.Endpoint.t -> Lb.Balancer.update -> unit
 (** Request a DIP-pool update; updates to a VIP already updating are

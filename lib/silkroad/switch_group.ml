@@ -28,7 +28,8 @@ let members t = t.switches
 let alive t = Array.fold_left (fun acc u -> if u then acc + 1 else acc) 0 t.up
 
 let route t flow =
-  Asic.Ecmp.resilient_select t.routing (Netcore.Five_tuple.hash ~seed:t.seed flow)
+  Asic.Ecmp.resilient_slot t.routing
+    (Netcore.Five_tuple.range ~seed:t.seed flow (Asic.Ecmp.resilient_slots t.routing))
 
 let fail t i =
   if not t.up.(i) then ()

@@ -424,23 +424,35 @@ let cuckoo_greedy_kicks_counter () =
 
 (* ---------- Learning_filter ---------- *)
 
+(* The learning filter and the timer wheel are keyed on 5-tuples;
+   [key i] is a distinct tuple per source port [i]. *)
+let key i =
+  Netcore.Five_tuple.make ~src:(Netcore.Endpoint.v4 10 0 0 1 i)
+    ~dst:(Netcore.Endpoint.v4 20 0 0 1 80) ~proto:Netcore.Protocol.Tcp
+
+let port_of (t : Netcore.Five_tuple.t) = t.Netcore.Five_tuple.src.Netcore.Endpoint.port
+let tuple_t = Alcotest.testable Netcore.Five_tuple.pp Netcore.Five_tuple.equal
+let ka = key 1
+let kb = key 2
+let kc = key 3
+
 let learning_dedup () =
   let f = Asic.Learning_filter.create ~capacity:8 ~timeout:0.001 () in
-  check Alcotest.bool "accept" true (Asic.Learning_filter.offer f ~now:0. "a" () = `Accepted);
-  check Alcotest.bool "dup" true (Asic.Learning_filter.offer f ~now:0. "a" () = `Duplicate);
+  check Alcotest.bool "accept" true (Asic.Learning_filter.offer f ~now:0. ka () = `Accepted);
+  check Alcotest.bool "dup" true (Asic.Learning_filter.offer f ~now:0. ka () = `Duplicate);
   check Alcotest.int "pending" 1 (Asic.Learning_filter.pending f)
 
 let learning_overflow () =
   let f = Asic.Learning_filter.create ~capacity:2 ~timeout:1. () in
-  ignore (Asic.Learning_filter.offer f ~now:0. "a" ());
-  ignore (Asic.Learning_filter.offer f ~now:0. "b" ());
-  check Alcotest.bool "dropped" true (Asic.Learning_filter.offer f ~now:0. "c" () = `Dropped);
+  ignore (Asic.Learning_filter.offer f ~now:0. ka ());
+  ignore (Asic.Learning_filter.offer f ~now:0. kb ());
+  check Alcotest.bool "dropped" true (Asic.Learning_filter.offer f ~now:0. kc () = `Dropped);
   check Alcotest.int "drop count" 1 (Asic.Learning_filter.dropped f);
   check Alcotest.bool "full means ready" true (Asic.Learning_filter.ready f ~now:0.)
 
 let learning_timeout () =
   let f = Asic.Learning_filter.create ~capacity:100 ~timeout:0.5 () in
-  ignore (Asic.Learning_filter.offer f ~now:1. "a" ());
+  ignore (Asic.Learning_filter.offer f ~now:1. ka ());
   check Alcotest.bool "not ready yet" false (Asic.Learning_filter.ready f ~now:1.2);
   check Alcotest.bool "ready at deadline" true (Asic.Learning_filter.ready f ~now:1.5);
   (match Asic.Learning_filter.next_deadline f with
@@ -450,15 +462,15 @@ let learning_timeout () =
   check Alcotest.int "batch size" 1 (List.length batch);
   check Alcotest.int "empty after drain" 0 (Asic.Learning_filter.pending f);
   check Alcotest.bool "re-offer accepted" true
-    (Asic.Learning_filter.offer f ~now:2. "a" () = `Accepted)
+    (Asic.Learning_filter.offer f ~now:2. ka () = `Accepted)
 
 let learning_drain_order () =
   let f = Asic.Learning_filter.create ~capacity:10 ~timeout:1. () in
-  ignore (Asic.Learning_filter.offer f ~now:0. "a" ());
-  ignore (Asic.Learning_filter.offer f ~now:0.1 "b" ());
-  ignore (Asic.Learning_filter.offer f ~now:0.2 "c" ());
+  ignore (Asic.Learning_filter.offer f ~now:0. ka ());
+  ignore (Asic.Learning_filter.offer f ~now:0.1 kb ());
+  ignore (Asic.Learning_filter.offer f ~now:0.2 kc ());
   let keys = List.map fst (Asic.Learning_filter.drain f) in
-  check (Alcotest.list Alcotest.string) "fifo" [ "a"; "b"; "c" ] keys
+  check (Alcotest.list tuple_t) "fifo" [ ka; kb; kc ] keys
 
 (* ---------- Switch_cpu ---------- *)
 
@@ -544,40 +556,56 @@ let resilient_add_disruption_small () =
 
 (* ---------- Timer_wheel ---------- *)
 
+let kfar = key 4
+
 let wheel_fires_on_time () =
   let w = Asic.Timer_wheel.create ~granularity:1. ~slots:8 () in
-  Asic.Timer_wheel.schedule w ~key:"a" ~at:3.;
-  Asic.Timer_wheel.schedule w ~key:"b" ~at:5.;
-  check (Alcotest.list Alcotest.string) "nothing early" [] (Asic.Timer_wheel.advance w ~now:2.);
+  Asic.Timer_wheel.schedule w ~key:ka ~at:3.;
+  Asic.Timer_wheel.schedule w ~key:kb ~at:5.;
+  check (Alcotest.list tuple_t) "nothing early" [] (Asic.Timer_wheel.advance w ~now:2.);
   (* delivery is at tick precision: a@3 fires once its tick completes *)
-  check (Alcotest.list Alcotest.string) "tick not complete" []
+  check (Alcotest.list tuple_t) "tick not complete" []
     (Asic.Timer_wheel.advance w ~now:3.5);
-  check (Alcotest.list Alcotest.string) "a fires" [ "a" ] (Asic.Timer_wheel.advance w ~now:4.);
-  check Alcotest.bool "a gone" false (Asic.Timer_wheel.mem w ~key:"a");
-  check (Alcotest.list Alcotest.string) "b fires" [ "b" ] (Asic.Timer_wheel.advance w ~now:10.)
+  check (Alcotest.list tuple_t) "a fires" [ ka ] (Asic.Timer_wheel.advance w ~now:4.);
+  check Alcotest.bool "a gone" false (Asic.Timer_wheel.mem w ~key:ka);
+  check (Alcotest.list tuple_t) "b fires" [ kb ] (Asic.Timer_wheel.advance w ~now:10.)
 
 let wheel_reschedule_replaces () =
   let w = Asic.Timer_wheel.create ~granularity:1. ~slots:8 () in
-  Asic.Timer_wheel.schedule w ~key:"a" ~at:2.;
-  Asic.Timer_wheel.schedule w ~key:"a" ~at:6.;
+  Asic.Timer_wheel.schedule w ~key:ka ~at:2.;
+  Asic.Timer_wheel.schedule w ~key:ka ~at:6.;
   check Alcotest.int "one entry" 1 (Asic.Timer_wheel.scheduled w);
-  check (Alcotest.list Alcotest.string) "old deadline dead" [] (Asic.Timer_wheel.advance w ~now:3.);
-  check (Alcotest.list Alcotest.string) "new deadline fires" [ "a" ]
+  check (Alcotest.list tuple_t) "old deadline dead" [] (Asic.Timer_wheel.advance w ~now:3.);
+  check (Alcotest.list tuple_t) "new deadline fires" [ ka ]
     (Asic.Timer_wheel.advance w ~now:7.)
 
 let wheel_cancel () =
   let w = Asic.Timer_wheel.create ~granularity:1. ~slots:4 () in
-  Asic.Timer_wheel.schedule w ~key:"a" ~at:1.;
-  Asic.Timer_wheel.cancel w ~key:"a";
-  check (Alcotest.list Alcotest.string) "cancelled" [] (Asic.Timer_wheel.advance w ~now:5.)
+  Asic.Timer_wheel.schedule w ~key:ka ~at:1.;
+  Asic.Timer_wheel.cancel w ~key:ka;
+  check (Alcotest.list tuple_t) "cancelled" [] (Asic.Timer_wheel.advance w ~now:5.)
 
 let wheel_beyond_revolution () =
   (* a deadline further than one revolution must survive sweeps *)
   let w = Asic.Timer_wheel.create ~granularity:1. ~slots:4 () in
-  Asic.Timer_wheel.schedule w ~key:"far" ~at:11.;
-  check (Alcotest.list Alcotest.string) "pass 1" [] (Asic.Timer_wheel.advance w ~now:5.);
-  check (Alcotest.list Alcotest.string) "pass 2" [] (Asic.Timer_wheel.advance w ~now:9.);
-  check (Alcotest.list Alcotest.string) "finally" [ "far" ] (Asic.Timer_wheel.advance w ~now:12.)
+  Asic.Timer_wheel.schedule w ~key:kfar ~at:11.;
+  check (Alcotest.list tuple_t) "pass 1" [] (Asic.Timer_wheel.advance w ~now:5.);
+  check (Alcotest.list tuple_t) "pass 2" [] (Asic.Timer_wheel.advance w ~now:9.);
+  check (Alcotest.list tuple_t) "finally" [ kfar ] (Asic.Timer_wheel.advance w ~now:12.)
+
+(* Equal deadlines leave the wheel in the order they were scheduled (a
+   re-scheduled key counts from its last schedule), whatever the slot
+   table's layout; earlier deadlines still come first. *)
+let wheel_equal_deadlines_in_schedule_order () =
+  let w = Asic.Timer_wheel.create ~granularity:1. ~slots:8 () in
+  let order = [ 17; 3; 42; 8; 25; 1; 30; 12 ] in
+  List.iter (fun i -> Asic.Timer_wheel.schedule w ~key:(key i) ~at:2.5) order;
+  Asic.Timer_wheel.schedule w ~key:(key 99) ~at:2.25;
+  (* re-scheduling at the same deadline moves a key to the back *)
+  Asic.Timer_wheel.schedule w ~key:(key 3) ~at:2.5;
+  check (Alcotest.list Alcotest.int) "deadline, then schedule order"
+    [ 99; 17; 42; 8; 25; 1; 30; 12; 3 ]
+    (List.map port_of (Asic.Timer_wheel.advance w ~now:3.))
 
 let qcheck_wheel_delivers_all =
   QCheck.Test.make ~name:"wheel delivers everything exactly once, in order" ~count:100
@@ -588,10 +616,10 @@ let qcheck_wheel_delivers_all =
       let model = Hashtbl.create 16 in
       List.iter
         (fun (k, at) ->
-          Asic.Timer_wheel.schedule w ~key:k ~at;
+          Asic.Timer_wheel.schedule w ~key:(key k) ~at;
           Hashtbl.replace model k at)
         entries;
-      let fired = Asic.Timer_wheel.advance w ~now:100. in
+      let fired = List.map port_of (Asic.Timer_wheel.advance w ~now:100.) in
       let sorted_ok =
         let rec go last = function
           | [] -> true
@@ -619,14 +647,16 @@ let qcheck_wheel_delivery_bound =
     (fun (g_exp, deadlines, steps) ->
       let g = Float.ldexp 1. (g_exp - 2) in
       let w = Asic.Timer_wheel.create ~granularity:g ~slots:4 () in
-      List.iteri (fun k at -> Asic.Timer_wheel.schedule w ~key:k ~at) deadlines;
+      List.iteri (fun k at -> Asic.Timer_wheel.schedule w ~key:(key k) ~at) deadlines;
       (* non-decreasing call times; the last one clears every deadline *)
       let rev = List.fold_left (fun acc dt -> (List.hd acc +. dt) :: acc) [ 0. ] steps in
       let nows = List.rev ((List.hd rev +. 50.) :: rev) in
       let fired_at = Hashtbl.create 16 in
       List.iteri
         (fun call now ->
-          List.iter (fun k -> Hashtbl.replace fired_at k call) (Asic.Timer_wheel.advance w ~now))
+          List.iter
+            (fun k -> Hashtbl.replace fired_at (port_of k) call)
+            (Asic.Timer_wheel.advance w ~now))
         nows;
       List.for_all
         (fun (k, at) ->
@@ -716,6 +746,7 @@ let suites =
         tc "reschedule replaces" `Quick wheel_reschedule_replaces;
         tc "cancel" `Quick wheel_cancel;
         tc "beyond a revolution" `Quick wheel_beyond_revolution;
+        tc "equal deadlines in schedule order" `Quick wheel_equal_deadlines_in_schedule_order;
         QCheck_alcotest.to_alcotest qcheck_wheel_delivers_all;
         QCheck_alcotest.to_alcotest qcheck_wheel_delivery_bound;
       ] );

@@ -256,6 +256,21 @@ let golden =
     ("vip-migration", "ecmp", "e0cdd89673b96426ab0e897f813cbfd7");
   ]
 
+(* Packed_trace sorts packets with a stable sort on time alone. It must
+   give the permutation the (time, index) comparator gives; times are
+   drawn from a handful of values so that most of them tie. *)
+let qcheck_time_order_stable =
+  QCheck.Test.make ~name:"time order == sort by (time, index)" ~count:300
+    QCheck.(pair (int_range 1 6) (list_of_size (Gen.int_range 0 200) (int_bound 1000)))
+    (fun (distinct, draws) ->
+      let times = Array.of_list (List.map (fun d -> float_of_int (d mod distinct) *. 0.25) draws) in
+      let reference = Array.init (Array.length times) (fun i -> i) in
+      Array.sort
+        (fun a b ->
+          match Float.compare times.(a) times.(b) with 0 -> Int.compare a b | c -> c)
+        reference;
+      Harness.Packed_trace.time_order times = reference)
+
 let golden_case (scenario, balancer, digest) =
   tc (scenario ^ " " ^ balancer) `Quick (fun () ->
       let spec =
@@ -276,5 +291,6 @@ let suites =
         tc "update ordering" `Quick update_delivery_order;
         tc "control semantics" `Quick control_semantics;
       ] );
+    ("harness.packed_trace", [ QCheck_alcotest.to_alcotest qcheck_time_order_stable ]);
     ("harness.driver_golden", List.map golden_case golden);
   ]

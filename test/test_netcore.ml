@@ -131,7 +131,7 @@ let tuple_hash_deterministic () =
 
 let tuple_digest_range () =
   let t = tuple () in
-  let d = Netcore.Five_tuple.digest ~bits:16 ~seed:0 t in
+  let d = Netcore.Five_tuple.bits ~seed:0 t 16 in
   check Alcotest.bool "16-bit" true (d >= 0 && d < 65536)
 
 let qcheck_hash_equal_tuples =
@@ -145,6 +145,47 @@ let qcheck_hash_equal_tuples =
           ~proto:Netcore.Protocol.Udp
       in
       Netcore.Five_tuple.hash ~seed (mk ()) = Netcore.Five_tuple.hash ~seed (mk ()))
+
+(* The hash chain as it was before tuples cached [pre]: both endpoints
+   folded, the protocol mixed in, then the seeded finaliser. Every value
+   derived from the cached hash must match it bit for bit, or table
+   placements would move. *)
+let reference_hash ~seed (t : Netcore.Five_tuple.t) =
+  let acc = Netcore.Endpoint.hash_fold 0x5117_0a4dL t.Netcore.Five_tuple.src in
+  let acc = Netcore.Endpoint.hash_fold acc t.Netcore.Five_tuple.dst in
+  let acc =
+    Netcore.Hashing.mix64
+      (Int64.logxor acc (Int64.of_int (Netcore.Protocol.to_byte t.Netcore.Five_tuple.proto)))
+  in
+  Netcore.Hashing.seeded ~seed acc
+
+let arb_tuple_seed =
+  let open QCheck.Gen in
+  let ip =
+    oneof
+      [
+        map (fun (a, b) -> Netcore.Ip.v4 (a land 0xff) (b land 0xff) 7 9) (pair nat nat);
+        map (fun (h, l) -> Netcore.Ip.v6 h l) (pair ui64 ui64);
+      ]
+  in
+  let endpoint = map2 Netcore.Endpoint.make ip (int_bound 65535) in
+  let proto = oneofl [ Netcore.Protocol.Tcp; Netcore.Protocol.Udp ] in
+  QCheck.make
+    ~print:(fun (t, seed, n, k) ->
+      Printf.sprintf "%s seed=%d n=%d k=%d" (Netcore.Five_tuple.to_string t) seed n k)
+    (quad
+       (map3
+          (fun src dst proto -> Netcore.Five_tuple.make ~src ~dst ~proto)
+          endpoint endpoint proto)
+       int (int_range 1 1_000_000) (int_range 1 30))
+
+let qcheck_cached_hash_bit_identical =
+  QCheck.Test.make ~name:"hash, range and bits equal the uncached chain" ~count:1000
+    arb_tuple_seed (fun (t, seed, n, k) ->
+      let h = reference_hash ~seed t in
+      Int64.equal (Netcore.Five_tuple.hash ~seed t) h
+      && Netcore.Five_tuple.range ~seed t n = Netcore.Hashing.to_range h n
+      && Netcore.Five_tuple.bits ~seed t k = Netcore.Hashing.truncate_bits h k)
 
 let qcheck_to_range =
   QCheck.Test.make ~name:"to_range stays in range" ~count:500
@@ -173,7 +214,7 @@ let digest_collision_rate () =
   let collisions = ref 0 in
   for i = 0 to 999 do
     let t = tuple ~sport:(i + 1) () in
-    let d = Netcore.Five_tuple.digest ~bits:16 ~seed:5 t in
+    let d = Netcore.Five_tuple.bits ~seed:5 t 16 in
     if Hashtbl.mem seen d then incr collisions else Hashtbl.replace seen d ()
   done;
   check Alcotest.bool "collisions within 5x of expectation" true (!collisions < 40)
@@ -221,6 +262,23 @@ let packet_rewrite () =
     (Netcore.Endpoint.equal p'.Netcore.Packet.flow.Netcore.Five_tuple.src
        p.Netcore.Packet.flow.Netcore.Five_tuple.src)
 
+(* the rewritten tuple is built by [make], so its cached hash is fresh *)
+let packet_rewrite_rehashes () =
+  let dip = Netcore.Endpoint.v4 10 0 0 2 20 in
+  let p = Netcore.Packet.syn (tuple ()) in
+  let flow = (Netcore.Packet.rewrite_dst p dip).Netcore.Packet.flow in
+  let made =
+    Netcore.Five_tuple.make ~src:(Netcore.Endpoint.v4 1 2 3 4 1234) ~dst:dip
+      ~proto:Netcore.Protocol.Tcp
+  in
+  check Alcotest.bool "equal to make" true (Netcore.Five_tuple.equal flow made);
+  check Alcotest.bool "structurally equal" true (flow = made);
+  List.iter
+    (fun seed ->
+      check Alcotest.bool "hashes like make" true
+        (Int64.equal (Netcore.Five_tuple.hash ~seed flow) (Netcore.Five_tuple.hash ~seed made)))
+    [ 0; 7; 0x7a17 ]
+
 let suites =
   [
     ( "netcore.ip",
@@ -248,6 +306,7 @@ let suites =
         tc "digest range" `Quick tuple_digest_range;
         tc "digest collision rate" `Quick digest_collision_rate;
         QCheck_alcotest.to_alcotest qcheck_hash_equal_tuples;
+        QCheck_alcotest.to_alcotest qcheck_cached_hash_bit_identical;
       ] );
     ( "netcore.hashing",
       [
@@ -261,5 +320,6 @@ let suites =
         tc "flag predicates" `Quick flags_predicates;
         tc "wire sizes" `Quick packet_sizes;
         tc "rewrite dst" `Quick packet_rewrite;
+        tc "rewrite dst rehashes" `Quick packet_rewrite_rehashes;
       ] );
   ]
