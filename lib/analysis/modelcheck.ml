@@ -716,7 +716,7 @@ let process_packet m ~now f ~syn ~ends =
 
 let process_update m ~now j =
   advance m ~now;
-  Lb.Pcc.Flat.exclude m.pcc m.removed.(j);
+  Lb.Pcc.Flat.exclude m.pcc_counts m.removed.(j);
   match m.job with
   | Some _ -> Queue.add (now, j) m.queue
   | None -> start_job m ~now j

@@ -12,6 +12,9 @@ type t = {
   registry : Registry.t;
   c_errors : Registry.Counter.t;
   c_dups : Registry.Counter.t;
+  c_commands : (string, Registry.Counter.t) Hashtbl.t;
+      (* control.commands{cmd=...} by verb, registered at a verb's first
+         use so a verb never sent has no entry *)
   g_pending : Registry.Gauge.t;
   h_apply : Telemetry.Histogram.t;
   h_recycle : Telemetry.Histogram.t;
@@ -63,6 +66,7 @@ let create ?(cfg = Silkroad.Config.default) ?(shards = 1) ?(vips = []) ?trace ()
       registry;
       c_errors = Registry.counter registry "control.errors";
       c_dups = Registry.counter registry "control.duplicates";
+      c_commands = Hashtbl.create 16;
       g_pending = Registry.gauge registry "control.pending_updates";
       h_apply = Registry.histogram registry "control.update_apply_seconds";
       h_recycle = Registry.histogram registry "control.version_recycle_seconds";
@@ -323,8 +327,17 @@ let mutating : Protocol.command -> bool = function
   | Advance _ | Drain | Quit ->
       true
 
+let command_counter t cmd =
+  let v = verb cmd in
+  match Hashtbl.find_opt t.c_commands v with
+  | Some c -> c
+  | None ->
+      let c = Registry.counter t.registry ~labels:[ ("cmd", v) ] "control.commands" in
+      Hashtbl.replace t.c_commands v c;
+      c
+
 let exec t { Protocol.seq; cmd } =
-  Registry.Counter.incr (Registry.counter t.registry ~labels:[ ("cmd", verb cmd) ] "control.commands");
+  Registry.Counter.incr (command_counter t cmd);
   match seq with
   | Some n when n <= t.last_seq ->
       Registry.Counter.incr t.c_dups;

@@ -134,7 +134,7 @@ let run ?(early_offsets = Packed_trace.default_early) ?(probe_interval = 15.) ?c
   List.iter
     (fun (at, ctrl) ->
       fire_to at;
-      Option.iter (Lb.Pcc.Flat.exclude acc.pcc) (Replay.retired_dip ctrl);
+      Option.iter (Lb.Pcc.Flat.exclude acc.judged) (Replay.retired_dip ctrl);
       Replay.apply_to balancer ~at ctrl)
     controls;
   fire_to horizon;

@@ -133,7 +133,6 @@ let compile ?(early_offsets = default_early) ?(probe_interval = 15.) ~horizon fl
 
 type partition = {
   pt_shards : int;
-  flow_shard : int array;
   sh_times : float array array;
   sh_flows : Netcore.Five_tuple.t array array;
   sh_flags : Netcore.Tcp_flags.t array array;
@@ -175,4 +174,4 @@ let partition t ~shards ~shard_of =
     sh_flags.(k).(j) <- flags_tab.(Char.code (Bytes.get t.pkt_flags p));
     sh_pflow.(k).(j) <- fi
   done;
-  { pt_shards = shards; flow_shard; sh_times; sh_flows; sh_flags; sh_pflow }
+  { pt_shards = shards; sh_times; sh_flows; sh_flags; sh_pflow }

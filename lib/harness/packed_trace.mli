@@ -63,7 +63,6 @@ val compile :
 
 type partition = {
   pt_shards : int;
-  flow_shard : int array;  (** per flow: owning shard *)
   sh_times : float array array;  (** per shard: packet times, globally ordered *)
   sh_flows : Netcore.Five_tuple.t array array;
   sh_flags : Netcore.Tcp_flags.t array array;  (** decoded flag sets *)

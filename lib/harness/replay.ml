@@ -20,7 +20,7 @@
    Every packet is judged by Lb.Pcc.Flat, the flow-indexed refinement of
    the Lb.Pcc oracle; Netwide.Replay and the model checker judge with
    Lb.Pcc.Flat too. The flow-indexed state is shared by all shards, its
-   counters are per shard.
+   counters — and with them its exclusion log — are per shard.
 
    The engine is factored as an incremental [Stepper] (one per shard)
    so the long-running serve mode can drive the identical loop one
@@ -247,14 +247,12 @@ module Stepper = struct
     process_range st st.cursor !j;
     st.cursor <- !j
 
-  (* a flow is judged by its owner shard alone, so shard-local exclusion
-     is globally equivalent; an attack SYN goes to its flow's owner shard
-     only *)
+  (* a flow is judged by its owner shard alone, so logging the
+     retirement in this shard's counters is globally equivalent; an
+     attack SYN goes to its flow's owner shard only *)
   let apply st ~at ctrl =
     flush_to st at;
-    Option.iter
-      (Lb.Pcc.Flat.exclude ~owner:(st.sh.part.Packed_trace.flow_shard, st.shard) st.sh.pcc)
-      (retired_dip ctrl);
+    Option.iter (Lb.Pcc.Flat.exclude st.counters) (retired_dip ctrl);
     match ctrl with
     | Attack_syn tuple when shard_of ~shards:st.sh.shards tuple <> st.shard -> ()
     | _ -> apply_to st.balancer ~at ctrl

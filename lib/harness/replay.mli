@@ -173,8 +173,8 @@ module Stepper : sig
       exactly the batch loop's behaviour between controls. *)
 
   val apply : t -> at:float -> control -> unit
-  (** [flush_to at], exclude the {!retired_dip} over this shard's flows,
-      then {!apply_to} the switch — except an attack SYN, which only its
+  (** [flush_to at], log the {!retired_dip} in this shard's judge
+      counters (the only ones that judge its flows), then {!apply_to} the switch — except an attack SYN, which only its
       flow's owner shard applies (so broadcasting every control to every
       shard is safe). Controls must be applied in non-decreasing time
       order. *)

@@ -69,7 +69,15 @@ let violations t = t.violations
 
 (* The flow-indexed refinement of the oracle above: the same transitions
    over a state byte per flow instead of a hashtable of records, so the
-   replay engines can judge every packet without allocating. *)
+   replay engines can judge every packet without allocating.
+
+   Exclusion is lazy. [exclude] appends the retired DIP to the counters'
+   log in O(1); each flow remembers the log length when its connection
+   was born, and only an inconsistent packet scans the entries logged
+   since then. A live flow pinned to a DIP retired during its lifetime
+   is excused at its first inconsistent packet — before that it judges
+   exactly as an eagerly excluded flow would, since consistent packets
+   count nothing either way. *)
 module Flat = struct
   let st_live = 1
   let st_excluded = 2
@@ -79,12 +87,24 @@ module Flat = struct
      [first = None] *)
   let no_dip = Netcore.Endpoint.none
 
+  (* the unboxed primitives: [Bytes.get_int32_ne] is a function, and
+     calling it boxes the int32 *)
+  external get_born : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+  external set_born : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
   type t = {
     first : Netcore.Endpoint.t array;
     state : Bytes.t;
+    born : Bytes.t;  (** 4 bytes per flow: the log length at its first packet *)
   }
 
-  let create n_flows = { first = Array.make n_flows no_dip; state = Bytes.make n_flows '\000' }
+  let create n_flows =
+    {
+      first = Array.make n_flows no_dip;
+      state = Bytes.make n_flows '\000';
+      born = Bytes.make (4 * n_flows) '\000';
+    }
+
   let first_dip t = t.first
 
   type counters = {
@@ -93,9 +113,25 @@ module Flat = struct
     mutable total : int;
     mutable broken : int;
     mutable violations : int;
+    mutable retired : Netcore.Endpoint.t array;
+    mutable n_retired : int;
   }
 
-  let counters () = { packets = 0; dropped = 0; total = 0; broken = 0; violations = 0 }
+  let counters () =
+    {
+      packets = 0;
+      dropped = 0;
+      total = 0;
+      broken = 0;
+      violations = 0;
+      retired = [||];
+      n_retired = 0;
+    }
+
+  (* top-level, so the scan allocates no closure *)
+  let rec retired_since c f k =
+    k < c.n_retired
+    && (Netcore.Endpoint.equal (Array.unsafe_get c.retired k) f || retired_since c f (k + 1))
 
   let judge t c i dip ~ends =
     c.packets <- c.packets + 1;
@@ -109,16 +145,22 @@ module Flat = struct
         c.violations <- c.violations + 1
       end;
       Array.unsafe_set t.first i dip;
+      set_born t.born (4 * i) (Int32.of_int c.n_retired);
       Bytes.unsafe_set t.state i (Char.unsafe_chr (st_live lor (if bad then st_bad else 0)))
     end
     else if b land st_excluded = 0 then begin
       let f = Array.unsafe_get t.first i in
       let consistent = f != no_dip && dip != no_dip && Netcore.Endpoint.equal f dip in
       if not consistent then begin
-        c.violations <- c.violations + 1;
-        if b land st_bad = 0 then begin
-          c.broken <- c.broken + 1;
-          Bytes.unsafe_set t.state i (Char.unsafe_chr (b lor st_bad))
+        if f != no_dip && retired_since c f (Int32.to_int (get_born t.born (4 * i))) then
+          (* its server was retired after the connection began *)
+          Bytes.unsafe_set t.state i (Char.unsafe_chr (b lor st_excluded))
+        else begin
+          c.violations <- c.violations + 1;
+          if b land st_bad = 0 then begin
+            c.broken <- c.broken + 1;
+            Bytes.unsafe_set t.state i (Char.unsafe_chr (b lor st_bad))
+          end
         end
       end
     end;
@@ -126,22 +168,13 @@ module Flat = struct
        and [first] keeps the assignment for introspection *)
     if ends then Bytes.unsafe_set t.state i '\000'
 
-  let exclude_flow t i dip =
-    let b = Char.code (Bytes.unsafe_get t.state i) in
-    if b land st_live <> 0 then begin
-      let f = Array.unsafe_get t.first i in
-      if f != no_dip && Netcore.Endpoint.equal f dip then
-        Bytes.unsafe_set t.state i (Char.unsafe_chr (b lor st_excluded))
-    end
-
-  let exclude ?owner t dip =
-    match owner with
-    | None ->
-      for i = 0 to Array.length t.first - 1 do
-        exclude_flow t i dip
-      done
-    | Some (owner_of, me) ->
-      for i = 0 to Array.length t.first - 1 do
-        if Array.unsafe_get owner_of i = me then exclude_flow t i dip
-      done
+  let exclude c dip =
+    let n = c.n_retired in
+    if n = Array.length c.retired then begin
+      let grown = Array.make (Int.max 8 (2 * n)) no_dip in
+      Array.blit c.retired 0 grown 0 n;
+      c.retired <- grown
+    end;
+    Array.unsafe_set c.retired n dip;
+    c.n_retired <- n + 1
 end

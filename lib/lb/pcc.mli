@@ -68,31 +68,44 @@ module Flat : sig
   type t
 
   val create : int -> t
-  (** Judge state for [n] flows, none of them tracked yet. *)
+  (** Judge state for [n] flows, none of them tracked yet: 13 bytes a
+      flow on a 64-bit host — the first-DIP pointer, a state byte and
+      the 4-byte log position ([born]) the lazy exclusion below needs. *)
 
   val first_dip : t -> Netcore.Endpoint.t array
   (** Per flow: the DIP of its most recent connection's first packet
       ([no_dip] when dropped or never sent). Kept after the flow ends. *)
 
-  type counters = {
+  type counters = private {
     mutable packets : int;
     mutable dropped : int;
     mutable total : int;  (** the spec's [total] *)
     mutable broken : int;  (** the spec's [broken] *)
     mutable violations : int;  (** the spec's [violations] *)
+    mutable retired : Netcore.Endpoint.t array;
+        (** the exclusion log: every DIP {!exclude}d, oldest first *)
+    mutable n_retired : int;  (** its length *)
   }
 
   val counters : unit -> counters
-  (** All zero. *)
+  (** All zero, with an empty exclusion log. *)
 
   val judge : t -> counters -> int -> Netcore.Endpoint.t -> ends:bool -> unit
   (** [judge t c i dip ~ends] is {!on_packet} for flow [i] (with
       [dip == no_dip] for [None]), followed by {!on_finish} when [ends].
-      Also counts the packet, and the drop when [dip == no_dip]. *)
+      Also counts the packet, and the drop when [dip == no_dip]. A
+      connection's first packet records [c]'s log length as its
+      [born]; an inconsistent packet of a flow whose first DIP was
+      logged in [c] since then excludes the flow instead of counting.
+      Consistent and already-excluded packets allocate nothing. *)
 
-  val exclude : ?owner:int array * int -> t -> Netcore.Endpoint.t -> unit
-  (** {!on_dip_removed}. With [~owner:(owner_of, me)] only the flows [i]
-      with [owner_of.(i) = me] are visited — a sharded engine excludes
-      over its own flows, which is globally equivalent because each flow
-      is judged by its owner alone. *)
+  val exclude : counters -> Netcore.Endpoint.t -> unit
+  (** {!on_dip_removed}, lazily: appends the DIP to [c]'s log, O(1)
+      whatever the number of flows. A flow is only ever excused by the
+      log of the counters that judged its first packet, so an engine
+      that splits flows over several counters logs each retirement
+      into every set whose flows it covers: a sharded replay into its
+      own shard's, a network-wide replay — whose flows move between
+      counters — into all of them, keeping every log the same length
+      so a re-homed flow's [born] still means the same position. *)
 end

@@ -172,12 +172,18 @@ let run ?(cfg = Silkroad.Config.default) ?(parallel = false) ?(events = []) ?(co
     end;
     cursor := hi
   in
-  (* the judge excludes once, network-wide; each switch applies the
-     control's balancer side, except that an update goes only to the
-     switches hosting its VIP (the rest just advance) and an attack SYN
-     is routed like any packet of its (spoofed) VIP *)
+  (* the judge excludes network-wide: a flow re-homed after a failover
+     is judged by another node's counters, so the retirement is logged
+     in every set and all logs keep the same length. Each switch applies
+     the control's balancer side, except that an update goes only to
+     the switches hosting its VIP (the rest just advance) and an attack
+     SYN is routed like any packet of its (spoofed) VIP *)
   let apply_control at (ctrl : Harness.Replay.control) =
-    Option.iter (Lb.Pcc.Flat.exclude pcc) (Harness.Replay.retired_dip ctrl);
+    Option.iter
+      (fun dip ->
+        Lb.Pcc.Flat.exclude undelivered dip;
+        Array.iter (fun c -> Lb.Pcc.Flat.exclude c dip) node_counters)
+      (Harness.Replay.retired_dip ctrl);
     let apply sw = Harness.Replay.apply_to (Silkroad.Switch.balancer sw) ~at ctrl in
     match ctrl with
     | Harness.Replay.Update (vip, u) ->

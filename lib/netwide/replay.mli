@@ -58,7 +58,8 @@ val run :
 (** Replay [trace] through [topo]. [controls] are the ordinary replay
     controls (updates, chaos) with their one meaning,
     {!Harness.Replay.retired_dip} and {!Harness.Replay.apply_to}: the
-    retired DIP is excluded from the network-wide judge once, an update
+    retired DIP is logged in every node's judge counters (a re-homed
+    flow is judged by whichever node owns it now), an update
     is applied to the switches hosting its VIP (the rest only advance),
     an attack SYN to its {!Route.owner}, and every other control to
     every live switch.

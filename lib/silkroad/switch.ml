@@ -85,6 +85,12 @@ type t = {
   overflow : (Netcore.Five_tuple.t * int) Queue.t;
   mutable overflow_inflight : bool;
   flows : conn_state Ftbl.t;
+  (* the pending connections: exactly the tracked flows neither
+     inserted nor ended, the only ones a §4.3 step-1 barrier can wait
+     on. A flow joins when its state is created and leaves for good
+     when either flag is set, so an update costs what is pending, not
+     what is tracked. *)
+  pending : conn_state Ftbl.t;
   (* lazy idle-timeout timers: one wheel entry per tracked connection,
      verified against last_seen on expiry *)
   aging : Asic.Timer_wheel.t;
@@ -129,6 +135,9 @@ type t = {
   c_lb_packets : Telemetry.Registry.Counter.t;
   c_lb_dropped : Telemetry.Registry.Counter.t;
   g_tracked_flows : Telemetry.Registry.Gauge.t;
+  (* switch.vip.updates_completed{vip=...}, registered at a VIP's first
+     completed update *)
+  c_vip_completed : (Netcore.Endpoint.t, Telemetry.Registry.Counter.t) Hashtbl.t;
   (* last tracked-flow count pushed to the gauge: [advance] runs per
      packet, so the gauge is only touched when the count changes *)
   mutable last_tracked : int;
@@ -192,6 +201,7 @@ let create ?metrics ?(check = `Warn) cfg =
     overflow = Queue.create ();
     overflow_inflight = false;
     flows = Ftbl.create 4096;
+    pending = Ftbl.create 256;
     aging =
       Asic.Timer_wheel.create ~granularity:(cfg.Config.idle_timeout /. 4.) ~slots:16 ();
     meters = Hashtbl.create 8;
@@ -221,6 +231,7 @@ let create ?metrics ?(check = `Warn) cfg =
     c_lb_packets = counter "lb.packets";
     c_lb_dropped = counter "lb.dropped_packets";
     g_tracked_flows = Telemetry.Registry.gauge reg "switch.tracked_flows";
+    c_vip_completed = Hashtbl.create 8;
     last_tracked = -1;
   }
 
@@ -264,11 +275,18 @@ and finish_job t ~now job =
   Hashtbl.remove t.jobs job.job_vip;
   Telemetry.Registry.Counter.incr t.c_updates_completed;
   (* per-VIP scope: update churn is the figure-2 axis, so keep it
-     attributable (update completion is rare enough for a name lookup) *)
+     attributable *)
   Telemetry.Registry.Counter.incr
-    (Telemetry.Registry.counter t.metrics
-       ~labels:[ ("vip", Format.asprintf "%a" Netcore.Endpoint.pp job.job_vip) ]
-       "switch.vip.updates_completed");
+    (match Hashtbl.find_opt t.c_vip_completed job.job_vip with
+     | Some c -> c
+     | None ->
+       let c =
+         Telemetry.Registry.counter t.metrics
+           ~labels:[ ("vip", Format.asprintf "%a" Netcore.Endpoint.pp job.job_vip) ]
+           "switch.vip.updates_completed"
+       in
+       Hashtbl.replace t.c_vip_completed job.job_vip c;
+       c);
   Dip_pool_table.gc t.pools ~vip:job.job_vip ~current:(current_version t job.job_vip);
   clear_transit_if_idle t;
   (match t.update_hook with
@@ -347,15 +365,18 @@ and start_job t ~now ~requested vip update =
   in
   Vip_table.start_recording t.vips vip;
   (* step 1 barrier: every connection of this VIP that arrived before
-     the request but is not yet in ConnTable. Without a TransitTable
-     there is nothing to wait for — the update executes immediately and
-     pending connections are left unprotected (Figure 16's ablation). *)
+     the request but is not yet in ConnTable and has not ended — the
+     pending set filtered by VIP. That includes a flow parked on the
+     overflow queue, or left stateless after its retries ran out: it
+     gates the barrier until it is inserted, fails an insert again,
+     ends, expires, or the deadline force-releases it. Without a TransitTable there is
+     nothing to wait for — the update executes immediately and pending
+     connections are left unprotected (Figure 16's ablation). *)
   if t.cfg.Config.use_transit then
     Ftbl.iter
       (fun flow (st : conn_state) ->
-        if Netcore.Endpoint.equal st.cs_vip vip && (not st.inserted) && not st.ended then
-          Ftbl.replace job.waiting flow ())
-      t.flows;
+        if Netcore.Endpoint.equal st.cs_vip vip then Ftbl.replace job.waiting flow ())
+      t.pending;
   Hashtbl.replace t.jobs vip job;
   check_job_transition t ~now job
 
@@ -373,7 +394,32 @@ let barrier_resolved t ~now ~vip flow =
 
 (* ----- connection state bookkeeping ----- *)
 
+(* a new connection's state: tracked, aging, holding its version, and
+   pending until it is inserted or ends. [flow] has no state yet, so
+   [add] (no bucket search) leaves both tables as [replace] would. *)
+let track t ~now flow ~vip ~version =
+  Telemetry.Registry.Counter.incr t.c_connections_seen;
+  let st =
+    {
+      cs_vip = vip;
+      cs_version = version;
+      inserted = false;
+      in_pipeline = false;
+      ended = false;
+      last_seen = now;
+    }
+  in
+  Ftbl.add t.flows flow st;
+  Ftbl.add t.pending flow st;
+  Asic.Timer_wheel.schedule t.aging ~key:flow ~at:(now +. t.cfg.Config.idle_timeout);
+  Dip_pool_table.retain t.pools ~vip ~version;
+  st
+
+(* [inserted] or [ended] was just set: the flow is no longer pending *)
+let settle t flow = Ftbl.remove t.pending flow
+
 let destroy_state t flow (st : conn_state) =
+  settle t flow;
   Asic.Timer_wheel.cancel t.aging ~key:flow;
   (match Vip_table.current t.vips st.cs_vip with
    | Some current ->
@@ -400,15 +446,21 @@ let rec complete_cpu_work t ~now =
              | None -> ()  (* state already destroyed *)
              | Some st ->
                st.in_pipeline <- false;
-               if st.ended then begin
+               if st.inserted then
+                 (* installed meanwhile (a collision repair), possibly as
+                    a newer connection on the same 5-tuple; if it has
+                    ended, its own delete is queued and tears it down *)
+                 ()
+               else if st.ended then begin
                  (* flow finished before its entry was installed *)
                  barrier_resolved t ~now ~vip:st.cs_vip flow;
                  destroy_state t flow st
                end
-               else if not st.inserted then begin
+               else begin
                  (match Conn_table.insert t.conns flow ~version:st.cs_version with
-                  | Ok _ -> st.inserted <- true
-                  | Error `Duplicate -> st.inserted <- true
+                  | Ok _ | Error `Duplicate ->
+                    st.inserted <- true;
+                    settle t flow
                   | Error `Full ->
                     (* defer to the overflow queue: the switch CPU
                        retries the insert later at its real cost
@@ -433,10 +485,17 @@ let rec complete_cpu_work t ~now =
        | Delete_batch flows ->
          List.iter
            (fun flow ->
-             ignore (Conn_table.remove t.conns flow);
              match Ftbl.find_opt t.flows flow with
-             | Some st -> destroy_state t flow st
-             | None -> ())
+             | Some st when not st.ended ->
+               (* a newer connection on the same 5-tuple: the state this
+                  delete was issued for was torn down while it queued
+                  (re-route, VIP removal), entry included *)
+               ()
+             | Some st ->
+               ignore (Conn_table.remove t.conns flow);
+               barrier_resolved t ~now ~vip:st.cs_vip flow;
+               destroy_state t flow st
+             | None -> ignore (Conn_table.remove t.conns flow))
            flows
        | Repair_batch flows ->
          (* repairs were applied synchronously at submission; completion
@@ -450,16 +509,17 @@ let rec complete_cpu_work t ~now =
              match Ftbl.find_opt t.flows flow with
              | None -> ()  (* state destroyed while queued *)
              | Some st ->
-               if st.ended then begin
+               if st.inserted then st.in_pipeline <- false
+               else if st.ended then begin
                  st.in_pipeline <- false;
                  barrier_resolved t ~now ~vip:st.cs_vip flow;
                  destroy_state t flow st
                end
-               else if st.inserted then st.in_pipeline <- false
                else (
                  match Conn_table.insert t.conns flow ~version:st.cs_version with
                  | Ok _ | Error `Duplicate ->
                    st.inserted <- true;
+                   settle t flow;
                    st.in_pipeline <- false;
                    barrier_resolved t ~now ~vip:st.cs_vip flow
                  | Error `Full ->
@@ -513,6 +573,8 @@ let expire_one t ~now flow =
   | Some (st : conn_state) ->
     if st.ended then ()
     else if now -. st.last_seen >= t.cfg.Config.idle_timeout then begin
+      (* no [settle]: an installed flow left the pending set when it was
+         inserted, and an uninstalled one is destroyed right here *)
       st.ended <- true;
       if st.inserted then submit_delete t ~now flow
       else begin
@@ -651,7 +713,10 @@ let handle_miss t ~now ~ends flow ~vip ~vh ~syn =
   | st ->
     (* a pending connection's later packet *)
     st.last_seen <- now;
-    if ends then st.ended <- true;
+    if ends then begin
+      st.ended <- true;
+      settle t flow
+    end;
     if how = how_recorded then
       (match Hashtbl.find_opt t.jobs vip with
        | Some job when not st.inserted -> Ftbl.replace job.recorded flow ()
@@ -668,20 +733,7 @@ let handle_miss t ~now ~ends flow ~vip ~vh ~syn =
       (* first-and-last packet: nothing worth learning *)
       forward t ~vip ~version flow ~location
     else begin
-      Telemetry.Registry.Counter.incr t.c_connections_seen;
-      let st =
-        {
-          cs_vip = vip;
-          cs_version = version;
-          inserted = false;
-          in_pipeline = false;
-          ended = false;
-          last_seen = now;
-        }
-      in
-      Ftbl.replace t.flows flow st;
-      Asic.Timer_wheel.schedule t.aging ~key:flow ~at:(now +. t.cfg.Config.idle_timeout);
-      Dip_pool_table.retain t.pools ~vip ~version;
+      let st = track t ~now flow ~vip ~version in
       if how = how_recorded then
         (match Hashtbl.find_opt t.jobs vip with
          | Some job -> Ftbl.replace job.recorded flow ()
@@ -701,22 +753,7 @@ let handle_false_hit_syn t ~now flow ~vip ~vh =
       | Some st ->
         st.last_seen <- now;
         st
-      | None ->
-        Telemetry.Registry.Counter.incr t.c_connections_seen;
-        let st =
-          {
-            cs_vip = vip;
-            cs_version = version;
-            inserted = false;
-            in_pipeline = false;
-            ended = false;
-            last_seen = now;
-          }
-        in
-        Ftbl.replace t.flows flow st;
-        Asic.Timer_wheel.schedule t.aging ~key:flow ~at:(now +. t.cfg.Config.idle_timeout);
-        Dip_pool_table.retain t.pools ~vip ~version;
-        st
+      | None -> track t ~now flow ~vip ~version
     in
     (* the repair itself is applied synchronously below, but its CPU time
        goes through the shared FIFO so the backlog it causes is visible in
@@ -726,6 +763,7 @@ let handle_false_hit_syn t ~now flow ~vip ~vh =
     (match Conn_table.repair_collision t.conns flow ~version:st.cs_version with
      | Ok () ->
        st.inserted <- true;
+       settle t flow;
        barrier_resolved t ~now ~vip flow
      | Error `Full -> Telemetry.Registry.Counter.incr t.c_table_full_drops);
     forward t ~vip ~version:st.cs_version flow ~location:Lb.Balancer.Switch_cpu
@@ -783,6 +821,7 @@ let process_flow t ~now ~flags ~payload_len flow =
           (match Ftbl.find t.flows flow with
            | st ->
              st.last_seen <- now;
+             (* an exact hit is installed, so not pending: no [settle] *)
              if ends && not st.ended then begin
                st.ended <- true;
                submit_delete t ~now flow
@@ -988,6 +1027,21 @@ let check_invariants t =
         bad "version %d of %a has refcount %d but %d tracked users" version Netcore.Endpoint.pp
           vip refs n)
     users;
+  (* the pending set is exactly the tracked flows neither inserted nor
+     ended *)
+  let pending = ref 0 in
+  Ftbl.iter
+    (fun flow (st : conn_state) ->
+      if (not st.inserted) && not st.ended then begin
+        incr pending;
+        match Ftbl.find_opt t.pending flow with
+        | Some p when p == st -> ()
+        | Some _ | None ->
+          bad "pending connection %a missing from the pending set" Netcore.Five_tuple.pp flow
+      end)
+    t.flows;
+  if Ftbl.length t.pending <> !pending then
+    bad "pending set holds %d flows for %d pending connections" (Ftbl.length t.pending) !pending;
   (* ConnTable entries all belong to tracked flows *)
   if Conn_table.size t.conns > Ftbl.length t.flows then
     bad "ConnTable holds %d entries for %d tracked connections" (Conn_table.size t.conns)

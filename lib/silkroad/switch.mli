@@ -232,6 +232,8 @@ val check_invariants : t -> (unit, string list) result
     - every tracked connection's version is live in DIPPoolTable, and
       per-(VIP, version) refcounts equal the number of tracked
       connections using that version;
+    - the pending set the step-1 barrier is built from holds exactly
+      the tracked connections neither installed nor ended;
     - every VIP's current version is allocated;
     - a VIP has an active update job iff it is not in phase [Idle].
     Returns the list of violated invariants. *)

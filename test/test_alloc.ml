@@ -125,6 +125,35 @@ let range_and_bits () =
   in
   check_free "Five_tuple.range and bits" w
 
+(* The judge every engine calls per packet: a consistent packet, and a
+   packet of a flow excused by a logged exclusion, allocate nothing. *)
+let pcc_judge () =
+  let dips = Lb.Dip_pool.members pool in
+  let first = Array.init n_flows (fun i -> dips.(i mod Array.length dips)) in
+  let t = Lb.Pcc.Flat.create n_flows and c = Lb.Pcc.Flat.counters () in
+  Array.iteri (fun i d -> Lb.Pcc.Flat.judge t c i d ~ends:false) first;
+  let w =
+    words (fun () ->
+        for i = 0 to calls - 1 do
+          let f = i mod n_flows in
+          Lb.Pcc.Flat.judge t c f (Array.unsafe_get first f) ~ends:false
+        done)
+  in
+  check_free "Lb.Pcc.Flat.judge, consistent" w;
+  (* the flows pinned to the retired DIP now reach another one: the
+     warm-up pass excuses each (its one log scan), the measured pass
+     skips them *)
+  Lb.Pcc.Flat.exclude c dips.(0);
+  let pinned = n_flows / Array.length dips in
+  let w =
+    words (fun () ->
+        for i = 0 to calls - 1 do
+          Lb.Pcc.Flat.judge t c (i mod pinned * Array.length dips) dips.(1) ~ends:false
+        done)
+  in
+  check Alcotest.int "excused, not broken" 0 c.Lb.Pcc.Flat.broken;
+  check_free "Lb.Pcc.Flat.judge, excluded" w
+
 let suites =
   [
     ( "alloc.hot_path",
@@ -134,5 +163,6 @@ let suites =
         tc "lookup_code" `Quick lookup_code;
         tc "advance same tick" `Quick advance_same_tick;
         tc "range and bits" `Quick range_and_bits;
+        tc "pcc judge consistent and excluded" `Quick pcc_judge;
       ] );
   ]

@@ -150,17 +150,23 @@ let pp_pcc_op = function
       (if ends then ",end" else "")
   | Remove d -> Printf.sprintf "remove(%d)" d
 
-(* Drive the spec and the flat judge through the same stream. The spec
-   has no first-DIP accessor, so a flow's expected first DIP is the one
-   of the packet that raised the spec's [total]. *)
-let flat_matches_spec ops =
+(* Drive the spec and the flat judge through the same stream. Each
+   packet is judged with the counters its side names: one set, or
+   several as a sharded or network-wide engine keeps them. Every
+   exclusion is logged in all of them, as Netwide.Replay does, so a flow
+   that changes sides mid-connection — a re-homing — is still excused.
+   The spec has no first-DIP accessor, so a flow's expected first DIP
+   is the one of the packet that raised the spec's [total]. *)
+let flat_matches_spec ~sides ops =
   let no_dip = Lb.Pcc.Flat.no_dip in
   let spec = Lb.Pcc.create () in
-  let flat = Lb.Pcc.Flat.create n_pcc_flows and c = Lb.Pcc.Flat.counters () in
+  let flat = Lb.Pcc.Flat.create n_pcc_flows in
+  let cs = Array.init sides (fun _ -> Lb.Pcc.Flat.counters ()) in
   let expected_first = Array.make n_pcc_flows no_dip in
   let packets = ref 0 and dropped = ref 0 in
   List.iter
-    (function
+    (fun (op, side) ->
+      match op with
       | Pkt (f, d, ends) ->
         let d = Option.map dip d in
         let before = Lb.Pcc.total spec in
@@ -170,19 +176,23 @@ let flat_matches_spec ops =
         if Lb.Pcc.total spec > before then expected_first.(f) <- d;
         incr packets;
         if d == no_dip then incr dropped;
-        Lb.Pcc.Flat.judge flat c f d ~ends
+        Lb.Pcc.Flat.judge flat cs.(side) f d ~ends
       | Remove d ->
         Lb.Pcc.on_dip_removed spec ~dip:(dip d);
-        Lb.Pcc.Flat.exclude flat (dip d))
+        Array.iter (fun c -> Lb.Pcc.Flat.exclude c (dip d)) cs)
     ops;
+  let sum field = Array.fold_left (fun n c -> n + field c) 0 cs in
   let same_first a b = if a == no_dip then b == no_dip else b != no_dip && Netcore.Endpoint.equal a b in
-  c.total = Lb.Pcc.total spec
-  && c.broken = Lb.Pcc.broken spec
-  && c.violations = Lb.Pcc.violations spec
-  && c.packets = !packets && c.dropped = !dropped
+  sum (fun c -> c.Lb.Pcc.Flat.total) = Lb.Pcc.total spec
+  && sum (fun c -> c.Lb.Pcc.Flat.broken) = Lb.Pcc.broken spec
+  && sum (fun c -> c.Lb.Pcc.Flat.violations) = Lb.Pcc.violations spec
+  && sum (fun c -> c.Lb.Pcc.Flat.packets) = !packets
+  && sum (fun c -> c.Lb.Pcc.Flat.dropped) = !dropped
   && List.for_all
        (fun f -> same_first expected_first.(f) (Lb.Pcc.Flat.first_dip flat).(f))
        (List.init n_pcc_flows Fun.id)
+
+let one_side ops = List.map (fun op -> (op, 0)) ops
 
 (* the orders no replay workload pins directly *)
 let flat_edge_orders () =
@@ -196,32 +206,66 @@ let flat_edge_orders () =
       (* an excluded flow is no longer judged *)
       Pkt (2, Some 3, false); Remove 3; Pkt (2, None, false); Pkt (1, Some 2, true) ]
   in
-  check Alcotest.bool "flat judge = spec" true (flat_matches_spec ops);
-  (* the owner filter visits the owner's flows only *)
+  check Alcotest.bool "flat judge = spec" true (flat_matches_spec ~sides:1 (one_side ops))
+
+(* A DIP can be retired and still be chosen: [Dip_dead] keeps it in its
+   pool, and a VIP in step 1 still forwards new connections with the
+   old one. A connection born after the retirement, or re-born on a flow
+   that ended, is judged like any other. *)
+let flat_born_after_exclusion () =
+  let ops =
+    [ Remove 1; Pkt (0, Some 1, false); Pkt (0, Some 2, false);
+      (* flow 1 lives across the retirement, ends, and comes back *)
+      Pkt (1, Some 1, false); Remove 1; Pkt (1, Some 1, true);
+      Pkt (1, Some 1, false); Pkt (1, Some 3, false) ]
+  in
+  check Alcotest.bool "flat judge = spec" true (flat_matches_spec ~sides:1 (one_side ops));
+  let t = Lb.Pcc.Flat.create 2 and c = Lb.Pcc.Flat.counters () in
+  List.iter
+    (function
+      | Pkt (f, d, ends) -> Lb.Pcc.Flat.judge t c f (dip (Option.get d)) ~ends
+      | Remove d -> Lb.Pcc.Flat.exclude c (dip d))
+    ops;
+  check Alcotest.int "both new connections broken" 2 c.Lb.Pcc.Flat.broken
+
+(* a retirement logged in one shard's counters excuses none of another
+   shard's flows *)
+let flat_log_is_per_counters () =
   let t = Lb.Pcc.Flat.create 2 in
   let c = [| Lb.Pcc.Flat.counters (); Lb.Pcc.Flat.counters () |] in
   List.iter (fun f -> Lb.Pcc.Flat.judge t c.(f) f (dip 1) ~ends:false) [ 0; 1 ];
-  Lb.Pcc.Flat.exclude ~owner:([| 0; 1 |], 0) t (dip 1);
+  Lb.Pcc.Flat.exclude c.(0) (dip 1);
   List.iter (fun f -> Lb.Pcc.Flat.judge t c.(f) f (dip 2) ~ends:false) [ 0; 1 ];
-  check Alcotest.int "owner 0's flow excused" 0 c.(0).Lb.Pcc.Flat.broken;
-  check Alcotest.int "owner 1's flow still judged" 1 c.(1).Lb.Pcc.Flat.broken
+  check Alcotest.int "shard 0's flow excused" 0 c.(0).Lb.Pcc.Flat.broken;
+  check Alcotest.int "shard 1's flow still judged" 1 c.(1).Lb.Pcc.Flat.broken
 
-let gen_pcc_ops =
+let gen_pcc_op =
   QCheck.Gen.(
-    list_size (int_bound 60)
-      (frequency
-         [ ( 8,
-             map3
-               (fun f d ends -> Pkt (f, d, ends))
-               (int_bound (n_pcc_flows - 1))
-               (frequency [ (1, return None); (4, map Option.some (int_range 1 3)) ])
-               (map (fun k -> k = 0) (int_bound 4)) );
-           (1, map (fun d -> Remove d) (int_range 1 3)) ]))
+    frequency
+      [ ( 8,
+          map3
+            (fun f d ends -> Pkt (f, d, ends))
+            (int_bound (n_pcc_flows - 1))
+            (frequency [ (1, return None); (4, map Option.some (int_range 1 3)) ])
+            (map (fun k -> k = 0) (int_bound 4)) );
+        (1, map (fun d -> Remove d) (int_range 1 3)) ])
+
+let print_sided ops =
+  String.concat " " (List.map (fun (op, side) -> Printf.sprintf "%s@%d" (pp_pcc_op op) side) ops)
 
 let qcheck_flat_refines_spec =
   QCheck.Test.make ~name:"Flat judge = spec on random streams" ~count:500
-    (QCheck.make ~print:(fun ops -> String.concat " " (List.map pp_pcc_op ops)) gen_pcc_ops)
-    flat_matches_spec
+    (QCheck.make ~print:print_sided
+       QCheck.Gen.(list_size (int_bound 60) (pair gen_pcc_op (return 0))))
+    (flat_matches_spec ~sides:1)
+
+(* two counters, each packet judged by either, every exclusion
+   broadcast: a flow may be re-homed between any two of its packets *)
+let qcheck_flat_two_counters =
+  QCheck.Test.make ~name:"Flat judge over two counters = spec" ~count:500
+    (QCheck.make ~print:print_sided
+       QCheck.Gen.(list_size (int_bound 60) (pair gen_pcc_op (int_bound 1))))
+    (flat_matches_spec ~sides:2)
 
 let suites =
   [
@@ -243,6 +287,9 @@ let suites =
         tc "finish frees" `Quick pcc_finish_frees_state;
         QCheck_alcotest.to_alcotest qcheck_pcc_counts;
         tc "flat judge edge orders" `Quick flat_edge_orders;
+        tc "flat judges connections born after an exclusion" `Quick flat_born_after_exclusion;
+        tc "flat exclusion log is per counters" `Quick flat_log_is_per_counters;
         QCheck_alcotest.to_alcotest qcheck_flat_refines_spec;
+        QCheck_alcotest.to_alcotest qcheck_flat_two_counters;
       ] );
   ]

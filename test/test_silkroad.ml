@@ -733,6 +733,155 @@ let switch_udp_connections () =
   Silkroad.Switch.advance sw ~now:8.;
   check Alcotest.int "udp entries expired" 0 (Silkroad.Switch.connections sw)
 
+(* A flow parked on the overflow queue is uninstalled and unended:
+   pending, so an update requested meanwhile waits for it in step 1
+   until its retries succeed or give up. One left stateless after
+   giving up is still pending, so a later update on its VIP waits for
+   it too — here until the barrier deadline force-releases it. The
+   model's [mjob] rule pins the same predicate. *)
+let switch_overflow_gates_later_barrier () =
+  let cfg =
+    { Silkroad.Config.default with
+      Silkroad.Config.conn_table_rows = 4;
+      conn_table_stages = 2;
+      conn_table_ways = 2 }
+  in
+  let sw = mk_switch ~cfg () in
+  for i = 0 to 63 do
+    ignore (Silkroad.Switch.process sw ~now:0. (syn i))
+  done;
+  Silkroad.Switch.advance sw ~now:0.1;
+  let stats () = Silkroad.Switch.stats sw in
+  check Alcotest.bool "the table overflowed" true ((stats ()).Silkroad.Switch.insert_overflows > 0);
+  Silkroad.Switch.request_update sw ~now:0.1 ~vip (Lb.Balancer.Dip_add (dip 9));
+  check Alcotest.int "held by the queued flows" 1 (Silkroad.Switch.pending_updates sw);
+  (* one retry batch per control-plane step *)
+  List.iter (fun now -> Silkroad.Switch.advance sw ~now) [ 0.2; 0.3; 0.4 ];
+  check Alcotest.bool "retries gave up" true ((stats ()).Silkroad.Switch.table_full_drops > 0);
+  check Alcotest.int "released when they gave up" 1 (stats ()).Silkroad.Switch.updates_completed;
+  Silkroad.Switch.request_update sw ~now:0.5 ~vip (Lb.Balancer.Dip_add (dip 10));
+  Silkroad.Switch.advance sw ~now:2.;
+  check Alcotest.int "a later update waits on the stateless flows" 1
+    (Silkroad.Switch.pending_updates sw);
+  Silkroad.Switch.advance sw ~now:(0.6 +. Silkroad.Switch.barrier_deadline);
+  check Alcotest.int "until force-released" 1 (stats ()).Silkroad.Switch.forced_transitions;
+  check Alcotest.int "then completed" 2 (stats ()).Silkroad.Switch.updates_completed;
+  check Alcotest.bool "invariants" true (Silkroad.Switch.check_invariants sw = Ok ())
+
+(* ---------- pending set: invariants under random command streams ---------- *)
+
+type sw_cmd =
+  | Syn of int
+  | Data of int
+  | Fin of int
+  | Wait of float  (** advance the clock by this much *)
+  | Idle  (** advance past the idle timeout *)
+  | Update of int * int  (** VIP side; add / remove / replace a DIP *)
+  | Backlog of int  (** CPU work items *)
+  | Forget of int  (** re-route the flows with this hash bit *)
+  | Vip_readd  (** vip-remove then vip-add of the second VIP *)
+
+let vip2 = Netcore.Endpoint.v4 20 0 0 2 80
+
+(* 24 flows over two VIPs *)
+let side_flow i =
+  Netcore.Five_tuple.make
+    ~src:(Netcore.Endpoint.v4 1 2 3 4 (1000 + i))
+    ~dst:(if i mod 2 = 0 then vip else vip2)
+    ~proto:Netcore.Protocol.Tcp
+
+let pp_sw_cmd = function
+  | Syn i -> Printf.sprintf "syn %d" i
+  | Data i -> Printf.sprintf "data %d" i
+  | Fin i -> Printf.sprintf "fin %d" i
+  | Wait dt -> Printf.sprintf "wait %g" dt
+  | Idle -> "idle"
+  | Update (v, k) -> Printf.sprintf "update %d/%d" v k
+  | Backlog n -> Printf.sprintf "backlog %d" n
+  | Forget b -> Printf.sprintf "forget %d" b
+  | Vip_readd -> "vip-readd"
+
+let gen_sw_cmd =
+  QCheck.Gen.(
+    let flow = int_bound 23 in
+    frequency
+      [ (6, map (fun i -> Syn i) flow);
+        (5, map (fun i -> Data i) flow);
+        (3, map (fun i -> Fin i) flow);
+        (4, map (fun dt -> Wait dt) (oneofl [ 0.0002; 0.001; 0.003; 0.01; 0.05 ]));
+        (1, return Idle);
+        (2, map2 (fun v k -> Update (v, k)) (int_bound 1) (int_bound 5));
+        (1, map (fun n -> Backlog n) (int_range 1 20));
+        (1, map (fun b -> Forget b) (int_bound 1));
+        (1, return Vip_readd) ])
+
+(* a 16-slot table, 4-bit digests and a slow CPU: inserts hit [Full]
+   and the overflow queue, SYNs false-hit and repair, and connections
+   stay pending long enough for updates to wait on them *)
+let pending_cfg =
+  { Silkroad.Config.default with
+    Silkroad.Config.digest_bits = 4;
+    conn_table_rows = 4;
+    conn_table_stages = 2;
+    conn_table_ways = 2;
+    learning_capacity = 8;
+    cpu_insertions_per_sec = 2000.;
+    idle_timeout = 0.5 }
+
+let pool_of_side v = if v = 0 then pool [ 1; 2; 3 ] else pool [ 4; 5; 6 ]
+
+let run_sw_cmd sw now cmd =
+  let pkt mk i = ignore (Silkroad.Switch.process sw ~now:!now (mk (side_flow i))) in
+  match cmd with
+  | Syn i -> pkt Netcore.Packet.syn i
+  | Data i -> pkt Netcore.Packet.data i
+  | Fin i -> pkt Netcore.Packet.fin i
+  | Wait dt ->
+    now := !now +. dt;
+    Silkroad.Switch.advance sw ~now:!now
+  | Idle ->
+    now := !now +. (2. *. pending_cfg.Silkroad.Config.idle_timeout);
+    Silkroad.Switch.advance sw ~now:!now
+  | Update (v, k) ->
+    let base = if v = 0 then 1 else 4 in
+    let u =
+      match k with
+      | 0 | 1 -> Lb.Balancer.Dip_add (dip (base + 3 + k))
+      | 2 | 3 -> Lb.Balancer.Dip_remove (dip (base + k - 2))
+      | _ -> Lb.Balancer.Dip_replace { old_dip = dip (base + k - 4); new_dip = dip (base + 5) }
+    in
+    Silkroad.Switch.request_update sw ~now:!now ~vip:(if v = 0 then vip else vip2) u
+  | Backlog n -> Silkroad.Switch.inject_cpu_backlog sw ~now:!now ~work_items:n
+  | Forget b ->
+    ignore
+      (Silkroad.Switch.forget_flows sw ~now:!now (fun f _ -> Netcore.Five_tuple.bits ~seed:7 f 1 = b))
+  | Vip_readd ->
+    (* refused (no state touched) while an update on it is in flight *)
+    (match Silkroad.Switch.remove_vip sw vip2 with
+     | () -> Silkroad.Switch.add_vip sw vip2 (pool_of_side 1)
+     | exception Invalid_argument _ -> ())
+
+let invariants_hold_throughout cmds =
+  let sw = Silkroad.Switch.create ~check:`Off pending_cfg in
+  Silkroad.Switch.add_vip sw vip (pool_of_side 0);
+  Silkroad.Switch.add_vip sw vip2 (pool_of_side 1);
+  let now = ref 0. in
+  List.for_all
+    (fun cmd ->
+      run_sw_cmd sw now cmd;
+      match Silkroad.Switch.check_invariants sw with
+      | Ok () -> true
+      | Error problems ->
+        QCheck.Test.fail_reportf "after %s: %s" (pp_sw_cmd cmd) (String.concat "; " problems))
+    cmds
+
+let qcheck_switch_invariants =
+  QCheck.Test.make ~name:"invariants hold after every command" ~count:300
+    (QCheck.make
+       ~print:(fun cmds -> String.concat ", " (List.map pp_sw_cmd cmds))
+       QCheck.Gen.(list_size (int_range 20 150) gen_sw_cmd))
+    invariants_hold_throughout
+
 (* ---------- Health_checker (§7) ---------- *)
 
 let health_detects_failure () =
@@ -1068,6 +1217,8 @@ let suites =
         tc "unknown vip" `Quick switch_unknown_vip;
         tc "memory accounting" `Quick switch_memory_accounting;
         tc "udp connections" `Quick switch_udp_connections;
+        tc "overflowed flows gate a later barrier" `Quick switch_overflow_gates_later_barrier;
+        QCheck_alcotest.to_alcotest qcheck_switch_invariants;
       ] );
     ( "silkroad.isolation",
       [
