@@ -506,12 +506,14 @@ let serve_cmd =
         | Some p -> (
             match Simnet.Trace_io.load_flows p with
             | Error e -> Error (p ^ ": " ^ e)
-            | Ok flows ->
+            | Ok flows -> (
                 let horizon =
                   List.fold_left (fun acc f -> Float.max acc (Simnet.Flow.finish f)) 0. flows
                   +. 60.
                 in
-                Ok (Some (Harness.Packed_trace.compile ~horizon flows)))
+                match Harness.Packed_trace.compile ~horizon flows with
+                | trace -> Ok (Some trace)
+                | exception Invalid_argument e -> Error (p ^ ": " ^ e)))
       in
       match trace with
       | Error e -> `Error (false, e)

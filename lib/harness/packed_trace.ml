@@ -25,54 +25,176 @@ let dummy_tuple =
 
 let default_early = [ 250e-6; 1e-3; 5e-3; 20e-3; 0.1 ]
 
-(* The packet train of one flow, as (time, flags) pairs in strictly
-   increasing time order: SYN at start, early + steady data probes, FIN
-   when the flow ends inside the horizon. *)
-let probe_points ~early_offsets ~probe_interval ~horizon (flow : Simnet.Flow.t) =
-  let start = flow.Simnet.Flow.start in
-  let finish = Float.min (Simnet.Flow.finish flow) horizon in
-  if start >= horizon then []
-  else begin
-    let times = ref [] in
-    List.iter
-      (fun off ->
-        let at = start +. off in
-        if at < finish then times := at :: !times)
-      early_offsets;
-    let rec steady at =
-      if at < finish then begin
-        times := at :: !times;
-        steady (at +. probe_interval)
-      end
-    in
-    steady (start +. probe_interval);
-    let times = List.sort_uniq Float.compare !times in
-    let pts =
-      (start, Netcore.Tcp_flags.syn)
-      :: List.map (fun at -> (at, Netcore.Tcp_flags.data)) times
-    in
-    if Simnet.Flow.finish flow < horizon then
-      pts @ [ (Simnet.Flow.finish flow, Netcore.Tcp_flags.fin) ]
-    else pts
-  end
+(* ----- ordering ----- *)
 
-(* A stable sort on time alone: indices start in emission order, and
-   stability keeps that order among equal times. *)
+(* A time's sort key is its IEEE-754 bit pattern, which for finite
+   times >= 0 orders as the times do. The sign bit is 0, so the pattern
+   fits an OCaml int; [Int64.to_int] drops that bit, so -0.0 keys as
+   +0.0 and the two tie. Six 11-bit digits cover its 63 bits. A pass
+   scatters to 2048 buckets, whose write positions stay cache- and
+   TLB-resident; 16-bit digits (four passes, 65536 buckets) were ~20%
+   faster at ~1M packets but ~20% slower at 1M-5M connections (8M-38M
+   packets). *)
+let digit_bits = 11
+let radix = 1 lsl digit_bits
+let n_digits = 6
+
+(* Stable LSD radix sort of [payload] by [keys] (equal lengths, keys
+   >= 0), one digit a pass; returns the sorted pair of arrays, which
+   may be the inputs reused. One histogram pass counts every digit at
+   once, and a pass whose digit is the same for all keys is skipped.
+   Each pass is a stable counting scatter, so equal keys keep their
+   input order. Keys and payloads move together, so every read is
+   sequential. *)
+let radix_sort keys payload =
+  let n = Array.length keys in
+  let counts = Array.make (n_digits * radix) 0 in
+  for i = 0 to n - 1 do
+    let k = Array.unsafe_get keys i in
+    for d = 0 to n_digits - 1 do
+      let c = (d * radix) + ((k lsr (d * digit_bits)) land (radix - 1)) in
+      Array.unsafe_set counts c (Array.unsafe_get counts c + 1)
+    done
+  done;
+  let src_k = ref keys and src_p = ref payload in
+  let dst_k = ref (Array.make n 0) and dst_p = ref (Array.make n 0) in
+  for d = 0 to n_digits - 1 do
+    let base = d * radix and shift = d * digit_bits in
+    if n > 0 && counts.(base + ((keys.(0) lsr shift) land (radix - 1))) < n then begin
+      (* bucket counts -> first output slot of each bucket *)
+      let pos = ref 0 in
+      for b = base to base + radix - 1 do
+        let c = counts.(b) in
+        counts.(b) <- !pos;
+        pos := !pos + c
+      done;
+      let sk = !src_k and sp = !src_p and dk = !dst_k and dp = !dst_p in
+      for j = 0 to n - 1 do
+        let k = Array.unsafe_get sk j in
+        let b = base + ((k lsr shift) land (radix - 1)) in
+        let at = Array.unsafe_get counts b in
+        Array.unsafe_set dk at k;
+        Array.unsafe_set dp at (Array.unsafe_get sp j);
+        Array.unsafe_set counts b (at + 1)
+      done;
+      src_k := dk;
+      src_p := dp;
+      dst_k := sk;
+      dst_p := sp
+    end
+  done;
+  (!src_k, !src_p)
+
 let time_order times =
-  let order = Array.init (Array.length times) (fun i -> i) in
-  Array.stable_sort (fun a b -> Float.compare times.(a) times.(b)) order;
-  order
+  let key i =
+    let x = times.(i) in
+    if x >= 0. && x <= Float.max_float then Int64.to_int (Int64.bits_of_float x)
+    else invalid_arg "Packed_trace.time_order: times must be finite and >= 0"
+  in
+  let n = Array.length times in
+  snd (radix_sort (Array.init n key) (Array.init n (fun i -> i)))
+
+(* ----- compiling ----- *)
+
+(* While sorting, a packet's payload packs its flow index, whether its
+   time is -0.0 (its key cannot tell) and its flag byte. *)
+let neg_zero_bit = 0x100
+let flow_shift = 9
+
+let syn_byte = Netcore.Tcp_flags.to_byte Netcore.Tcp_flags.syn
+let data_byte = Netcore.Tcp_flags.to_byte Netcore.Tcp_flags.data
+let fin_byte = Netcore.Tcp_flags.to_byte Netcore.Tcp_flags.fin
+
+(* Emit one flow's packets at [p] in emission order as (key, payload)
+   pairs, or only count them when [keys] is empty; returns the next
+   free slot. The train is a SYN at the start, then the merge of the
+   early probes (start + each of the sorted, distinct [early] offsets)
+   with the steady chain (start + interval, + interval, ...), both
+   kept while before [finish] and with equal times emitted once, then
+   a FIN at the flow's end when that is before the horizon. Every time
+   is finite and >= 0 (or -0.0) once {!check_flow} has passed, and
+   written without being boxed. *)
+let emit_train ~early ~probe_interval ~horizon ~keys ~payload fi (flow : Simnet.Flow.t) p =
+  let write = Array.length keys > 0 in
+  let start = flow.Simnet.Flow.start in
+  let fin = Simnet.Flow.finish flow in
+  let finish = Float.min fin horizon in
+  let tag = fi lsl flow_shift in
+  if write then begin
+    keys.(p) <- Int64.to_int (Int64.bits_of_float start);
+    payload.(p) <- tag lor (if Float.sign_bit start then neg_zero_bit else 0) lor syn_byte
+  end;
+  let p = ref (p + 1) in
+  let n_early = Array.length early in
+  let e = ref 0 and steady = ref (start +. probe_interval) and last = ref Float.neg_infinity in
+  let live = ref true in
+  while !live do
+    let early_at = if !e < n_early then start +. early.(!e) else Float.infinity in
+    let early_ok = early_at < finish and steady_ok = !steady < finish in
+    if early_ok || steady_ok then begin
+      let at =
+        if early_ok && ((not steady_ok) || early_at <= !steady) then begin
+          incr e;
+          early_at
+        end
+        else begin
+          let at = !steady in
+          let next = at +. probe_interval in
+          if next <= at then
+            invalid_arg "Packed_trace.compile: probe_interval too small to advance a flow's time";
+          steady := next;
+          at
+        end
+      in
+      (* at > 0: start >= 0 plus a positive offset *)
+      if at > !last then begin
+        if write then begin
+          keys.(!p) <- Int64.to_int (Int64.bits_of_float at);
+          payload.(!p) <- tag lor data_byte
+        end;
+        incr p;
+        last := at
+      end
+    end
+    else live := false
+  done;
+  if fin < horizon then begin
+    if write then begin
+      keys.(!p) <- Int64.to_int (Int64.bits_of_float fin);
+      payload.(!p) <- tag lor (if Float.sign_bit fin then neg_zero_bit else 0) lor fin_byte
+    end;
+    incr p
+  end;
+  !p
+
+let check_flow (flow : Simnet.Flow.t) =
+  let start = flow.Simnet.Flow.start and duration = flow.Simnet.Flow.duration in
+  if not (Float.is_finite start && start >= 0.) then
+    invalid_arg "Packed_trace.compile: flow start must be finite and >= 0";
+  if not (Float.is_finite duration && duration >= 0.) then
+    invalid_arg "Packed_trace.compile: flow duration must be finite and >= 0"
 
 let compile ?(early_offsets = default_early) ?(probe_interval = 15.) ~horizon flows =
-  let kept =
-    List.filter_map
-      (fun f ->
-        match probe_points ~early_offsets ~probe_interval ~horizon f with
-        | [] -> None
-        | pts -> Some (f, pts))
-      flows
-  in
-  let n_flows = List.length kept in
+  if not (Float.is_finite probe_interval && probe_interval > 0.) then
+    invalid_arg "Packed_trace.compile: probe_interval must be finite and > 0";
+  List.iter
+    (fun off ->
+      if not (Float.is_finite off && off > 0.) then
+        invalid_arg "Packed_trace.compile: early offsets must be finite and > 0")
+    early_offsets;
+  let early = Array.of_list (List.sort_uniq Float.compare early_offsets) in
+  let kept (f : Simnet.Flow.t) = not (f.Simnet.Flow.start >= horizon) in
+  (* a counting pass checks every flow and sizes the arrays exactly *)
+  let n_flows = ref 0 and total = ref 0 in
+  List.iter
+    (fun f ->
+      check_flow f;
+      if kept f then begin
+        incr n_flows;
+        total := emit_train ~early ~probe_interval ~horizon ~keys:[||] ~payload:[||] 0 f !total
+      end)
+    flows;
+  let n_flows = !n_flows and total = !total in
   let vip_index = Hashtbl.create 16 in
   let vips_rev = ref [] in
   let n_vips = ref 0 in
@@ -89,35 +211,33 @@ let compile ?(early_offsets = default_early) ?(probe_interval = 15.) ~horizon fl
   let flow_ids = Array.make n_flows 0 in
   let flow_vip = Array.make n_flows 0 in
   let flow_tuples = Array.make n_flows dummy_tuple in
-  let total = List.fold_left (fun acc (_, pts) -> acc + List.length pts) 0 kept in
-  let raw_times = Array.make total 0. in
-  let raw_flow = Array.make total 0 in
-  let raw_flags = Bytes.create total in
-  let p = ref 0 in
-  List.iteri
-    (fun fi ((flow : Simnet.Flow.t), pts) ->
-      flow_ids.(fi) <- flow.Simnet.Flow.id;
-      flow_tuples.(fi) <- flow.Simnet.Flow.tuple;
-      flow_vip.(fi) <- vip_idx flow.Simnet.Flow.tuple.Netcore.Five_tuple.dst;
-      List.iter
-        (fun (at, flags) ->
-          raw_times.(!p) <- at;
-          raw_flow.(!p) <- fi;
-          Bytes.set raw_flags !p (Char.chr (Netcore.Tcp_flags.to_byte flags));
-          incr p)
-        pts)
-    kept;
+  let keys = Array.make total 0 in
+  let payload = Array.make total 0 in
   (* flows in list order, so emission order is the tie order *)
-  let order = time_order raw_times in
+  let fi = ref 0 and p = ref 0 in
+  List.iter
+    (fun (flow : Simnet.Flow.t) ->
+      if kept flow then begin
+        let i = !fi in
+        flow_ids.(i) <- flow.Simnet.Flow.id;
+        flow_tuples.(i) <- flow.Simnet.Flow.tuple;
+        flow_vip.(i) <- vip_idx flow.Simnet.Flow.tuple.Netcore.Five_tuple.dst;
+        p := emit_train ~early ~probe_interval ~horizon ~keys ~payload i flow !p;
+        fi := i + 1
+      end)
+    flows;
+  let keys, payload = radix_sort keys payload in
   let times = Array.make total 0. in
-  let pkt_flow = Array.make total 0 in
   let pkt_flags = Bytes.create total in
-  Array.iteri
-    (fun i src ->
-      times.(i) <- raw_times.(src);
-      pkt_flow.(i) <- raw_flow.(src);
-      Bytes.set pkt_flags i (Bytes.get raw_flags src))
-    order;
+  for i = 0 to total - 1 do
+    let pl = payload.(i) in
+    times.(i) <-
+      (if pl land neg_zero_bit <> 0 then -0.
+       else Int64.float_of_bits (Int64.logand (Int64.of_int keys.(i)) Int64.max_int));
+    Bytes.unsafe_set pkt_flags i (Char.unsafe_chr (pl land 0xff));
+    (* the payload array becomes [pkt_flow] in place *)
+    payload.(i) <- pl lsr flow_shift
+  done;
   {
     horizon;
     vips = Array.of_list (List.rev !vips_rev);
@@ -125,7 +245,7 @@ let compile ?(early_offsets = default_early) ?(probe_interval = 15.) ~horizon fl
     flow_vip;
     flow_tuples;
     times;
-    pkt_flow;
+    pkt_flow = payload;
     pkt_flags;
   }
 

@@ -32,21 +32,13 @@ val default_early : float list
 (** The default [early_offsets]: 250 µs, 1 ms, 5 ms, 20 ms, 100 ms —
     inside the connection-learning race window §4.3 is about. *)
 
-val probe_points :
-  early_offsets:float list ->
-  probe_interval:float ->
-  horizon:float ->
-  Simnet.Flow.t ->
-  (float * Netcore.Tcp_flags.t) list
-(** One flow's packet train, as (time, flags) pairs in strictly
-    increasing time order: a SYN at the flow's start, a data probe at
-    each early offset and every [probe_interval] after the start while
-    the flow lives, and a FIN when the flow ends before the horizon.
-    Empty when the flow starts at or after the horizon. *)
-
 val time_order : float array -> int array
 (** The indices of [times] sorted by time, equal times in index order:
-    the permutation {!compile} applies to the emitted packets. *)
+    the permutation {!compile} applies to the emitted packets. A stable
+    LSD radix sort on the IEEE-754 bit pattern (six 11-bit passes,
+    skipping a pass whose digit never varies), so linear in the length;
+    [-0.0] ties with [+0.0]. Raises [Invalid_argument] on a negative or
+    non-finite time. *)
 
 val compile :
   ?early_offsets:float list ->
@@ -57,9 +49,24 @@ val compile :
 (** Pre-encode the packet trains of these flows. Each flow's train is
     a SYN at its start, a data probe at each early offset (default
     {!default_early}) and every [probe_interval] (default 15 s) after
-    the start while the flow lives, and a FIN when it ends before the
-    horizon. Flows starting at or after the horizon are dropped; the
-    rest keep their list order as flow indices. *)
+    the start while the flow lives (equal times once), and a FIN when
+    it ends before the horizon. Flows starting at or after the horizon
+    are dropped; the rest keep their list order as flow indices, and
+    equal-time packets fire in that flow-major emission order.
+
+    Raises [Invalid_argument] when [probe_interval] is not finite and
+    [> 0], an early offset is not finite and [> 0], a flow's start or
+    duration is negative or not finite, or a flow's steady chain stops
+    advancing ([t +. probe_interval = t] before the flow ends).
+
+    Cost: linear in the packets. A counting pass sizes the arrays
+    exactly; each train is then written straight into them as (time
+    key, packed flow index and flags) int pairs, which the radix sort
+    behind {!time_order} orders, moving key and payload together so
+    that every read is sequential. No per-packet list, tuple or boxed float
+    is built. Peak memory is about 41 bytes a packet on top of the flow
+    list: the two key and two payload arrays of the sort (one payload
+    array becomes [pkt_flow]) and the sorted times and flags. *)
 
 type partition = {
   pt_shards : int;

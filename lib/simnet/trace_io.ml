@@ -33,7 +33,10 @@ let flow_of_line line =
     let* start = parse_float "start" start in
     let* duration = parse_float "duration" duration in
     let* rate = parse_float "rate" rate in
-    if duration < 0. || rate < 0. then Error "negative duration or rate"
+    if not (Float.is_finite start && Float.is_finite duration && Float.is_finite rate) then
+      Error "start, duration and rate must be finite"
+    else if start < 0. || duration < 0. || rate < 0. then
+      Error "negative start, duration or rate"
     else
       Ok
         {

@@ -10,7 +10,9 @@
     [[v6]:port]); lines starting with [#] and blank lines are ignored.
     Floats are written with [%.17g], so save + load returns the exact
     flows. Parsing is strict: any malformed line fails with its line
-    number, so a truncated trace cannot be half-loaded silently.
+    number, so a truncated trace cannot be half-loaded silently. A start,
+    duration or rate that is negative or not finite ([inf], [nan]) is
+    malformed: it would give a replay an infinite or undefined horizon.
 
     Update schedules have no format of their own: they are serve
     scripts ([Control.Protocol.of_updates]), replayed together with a

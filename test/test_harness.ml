@@ -256,20 +256,295 @@ let golden =
     ("vip-migration", "ecmp", "e0cdd89673b96426ab0e897f813cbfd7");
   ]
 
-(* Packed_trace sorts packets with a stable sort on time alone. It must
-   give the permutation the (time, index) comparator gives; times are
-   drawn from a handful of values so that most of them tie. *)
+(* ---------- Packed_trace ---------- *)
+
+(* The reference compile: each flow's train built as a list of
+   (time, flags) pairs, packets sorted by a comparison stable sort on
+   time. Packed_trace.compile must give the very same arrays. *)
+module Reference = struct
+  let probe_points ~early_offsets ~probe_interval ~horizon (flow : Simnet.Flow.t) =
+    let start = flow.Simnet.Flow.start in
+    let finish = Float.min (Simnet.Flow.finish flow) horizon in
+    if start >= horizon then []
+    else begin
+      let times = ref [] in
+      List.iter
+        (fun off ->
+          let at = start +. off in
+          if at < finish then times := at :: !times)
+        early_offsets;
+      let rec steady at =
+        if at < finish then begin
+          times := at :: !times;
+          steady (at +. probe_interval)
+        end
+      in
+      steady (start +. probe_interval);
+      let times = List.sort_uniq Float.compare !times in
+      let pts =
+        (start, Netcore.Tcp_flags.syn) :: List.map (fun at -> (at, Netcore.Tcp_flags.data)) times
+      in
+      if Simnet.Flow.finish flow < horizon then
+        pts @ [ (Simnet.Flow.finish flow, Netcore.Tcp_flags.fin) ]
+      else pts
+    end
+
+  let time_order times =
+    let order = Array.init (Array.length times) (fun i -> i) in
+    Array.stable_sort (fun a b -> Float.compare times.(a) times.(b)) order;
+    order
+
+  let compile ~early_offsets ~probe_interval ~horizon flows =
+    let kept =
+      List.filter_map
+        (fun f ->
+          match probe_points ~early_offsets ~probe_interval ~horizon f with
+          | [] -> None
+          | pts -> Some (f, pts))
+        flows
+    in
+    let n_flows = List.length kept in
+    let vip_index = Hashtbl.create 16 in
+    let vips_rev = ref [] in
+    let n_vips = ref 0 in
+    let vip_idx vip =
+      match Hashtbl.find_opt vip_index vip with
+      | Some i -> i
+      | None ->
+        let i = !n_vips in
+        Hashtbl.replace vip_index vip i;
+        vips_rev := vip :: !vips_rev;
+        incr n_vips;
+        i
+    in
+    let flow_ids = Array.make n_flows 0 in
+    let flow_vip = Array.make n_flows 0 in
+    let flow_tuples = Array.make n_flows Harness.Packed_trace.dummy_tuple in
+    let total = List.fold_left (fun acc (_, pts) -> acc + List.length pts) 0 kept in
+    let raw_times = Array.make total 0. in
+    let raw_flow = Array.make total 0 in
+    let raw_flags = Bytes.create total in
+    let p = ref 0 in
+    List.iteri
+      (fun fi ((flow : Simnet.Flow.t), pts) ->
+        flow_ids.(fi) <- flow.Simnet.Flow.id;
+        flow_tuples.(fi) <- flow.Simnet.Flow.tuple;
+        flow_vip.(fi) <- vip_idx flow.Simnet.Flow.tuple.Netcore.Five_tuple.dst;
+        List.iter
+          (fun (at, flags) ->
+            raw_times.(!p) <- at;
+            raw_flow.(!p) <- fi;
+            Bytes.set raw_flags !p (Char.chr (Netcore.Tcp_flags.to_byte flags));
+            incr p)
+          pts)
+      kept;
+    let order = time_order raw_times in
+    let times = Array.make total 0. in
+    let pkt_flow = Array.make total 0 in
+    let pkt_flags = Bytes.create total in
+    Array.iteri
+      (fun i src ->
+        times.(i) <- raw_times.(src);
+        pkt_flow.(i) <- raw_flow.(src);
+        Bytes.set pkt_flags i (Bytes.get raw_flags src))
+      order;
+    {
+      Harness.Packed_trace.horizon;
+      vips = Array.of_list (List.rev !vips_rev);
+      flow_ids;
+      flow_vip;
+      flow_tuples;
+      times;
+      pkt_flow;
+      pkt_flags;
+    }
+end
+
+let bits x = Int64.bits_of_float x
+
+let same_trace (a : Harness.Packed_trace.t) (b : Harness.Packed_trace.t) =
+  let open Harness.Packed_trace in
+  bits a.horizon = bits b.horizon
+  && Array.length a.vips = Array.length b.vips
+  && Array.for_all2 Netcore.Endpoint.equal a.vips b.vips
+  && a.flow_ids = b.flow_ids && a.flow_vip = b.flow_vip
+  && Array.length a.flow_tuples = Array.length b.flow_tuples
+  && Array.for_all2 Netcore.Five_tuple.equal a.flow_tuples b.flow_tuples
+  && Array.map bits a.times = Array.map bits b.times
+  && a.pkt_flow = b.pkt_flow && Bytes.equal a.pkt_flags b.pkt_flags
+
+(* Random compile inputs built to hit the edges of the train merge:
+   equal starts, start 0 (and -0.0, whose bits the times keep), starts
+   at or after the horizon, finishes exactly at the horizon, zero
+   durations, early offsets unsorted, duplicated or equal to
+   steady-probe offsets, and probe intervals from 1e-6 s up. The
+   horizon is a bounded number of intervals, so no flow has more than
+   ~64 steady probes. *)
+let gen_compile_input =
+  let open QCheck.Gen in
+  let* probe_interval = oneofl [ 1e-6; 1e-3; 0.1; 0.25; 1.; 15. ] in
+  let* horizon = map (fun k -> float_of_int k *. probe_interval) (int_range 0 64) in
+  let* early_offsets =
+    list_size (int_range 0 6)
+      (frequency
+         [
+           (2, map (fun k -> float_of_int k *. probe_interval) (int_range 1 4));
+           (2, oneofl Harness.Packed_trace.default_early);
+           (3, map (fun x -> (x +. 1e-9) *. probe_interval) (float_bound_inclusive 3.));
+         ])
+  in
+  let* n_vips = int_range 1 3 in
+  let vip i = Netcore.Endpoint.v4 20 0 0 (1 + i) 80 in
+  let* starts_pool = list_size (int_range 1 4) (float_bound_inclusive (horizon *. 1.2)) in
+  let start =
+    frequency
+      [
+        (1, oneofl [ 0.; -0. ]);
+        (1, return horizon);
+        (1, map (fun d -> horizon +. d) (float_bound_inclusive 5.));
+        (3, oneofl starts_pool);
+        (3, float_bound_inclusive (Float.max horizon 1e-3));
+        (1, map (fun k -> float_of_int k *. probe_interval) (int_range 0 64));
+      ]
+  in
+  let* flows =
+    list_size (int_range 0 30)
+      (let* start = start in
+       let* duration =
+         frequency
+           [
+             (1, oneofl [ 0.; -0. ]);
+             (1, return (Float.max 0. (horizon -. start)));
+             (1, map (fun k -> float_of_int k *. probe_interval) (int_range 0 8));
+             (3, float_bound_inclusive (horizon *. 1.5));
+           ]
+       in
+       let* v = int_bound (n_vips - 1) in
+       let* port = int_range 1 60000 in
+       return (start, duration, v, port))
+  in
+  let flows =
+    List.mapi
+      (fun id (start, duration, v, port) ->
+        {
+          Simnet.Flow.id;
+          tuple =
+            Netcore.Five_tuple.make
+              ~src:(Netcore.Endpoint.v4 1 2 3 4 port)
+              ~dst:(vip v) ~proto:Netcore.Protocol.Tcp;
+          start;
+          duration;
+          bytes_per_sec = 1000.;
+        })
+      flows
+  in
+  return (early_offsets, probe_interval, horizon, flows)
+
+let print_compile_input (early_offsets, probe_interval, horizon, flows) =
+  Printf.sprintf "early=[%s] probe_interval=%h horizon=%h flows=[%s]"
+    (String.concat "; " (List.map (Printf.sprintf "%h") early_offsets))
+    probe_interval horizon
+    (String.concat "; "
+       (List.map
+          (fun f ->
+            Printf.sprintf "%d: %h+%h -> %s" f.Simnet.Flow.id f.Simnet.Flow.start
+              f.Simnet.Flow.duration
+              (Netcore.Endpoint.to_string f.Simnet.Flow.tuple.Netcore.Five_tuple.dst))
+          flows))
+
+let qcheck_compile_is_reference =
+  QCheck.Test.make ~name:"compile == list-and-stable-sort reference" ~count:500
+    (QCheck.make ~print:print_compile_input gen_compile_input)
+    (fun (early_offsets, probe_interval, horizon, flows) ->
+      same_trace
+        (Harness.Packed_trace.compile ~early_offsets ~probe_interval ~horizon flows)
+        (Reference.compile ~early_offsets ~probe_interval ~horizon flows))
+
+(* The default early offsets and interval over a generated workload. *)
+let compile_workload_is_reference () =
+  let s =
+    Experiments.Common.scenario ~seed:5 ~conns_per_sec_per_vip:40. ~updates_per_min:0.
+      ~trace_seconds:60. ()
+  in
+  let horizon = s.Experiments.Common.horizon and flows = s.Experiments.Common.flows in
+  check Alcotest.bool "identical arrays" true
+    (same_trace
+       (Harness.Packed_trace.compile ~horizon flows)
+       (Reference.compile ~early_offsets:Harness.Packed_trace.default_early ~probe_interval:15.
+          ~horizon flows))
+
+let raises_invalid f =
+  match f () with
+  | _ -> false
+  | exception Invalid_argument _ -> true
+
+let compile_contract () =
+  let ok = flow ~id:1 ~start:1. ~duration:10. in
+  let compile ?early_offsets ?probe_interval flows () =
+    Harness.Packed_trace.compile ?early_offsets ?probe_interval ~horizon:100. flows
+  in
+  List.iter
+    (fun (what, f) -> check Alcotest.bool what true (raises_invalid f))
+    [
+      ("probe_interval 0", compile ~probe_interval:0. [ ok ]);
+      ("probe_interval < 0", compile ~probe_interval:(-1.) [ ok ]);
+      ("probe_interval nan", compile ~probe_interval:Float.nan [ ok ]);
+      ("probe_interval inf", compile ~probe_interval:Float.infinity [ ok ]);
+      ("early offset 0", compile ~early_offsets:[ 1e-3; 0. ] [ ok ]);
+      ("early offset < 0", compile ~early_offsets:[ -1e-3 ] [ ok ]);
+      ("early offset nan", compile ~early_offsets:[ Float.nan ] [ ok ]);
+      ("early offset inf", compile ~early_offsets:[ Float.infinity ] [ ok ]);
+      ("start < 0", compile [ ok; flow ~id:2 ~start:(-1.) ~duration:1. ]);
+      ("start nan", compile [ flow ~id:2 ~start:Float.nan ~duration:1. ]);
+      ("start inf", compile [ flow ~id:2 ~start:Float.infinity ~duration:1. ]);
+      ("duration < 0", compile [ flow ~id:2 ~start:1. ~duration:(-1.) ]);
+      ("duration nan", compile [ flow ~id:2 ~start:1. ~duration:Float.nan ]);
+      ("duration inf", compile [ flow ~id:2 ~start:1. ~duration:Float.infinity ]);
+      (* 1e17 +. 1e-3 = 1e17: the steady chain would never pass the end *)
+      ( "steady chain stalls",
+        fun () ->
+          Harness.Packed_trace.compile ~probe_interval:1e-3 ~horizon:2e17
+            [ flow ~id:2 ~start:1e17 ~duration:1000. ] );
+    ];
+  (* the boundaries themselves are accepted *)
+  let t = compile [ flow ~id:2 ~start:0. ~duration:0. ] () in
+  check Alcotest.int "start 0, duration 0: SYN and FIN" 2 (Harness.Packed_trace.n_packets t)
+
+(* Packed_trace orders packets by a stable radix sort on time alone. It
+   must give the permutation the (time, index) comparator gives. Times
+   come from a pool of values spread over every exponent (random bit
+   patterns), with 0.0, -0.0 (which ties with 0.0), subnormals and
+   max_float, so every radix digit varies; a small pool forces ties. *)
+let gen_time =
+  let open QCheck.Gen in
+  frequency
+    [
+      (6, map (fun b -> Int64.float_of_bits (Int64.rem (Int64.logand b Int64.max_int) 0x7FF0_0000_0000_0000L)) ui64);
+      (1, map (fun b -> Int64.float_of_bits (Int64.logand b 0x000F_FFFF_FFFF_FFFFL)) ui64);
+      (1, oneofl [ 0.; -0.; Float.max_float; Float.min_float; 4.9e-324 ]);
+      (2, map (fun k -> float_of_int k *. 0.25) (int_bound 1000));
+    ]
+
 let qcheck_time_order_stable =
   QCheck.Test.make ~name:"time order == sort by (time, index)" ~count:300
-    QCheck.(pair (int_range 1 6) (list_of_size (Gen.int_range 0 200) (int_bound 1000)))
-    (fun (distinct, draws) ->
-      let times = Array.of_list (List.map (fun d -> float_of_int (d mod distinct) *. 0.25) draws) in
+    QCheck.(
+      make
+        Gen.(
+          let* pool = array_size (int_range 1 300) gen_time in
+          array_size (int_range 0 3000) (map (fun i -> pool.(i mod Array.length pool)) nat)))
+    (fun times ->
       let reference = Array.init (Array.length times) (fun i -> i) in
       Array.sort
-        (fun a b ->
-          match Float.compare times.(a) times.(b) with 0 -> Int.compare a b | c -> c)
+        (fun a b -> match Float.compare times.(a) times.(b) with 0 -> Int.compare a b | c -> c)
         reference;
       Harness.Packed_trace.time_order times = reference)
+
+let time_order_rejects () =
+  List.iter
+    (fun x ->
+      check Alcotest.bool (Printf.sprintf "%h" x) true
+        (raises_invalid (fun () -> Harness.Packed_trace.time_order [| 1.; x; 2. |])))
+    [ -1.; -4.9e-324; Float.neg_infinity; Float.infinity; Float.nan ]
 
 let golden_case (scenario, balancer, digest) =
   tc (scenario ^ " " ^ balancer) `Quick (fun () ->
@@ -291,6 +566,13 @@ let suites =
         tc "update ordering" `Quick update_delivery_order;
         tc "control semantics" `Quick control_semantics;
       ] );
-    ("harness.packed_trace", [ QCheck_alcotest.to_alcotest qcheck_time_order_stable ]);
+    ( "harness.packed_trace",
+      [
+        QCheck_alcotest.to_alcotest qcheck_time_order_stable;
+        tc "time order rejects negative and non-finite" `Quick time_order_rejects;
+        QCheck_alcotest.to_alcotest qcheck_compile_is_reference;
+        tc "workload compile == reference" `Quick compile_workload_is_reference;
+        tc "input contract" `Quick compile_contract;
+      ] );
     ("harness.driver_golden", List.map golden_case golden);
   ]

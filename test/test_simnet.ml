@@ -365,6 +365,43 @@ let trace_line_errors () =
   check Alcotest.bool "bad endpoint" true
     (Result.is_error (Simnet.Trace_io.flow_of_line "flow 1 nonsense 20.0.0.1:80 0 1 1"))
 
+(* A non-finite or negative field would give a replay an infinite or
+   undefined horizon: an inf duration hung serve's compile, a nan one
+   dropped every flow. *)
+let trace_rejects_non_finite () =
+  let line start duration rate =
+    Printf.sprintf "flow 1 10.0.0.1:1000 10.1.0.1:80 %s %s %s" start duration rate
+  in
+  List.iter
+    (fun (start, duration, rate) ->
+      let l = line start duration rate in
+      check Alcotest.bool l true (Result.is_error (Simnet.Trace_io.flow_of_line l)))
+    [
+      ("0", "inf", "1000");
+      ("0", "nan", "1000");
+      ("0", "-inf", "1000");
+      ("inf", "1", "1000");
+      ("nan", "1", "1000");
+      ("-1", "1", "1000");
+      ("-inf", "1", "1000");
+      ("0", "1", "inf");
+      ("0", "1", "nan");
+      ("0", "-1", "1000");
+      ("0", "1", "-1");
+    ];
+  check Alcotest.bool "zero start and duration accepted" true
+    (Result.is_ok (Simnet.Trace_io.flow_of_line (line "0" "0" "0")));
+  let path = Filename.temp_file "silkroad" ".inf" in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc "# one good line, then an infinite duration\n";
+      output_string oc (line "0" "1" "1000" ^ "\n");
+      output_string oc (line "0" "inf" "1000" ^ "\n"));
+  (match Simnet.Trace_io.load_flows path with
+   | Error msg ->
+     check Alcotest.string "line-numbered" "line 3: start, duration and rate must be finite" msg
+   | Ok _ -> Alcotest.fail "inf duration accepted");
+  Sys.remove path
+
 let qcheck_trace_line_roundtrip =
   QCheck.Test.make ~name:"trace line print/parse roundtrip" ~count:200
     QCheck.(quad small_int (pair (int_bound 255) (int_range 1 65535))
@@ -441,6 +478,7 @@ let suites =
         tc "flow roundtrip" `Quick trace_flow_roundtrip;
         tc "rejects garbage" `Quick trace_rejects_garbage;
         tc "line errors" `Quick trace_line_errors;
+        tc "rejects non-finite and negative" `Quick trace_rejects_non_finite;
         QCheck_alcotest.to_alcotest qcheck_trace_line_roundtrip;
       ] );
     ( "simnet.cluster",
