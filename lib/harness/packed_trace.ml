@@ -42,8 +42,7 @@ let n_digits = 6
 (* Stable LSD radix sort of [payload] by [keys] (equal lengths, keys
    >= 0), one digit a pass; returns the sorted pair of arrays, which
    may be the inputs reused. One histogram pass counts every digit at
-   once, and a pass whose digit is the same for all keys is skipped.
-   Each pass is a stable counting scatter, so equal keys keep their
+   once. Each pass is a stable counting scatter, so equal keys keep their
    input order. Keys and payloads move together, so every read is
    sequential. *)
 let radix_sort keys payload =
@@ -60,28 +59,26 @@ let radix_sort keys payload =
   let dst_k = ref (Array.make n 0) and dst_p = ref (Array.make n 0) in
   for d = 0 to n_digits - 1 do
     let base = d * radix and shift = d * digit_bits in
-    if n > 0 && counts.(base + ((keys.(0) lsr shift) land (radix - 1))) < n then begin
-      (* bucket counts -> first output slot of each bucket *)
-      let pos = ref 0 in
-      for b = base to base + radix - 1 do
-        let c = counts.(b) in
-        counts.(b) <- !pos;
-        pos := !pos + c
-      done;
-      let sk = !src_k and sp = !src_p and dk = !dst_k and dp = !dst_p in
-      for j = 0 to n - 1 do
-        let k = Array.unsafe_get sk j in
-        let b = base + ((k lsr shift) land (radix - 1)) in
-        let at = Array.unsafe_get counts b in
-        Array.unsafe_set dk at k;
-        Array.unsafe_set dp at (Array.unsafe_get sp j);
-        Array.unsafe_set counts b (at + 1)
-      done;
-      src_k := dk;
-      src_p := dp;
-      dst_k := sk;
-      dst_p := sp
-    end
+    (* bucket counts -> first output slot of each bucket *)
+    let pos = ref 0 in
+    for b = base to base + radix - 1 do
+      let c = counts.(b) in
+      counts.(b) <- !pos;
+      pos := !pos + c
+    done;
+    let sk = !src_k and sp = !src_p and dk = !dst_k and dp = !dst_p in
+    for j = 0 to n - 1 do
+      let k = Array.unsafe_get sk j in
+      let b = base + ((k lsr shift) land (radix - 1)) in
+      let at = Array.unsafe_get counts b in
+      Array.unsafe_set dk at k;
+      Array.unsafe_set dp at (Array.unsafe_get sp j);
+      Array.unsafe_set counts b (at + 1)
+    done;
+    src_k := dk;
+    src_p := dp;
+    dst_k := sk;
+    dst_p := sp
   done;
   (!src_k, !src_p)
 
@@ -174,6 +171,20 @@ let check_flow (flow : Simnet.Flow.t) =
   if not (Float.is_finite duration && duration >= 0.) then
     invalid_arg "Packed_trace.compile: flow duration must be finite and >= 0"
 
+(* The most packets a schedule may hold: 2^32, about 176 GB of arrays
+   at 41 bytes a packet. Without a bound, a finite but huge lifetime
+   (1e15 s at 15 s is ~7e13 steady probes) would keep the counting pass
+   walking one chain for days, so every flow's steady count is
+   estimated in O(1) from its lifetime before any chain is walked. A
+   step of the chain advances at least half an interval (less rounds
+   to no advance, which [emit_train] rejects), so the walk is at most
+   about twice the estimate. *)
+let max_packets = 1 lsl 32
+
+let too_many () =
+  invalid_arg
+    "Packed_trace.compile: more than 2^32 packets (a flow lives too long for its probe_interval)"
+
 let compile ?(early_offsets = default_early) ?(probe_interval = 15.) ~horizon flows =
   if not (Float.is_finite probe_interval && probe_interval > 0.) then
     invalid_arg "Packed_trace.compile: probe_interval must be finite and > 0";
@@ -184,14 +195,26 @@ let compile ?(early_offsets = default_early) ?(probe_interval = 15.) ~horizon fl
     early_offsets;
   let early = Array.of_list (List.sort_uniq Float.compare early_offsets) in
   let kept (f : Simnet.Flow.t) = not (f.Simnet.Flow.start >= horizon) in
-  (* a counting pass checks every flow and sizes the arrays exactly *)
+  (* a first pass checks every flow and bounds the steady probes *)
+  let estimate =
+    List.fold_left
+      (fun acc (f : Simnet.Flow.t) ->
+        check_flow f;
+        if kept f then
+          let lifetime = Float.min (Simnet.Flow.finish f) horizon -. f.Simnet.Flow.start in
+          acc +. (lifetime /. probe_interval)
+        else acc)
+      0. flows
+  in
+  if estimate > float_of_int max_packets then too_many ();
+  (* a counting pass sizes the arrays exactly *)
   let n_flows = ref 0 and total = ref 0 in
   List.iter
     (fun f ->
-      check_flow f;
       if kept f then begin
         incr n_flows;
-        total := emit_train ~early ~probe_interval ~horizon ~keys:[||] ~payload:[||] 0 f !total
+        total := emit_train ~early ~probe_interval ~horizon ~keys:[||] ~payload:[||] 0 f !total;
+        if !total > max_packets then too_many ()
       end)
     flows;
   let n_flows = !n_flows and total = !total in

@@ -35,8 +35,8 @@ val default_early : float list
 val time_order : float array -> int array
 (** The indices of [times] sorted by time, equal times in index order:
     the permutation {!compile} applies to the emitted packets. A stable
-    LSD radix sort on the IEEE-754 bit pattern (six 11-bit passes,
-    skipping a pass whose digit never varies), so linear in the length;
+    LSD radix sort on the IEEE-754 bit pattern (six 11-bit passes), so
+    linear in the length;
     [-0.0] ties with [+0.0]. Raises [Invalid_argument] on a negative or
     non-finite time. *)
 
@@ -56,8 +56,12 @@ val compile :
 
     Raises [Invalid_argument] when [probe_interval] is not finite and
     [> 0], an early offset is not finite and [> 0], a flow's start or
-    duration is negative or not finite, or a flow's steady chain stops
-    advancing ([t +. probe_interval = t] before the flow ends).
+    duration is negative or not finite, a flow's steady chain stops
+    advancing ([t +. probe_interval = t] before the flow ends), or the
+    schedule would hold more than 2{^32} packets. That last bound is
+    checked against an O(1) per-flow estimate (lifetime over
+    [probe_interval]) before any flow's chain is walked, so a finite
+    but huge lifetime fails at once instead of walking ~10{^13} probes.
 
     Cost: linear in the packets. A counting pass sizes the arrays
     exactly; each train is then written straight into them as (time

@@ -505,6 +505,14 @@ let compile_contract () =
         fun () ->
           Harness.Packed_trace.compile ~probe_interval:1e-3 ~horizon:2e17
             [ flow ~id:2 ~start:1e17 ~duration:1000. ] );
+      (* finite, but ~7e13 steady probes: refused before the chain is walked *)
+      ( "duration 1e15",
+        fun () ->
+          Harness.Packed_trace.compile ~horizon:2e15 [ flow ~id:2 ~start:0. ~duration:1e15 ] );
+      (* ~1e8 probes each, ~5e10 together: refused before any chain is walked *)
+      ( "many flows past 2^32 packets together",
+        compile ~probe_interval:1e-6
+          (List.init 500 (fun i -> flow ~id:i ~start:0. ~duration:99.)) );
     ];
   (* the boundaries themselves are accepted *)
   let t = compile [ flow ~id:2 ~start:0. ~duration:0. ] () in
@@ -519,7 +527,12 @@ let gen_time =
   let open QCheck.Gen in
   frequency
     [
-      (6, map (fun b -> Int64.float_of_bits (Int64.rem (Int64.logand b Int64.max_int) 0x7FF0_0000_0000_0000L)) ui64);
+      ( 6,
+        map
+          (fun b ->
+            Int64.float_of_bits
+              (Int64.rem (Int64.logand b Int64.max_int) 0x7FF0_0000_0000_0000L))
+          ui64 );
       (1, map (fun b -> Int64.float_of_bits (Int64.logand b 0x000F_FFFF_FFFF_FFFFL)) ui64);
       (1, oneofl [ 0.; -0.; Float.max_float; Float.min_float; 4.9e-324 ]);
       (2, map (fun k -> float_of_int k *. 0.25) (int_bound 1000));
