@@ -128,19 +128,19 @@ module Make (Key : KEY) = struct
      Seeds are decorrelated by distinct multipliers. *)
   let row_seed t ~stage = t.seed + (stage * 2) + 1
   let digest_seed t ~stage = t.seed + 0x5eed + (stage * 2)
-  let row_of t stage k = Netcore.Hashing.to_range (Key.hash ~seed:(row_seed t ~stage) k) t.n_rows
+  let row_of t stage k = Key.range ~seed:(row_seed t ~stage) k t.n_rows
 
   let digest_of t stage k =
     match t.digest_bits with
     | None -> -1
-    | Some bits -> Netcore.Hashing.truncate_bits (Key.hash ~seed:(digest_seed t ~stage) k) bits
+    | Some bits -> Key.bits ~seed:(digest_seed t ~stage) k bits
 
   (* The stored per-slot code: the digest, or 0 as the exact-mode
      occupied marker (empty slots store -1 in either mode). *)
   let code_of t stage k =
     match t.digest_bits with
     | None -> 0
-    | Some bits -> Netcore.Hashing.truncate_bits (Key.hash ~seed:(digest_seed t ~stage) k) bits
+    | Some bits -> Key.bits ~seed:(digest_seed t ~stage) k bits
 
   let probe_row t k ~stage = row_of t stage k
   let probe_digest t k ~stage = digest_of t stage k
@@ -173,12 +173,11 @@ module Make (Key : KEY) = struct
   (* [lookup] without the hit record, with the per-stage probe
      rows/digests precomputed by the caller: results land in a
      caller-owned probe buffer, so the hardware fast path allocates
-     nothing. Inside the functor [Key.hash] is an opaque closure
-     call that boxes its int64 result on every invocation, so hot paths
-     whose key can derive int positions without boxing compute them
-     themselves (via [row_seed]/[digest_seed]) and skip it. Plain loops
-     over local refs, not local recursive functions: those closures
-     would be allocated on every call. *)
+     nothing. The caller derives each stage's row and digest once (via
+     [row_seed]/[digest_seed] and the key's own [range]/[bits]) rather
+     than through a functor call per stage. Plain loops over local refs,
+     not local recursive functions: those closures would be allocated
+     on every call. *)
   let lookup_pos_into t ~key:k ~(rows : int array) ~(digests : int array) (p : 'v probe) =
     p.probe_hit <- false;
     match t.cells with
@@ -240,24 +239,25 @@ module Make (Key : KEY) = struct
       by_stage 0
 
   (* Software-side scan by true key: the entry for [k] can only sit in one
-     of its candidate rows. Returns the slot index, or -1. *)
+     of its candidate rows. Returns the slot index, or -1. Every insert
+     and removal starts here, so it is a closure-free loop like
+     [lookup_pos_into]. *)
   let locate_exact_idx t k =
     match t.cells with
     | None -> -1
     | Some c ->
-      let rec by_stage stage =
-        if stage >= t.n_stages then -1
-        else
-          let b = base t stage (row_of t stage k) in
-          let rec by_way way =
-            if way >= t.n_ways then by_stage (stage + 1)
-            else
-              let i = b + way in
-              if t.codes.(i) >= 0 && Key.equal c.ckeys.(i) k then i else by_way (way + 1)
-          in
-          by_way 0
-      in
-      by_stage 0
+      let found = ref (-1) and stage = ref 0 in
+      while !found < 0 && !stage < t.n_stages do
+        let b = base t !stage (row_of t !stage k) in
+        let way = ref 0 in
+        while !found < 0 && !way < t.n_ways do
+          let i = b + !way in
+          if t.codes.(i) >= 0 && Key.equal c.ckeys.(i) k then found := i;
+          incr way
+        done;
+        incr stage
+      done;
+      !found
 
   let find_exact t k =
     let idx = locate_exact_idx t k in
@@ -274,11 +274,18 @@ module Make (Key : KEY) = struct
     | None -> true
     | Some f -> f key ~stage ~row
 
+  (* Root stages an insert may use: any not in [forbid]. *)
+  let allowed_root forbid stage = not (List.mem stage forbid)
+
   (* First free way of the row, or -1. *)
   let free_way_i t stage row =
     let b = base t stage row in
-    let rec go way = if way >= t.n_ways then -1 else if t.codes.(b + way) < 0 then way else go (way + 1) in
-    go 0
+    let free = ref (-1) and way = ref 0 in
+    while !free < 0 && !way < t.n_ways do
+      if t.codes.(b + !way) < 0 then free := !way;
+      incr way
+    done;
+    !free
 
   let place t c idx stage k v =
     t.codes.(idx) <- code_of t stage k;
@@ -300,13 +307,13 @@ module Make (Key : KEY) = struct
   exception Kick of int * int
   (* victim slot index, destination free slot index *)
 
-  let greedy_pass t (c : _ cells) ~allowed_root_stage k =
+  let greedy_pass t (c : _ cells) ~forbid k =
     let examined = ref 0 in
     try
       let stage = ref 0 in
       while !stage < t.n_stages do
         let s = !stage in
-        if allowed_root_stage s then begin
+        if allowed_root forbid s then begin
           let row = row_of t s k in
           if placement_allowed t k s row then begin
             let b = base t s row in
@@ -341,7 +348,7 @@ module Make (Key : KEY) = struct
      generation stamps so no per-insert clearing is needed. Traversal
      order is identical to the reference implementation's queue-and-
      hashtable BFS. *)
-  let bfs_insert t (c : _ cells) ~allowed_root_stage k v =
+  let bfs_insert t (c : _ cells) ~forbid k v =
     t.bfs_gen <- t.bfs_gen + 1;
     let gen = t.bfs_gen in
     let head = ref 0 and tail = ref 0 in
@@ -352,7 +359,7 @@ module Make (Key : KEY) = struct
     in
     for stage = 0 to t.n_stages - 1 do
       let row = row_of t stage k in
-      if allowed_root_stage stage && placement_allowed t k stage row then begin
+      if allowed_root forbid stage && placement_allowed t k stage row then begin
         let vi = (stage * t.n_rows) + row in
         if t.visited.(vi) <> gen then begin
           t.visited.(vi) <- gen;
@@ -424,27 +431,29 @@ module Make (Key : KEY) = struct
     t.last_bfs_expanded <- !expanded;
     result
 
-  let insert_kv t ~allowed_root_stage k v =
+  let insert_kv t ~forbid k v =
     let c = ensure_cells t k v in
     (* Direct: a free slot in one of the candidate rows. *)
-    let rec direct stage =
-      if stage >= t.n_stages then -1
-      else if not (allowed_root_stage stage) then direct (stage + 1)
-      else
-        let row = row_of t stage k in
-        if not (placement_allowed t k stage row) then direct (stage + 1)
-        else
-          let w = free_way_i t stage row in
-          if w >= 0 then base t stage row + w else direct (stage + 1)
-    in
-    let idx = direct 0 in
+    let idx = ref (-1) and stage = ref 0 in
+    while !idx < 0 && !stage < t.n_stages do
+      let s = !stage in
+      if allowed_root forbid s then begin
+        let row = row_of t s k in
+        if placement_allowed t k s row then begin
+          let w = free_way_i t s row in
+          if w >= 0 then idx := base t s row + w
+        end
+      end;
+      incr stage
+    done;
+    let idx = !idx in
     if idx >= 0 then begin
       place t c idx (stage_of_idx t idx) k v;
       t.size <- t.size + 1;
       Ok 0
     end
     else
-      let vidx, dest = greedy_pass t c ~allowed_root_stage k in
+      let vidx, dest = greedy_pass t c ~forbid k in
       if vidx >= 0 then begin
         let mk = c.ckeys.(vidx) and mv = c.cvals.(vidx) in
         place t c dest (stage_of_idx t dest) mk mv;
@@ -454,13 +463,11 @@ module Make (Key : KEY) = struct
         t.size <- t.size + 1;
         Ok 1
       end
-      else bfs_insert t c ~allowed_root_stage k v
+      else bfs_insert t c ~forbid k v
 
   let insert ?(forbid_stages = []) t k v =
     if mem_exact t k then Error `Duplicate
-    else
-      let allowed stage = not (List.mem stage forbid_stages) in
-      insert_kv t ~allowed_root_stage:allowed k v
+    else insert_kv t ~forbid:forbid_stages k v
 
   let remove t k =
     let idx = locate_exact_idx t k in
@@ -490,8 +497,7 @@ module Make (Key : KEY) = struct
         let code = t.codes.(idx) in
         clear_slot t c idx;
         t.size <- t.size - 1;
-        let allowed s = not (List.mem s forbid_stages) in
-        match insert_kv t ~allowed_root_stage:allowed k v with
+        match insert_kv t ~forbid:forbid_stages k v with
         | Ok moves -> Ok (moves + 1)
         | Error `Full ->
           (* Roll back so the table is unchanged on failure. *)

@@ -79,12 +79,12 @@ module Make (Key : KEY) = struct
      Seeds are decorrelated by distinct multipliers. *)
   let row_seed t ~stage = t.seed + (stage * 2) + 1
   let digest_seed t ~stage = t.seed + 0x5eed + (stage * 2)
-  let row_of t stage k = Netcore.Hashing.to_range (Key.hash ~seed:(row_seed t ~stage) k) t.n_rows
+  let row_of t stage k = Key.range ~seed:(row_seed t ~stage) k t.n_rows
 
   let digest_of t stage k =
     match t.digest_bits with
     | None -> -1
-    | Some bits -> Netcore.Hashing.truncate_bits (Key.hash ~seed:(digest_seed t ~stage) k) bits
+    | Some bits -> Key.bits ~seed:(digest_seed t ~stage) k bits
 
   let probe_row t k ~stage = row_of t stage k
   let probe_digest t k ~stage = digest_of t stage k

@@ -7,13 +7,25 @@
     hardware model — per-stage hash functions addressing rows of [ways]
     slots, line-rate lookups, switch-CPU inserts via eviction chains —
     and are required by the test suite to make {e identical} placement
-    decisions for identical operation sequences. *)
+    decisions for identical operation sequences.
+
+    A key supplies its stage positions as plain ints: every row and
+    digest the tables compute, on lookup, insert, eviction and removal,
+    comes from {!KEY.range} and {!KEY.bits}, so none of them boxes an
+    [int64] across the functor boundary. *)
 
 module type KEY = sig
   type t
 
   val equal : t -> t -> bool
-  val hash : seed:int -> t -> int64
+
+  val range : seed:int -> t -> int -> int
+  (** [range ~seed k n] maps the key's [seed]-keyed hash uniformly onto
+      [0, n): [Hashing.to_range h n] of that hash [h]. *)
+
+  val bits : seed:int -> t -> int -> int
+  (** [bits ~seed k b] keeps the low [b] bits of the same hash:
+      [Hashing.truncate_bits h b]. *)
 end
 
 module type S = sig
@@ -73,15 +85,14 @@ module type S = sig
   (** A fresh buffer; the argument is a placeholder value. *)
 
   val row_seed : _ t -> stage:int -> int
-  (** Seed for the stage's row-index hash: callers whose key can yield
-      [Hashing.to_range (hash ~seed k) rows_per_stage] as an unboxed int
-      (as [Five_tuple.range] does from the tuple's cached hash) compute
-      it themselves and feed the result to {!lookup_pos_into}, bypassing
-      the functorised [Key.hash] call and its boxed int64. *)
+  (** Seed for the stage's row-index hash: the row is
+      [Key.range ~seed k rows_per_stage]. Callers that probe every stage
+      per packet compute the rows once themselves and feed them to
+      {!lookup_pos_into}, instead of two functor calls per stage. *)
 
   val digest_seed : _ t -> stage:int -> int
   (** Seed for the stage's digest hash; the digest is
-      [Hashing.truncate_bits (hash ~seed k) digest_bits]. *)
+      [Key.bits ~seed k digest_bits]. *)
 
   val probe_row : _ t -> key -> stage:int -> int
   (** Row the hardware probes for this key at [stage]. *)

@@ -2,10 +2,110 @@ module Key = struct
   type t = Netcore.Five_tuple.t
 
   let equal = Netcore.Five_tuple.equal
-  let hash = Netcore.Five_tuple.hash
+  let range = Netcore.Five_tuple.range
+  let bits = Netcore.Five_tuple.bits
 end
 
 module Table = Asic.Cuckoo.Make (Key)
+
+(* The software shadow index: a multimap from a packed (stage, row,
+   digest) position to the tracked connections whose hardware lookup
+   would match an entry stored there. Open addressing in two flat
+   arrays: linear probing from a multiplicative hash of the position,
+   deletion by backward shift (no tombstones), and the load kept at
+   most 1/2 by doubling. It starts small and grows with what is
+   tracked, so creating a large table costs nothing here. *)
+module Index = struct
+  type t = {
+    mutable pos : int array;  (** packed position per slot; -1 = empty *)
+    mutable tup : Netcore.Five_tuple.t array;  (** [blank] where empty *)
+    mutable shift : int;  (** [Sys.int_size - log2 (slots)] *)
+    mutable count : int;
+  }
+
+  let initial_log2 = 4
+
+  let blank =
+    Netcore.Five_tuple.make ~src:Netcore.Endpoint.none ~dst:Netcore.Endpoint.none
+      ~proto:Netcore.Protocol.Tcp
+
+  let create () =
+    {
+      pos = Array.make (1 lsl initial_log2) (-1);
+      tup = Array.make (1 lsl initial_log2) blank;
+      shift = Sys.int_size - initial_log2;
+      count = 0;
+    }
+
+  (* top log2(slots) bits of the position times an odd constant *)
+  let home t p = (p * 0x2545F4914F6CDD1D) lsr t.shift
+
+  let place t p k =
+    let mask = Array.length t.pos - 1 in
+    let i = ref (home t p) in
+    while Array.unsafe_get t.pos !i >= 0 do
+      i := (!i + 1) land mask
+    done;
+    t.pos.(!i) <- p;
+    t.tup.(!i) <- k
+
+  let add t p k =
+    if 2 * (t.count + 1) > Array.length t.pos then begin
+      let pos = t.pos and tup = t.tup in
+      let n = 2 * Array.length pos in
+      t.pos <- Array.make n (-1);
+      t.tup <- Array.make n blank;
+      t.shift <- t.shift - 1;
+      for i = 0 to Array.length pos - 1 do
+        if pos.(i) >= 0 then place t pos.(i) tup.(i)
+      done
+    end;
+    place t p k;
+    t.count <- t.count + 1
+
+  (* Empty slot [i], then walk the rest of its cluster moving each entry
+     whose home is not in the cyclic range (hole, j] back into the hole,
+     so every entry stays reachable from its home without tombstones. *)
+  let delete_at t i =
+    let mask = Array.length t.pos - 1 in
+    let hole = ref i and j = ref ((i + 1) land mask) in
+    while Array.unsafe_get t.pos !j >= 0 do
+      let p = Array.unsafe_get t.pos !j in
+      if (!j - home t p) land mask >= (!j - !hole) land mask then begin
+        t.pos.(!hole) <- p;
+        t.tup.(!hole) <- t.tup.(!j);
+        hole := !j
+      end;
+      j := (!j + 1) land mask
+    done;
+    t.pos.(!hole) <- -1;
+    t.tup.(!hole) <- blank;
+    t.count <- t.count - 1
+
+  (* Every copy of [k] at [p]: a deletion may pull a later copy into
+     slot [i], so [i] is examined again before moving on. *)
+  let remove_all t p k =
+    let mask = Array.length t.pos - 1 in
+    let i = ref (home t p) in
+    while Array.unsafe_get t.pos !i >= 0 do
+      if Array.unsafe_get t.pos !i = p && Netcore.Five_tuple.equal (Array.unsafe_get t.tup !i) k
+      then delete_at t !i
+      else i := (!i + 1) land mask
+    done
+
+  (* Is a connection other than [k] indexed at [p]? *)
+  let holds_other t p k =
+    let mask = Array.length t.pos - 1 in
+    let i = ref (home t p) and found = ref false in
+    while (not !found) && Array.unsafe_get t.pos !i >= 0 do
+      if
+        Array.unsafe_get t.pos !i = p
+        && not (Netcore.Five_tuple.equal (Array.unsafe_get t.tup !i) k)
+      then found := true;
+      i := (!i + 1) land mask
+    done;
+    !found
+end
 
 type lookup_result = {
   version : int;
@@ -19,25 +119,27 @@ type t = {
   version_bits : int;
   n_stages : int;
   n_rows : int;
-  (* per-stage hash seeds and scratch probe positions: [lookup_code]
-     derives rows/digests itself as ints from the tuple's cached hash
-     (Five_tuple.range/bits, allocation-free) and hands them to
-     [Table.lookup_pos_into]; the functorised [Key.hash] inside [Table]
-     returns a boxed int64 per call. *)
+  (* per-stage hash seeds, cached so that every probe position here
+     (lookup, shadow index, placement veto) is one
+     Five_tuple.range/bits call on the tuple's cached hash, with no
+     functor call; scratch rows/digests for [Table.lookup_pos_into] *)
   row_seeds : int array;
   dig_seeds : int array;
   scratch_rows : int array;
   scratch_digs : int array;
-  (* software shadow index: packed (stage, row, digest) -> tracked
-     connections whose hardware lookup would match an entry stored
-     there. Placement of new entries is vetoed at positions that would
-     shadow a tracked connection. *)
-  probe_index : (int, Netcore.Five_tuple.t list ref) Hashtbl.t;
+  (* Placement of new entries is vetoed at positions that would shadow
+     a tracked connection. *)
+  index : Index.t;
   c_false_hits : Telemetry.Registry.Counter.t;
   c_repairs : Telemetry.Registry.Counter.t;
   g_size : Telemetry.Registry.Gauge.t;
   g_occupancy : Telemetry.Registry.Gauge.t;
 }
+
+let row_at t k stage = Netcore.Five_tuple.range ~seed:(Array.unsafe_get t.row_seeds stage) k t.n_rows
+
+let digest_at t k stage =
+  Netcore.Five_tuple.bits ~seed:(Array.unsafe_get t.dig_seeds stage) k t.digest_bits
 
 (* ConnTable always runs in digest mode (digest_bits >= 1), so the
    digest is non-negative and the packed key is injective. *)
@@ -45,34 +147,21 @@ let pack_pos t ~stage ~row ~digest = (((stage * t.n_rows) + row) lsl t.digest_bi
 
 let register t k =
   for stage = 0 to t.n_stages - 1 do
-    let row = Table.probe_row t.table k ~stage in
-    let digest = Table.probe_digest t.table k ~stage in
-    let pos = pack_pos t ~stage ~row ~digest in
-    match Hashtbl.find_opt t.probe_index pos with
-    | Some l -> l := k :: !l
-    | None -> Hashtbl.replace t.probe_index pos (ref [ k ])
+    Index.add t.index (pack_pos t ~stage ~row:(row_at t k stage) ~digest:(digest_at t k stage)) k
   done
 
 let unregister t k =
   for stage = 0 to t.n_stages - 1 do
-    let row = Table.probe_row t.table k ~stage in
-    let digest = Table.probe_digest t.table k ~stage in
-    let pos = pack_pos t ~stage ~row ~digest in
-    match Hashtbl.find_opt t.probe_index pos with
-    | Some l ->
-      l := List.filter (fun k' -> not (Netcore.Five_tuple.equal k' k)) !l;
-      if !l = [] then Hashtbl.remove t.probe_index pos
-    | None -> ()
+    Index.remove_all t.index
+      (pack_pos t ~stage ~row:(row_at t k stage) ~digest:(digest_at t k stage))
+      k
   done
 
 (* Would an entry for [k] placed at (stage, row) be falsely matched by a
    tracked connection other than [k] itself? Callers always pass the
    row [k] itself hashes to at [stage]. *)
 let placement_safe t k ~stage ~row =
-  let digest = Table.probe_digest t.table k ~stage in
-  match Hashtbl.find t.probe_index (pack_pos t ~stage ~row ~digest) with
-  | l -> not (List.exists (fun k' -> not (Netcore.Five_tuple.equal k' k)) !l)
-  | exception Not_found -> true
+  not (Index.holds_other t.index (pack_pos t ~stage ~row ~digest:(digest_at t k stage)) k)
 
 let create ?metrics (cfg : Config.t) =
   let reg = match metrics with Some r -> r | None -> Telemetry.Registry.create () in
@@ -94,7 +183,7 @@ let create ?metrics (cfg : Config.t) =
       dig_seeds = Array.init stages (fun stage -> Table.digest_seed table ~stage);
       scratch_rows = Array.make stages 0;
       scratch_digs = Array.make stages 0;
-      probe_index = Hashtbl.create 4096;
+      index = Index.create ();
       c_false_hits = Telemetry.Registry.counter reg "conn_table.false_hits";
       c_repairs = Telemetry.Registry.counter reg "conn_table.repairs";
       g_size = Telemetry.Registry.gauge reg "conn_table.size";
@@ -127,10 +216,8 @@ let lookup t flow =
 let lookup_code t flow =
   let rows = t.scratch_rows and digs = t.scratch_digs in
   for stage = 0 to t.n_stages - 1 do
-    Array.unsafe_set rows stage
-      (Netcore.Five_tuple.range ~seed:(Array.unsafe_get t.row_seeds stage) flow t.n_rows);
-    Array.unsafe_set digs stage
-      (Netcore.Five_tuple.bits ~seed:(Array.unsafe_get t.dig_seeds stage) flow t.digest_bits)
+    Array.unsafe_set rows stage (row_at t flow stage);
+    Array.unsafe_set digs stage (digest_at t flow stage)
   done;
   Table.lookup_pos_into t.table ~key:flow ~rows ~digests:digs t.probe;
   if not t.probe.Table.probe_hit then -1
@@ -141,6 +228,7 @@ let lookup_code t flow =
 
 let probe_positions t flow = Table.probe_positions t.table flow
 let mem_exact t flow = Table.mem_exact t.table flow
+let stage_of t flow = Table.stage_of_exact t.table flow
 
 let insert t flow ~version =
   match Table.insert t.table flow version with

@@ -44,6 +44,15 @@ val probe_positions : t -> Netcore.Five_tuple.t -> (int * int * int) list
 
 val mem_exact : t -> Netcore.Five_tuple.t -> bool
 
+val stage_of : t -> Netcore.Five_tuple.t -> int option
+(** Stage holding this flow's own entry (software view, by true key). *)
+
+val placement_safe : t -> Netcore.Five_tuple.t -> stage:int -> row:int -> bool
+(** The shadow-index veto every placement passes (DESIGN.md §7):
+    [false] when an entry for the flow at [(stage, row)] would be
+    falsely matched by a tracked connection other than the flow itself.
+    [row] must be the flow's own row at [stage]. *)
+
 val insert : t -> Netcore.Five_tuple.t -> version:int -> (int, [ `Full | `Duplicate ]) result
 (** Software insertion; [Ok moves] gives the cuckoo move count. *)
 

@@ -326,11 +326,15 @@ let ct_repair_preserves_residents () =
     | Some _ | None -> ()
   done;
   check Alcotest.bool "some repairs" true (!repaired > 0);
-  (* Residents the repairs relocated must still resolve exactly. A
-     freshly inserted entry can in principle shadow an untouched
-     resident (same row, same digest, earlier stage) — vanishingly rare
-     at the paper's 16-bit digests, observable at our stress-test 8 bits
-     — so we assert the fraction stays tiny rather than zero. *)
+  (* Residents the repairs relocated must still resolve exactly. The
+     allowance is for a known gap in the placement veto (DESIGN.md §7):
+     it stops a new entry from answering a tracked connection's lookup,
+     but not a newcomer or a kicked victim from landing at a later stage
+     behind an older entry that shares its row and digest. Such a resident
+     is shadowed from its insert on; at this 8-bit geometry the 300
+     plain inserts leave 1 (flow 260, behind flow 93). Rare at the
+     paper's 16-bit digests; a fix moves placements, so the bound stays
+     until ROADMAP item 6 closes the gap. *)
   let shadowed = ref 0 in
   List.iter
     (fun f ->
@@ -341,6 +345,259 @@ let ct_repair_preserves_residents () =
   check Alcotest.bool
     (Printf.sprintf "shadowed residents %d <= 3" !shadowed)
     true (!shadowed <= 3)
+
+(* ---------- Conn_table: flat shadow index vs the list-based reference ---------- *)
+
+(* The ConnTable with its shadow index as a [Hashtbl] from packed
+   position to a list of tuples, a [List.filter] per removal: the
+   layout [Conn_table] replaced with a flat open-addressed multimap.
+   Insert, remove and collision repair are copies of [Conn_table]'s,
+   over the same cuckoo table, so the two must agree on every veto,
+   placement and counter. *)
+module Ref_conn_table = struct
+  module Table = Asic.Cuckoo.Make (struct
+    type t = Netcore.Five_tuple.t
+
+    let equal = Netcore.Five_tuple.equal
+    let range = Netcore.Five_tuple.range
+    let bits = Netcore.Five_tuple.bits
+  end)
+
+  type t = {
+    table : int Table.t;
+    digest_bits : int;
+    n_stages : int;
+    n_rows : int;
+    probe_index : (int, Netcore.Five_tuple.t list ref) Hashtbl.t;
+    mutable false_hits : int;
+    mutable repairs : int;
+  }
+
+  let pack_pos t ~stage ~row ~digest = (((stage * t.n_rows) + row) lsl t.digest_bits) lor digest
+
+  let register t k =
+    for stage = 0 to t.n_stages - 1 do
+      let row = Table.probe_row t.table k ~stage in
+      let digest = Table.probe_digest t.table k ~stage in
+      let pos = pack_pos t ~stage ~row ~digest in
+      match Hashtbl.find_opt t.probe_index pos with
+      | Some l -> l := k :: !l
+      | None -> Hashtbl.replace t.probe_index pos (ref [ k ])
+    done
+
+  let unregister t k =
+    for stage = 0 to t.n_stages - 1 do
+      let row = Table.probe_row t.table k ~stage in
+      let digest = Table.probe_digest t.table k ~stage in
+      let pos = pack_pos t ~stage ~row ~digest in
+      match Hashtbl.find_opt t.probe_index pos with
+      | Some l ->
+        l := List.filter (fun k' -> not (Netcore.Five_tuple.equal k' k)) !l;
+        if !l = [] then Hashtbl.remove t.probe_index pos
+      | None -> ()
+    done
+
+  let placement_safe t k ~stage ~row =
+    let digest = Table.probe_digest t.table k ~stage in
+    match Hashtbl.find t.probe_index (pack_pos t ~stage ~row ~digest) with
+    | l -> not (List.exists (fun k' -> not (Netcore.Five_tuple.equal k' k)) !l)
+    | exception Not_found -> true
+
+  let create (cfg : Silkroad.Config.t) =
+    let t =
+      {
+        table =
+          Table.create ~seed:cfg.Silkroad.Config.seed ~digest_bits:cfg.Silkroad.Config.digest_bits
+            ~stages:cfg.Silkroad.Config.conn_table_stages
+            ~rows_per_stage:cfg.Silkroad.Config.conn_table_rows
+            ~ways:cfg.Silkroad.Config.conn_table_ways ();
+        digest_bits = cfg.Silkroad.Config.digest_bits;
+        n_stages = cfg.Silkroad.Config.conn_table_stages;
+        n_rows = cfg.Silkroad.Config.conn_table_rows;
+        probe_index = Hashtbl.create 16;
+        false_hits = 0;
+        repairs = 0;
+      }
+    in
+    Table.set_placement_filter t.table (Some (fun k ~stage ~row -> placement_safe t k ~stage ~row));
+    t
+
+  let lookup t flow =
+    match Table.lookup t.table flow with
+    | None -> None
+    | Some hit ->
+      if not hit.Table.exact then t.false_hits <- t.false_hits + 1;
+      Some (hit.Table.value, hit.Table.exact)
+
+  let insert t flow ~version =
+    match Table.insert t.table flow version with
+    | Ok moves ->
+      register t flow;
+      Ok moves
+    | (Error (`Full | `Duplicate)) as e -> e
+
+  let remove t flow =
+    if Table.remove t.table flow then begin
+      unregister t flow;
+      true
+    end
+    else false
+
+  let repair_collision t flow ~version =
+    let exact_hit key =
+      match Table.lookup t.table key with
+      | Some hit -> hit.Table.exact
+      | None -> false
+    in
+    let rec attempt forbidden tries residents =
+      if tries > 2 * Table.stages t.table then Error `Full
+      else
+        match Table.lookup t.table flow with
+        | Some hit when not hit.Table.exact ->
+          let forbidden =
+            if List.mem hit.Table.stage forbidden then forbidden else hit.Table.stage :: forbidden
+          in
+          (match Table.relocate t.table hit.Table.key ~forbid_stages:forbidden with
+           | Ok _ | Error `Not_found -> attempt forbidden (tries + 1) (hit.Table.key :: residents)
+           | Error `Full -> Error `Full)
+        | Some _ | None ->
+          (match
+             if Table.mem_exact t.table flow then Ok 0
+             else Table.insert ~forbid_stages:forbidden t.table flow version
+           with
+           | Error `Full -> Error `Full
+           | Error `Duplicate | Ok _ ->
+             if not (exact_hit flow) then begin
+               ignore (Table.remove t.table flow);
+               attempt forbidden (tries + 1) residents
+             end
+             else
+               let stale = List.filter (fun k -> not (exact_hit k)) residents in
+               (match stale with
+                | [] ->
+                  t.repairs <- t.repairs + 1;
+                  unregister t flow;
+                  register t flow;
+                  Ok ()
+                | k :: _ ->
+                  (match Table.lookup t.table k with
+                   | Some h ->
+                     let forbidden =
+                       if List.mem h.Table.stage forbidden then forbidden
+                       else h.Table.stage :: forbidden
+                     in
+                     ignore (Table.remove t.table flow);
+                     attempt forbidden (tries + 1) residents
+                   | None ->
+                     ignore (Table.remove t.table flow);
+                     Error `Full)))
+    in
+    attempt [] 0 []
+end
+
+type ct_op =
+  | Ct_insert of int
+  | Ct_remove of int
+  | Ct_repair of int
+
+(* Tables of 16-256 slots over 48 flows at 4-8-bit digests: full rows,
+   digest collisions, repairs and failed inserts all occur. The flat
+   index starts at 16 slots, so it grows several times and its
+   clusters wrap around the end of the arrays. *)
+let ct_differential_gen =
+  QCheck.Gen.(
+    let op =
+      frequency
+        [
+          (5, map (fun i -> Ct_insert i) (int_bound 47));
+          (3, map (fun i -> Ct_remove i) (int_bound 47));
+          (2, map (fun i -> Ct_repair i) (int_bound 47));
+        ]
+    in
+    quad (int_range 4 8) (int_range 2 4) (pair (int_range 2 16) (int_range 1 4))
+      (list_size (int_range 1 200) op))
+
+let ct_geometry (digest_bits, stages, (rows, ways), _) =
+  { Silkroad.Config.default with
+    Silkroad.Config.digest_bits;
+    conn_table_stages = stages;
+    conn_table_rows = rows;
+    conn_table_ways = ways }
+
+let ct_differential ((_, _, _, ops) as input) =
+  let cfg = ct_geometry input in
+  let t = Silkroad.Conn_table.create cfg and r = Ref_conn_table.create cfg in
+  let flows = Array.init 48 flow in
+  let same_vetoes () =
+    Array.for_all
+      (fun f ->
+        List.for_all
+          (fun (stage, row, _) ->
+            Silkroad.Conn_table.placement_safe t f ~stage ~row
+            = Ref_conn_table.placement_safe r f ~stage ~row)
+          (Silkroad.Conn_table.probe_positions t f))
+      flows
+  in
+  let same_op = function
+    | Ct_insert i ->
+      Silkroad.Conn_table.insert t flows.(i) ~version:(i mod 64)
+      = Ref_conn_table.insert r flows.(i) ~version:(i mod 64)
+    | Ct_remove i -> Silkroad.Conn_table.remove t flows.(i) = Ref_conn_table.remove r flows.(i)
+    | Ct_repair i ->
+      ignore (Silkroad.Conn_table.lookup t flows.(i));
+      ignore (Ref_conn_table.lookup r flows.(i));
+      Silkroad.Conn_table.repair_collision t flows.(i) ~version:(i mod 64)
+      = Ref_conn_table.repair_collision r flows.(i) ~version:(i mod 64)
+  in
+  List.for_all (fun op -> same_op op && same_vetoes ()) ops
+  && Array.for_all
+       (fun f ->
+         Silkroad.Conn_table.stage_of t f = Ref_conn_table.Table.stage_of_exact r.table f
+         && Option.map
+              (fun (x : Silkroad.Conn_table.lookup_result) ->
+                (x.Silkroad.Conn_table.version, x.Silkroad.Conn_table.exact))
+              (Silkroad.Conn_table.lookup t f)
+            = Ref_conn_table.lookup r f)
+       flows
+  && Silkroad.Conn_table.size t = Ref_conn_table.Table.size r.table
+  && Silkroad.Conn_table.moves t = Ref_conn_table.Table.moves r.table
+  && Silkroad.Conn_table.greedy_kicks t = Ref_conn_table.Table.greedy_kicks r.table
+  && Silkroad.Conn_table.bfs_expansions t = Ref_conn_table.Table.bfs_expansions r.table
+  && Silkroad.Conn_table.failed_inserts t = Ref_conn_table.Table.failed_inserts r.table
+  && Silkroad.Conn_table.repairs t = r.repairs
+  && Silkroad.Conn_table.false_hits t = r.false_hits
+
+(* Found by random search, then shrunk: the repair of the installed,
+   shadowed flow 22 relocates the resident that answered its lookup,
+   takes 22 out of the table to re-place it and then finds no room, so
+   22 stays indexed while absent; the insert that follows indexes it a
+   second time. Its removal must drop both copies, as the reference's
+   [List.filter] does, or a stale copy keeps vetoing flows that share
+   its positions. *)
+let ct_index_double_registration () =
+  let input =
+    ( 4, 3, (6, 2),
+      [ Ct_insert 18; Ct_repair 11; Ct_insert 26; Ct_insert 5; Ct_insert 22; Ct_repair 22;
+        Ct_insert 22; Ct_remove 22 ] )
+  in
+  let t = Silkroad.Conn_table.create (ct_geometry input) in
+  let insert i = ignore (Silkroad.Conn_table.insert t (flow i) ~version:(i mod 64)) in
+  insert 18;
+  ignore (Silkroad.Conn_table.repair_collision t (flow 11) ~version:11);
+  List.iter insert [ 26; 5; 22 ];
+  check Alcotest.bool "22 installed" true (Silkroad.Conn_table.mem_exact t (flow 22));
+  check Alcotest.bool "22 shadowed" true
+    (match Silkroad.Conn_table.lookup t (flow 22) with
+     | Some r -> not r.Silkroad.Conn_table.exact
+     | None -> false);
+  check Alcotest.bool "22's repair finds no room" true
+    (Silkroad.Conn_table.repair_collision t (flow 22) ~version:22 = Error `Full);
+  check Alcotest.bool "22 left the table" false (Silkroad.Conn_table.mem_exact t (flow 22));
+  check Alcotest.bool "flat = reference" true (ct_differential input)
+
+let qcheck_ct_index_differential =
+  QCheck.Test.make ~name:"flat shadow index = list-based reference" ~count:300
+    (QCheck.make ct_differential_gen) ct_differential
 
 (* ---------- Switch: control plane & 3-step update ---------- *)
 
@@ -1199,6 +1456,8 @@ let suites =
         tc "entry bits" `Quick ct_entry_bits;
         tc "collision repair" `Quick ct_false_positive_repair;
         tc "repair preserves residents" `Quick ct_repair_preserves_residents;
+        tc "index drops every copy" `Quick ct_index_double_registration;
+        QCheck_alcotest.to_alcotest qcheck_ct_index_differential;
       ] );
     ( "silkroad.switch",
       [
