@@ -1,33 +1,31 @@
 (** Bounded exhaustive model checking of the §4.3 update machinery.
 
-    The checker runs a {e small-scope} abstract model of one
-    {!Silkroad.Switch}: a single VIP, a handful of connections with
-    forced digest collisions and TransitTable (Bloom) aliases, a version
-    ring of [2^version_bits] slots, the pending-update queue, and the
-    asynchronous learn → switch-CPU → install pipeline with the exact
-    timing rules of {!Asic.Learning_filter} and {!Asic.Switch_cpu}. For
-    a scope of [k] pool updates and [m] packet arrivals it enumerates
-    {e all} interleavings (orders of the merged event stream) across
-    several timing regimes, and checks two properties after every event:
+    The checker runs the real {!Silkroad.Switch} on a {e small scope}:
+    one VIP, two connections whose 5-tuples are searched so that they
+    share (or do not share) a ConnTable digest position and a
+    TransitTable (Bloom) alias, a version ring of [2^version_bits]
+    slots, and the switch's own learn → switch-CPU → install pipeline.
+    For a scope of [k] pool updates and [m] packet arrivals it
+    enumerates {e all} interleavings (orders of the merged event stream)
+    across several timing regimes and runs each on a fresh switch,
+    judging three properties from the switch's own state:
 
-    - {b PCC}: every judged packet of a connection is forwarded to the
-      DIP of its first packet, judged by {!Lb.Pcc.Flat} — the judge the
-      replay engines call, including the removed-DIP exclusion rule;
-    - {b no premature version recycle}: no live connection ever
-      references a DIP-pool version that has been destroyed.
+    - {b PCC}: every packet of a connection is forwarded to the DIP of
+      its first packet, judged by {!Lb.Pcc.Flat} — the judge the replay
+      engines call, including the removed-DIP exclusion rule;
+    - {b no premature version recycle}: {!Silkroad.Switch.check_invariants}
+      holds after every event (its dead-version and refcount clauses);
+    - {b no forced release}: the switch's [forced_transitions] stays 0
+      in every shipped regime.
 
-    Every schedule the model explores is directly realizable on the real
-    switch — install and delete completions are not free interleaving
-    choices but are computed with the mirrored timing rules — so a
-    counterexample converts to a concrete replay: a {!Harness.Packed_trace}
-    plus control list for {!Harness.Replay.run}, and a serve-mode script
-    for [silkroad_cli serve --script]. Seeded mutations (TransitTable
-    insert disabled; barrier force-release racing a slow switch CPU)
-    must each produce a counterexample that demonstrably breaks PCC when
-    replayed on the real switch; the shipped semantics must exhaust the
-    scope with zero violations. A conformance harness
-    ({!model_observe} / {!switch_observe}) pins the model to the real
-    switch per-packet on sampled interleavings. *)
+    Install and delete completions follow the switch's timing rules
+    rather than free interleaving choices, so a counterexample converts
+    to a concrete replay: a {!Harness.Packed_trace} plus control list
+    for {!Harness.Replay.run}, and a serve-mode script for
+    [silkroad_cli serve --script]. Seeded mutations (TransitTable insert
+    disabled; barrier force-release racing a slow switch CPU; eager
+    version GC) must each fail a property; the shipped semantics must
+    exhaust the scope with no failure. *)
 
 (** {2 Scopes} *)
 
@@ -40,7 +38,9 @@ type regime = {
 
 type pattern = {
   pat_name : string;
-  collide : bool;  (** flows 0 and 1 share a ConnTable digest/bucket *)
+  collide : bool;
+      (** flow 1 falsely hits flow 0's installed ConnTable entry (a
+          shared stage/row/digest probe that the lookup really matches) *)
   alias : bool;  (** recording flow 0 makes flow 1 falsely hit transit *)
 }
 
@@ -54,13 +54,15 @@ type scope = {
 
 val default_scopes : scope list
 (** The CI scope: at least 3 updates x 4 packets, all four
-    collision/alias patterns, three timing regimes. *)
+    collision/alias patterns, three timing regimes. With two flows the
+    alias patterns reach no branch [plain] does not: no SYN ever
+    alias-hits the TransitTable in the [Dual] phase (DESIGN.md §9). *)
 
 val verify_config :
   ?use_transit:bool -> cpu_rate:float -> learn_timeout:float -> unit -> Silkroad.Config.t
-(** The sized-down switch configuration the checker (and its real-switch
-    replays) run under: 6-bit digests and a 4-byte TransitTable so
-    collisions and aliases are dense enough to search for. *)
+(** The sized-down switch configuration every checked switch runs
+    under: 6-bit digests and a 4-byte TransitTable so collisions and
+    aliases are dense enough to search for. *)
 
 (** {2 Mutations} *)
 
@@ -70,18 +72,17 @@ type mutation =
           ablation; updates apply instantly, unprotected *)
   | Barrier_force_release
       (** the [Switch.barrier_deadline] liveness valve fires while the
-          switch CPU is still installing the pending connection *)
+          switch CPU is still installing the pending connection (the
+          [stuck] regime: 10 s per install against the 5 s deadline) *)
   | Eager_version_gc
-      (** model-only: step-3 GC destroys old versions while connections
-          still reference them — must trip the recycle property *)
+      (** when an update completes, the checker's
+          {!Silkroad.Switch.on_update_done} hook releases the old
+          version's remaining references through
+          {!Silkroad.Dip_pool_table.release} until it is destroyed while
+          connections still use it — must trip the recycle property *)
 
 val mutations : mutation list
 val mutation_name : mutation -> string
-
-val mutation_model_only : mutation -> bool
-(** [true] for mutations with no real-switch realization
-    ({!Eager_version_gc}); these must trip a model property but are not
-    replayed. *)
 
 (** {2 Events and counterexamples} *)
 
@@ -101,15 +102,17 @@ type counterexample = {
   ce_flows : Netcore.Five_tuple.t array;
   ce_events : (float * event) list;  (** the violating schedule *)
   ce_kind : [ `Pcc | `Recycle ];
-  ce_model_violations : int;
+  ce_violations : int;  (** PCC violations the run judged *)
 }
 
 type outcome = {
   oc_runs : int;  (** interleavings explored (x regimes x patterns) *)
   oc_events : int;  (** total events stepped *)
   oc_violating : int;  (** runs with a PCC violation *)
-  oc_recycled : int;  (** runs tripping the recycle property *)
+  oc_recycled : int;  (** runs failing {!Silkroad.Switch.check_invariants} *)
   oc_forced : int;  (** runs where the barrier deadline fired *)
+  oc_false_hits : int;  (** runs with a ConnTable digest false hit *)
+  oc_repairs : int;  (** runs with a collision repair *)
   oc_counterexamples : counterexample list;  (** capped *)
 }
 
@@ -119,8 +122,8 @@ val check_scope : ?mutation:mutation -> scope -> outcome
     [oc_forced = 0] (the scope's regimes keep all delays under
     {!Silkroad.Switch.barrier_deadline}). *)
 
-val mutation_scopes : mutation -> scope list
-(** The scopes a mutation is hunted in (e.g. {!Barrier_force_release}
+val mutation_scope : mutation -> scope
+(** The scope a mutation is hunted in (e.g. {!Barrier_force_release}
     needs a stretched grid and a pathologically slow CPU). *)
 
 (** {2 Realizing counterexamples} *)
@@ -137,45 +140,7 @@ val ce_script : counterexample -> string
 val replay_on_switch : counterexample -> Harness.Replay.result
 (** Replay trace + controls through {!Harness.Replay.run} ([Scalar])
     against real {!Silkroad.Switch}es built from [ce_cfg]. For a PCC
-    counterexample of a non-model-only mutation, the expectation is
-    [violations > 0]. *)
-
-(** {2 Conformance with the real switch} *)
-
-type obs = {
-  ob_dips : Netcore.Endpoint.t option array;
-      (** per packet event, in schedule order; [None] = dropped *)
-  ob_completed : int;
-  ob_failed : int;
-  ob_forced : int;
-  ob_repairs : int;
-}
-
-val conformance_flows : cfg:Silkroad.Config.t -> n:int -> Netcore.Five_tuple.t array
-(** [n] flows to one VIP that are pairwise ConnTable-collision-free and
-    Bloom-alias-free (checked empirically against scratch tables, with
-    every other flow recorded — membership is monotone in the bit set,
-    so this covers every reachable TransitTable state). On these flows
-    the model and the switch must agree packet-for-packet. *)
-
-val model_observe :
-  cfg:Silkroad.Config.t ->
-  flows:Netcore.Five_tuple.t array ->
-  removed:Netcore.Endpoint.t array ->
-  events:(float * event) list ->
-  horizon:float ->
-  obs
-
-val switch_observe :
-  cfg:Silkroad.Config.t ->
-  flows:Netcore.Five_tuple.t array ->
-  removed:Netcore.Endpoint.t array ->
-  events:(float * event) list ->
-  horizon:float ->
-  obs
-(** Drive a real {!Silkroad.Switch.process_flow} through the same
-    schedule ({!Harness.Replay.Stepper}'s discipline: packets strictly
-    between controls, update exclusion before request). *)
+    counterexample the expectation is [violations = ce_violations]. *)
 
 val model_vip : Netcore.Endpoint.t
 val model_dips : unit -> Netcore.Endpoint.t array
@@ -188,7 +153,9 @@ type report = {
   rp_mutants :
     (mutation * outcome * (counterexample * Harness.Replay.result option) option) list;
       (** per mutation: its outcome, and the first counterexample that
-          kills it (with the real-switch replay unless model-only) *)
+          kills it, with its {!replay_on_switch} result ([None] for
+          {!Eager_version_gc}, whose mutation an exported trace does
+          not carry) *)
   rp_diags : Diag.t list;
 }
 
@@ -197,6 +164,7 @@ val run_verify : ?scopes:scope list -> ?mutants:mutation list -> unit -> report
     scopes, then hunt every mutation. Diags: [model.scope] info lines
     with exploration counts; [model.pcc] / [model.recycle] /
     [model.forced] errors if shipped semantics misbehaves;
-    [model.mutant] info when a mutation is killed (counterexample found
-    {e and} its replay breaks PCC on the real switch), error when one
-    survives. *)
+    [model.mutant] info when a mutation is killed; [model.replay] error
+    when a killing PCC counterexample does not reproduce through
+    {!Harness.Replay}; [model.mutant-survived] error when a mutation
+    fails no property. *)

@@ -53,7 +53,8 @@ val violations : t -> int
 
 (** The flow-indexed, allocation-free refinement of the oracle above —
     the one judge every engine ([Harness.Driver], [Harness.Replay],
-    [Netwide.Replay], [Analysis.Modelcheck]) calls; the oracle itself is
+    [Netwide.Replay]) calls, and the one the model checker judges each
+    enumerated schedule's real switch with; the oracle itself is
     the reference a qcheck property holds it equal to. Flows are dense
     indices [0 .. n-1]; the verdict counters live in caller-owned
     {!counters}, so engines that judge disjoint flow sets on several

@@ -71,9 +71,9 @@ val advance : t -> now:float -> unit
 val barrier_deadline : float
 (** Liveness valve on the §4.3 step-1/step-3 barriers: an update stuck
     waiting longer than this (seconds of virtual time) is force-released
-    and counted under [forced_transitions]. Exposed so external models
-    of the update machinery (e.g. {!Analysis.Modelcheck}) can mirror the
-    exact instant safety is traded for liveness. *)
+    and counted under [forced_transitions]. Exposed so a timing regime
+    can be set against it: {!Analysis.Modelcheck}'s [stuck] regime
+    installs slower than the deadline to race it. *)
 
 val process : t -> now:float -> Netcore.Packet.t -> Lb.Balancer.outcome
 (** Forward one packet (implies [advance]). *)
