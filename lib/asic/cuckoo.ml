@@ -241,7 +241,9 @@ module Make (Key : KEY) = struct
   (* Software-side scan by true key: the entry for [k] can only sit in one
      of its candidate rows. Returns the slot index, or -1. Every insert
      and removal starts here, so it is a closure-free loop like
-     [lookup_pos_into]. *)
+     [lookup_pos_into]. Digest first: [place] always stores
+     [code_of t stage k], so a way whose code differs cannot hold [k],
+     and only the ways that match it dereference their stored key. *)
   let locate_exact_idx t k =
     match t.cells with
     | None -> -1
@@ -249,10 +251,11 @@ module Make (Key : KEY) = struct
       let found = ref (-1) and stage = ref 0 in
       while !found < 0 && !stage < t.n_stages do
         let b = base t !stage (row_of t !stage k) in
+        let code = code_of t !stage k in
         let way = ref 0 in
         while !found < 0 && !way < t.n_ways do
           let i = b + !way in
-          if t.codes.(i) >= 0 && Key.equal c.ckeys.(i) k then found := i;
+          if t.codes.(i) = code && Key.equal c.ckeys.(i) k then found := i;
           incr way
         done;
         incr stage

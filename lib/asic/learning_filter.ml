@@ -2,7 +2,11 @@ type 'm t = {
   capacity : int;
   timeout : float;
   keys : unit Netcore.Five_tuple.Tbl.t;
-  queue : (Netcore.Five_tuple.t * 'm * float) Queue.t;
+  (* the pending events, oldest first, in two parallel vectors that
+     grow by doubling (to at most twice [capacity]) *)
+  mutable payloads : 'm array;
+  mutable times : float array;
+  mutable len : int;
   mutable dropped : int;
   c_offered : Telemetry.Registry.Counter.t;
   c_dropped : Telemetry.Registry.Counter.t;
@@ -17,7 +21,9 @@ let create ?metrics ~capacity ~timeout () =
     capacity;
     timeout;
     keys = Netcore.Five_tuple.Tbl.create 256;
-    queue = Queue.create ();
+    payloads = [||];
+    times = [||];
+    len = 0;
     dropped = 0;
     c_offered = Telemetry.Registry.counter reg "learning.offered";
     c_dropped = Telemetry.Registry.counter reg "learning.dropped";
@@ -27,53 +33,52 @@ let create ?metrics ~capacity ~timeout () =
 let capacity t = t.capacity
 let timeout t = t.timeout
 
-let pending t = Queue.length t.queue
+let pending t = t.len
 let dropped t = t.dropped
+
+(* [Array.append] doubles the payloads: an [Array.make] too big for the
+   minor heap whose filler is young forces a minor collection first *)
+let push t m now =
+  let n = t.len in
+  if n = Array.length t.payloads then begin
+    let times = Array.make (Int.max 16 (2 * n)) 0. in
+    Array.blit t.times 0 times 0 n;
+    t.payloads <- (if n = 0 then Array.make 16 m else Array.append t.payloads t.payloads);
+    t.times <- times
+  end;
+  t.payloads.(n) <- m;
+  t.times.(n) <- now;
+  t.len <- n + 1
 
 let offer t ~now k m =
   Telemetry.Registry.Counter.incr t.c_offered;
   if Netcore.Five_tuple.Tbl.mem t.keys k then `Duplicate
-  else if Queue.length t.queue >= t.capacity then begin
+  else if t.len >= t.capacity then begin
     t.dropped <- t.dropped + 1;
     Telemetry.Registry.Counter.incr t.c_dropped;
     `Dropped
   end
   else begin
     Netcore.Five_tuple.Tbl.replace t.keys k ();
-    Queue.add (k, m, now) t.queue;
-    Telemetry.Registry.Gauge.set t.g_pending (float_of_int (Queue.length t.queue));
+    push t m now;
+    Telemetry.Registry.Gauge.set t.g_pending (float_of_int t.len);
     `Accepted
   end
 
-let oldest_time t =
-  match Queue.peek_opt t.queue with
-  | Some (_, _, at) -> Some at
-  | None -> None
+let ready t ~now = t.len >= t.capacity || (t.len > 0 && now -. t.times.(0) >= t.timeout)
 
-let ready t ~now =
-  Queue.length t.queue >= t.capacity
-  ||
-  match oldest_time t with
-  | Some at -> now -. at >= t.timeout
-  | None -> false
+let next_deadline t = if t.len = 0 then None else Some (t.times.(0) +. t.timeout)
 
-let next_deadline t =
-  match oldest_time t with
-  | Some at -> Some (at +. t.timeout)
-  | None -> None
-
-(* Option-free [next_deadline] for per-packet polling: the switch's
-   [advance] calls this on every packet, and the [Some] boxes of
-   [next_deadline]/[oldest_time] were measurable on the replay path. *)
-let[@inline] next_deadline_or t ~default =
-  if Queue.is_empty t.queue then default
-  else
-    let _, _, at = Queue.peek t.queue in
-    at +. t.timeout
+(* The per-packet probe returns a bool: a float result would be boxed
+   across the module boundary on every call while an event waits. *)
+let due t ~now = t.len > 0 && t.times.(0) +. t.timeout <= now
 
 let drain t =
-  let events = Queue.fold (fun acc (k, m, _) -> (k, m) :: acc) [] t.queue in
-  Queue.clear t.queue;
+  let events = ref [] in
+  for i = t.len - 1 downto 0 do
+    events := t.payloads.(i) :: !events
+  done;
+  t.len <- 0;
   Netcore.Five_tuple.Tbl.reset t.keys;
   Telemetry.Registry.Gauge.set t.g_pending 0.;
-  List.rev events
+  !events

@@ -11,8 +11,9 @@
     the hardware has seen but whose ConnTable entry is not yet installed.
 
     Events are deduplicated by connection 5-tuple (hashed on its cached
-    [pre], {!Netcore.Five_tuple.Tbl}) and carry a payload ['m]. Time is
-    the simulator's float seconds. *)
+    [pre], {!Netcore.Five_tuple.Tbl}) and carry a payload ['m]: the
+    switch passes its per-connection record, so the CPU batch needs no
+    second lookup by tuple. Time is the simulator's float seconds. *)
 
 type 'm t
 
@@ -44,10 +45,11 @@ val next_deadline : _ t -> float option
 (** Absolute time at which the timeout of the oldest event fires, if any
     event is pending. *)
 
-val next_deadline_or : _ t -> default:float -> float
-(** Allocation-free {!next_deadline}: the deadline, or [default] when no
-    event is pending. Hot-path variant for per-packet polling. *)
+val due : _ t -> now:float -> bool
+(** True when an event is pending and the oldest one's timeout has
+    fired by [now] ([next_deadline <= now]). The allocation-free probe
+    for per-packet polling: read {!next_deadline} only once it holds. *)
 
-val drain : 'm t -> (Netcore.Five_tuple.t * 'm) list
-(** Hand all pending events to the CPU, oldest first, and empty the
-    filter. *)
+val drain : 'm t -> 'm list
+(** Hand every pending event's payload to the CPU, oldest first, and
+    empty the filter. *)

@@ -79,11 +79,12 @@ type partition = {
   sh_flags : Netcore.Tcp_flags.t array array;  (** decoded flag sets *)
   sh_pflow : int array array;  (** per shard packet: global flow index *)
 }
-(** A trace pre-partitioned into per-shard packed sub-traces: one
-    contiguous (times, flows, flags, flow-index) quadruple per shard,
-    each preserving the global (time, emission) order. Built once at
-    compile time so the replay hot loop — including the parallel
-    worker handoff — touches only flat arrays. *)
+(** A trace copied into per-shard packed sub-traces: one contiguous
+    (times, flows, flags, flow-index) quadruple per shard, each
+    preserving the global (time, emission) order. {!Replay.Stepper}
+    does not build one: it reads the trace in place through per-shard
+    packet-index arrays. perfbench still times [partition] as
+    [packed_trace.partition_s]. *)
 
 val partition : t -> shards:int -> shard_of:(Netcore.Five_tuple.t -> int) -> partition
 (** Gather each shard's packets into contiguous arrays (two linear

@@ -167,19 +167,42 @@ module Stepper = struct
   type shared = {
     horizon : float;
     shards : int;
-    part : Packed_trace.partition;
+    trace : Packed_trace.t;
+    idx : int array array;  (** per shard: its packets' indices in [trace], in order *)
     pcc : Lb.Pcc.Flat.t;
   }
 
+  (* Counting-sort gather of packet indices: within a shard, packets keep
+     the global (time, emission) order — exactly the subsequence a
+     per-shard switch would have seen in a scalar run. The trace itself
+     is read in place. *)
   let make_shared ~(trace : Packed_trace.t) ~shards =
     if shards < 1 then invalid_arg "Replay.Stepper.make_shared: shards must be >= 1";
-    let n_flows = Array.length trace.Packed_trace.flow_ids in
-    let part = Packed_trace.partition trace ~shards ~shard_of:(shard_of ~shards) in
+    let n_pkts = Packed_trace.n_packets trace in
+    let idx =
+      if shards = 1 then [| Array.init n_pkts Fun.id |]
+      else begin
+        let flow_shard = Array.map (shard_of ~shards) trace.Packed_trace.flow_tuples in
+        let pkt_flow = trace.Packed_trace.pkt_flow in
+        let counts = Array.make shards 0 in
+        Array.iter (fun fi -> counts.(flow_shard.(fi)) <- counts.(flow_shard.(fi)) + 1) pkt_flow;
+        let idx = Array.map (fun c -> Array.make c 0) counts in
+        let fill = Array.make shards 0 in
+        Array.iteri
+          (fun i fi ->
+            let k = flow_shard.(fi) in
+            idx.(k).(fill.(k)) <- i;
+            fill.(k) <- fill.(k) + 1)
+          pkt_flow;
+        idx
+      end
+    in
     {
       horizon = trace.Packed_trace.horizon;
       shards;
-      part;
-      pcc = Lb.Pcc.Flat.create n_flows;
+      trace;
+      idx;
+      pcc = Lb.Pcc.Flat.create (Packed_trace.n_flows trace);
     }
 
   let horizon sh = sh.horizon
@@ -188,24 +211,34 @@ module Stepper = struct
   type t = {
     sh : shared;
     shard : int;
+    idx : int array;  (** this shard's packet indices *)
     switch : Silkroad.Switch.t;
     balancer : Lb.Balancer.t;
     batched : bool;
     counters : Lb.Pcc.Flat.counters;
-    dips : Netcore.Endpoint.t array;
+    (* flag byte -> flag set; the stepper's own, so no decoding table
+       is shared between domains *)
+    flags_of_byte : Netcore.Tcp_flags.t array;
+    dips : Netcore.Endpoint.t array;  (** one batch's results *)
     mutable cursor : int;  (** next unprocessed packet of this shard *)
   }
+
+  (* packets per [process_batch] call: the batch's results are judged
+     before the next call, so [dips] stays this small *)
+  let batch = 1024
 
   let create sh ~shard ~batched switch =
     if shard < 0 || shard >= sh.shards then invalid_arg "Replay.Stepper.create: bad shard";
     {
       sh;
       shard;
+      idx = sh.idx.(shard);
       switch;
       balancer = Silkroad.Switch.balancer switch;
       batched;
       counters = Lb.Pcc.Flat.counters ();
-      dips = Array.make (Array.length sh.part.Packed_trace.sh_times.(shard)) Silkroad.Switch.no_dip;
+      flags_of_byte = Array.init 256 Netcore.Tcp_flags.of_byte;
+      dips = Array.make batch Silkroad.Switch.no_dip;
       cursor = 0;
     }
 
@@ -214,34 +247,47 @@ module Stepper = struct
   let payload_len = 1024
 
   let process_range st lo hi =
-    if hi > lo then begin
-      let times = st.sh.part.Packed_trace.sh_times.(st.shard)
-      and flows = st.sh.part.Packed_trace.sh_flows.(st.shard)
-      and flags = st.sh.part.Packed_trace.sh_flags.(st.shard)
-      and pflow = st.sh.part.Packed_trace.sh_pflow.(st.shard) in
-      if st.batched then
-        Silkroad.Switch.process_batch st.switch ~times ~flows ~flags ~payload_len ~dips:st.dips
-          ~pos:lo ~len:(hi - lo)
-      else
-        for j = lo to hi - 1 do
-          st.dips.(j) <-
-            Silkroad.Switch.process_flow st.switch ~now:times.(j) ~flags:flags.(j) ~payload_len
-              flows.(j)
+    let tr = st.sh.trace and idx = st.idx in
+    let times = tr.Packed_trace.times
+    and tuples = tr.Packed_trace.flow_tuples
+    and pkt_flow = tr.Packed_trace.pkt_flow
+    and pkt_flags = tr.Packed_trace.pkt_flags
+    and flags_of_byte = st.flags_of_byte in
+    let pcc = st.sh.pcc and c = st.counters in
+    if st.batched then begin
+      let pos = ref lo in
+      while !pos < hi do
+        let len = Int.min batch (hi - !pos) in
+        Silkroad.Switch.process_batch st.switch ~times ~tuples ~pkt_flow ~pkt_flags ~flags_of_byte
+          ~payload_len ~idx ~dips:st.dips ~pos:!pos ~len;
+        for k = 0 to len - 1 do
+          let i = idx.(!pos + k) in
+          Lb.Pcc.Flat.judge pcc c pkt_flow.(i) st.dips.(k)
+            ~ends:
+              (Netcore.Tcp_flags.is_connection_end
+                 flags_of_byte.(Char.code (Bytes.get pkt_flags i)))
         done;
-      let pcc = st.sh.pcc and c = st.counters in
-      for j = lo to hi - 1 do
-        Lb.Pcc.Flat.judge pcc c (Array.unsafe_get pflow j) (Array.unsafe_get st.dips j)
-          ~ends:(Netcore.Tcp_flags.is_connection_end (Array.unsafe_get flags j))
+        pos := !pos + len
       done
     end
+    else
+      for j = lo to hi - 1 do
+        let i = idx.(j) in
+        let flags = flags_of_byte.(Char.code (Bytes.get pkt_flags i)) in
+        let dip =
+          Silkroad.Switch.process_flow st.switch ~now:times.(i) ~flags ~payload_len
+            tuples.(pkt_flow.(i))
+        in
+        Lb.Pcc.Flat.judge pcc c pkt_flow.(i) dip ~ends:(Netcore.Tcp_flags.is_connection_end flags)
+      done
 
   (* process this shard's packets with time <= [at]: every probe stamped
      at a control's time fires before the control *)
   let flush_to st at =
-    let times = st.sh.part.Packed_trace.sh_times.(st.shard) in
-    let n = Array.length times in
+    let times = st.sh.trace.Packed_trace.times and idx = st.idx in
+    let n = Array.length idx in
     let j = ref st.cursor in
-    while !j < n && times.(!j) <= at do
+    while !j < n && times.(idx.(!j)) <= at do
       incr j
     done;
     process_range st st.cursor !j;
@@ -258,7 +304,7 @@ module Stepper = struct
     | _ -> apply_to st.balancer ~at ctrl
 
   let finish st ~now =
-    let n = Array.length st.sh.part.Packed_trace.sh_times.(st.shard) in
+    let n = Array.length st.idx in
     process_range st st.cursor n;
     st.cursor <- n;
     Silkroad.Switch.advance st.switch ~now

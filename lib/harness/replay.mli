@@ -146,9 +146,11 @@ val run_tasks : parallel:bool -> int -> (int -> unit) -> unit
     control plane is advanced outside the packet path. *)
 module Stepper : sig
   type shared
-  (** The trace gathered per shard plus the {!Lb.Pcc.Flat} judge state
-      all shards of a run share; writes are disjoint by flow owner, so
-      parallel steppers need no locks. *)
+  (** The trace, read in place, each shard's packet indices into it, and
+      the {!Lb.Pcc.Flat} judge state all shards of a run share; writes
+      are disjoint by flow owner, so parallel steppers need no locks.
+      The index arrays (one int a packet in all) are the only per-run
+      allocation that grows with the trace. *)
 
   val make_shared : trace:Packed_trace.t -> shards:int -> shared
   val horizon : shared -> float
@@ -161,8 +163,9 @@ module Stepper : sig
 
   val create : shared -> shard:int -> batched:bool -> Silkroad.Switch.t -> t
   (** One stepper per shard, [shard] in [0 .. shards-1]. [batched] uses
-      {!Silkroad.Switch.process_batch} (the fast path); [false] mirrors
-      the scalar one-call-per-packet loop. *)
+      {!Silkroad.Switch.process_batch} over runs of up to 1024 packets
+      (the fast path); [false] mirrors the scalar one-call-per-packet
+      loop. *)
 
   val switch : t -> Silkroad.Switch.t
 

@@ -1,13 +1,24 @@
 module Ftbl = Netcore.Five_tuple.Tbl
 
+(* One record per connection, and the handle for everything it owns:
+   [flows] maps the tuple to it, and the pending vector, the aging wheel,
+   the learning filter and the CPU batches hold the record itself. A
+   connection's life therefore costs five 5-tuple table operations: the
+   [flows] find on its first packet, the [flows] add and remove, and the
+   learning filter's two dedupe operations. *)
 type conn_state = {
-  cs_vip : Netcore.Endpoint.t;
+  cs_flow : Netcore.Five_tuple.t;  (** its VIP is [cs_flow.dst] *)
   cs_version : int;  (** version assigned when the connection arrived *)
   mutable inserted : bool;
   mutable in_pipeline : bool;  (** learning event in the filter or at the CPU *)
   mutable ended : bool;
+  mutable destroyed : bool;  (** torn down and gone from [flows] *)
   mutable last_seen : float;
+  mutable pend_pos : int;  (** slot in the pending vector, or -1 *)
+  mutable age_pos : int;  (** aging-wheel position, or [Timer_wheel.no_pos] *)
 }
+
+let vip_of st = st.cs_flow.Netcore.Five_tuple.dst
 
 type job_phase =
   | Job_recording
@@ -39,13 +50,16 @@ type update_report = {
   ur_outcome : [ `Completed | `Failed ];
 }
 
+(* CPU work names connections by record. A record destroyed while its
+   work queued resolves through [flows] by its tuple ([live]), which may
+   find a newer connection on the same 5-tuple. *)
 type cpu_work =
-  | Insert_batch of Netcore.Five_tuple.t list
-  | Delete_batch of Netcore.Five_tuple.t list
-  | Repair_batch of Netcore.Five_tuple.t list
+  | Insert_batch of conn_state list
+  | Delete of conn_state
+  | Repairs of int
       (** collision repairs already applied to the table; completion
           accounts the CPU time so the backlog is observable *)
-  | Overflow_retry_batch of (Netcore.Five_tuple.t * int) list
+  | Overflow_retry_batch of (conn_state * int) list
       (** deferred inserts from the overflow queue, with their attempt
           count; each retry re-runs the cuckoo search at a higher CPU
           cost than a first-time insert *)
@@ -73,7 +87,7 @@ type t = {
   pools : Dip_pool_table.t;
   vips : Vip_table.t;
   transit : Asic.Bloom_filter.t;
-  learning : unit Asic.Learning_filter.t;
+  learning : conn_state Asic.Learning_filter.t;
   cpu : Asic.Switch_cpu.t;
   (* completion times are monotone (FIFO CPU), so a plain queue works *)
   cpu_done : (float * cpu_work) Queue.t;
@@ -82,18 +96,21 @@ type t = {
      instead of being dropped from state on first failure. At most one
      retry batch is in flight at a time so overflow work never starves
      the learning pipeline. *)
-  overflow : (Netcore.Five_tuple.t * int) Queue.t;
+  overflow : (conn_state * int) Queue.t;
   mutable overflow_inflight : bool;
   flows : conn_state Ftbl.t;
   (* the pending connections: exactly the tracked flows neither
      inserted nor ended, the only ones a §4.3 step-1 barrier can wait
      on. A flow joins when its state is created and leaves for good
      when either flag is set, so an update costs what is pending, not
-     what is tracked. *)
-  pending : conn_state Ftbl.t;
-  (* lazy idle-timeout timers: one wheel entry per tracked connection,
-     verified against last_seen on expiry *)
-  aging : Asic.Timer_wheel.t;
+     what is tracked. A dense vector: each record keeps its slot, and
+     leaving is a swap-remove. *)
+  mutable pending : conn_state array;
+  mutable pending_len : int;
+  (* lazy idle-timeout timers: one wheel entry per live tracked
+     connection, verified against last_seen on expiry; the record keeps
+     its own position *)
+  aging : conn_state Asic.Timer_wheel.t;
   meters : (Netcore.Endpoint.t, Asic.Meter.t) Hashtbl.t;  (** per-VIP rate limiters *)
   jobs : (Netcore.Endpoint.t, update_job) Hashtbl.t;  (** active job per VIP *)
   (* queued updates keep their request time so the control plane can
@@ -201,9 +218,12 @@ let create ?metrics ?(check = `Warn) cfg =
     overflow = Queue.create ();
     overflow_inflight = false;
     flows = Ftbl.create 4096;
-    pending = Ftbl.create 256;
+    pending = [||];
+    pending_len = 0;
     aging =
-      Asic.Timer_wheel.create ~granularity:(cfg.Config.idle_timeout /. 4.) ~slots:16 ();
+      Asic.Timer_wheel.create
+        ~set_pos:(fun st pos -> st.age_pos <- pos)
+        ~granularity:(cfg.Config.idle_timeout /. 4.) ~slots:16 ();
     meters = Hashtbl.create 8;
     jobs = Hashtbl.create 16;
     job_queue = Hashtbl.create 16;
@@ -373,10 +393,10 @@ and start_job t ~now ~requested vip update =
      nothing to wait for — the update executes immediately and pending
      connections are left unprotected (Figure 16's ablation). *)
   if t.cfg.Config.use_transit then
-    Ftbl.iter
-      (fun flow (st : conn_state) ->
-        if Netcore.Endpoint.equal st.cs_vip vip then Ftbl.replace job.waiting flow ())
-      t.pending;
+    for i = 0 to t.pending_len - 1 do
+      let st = t.pending.(i) in
+      if Netcore.Endpoint.equal (vip_of st) vip then Ftbl.replace job.waiting st.cs_flow ()
+    done;
   Hashtbl.replace t.jobs vip job;
   check_job_transition t ~now job
 
@@ -394,38 +414,70 @@ let barrier_resolved t ~now ~vip flow =
 
 (* ----- connection state bookkeeping ----- *)
 
+(* [Array.append] doubles the vector: an [Array.make] too big for the
+   minor heap whose filler is young (a record just created) forces a
+   minor collection first *)
+let add_pending t st =
+  let n = t.pending_len in
+  if n = Array.length t.pending then
+    t.pending <- (if n = 0 then Array.make 64 st else Array.append t.pending t.pending);
+  t.pending.(n) <- st;
+  st.pend_pos <- n;
+  t.pending_len <- n + 1
+
 (* a new connection's state: tracked, aging, holding its version, and
    pending until it is inserted or ends. [flow] has no state yet, so
-   [add] (no bucket search) leaves both tables as [replace] would. *)
+   [add] (no bucket search) leaves [flows] as [replace] would. *)
 let track t ~now flow ~vip ~version =
   Telemetry.Registry.Counter.incr t.c_connections_seen;
   let st =
     {
-      cs_vip = vip;
+      cs_flow = flow;
       cs_version = version;
       inserted = false;
       in_pipeline = false;
       ended = false;
+      destroyed = false;
       last_seen = now;
+      pend_pos = -1;
+      age_pos = Asic.Timer_wheel.no_pos;
     }
   in
   Ftbl.add t.flows flow st;
-  Ftbl.add t.pending flow st;
-  Asic.Timer_wheel.schedule t.aging ~key:flow ~at:(now +. t.cfg.Config.idle_timeout);
+  add_pending t st;
+  Asic.Timer_wheel.schedule t.aging ~key:st ~at:(now +. t.cfg.Config.idle_timeout);
   Dip_pool_table.retain t.pools ~vip ~version;
   st
 
-(* [inserted] or [ended] was just set: the flow is no longer pending *)
-let settle t flow = Ftbl.remove t.pending flow
+(* [inserted] or [ended] was just set: the flow is no longer pending.
+   Swap-remove: the vector's last record takes the freed slot. *)
+let settle t st =
+  let i = st.pend_pos in
+  if i >= 0 then begin
+    let last = t.pending_len - 1 in
+    let moved = t.pending.(last) in
+    t.pending.(i) <- moved;
+    moved.pend_pos <- i;
+    (* the vacated cell must not keep a settled record reachable *)
+    t.pending.(last) <- t.pending.(0);
+    t.pending_len <- last;
+    st.pend_pos <- -1
+  end
 
-let destroy_state t flow (st : conn_state) =
-  settle t flow;
-  Asic.Timer_wheel.cancel t.aging ~key:flow;
-  (match Vip_table.current t.vips st.cs_vip with
-   | Some current ->
-     Dip_pool_table.release t.pools ~vip:st.cs_vip ~version:st.cs_version ~current
+let destroy_state t (st : conn_state) =
+  settle t st;
+  Asic.Timer_wheel.cancel t.aging ~pos:st.age_pos;
+  let vip = vip_of st in
+  (match Vip_table.current t.vips vip with
+   | Some current -> Dip_pool_table.release t.pools ~vip ~version:st.cs_version ~current
    | None -> ());
-  Ftbl.remove t.flows flow
+  Ftbl.remove t.flows st.cs_flow;
+  st.destroyed <- true
+
+(* the state CPU work queued for [st] now acts on: [st] itself, or, once
+   [st] was destroyed, whichever newer connection holds its tuple.
+   Raises [Not_found] when there is none. *)
+let live t st = if st.destroyed then Ftbl.find t.flows st.cs_flow else st
 
 (* ----- control plane ----- *)
 
@@ -439,12 +491,12 @@ let rec complete_cpu_work t ~now =
     if at <= now then begin
       let _, work = Queue.pop t.cpu_done in
       (match work with
-       | Insert_batch flows ->
+       | Insert_batch batch ->
          List.iter
-           (fun flow ->
-             match Ftbl.find_opt t.flows flow with
-             | None -> ()  (* state already destroyed *)
-             | Some st ->
+           (fun st ->
+             match live t st with
+             | exception Not_found -> ()  (* state already destroyed *)
+             | st ->
                st.in_pipeline <- false;
                if st.inserted then
                  (* installed meanwhile (a collision repair), possibly as
@@ -453,21 +505,21 @@ let rec complete_cpu_work t ~now =
                  ()
                else if st.ended then begin
                  (* flow finished before its entry was installed *)
-                 barrier_resolved t ~now ~vip:st.cs_vip flow;
-                 destroy_state t flow st
+                 barrier_resolved t ~now ~vip:(vip_of st) st.cs_flow;
+                 destroy_state t st
                end
                else begin
-                 (match Conn_table.insert t.conns flow ~version:st.cs_version with
+                 (match Conn_table.insert t.conns st.cs_flow ~version:st.cs_version with
                   | Ok _ | Error `Duplicate ->
                     st.inserted <- true;
-                    settle t flow
+                    settle t st
                   | Error `Full ->
                     (* defer to the overflow queue: the switch CPU
                        retries the insert later at its real cost
                        instead of abandoning state on first failure *)
                     if Queue.length t.overflow < overflow_cap then begin
                       Telemetry.Registry.Counter.incr t.c_insert_overflows;
-                      Queue.add (flow, 1) t.overflow;
+                      Queue.add (st, 1) t.overflow;
                       st.in_pipeline <- true
                     end
                     else begin
@@ -479,58 +531,55 @@ let rec complete_cpu_work t ~now =
                     end;
                     (* stays a pending connection; must not gate updates *)
                     st.inserted <- false);
-                 barrier_resolved t ~now ~vip:st.cs_vip flow
+                 barrier_resolved t ~now ~vip:(vip_of st) st.cs_flow
                end)
-           flows
-       | Delete_batch flows ->
-         List.iter
-           (fun flow ->
-             match Ftbl.find_opt t.flows flow with
-             | Some st when not st.ended ->
-               (* a newer connection on the same 5-tuple: the state this
-                  delete was issued for was torn down while it queued
-                  (re-route, VIP removal), entry included *)
-               ()
-             | Some st ->
-               ignore (Conn_table.remove t.conns flow);
-               barrier_resolved t ~now ~vip:st.cs_vip flow;
-               destroy_state t flow st
-             | None -> ignore (Conn_table.remove t.conns flow))
-           flows
-       | Repair_batch flows ->
+           batch
+       | Delete st ->
+         (match live t st with
+          | st when not st.ended ->
+            (* a newer connection on the same 5-tuple: the state this
+               delete was issued for was torn down while it queued
+               (re-route, VIP removal), entry included *)
+            ()
+          | st ->
+            ignore (Conn_table.remove t.conns st.cs_flow);
+            barrier_resolved t ~now ~vip:(vip_of st) st.cs_flow;
+            destroy_state t st
+          | exception Not_found -> ignore (Conn_table.remove t.conns st.cs_flow))
+       | Repairs n ->
          (* repairs were applied synchronously at submission; completion
             only accounts the CPU time *)
-         List.iter (fun _ -> Telemetry.Registry.Counter.incr t.c_repairs_completed) flows
+         Telemetry.Registry.Counter.add t.c_repairs_completed n
        | Overflow_retry_batch items ->
          t.overflow_inflight <- false;
          List.iter
-           (fun (flow, attempts) ->
+           (fun (st, attempts) ->
              Telemetry.Registry.Counter.incr t.c_overflow_retries;
-             match Ftbl.find_opt t.flows flow with
-             | None -> ()  (* state destroyed while queued *)
-             | Some st ->
+             match live t st with
+             | exception Not_found -> ()  (* state destroyed while queued *)
+             | st ->
                if st.inserted then st.in_pipeline <- false
                else if st.ended then begin
                  st.in_pipeline <- false;
-                 barrier_resolved t ~now ~vip:st.cs_vip flow;
-                 destroy_state t flow st
+                 barrier_resolved t ~now ~vip:(vip_of st) st.cs_flow;
+                 destroy_state t st
                end
                else (
-                 match Conn_table.insert t.conns flow ~version:st.cs_version with
+                 match Conn_table.insert t.conns st.cs_flow ~version:st.cs_version with
                  | Ok _ | Error `Duplicate ->
                    st.inserted <- true;
-                   settle t flow;
+                   settle t st;
                    st.in_pipeline <- false;
-                   barrier_resolved t ~now ~vip:st.cs_vip flow
+                   barrier_resolved t ~now ~vip:(vip_of st) st.cs_flow
                  | Error `Full ->
                    if attempts < max_overflow_retries && Queue.length t.overflow < overflow_cap
-                   then Queue.add (flow, attempts + 1) t.overflow
+                   then Queue.add (st, attempts + 1) t.overflow
                    else begin
                      (* give up: the connection stays stateless, the
                         paper's §7 overflow outcome *)
                      st.in_pipeline <- false;
                      Telemetry.Registry.Counter.incr t.c_table_full_drops;
-                     barrier_resolved t ~now ~vip:st.cs_vip flow;
+                     barrier_resolved t ~now ~vip:(vip_of st) st.cs_flow;
                      Log.warn (fun m ->
                          m "ConnTable full (%.1f%%) after %d insert attempts: connection left \
                             stateless"
@@ -556,42 +605,40 @@ let schedule_overflow_retries t ~now =
   end
 
 let drain_learning t ~at =
-  let batch = Asic.Learning_filter.drain t.learning in
-  if batch <> [] then begin
-    let flows = List.map fst batch in
-    let done_at = Asic.Switch_cpu.submit t.cpu ~now:at ~work_items:(List.length flows) in
-    Queue.add (done_at, Insert_batch flows) t.cpu_done
-  end
+  match Asic.Learning_filter.drain t.learning with
+  | [] -> ()
+  | batch ->
+    let done_at = Asic.Switch_cpu.submit t.cpu ~now:at ~work_items:(List.length batch) in
+    Queue.add (done_at, Insert_batch batch) t.cpu_done
 
-let submit_delete t ~now flow =
+let submit_delete t ~now st =
   let done_at = Asic.Switch_cpu.submit t.cpu ~now ~work_items:1 in
-  Queue.add (done_at, Delete_batch [ flow ]) t.cpu_done
+  Queue.add (done_at, Delete st) t.cpu_done
 
-let expire_one t ~now flow =
-  match Ftbl.find_opt t.flows flow with
-  | None -> ()
-  | Some (st : conn_state) ->
-    if st.ended then ()
-    else if now -. st.last_seen >= t.cfg.Config.idle_timeout then begin
-      (* no [settle]: an installed flow left the pending set when it was
-         inserted, and an uninstalled one is destroyed right here *)
-      st.ended <- true;
-      if st.inserted then submit_delete t ~now flow
-      else begin
-        (* never installed (e.g. table full): just drop the state *)
-        barrier_resolved t ~now ~vip:st.cs_vip flow;
-        destroy_state t flow st
-      end
+(* [st] just left the wheel: a record in it is never destroyed, since
+   destruction cancels its entry *)
+let expire_one t ~now (st : conn_state) =
+  if st.ended then ()
+  else if now -. st.last_seen >= t.cfg.Config.idle_timeout then begin
+    (* no [settle]: an installed flow left the pending set when it was
+       inserted, and an uninstalled one is destroyed right here *)
+    st.ended <- true;
+    if st.inserted then submit_delete t ~now st
+    else begin
+      (* never installed (e.g. table full): just drop the state *)
+      barrier_resolved t ~now ~vip:(vip_of st) st.cs_flow;
+      destroy_state t st
     end
-    else
-      (* saw traffic since: re-arm for the remaining idle budget *)
-      Asic.Timer_wheel.schedule t.aging ~key:flow ~at:(st.last_seen +. t.cfg.Config.idle_timeout)
+  end
+  else
+    (* saw traffic since: re-arm for the remaining idle budget *)
+    Asic.Timer_wheel.schedule t.aging ~key:st ~at:(st.last_seen +. t.cfg.Config.idle_timeout)
 
 (* closure-free: the wheel returns [] on every same-tick packet *)
 let rec expire_all t ~now = function
   | [] -> ()
-  | flow :: rest ->
-    expire_one t ~now flow;
+  | st :: rest ->
+    expire_one t ~now st;
     expire_all t ~now rest
 
 let expire_idle t ~now = expire_all t ~now (Asic.Timer_wheel.advance t.aging ~now)
@@ -615,12 +662,13 @@ let release_stuck_barriers t ~now =
     ready
 
 (* due learning batches first: their completions may already be due.
-   The option-free deadline probe keeps this per-packet loop off the GC
-   ([infinity <= now] is never true). *)
+   The bool probe keeps this per-packet loop off the GC; the deadline,
+   a boxed float, is read only when a drain fires. *)
 let rec drain_due t ~now =
-  let deadline = Asic.Learning_filter.next_deadline_or t.learning ~default:infinity in
-  if deadline <= now then begin
-    drain_learning t ~at:deadline;
+  if Asic.Learning_filter.due t.learning ~now then begin
+    (match Asic.Learning_filter.next_deadline t.learning with
+     | Some at -> drain_learning t ~at
+     | None -> ());
     drain_due t ~now
   end
 
@@ -666,9 +714,9 @@ let forward t ~vip ~version flow ~location =
   end
 
 (* learning: raise an event for a connection whose entry is missing *)
-let learn t ~now flow (st : conn_state) =
+let learn t ~now (st : conn_state) =
   if not st.in_pipeline then begin
-    match Asic.Learning_filter.offer t.learning ~now flow () with
+    match Asic.Learning_filter.offer t.learning ~now st.cs_flow st with
     | `Accepted ->
       st.in_pipeline <- true;
       if Asic.Learning_filter.pending t.learning >= Asic.Learning_filter.capacity t.learning
@@ -715,13 +763,13 @@ let handle_miss t ~now ~ends flow ~vip ~vh ~syn =
     st.last_seen <- now;
     if ends then begin
       st.ended <- true;
-      settle t flow
+      settle t st
     end;
     if how = how_recorded then
       (match Hashtbl.find_opt t.jobs vip with
        | Some job when not st.inserted -> Ftbl.replace job.recorded flow ()
        | Some _ | None -> ());
-    learn t ~now flow st;
+    learn t ~now st;
     (* the software slow path knows the connection's true version; the
        hardware fast path forwards with the freshly computed one — if
        that differs from the connection's own, that is exactly a PCC
@@ -738,7 +786,7 @@ let handle_miss t ~now ~ends flow ~vip ~vh ~syn =
         (match Hashtbl.find_opt t.jobs vip with
          | Some job -> Ftbl.replace job.recorded flow ()
          | None -> ());
-      learn t ~now flow st;
+      learn t ~now st;
       forward t ~vip ~version flow ~location
     end
 
@@ -759,11 +807,11 @@ let handle_false_hit_syn t ~now flow ~vip ~vh =
        goes through the shared FIFO so the backlog it causes is visible in
        the queue-delay histogram and accounted at completion *)
     let done_at = Asic.Switch_cpu.submit t.cpu ~now ~work_items:3 in
-    Queue.add (done_at, Repair_batch [ flow ]) t.cpu_done;
+    Queue.add (done_at, Repairs 1) t.cpu_done;
     (match Conn_table.repair_collision t.conns flow ~version:st.cs_version with
      | Ok () ->
        st.inserted <- true;
-       settle t flow;
+       settle t st;
        barrier_resolved t ~now ~vip flow
      | Error `Full -> Telemetry.Registry.Counter.incr t.c_table_full_drops);
     forward t ~vip ~version:st.cs_version flow ~location:Lb.Balancer.Switch_cpu
@@ -824,7 +872,7 @@ let process_flow t ~now ~flags ~payload_len flow =
              (* an exact hit is installed, so not pending: no [settle] *)
              if ends && not st.ended then begin
                st.ended <- true;
-               submit_delete t ~now flow
+               submit_delete t ~now st
              end
            | exception Not_found -> ());
           forward t ~vip ~version flow ~location:Lb.Balancer.Asic
@@ -847,12 +895,15 @@ let process t ~now pkt =
   if dip == no_dip then { Lb.Balancer.dip = None; location = t.last_location }
   else { Lb.Balancer.dip = Some dip; location = t.last_location }
 
-let process_batch t ~times ~flows ~flags ~payload_len ~dips ~pos ~len =
-  for i = pos to pos + len - 1 do
-    dips.(i) <-
-      process_flow t ~now:(Array.unsafe_get times i)
-        ~flags:(Array.unsafe_get flags i) ~payload_len
-        (Array.unsafe_get flows i)
+let process_batch t ~times ~tuples ~pkt_flow ~pkt_flags ~flags_of_byte ~payload_len ~idx ~dips
+    ~pos ~len =
+  for k = 0 to len - 1 do
+    let i = idx.(pos + k) in
+    dips.(k) <-
+      process_flow t ~now:times.(i)
+        ~flags:flags_of_byte.(Char.code (Bytes.get pkt_flags i))
+        ~payload_len
+        tuples.(pkt_flow.(i))
   done
 
 let request_update t ~now ~vip update =
@@ -888,14 +939,14 @@ let remove_vip t vip =
      version refcounts all go through the same path a deletion takes *)
   let doomed =
     Ftbl.fold
-      (fun flow (st : conn_state) acc ->
-        if Netcore.Endpoint.equal st.cs_vip vip then (flow, st) :: acc else acc)
+      (fun _ (st : conn_state) acc ->
+        if Netcore.Endpoint.equal (vip_of st) vip then st :: acc else acc)
       t.flows []
   in
   List.iter
-    (fun (flow, (st : conn_state)) ->
-      if st.inserted then ignore (Conn_table.remove t.conns flow);
-      destroy_state t flow st)
+    (fun (st : conn_state) ->
+      if st.inserted then ignore (Conn_table.remove t.conns st.cs_flow);
+      destroy_state t st)
     doomed;
   Hashtbl.remove t.job_queue vip;
   Hashtbl.remove t.meters vip;
@@ -915,7 +966,7 @@ let inject_cpu_backlog t ~now ~work_items =
        visible in switch_cpu.backlog_seconds and the queue-delay
        histogram without touching any table *)
     let done_at = Asic.Switch_cpu.submit t.cpu ~now ~work_items in
-    Queue.add (done_at, Repair_batch []) t.cpu_done
+    Queue.add (done_at, Repairs 0) t.cpu_done
   end
 
 let forget_flows t ~now select =
@@ -928,15 +979,14 @@ let forget_flows t ~now select =
      connections wherever ECMP sends them next. *)
   let doomed =
     Ftbl.fold
-      (fun flow (st : conn_state) acc ->
-        if select flow st.cs_vip then (flow, st) :: acc else acc)
+      (fun flow (st : conn_state) acc -> if select flow (vip_of st) then st :: acc else acc)
       t.flows []
   in
   List.iter
-    (fun (flow, (st : conn_state)) ->
-      if st.inserted then ignore (Conn_table.remove t.conns flow);
-      barrier_resolved t ~now ~vip:st.cs_vip flow;
-      destroy_state t flow st)
+    (fun (st : conn_state) ->
+      if st.inserted then ignore (Conn_table.remove t.conns st.cs_flow);
+      barrier_resolved t ~now ~vip:(vip_of st) st.cs_flow;
+      destroy_state t st)
     doomed;
   let n = List.length doomed in
   Telemetry.Registry.Counter.add t.c_rerouted_flows n;
@@ -1012,11 +1062,11 @@ let check_invariants t =
     (fun flow (st : conn_state) ->
       if st.inserted && not (Conn_table.mem_exact t.conns flow) then
         bad "installed connection %a has no ConnTable entry" Netcore.Five_tuple.pp flow;
-      (match Dip_pool_table.pool t.pools ~vip:st.cs_vip ~version:st.cs_version with
+      (match Dip_pool_table.pool t.pools ~vip:(vip_of st) ~version:st.cs_version with
        | Some _ -> ()
        | None ->
          bad "connection %a uses dead version %d" Netcore.Five_tuple.pp flow st.cs_version);
-      let key = (st.cs_vip, st.cs_version) in
+      let key = (vip_of st, st.cs_version) in
       Hashtbl.replace users key (1 + Option.value ~default:0 (Hashtbl.find_opt users key)))
     t.flows;
   (* refcounts match tracked users *)
@@ -1027,21 +1077,52 @@ let check_invariants t =
         bad "version %d of %a has refcount %d but %d tracked users" version Netcore.Endpoint.pp
           vip refs n)
     users;
-  (* the pending set is exactly the tracked flows neither inserted nor
-     ended *)
+  (* a record the pending vector or the aging wheel holds must be the
+     one [flows] maps its tuple to *)
+  let tracked (st : conn_state) =
+    match Ftbl.find_opt t.flows st.cs_flow with Some s -> s == st | None -> false
+  in
+  (* the pending vector holds exactly the tracked flows neither inserted
+     nor ended, each at the slot it records *)
   let pending = ref 0 in
   Ftbl.iter
     (fun flow (st : conn_state) ->
       if (not st.inserted) && not st.ended then begin
         incr pending;
-        match Ftbl.find_opt t.pending flow with
-        | Some p when p == st -> ()
-        | Some _ | None ->
-          bad "pending connection %a missing from the pending set" Netcore.Five_tuple.pp flow
+        if st.pend_pos < 0 || st.pend_pos >= t.pending_len || t.pending.(st.pend_pos) != st then
+          bad "pending connection %a missing from the pending vector" Netcore.Five_tuple.pp flow
       end)
     t.flows;
-  if Ftbl.length t.pending <> !pending then
-    bad "pending set holds %d flows for %d pending connections" (Ftbl.length t.pending) !pending;
+  if t.pending_len <> !pending then
+    bad "pending vector holds %d flows for %d pending connections" t.pending_len !pending;
+  for i = 0 to t.pending_len - 1 do
+    let st = t.pending.(i) in
+    if st.pend_pos <> i then
+      bad "pending vector slot %d holds %a, which records slot %d" i Netcore.Five_tuple.pp
+        st.cs_flow st.pend_pos;
+    if st.inserted || st.ended || not (tracked st) then
+      bad "pending vector holds %a, which is not pending" Netcore.Five_tuple.pp st.cs_flow
+  done;
+  (* every live tracked connection has exactly one aging entry, at the
+     position it records: each entry's record names that entry, so no
+     record has two, and the entries are exactly the tracked records
+     with a position *)
+  let aged = ref 0 in
+  Asic.Timer_wheel.iter t.aging (fun pos (st : conn_state) ->
+      if st.age_pos <> pos then
+        bad "aging entry %d holds %a, which records position %d" pos Netcore.Five_tuple.pp
+          st.cs_flow st.age_pos;
+      if not (tracked st) then
+        bad "aging entry %d holds untracked %a" pos Netcore.Five_tuple.pp st.cs_flow);
+  Ftbl.iter
+    (fun flow (st : conn_state) ->
+      if st.age_pos <> Asic.Timer_wheel.no_pos then incr aged
+      else if not st.ended then
+        bad "live connection %a has no aging entry" Netcore.Five_tuple.pp flow)
+    t.flows;
+  if Asic.Timer_wheel.scheduled t.aging <> !aged then
+    bad "aging wheel holds %d entries for %d connections with a position"
+      (Asic.Timer_wheel.scheduled t.aging) !aged;
   (* ConnTable entries all belong to tracked flows *)
   if Conn_table.size t.conns > Ftbl.length t.flows then
     bad "ConnTable holds %d entries for %d tracked connections" (Conn_table.size t.conns)

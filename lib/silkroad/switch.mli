@@ -107,19 +107,24 @@ val last_location : t -> Lb.Balancer.location
 val process_batch :
   t ->
   times:float array ->
-  flows:Netcore.Five_tuple.t array ->
-  flags:Netcore.Tcp_flags.t array ->
+  tuples:Netcore.Five_tuple.t array ->
+  pkt_flow:int array ->
+  pkt_flags:Bytes.t ->
+  flags_of_byte:Netcore.Tcp_flags.t array ->
   payload_len:int ->
+  idx:int array ->
   dips:Netcore.Endpoint.t array ->
   pos:int ->
   len:int ->
   unit
-(** Run {!process_flow} over [times/flows/flags] indices
-    [pos .. pos+len-1] (times must be non-decreasing), writing each
-    result into [dips]. One bounds check per array per batch. On the
-    exact-hit path the loop allocates only the boxed packet time it
-    hands to {!process_flow} (two words a packet), which allocates
-    nothing itself; [test/test_alloc.ml] checks both. *)
+(** Run {!process_flow} over the packets [i = idx.(pos + k)], [k] in
+    [0 .. len-1] (times must be non-decreasing), in place in a packed
+    schedule: packet [i] is at [times.(i)], of the flow
+    [tuples.(pkt_flow.(i))], with the flags [flags_of_byte] decodes
+    from byte [i] of [pkt_flags] (a 256-entry table). Result [k] goes
+    to [dips.(k)]. On the exact-hit path the loop allocates only the
+    boxed packet time it hands to {!process_flow} (two words a packet),
+    which allocates nothing itself; [test/test_alloc.ml] checks both. *)
 
 val request_update : t -> now:float -> vip:Netcore.Endpoint.t -> Lb.Balancer.update -> unit
 (** Request a DIP-pool update; updates to a VIP already updating are
@@ -232,8 +237,12 @@ val check_invariants : t -> (unit, string list) result
     - every tracked connection's version is live in DIPPoolTable, and
       per-(VIP, version) refcounts equal the number of tracked
       connections using that version;
-    - the pending set the step-1 barrier is built from holds exactly
-      the tracked connections neither installed nor ended;
+    - the pending vector the step-1 barrier is built from holds
+      exactly the tracked connections neither installed nor ended,
+      each at the slot it records;
+    - every tracked connection that has not ended has exactly one
+      aging-wheel entry, at the position it records, and every entry
+      belongs to a tracked connection;
     - every VIP's current version is allocated;
     - a VIP has an active update job iff it is not in phase [Idle].
     Returns the list of violated invariants. *)

@@ -425,13 +425,12 @@ let cuckoo_greedy_kicks_counter () =
 
 (* ---------- Learning_filter ---------- *)
 
-(* The learning filter and the timer wheel are keyed on 5-tuples;
-   [key i] is a distinct tuple per source port [i]. *)
+(* The learning filter is keyed on 5-tuples; [key i] is a distinct
+   tuple per source port [i]. *)
 let key i =
   Netcore.Five_tuple.make ~src:(Netcore.Endpoint.v4 10 0 0 1 i)
     ~dst:(Netcore.Endpoint.v4 20 0 0 1 80) ~proto:Netcore.Protocol.Tcp
 
-let port_of (t : Netcore.Five_tuple.t) = t.Netcore.Five_tuple.src.Netcore.Endpoint.port
 let tuple_t = Alcotest.testable Netcore.Five_tuple.pp Netcore.Five_tuple.equal
 let ka = key 1
 let kb = key 2
@@ -456,6 +455,8 @@ let learning_timeout () =
   ignore (Asic.Learning_filter.offer f ~now:1. ka ());
   check Alcotest.bool "not ready yet" false (Asic.Learning_filter.ready f ~now:1.2);
   check Alcotest.bool "ready at deadline" true (Asic.Learning_filter.ready f ~now:1.5);
+  check Alcotest.bool "not due yet" false (Asic.Learning_filter.due f ~now:1.2);
+  check Alcotest.bool "due at deadline" true (Asic.Learning_filter.due f ~now:1.5);
   (match Asic.Learning_filter.next_deadline f with
    | Some d -> check (Alcotest.float 1e-9) "deadline" 1.5 d
    | None -> Alcotest.fail "no deadline");
@@ -465,13 +466,13 @@ let learning_timeout () =
   check Alcotest.bool "re-offer accepted" true
     (Asic.Learning_filter.offer f ~now:2. ka () = `Accepted)
 
+(* the payload travels with the event: here the key itself *)
 let learning_drain_order () =
   let f = Asic.Learning_filter.create ~capacity:10 ~timeout:1. () in
-  ignore (Asic.Learning_filter.offer f ~now:0. ka ());
-  ignore (Asic.Learning_filter.offer f ~now:0.1 kb ());
-  ignore (Asic.Learning_filter.offer f ~now:0.2 kc ());
-  let keys = List.map fst (Asic.Learning_filter.drain f) in
-  check (Alcotest.list tuple_t) "fifo" [ ka; kb; kc ] keys
+  ignore (Asic.Learning_filter.offer f ~now:0. ka ka);
+  ignore (Asic.Learning_filter.offer f ~now:0.1 kb kb);
+  ignore (Asic.Learning_filter.offer f ~now:0.2 kc kc);
+  check (Alcotest.list tuple_t) "fifo" [ ka; kb; kc ] (Asic.Learning_filter.drain f)
 
 (* ---------- Switch_cpu ---------- *)
 
@@ -557,70 +558,115 @@ let resilient_add_disruption_small () =
 
 (* ---------- Timer_wheel ---------- *)
 
-let kfar = key 4
+(* The wheel's payloads keep their own position, as the switch's
+   connection records do; [reschedule] is the cancel-then-schedule a
+   moved deadline takes. *)
+type aged = {
+  id : int;
+  mutable pos : int;
+}
+
+let aged id = { id; pos = Asic.Timer_wheel.no_pos }
+let wheel ~granularity ~slots =
+  Asic.Timer_wheel.create ~set_pos:(fun e p -> e.pos <- p) ~granularity ~slots ()
+
+let ids = List.map (fun e -> e.id)
+
+let reschedule w e ~at =
+  Asic.Timer_wheel.cancel w ~pos:e.pos;
+  Asic.Timer_wheel.schedule w ~key:e ~at
+
+let ids_t = Alcotest.(list int)
 
 let wheel_fires_on_time () =
-  let w = Asic.Timer_wheel.create ~granularity:1. ~slots:8 () in
-  Asic.Timer_wheel.schedule w ~key:ka ~at:3.;
-  Asic.Timer_wheel.schedule w ~key:kb ~at:5.;
-  check (Alcotest.list tuple_t) "nothing early" [] (Asic.Timer_wheel.advance w ~now:2.);
+  let w = wheel ~granularity:1. ~slots:8 in
+  let a = aged 1 and b = aged 2 in
+  Asic.Timer_wheel.schedule w ~key:a ~at:3.;
+  Asic.Timer_wheel.schedule w ~key:b ~at:5.;
+  check ids_t "nothing early" [] (ids (Asic.Timer_wheel.advance w ~now:2.));
   (* delivery is at tick precision: a@3 fires once its tick completes *)
-  check (Alcotest.list tuple_t) "tick not complete" []
-    (Asic.Timer_wheel.advance w ~now:3.5);
-  check (Alcotest.list tuple_t) "a fires" [ ka ] (Asic.Timer_wheel.advance w ~now:4.);
-  check Alcotest.bool "a gone" false (Asic.Timer_wheel.mem w ~key:ka);
-  check (Alcotest.list tuple_t) "b fires" [ kb ] (Asic.Timer_wheel.advance w ~now:10.)
+  check ids_t "tick not complete" [] (ids (Asic.Timer_wheel.advance w ~now:3.5));
+  check ids_t "a fires" [ 1 ] (ids (Asic.Timer_wheel.advance w ~now:4.));
+  check Alcotest.int "a gone: its position is cleared" Asic.Timer_wheel.no_pos a.pos;
+  check Alcotest.bool "b still at its position" true
+    (Asic.Timer_wheel.key_at w ~pos:b.pos == b);
+  check ids_t "b fires" [ 2 ] (ids (Asic.Timer_wheel.advance w ~now:10.))
 
 let wheel_reschedule_replaces () =
-  let w = Asic.Timer_wheel.create ~granularity:1. ~slots:8 () in
-  Asic.Timer_wheel.schedule w ~key:ka ~at:2.;
-  Asic.Timer_wheel.schedule w ~key:ka ~at:6.;
+  let w = wheel ~granularity:1. ~slots:8 in
+  let a = aged 1 in
+  Asic.Timer_wheel.schedule w ~key:a ~at:2.;
+  reschedule w a ~at:6.;
   check Alcotest.int "one entry" 1 (Asic.Timer_wheel.scheduled w);
-  check (Alcotest.list tuple_t) "old deadline dead" [] (Asic.Timer_wheel.advance w ~now:3.);
-  check (Alcotest.list tuple_t) "new deadline fires" [ ka ]
-    (Asic.Timer_wheel.advance w ~now:7.)
+  check ids_t "old deadline dead" [] (ids (Asic.Timer_wheel.advance w ~now:3.));
+  check ids_t "new deadline fires" [ 1 ] (ids (Asic.Timer_wheel.advance w ~now:7.))
 
+(* Cancel is a swap-remove: the slot's last entry takes the hole and
+   its new position is reported to it. *)
 let wheel_cancel () =
-  let w = Asic.Timer_wheel.create ~granularity:1. ~slots:4 () in
-  Asic.Timer_wheel.schedule w ~key:ka ~at:1.;
-  Asic.Timer_wheel.cancel w ~key:ka;
-  check (Alcotest.list tuple_t) "cancelled" [] (Asic.Timer_wheel.advance w ~now:5.)
+  let w = wheel ~granularity:1. ~slots:4 in
+  let a = aged 1 and b = aged 2 and c = aged 3 in
+  List.iter (fun e -> Asic.Timer_wheel.schedule w ~key:e ~at:1.) [ a; b; c ];
+  let a_pos = a.pos in
+  Asic.Timer_wheel.cancel w ~pos:a_pos;
+  check Alcotest.int "cancelled position cleared" Asic.Timer_wheel.no_pos a.pos;
+  check Alcotest.int "the last entry moved into the hole" a_pos c.pos;
+  check Alcotest.bool "moved entry found at its new position" true
+    (Asic.Timer_wheel.key_at w ~pos:c.pos == c);
+  check Alcotest.bool "untouched entry stays" true (Asic.Timer_wheel.key_at w ~pos:b.pos == b);
+  Asic.Timer_wheel.cancel w ~pos:a.pos;
+  check Alcotest.int "cancelling no_pos is a no-op" 2 (Asic.Timer_wheel.scheduled w);
+  Asic.Timer_wheel.cancel w ~pos:c.pos;
+  check ids_t "cancelled" [ 2 ] (ids (Asic.Timer_wheel.advance w ~now:5.));
+  check Alcotest.bool "an empty position is rejected" true
+    (match Asic.Timer_wheel.cancel w ~pos:a_pos with
+     | () -> false
+     | exception Invalid_argument _ -> true)
 
 let wheel_beyond_revolution () =
   (* a deadline further than one revolution must survive sweeps *)
-  let w = Asic.Timer_wheel.create ~granularity:1. ~slots:4 () in
-  Asic.Timer_wheel.schedule w ~key:kfar ~at:11.;
-  check (Alcotest.list tuple_t) "pass 1" [] (Asic.Timer_wheel.advance w ~now:5.);
-  check (Alcotest.list tuple_t) "pass 2" [] (Asic.Timer_wheel.advance w ~now:9.);
-  check (Alcotest.list tuple_t) "finally" [ kfar ] (Asic.Timer_wheel.advance w ~now:12.)
+  let w = wheel ~granularity:1. ~slots:4 in
+  Asic.Timer_wheel.schedule w ~key:(aged 4) ~at:11.;
+  check ids_t "pass 1" [] (ids (Asic.Timer_wheel.advance w ~now:5.));
+  check ids_t "pass 2" [] (ids (Asic.Timer_wheel.advance w ~now:9.));
+  check ids_t "finally" [ 4 ] (ids (Asic.Timer_wheel.advance w ~now:12.))
 
 (* Equal deadlines leave the wheel in the order they were scheduled (a
-   re-scheduled key counts from its last schedule), whatever the slot
-   table's layout; earlier deadlines still come first. *)
+   re-scheduled payload counts from its last schedule), whatever the
+   slot vector's layout; earlier deadlines still come first. *)
 let wheel_equal_deadlines_in_schedule_order () =
-  let w = Asic.Timer_wheel.create ~granularity:1. ~slots:8 () in
+  let w = wheel ~granularity:1. ~slots:8 in
   let order = [ 17; 3; 42; 8; 25; 1; 30; 12 ] in
-  List.iter (fun i -> Asic.Timer_wheel.schedule w ~key:(key i) ~at:2.5) order;
-  Asic.Timer_wheel.schedule w ~key:(key 99) ~at:2.25;
-  (* re-scheduling at the same deadline moves a key to the back *)
-  Asic.Timer_wheel.schedule w ~key:(key 3) ~at:2.5;
-  check (Alcotest.list Alcotest.int) "deadline, then schedule order"
+  let entries = List.map (fun i -> (i, aged i)) order in
+  List.iter (fun (_, e) -> Asic.Timer_wheel.schedule w ~key:e ~at:2.5) entries;
+  Asic.Timer_wheel.schedule w ~key:(aged 99) ~at:2.25;
+  (* re-scheduling at the same deadline moves a payload to the back *)
+  reschedule w (List.assoc 3 entries) ~at:2.5;
+  check ids_t "deadline, then schedule order"
     [ 99; 17; 42; 8; 25; 1; 30; 12; 3 ]
-    (List.map port_of (Asic.Timer_wheel.advance w ~now:3.))
+    (ids (Asic.Timer_wheel.advance w ~now:3.))
 
 let qcheck_wheel_delivers_all =
   QCheck.Test.make ~name:"wheel delivers everything exactly once, in order" ~count:100
     QCheck.(list_of_size (Gen.int_range 1 40) (pair small_int (float_bound_inclusive 50.)))
     (fun entries ->
-      let w = Asic.Timer_wheel.create ~granularity:0.7 ~slots:8 () in
-      (* last write wins per key *)
-      let model = Hashtbl.create 16 in
+      let w = wheel ~granularity:0.7 ~slots:8 in
+      (* last write wins per payload: a repeat reschedules it *)
+      let model = Hashtbl.create 16 and payloads = Hashtbl.create 16 in
       List.iter
         (fun (k, at) ->
-          Asic.Timer_wheel.schedule w ~key:(key k) ~at;
+          let e =
+            match Hashtbl.find_opt payloads k with
+            | Some e -> e
+            | None ->
+              let e = aged k in
+              Hashtbl.replace payloads k e;
+              e
+          in
+          reschedule w e ~at;
           Hashtbl.replace model k at)
         entries;
-      let fired = List.map port_of (Asic.Timer_wheel.advance w ~now:100.) in
+      let fired = ids (Asic.Timer_wheel.advance w ~now:100.) in
       let sorted_ok =
         let rec go last = function
           | [] -> true
@@ -635,10 +681,10 @@ let qcheck_wheel_delivers_all =
       && sorted_ok
       && Asic.Timer_wheel.scheduled w = 0)
 
-(* The documented delivery bound, call by call: a key due at [at] fires
-   in the first [advance] with [now >= (floor (at / g) + 1) * g] — never
-   earlier, never a call later. Power-of-two granularities keep [at / g]
-   exact; few slots push deadlines several revolutions out. *)
+(* The documented delivery bound, call by call: a payload due at [at]
+   fires in the first [advance] with [now >= (floor (at / g) + 1) * g] —
+   never earlier, never a call later. Power-of-two granularities keep
+   [at / g] exact; few slots push deadlines several revolutions out. *)
 let qcheck_wheel_delivery_bound =
   QCheck.Test.make ~name:"wheel fires each key in the first call past its tick" ~count:200
     QCheck.(
@@ -647,17 +693,15 @@ let qcheck_wheel_delivery_bound =
         (list_of_size (Gen.int_range 1 30) (float_bound_inclusive 6.)))
     (fun (g_exp, deadlines, steps) ->
       let g = Float.ldexp 1. (g_exp - 2) in
-      let w = Asic.Timer_wheel.create ~granularity:g ~slots:4 () in
-      List.iteri (fun k at -> Asic.Timer_wheel.schedule w ~key:(key k) ~at) deadlines;
+      let w = wheel ~granularity:g ~slots:4 in
+      List.iteri (fun k at -> Asic.Timer_wheel.schedule w ~key:(aged k) ~at) deadlines;
       (* non-decreasing call times; the last one clears every deadline *)
       let rev = List.fold_left (fun acc dt -> (List.hd acc +. dt) :: acc) [ 0. ] steps in
       let nows = List.rev ((List.hd rev +. 50.) :: rev) in
       let fired_at = Hashtbl.create 16 in
       List.iteri
         (fun call now ->
-          List.iter
-            (fun k -> Hashtbl.replace fired_at (port_of k) call)
-            (Asic.Timer_wheel.advance w ~now))
+          List.iter (fun e -> Hashtbl.replace fired_at e.id call) (Asic.Timer_wheel.advance w ~now))
         nows;
       List.for_all
         (fun (k, at) ->
@@ -668,6 +712,98 @@ let qcheck_wheel_delivery_bound =
           in
           Hashtbl.find_opt fired_at k = Some (first 0 nows))
         (List.mapi (fun k at -> (k, at)) deadlines))
+
+(* Random schedule / cancel / advance sequences against a sorted-list
+   reference. The reference keeps each live payload's deadline, its
+   scheduling sequence number and its effective tick: its own tick, or
+   the first tick not yet swept when it was scheduled into a completed
+   one. An [advance] whose last completed tick [last] is past the swept
+   ones delivers exactly the entries whose effective tick is at most
+   [last] (the one-tick bound), in (deadline, sequence) order. After
+   every step each live payload is found at the position it records,
+   and every other one records none. *)
+type wheel_op =
+  | W_schedule of int * float
+  | W_cancel of int
+  | W_advance of float
+
+let pp_wheel_op = function
+  | W_schedule (i, at) -> Printf.sprintf "schedule %d@%g" i at
+  | W_cancel i -> Printf.sprintf "cancel %d" i
+  | W_advance dt -> Printf.sprintf "advance +%g" dt
+
+let qcheck_wheel_matches_reference =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map2 (fun i at -> W_schedule (i, at)) (int_bound 15) (float_bound_inclusive 40.));
+          (2, map (fun i -> W_cancel i) (int_bound 15));
+          (3, map (fun dt -> W_advance dt) (float_bound_inclusive 6.));
+        ])
+  in
+  QCheck.Test.make ~name:"wheel matches a sorted-list reference" ~count:300
+    QCheck.(
+      pair (int_range 0 3)
+        (make ~print:(Print.list pp_wheel_op) Gen.(list_size (int_range 1 80) op)))
+    (fun (g_exp, ops) ->
+      let g = Float.ldexp 1. (g_exp - 2) in
+      let w = wheel ~granularity:g ~slots:4 in
+      let payloads = Array.init 16 aged in
+      (* id -> (at, seq, effective tick) *)
+      let live = Hashtbl.create 16 in
+      let seq = ref 0 and swept = ref (-1) and now = ref 0. in
+      let consistent () =
+        Asic.Timer_wheel.scheduled w = Hashtbl.length live
+        && Array.for_all
+             (fun e ->
+               if Hashtbl.mem live e.id then Asic.Timer_wheel.key_at w ~pos:e.pos == e
+               else e.pos = Asic.Timer_wheel.no_pos)
+             payloads
+      in
+      let drop i =
+        if Hashtbl.mem live i then begin
+          Asic.Timer_wheel.cancel w ~pos:payloads.(i).pos;
+          Hashtbl.remove live i
+        end
+      in
+      let advance_to t =
+        now := t;
+        let got = ids (Asic.Timer_wheel.advance w ~now:t) in
+        let last = int_of_float (t /. g) - 1 in
+        let expected =
+          if last <= !swept then []
+          else begin
+            swept := last;
+            Hashtbl.fold
+              (fun i (at, s, eff) acc -> if eff <= last then (at, s, i) :: acc else acc)
+              live []
+            |> List.sort (fun (a, s, _) (b, s', _) ->
+                   match Float.compare a b with 0 -> Int.compare s s' | c -> c)
+            |> List.map (fun (_, _, i) -> i)
+          end
+        in
+        List.iter (Hashtbl.remove live) expected;
+        got = expected
+      in
+      let step ok op =
+        ok
+        && (match op with
+            | W_schedule (i, at) ->
+              drop i;
+              Asic.Timer_wheel.schedule w ~key:payloads.(i) ~at;
+              Hashtbl.replace live i (at, !seq, Int.max (int_of_float (at /. g)) (!swept + 1));
+              incr seq;
+              true
+            | W_cancel i ->
+              (* a cancelled or delivered payload records no_pos: a no-op *)
+              if not (Hashtbl.mem live i) then Asic.Timer_wheel.cancel w ~pos:payloads.(i).pos;
+              drop i;
+              true
+            | W_advance dt -> advance_to (!now +. dt))
+        && consistent ()
+      in
+      List.fold_left step true ops && advance_to (!now +. 100.) && Hashtbl.length live = 0)
 
 (* ---------- Resources / Table_spec ---------- *)
 
@@ -750,6 +886,7 @@ let suites =
         tc "equal deadlines in schedule order" `Quick wheel_equal_deadlines_in_schedule_order;
         QCheck_alcotest.to_alcotest qcheck_wheel_delivers_all;
         QCheck_alcotest.to_alcotest qcheck_wheel_delivery_bound;
+        QCheck_alcotest.to_alcotest qcheck_wheel_matches_reference;
       ] );
     ( "asic.resources",
       [ tc "arithmetic" `Quick resources_math; tc "table spec sram" `Quick table_spec_sram ] );

@@ -644,6 +644,22 @@ let switch_fin_expires_entry () =
   Silkroad.Switch.advance sw ~now:1.1;
   check Alcotest.int "expired" 0 (Silkroad.Switch.connections sw)
 
+(* A learning event can outlive the state it was raised for: a re-route
+   tears the connection down while its event waits in the filter, and
+   the flow's next packet creates a new record, whose own offer is a
+   [`Duplicate]. The drained event resolves through the tracked flows
+   by its tuple, so it installs the new connection. *)
+let switch_event_outlives_state () =
+  let sw = mk_switch () in
+  ignore (Silkroad.Switch.process sw ~now:0. (syn 1));
+  check Alcotest.int "forgotten" 1
+    (Silkroad.Switch.forget_flows sw ~now:0.0001 (fun _ _ -> true));
+  ignore (Silkroad.Switch.process sw ~now:0.0002 (data 1));
+  Silkroad.Switch.advance sw ~now:0.01;
+  check Alcotest.int "the new connection is installed" 1 (Silkroad.Switch.connections sw);
+  check Alcotest.(result unit (list string)) "invariants" (Ok ())
+    (Silkroad.Switch.check_invariants sw)
+
 let switch_idle_timeout_gc () =
   let cfg = { Silkroad.Config.default with Silkroad.Config.idle_timeout = 1. } in
   let sw = mk_switch ~cfg () in
@@ -1465,6 +1481,7 @@ let suites =
         tc "learning delay" `Quick switch_learns_after_delay;
         tc "consistent around install" `Quick switch_same_dip_before_after_install;
         tc "fin expires" `Quick switch_fin_expires_entry;
+        tc "learning event outlives its state" `Quick switch_event_outlives_state;
         tc "idle gc" `Quick switch_idle_timeout_gc;
         tc "update keeps old flows" `Quick switch_update_keeps_old_flows;
         tc "new flows new pool" `Quick switch_new_flows_use_new_pool;
