@@ -5,13 +5,14 @@
    arrays hold the true keys and values, indexed by
    ((stage * rows + row) * ways + way). Lookups touch only the digest
    array until a match is found — cache-line friendly and free of the
-   per-slot option/record boxes of the original layout (Cuckoo_boxed).
+   per-slot option/record boxes of the original layout, which the test
+   suite keeps as its reference.
 
    The insert path escalates through three regimes (§4.1's switch-CPU
    insert at its real costs):
    - direct: a free way in a candidate row;
-   - greedy kick: a bounded scan of the depth-1 eviction frontier —
-     move one resident to its free alternative slot. The scan order
+   - greedy kick: a scan of the depth-1 eviction frontier — move one
+     resident to its free alternative slot. The scan order
      (root stages ascending, ways ascending, victim's alternative
      stages ascending) is exactly the order the reference BFS would
      pop, so the greedy pass picks the same victim the BFS's first
@@ -23,10 +24,16 @@
      insert.
 
    The differential suite in test_asic pins this module's
-   placements, sizes, moves and lookups byte-identical to Cuckoo_boxed
-   for identical operation sequences. *)
+   placements, sizes, moves and lookups byte-identical to the boxed
+   reference for identical operation sequences. *)
 
-module type KEY = Cuckoo_intf.KEY
+module type KEY = sig
+  type t
+
+  val equal : t -> t -> bool
+  val range : seed:int -> t -> int -> int
+  val bits : seed:int -> t -> int -> int
+end
 
 module Make (Key : KEY) = struct
   type key = Key.t
@@ -53,7 +60,6 @@ module Make (Key : KEY) = struct
     digest_bits : int option;
     exact_mode : bool;
     max_bfs_nodes : int;
-    max_kicks : int;
     n_stages : int;
     n_rows : int;
     n_ways : int;
@@ -69,20 +75,17 @@ module Make (Key : KEY) = struct
     mutable failed_inserts : int;
     mutable greedy_kicks : int;
     mutable bfs_expansions : int;
-    mutable last_bfs_expanded : int;
-    mutable first_full_occupancy : float option;
     mutable placement_filter : (Key.t -> stage:int -> row:int -> bool) option;
   }
 
-  let create ?(seed = 0xc0c0) ?digest_bits ?(max_bfs_nodes = 4096) ?max_kicks ~stages
-      ~rows_per_stage ~ways () =
+  let create ?(seed = 0xc0c0) ?digest_bits ?(max_bfs_nodes = 4096) ~stages ~rows_per_stage
+      ~ways () =
     assert (stages >= 2);
     assert (rows_per_stage > 0);
     assert (ways >= 1);
     (match digest_bits with
      | None -> ()
      | Some b -> assert (b >= 1 && b <= 30));
-    let max_kicks = match max_kicks with Some k -> k | None -> stages * ways in
     let total = stages * rows_per_stage * ways in
     (* Each BFS enqueues at most [ways] nodes per newly visited row:
        bounded both by the root frontier plus (stages-1)*ways per
@@ -95,7 +98,6 @@ module Make (Key : KEY) = struct
       digest_bits;
       exact_mode = digest_bits = None;
       max_bfs_nodes;
-      max_kicks;
       n_stages = stages;
       n_rows = rows_per_stage;
       n_ways = ways;
@@ -110,30 +112,19 @@ module Make (Key : KEY) = struct
       failed_inserts = 0;
       greedy_kicks = 0;
       bfs_expansions = 0;
-      last_bfs_expanded = 0;
-      first_full_occupancy = None;
       placement_filter = None;
     }
 
   let stages t = t.n_stages
-  let rows_per_stage t = t.n_rows
-  let ways t = t.n_ways
-  let digest_bits t = t.digest_bits
   let capacity t = t.n_stages * t.n_rows * t.n_ways
   let size t = t.size
   let occupancy t = float_of_int t.size /. float_of_int (capacity t)
-  let max_bfs_nodes t = t.max_bfs_nodes
 
   (* Per-stage hash functions: one for the row index, one for the digest.
      Seeds are decorrelated by distinct multipliers. *)
   let row_seed t ~stage = t.seed + (stage * 2) + 1
   let digest_seed t ~stage = t.seed + 0x5eed + (stage * 2)
   let row_of t stage k = Key.range ~seed:(row_seed t ~stage) k t.n_rows
-
-  let digest_of t stage k =
-    match t.digest_bits with
-    | None -> -1
-    | Some bits -> Key.bits ~seed:(digest_seed t ~stage) k bits
 
   (* The stored per-slot code: the digest, or 0 as the exact-mode
      occupied marker (empty slots store -1 in either mode). *)
@@ -142,8 +133,6 @@ module Make (Key : KEY) = struct
     | None -> 0
     | Some bits -> Key.bits ~seed:(digest_seed t ~stage) k bits
 
-  let probe_row t k ~stage = row_of t stage k
-  let probe_digest t k ~stage = digest_of t stage k
   let[@inline] base t stage row = ((stage * t.n_rows) + row) * t.n_ways
   let[@inline] stage_of_idx t idx = idx / (t.n_rows * t.n_ways)
 
@@ -164,84 +153,81 @@ module Make (Key : KEY) = struct
   type 'v probe = {
     mutable probe_hit : bool;
     mutable probe_exact : bool;
-    mutable probe_stage : int;
     mutable probe_value : 'v;
   }
 
-  let make_probe v = { probe_hit = false; probe_exact = false; probe_stage = 0; probe_value = v }
+  let make_probe v = { probe_hit = false; probe_exact = false; probe_value = v }
 
-  (* [lookup] without the hit record, with the per-stage probe
-     rows/digests precomputed by the caller: results land in a
-     caller-owned probe buffer, so the hardware fast path allocates
-     nothing. The caller derives each stage's row and digest once (via
-     [row_seed]/[digest_seed] and the key's own [range]/[bits]) rather
-     than through a functor call per stage. Plain loops over local refs,
-     not local recursive functions: those closures would be allocated
-     on every call. *)
-  let lookup_pos_into t ~key:k ~(rows : int array) ~(digests : int array) (p : 'v probe) =
-    p.probe_hit <- false;
+  (* The hardware lookup: the first slot, in stage then way order, whose
+     stored code matches — the stage's digest, or in exact mode the true
+     key. [rows.(stage)] and [digests.(stage)] are the key's probe
+     positions. Returns the slot index, or -1. A plain loop over local
+     refs, not local recursive functions: those closures would be
+     allocated on every call. A match ends both loops by moving their
+     counters past the end, and the function is inlined into the
+     per-packet [lookup_pos_into]: a [found] test in both loop
+     conditions, or a call per lookup, each measured slower. *)
+  let[@inline] first_match t (c : _ cells) k ~(rows : int array) ~(digests : int array) =
+    let found = ref (-1) and stage = ref 0 in
+    while !stage < t.n_stages do
+      let b = base t !stage (Array.unsafe_get rows !stage) in
+      let code = Array.unsafe_get digests !stage in
+      let way = ref 0 in
+      while !way < t.n_ways do
+        let i = b + !way in
+        let stored = Array.unsafe_get t.codes i in
+        if
+          if t.exact_mode then stored >= 0 && Key.equal (Array.unsafe_get c.ckeys i) k
+          else stored = code
+        then begin
+          found := i;
+          way := t.n_ways;
+          stage := t.n_stages
+        end
+        else incr way
+      done;
+      incr stage
+    done;
+    !found
+
+  (* [lookup] without the hit record: the caller derives each stage's
+     row and digest once (via [row_seed]/[digest_seed] and the key's own
+     [range]/[bits]) rather than through a functor call per stage, and
+     the outcome lands in a caller-owned buffer, so the hardware fast
+     path allocates nothing. *)
+  let lookup_pos_into t ~key:k ~rows ~digests (p : 'v probe) =
     match t.cells with
-    | None -> ()
+    | None -> p.probe_hit <- false
     | Some c ->
-      let stage = ref 0 in
-      while !stage < t.n_stages do
-        let b = base t !stage (Array.unsafe_get rows !stage) in
-        let code = Array.unsafe_get digests !stage in
-        let way = ref 0 in
-        while !way < t.n_ways do
-          let i = b + !way in
-          let stored = Array.unsafe_get t.codes i in
-          if
-            if t.exact_mode then stored >= 0 && Key.equal (Array.unsafe_get c.ckeys i) k
-            else stored = code
-          then begin
-            p.probe_hit <- true;
-            p.probe_exact <- Key.equal (Array.unsafe_get c.ckeys i) k;
-            p.probe_stage <- !stage;
-            p.probe_value <- Array.unsafe_get c.cvals i;
-            way := t.n_ways;
-            stage := t.n_stages
-          end
-          else incr way
-        done;
-        incr stage
-      done
+      let i = first_match t c k ~rows ~digests in
+      p.probe_hit <- i >= 0;
+      if i >= 0 then begin
+        p.probe_exact <- Key.equal (Array.unsafe_get c.ckeys i) k;
+        p.probe_value <- Array.unsafe_get c.cvals i
+      end
 
   let lookup t k =
     match t.cells with
     | None -> None
     | Some c ->
-      let rec by_stage stage =
-        if stage >= t.n_stages then None
-        else
-          let b = base t stage (row_of t stage k) in
-          let code = code_of t stage k in
-          let rec by_way way =
-            if way >= t.n_ways then by_stage (stage + 1)
-            else
-              let i = b + way in
-              let stored = t.codes.(i) in
-              if
-                if t.exact_mode then stored >= 0 && Key.equal c.ckeys.(i) k else stored = code
-              then
-                Some
-                  ({
-                     stage;
-                     exact = Key.equal c.ckeys.(i) k;
-                     key = c.ckeys.(i);
-                     value = c.cvals.(i);
-                   }
-                    : _ hit)
-              else by_way (way + 1)
-          in
-          by_way 0
-      in
-      by_stage 0
+      let rows = Array.init t.n_stages (fun stage -> row_of t stage k)
+      and digests = Array.init t.n_stages (fun stage -> code_of t stage k) in
+      let i = first_match t c k ~rows ~digests in
+      if i < 0 then None
+      else
+        Some
+          ({
+             stage = stage_of_idx t i;
+             exact = Key.equal c.ckeys.(i) k;
+             key = c.ckeys.(i);
+             value = c.cvals.(i);
+           }
+            : _ hit)
 
   (* Software-side scan by true key: the entry for [k] can only sit in one
      of its candidate rows. Returns the slot index, or -1. Every insert
      and removal starts here, so it is a closure-free loop like
-     [lookup_pos_into]. Digest first: [place] always stores
+     [first_match]. Digest first: [place] always stores
      [code_of t stage k], so a way whose code differs cannot hold [k],
      and only the ways that match it dereference their stored key. *)
   let locate_exact_idx t k =
@@ -303,15 +289,13 @@ module Make (Key : KEY) = struct
   (* Greedy depth-1 kick: scan the eviction frontier in exactly the
      order the BFS would pop it (root stages ascending, ways ascending,
      the victim's alternative stages ascending) and move the first
-     resident that has a free alternative slot. Bounded by [max_kicks]
-     examined victims; on budget exhaustion the BFS below re-derives the
-     same (or a deeper) solution, so the bound never changes placement
-     outcomes — only how cheaply they are found. *)
+     resident that has a free alternative slot. The frontier is at most
+     [stages * ways] victims; when none of them can move, the BFS below
+     re-derives the same frontier and searches deeper. *)
   exception Kick of int * int
   (* victim slot index, destination free slot index *)
 
   let greedy_pass t (c : _ cells) ~forbid k =
-    let examined = ref 0 in
     try
       let stage = ref 0 in
       while !stage < t.n_stages do
@@ -321,19 +305,16 @@ module Make (Key : KEY) = struct
           if placement_allowed t k s row then begin
             let b = base t s row in
             for way = 0 to t.n_ways - 1 do
-              if !examined < t.max_kicks then begin
-                incr examined;
-                let vk = c.ckeys.(b + way) in
-                for s2 = 0 to t.n_stages - 1 do
-                  if s2 <> s then begin
-                    let row2 = row_of t s2 vk in
-                    if placement_allowed t vk s2 row2 then begin
-                      let w2 = free_way_i t s2 row2 in
-                      if w2 >= 0 then raise (Kick (b + way, base t s2 row2 + w2))
-                    end
+              let vk = c.ckeys.(b + way) in
+              for s2 = 0 to t.n_stages - 1 do
+                if s2 <> s then begin
+                  let row2 = row_of t s2 vk in
+                  if placement_allowed t vk s2 row2 then begin
+                    let w2 = free_way_i t s2 row2 in
+                    if w2 >= 0 then raise (Kick (b + way, base t s2 row2 + w2))
                   end
-                done
-              end
+                end
+              done
             done
           end
         end;
@@ -406,7 +387,6 @@ module Make (Key : KEY) = struct
           done
         done;
         t.failed_inserts <- t.failed_inserts + 1;
-        if t.first_full_occupancy = None then t.first_full_occupancy <- Some (occupancy t);
         Error `Full
       with Found_free (free_idx, last) ->
         (* Unwind the eviction chain leaf-to-root: each occupant moves
@@ -431,7 +411,6 @@ module Make (Key : KEY) = struct
         Ok moves
     in
     t.bfs_expansions <- t.bfs_expansions + !expanded;
-    t.last_bfs_expanded <- !expanded;
     result
 
   let insert_kv t ~forbid k v =
@@ -481,14 +460,6 @@ module Make (Key : KEY) = struct
       true
     end
 
-  let set_exact t k v =
-    let idx = locate_exact_idx t k in
-    if idx < 0 then false
-    else begin
-      (cells_exn t).cvals.(idx) <- v;
-      true
-    end
-
   let relocate t k ~forbid_stages =
     let idx = locate_exact_idx t k in
     if idx < 0 then Error `Not_found
@@ -512,28 +483,15 @@ module Make (Key : KEY) = struct
       end
       else Ok 0
 
-  let iter f t =
-    match t.cells with
-    | None -> ()
-    | Some c ->
-      for i = 0 to Array.length t.codes - 1 do
-        if t.codes.(i) >= 0 then f c.ckeys.(i) c.cvals.(i)
-      done
-
-  let fold f t init =
-    let acc = ref init in
-    iter (fun k v -> acc := f k v !acc) t;
-    !acc
-
   let moves t = t.moves
   let failed_inserts t = t.failed_inserts
   let greedy_kicks t = t.greedy_kicks
   let bfs_expansions t = t.bfs_expansions
-  let last_bfs_expanded t = t.last_bfs_expanded
-  let first_full_occupancy t = t.first_full_occupancy
 
   let probe_positions t k =
-    List.init t.n_stages (fun stage -> (stage, row_of t stage k, digest_of t stage k))
+    List.init t.n_stages (fun stage ->
+        let digest = if t.exact_mode then -1 else code_of t stage k in
+        (stage, row_of t stage k, digest))
 
   let set_placement_filter t f = t.placement_filter <- f
 end

@@ -5,17 +5,17 @@
     stage has its own hash function addressing rows of [ways] slots
     (word packing puts the [ways] entries of a row in one SRAM word).
     Lookup probes one row per stage at line rate; insertion is performed
-    by the switch CPU, which first tries a bounded greedy kick of the
-    depth-1 eviction frontier and then runs a breadth-first search over
+    by the switch CPU, which first tries a greedy kick of the depth-1
+    eviction frontier and then runs a breadth-first search over
     eviction chains to make room ("a sequence of moves").
 
     This implementation stores the table as flat parallel arrays —
     per-slot digests in one int array, true keys and values in two
     lazily-created companion arrays — mirroring how the hardware packs a
     row's [ways] digests into one SRAM word, and runs the BFS in a
-    pre-allocated scratch arena so inserts allocate nothing. The
-    original per-slot boxed layout survives as {!Cuckoo_boxed}, pinned
-    placement-identical by the differential suite.
+    pre-allocated scratch arena so inserts allocate nothing. The test
+    suite keeps the original per-slot boxed layout as a reference and
+    pins this one placement-identical to it.
 
     Two matching modes are supported:
 
@@ -24,14 +24,144 @@
       digest of the key is stored and compared, the compression at the
       heart of SilkRoad's ConnTable (§4.2). Lookups can then falsely hit
       an entry whose digest collides; software-side functions
-      ({!Cuckoo_intf.S.find_exact}, {!Cuckoo_intf.S.remove},
-      {!Cuckoo_intf.S.relocate}) always use the true key, which the
-      switch software keeps in its shadow copy.
+      ({!Make.find_exact}, {!Make.remove}, {!Make.relocate}) always use
+      the true key, which the switch software keeps in its shadow copy.
 
     The table never resizes: when the BFS cannot free a slot the insert
     fails with [`Full], which is exactly the "ConnTable is full" overflow
     condition §7 discusses. *)
 
-module type KEY = Cuckoo_intf.KEY
+(** A key supplies its stage positions as plain ints: every row and
+    digest the table computes, on lookup, insert, eviction and removal,
+    comes from {!KEY.range} and {!KEY.bits}, so none of them boxes an
+    [int64] across the functor boundary. *)
+module type KEY = sig
+  type t
 
-module Make (Key : KEY) : Cuckoo_intf.S with type key = Key.t
+  val equal : t -> t -> bool
+
+  val range : seed:int -> t -> int -> int
+  (** [range ~seed k n] maps the key's [seed]-keyed hash uniformly onto
+      [0, n): [Hashing.to_range h n] of that hash [h]. *)
+
+  val bits : seed:int -> t -> int -> int
+  (** [bits ~seed k b] keeps the low [b] bits of the same hash:
+      [Hashing.truncate_bits h b]. *)
+end
+
+module Make (Key : KEY) : sig
+  type key = Key.t
+  type 'v t
+
+  type 'v hit = {
+    stage : int;  (** stage of the matching entry *)
+    exact : bool;  (** false when the hit is a digest false positive *)
+    key : key;  (** the true key of the matched entry *)
+    value : 'v;
+  }
+
+  val create :
+    ?seed:int ->
+    ?digest_bits:int ->
+    ?max_bfs_nodes:int ->
+    stages:int ->
+    rows_per_stage:int ->
+    ways:int ->
+    unit ->
+    'v t
+  (** [max_bfs_nodes] bounds the eviction-chain BFS (default 4096
+      expansions). *)
+
+  val stages : _ t -> int
+  val capacity : _ t -> int
+  val size : _ t -> int
+  val occupancy : _ t -> float
+
+  val lookup : 'v t -> key -> 'v hit option
+  (** Hardware lookup: probes stages in pipeline order, and each row's
+      ways in order, and returns the first slot whose stored key (digest
+      or full key) matches. *)
+
+  type 'v probe = {
+    mutable probe_hit : bool;
+    mutable probe_exact : bool;
+    mutable probe_value : 'v;
+  }
+  (** Caller-owned result buffer for {!lookup_pos_into}: the replay fast
+      path reuses one per table instead of allocating a hit record per
+      packet. Fields other than [probe_hit] are meaningful only when
+      [probe_hit] is true. *)
+
+  val make_probe : 'v -> 'v probe
+  (** A fresh buffer; the argument is a placeholder value. *)
+
+  val row_seed : _ t -> stage:int -> int
+  (** Seed for the stage's row-index hash: the row is
+      [Key.range ~seed k rows_per_stage]. Callers that probe every stage
+      per packet compute the rows once themselves and feed them to
+      {!lookup_pos_into}, instead of two functor calls per stage. *)
+
+  val digest_seed : _ t -> stage:int -> int
+  (** Seed for the stage's digest hash; the digest is
+      [Key.bits ~seed k digest_bits]. *)
+
+  val lookup_pos_into :
+    'v t -> key:key -> rows:int array -> digests:int array -> 'v probe -> unit
+  (** Allocation-free {!lookup} with caller-precomputed probe
+      positions: [rows.(stage)] and [digests.(stage)] must equal the
+      row and digest {!probe_positions} gives for [key] at [stage]
+      (computed via {!row_seed}/{!digest_seed}). Probes the same slots
+      in the same order as {!lookup} and writes the outcome into the
+      buffer; [digests] is ignored in exact mode. *)
+
+  val find_exact : 'v t -> key -> 'v option
+  (** Software lookup by true key. *)
+
+  val mem_exact : _ t -> key -> bool
+
+  val insert :
+    ?forbid_stages:int list -> 'v t -> key -> 'v -> (int, [ `Full | `Duplicate ]) result
+  (** [insert t k v] places [k], evicting residents as needed — first a
+      greedy depth-1 kick pass, then the BFS over eviction chains;
+      [Ok moves] reports how many existing entries were moved.
+      [forbid_stages] restricts only where [k] itself lands (entries
+      displaced along the eviction chain may go anywhere). [`Duplicate]
+      if [k] is already present. *)
+
+  val remove : 'v t -> key -> bool
+  (** Remove by true key. Returns false when absent. *)
+
+  val relocate : 'v t -> key -> forbid_stages:int list -> (int, [ `Full | `Not_found ]) result
+  (** Move an existing entry so that it no longer occupies any of
+      [forbid_stages]. Used to repair digest false positives (§4.2):
+      the colliding resident entry is migrated to another stage, whose
+      different hash function separates the two connections. *)
+
+  val moves : _ t -> int
+  (** Cumulative entry moves performed by insertions/relocations. *)
+
+  val failed_inserts : _ t -> int
+
+  val greedy_kicks : _ t -> int
+  (** Inserts resolved by the greedy depth-1 kick pass (each performed
+      exactly one move without entering the BFS). *)
+
+  val bfs_expansions : _ t -> int
+  (** Cumulative BFS node expansions across all inserts. *)
+
+  val stage_of_exact : _ t -> key -> int option
+  (** Which stage holds the entry with this true key, if any. *)
+
+  val probe_positions : _ t -> key -> (int * int * int) list
+  (** [(stage, row, digest)] triples the hardware probes when looking up
+      this key — one per stage ([digest] is [-1] in exact mode). Lets the
+      switch software maintain a shadow index of which table positions
+      each tracked connection would match. *)
+
+  val set_placement_filter : 'v t -> (key -> stage:int -> row:int -> bool) option -> unit
+  (** Software veto over entry placement: when set, an entry for [key]
+      may only be placed (by insertion, eviction moves or relocation) in
+      a row where the filter returns [true]. Used to refuse positions
+      that would make an existing connection falsely match the new
+      entry (digest shadowing). *)
+end

@@ -20,6 +20,20 @@
       scalar run — so equivalence with [Scalar] is stated over the
       collision-free counters only.
 
+    Re-route scenarios (a [Reroute] control: switch failure or recovery,
+    VIP migration) relax that contract further. A re-route makes the
+    selected flows forget their balancer-side state mid-update, and each
+    forgotten flow re-learns its DIP against its own switch's CPU and
+    barrier timeline. Sharding divides every switch's load by the shard
+    count, so a re-learn can land on the other side of the §4.3 race
+    window from the scalar run: [broken] and [violations] depend on the
+    mode there. What stays shard-invariant is [packets], [dropped],
+    [connections] and the [switch.rerouted_flows] counter: every
+    re-route tears down the same connection set, because each flow's
+    state lives on exactly one shard and its lifetime depends only on
+    that flow's own packet times. And in every mode only re-homed
+    connections may break: [broken <= switch.rerouted_flows].
+
     Every judged packet goes through {!Lb.Pcc.Flat}, the flow-indexed
     refinement of the {!Lb.Pcc} oracle; attack SYNs go through the
     switch but touch neither the packet counters nor the judge. *)

@@ -202,17 +202,9 @@ let track_size t =
   Telemetry.Registry.Gauge.set t.g_size (float_of_int (Table.size t.table));
   Telemetry.Registry.Gauge.set t.g_occupancy (Table.occupancy t.table)
 
-let lookup t flow =
-  match Table.lookup t.table flow with
-  | None -> None
-  | Some hit ->
-    if not hit.Table.exact then Telemetry.Registry.Counter.incr t.c_false_hits;
-    Some { version = hit.Table.value; exact = hit.Table.exact }
-
-(* Allocation-free [lookup]: [-1] on a miss, otherwise
+(* The hardware lookup, allocation-free: [-1] on a miss, otherwise
    [(version lsl 1) lor exact_bit]. Versions are small non-negative ints
-   (at most [version_bits] wide), so the encoding is lossless. Counts
-   false positives exactly like [lookup]. *)
+   (at most [version_bits] wide), so the encoding is lossless. *)
 let lookup_code t flow =
   let rows = t.scratch_rows and digs = t.scratch_digs in
   for stage = 0 to t.n_stages - 1 do
@@ -225,6 +217,10 @@ let lookup_code t flow =
     if not t.probe.Table.probe_exact then Telemetry.Registry.Counter.incr t.c_false_hits;
     (t.probe.Table.probe_value lsl 1) lor (if t.probe.Table.probe_exact then 1 else 0)
   end
+
+let lookup t flow =
+  let c = lookup_code t flow in
+  if c < 0 then None else Some { version = c lsr 1; exact = c land 1 = 1 }
 
 let probe_positions t flow = Table.probe_positions t.table flow
 let mem_exact t flow = Table.mem_exact t.table flow
@@ -319,7 +315,6 @@ let moves t = Table.moves t.table
 let failed_inserts t = Table.failed_inserts t.table
 let greedy_kicks t = Table.greedy_kicks t.table
 let bfs_expansions t = Table.bfs_expansions t.table
-let first_full_occupancy t = Table.first_full_occupancy t.table
 
 (* digest + version + "a couple bytes of packing overhead" — the paper's
    §6.1 configuration packs 16 + 6 + 6 = 28 bits, four entries per

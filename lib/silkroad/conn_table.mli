@@ -28,13 +28,13 @@ val capacity : t -> int
 val size : t -> int
 val occupancy : t -> float
 
-val lookup : t -> Netcore.Five_tuple.t -> lookup_result option
-(** Hardware lookup. Counts false positives as a side effect. *)
-
 val lookup_code : t -> Netcore.Five_tuple.t -> int
-(** Allocation-free {!lookup}: [-1] on a miss, otherwise
-    [(version lsl 1) lor exact_bit]. Counts false positives exactly like
-    {!lookup}. *)
+(** Hardware lookup, allocation-free: [-1] on a miss, otherwise
+    [(version lsl 1) lor exact_bit]. Counts false positives as a side
+    effect. *)
+
+val lookup : t -> Netcore.Five_tuple.t -> lookup_result option
+(** {!lookup_code}, decoded. *)
 
 val probe_positions : t -> Netcore.Five_tuple.t -> (int * int * int) list
 (** [(stage, row, digest)] the hardware probes for this flow — a pure
@@ -78,10 +78,6 @@ val greedy_kicks : t -> int
 
 val bfs_expansions : t -> int
 (** Cumulative cuckoo BFS node expansions across all inserts. *)
-
-val first_full_occupancy : t -> float option
-(** Occupancy at the first insert that failed with [`Full]; [None] while
-    no insert has failed (§7's overflow diagnostic). *)
 
 val entry_bits : t -> int
 (** Bits per entry: digest + version + packing overhead (28 for the

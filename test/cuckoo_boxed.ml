@@ -1,32 +1,27 @@
-(* The original per-slot boxed-record cuckoo layout, kept verbatim as the
-   differential-testing reference for the flat SoA layout in Cuckoo. Its
+(* The original per-slot boxed-record cuckoo layout, kept as the
+   differential-testing reference for the flat SoA layout in
+   Asic.Cuckoo, trimmed to the operations the differentials drive. Its
    insert path is the plain BFS (no greedy kick pass): the test suite
    relies on the flat layout's greedy pass selecting exactly the same
    victim as this BFS's first depth-1 solution, so both layouts make
-   identical placements for identical operation sequences. *)
+   identical placements for identical operation sequences. Its seed
+   and BFS budget are the flat layout's defaults. *)
 
-module type KEY = Cuckoo_intf.KEY
-
-module Make (Key : KEY) = struct
-  type key = Key.t
-
+module Make (Key : Asic.Cuckoo.KEY) = struct
   type 'v hit = {
     stage : int;
     exact : bool;
-    key : Key.t;
     value : 'v;
   }
 
   type 'v entry = {
     key : Key.t;
     mutable stored_digest : int;  (** digest under the entry's current stage; -1 in exact mode *)
-    mutable value : 'v;
+    value : 'v;
   }
 
   type 'v t = {
-    seed : int;
     digest_bits : int option;
-    max_bfs_nodes : int;
     n_stages : int;
     n_rows : int;
     n_ways : int;
@@ -35,24 +30,15 @@ module Make (Key : KEY) = struct
     mutable size : int;
     mutable moves : int;
     mutable failed_inserts : int;
-    mutable bfs_expansions : int;
-    mutable last_bfs_expanded : int;
-    mutable first_full_occupancy : float option;
     mutable placement_filter : (Key.t -> stage:int -> row:int -> bool) option;
   }
 
-  let create ?(seed = 0xc0c0) ?digest_bits ?(max_bfs_nodes = 4096) ?max_kicks:_ ~stages
-      ~rows_per_stage ~ways () =
-    assert (stages >= 2);
-    assert (rows_per_stage > 0);
-    assert (ways >= 1);
-    (match digest_bits with
-     | None -> ()
-     | Some b -> assert (b >= 1 && b <= 30));
+  let seed = 0xc0c0
+  let max_bfs_nodes = 4096
+
+  let create ?digest_bits ~stages ~rows_per_stage ~ways () =
     {
-      seed;
       digest_bits;
-      max_bfs_nodes;
       n_stages = stages;
       n_rows = rows_per_stage;
       n_ways = ways;
@@ -60,34 +46,20 @@ module Make (Key : KEY) = struct
       size = 0;
       moves = 0;
       failed_inserts = 0;
-      bfs_expansions = 0;
-      last_bfs_expanded = 0;
-      first_full_occupancy = None;
       placement_filter = None;
     }
 
-  let stages t = t.n_stages
-  let rows_per_stage t = t.n_rows
-  let ways t = t.n_ways
-  let digest_bits t = t.digest_bits
-  let capacity t = t.n_stages * t.n_rows * t.n_ways
   let size t = t.size
-  let occupancy t = float_of_int t.size /. float_of_int (capacity t)
-  let max_bfs_nodes t = t.max_bfs_nodes
 
   (* Per-stage hash functions: one for the row index, one for the digest.
      Seeds are decorrelated by distinct multipliers. *)
-  let row_seed t ~stage = t.seed + (stage * 2) + 1
-  let digest_seed t ~stage = t.seed + 0x5eed + (stage * 2)
-  let row_of t stage k = Key.range ~seed:(row_seed t ~stage) k t.n_rows
+  let row_of t stage k = Key.range ~seed:(seed + (stage * 2) + 1) k t.n_rows
 
   let digest_of t stage k =
     match t.digest_bits with
     | None -> -1
-    | Some bits -> Key.bits ~seed:(digest_seed t ~stage) k bits
+    | Some bits -> Key.bits ~seed:(seed + 0x5eed + (stage * 2)) k bits
 
-  let probe_row t k ~stage = row_of t stage k
-  let probe_digest t k ~stage = digest_of t stage k
   let slot_index t row way = (row * t.n_ways) + way
 
   let matches t stage k (slot : _ entry option) =
@@ -97,41 +69,6 @@ module Make (Key : KEY) = struct
       (match t.digest_bits with
        | None -> Key.equal e.key k
        | Some _ -> e.stored_digest = digest_of t stage k)
-
-  type 'v probe = {
-    mutable probe_hit : bool;
-    mutable probe_exact : bool;
-    mutable probe_stage : int;
-    mutable probe_value : 'v;
-  }
-
-  let make_probe v = { probe_hit = false; probe_exact = false; probe_stage = 0; probe_value = v }
-
-  (* [lookup] without the hit record, with the per-stage rows/digests
-     precomputed by the caller (via [row_seed]/[digest_seed]); probes the
-     same slots in the same order and writes into the caller's buffer. *)
-  let lookup_pos_into t ~key:k ~(rows : int array) ~(digests : int array) (p : 'v probe) =
-    p.probe_hit <- false;
-    let exact_mode = t.digest_bits = None in
-    let rec by_stage stage =
-      if stage < t.n_stages then begin
-        let row = rows.(stage) in
-        let digest = digests.(stage) in
-        let rec by_way way =
-          if way >= t.n_ways then by_stage (stage + 1)
-          else
-            match t.slots.(stage).(slot_index t row way) with
-            | Some e when (if exact_mode then Key.equal e.key k else e.stored_digest = digest) ->
-              p.probe_hit <- true;
-              p.probe_exact <- Key.equal e.key k;
-              p.probe_stage <- stage;
-              p.probe_value <- e.value
-            | Some _ | None -> by_way (way + 1)
-        in
-        by_way 0
-      end
-    in
-    by_stage 0
 
   let lookup t k =
     let rec by_stage stage =
@@ -144,8 +81,7 @@ module Make (Key : KEY) = struct
             let slot = t.slots.(stage).(slot_index t row way) in
             if matches t stage k slot then
               match (slot : _ entry option) with
-              | Some e ->
-                Some ({ stage; exact = Key.equal e.key k; key = e.key; value = e.value } : _ hit)
+              | Some e -> Some { stage; exact = Key.equal e.key k; value = e.value }
               | None -> assert false
             else by_way (way + 1)
         in
@@ -175,8 +111,6 @@ module Make (Key : KEY) = struct
     match locate_exact t k with
     | Some (_, _, _, e) -> Some e.value
     | None -> None
-
-  let mem_exact t k = locate_exact t k <> None
 
   let stage_of_exact t k =
     match locate_exact t k with
@@ -249,71 +183,65 @@ module Make (Key : KEY) = struct
         end
       done;
       let expanded = ref 0 in
-      let result =
-        try
-          while not (Queue.is_empty queue) && !expanded < t.max_bfs_nodes do
-            let node = Queue.pop queue in
-            incr expanded;
-            let occupant =
-              match t.slots.(node.ns).(slot_index t node.nr node.nw) with
-              | Some e -> e
-              | None ->
-                (* The slot freed up since enqueue cannot happen (no moves
-                   during BFS) — root candidates were full by construction. *)
-                assert false
-            in
-            (* The occupant may move to its candidate row in any other stage. *)
-            for stage = 0 to t.n_stages - 1 do
-              if
-                stage <> node.ns
-                && placement_allowed t occupant.key stage (row_of t stage occupant.key)
-              then begin
-                let row = row_of t stage occupant.key in
-                match free_way t stage row with
-                | Some way -> raise (Found_free (stage, row, way, Some node))
-                | None ->
-                  if not (row_visited stage row) then begin
-                    visit_row stage row;
-                    for way = 0 to t.n_ways - 1 do
-                      Queue.add { ns = stage; nr = row; nw = way; parent = Some node } queue
-                    done
-                  end
-              end
-            done
-          done;
-          t.failed_inserts <- t.failed_inserts + 1;
-          if t.first_full_occupancy = None then t.first_full_occupancy <- Some (occupancy t);
-          Error `Full
-        with Found_free (fs, fr, fw, last) ->
-          (* Unwind the eviction chain leaf-to-root: each occupant moves into
-             the slot freed by its successor. *)
-          let rec unwind (free_s, free_r, free_w) node moves =
-            match node with
+      try
+        while not (Queue.is_empty queue) && !expanded < max_bfs_nodes do
+          let node = Queue.pop queue in
+          incr expanded;
+          let occupant =
+            match t.slots.(node.ns).(slot_index t node.nr node.nw) with
+            | Some e -> e
             | None ->
-              (* The root slot is now free: it is a candidate row of [k]. *)
-              place t free_s free_r free_w entry;
-              moves
-            | Some n ->
-              let e =
-                match t.slots.(n.ns).(slot_index t n.nr n.nw) with
-                | Some e -> e
-                | None -> assert false
-              in
-              place t free_s free_r free_w e;
-              t.slots.(n.ns).(slot_index t n.nr n.nw) <- None;
-              unwind (n.ns, n.nr, n.nw) n.parent (moves + 1)
+              (* The slot freed up since enqueue cannot happen (no moves
+                 during BFS) — root candidates were full by construction. *)
+              assert false
           in
-          let moves = unwind (fs, fr, fw) last 0 in
-          t.moves <- t.moves + moves;
-          t.size <- t.size + 1;
-          Ok moves
-      in
-      t.bfs_expansions <- t.bfs_expansions + !expanded;
-      t.last_bfs_expanded <- !expanded;
-      result
+          (* The occupant may move to its candidate row in any other stage. *)
+          for stage = 0 to t.n_stages - 1 do
+            if
+              stage <> node.ns
+              && placement_allowed t occupant.key stage (row_of t stage occupant.key)
+            then begin
+              let row = row_of t stage occupant.key in
+              match free_way t stage row with
+              | Some way -> raise (Found_free (stage, row, way, Some node))
+              | None ->
+                if not (row_visited stage row) then begin
+                  visit_row stage row;
+                  for way = 0 to t.n_ways - 1 do
+                    Queue.add { ns = stage; nr = row; nw = way; parent = Some node } queue
+                  done
+                end
+            end
+          done
+        done;
+        t.failed_inserts <- t.failed_inserts + 1;
+        Error `Full
+      with Found_free (fs, fr, fw, last) ->
+        (* Unwind the eviction chain leaf-to-root: each occupant moves into
+           the slot freed by its successor. *)
+        let rec unwind (free_s, free_r, free_w) node moves =
+          match node with
+          | None ->
+            (* The root slot is now free: it is a candidate row of [k]. *)
+            place t free_s free_r free_w entry;
+            moves
+          | Some n ->
+            let e =
+              match t.slots.(n.ns).(slot_index t n.nr n.nw) with
+              | Some e -> e
+              | None -> assert false
+            in
+            place t free_s free_r free_w e;
+            t.slots.(n.ns).(slot_index t n.nr n.nw) <- None;
+            unwind (n.ns, n.nr, n.nw) n.parent (moves + 1)
+        in
+        let moves = unwind (fs, fr, fw) last 0 in
+        t.moves <- t.moves + moves;
+        t.size <- t.size + 1;
+        Ok moves
 
   let insert ?(forbid_stages = []) t k v =
-    if mem_exact t k then Error `Duplicate
+    if locate_exact t k <> None then Error `Duplicate
     else
       let allowed stage = not (List.mem stage forbid_stages) in
       let entry = { key = k; stored_digest = -1; value = v } in
@@ -324,13 +252,6 @@ module Make (Key : KEY) = struct
     | Some (stage, row, way, _) ->
       t.slots.(stage).(slot_index t row way) <- None;
       t.size <- t.size - 1;
-      true
-    | None -> false
-
-  let set_exact t k v =
-    match locate_exact t k with
-    | Some (_, _, _, e) ->
-      e.value <- v;
       true
     | None -> false
 
@@ -352,25 +273,7 @@ module Make (Key : KEY) = struct
       end
       else Ok 0
 
-  let iter f t =
-    Array.iter
-      (fun stage_slots -> Array.iter (function Some e -> f e.key e.value | None -> ()) stage_slots)
-      t.slots
-
-  let fold f t init =
-    let acc = ref init in
-    iter (fun k v -> acc := f k v !acc) t;
-    !acc
-
   let moves t = t.moves
   let failed_inserts t = t.failed_inserts
-  let greedy_kicks _ = 0
-  let bfs_expansions t = t.bfs_expansions
-  let last_bfs_expanded t = t.last_bfs_expanded
-  let first_full_occupancy t = t.first_full_occupancy
-
-  let probe_positions t k =
-    List.init t.n_stages (fun stage -> (stage, row_of t stage k, digest_of t stage k))
-
   let set_placement_filter t f = t.placement_filter <- f
 end

@@ -318,16 +318,7 @@ let check_shard_counters ?(exact_pcc = true) name (scalar : Harness.Replay.resul
       sharded.Harness.Replay.violations
   end
   else begin
-    (* Re-route faults forget flows mid-update: each forgotten flow
-       re-learns its DIP against its own switch's CPU/barrier timeline,
-       and sharding divides every switch's load by the shard count, so
-       the re-learn can land on the opposite side of the §4.3 race
-       window from the scalar run. The per-connection verdicts are
-       mode-dependent by design there. What sharding must still
-       preserve: every re-route tears down the same connection set
-       (each flow's state lives on exactly one shard, and its lifetime
-       depends only on that flow's own packet times), and only
-       re-homed connections may break. *)
+    (* Re-route scenarios: the relaxed contract stated in replay.mli. *)
     let rerouted (r : Harness.Replay.result) =
       Telemetry.Registry.counter_value r.Harness.Replay.telemetry "switch.rerouted_flows"
     in

@@ -366,7 +366,6 @@ module Ref_conn_table = struct
   type t = {
     table : int Table.t;
     digest_bits : int;
-    n_stages : int;
     n_rows : int;
     probe_index : (int, Netcore.Five_tuple.t list ref) Hashtbl.t;
     mutable false_hits : int;
@@ -376,29 +375,27 @@ module Ref_conn_table = struct
   let pack_pos t ~stage ~row ~digest = (((stage * t.n_rows) + row) lsl t.digest_bits) lor digest
 
   let register t k =
-    for stage = 0 to t.n_stages - 1 do
-      let row = Table.probe_row t.table k ~stage in
-      let digest = Table.probe_digest t.table k ~stage in
-      let pos = pack_pos t ~stage ~row ~digest in
-      match Hashtbl.find_opt t.probe_index pos with
-      | Some l -> l := k :: !l
-      | None -> Hashtbl.replace t.probe_index pos (ref [ k ])
-    done
+    List.iter
+      (fun (stage, row, digest) ->
+        let pos = pack_pos t ~stage ~row ~digest in
+        match Hashtbl.find_opt t.probe_index pos with
+        | Some l -> l := k :: !l
+        | None -> Hashtbl.replace t.probe_index pos (ref [ k ]))
+      (Table.probe_positions t.table k)
 
   let unregister t k =
-    for stage = 0 to t.n_stages - 1 do
-      let row = Table.probe_row t.table k ~stage in
-      let digest = Table.probe_digest t.table k ~stage in
-      let pos = pack_pos t ~stage ~row ~digest in
-      match Hashtbl.find_opt t.probe_index pos with
-      | Some l ->
-        l := List.filter (fun k' -> not (Netcore.Five_tuple.equal k' k)) !l;
-        if !l = [] then Hashtbl.remove t.probe_index pos
-      | None -> ()
-    done
+    List.iter
+      (fun (stage, row, digest) ->
+        let pos = pack_pos t ~stage ~row ~digest in
+        match Hashtbl.find_opt t.probe_index pos with
+        | Some l ->
+          l := List.filter (fun k' -> not (Netcore.Five_tuple.equal k' k)) !l;
+          if !l = [] then Hashtbl.remove t.probe_index pos
+        | None -> ())
+      (Table.probe_positions t.table k)
 
   let placement_safe t k ~stage ~row =
-    let digest = Table.probe_digest t.table k ~stage in
+    let _, _, digest = List.nth (Table.probe_positions t.table k) stage in
     match Hashtbl.find t.probe_index (pack_pos t ~stage ~row ~digest) with
     | l -> not (List.exists (fun k' -> not (Netcore.Five_tuple.equal k' k)) !l)
     | exception Not_found -> true
@@ -412,7 +409,6 @@ module Ref_conn_table = struct
             ~rows_per_stage:cfg.Silkroad.Config.conn_table_rows
             ~ways:cfg.Silkroad.Config.conn_table_ways ();
         digest_bits = cfg.Silkroad.Config.digest_bits;
-        n_stages = cfg.Silkroad.Config.conn_table_stages;
         n_rows = cfg.Silkroad.Config.conn_table_rows;
         probe_index = Hashtbl.create 16;
         false_hits = 0;
