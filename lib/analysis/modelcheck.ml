@@ -231,9 +231,10 @@ let flags_of ~esyn ~eends =
    DIPPoolTable destroys it, although connections still use it. *)
 let release_old_version sw (r : Sw.update_report) =
   if r.Sw.ur_outcome = `Completed && r.Sw.ur_old_version <> r.Sw.ur_new_version then begin
-    let pools = Sw.pools sw and vip = r.Sw.ur_vip and version = r.Sw.ur_old_version in
-    for _ = 1 to Silkroad.Dip_pool_table.refcount pools ~vip ~version do
-      Silkroad.Dip_pool_table.release pools ~vip ~version ~current:r.Sw.ur_new_version
+    let vs = (Silkroad.Vip_table.find (Sw.vip_table sw) r.Sw.ur_vip).Silkroad.Vip_table.pools in
+    let old = Silkroad.Dip_pool_table.lookup vs r.Sw.ur_old_version in
+    for _ = 1 to old.Silkroad.Dip_pool_table.refs do
+      Silkroad.Dip_pool_table.release vs old ~current:r.Sw.ur_new_version
     done
   end
 

@@ -28,9 +28,9 @@ type t = {
   mutable vip_order : Netcore.Endpoint.t list;  (* insertion order *)
   downed : (Netcore.Endpoint.t, Netcore.Endpoint.t list) Hashtbl.t;
       (* dead DIP -> the VIPs it was withdrawn from, in order *)
-  mutable watches : (Netcore.Endpoint.t * int * float) list;
-      (* (vip, old version, request time): completed updates whose old
-         version has not been observed recycled yet *)
+  mutable watches : (Silkroad.Vip_table.entry * int * float) list;
+      (* (VIP record, old version, request time): completed updates
+         whose old version has not been observed recycled yet *)
 }
 
 let switch0 t = Stepper.switch t.steppers.(0)
@@ -84,7 +84,8 @@ let create ?(cfg = Silkroad.Config.default) ?(shards = 1) ?(vips = []) ?trace ()
       Telemetry.Histogram.observe t.h_apply (r.ur_finished -. r.ur_requested);
       match r.ur_outcome with
       | `Completed when r.ur_old_version <> r.ur_new_version ->
-          t.watches <- (r.ur_vip, r.ur_old_version, r.ur_requested) :: t.watches
+          let e = Silkroad.Vip_table.find (Silkroad.Switch.vip_table (switch0 t)) r.ur_vip in
+          t.watches <- (e, r.ur_old_version, r.ur_requested) :: t.watches
       | `Completed | `Failed -> ());
   t
 
@@ -117,22 +118,23 @@ let ep = Netcore.Endpoint.to_string
 (* A version is recycled when its pool is gone; a version that became
    current again was reused, not recycled (drop the watch silently).
    Observed at command granularity, so the latency is rounded up to the
-   next command after the actual destruction. *)
+   next command after the actual destruction. Runs after every command:
+   each watch costs two reads of its VIP record, and the list is rebuilt
+   only when a watch settles. *)
 let poll_watches t =
-  let sw = switch0 t in
-  let pools = Silkroad.Switch.pools sw and vt = Silkroad.Switch.vip_table sw in
-  t.watches <-
-    List.filter
-      (fun (vip, version, requested) ->
-        match Silkroad.Dip_pool_table.pool pools ~vip ~version with
-        | None ->
+  let settled ((e : Silkroad.Vip_table.entry), version, _) =
+    e.current = version || not (Silkroad.Dip_pool_table.allocated e.pools version)
+  in
+  if List.exists settled t.watches then
+    t.watches <-
+      List.filter
+        (fun ((e : Silkroad.Vip_table.entry), version, requested) ->
+          if Silkroad.Dip_pool_table.allocated e.pools version then e.current <> version
+          else begin
             Telemetry.Histogram.observe t.h_recycle (t.now -. requested);
             false
-        | Some _ -> (
-            match Silkroad.Vip_table.current vt vip with
-            | Some c when c = version -> false
-            | Some _ | None -> true))
-      t.watches
+          end)
+        t.watches
 
 let observe t =
   poll_watches t;
@@ -192,7 +194,10 @@ let vip_remove t vip =
     | () ->
         Hashtbl.remove t.members vip;
         t.vip_order <- List.filter (fun v -> not (Netcore.Endpoint.equal v vip)) t.vip_order;
-        t.watches <- List.filter (fun (v, _, _) -> not (Netcore.Endpoint.equal v vip)) t.watches;
+        t.watches <-
+          List.filter
+            (fun ((e : Silkroad.Vip_table.entry), _, _) -> not (Netcore.Endpoint.equal e.vip vip))
+            t.watches;
         Ok (Printf.sprintf "vip %s removed" (ep vip))
     | exception Invalid_argument msg -> Error msg
   end

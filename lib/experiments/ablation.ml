@@ -46,8 +46,12 @@ let version_bits ~quick ppf =
       let t = Silkroad.Dip_pool_table.create ~version_bits:bits ~seed:5 in
       let v = Common.vip 0 in
       let pool = Lb.Dip_pool.of_list (List.init 16 Common.dip) in
-      let v0 = Result.get_ok (Silkroad.Dip_pool_table.add_vip t v pool) in
-      Silkroad.Dip_pool_table.retain t ~vip:v ~version:v0;
+      let vs, v0 = Result.get_ok (Silkroad.Dip_pool_table.add_vip t v pool) in
+      let pin version =
+        let i = Silkroad.Dip_pool_table.lookup vs version in
+        if i.Silkroad.Dip_pool_table.refs = 0 then Silkroad.Dip_pool_table.retain i
+      in
+      pin v0;
       let current = ref v0 in
       let rng = Simnet.Prng.create ~seed:77 in
       let events =
@@ -63,11 +67,10 @@ let version_bits ~quick ppf =
             | Simnet.Update_trace.Remove -> Lb.Balancer.Dip_remove d
             | Simnet.Update_trace.Add -> Lb.Balancer.Dip_add d
           in
-          match Silkroad.Dip_pool_table.publish t ~vip:v ~current:!current u with
+          match Silkroad.Dip_pool_table.publish t vs ~current:!current u with
           | Ok nv ->
             incr applied;
-            if Silkroad.Dip_pool_table.refcount t ~vip:v ~version:nv = 0 then
-              Silkroad.Dip_pool_table.retain t ~vip:v ~version:nv;
+            pin nv;
             current := nv
           | Error _ -> ())
         events;

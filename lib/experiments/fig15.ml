@@ -9,12 +9,18 @@ let versions_with_reuse ~rng ~updates ~pool_size =
   let t = Silkroad.Dip_pool_table.create ~version_bits:10 ~seed:99 in
   let vip = Common.vip 0 in
   let pool = Lb.Dip_pool.of_list (List.init pool_size Common.dip) in
-  let v0 =
-    match Silkroad.Dip_pool_table.add_vip t vip pool with Ok v -> v | Error `Exists -> assert false
+  let vs, v0 =
+    match Silkroad.Dip_pool_table.add_vip t vip pool with
+    | Ok r -> r
+    | Error `Exists -> assert false
   in
   (* pin every version that becomes current: connections from the whole
      window are still alive *)
-  Silkroad.Dip_pool_table.retain t ~vip ~version:v0;
+  let pin version =
+    let i = Silkroad.Dip_pool_table.lookup vs version in
+    if not (i.Silkroad.Dip_pool_table.refs > 0) then Silkroad.Dip_pool_table.retain i
+  in
+  pin v0;
   let current = ref v0 in
   let events =
     Simnet.Update_trace.generate ~rng ~updates_per_min:(float_of_int updates /. 10.)
@@ -29,15 +35,14 @@ let versions_with_reuse ~rng ~updates ~pool_size =
         | Simnet.Update_trace.Remove -> Lb.Balancer.Dip_remove d
         | Simnet.Update_trace.Add -> Lb.Balancer.Dip_add d
       in
-      match Silkroad.Dip_pool_table.publish t ~vip ~current:!current u with
+      match Silkroad.Dip_pool_table.publish t vs ~current:!current u with
       | Ok v ->
         incr applied;
-        if not (Silkroad.Dip_pool_table.refcount t ~vip ~version:v > 0) then
-          Silkroad.Dip_pool_table.retain t ~vip ~version:v;
+        pin v;
         current := v
       | Error _ -> ())
     events;
-  (!applied, Silkroad.Dip_pool_table.live_versions t ~vip)
+  (!applied, Silkroad.Dip_pool_table.live_versions vs)
 
 let run ~quick:_ ppf =
   let rng = Simnet.Prng.create ~seed:15 in

@@ -26,6 +26,27 @@ let[@inline] hash_fold acc { ip; port } =
 
 let size_bytes { ip; port = _ } = Ip.family_bytes ip + 2
 
+(* Multiply-xorshift over the unboxed address words and the port: plain
+   int arithmetic, so a lookup allocates nothing and never walks the
+   record generically as [Hashtbl.hash] does. *)
+let[@inline] mix h =
+  let h = h * 0x2545f4914f6cdd1d in
+  h lxor (h lsr 29)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+
+  let hash { ip; port } =
+    let a =
+      match ip with
+      | Ip.V4 x -> Int32.to_int x
+      | Ip.V6 (h, l) -> mix (Int64.to_int h) lxor Int64.to_int l
+    in
+    mix (mix a lxor port) land max_int
+end)
+
 let pp ppf { ip; port } =
   if Ip.is_v6 ip then Format.fprintf ppf "[%a]:%d" Ip.pp ip port
   else Format.fprintf ppf "%a:%d" Ip.pp ip port

@@ -20,6 +20,11 @@ val hash_fold : int64 -> t -> int64
 val size_bytes : t -> int
 (** Wire size of the endpoint: address bytes + 2 port bytes. *)
 
+module Tbl : Hashtbl.S with type key = t
+(** Endpoint-keyed hashtable (VIPs): compares with {!equal}, hashes the
+    address words and the port with plain int arithmetic, so [find]
+    allocates nothing. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val of_string : string -> t option

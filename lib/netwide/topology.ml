@@ -13,7 +13,7 @@ type t = {
   nodes : node array;
   placement : Silkroad.Assignment.placement;
   diags : Analysis.Diag.t list;
-  vip_layer : (Netcore.Endpoint.t, int) Hashtbl.t;
+  vip_layer : int Netcore.Endpoint.Tbl.t;
   vips : (Netcore.Endpoint.t * Lb.Dip_pool.t) list;
 }
 
@@ -66,14 +66,14 @@ let build ?(check = `Fail) ?(sram_warn = 0.9) ?demands ?(seed = 0x7090) ~layers 
     in
     go 0 layers
   in
-  let vip_layer = Hashtbl.create (List.length vips) in
+  let vip_layer = Netcore.Endpoint.Tbl.create (List.length vips) in
   (* placement first; anything unplaced (possible under `Warn/`Off)
      falls back to the bottom layer so routing stays total *)
-  List.iter (fun (vip, _) -> Hashtbl.replace vip_layer vip bottom) vips;
+  List.iter (fun (vip, _) -> Netcore.Endpoint.Tbl.replace vip_layer vip bottom) vips;
   List.iter
     (fun (vip, lname) ->
       match pos_of_name lname with
-      | Some pos -> Hashtbl.replace vip_layer vip pos
+      | Some pos -> Netcore.Endpoint.Tbl.replace vip_layer vip pos
       | None -> ())
     placement.Silkroad.Assignment.assignment;
   { seed; layers; layer_nodes; nodes; placement; diags; vip_layer; vips }
@@ -88,12 +88,13 @@ let find_layer t name =
   in
   go 0 t.layers
 
+(* per packet in the netwide replay: [find] allocates no option *)
 let layer_of_vip t vip =
-  match Hashtbl.find_opt t.vip_layer vip with
-  | Some pos -> pos
-  | None -> Array.length t.layer_nodes - 1
+  match Netcore.Endpoint.Tbl.find t.vip_layer vip with
+  | pos -> pos
+  | exception Not_found -> Array.length t.layer_nodes - 1
 
-let move_vip t vip name = Hashtbl.replace t.vip_layer vip (find_layer t name)
+let move_vip t vip name = Netcore.Endpoint.Tbl.replace t.vip_layer vip (find_layer t name)
 
 let set_up t ~node_id up =
   if node_id < 0 || node_id >= Array.length t.nodes then

@@ -29,7 +29,7 @@ type t = {
   nodes : node array;  (** all nodes, grouped by layer, id order *)
   placement : Silkroad.Assignment.placement;
   diags : Analysis.Diag.t list;  (** feasibility diagnostics from construction *)
-  vip_layer : (Netcore.Endpoint.t, int) Hashtbl.t;  (** VIP → layer position *)
+  vip_layer : int Netcore.Endpoint.Tbl.t;  (** VIP → layer position *)
   vips : (Netcore.Endpoint.t * Lb.Dip_pool.t) list;
 }
 

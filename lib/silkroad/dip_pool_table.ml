@@ -1,111 +1,74 @@
-type pool_info = {
+type info = {
+  version : int;
   mutable pool : Lb.Dip_pool.t;
   mutable refs : int;
 }
 
-type vip_state = {
-  versions : (int, pool_info) Hashtbl.t;
+type vip = {
+  (* the allocated versions, in the order the reuse scans and [gc] visit
+     them: that order decides which version a reuse picks and the order
+     in which freed numbers return to the allocator, so it stays a
+     [Hashtbl] *)
+  versions : (int, info) Hashtbl.t;
+  (* the same versions indexed by number, [free] when not allocated:
+     the (VIP, version) match of the packet path, without hashing *)
+  slots : info array;
+  (* every free slot holds this placeholder: version -1 and an empty
+     pool, so a selection through a free slot finds no DIP. Never
+     retained or released. *)
+  free : info;
   allocator : Version.t;
-  (* one-slot (version -> pool_info) cache for the packet fast path;
-     [cv = -1] means empty. Invalidated when the cached version is
-     destroyed (version numbers are recycled, so a stale entry could
-     otherwise alias a reallocated version's new pool). *)
-  mutable cv : int;
-  mutable ci : pool_info option;
 }
 
 type t = {
   seed : int;
-  vips : (Netcore.Endpoint.t, vip_state) Hashtbl.t;
+  vips : vip Netcore.Endpoint.Tbl.t;
   version_bits : int;
   mutable reuses : int;
-  (* one-slot VIP cache as two fields, so a hit returns the stored
-     option instead of boxing a fresh one per packet; invalidated by
-     [remove_vip], the only way an entry ever leaves the table *)
-  mutable vc_vip : Netcore.Endpoint.t;
-  mutable vc : vip_state option;
 }
 
 let create ~version_bits ~seed =
-  {
-    seed;
-    vips = Hashtbl.create 64;
-    version_bits;
-    reuses = 0;
-    vc_vip = Netcore.Endpoint.none;
-    vc = None;
-  }
+  { seed; vips = Netcore.Endpoint.Tbl.create 64; version_bits; reuses = 0 }
+
+let install vs v pool =
+  let i = { version = v; pool; refs = 0 } in
+  Hashtbl.replace vs.versions v i;
+  vs.slots.(v) <- i
 
 let add_vip t vip pool =
-  if Hashtbl.mem t.vips vip then Error `Exists
+  if Netcore.Endpoint.Tbl.mem t.vips vip then Error `Exists
   else begin
     let allocator = Version.create ~bits:t.version_bits in
     let v = match Version.allocate allocator with Ok v -> v | Error `Exhausted -> assert false in
-    let versions = Hashtbl.create 8 in
-    Hashtbl.replace versions v { pool; refs = 0 };
-    Hashtbl.replace t.vips vip { versions; allocator; cv = -1; ci = None };
-    Ok v
-  end
-
-let has_vip t vip = Hashtbl.mem t.vips vip
-
-let remove_vip t vip =
-  Hashtbl.remove t.vips vip;
-  if Netcore.Endpoint.equal t.vc_vip vip then begin
-    t.vc_vip <- Netcore.Endpoint.none;
-    t.vc <- None
-  end
-
-let vips t = Hashtbl.fold (fun vip _ acc -> vip :: acc) t.vips []
-
-let info t ~vip ~version =
-  match Hashtbl.find_opt t.vips vip with
-  | None -> None
-  | Some vs -> Hashtbl.find_opt vs.versions version
-
-let pool t ~vip ~version =
-  match info t ~vip ~version with
-  | Some i -> Some i.pool
-  | None -> None
-
-let select_dip t ~vip ~version flow =
-  match pool t ~vip ~version with
-  | None -> None
-  | Some p -> if Lb.Dip_pool.is_empty p then None else Some (Lb.Dip_pool.select_flow ~seed:t.seed p flow)
-
-let find_vip_state t vip =
-  match t.vc with
-  | Some _ when Netcore.Endpoint.equal t.vc_vip vip -> t.vc
-  | Some _ | None ->
-    (match Hashtbl.find_opt t.vips vip with
-     | Some _ as r ->
-       t.vc_vip <- vip;
-       t.vc <- r;
-       r
-     | None -> None)
-
-(* Allocation-free [select_dip]: returns the caller's [none] sentinel
-   (intended to be [Netcore.Endpoint.none], compared with [==]) instead
-   of wrapping the DIP in an option. Same selection as [select_dip]. *)
-let select_dip_fast t ~vip ~version flow ~none =
-  match find_vip_state t vip with
-  | None -> none
-  | Some vs ->
-    let i =
-      if vs.cv = version then vs.ci
-      else
-        match Hashtbl.find_opt vs.versions version with
-        | Some _ as r ->
-          vs.cv <- version;
-          vs.ci <- r;
-          r
-        | None -> None
+    let free = { version = -1; pool = Lb.Dip_pool.of_list []; refs = 0 } in
+    let vs =
+      {
+        versions = Hashtbl.create 8;
+        slots = Array.make (Version.capacity allocator) free;
+        free;
+        allocator;
+      }
     in
-    (match i with
-     | None -> none
-     | Some i ->
-       if Lb.Dip_pool.is_empty i.pool then none
-       else Lb.Dip_pool.select_flow ~seed:t.seed i.pool flow)
+    install vs v pool;
+    Netcore.Endpoint.Tbl.replace t.vips vip vs;
+    Ok (vs, v)
+  end
+
+let remove_vip t vip = Netcore.Endpoint.Tbl.remove t.vips vip
+
+let lookup vs version =
+  if version >= 0 && version < Array.length vs.slots then Array.unsafe_get vs.slots version
+  else vs.free
+
+let allocated vs version = lookup vs version != vs.free
+
+let select t i flow ~none =
+  if Lb.Dip_pool.is_empty i.pool then none else Lb.Dip_pool.select_flow ~seed:t.seed i.pool flow
+
+let select_dip_fast t ~vip ~version flow ~none =
+  match Netcore.Endpoint.Tbl.find t.vips vip with
+  | vs -> select t (lookup vs version) flow ~none
+  | exception Not_found -> none
 
 (* Version reuse (§4.2). Two forms:
    - equal-pool reuse: an allocated version already holds exactly the
@@ -116,7 +79,7 @@ let select_dip_fast t ~vip ~version flow ~none =
      substituting [d] for [r] in that pool. *)
 let find_equal_pool vs ~target =
   Hashtbl.fold
-    (fun v (i : pool_info) acc ->
+    (fun v (i : info) acc ->
       match acc with
       | Some _ -> acc
       | None -> if Lb.Dip_pool.equal i.pool target then Some v else None)
@@ -125,7 +88,7 @@ let find_equal_pool vs ~target =
 let find_reusable vs ~current ~current_pool ~new_dip =
   let candidate = ref None in
   Hashtbl.iter
-    (fun v (i : pool_info) ->
+    (fun v (i : info) ->
       if !candidate = None && v <> current then begin
         let members = Lb.Dip_pool.members i.pool in
         if Array.length members = Lb.Dip_pool.size current_pool + 1 then begin
@@ -144,110 +107,85 @@ let find_reusable vs ~current ~current_pool ~new_dip =
     vs.versions;
   !candidate
 
-let publish t ~vip ~current update =
-  match Hashtbl.find_opt t.vips vip with
-  | None -> Error `No_such_vip
-  | Some vs ->
-    (match Hashtbl.find_opt vs.versions current with
-     | None -> Error (`Bad_update "current version unknown")
-     | Some cur_info ->
-       let current_pool = cur_info.pool in
-       let fresh_or_equal pool =
-         match find_equal_pool vs ~target:pool with
-         | Some v ->
+let publish t vs ~current update =
+  let cur_info = lookup vs current in
+  if cur_info == vs.free then Error (`Bad_update "current version unknown")
+  else begin
+    let current_pool = cur_info.pool in
+    let fresh pool =
+      match find_equal_pool vs ~target:pool with
+      | Some v ->
+        t.reuses <- t.reuses + 1;
+        Ok v
+      | None ->
+        (match Version.allocate vs.allocator with
+         | Ok v ->
+           install vs v pool;
+           Ok v
+         | Error `Exhausted -> Error `Versions_exhausted)
+    in
+    match update with
+    | Lb.Balancer.Dip_remove d ->
+      if not (Lb.Dip_pool.mem current_pool d) then Error (`Bad_update "removing absent DIP")
+      else fresh (Lb.Dip_pool.remove current_pool d)
+    | Lb.Balancer.Dip_add d ->
+      if Lb.Dip_pool.mem current_pool d then Error (`Bad_update "adding present DIP")
+      else
+        (match find_reusable vs ~current ~current_pool ~new_dip:d with
+         | Some (v, i, r) ->
+           if not (Netcore.Endpoint.equal r d) then
+             i.pool <- Lb.Dip_pool.replace i.pool ~old_dip:r ~new_dip:d;
            t.reuses <- t.reuses + 1;
            Ok v
-         | None ->
-           (match Version.allocate vs.allocator with
-            | Ok v ->
-              Hashtbl.replace vs.versions v { pool; refs = 0 };
-              Ok v
-            | Error `Exhausted -> Error `Versions_exhausted)
-       in
-       let fresh = fresh_or_equal in
-       (match update with
-        | Lb.Balancer.Dip_remove d ->
-          if not (Lb.Dip_pool.mem current_pool d) then
-            Error (`Bad_update "removing absent DIP")
-          else fresh (Lb.Dip_pool.remove current_pool d)
-        | Lb.Balancer.Dip_add d ->
-          if Lb.Dip_pool.mem current_pool d then Error (`Bad_update "adding present DIP")
-          else
-            (match find_reusable vs ~current ~current_pool ~new_dip:d with
-             | Some (v, i, r) ->
-               if not (Netcore.Endpoint.equal r d) then
-                 i.pool <- Lb.Dip_pool.replace i.pool ~old_dip:r ~new_dip:d;
-               t.reuses <- t.reuses + 1;
-               Ok v
-             | None -> fresh (Lb.Dip_pool.add current_pool d))
-        | Lb.Balancer.Dip_replace { old_dip; new_dip } ->
-          if not (Lb.Dip_pool.mem current_pool old_dip) then
-            Error (`Bad_update "replacing absent DIP")
-          else if Lb.Dip_pool.mem current_pool new_dip then
-            Error (`Bad_update "replacement DIP already present")
-          else fresh (Lb.Dip_pool.replace current_pool ~old_dip ~new_dip)))
+         | None -> fresh (Lb.Dip_pool.add current_pool d))
+    | Lb.Balancer.Dip_replace { old_dip; new_dip } ->
+      if not (Lb.Dip_pool.mem current_pool old_dip) then
+        Error (`Bad_update "replacing absent DIP")
+      else if Lb.Dip_pool.mem current_pool new_dip then
+        Error (`Bad_update "replacement DIP already present")
+      else fresh (Lb.Dip_pool.replace current_pool ~old_dip ~new_dip)
+  end
 
-let destroy_if_dead t ~vip vs version ~current =
-  match Hashtbl.find_opt vs.versions version with
-  | Some i when i.refs = 0 && version <> current ->
+let destroy_if_dead vs version ~current =
+  let i = lookup vs version in
+  if i != vs.free && i.refs = 0 && version <> current then begin
     Hashtbl.remove vs.versions version;
-    Version.release vs.allocator version;
-    if vs.cv = version then begin
-      vs.cv <- -1;
-      vs.ci <- None
-    end;
-    ignore vip;
-    ignore t
-  | Some _ | None -> ()
+    vs.slots.(version) <- vs.free;
+    Version.release vs.allocator version
+  end
 
-let retain t ~vip ~version =
-  match info t ~vip ~version with
-  | Some i -> i.refs <- i.refs + 1
-  | None -> invalid_arg "Dip_pool_table.retain: unknown version"
+let retain i =
+  if i.version < 0 then invalid_arg "Dip_pool_table.retain: unknown version";
+  i.refs <- i.refs + 1
 
-let release t ~vip ~version ~current =
-  match Hashtbl.find_opt t.vips vip with
-  | None -> invalid_arg "Dip_pool_table.release: unknown VIP"
-  | Some vs ->
-    (match Hashtbl.find_opt vs.versions version with
-     | None -> invalid_arg "Dip_pool_table.release: unknown version"
-     | Some i ->
-       if i.refs <= 0 then invalid_arg "Dip_pool_table.release: refcount underflow";
-       i.refs <- i.refs - 1;
-       destroy_if_dead t ~vip vs version ~current)
+let release vs i ~current =
+  if i.version < 0 || lookup vs i.version != i then
+    invalid_arg "Dip_pool_table.release: unknown version";
+  if i.refs <= 0 then invalid_arg "Dip_pool_table.release: refcount underflow";
+  i.refs <- i.refs - 1;
+  destroy_if_dead vs i.version ~current
 
-let gc t ~vip ~current =
-  match Hashtbl.find_opt t.vips vip with
-  | None -> ()
-  | Some vs ->
-    let dead =
-      Hashtbl.fold
-        (fun v (i : pool_info) acc -> if i.refs = 0 && v <> current then v :: acc else acc)
-        vs.versions []
-    in
-    List.iter (fun v -> destroy_if_dead t ~vip vs v ~current) dead
+let gc vs ~current =
+  let dead =
+    Hashtbl.fold
+      (fun v (i : info) acc -> if i.refs = 0 && v <> current then v :: acc else acc)
+      vs.versions []
+  in
+  List.iter (fun v -> destroy_if_dead vs v ~current) dead
 
-let refcount t ~vip ~version =
-  match info t ~vip ~version with
-  | Some i -> i.refs
-  | None -> 0
-
-let live_versions t ~vip =
-  match Hashtbl.find_opt t.vips vip with
-  | None -> 0
-  | Some vs -> Hashtbl.length vs.versions
+let live_versions vs = Hashtbl.length vs.versions
 
 let version_exhaustions t =
-  Hashtbl.fold (fun _ vs acc -> acc + Version.exhaustions vs.allocator) t.vips 0
+  Netcore.Endpoint.Tbl.fold (fun _ vs acc -> acc + Version.exhaustions vs.allocator) t.vips 0
 
 let reuses t = t.reuses
 
 let sram_bits t =
-  Hashtbl.fold
+  Netcore.Endpoint.Tbl.fold
     (fun vip vs acc ->
       let vip_bits = Netcore.Endpoint.size_bytes vip * 8 in
       Hashtbl.fold
-        (fun _v (i : pool_info) acc ->
+        (fun _v (i : info) acc ->
           let member_bits =
             Array.fold_left
               (fun b d -> b + (Netcore.Endpoint.size_bytes d * 8))

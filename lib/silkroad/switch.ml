@@ -7,8 +7,9 @@ module Ftbl = Netcore.Five_tuple.Tbl
    [flows] find on its first packet, the [flows] add and remove, and the
    learning filter's two dedupe operations. *)
 type conn_state = {
-  cs_flow : Netcore.Five_tuple.t;  (** its VIP is [cs_flow.dst] *)
-  cs_version : int;  (** version assigned when the connection arrived *)
+  cs_flow : Netcore.Five_tuple.t;
+  cs_vip : Vip_table.entry;  (** its VIP's record *)
+  cs_pool : Dip_pool_table.info;  (** the version assigned when it arrived *)
   mutable inserted : bool;
   mutable in_pipeline : bool;  (** learning event in the filter or at the CPU *)
   mutable ended : bool;
@@ -18,14 +19,12 @@ type conn_state = {
   mutable age_pos : int;  (** aging-wheel position, or [Timer_wheel.no_pos] *)
 }
 
-let vip_of st = st.cs_flow.Netcore.Five_tuple.dst
-
 type job_phase =
   | Job_recording
   | Job_dual
 
 type update_job = {
-  job_vip : Netcore.Endpoint.t;
+  job_vip : Vip_table.entry;
   job_update : Lb.Balancer.update;
   requested : float;  (** when [request_update] accepted it (queue wait included) *)
   started : float;  (** when the job left the queue and step 1 began *)
@@ -119,16 +118,12 @@ type t = {
   (* serve-mode observer: called once per update job as it completes or
      aborts, with virtual request/finish times and the version flip *)
   mutable update_hook : (update_report -> unit) option;
+  mutable oldest_started : float;  (** see [refresh_oldest_started] *)
   mutable clock : float;  (** latest time the control plane has seen *)
   (* fast-path side channel: where the last processed packet went.
      [process_flow] returns only the DIP (or [no_dip]); callers that
      want the location read this immediately after. *)
   mutable last_location : Lb.Balancer.location;
-  (* one-slot VIP-handle cache: replay traffic is heavily clustered by
-     VIP, so most packets skip the VIPTable hash lookup. VIPs are never
-     removed, so a cached handle never goes stale. *)
-  mutable vh_vip : Netcore.Endpoint.t;
-  mutable vh : Vip_table.handle option;
   (* telemetry: one registry owns every counter/gauge/histogram of this
      switch and its ASIC primitives; the handles below are cached so the
      data plane pays one int-ref bump per event, same as a mutable field *)
@@ -228,10 +223,9 @@ let create ?metrics ?(check = `Warn) cfg =
     jobs = Hashtbl.create 16;
     job_queue = Hashtbl.create 16;
     update_hook = None;
+    oldest_started = infinity;
     clock = 0.;
     last_location = Lb.Balancer.Asic;
-    vh_vip = Netcore.Endpoint.none;
-    vh = None;
     metrics = reg;
     c_asic_packets = counter "switch.asic_packets";
     c_cpu_packets = counter "switch.cpu_packets";
@@ -259,17 +253,12 @@ let config t = t.cfg
 
 let add_vip t vip pool =
   match Dip_pool_table.add_vip t.pools vip pool with
-  | Ok version -> Vip_table.add t.vips vip ~version
+  | Ok (pools, version) -> ignore (Vip_table.add t.vips vip pools ~version)
   | Error `Exists -> invalid_arg "Switch.add_vip: VIP exists"
 
 let has_vip t vip = Vip_table.mem t.vips vip
 
 let flow_hash t flow = Netcore.Five_tuple.hash ~seed:(t.cfg.Config.seed lxor 0x7a17) flow
-
-let current_version t vip =
-  match Vip_table.current t.vips vip with
-  | Some v -> v
-  | None -> invalid_arg "Switch: unknown VIP"
 
 (* ----- update job state machine ----- *)
 
@@ -279,80 +268,88 @@ let clear_transit_if_idle t =
     Telemetry.Registry.Counter.incr t.c_transit_clears
   end
 
-let rec start_next_queued t ~now vip =
-  match Hashtbl.find_opt t.job_queue vip with
+(* the earliest [started] among the active jobs, [infinity] with none:
+   [advance] scans the jobs for an overdue barrier only once this one
+   is overdue. Refreshed whenever a job enters or leaves [jobs]. *)
+let refresh_oldest_started t =
+  t.oldest_started <- Hashtbl.fold (fun _ job acc -> Float.min job.started acc) t.jobs infinity
+
+let rec start_next_queued t ~now (e : Vip_table.entry) =
+  match Hashtbl.find_opt t.job_queue e.vip with
   | None -> ()
   | Some q ->
     (match Queue.take_opt q with
      | None -> ()
-     | Some (requested, u) -> start_job t ~now ~requested vip u)
+     | Some (requested, u) -> start_job t ~now ~requested e u)
 
 and finish_job t ~now job =
+  let e = job.job_vip in
   Log.debug (fun m ->
       m "update %a on %a finished at %.6f (t_req %.6f)" Lb.Balancer.pp_update job.job_update
-        Netcore.Endpoint.pp job.job_vip now job.started);
-  Vip_table.finish t.vips job.job_vip;
-  Hashtbl.remove t.jobs job.job_vip;
+        Netcore.Endpoint.pp e.vip now job.started);
+  Vip_table.finish t.vips e;
+  Hashtbl.remove t.jobs e.vip;
+  refresh_oldest_started t;
   Telemetry.Registry.Counter.incr t.c_updates_completed;
   (* per-VIP scope: update churn is the figure-2 axis, so keep it
      attributable *)
   Telemetry.Registry.Counter.incr
-    (match Hashtbl.find_opt t.c_vip_completed job.job_vip with
+    (match Hashtbl.find_opt t.c_vip_completed e.vip with
      | Some c -> c
      | None ->
        let c =
          Telemetry.Registry.counter t.metrics
-           ~labels:[ ("vip", Format.asprintf "%a" Netcore.Endpoint.pp job.job_vip) ]
+           ~labels:[ ("vip", Format.asprintf "%a" Netcore.Endpoint.pp e.vip) ]
            "switch.vip.updates_completed"
        in
-       Hashtbl.replace t.c_vip_completed job.job_vip c;
+       Hashtbl.replace t.c_vip_completed e.vip c;
        c);
-  Dip_pool_table.gc t.pools ~vip:job.job_vip ~current:(current_version t job.job_vip);
+  Dip_pool_table.gc e.pools ~current:e.current;
   clear_transit_if_idle t;
   (match t.update_hook with
    | Some f ->
      f
        {
-         ur_vip = job.job_vip;
+         ur_vip = e.vip;
          ur_update = job.job_update;
          ur_requested = job.requested;
          ur_finished = now;
          ur_old_version = job.old_version;
-         ur_new_version = current_version t job.job_vip;
+         ur_new_version = e.current;
          ur_outcome = `Completed;
        }
    | None -> ());
-  start_next_queued t ~now job.job_vip
+  start_next_queued t ~now e
 
 and execute_job t ~now job =
-  let vip = job.job_vip in
-  let current = current_version t vip in
-  (match Dip_pool_table.publish t.pools ~vip ~current job.job_update with
+  let e = job.job_vip in
+  let current = e.current in
+  (match Dip_pool_table.publish t.pools e.pools ~current job.job_update with
    | Ok new_version ->
      job.old_version <- current;
-     Vip_table.execute t.vips vip ~new_version;
+     Vip_table.execute e ~new_version;
      job.job_phase <- Job_dual;
      (* step 3 waits for the connections recorded during step 1 *)
      Ftbl.reset job.waiting;
      Ftbl.iter (fun k () -> Ftbl.replace job.waiting k ()) job.recorded;
      if Ftbl.length job.waiting = 0 then finish_job t ~now job
-   | Error ((`No_such_vip | `Versions_exhausted | `Bad_update _) as err) ->
+   | Error ((`Versions_exhausted | `Bad_update _) as err) ->
      Log.warn (fun m ->
          m "update %a on %a aborted: %s" Lb.Balancer.pp_update job.job_update
-           Netcore.Endpoint.pp vip
+           Netcore.Endpoint.pp e.vip
            (match err with
-            | `No_such_vip -> "no such VIP"
             | `Versions_exhausted -> "version numbers exhausted"
             | `Bad_update msg -> msg));
-     Vip_table.cancel_recording t.vips vip;
-     Hashtbl.remove t.jobs vip;
+     Vip_table.cancel_recording t.vips e;
+     Hashtbl.remove t.jobs e.vip;
+     refresh_oldest_started t;
      Telemetry.Registry.Counter.incr t.c_updates_failed;
      clear_transit_if_idle t;
      (match t.update_hook with
       | Some f ->
         f
           {
-            ur_vip = vip;
+            ur_vip = e.vip;
             ur_update = job.job_update;
             ur_requested = job.requested;
             ur_finished = now;
@@ -361,7 +358,7 @@ and execute_job t ~now job =
             ur_outcome = `Failed;
           }
       | None -> ());
-     start_next_queued t ~now vip)
+     start_next_queued t ~now e)
 
 and check_job_transition t ~now job =
   if Ftbl.length job.waiting = 0 then begin
@@ -370,20 +367,20 @@ and check_job_transition t ~now job =
     | Job_dual -> finish_job t ~now job
   end
 
-and start_job t ~now ~requested vip update =
+and start_job t ~now ~requested (e : Vip_table.entry) update =
   let job =
     {
-      job_vip = vip;
+      job_vip = e;
       job_update = update;
       requested;
       started = now;
-      old_version = current_version t vip;
+      old_version = e.current;
       waiting = Ftbl.create 64;
       recorded = Ftbl.create 64;
       job_phase = Job_recording;
     }
   in
-  Vip_table.start_recording t.vips vip;
+  Vip_table.start_recording t.vips e;
   (* step 1 barrier: every connection of this VIP that arrived before
      the request but is not yet in ConnTable and has not ended — the
      pending set filtered by VIP. That includes a flow parked on the
@@ -395,15 +392,23 @@ and start_job t ~now ~requested vip update =
   if t.cfg.Config.use_transit then
     for i = 0 to t.pending_len - 1 do
       let st = t.pending.(i) in
-      if Netcore.Endpoint.equal (vip_of st) vip then Ftbl.replace job.waiting st.cs_flow ()
+      if st.cs_vip == e then Ftbl.replace job.waiting st.cs_flow ()
     done;
-  Hashtbl.replace t.jobs vip job;
+  Hashtbl.replace t.jobs e.vip job;
+  refresh_oldest_started t;
   check_job_transition t ~now job
 
-(* a pending connection of [vip] was installed (or abandoned): release
+(* the active job of a VIP: only a VIP out of phase [Idle] has one, so
+   an idle VIP's connections never hash into [jobs] *)
+let active_job t (e : Vip_table.entry) =
+  match e.phase with
+  | Vip_table.Idle -> None
+  | Vip_table.Recording | Vip_table.Dual _ -> Hashtbl.find_opt t.jobs e.vip
+
+(* a pending connection of [e] was installed (or abandoned): release
    any barrier waiting on it *)
-let barrier_resolved t ~now ~vip flow =
-  match Hashtbl.find_opt t.jobs vip with
+let barrier_resolved t ~now e flow =
+  match active_job t e with
   | None -> ()
   | Some job ->
     Ftbl.remove job.recorded flow;
@@ -428,12 +433,13 @@ let add_pending t st =
 (* a new connection's state: tracked, aging, holding its version, and
    pending until it is inserted or ends. [flow] has no state yet, so
    [add] (no bucket search) leaves [flows] as [replace] would. *)
-let track t ~now flow ~vip ~version =
+let track t ~now flow e pool =
   Telemetry.Registry.Counter.incr t.c_connections_seen;
   let st =
     {
       cs_flow = flow;
-      cs_version = version;
+      cs_vip = e;
+      cs_pool = pool;
       inserted = false;
       in_pipeline = false;
       ended = false;
@@ -446,7 +452,7 @@ let track t ~now flow ~vip ~version =
   Ftbl.add t.flows flow st;
   add_pending t st;
   Asic.Timer_wheel.schedule t.aging ~key:st ~at:(now +. t.cfg.Config.idle_timeout);
-  Dip_pool_table.retain t.pools ~vip ~version;
+  Dip_pool_table.retain pool;
   st
 
 (* [inserted] or [ended] was just set: the flow is no longer pending.
@@ -467,10 +473,7 @@ let settle t st =
 let destroy_state t (st : conn_state) =
   settle t st;
   Asic.Timer_wheel.cancel t.aging ~pos:st.age_pos;
-  let vip = vip_of st in
-  (match Vip_table.current t.vips vip with
-   | Some current -> Dip_pool_table.release t.pools ~vip ~version:st.cs_version ~current
-   | None -> ());
+  Dip_pool_table.release st.cs_vip.pools st.cs_pool ~current:st.cs_vip.current;
   Ftbl.remove t.flows st.cs_flow;
   st.destroyed <- true
 
@@ -505,11 +508,11 @@ let rec complete_cpu_work t ~now =
                  ()
                else if st.ended then begin
                  (* flow finished before its entry was installed *)
-                 barrier_resolved t ~now ~vip:(vip_of st) st.cs_flow;
+                 barrier_resolved t ~now st.cs_vip st.cs_flow;
                  destroy_state t st
                end
                else begin
-                 (match Conn_table.insert t.conns st.cs_flow ~version:st.cs_version with
+                 (match Conn_table.insert t.conns st.cs_flow ~version:st.cs_pool.version with
                   | Ok _ | Error `Duplicate ->
                     st.inserted <- true;
                     settle t st
@@ -531,7 +534,7 @@ let rec complete_cpu_work t ~now =
                     end;
                     (* stays a pending connection; must not gate updates *)
                     st.inserted <- false);
-                 barrier_resolved t ~now ~vip:(vip_of st) st.cs_flow
+                 barrier_resolved t ~now st.cs_vip st.cs_flow
                end)
            batch
        | Delete st ->
@@ -543,7 +546,7 @@ let rec complete_cpu_work t ~now =
             ()
           | st ->
             ignore (Conn_table.remove t.conns st.cs_flow);
-            barrier_resolved t ~now ~vip:(vip_of st) st.cs_flow;
+            barrier_resolved t ~now st.cs_vip st.cs_flow;
             destroy_state t st
           | exception Not_found -> ignore (Conn_table.remove t.conns st.cs_flow))
        | Repairs n ->
@@ -561,16 +564,16 @@ let rec complete_cpu_work t ~now =
                if st.inserted then st.in_pipeline <- false
                else if st.ended then begin
                  st.in_pipeline <- false;
-                 barrier_resolved t ~now ~vip:(vip_of st) st.cs_flow;
+                 barrier_resolved t ~now st.cs_vip st.cs_flow;
                  destroy_state t st
                end
                else (
-                 match Conn_table.insert t.conns st.cs_flow ~version:st.cs_version with
+                 match Conn_table.insert t.conns st.cs_flow ~version:st.cs_pool.version with
                  | Ok _ | Error `Duplicate ->
                    st.inserted <- true;
                    settle t st;
                    st.in_pipeline <- false;
-                   barrier_resolved t ~now ~vip:(vip_of st) st.cs_flow
+                   barrier_resolved t ~now st.cs_vip st.cs_flow
                  | Error `Full ->
                    if attempts < max_overflow_retries && Queue.length t.overflow < overflow_cap
                    then Queue.add (st, attempts + 1) t.overflow
@@ -579,7 +582,7 @@ let rec complete_cpu_work t ~now =
                         paper's §7 overflow outcome *)
                      st.in_pipeline <- false;
                      Telemetry.Registry.Counter.incr t.c_table_full_drops;
-                     barrier_resolved t ~now ~vip:(vip_of st) st.cs_flow;
+                     barrier_resolved t ~now st.cs_vip st.cs_flow;
                      Log.warn (fun m ->
                          m "ConnTable full (%.1f%%) after %d insert attempts: connection left \
                             stateless"
@@ -626,7 +629,7 @@ let expire_one t ~now (st : conn_state) =
     if st.inserted then submit_delete t ~now st
     else begin
       (* never installed (e.g. table full): just drop the state *)
-      barrier_resolved t ~now ~vip:(vip_of st) st.cs_flow;
+      barrier_resolved t ~now st.cs_vip st.cs_flow;
       destroy_state t st
     end
   end
@@ -650,7 +653,7 @@ let release_stuck_barriers t ~now =
         Telemetry.Registry.Counter.incr t.c_forced_transitions;
         Log.warn (fun m ->
             m "update barrier on %a stuck for %.1fs: force-releasing %d pending connections"
-              Netcore.Endpoint.pp job.job_vip (now -. job.started)
+              Netcore.Endpoint.pp job.job_vip.vip (now -. job.started)
               (Ftbl.length job.waiting));
         Ftbl.reset job.waiting
       end)
@@ -679,7 +682,7 @@ let advance t ~now =
     complete_cpu_work t ~now;
     schedule_overflow_retries t ~now;
     expire_idle t ~now;
-    if Hashtbl.length t.jobs > 0 then release_stuck_barriers t ~now;
+    if now -. t.oldest_started > barrier_deadline then release_stuck_barriers t ~now;
     (* the gauge write boxes a float: only touch it when the count moved *)
     let tracked = Ftbl.length t.flows in
     if tracked <> t.last_tracked then begin
@@ -700,8 +703,12 @@ let drop t =
   t.last_location <- Lb.Balancer.Asic;
   no_dip
 
-let forward t ~vip ~version flow ~location =
-  let dip = Dip_pool_table.select_dip_fast t.pools ~vip ~version flow ~none:no_dip in
+(* DIPPoolTable: the VIP's pool at [version], matched by number within
+   the VIP's record *)
+let forward t (e : Vip_table.entry) ~version flow ~location =
+  let dip =
+    Dip_pool_table.select t.pools (Dip_pool_table.lookup e.pools version) flow ~none:no_dip
+  in
   if dip == no_dip then drop t
   else begin
     Telemetry.Registry.Counter.incr t.c_lb_packets;
@@ -732,24 +739,30 @@ let how_plain = 0
 let how_recorded = 1
 let how_cpu_checked = 2
 
-let version_for_miss_code t flow ~vh ~syn =
-  match Vip_table.handle_phase vh with
-  | Vip_table.Idle -> (Vip_table.handle_current vh lsl 2) lor how_plain
+let version_for_miss_code t flow (e : Vip_table.entry) ~syn =
+  match e.phase with
+  | Vip_table.Idle -> (e.current lsl 2) lor how_plain
   | Vip_table.Recording ->
     (* step 1: old pool, and remember the connection *)
     if t.cfg.Config.use_transit then Asic.Bloom_filter.add t.transit (flow_hash t flow);
-    (Vip_table.handle_current vh lsl 2) lor how_recorded
+    (e.current lsl 2) lor how_recorded
   | Vip_table.Dual { old_version } ->
     if t.cfg.Config.use_transit && Asic.Bloom_filter.mem t.transit (flow_hash t flow) then
       if syn then
         (* a SYN cannot be a pending connection: redirect to software,
            which confirms it is new and uses the new version (§4.3) *)
-        (Vip_table.handle_current vh lsl 2) lor how_cpu_checked
+        (e.current lsl 2) lor how_cpu_checked
       else (old_version lsl 2) lor how_plain
-    else (Vip_table.handle_current vh lsl 2) lor how_plain
+    else (e.current lsl 2) lor how_plain
 
-let handle_miss t ~now ~ends flow ~vip ~vh ~syn =
-  let code = version_for_miss_code t flow ~vh ~syn in
+(* step 1 remembers the connection in its VIP's job, to gate step 3 *)
+let record t e flow =
+  match active_job t e with
+  | Some job -> Ftbl.replace job.recorded flow ()
+  | None -> ()
+
+let handle_miss t ~now ~ends flow e ~syn =
+  let code = version_for_miss_code t flow e ~syn in
   let version = code lsr 2 in
   let how = code land 3 in
   let location =
@@ -765,35 +778,29 @@ let handle_miss t ~now ~ends flow ~vip ~vh ~syn =
       st.ended <- true;
       settle t st
     end;
-    if how = how_recorded then
-      (match Hashtbl.find_opt t.jobs vip with
-       | Some job when not st.inserted -> Ftbl.replace job.recorded flow ()
-       | Some _ | None -> ());
+    if how = how_recorded && not st.inserted then record t e flow;
     learn t ~now st;
     (* the software slow path knows the connection's true version; the
        hardware fast path forwards with the freshly computed one — if
        that differs from the connection's own, that is exactly a PCC
        hazard *)
-    let version = if how = how_cpu_checked then st.cs_version else version in
-    forward t ~vip ~version flow ~location
+    let version = if how = how_cpu_checked then st.cs_pool.version else version in
+    forward t e ~version flow ~location
   | exception Not_found ->
     if ends then
       (* first-and-last packet: nothing worth learning *)
-      forward t ~vip ~version flow ~location
+      forward t e ~version flow ~location
     else begin
-      let st = track t ~now flow ~vip ~version in
-      if how = how_recorded then
-        (match Hashtbl.find_opt t.jobs vip with
-         | Some job -> Ftbl.replace job.recorded flow ()
-         | None -> ());
+      let st = track t ~now flow e (Dip_pool_table.lookup e.pools version) in
+      if how = how_recorded then record t e flow;
       learn t ~now st;
-      forward t ~vip ~version flow ~location
+      forward t e ~version flow ~location
     end
 
 (* a SYN falsely hit an existing entry: the switch CPU repairs the
    digest collision and installs the newcomer's own entry (§4.2) *)
-let handle_false_hit_syn t ~now flow ~vip ~vh =
-  let code = version_for_miss_code t flow ~vh ~syn:true in
+let handle_false_hit_syn t ~now flow e =
+  let code = version_for_miss_code t flow e ~syn:true in
   let version = code lsr 2 in
   begin
     let st =
@@ -801,44 +808,36 @@ let handle_false_hit_syn t ~now flow ~vip ~vh =
       | Some st ->
         st.last_seen <- now;
         st
-      | None -> track t ~now flow ~vip ~version
+      | None -> track t ~now flow e (Dip_pool_table.lookup e.pools version)
     in
+    let version = st.cs_pool.version in
     (* the repair itself is applied synchronously below, but its CPU time
        goes through the shared FIFO so the backlog it causes is visible in
        the queue-delay histogram and accounted at completion *)
     let done_at = Asic.Switch_cpu.submit t.cpu ~now ~work_items:3 in
     Queue.add (done_at, Repairs 1) t.cpu_done;
-    (match Conn_table.repair_collision t.conns flow ~version:st.cs_version with
+    (match Conn_table.repair_collision t.conns flow ~version with
      | Ok () ->
        st.inserted <- true;
        settle t st;
-       barrier_resolved t ~now ~vip flow
+       barrier_resolved t ~now e flow
      | Error `Full -> Telemetry.Registry.Counter.incr t.c_table_full_drops);
-    forward t ~vip ~version:st.cs_version flow ~location:Lb.Balancer.Switch_cpu
+    forward t e ~version flow ~location:Lb.Balancer.Switch_cpu
   end
 
 (* Allocation-free packet path: returns the chosen DIP, or the
    physically-unique [no_dip] sentinel on a drop (compare with [==]);
    the location is left in [t.last_location]. [process] wraps this into
    the [Lb.Balancer.outcome] record; the replay engine calls it (and
-   [process_batch]) directly to keep the hot loop off the GC. *)
+   [process_batch]) directly to keep the hot loop off the GC. The VIP's
+   record is found once, and every table after it is matched through
+   that record. *)
 let process_flow t ~now ~flags ~payload_len flow =
   advance t ~now;
   let vip = flow.Netcore.Five_tuple.dst in
-  let vh =
-    match t.vh with
-    | Some _ when Netcore.Endpoint.equal t.vh_vip vip -> t.vh
-    | Some _ | None ->
-      (match Vip_table.handle t.vips vip with
-       | Some _ as r ->
-         t.vh_vip <- vip;
-         t.vh <- r;
-         r
-       | None -> None)
-  in
-  match vh with
-  | None -> drop t
-  | Some vh ->
+  match Vip_table.find t.vips vip with
+  | exception Not_found -> drop t
+  | e ->
     if
       (* §5.2 performance isolation: the VIP's meter drops Red packets in
          the ASIC before any table is consulted. Guarded by the table
@@ -861,7 +860,7 @@ let process_flow t ~now ~flags ~payload_len flow =
       let syn = Netcore.Tcp_flags.is_connection_start flags in
       let ends = Netcore.Tcp_flags.is_connection_end flags in
       let code = Conn_table.lookup_code t.conns flow in
-      if code < 0 then handle_miss t ~now ~ends flow ~vip ~vh ~syn
+      if code < 0 then handle_miss t ~now ~ends flow e ~syn
       else begin
         let version = code lsr 1 in
         if code land 1 = 1 then begin
@@ -875,13 +874,13 @@ let process_flow t ~now ~flags ~payload_len flow =
                submit_delete t ~now st
              end
            | exception Not_found -> ());
-          forward t ~vip ~version flow ~location:Lb.Balancer.Asic
+          forward t e ~version flow ~location:Lb.Balancer.Asic
         end
-        else if syn then handle_false_hit_syn t ~now flow ~vip ~vh
+        else if syn then handle_false_hit_syn t ~now flow e
         else
           (* wrong entry, wrong version — forwarded anyway (rare digest
              false positive); VIPTable is bypassed *)
-          forward t ~vip ~version flow ~location:Lb.Balancer.Asic
+          forward t e ~version flow ~location:Lb.Balancer.Asic
       end
     end
 
@@ -908,7 +907,11 @@ let process_batch t ~times ~tuples ~pkt_flow ~pkt_flags ~flags_of_byte ~payload_
 
 let request_update t ~now ~vip update =
   advance t ~now;
-  if not (Vip_table.mem t.vips vip) then invalid_arg "Switch.request_update: unknown VIP";
+  let e =
+    match Vip_table.find t.vips vip with
+    | e -> e
+    | exception Not_found -> invalid_arg "Switch.request_update: unknown VIP"
+  in
   if Hashtbl.mem t.jobs vip then begin
     let q =
       match Hashtbl.find_opt t.job_queue vip with
@@ -920,7 +923,7 @@ let request_update t ~now ~vip update =
     in
     Queue.add (now, update) q
   end
-  else start_job t ~now ~requested:now vip update
+  else start_job t ~now ~requested:now e update
 
 let on_update_done t f = t.update_hook <- Some f
 
@@ -928,7 +931,11 @@ let pending_updates t =
   Hashtbl.length t.jobs + Hashtbl.fold (fun _ q acc -> acc + Queue.length q) t.job_queue 0
 
 let remove_vip t vip =
-  if not (Vip_table.mem t.vips vip) then invalid_arg "Switch.remove_vip: unknown VIP";
+  let e =
+    match Vip_table.find t.vips vip with
+    | e -> e
+    | exception Not_found -> invalid_arg "Switch.remove_vip: unknown VIP"
+  in
   if
     Hashtbl.mem t.jobs vip
     || (match Hashtbl.find_opt t.job_queue vip with
@@ -940,7 +947,7 @@ let remove_vip t vip =
   let doomed =
     Ftbl.fold
       (fun _ (st : conn_state) acc ->
-        if Netcore.Endpoint.equal (vip_of st) vip then st :: acc else acc)
+        if st.cs_vip == e then st :: acc else acc)
       t.flows []
   in
   List.iter
@@ -950,13 +957,8 @@ let remove_vip t vip =
     doomed;
   Hashtbl.remove t.job_queue vip;
   Hashtbl.remove t.meters vip;
-  Vip_table.remove t.vips vip;
-  Dip_pool_table.remove_vip t.pools vip;
-  (* the one-slot handle cache may alias the removed entry *)
-  if Netcore.Endpoint.equal t.vh_vip vip then begin
-    t.vh_vip <- Netcore.Endpoint.none;
-    t.vh <- None
-  end
+  Vip_table.remove t.vips e;
+  Dip_pool_table.remove_vip t.pools vip
 
 let inject_cpu_backlog t ~now ~work_items =
   advance t ~now;
@@ -979,13 +981,13 @@ let forget_flows t ~now select =
      connections wherever ECMP sends them next. *)
   let doomed =
     Ftbl.fold
-      (fun flow (st : conn_state) acc -> if select flow (vip_of st) then st :: acc else acc)
+      (fun flow (st : conn_state) acc -> if select flow st.cs_vip.vip then st :: acc else acc)
       t.flows []
   in
   List.iter
     (fun (st : conn_state) ->
       if st.inserted then ignore (Conn_table.remove t.conns st.cs_flow);
-      barrier_resolved t ~now ~vip:(vip_of st) st.cs_flow;
+      barrier_resolved t ~now st.cs_vip st.cs_flow;
       destroy_state t st)
     doomed;
   let n = List.length doomed in
@@ -1047,7 +1049,7 @@ let memory_bits t =
   let vip_entry_bits vip = (Netcore.Endpoint.size_bytes vip * 8) + t.cfg.Config.version_bits in
   let vip_bits =
     let acc = ref 0 in
-    Vip_table.iter (fun vip _ _ -> acc := !acc + vip_entry_bits vip) t.vips;
+    Vip_table.iter (fun e -> acc := !acc + vip_entry_bits e.vip) t.vips;
     !acc
   in
   Conn_table.sram_bits t.conns + Dip_pool_table.sram_bits t.pools + vip_bits
@@ -1062,20 +1064,21 @@ let check_invariants t =
     (fun flow (st : conn_state) ->
       if st.inserted && not (Conn_table.mem_exact t.conns flow) then
         bad "installed connection %a has no ConnTable entry" Netcore.Five_tuple.pp flow;
-      (match Dip_pool_table.pool t.pools ~vip:(vip_of st) ~version:st.cs_version with
-       | Some _ -> ()
-       | None ->
-         bad "connection %a uses dead version %d" Netcore.Five_tuple.pp flow st.cs_version);
-      let key = (vip_of st, st.cs_version) in
-      Hashtbl.replace users key (1 + Option.value ~default:0 (Hashtbl.find_opt users key)))
+      let version = st.cs_pool.version in
+      let live = Dip_pool_table.lookup st.cs_vip.pools version in
+      if not (Dip_pool_table.allocated st.cs_vip.pools version) then
+        bad "connection %a uses dead version %d" Netcore.Five_tuple.pp flow version;
+      let key = (st.cs_vip.vip, version) in
+      (match Hashtbl.find_opt users key with
+       | Some (_, n) -> Hashtbl.replace users key (live, n + 1)
+       | None -> Hashtbl.replace users key (live, 1)))
     t.flows;
   (* refcounts match tracked users *)
   Hashtbl.iter
-    (fun (vip, version) n ->
-      let refs = Dip_pool_table.refcount t.pools ~vip ~version in
-      if refs <> n then
+    (fun (vip, version) ((live : Dip_pool_table.info), n) ->
+      if live.refs <> n then
         bad "version %d of %a has refcount %d but %d tracked users" version Netcore.Endpoint.pp
-          vip refs n)
+          vip live.refs n)
     users;
   (* a record the pending vector or the aging wheel holds must be the
      one [flows] maps its tuple to *)
@@ -1129,14 +1132,13 @@ let check_invariants t =
       (Ftbl.length t.flows);
   (* VIP phases and current versions *)
   Vip_table.iter
-    (fun vip current phase ->
-      (match Dip_pool_table.pool t.pools ~vip ~version:current with
-       | Some _ -> ()
-       | None -> bad "current version %d of %a not in DIPPoolTable" current Netcore.Endpoint.pp vip);
-      let has_job = Hashtbl.mem t.jobs vip in
-      let updating = phase <> Vip_table.Idle in
+    (fun (e : Vip_table.entry) ->
+      if not (Dip_pool_table.allocated e.pools e.current) then
+        bad "current version %d of %a not in DIPPoolTable" e.current Netcore.Endpoint.pp e.vip;
+      let has_job = Hashtbl.mem t.jobs e.vip in
+      let updating = e.phase <> Vip_table.Idle in
       if has_job <> updating then
-        bad "%a: job table and VIPTable phase disagree" Netcore.Endpoint.pp vip)
+        bad "%a: job table and VIPTable phase disagree" Netcore.Endpoint.pp e.vip)
     t.vips;
   (* the accumulators above iterate hash tables: sort so a violation
      report reads the same regardless of table layout *)

@@ -15,52 +15,54 @@ type phase =
   | Recording
   | Dual of { old_version : int }
 
+type entry = private {
+  vip : Netcore.Endpoint.t;
+  pools : Dip_pool_table.vip;  (** the VIP's DIPPoolTable state *)
+  mutable current : int;  (** the version new connections are assigned *)
+  mutable phase : phase;
+}
+(** A VIP's one record: its VIPTable action data (current version and
+    update phase) linked to its DIPPoolTable state. The packet path
+    finds it once per packet and a connection holds it for its life.
+    An entry {!remove}d from the table is never reused: a VIP added
+    again gets a fresh one. *)
+
 type t
 
 val create : unit -> t
 
-val add : t -> Netcore.Endpoint.t -> version:int -> unit
+val add : t -> Netcore.Endpoint.t -> Dip_pool_table.vip -> version:int -> entry
 (** Raises [Invalid_argument] when the VIP exists. *)
 
+val find : t -> Netcore.Endpoint.t -> entry
+(** Raises [Not_found]. Allocation-free. *)
+
 val mem : t -> Netcore.Endpoint.t -> bool
-val count : t -> int
 
 val current : t -> Netcore.Endpoint.t -> int option
-(** The version new connections are assigned (the newest). *)
+(** The VIP's current version. *)
 
-type handle
-(** A stable reference to a VIP's table entry; its observed
-    version/phase track updates live. Lets the packet fast path skip the
-    per-packet hash lookup. A handle to a {!remove}d VIP goes stale —
-    the switch drops its one-slot handle cache on removal. *)
-
-val handle : t -> Netcore.Endpoint.t -> handle option
-val handle_current : handle -> int
-val handle_phase : handle -> phase
-
-val phase : t -> Netcore.Endpoint.t -> phase option
-
-val start_recording : t -> Netcore.Endpoint.t -> unit
+val start_recording : t -> entry -> unit
 (** Step 1: phase [Idle] → [Recording]. Raises on wrong phase. *)
 
-val execute : t -> Netcore.Endpoint.t -> new_version:int -> unit
+val execute : entry -> new_version:int -> unit
 (** Step 2: phase [Recording] → [Dual]; the new version becomes
     current, the former current becomes the Dual's old version. *)
 
-val finish : t -> Netcore.Endpoint.t -> unit
+val finish : t -> entry -> unit
 (** Step 3: phase [Dual] → [Idle]. *)
 
-val cancel_recording : t -> Netcore.Endpoint.t -> unit
+val cancel_recording : t -> entry -> unit
 (** Abort an update before execution: [Recording] → [Idle] (e.g. when
     version allocation failed). *)
 
-val remove : t -> Netcore.Endpoint.t -> unit
+val remove : t -> entry -> unit
 (** Remove a VIP (serve-mode VIP teardown). Raises [Invalid_argument]
-    when the VIP is unknown or not in phase [Idle] — an in-flight
-    3-step update must finish before its VIP can be withdrawn. *)
+    when it is not in phase [Idle] — an in-flight 3-step update must
+    finish before its VIP can be withdrawn. *)
 
 val updating_count : t -> int
 (** VIPs not in phase [Idle] — used to decide when the shared
     TransitTable may be cleared. *)
 
-val iter : (Netcore.Endpoint.t -> int -> phase -> unit) -> t -> unit
+val iter : (entry -> unit) -> t -> unit

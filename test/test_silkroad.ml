@@ -79,34 +79,39 @@ let qcheck_version_never_double_allocates =
 
 (* ---------- Dip_pool_table ---------- *)
 
-let dpt () = Silkroad.Dip_pool_table.create ~version_bits:6 ~seed:1
+module Dpt = Silkroad.Dip_pool_table
+
+let dpt () = Dpt.create ~version_bits:6 ~seed:1
+
+(* the pool a VIP's version holds, [None] once it is destroyed *)
+let pool_of vs v = if Dpt.allocated vs v then Some (Dpt.lookup vs v).Dpt.pool else None
+
+let retain vs v = Dpt.retain (Dpt.lookup vs v)
 
 let dpt_basics () =
   let t = dpt () in
-  let v0 = Result.get_ok (Silkroad.Dip_pool_table.add_vip t vip (pool [ 1; 2 ])) in
-  check Alcotest.bool "has vip" true (Silkroad.Dip_pool_table.has_vip t vip);
-  (match Silkroad.Dip_pool_table.pool t ~vip ~version:v0 with
+  let vs, v0 = Result.get_ok (Dpt.add_vip t vip (pool [ 1; 2 ])) in
+  (match pool_of vs v0 with
    | Some p -> check Alcotest.int "pool size" 2 (Lb.Dip_pool.size p)
    | None -> Alcotest.fail "pool missing");
-  (match Silkroad.Dip_pool_table.add_vip t vip (pool [ 1 ]) with
+  (match Dpt.add_vip t vip (pool [ 1 ]) with
    | Error `Exists -> ()
    | Ok _ -> Alcotest.fail "duplicate vip accepted");
-  match Silkroad.Dip_pool_table.select_dip t ~vip ~version:v0 (flow 1) with
-  | Some d -> check Alcotest.bool "selected member" true (List.mem d [ dip 1; dip 2 ])
-  | None -> Alcotest.fail "no dip"
+  let d = Dpt.select_dip_fast t ~vip ~version:v0 (flow 1) ~none:Netcore.Endpoint.none in
+  check Alcotest.bool "selected member" true (List.mem d [ dip 1; dip 2 ]);
+  check Alcotest.bool "same selection through the record" true
+    (Dpt.select t (Dpt.lookup vs v0) (flow 1) ~none:Netcore.Endpoint.none == d)
 
 let dpt_publish_remove_creates_version () =
   let t = dpt () in
-  let v0 = Result.get_ok (Silkroad.Dip_pool_table.add_vip t vip (pool [ 1; 2; 3 ])) in
-  let v1 =
-    Result.get_ok (Silkroad.Dip_pool_table.publish t ~vip ~current:v0 (Lb.Balancer.Dip_remove (dip 2)))
-  in
+  let vs, v0 = Result.get_ok (Dpt.add_vip t vip (pool [ 1; 2; 3 ])) in
+  let v1 = Result.get_ok (Dpt.publish t vs ~current:v0 (Lb.Balancer.Dip_remove (dip 2))) in
   check Alcotest.bool "new version" true (v1 <> v0);
   (* both pools coexist: old conns keep v0 *)
-  (match Silkroad.Dip_pool_table.pool t ~vip ~version:v0 with
+  (match pool_of vs v0 with
    | Some p -> check Alcotest.int "old intact" 3 (Lb.Dip_pool.size p)
    | None -> Alcotest.fail "old destroyed");
-  match Silkroad.Dip_pool_table.pool t ~vip ~version:v1 with
+  match pool_of vs v1 with
   | Some p ->
     check Alcotest.int "new smaller" 2 (Lb.Dip_pool.size p);
     check Alcotest.bool "dip gone" false (Lb.Dip_pool.mem p (dip 2))
@@ -114,121 +119,128 @@ let dpt_publish_remove_creates_version () =
 
 let dpt_version_reuse () =
   let t = dpt () in
-  let v0 = Result.get_ok (Silkroad.Dip_pool_table.add_vip t vip (pool [ 1; 2 ])) in
+  let vs, v0 = Result.get_ok (Dpt.add_vip t vip (pool [ 1; 2 ])) in
   (* keep v0 alive with a connection *)
-  Silkroad.Dip_pool_table.retain t ~vip ~version:v0;
-  let v1 =
-    Result.get_ok (Silkroad.Dip_pool_table.publish t ~vip ~current:v0 (Lb.Balancer.Dip_remove (dip 2)))
-  in
+  retain vs v0;
+  let v1 = Result.get_ok (Dpt.publish t vs ~current:v0 (Lb.Balancer.Dip_remove (dip 2))) in
   (* add a substitute: the paper's reuse case — v0 is recycled *)
-  let v2 =
-    Result.get_ok (Silkroad.Dip_pool_table.publish t ~vip ~current:v1 (Lb.Balancer.Dip_add (dip 4)))
-  in
+  let v2 = Result.get_ok (Dpt.publish t vs ~current:v1 (Lb.Balancer.Dip_add (dip 4))) in
   check Alcotest.int "reused v0" v0 v2;
-  check Alcotest.int "one reuse" 1 (Silkroad.Dip_pool_table.reuses t);
-  (match Silkroad.Dip_pool_table.pool t ~vip ~version:v2 with
+  check Alcotest.int "one reuse" 1 (Dpt.reuses t);
+  (match pool_of vs v2 with
    | Some p ->
      check Alcotest.bool "substituted" true (Lb.Dip_pool.mem p (dip 4));
      check Alcotest.bool "old member kept" true (Lb.Dip_pool.mem p (dip 1));
      check Alcotest.bool "removed gone" false (Lb.Dip_pool.mem p (dip 2))
    | None -> Alcotest.fail "reused pool missing");
   (* slot positions preserved for surviving members *)
-  match Silkroad.Dip_pool_table.pool t ~vip ~version:v2 with
+  match pool_of vs v2 with
   | Some p -> check Alcotest.bool "slot kept" true
                 (Netcore.Endpoint.equal (Lb.Dip_pool.members p).(0) (dip 1))
   | None -> assert false
 
 let dpt_readd_same_dip_reuses () =
   let t = dpt () in
-  let v0 = Result.get_ok (Silkroad.Dip_pool_table.add_vip t vip (pool [ 1; 2 ])) in
-  Silkroad.Dip_pool_table.retain t ~vip ~version:v0;
-  let v1 =
-    Result.get_ok (Silkroad.Dip_pool_table.publish t ~vip ~current:v0 (Lb.Balancer.Dip_remove (dip 2)))
-  in
+  let vs, v0 = Result.get_ok (Dpt.add_vip t vip (pool [ 1; 2 ])) in
+  retain vs v0;
+  let v1 = Result.get_ok (Dpt.publish t vs ~current:v0 (Lb.Balancer.Dip_remove (dip 2))) in
   (* the same DIP comes back (rolling reboot): reuse without mutation *)
-  let v2 =
-    Result.get_ok (Silkroad.Dip_pool_table.publish t ~vip ~current:v1 (Lb.Balancer.Dip_add (dip 2)))
-  in
+  let v2 = Result.get_ok (Dpt.publish t vs ~current:v1 (Lb.Balancer.Dip_add (dip 2))) in
   check Alcotest.int "identical pool reused" v0 v2
 
 let dpt_refcount_destroys () =
   let t = dpt () in
-  let v0 = Result.get_ok (Silkroad.Dip_pool_table.add_vip t vip (pool [ 1; 2 ])) in
-  Silkroad.Dip_pool_table.retain t ~vip ~version:v0;
-  let v1 =
-    Result.get_ok (Silkroad.Dip_pool_table.publish t ~vip ~current:v0 (Lb.Balancer.Dip_remove (dip 2)))
-  in
-  check Alcotest.int "two live" 2 (Silkroad.Dip_pool_table.live_versions t ~vip);
+  let vs, v0 = Result.get_ok (Dpt.add_vip t vip (pool [ 1; 2 ])) in
+  let i0 = Dpt.lookup vs v0 in
+  Dpt.retain i0;
+  let v1 = Result.get_ok (Dpt.publish t vs ~current:v0 (Lb.Balancer.Dip_remove (dip 2))) in
+  check Alcotest.int "two live" 2 (Dpt.live_versions vs);
   (* the last v0 connection ends: v0 is destroyed (v1 is current) *)
-  Silkroad.Dip_pool_table.release t ~vip ~version:v0 ~current:v1;
-  check Alcotest.int "one live" 1 (Silkroad.Dip_pool_table.live_versions t ~vip);
-  check Alcotest.bool "v0 gone" true (Silkroad.Dip_pool_table.pool t ~vip ~version:v0 = None)
+  Dpt.release vs i0 ~current:v1;
+  check Alcotest.int "one live" 1 (Dpt.live_versions vs);
+  check Alcotest.bool "v0 gone" true (pool_of vs v0 = None);
+  Alcotest.check_raises "a destroyed version is not released twice"
+    (Invalid_argument "Dip_pool_table.release: unknown version") (fun () ->
+      Dpt.release vs i0 ~current:v1)
 
 let dpt_current_survives_zero_refs () =
   let t = dpt () in
-  let v0 = Result.get_ok (Silkroad.Dip_pool_table.add_vip t vip (pool [ 1 ])) in
-  Silkroad.Dip_pool_table.retain t ~vip ~version:v0;
-  Silkroad.Dip_pool_table.release t ~vip ~version:v0 ~current:v0;
-  check Alcotest.bool "current stays" true (Silkroad.Dip_pool_table.pool t ~vip ~version:v0 <> None)
+  let vs, v0 = Result.get_ok (Dpt.add_vip t vip (pool [ 1 ])) in
+  retain vs v0;
+  Dpt.release vs (Dpt.lookup vs v0) ~current:v0;
+  check Alcotest.bool "current stays" true (pool_of vs v0 <> None)
 
 let dpt_gc () =
   let t = dpt () in
-  let v0 = Result.get_ok (Silkroad.Dip_pool_table.add_vip t vip (pool [ 1; 2 ])) in
+  let vs, v0 = Result.get_ok (Dpt.add_vip t vip (pool [ 1; 2 ])) in
   (* v0 never attracted connections; after an update it should be
      collectable *)
-  let v1 =
-    Result.get_ok (Silkroad.Dip_pool_table.publish t ~vip ~current:v0 (Lb.Balancer.Dip_remove (dip 2)))
-  in
-  Silkroad.Dip_pool_table.gc t ~vip ~current:v1;
-  check Alcotest.int "only current" 1 (Silkroad.Dip_pool_table.live_versions t ~vip)
+  let v1 = Result.get_ok (Dpt.publish t vs ~current:v0 (Lb.Balancer.Dip_remove (dip 2))) in
+  Dpt.gc vs ~current:v1;
+  check Alcotest.int "only current" 1 (Dpt.live_versions vs)
 
 let dpt_bad_updates () =
   let t = dpt () in
-  let v0 = Result.get_ok (Silkroad.Dip_pool_table.add_vip t vip (pool [ 1 ])) in
-  (match Silkroad.Dip_pool_table.publish t ~vip ~current:v0 (Lb.Balancer.Dip_remove (dip 9)) with
+  let vs, v0 = Result.get_ok (Dpt.add_vip t vip (pool [ 1 ])) in
+  (match Dpt.publish t vs ~current:v0 (Lb.Balancer.Dip_remove (dip 9)) with
    | Error (`Bad_update _) -> ()
    | Ok _ | Error _ -> Alcotest.fail "removing absent dip accepted");
-  (match Silkroad.Dip_pool_table.publish t ~vip ~current:v0 (Lb.Balancer.Dip_add (dip 1)) with
+  (match Dpt.publish t vs ~current:v0 (Lb.Balancer.Dip_add (dip 1)) with
    | Error (`Bad_update _) -> ()
    | Ok _ | Error _ -> Alcotest.fail "adding present dip accepted");
-  match Silkroad.Dip_pool_table.publish t ~vip:(dip 99) ~current:0 (Lb.Balancer.Dip_add (dip 1)) with
-  | Error `No_such_vip -> ()
-  | Ok _ | Error _ -> Alcotest.fail "unknown vip accepted"
+  (* an unknown VIP or version selects nothing *)
+  check Alcotest.bool "unknown vip" true
+    (Dpt.select_dip_fast t ~vip:(dip 99) ~version:v0 (flow 1) ~none:Netcore.Endpoint.none
+     == Netcore.Endpoint.none);
+  check Alcotest.bool "unknown version" false (Dpt.allocated vs (v0 + 1));
+  check Alcotest.bool "nothing to select" true
+    (Dpt.select t (Dpt.lookup vs (v0 + 1)) (flow 1) ~none:Netcore.Endpoint.none
+     == Netcore.Endpoint.none)
 
 (* ---------- Vip_table ---------- *)
 
+let vip_entry t ~version =
+  let vs, _ = Result.get_ok (Dpt.add_vip (dpt ()) vip (pool [ 1 ])) in
+  Silkroad.Vip_table.add t vip vs ~version
+
 let vipt_phases () =
   let t = Silkroad.Vip_table.create () in
-  Silkroad.Vip_table.add t vip ~version:3;
+  let e = vip_entry t ~version:3 in
   check (Alcotest.option Alcotest.int) "current" (Some 3) (Silkroad.Vip_table.current t vip);
   check Alcotest.int "not updating" 0 (Silkroad.Vip_table.updating_count t);
-  Silkroad.Vip_table.start_recording t vip;
+  Silkroad.Vip_table.start_recording t e;
   check Alcotest.int "updating" 1 (Silkroad.Vip_table.updating_count t);
-  check Alcotest.bool "recording" true (Silkroad.Vip_table.phase t vip = Some Silkroad.Vip_table.Recording);
-  Silkroad.Vip_table.execute t vip ~new_version:5;
+  check Alcotest.bool "recording" true (e.Silkroad.Vip_table.phase = Silkroad.Vip_table.Recording);
+  Silkroad.Vip_table.execute e ~new_version:5;
   check (Alcotest.option Alcotest.int) "flipped" (Some 5) (Silkroad.Vip_table.current t vip);
-  (match Silkroad.Vip_table.phase t vip with
-   | Some (Silkroad.Vip_table.Dual { old_version }) -> check Alcotest.int "old kept" 3 old_version
+  (match e.Silkroad.Vip_table.phase with
+   | Silkroad.Vip_table.Dual { old_version } -> check Alcotest.int "old kept" 3 old_version
    | _ -> Alcotest.fail "not dual");
-  Silkroad.Vip_table.finish t vip;
-  check Alcotest.bool "idle" true (Silkroad.Vip_table.phase t vip = Some Silkroad.Vip_table.Idle);
-  check Alcotest.int "not updating anymore" 0 (Silkroad.Vip_table.updating_count t)
+  Silkroad.Vip_table.finish t e;
+  check Alcotest.bool "idle" true (e.Silkroad.Vip_table.phase = Silkroad.Vip_table.Idle);
+  check Alcotest.int "not updating anymore" 0 (Silkroad.Vip_table.updating_count t);
+  check Alcotest.bool "found by address" true (Silkroad.Vip_table.find t vip == e)
 
 let vipt_illegal_transitions () =
   let t = Silkroad.Vip_table.create () in
-  Silkroad.Vip_table.add t vip ~version:0;
+  let e = vip_entry t ~version:0 in
   Alcotest.check_raises "execute w/o recording"
     (Invalid_argument "Vip_table.execute: not recording") (fun () ->
-      Silkroad.Vip_table.execute t vip ~new_version:1);
+      Silkroad.Vip_table.execute e ~new_version:1);
   Alcotest.check_raises "finish w/o dual" (Invalid_argument "Vip_table.finish: not in dual phase")
-    (fun () -> Silkroad.Vip_table.finish t vip);
-  Silkroad.Vip_table.start_recording t vip;
+    (fun () -> Silkroad.Vip_table.finish t e);
+  Silkroad.Vip_table.start_recording t e;
   Alcotest.check_raises "double recording"
     (Invalid_argument "Vip_table.start_recording: update in progress") (fun () ->
-      Silkroad.Vip_table.start_recording t vip);
-  Silkroad.Vip_table.cancel_recording t vip;
+      Silkroad.Vip_table.start_recording t e);
+  Alcotest.check_raises "remove while recording"
+    (Invalid_argument "Vip_table.remove: update in progress") (fun () ->
+      Silkroad.Vip_table.remove t e);
+  Silkroad.Vip_table.cancel_recording t e;
   check Alcotest.bool "cancelled to idle" true
-    (Silkroad.Vip_table.phase t vip = Some Silkroad.Vip_table.Idle)
+    (e.Silkroad.Vip_table.phase = Silkroad.Vip_table.Idle);
+  Silkroad.Vip_table.remove t e;
+  check Alcotest.bool "removed" false (Silkroad.Vip_table.mem t vip)
 
 (* ---------- Conn_table ---------- *)
 
