@@ -61,7 +61,7 @@ let offer t ~now k m =
   else begin
     Netcore.Five_tuple.Tbl.replace t.keys k ();
     push t m now;
-    Telemetry.Registry.Gauge.set t.g_pending (float_of_int t.len);
+    Telemetry.Registry.Gauge.set_int t.g_pending t.len;
     `Accepted
   end
 
@@ -80,5 +80,5 @@ let drain t =
   done;
   t.len <- 0;
   Netcore.Five_tuple.Tbl.reset t.keys;
-  Telemetry.Registry.Gauge.set t.g_pending 0.;
+  Telemetry.Registry.Gauge.set_int t.g_pending 0;
   !events

@@ -199,7 +199,7 @@ let size t = Table.size t.table
 let occupancy t = Table.occupancy t.table
 
 let track_size t =
-  Telemetry.Registry.Gauge.set t.g_size (float_of_int (Table.size t.table));
+  Telemetry.Registry.Gauge.set_int t.g_size (Table.size t.table);
   Telemetry.Registry.Gauge.set t.g_occupancy (Table.occupancy t.table)
 
 (* The hardware lookup, allocation-free: [-1] on a miss, otherwise

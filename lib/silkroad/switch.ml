@@ -150,9 +150,6 @@ type t = {
   (* switch.vip.updates_completed{vip=...}, registered at a VIP's first
      completed update *)
   c_vip_completed : (Netcore.Endpoint.t, Telemetry.Registry.Counter.t) Hashtbl.t;
-  (* last tracked-flow count pushed to the gauge: [advance] runs per
-     packet, so the gauge is only touched when the count changes *)
-  mutable last_tracked : int;
 }
 
 let src = Logs.Src.create "silkroad.switch" ~doc:"SilkRoad switch control plane"
@@ -246,7 +243,6 @@ let create ?metrics ?(check = `Warn) cfg =
     c_lb_dropped = counter "lb.dropped_packets";
     g_tracked_flows = Telemetry.Registry.gauge reg "switch.tracked_flows";
     c_vip_completed = Hashtbl.create 8;
-    last_tracked = -1;
   }
 
 let config t = t.cfg
@@ -683,12 +679,7 @@ let advance t ~now =
     schedule_overflow_retries t ~now;
     expire_idle t ~now;
     if now -. t.oldest_started > barrier_deadline then release_stuck_barriers t ~now;
-    (* the gauge write boxes a float: only touch it when the count moved *)
-    let tracked = Ftbl.length t.flows in
-    if tracked <> t.last_tracked then begin
-      t.last_tracked <- tracked;
-      Telemetry.Registry.Gauge.set t.g_tracked_flows (float_of_int tracked)
-    end
+    Telemetry.Registry.Gauge.set_int t.g_tracked_flows (Ftbl.length t.flows)
   end
 
 (* ----- data plane ----- *)

@@ -9,11 +9,14 @@ module Counter = struct
 end
 
 module Gauge = struct
-  type t = float ref
+  (* an all-float record stores its field unboxed, so [set_int] writes
+     without allocating; [set] boxes only its argument at the call *)
+  type t = { mutable v : float }
 
-  let set g v = g := v
-  let add g v = g := !g +. v
-  let value g = !g
+  let set g v = g.v <- v
+  let set_int g n = g.v <- float_of_int n
+  let add g v = g.v <- g.v +. v
+  let value g = g.v
 end
 
 type metric =
@@ -64,7 +67,7 @@ let counter t ?(labels = []) name =
   | m -> mismatch name ~wanted:"counter" m
 
 let gauge t ?(labels = []) name =
-  match register t name labels (fun () -> M_gauge (ref 0.)) with
+  match register t name labels (fun () -> M_gauge { Gauge.v = 0. }) with
   | M_gauge g -> g
   | m -> mismatch name ~wanted:"gauge" m
 
@@ -79,7 +82,7 @@ let counter_value t ?(labels = []) name =
   match find t name labels with Some { metric = M_counter c; _ } -> !c | _ -> 0
 
 let gauge_value t ?(labels = []) name =
-  match find t name labels with Some { metric = M_gauge g; _ } -> !g | _ -> 0.
+  match find t name labels with Some { metric = M_gauge g; _ } -> g.Gauge.v | _ -> 0.
 
 let find_histogram t ?(labels = []) name =
   match find t name labels with Some { metric = M_histogram h; _ } -> Some h | _ -> None
@@ -90,7 +93,7 @@ let snapshot t =
       let value =
         match e.metric with
         | M_counter c -> Snapshot.Counter !c
-        | M_gauge g -> Snapshot.Gauge !g
+        | M_gauge g -> Snapshot.Gauge g.Gauge.v
         | M_histogram h -> Snapshot.Histogram (Snapshot.summarize h)
       in
       { Snapshot.name = e.name; labels = e.labels; value } :: acc)
@@ -105,7 +108,7 @@ let merge_into ~into src =
     (fun _ e ->
       match e.metric with
       | M_counter c -> Counter.add (counter into ~labels:e.labels e.name) !c
-      | M_gauge g -> Gauge.add (gauge into ~labels:e.labels e.name) !g
+      | M_gauge g -> Gauge.add (gauge into ~labels:e.labels e.name) g.Gauge.v
       | M_histogram h ->
         Histogram.merge_into
           ~into:(histogram into ~labels:e.labels ~spec:(Histogram.spec h) e.name)

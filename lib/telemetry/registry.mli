@@ -7,7 +7,7 @@
     of these instead of ad-hoc mutable fields, so any run can emit one
     comparable machine-readable snapshot.
 
-    Handles ([Counter.t], [Gauge.t]) are plain references: hold on to
+    Handles ([Counter.t], [Gauge.t]) are plain mutable cells: hold on to
     them on hot paths, the name lookup happens once at registration.
     Registering the same (name, labels) twice returns the same metric;
     registering it as a different kind raises [Invalid_argument]. *)
@@ -28,6 +28,11 @@ module Gauge : sig
   type t
 
   val set : t -> float -> unit
+
+  val set_int : t -> int -> unit
+  (** [set g (float_of_int n)], without boxing a float: for the
+      count-valued gauges the packet path writes. *)
+
   val add : t -> float -> unit
   val value : t -> float
 end

@@ -136,19 +136,44 @@ let advance_learning_pending () =
   check Alcotest.int "the event is still pending" 0 (Silkroad.Switch.connections sw);
   check_free "Switch.advance, learning event pending" w
 
+(* An update job waits in step 1 on a connection still being learned.
+   [advance] looks for an overdue barrier only once the oldest job's
+   deadline has passed, so an active job costs a float compare per
+   packet: before that, each call allocated two closures and a list of
+   the active jobs (23 words a call). *)
+let advance_update_job_active () =
+  let sw = Silkroad.Switch.create ~check:`Off Silkroad.Config.default in
+  Silkroad.Switch.add_vip sw vip pool;
+  ignore
+    (Silkroad.Switch.process_flow sw ~now:1. ~flags:Netcore.Tcp_flags.syn ~payload_len:0
+       flows.(0));
+  Silkroad.Switch.request_update sw ~now:1.00005 ~vip
+    (Lb.Balancer.Dip_remove (Lb.Dip_pool.members pool).(0));
+  let now = Sys.opaque_identity 1.0001 in
+  let w =
+    words (fun () ->
+        for _ = 1 to calls do
+          Silkroad.Switch.advance sw ~now
+        done)
+  in
+  check Alcotest.int "the job waits on its barrier" 1 (Silkroad.Switch.pending_updates sw);
+  check_free "Switch.advance, update job active" w
+
 (* One connection's whole life through the switch: its SYN misses and
    raises a learning event; an [advance] past the filter's timeout
    drains it and completes the CPU's insert; the FIN hits exactly and
    queues the delete; an [advance] completes it and destroys the state.
    Every structure the connection passes through holds its one record,
    so the words are the calls' boxed times, the CPU queue's cells, the
-   drained batch, the insert's [Ok], and the gauges' boxed floats
-   (tracked flows, learning filter, ConnTable size and occupancy, CPU
-   backlog, queue-delay histogram). Measured on OCaml 5.1.1: 106.0
-   words per connection, bounded at the next whole word. The same life
-   cost 146.0 when the pending set, the aging wheel, the learning
-   filter's payload and the CPU batches were keyed by 5-tuple. *)
-let life_words_per_connection = 107.
+   drained batch, the insert's [Ok], and the float arguments of the
+   ConnTable occupancy, CPU backlog and queue-delay gauges (the
+   count-valued gauges are written as ints). Measured on OCaml 5.1.1:
+   83.0 words per connection, bounded at the next whole word. The same
+   life cost 93.0 while every gauge write boxed its float, 106.0 while
+   the VIP was also resolved through option-returning lookups, and
+   146.0 when the pending set, the aging wheel, the learning filter's
+   payload and the CPU batches were keyed by 5-tuple. *)
+let life_words_per_connection = 84.
 
 let connection_life () =
   let sw = Silkroad.Switch.create ~check:`Off Silkroad.Config.default in
@@ -194,9 +219,10 @@ let range_and_bits () =
    cuckoo insert ladder and removal scan are closure-free loops. The
    residents grow the shadow index beforehand, and the warm-up pass
    makes the same inserts and removals, so the measured pairs never
-   resize it. What remains is [Ok moves] and the size and occupancy
-   gauges' boxed floats: 10 words per pair on OCaml 5.1.1. *)
-let insert_remove_words_per_pair = 10.
+   resize it. What remains is [Ok moves] and the occupancy gauge's
+   boxed float: 6 words per pair on OCaml 5.1.1 (10 while the size
+   gauge boxed its float too). *)
+let insert_remove_words_per_pair = 6.
 
 let conn_table_insert_remove () =
   let cfg = { Silkroad.Config.default with Silkroad.Config.conn_table_rows = 4096 } in
@@ -260,6 +286,7 @@ let suites =
         tc "lookup_code" `Quick lookup_code;
         tc "advance same tick" `Quick advance_same_tick;
         tc "advance with a learning event pending" `Quick advance_learning_pending;
+        tc "advance with an update job active" `Quick advance_update_job_active;
         tc "one connection's life" `Quick connection_life;
         tc "range and bits" `Quick range_and_bits;
         tc "pcc judge consistent and excluded" `Quick pcc_judge;

@@ -315,6 +315,64 @@ let vip_remove_drops_traffic () =
       | Error vs -> Alcotest.failf "invariants: %s" (String.concat "; " vs))
     (Control.Session.switches session)
 
+(* A VIP's record lives exactly as long as the VIP: vip-remove retires
+   it, and a vip-add of the same address builds a fresh one with the new
+   pool, even while another VIP has an update running and one queued.
+   A slow switch CPU keeps vip 1's connections pending, so its first
+   update waits at the step-1 barrier and the second queues behind it. *)
+let vip_readd_gets_fresh_record () =
+  let vips =
+    [ (vip 0, Lb.Dip_pool.of_list [ dip 0; dip 1 ]); (vip 1, Lb.Dip_pool.of_list [ dip 2; dip 3 ]) ]
+  in
+  let flows = Experiments.Common.fabric_flows ~seed:91 ~n:80 ~span:20. vips in
+  let trace = Harness.Packed_trace.compile ~horizon:60. flows in
+  let cfg = { Silkroad.Config.default with Silkroad.Config.cpu_insertions_per_sec = 1. } in
+  let session = Control.Session.create ~cfg ~vips ~trace () in
+  let sound cmd =
+    Array.iter
+      (fun sw ->
+        match Silkroad.Switch.check_invariants sw with
+        | Ok () -> ()
+        | Error vs -> Alcotest.failf "after %S: %s" cmd (String.concat "; " vs))
+      (Control.Session.switches session)
+  in
+  let run cmd =
+    ignore (expect_ok session cmd);
+    sound cmd
+  in
+  let sw = (Control.Session.switches session).(0) in
+  (* new connections to vip 0, straight into the switch at the session's
+     clock; the first packet after a command meets whatever the packet
+     path kept from before it *)
+  let connect ~from k =
+    List.init k (fun i ->
+        let flow =
+          Netcore.Five_tuple.make
+            ~src:(Netcore.Endpoint.v4 8 8 from (1 + i) (3000 + i))
+            ~dst:(vip 0) ~proto:Netcore.Protocol.Tcp
+        in
+        Silkroad.Switch.process_flow sw ~now:(Control.Session.now session)
+          ~flags:Netcore.Tcp_flags.syn ~payload_len:0 flow)
+  in
+  run "advance 5";
+  run (Printf.sprintf "dip-remove %s %s" (e (vip 1)) (e (dip 2)));
+  run (Printf.sprintf "dip-add %s %s" (e (vip 1)) (e (dip 2)));
+  check Alcotest.int "vip 1: one update running, one queued" 2
+    (Control.Session.pending_updates session);
+  check Alcotest.bool "the old pool before removal" true
+    (List.for_all (fun d -> List.mem d [ dip 0; dip 1 ]) (connect ~from:1 1));
+  run (Printf.sprintf "vip-remove %s" (e (vip 0)));
+  run (Printf.sprintf "vip-add %s %s %s" (e (vip 0)) (e (dip 4)) (e (dip 5)));
+  check Alcotest.bool "new connections take the new pool" true
+    (List.for_all (fun d -> List.mem d [ dip 4; dip 5 ]) (connect ~from:2 50));
+  sound "new connections";
+  run "advance 1";
+  check Alcotest.bool "and keep taking it" true
+    (List.for_all (fun d -> List.mem d [ dip 4; dip 5 ]) (connect ~from:3 50));
+  sound "more new connections";
+  run "drain";
+  check Alcotest.int "vip 1's updates completed" 0 (Control.Session.pending_updates session)
+
 let update_hook_observes_latency () =
   let vips = [ (vip 0, Lb.Dip_pool.of_list [ dip 0; dip 1; dip 2 ]) ] in
   (* a burst of connections arriving exactly when the update lands: their
@@ -595,6 +653,7 @@ let suites =
         tc "idempotent re-delivery" `Quick idempotent_redelivery;
         tc "health down/up fan-out" `Quick health_semantics;
         tc "vip-remove tears down traffic" `Quick vip_remove_drops_traffic;
+        tc "vip re-add gets a fresh record" `Quick vip_readd_gets_fresh_record;
         tc "update hook feeds apply-latency histogram" `Quick update_hook_observes_latency;
       ] );
     ( "control.identity",

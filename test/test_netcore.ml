@@ -104,6 +104,46 @@ let endpoint_size () =
   check Alcotest.int "v6" 18
     (Netcore.Endpoint.size_bytes (Netcore.Endpoint.make (Netcore.Ip.v6 0L 1L) 80))
 
+(* The VIP table's key: v4 and v6 endpoints, including pairs that share
+   their numeric address words or differ only in the port or one v6
+   word, each found again through an equal but separately built key.
+   Keys that differ in one word only must spread over the buckets. *)
+let endpoint_tbl () =
+  let module T = Netcore.Endpoint.Tbl in
+  let keys =
+    List.concat
+      [
+        List.init 256 (fun i -> Netcore.Endpoint.v4 20 0 (i / 250) (1 + (i mod 250)) 80);
+        List.init 64 (fun i -> Netcore.Endpoint.v4 20 0 0 1 (81 + i));
+        List.init 64 (fun i ->
+            Netcore.Endpoint.make (Netcore.Ip.v6 0L (Int64.of_int (0x14000001 + i))) 80);
+        List.init 64 (fun i -> Netcore.Endpoint.make (Netcore.Ip.v6 (Int64.of_int i) 7L) 443);
+        List.init 64 (fun i -> Netcore.Endpoint.make (Netcore.Ip.v6 7L (Int64.of_int i)) 444);
+      ]
+  in
+  let copy (e : Netcore.Endpoint.t) =
+    match Netcore.Endpoint.of_string (Netcore.Endpoint.to_string e) with
+    | Some e' -> e'
+    | None -> Alcotest.fail "endpoint reparse"
+  in
+  let t = T.create 16 in
+  List.iteri (fun i k -> T.replace t k i) keys;
+  check Alcotest.int "every key distinct" (List.length keys) (T.length t);
+  List.iteri
+    (fun i k -> check Alcotest.int (Netcore.Endpoint.to_string k) i (T.find t (copy k)))
+    keys;
+  check Alcotest.bool "v4 and v6 with the same low word differ" true
+    (T.find t (Netcore.Endpoint.v4 20 0 0 1 80)
+     <> T.find t (Netcore.Endpoint.make (Netcore.Ip.v6 0L 0x14000001L) 80));
+  (* 512 keys over 256 buckets: a uniform hash's longest chain is ~8;
+     one that dropped a word would pile up to 64 or 256 *)
+  check Alcotest.bool "bucket chains stay short" true
+    ((T.stats t).Hashtbl.max_bucket_length <= 12);
+  List.iteri (fun i k -> if i mod 2 = 0 then T.remove t (copy k)) keys;
+  List.iteri
+    (fun i k -> check Alcotest.bool "removed exactly" (i mod 2 = 1) (T.mem t k))
+    keys
+
 (* ---------- Five_tuple / hashing ---------- *)
 
 let tuple ?(sport = 1234) ?(dport = 80) () =
@@ -298,6 +338,7 @@ let suites =
         tc "roundtrip" `Quick endpoint_roundtrip;
         tc "invalid" `Quick endpoint_invalid;
         tc "sizes" `Quick endpoint_size;
+        tc "hashtable keys" `Quick endpoint_tbl;
       ] );
     ( "netcore.five_tuple",
       [

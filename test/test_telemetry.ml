@@ -20,7 +20,9 @@ let registry_basics () =
   let g = Telemetry.Registry.gauge reg "x.level" in
   Telemetry.Registry.Gauge.set g 2.5;
   Telemetry.Registry.Gauge.add g 0.5;
-  check (Alcotest.float 1e-12) "gauge" 3.0 (Telemetry.Registry.gauge_value reg "x.level")
+  check (Alcotest.float 1e-12) "gauge" 3.0 (Telemetry.Registry.gauge_value reg "x.level");
+  Telemetry.Registry.Gauge.set_int g 7;
+  check (Alcotest.float 1e-12) "int gauge" 7.0 (Telemetry.Registry.Gauge.value g)
 
 let registry_labels () =
   let reg = Telemetry.Registry.create () in
