@@ -118,9 +118,9 @@ let ep = Netcore.Endpoint.to_string
 (* A version is recycled when its pool is gone; a version that became
    current again was reused, not recycled (drop the watch silently).
    Observed at command granularity, so the latency is rounded up to the
-   next command after the actual destruction. Runs after every command:
-   each watch costs two reads of its VIP record, and the list is rebuilt
-   only when a watch settles. *)
+   next command after the actual destruction. Runs after every command
+   over every watch (versions pinned by long connections stay watched),
+   so the list is rebuilt only when a watch settles. *)
 let poll_watches t =
   let settled ((e : Silkroad.Vip_table.entry), version, _) =
     e.current = version || not (Silkroad.Dip_pool_table.allocated e.pools version)

@@ -18,7 +18,7 @@ let versions_with_reuse ~rng ~updates ~pool_size =
      window are still alive *)
   let pin version =
     let i = Silkroad.Dip_pool_table.lookup vs version in
-    if not (i.Silkroad.Dip_pool_table.refs > 0) then Silkroad.Dip_pool_table.retain i
+    if i.Silkroad.Dip_pool_table.refs = 0 then Silkroad.Dip_pool_table.retain i
   in
   pin v0;
   let current = ref v0 in

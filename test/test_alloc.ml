@@ -137,10 +137,9 @@ let advance_learning_pending () =
   check_free "Switch.advance, learning event pending" w
 
 (* An update job waits in step 1 on a connection still being learned.
-   [advance] looks for an overdue barrier only once the oldest job's
-   deadline has passed, so an active job costs a float compare per
-   packet: before that, each call allocated two closures and a list of
-   the active jobs (23 words a call). *)
+   [advance] scans the jobs for an overdue barrier only once the oldest
+   job's deadline has passed, so until then an active job costs one
+   float compare per call and no allocation. *)
 let advance_update_job_active () =
   let sw = Silkroad.Switch.create ~check:`Off Silkroad.Config.default in
   Silkroad.Switch.add_vip sw vip pool;
