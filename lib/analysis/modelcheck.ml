@@ -229,9 +229,9 @@ let flags_of ~esyn ~eends =
 (* The Eager_version_gc mutation, realized in the checker: when an
    update completes, drop the old version's remaining references until
    DIPPoolTable destroys it, although connections still use it. *)
-let release_old_version sw (r : Sw.update_report) =
+let release_old_version (r : Sw.update_report) =
   if r.Sw.ur_outcome = `Completed && r.Sw.ur_old_version <> r.Sw.ur_new_version then begin
-    let vs = (Silkroad.Vip_table.find (Sw.vip_table sw) r.Sw.ur_vip).Silkroad.Vip_table.pools in
+    let vs = r.Sw.ur_vip.Silkroad.Vip_table.pools in
     let old = Silkroad.Dip_pool_table.lookup vs r.Sw.ur_old_version in
     for _ = 1 to old.Silkroad.Dip_pool_table.refs do
       Silkroad.Dip_pool_table.release vs old ~current:r.Sw.ur_new_version
@@ -252,7 +252,7 @@ type run_result = {
 let run_switch ~cfg ~eager_gc ~flows ~removed ~events ~horizon =
   let sw = Sw.create ~check:`Off cfg in
   Sw.add_vip sw model_vip (pool_full ());
-  if eager_gc then Sw.on_update_done sw (release_old_version sw);
+  if eager_gc then Sw.on_update_done sw release_old_version;
   let pcc = Lb.Pcc.Flat.create (Array.length flows) in
   let counts = Lb.Pcc.Flat.counters () in
   let step (t, ev) =

@@ -84,8 +84,7 @@ let create ?(cfg = Silkroad.Config.default) ?(shards = 1) ?(vips = []) ?trace ()
       Telemetry.Histogram.observe t.h_apply (r.ur_finished -. r.ur_requested);
       match r.ur_outcome with
       | `Completed when r.ur_old_version <> r.ur_new_version ->
-          let e = Silkroad.Vip_table.find (Silkroad.Switch.vip_table (switch0 t)) r.ur_vip in
-          t.watches <- (e, r.ur_old_version, r.ur_requested) :: t.watches
+          t.watches <- (r.ur_vip, r.ur_old_version, r.ur_requested) :: t.watches
       | `Completed | `Failed -> ());
   t
 

@@ -5,19 +5,19 @@ type info = {
 }
 
 type vip = {
-  (* the allocated versions, in the order the reuse scans and [gc] visit
-     them: that order decides which version a reuse picks and the order
-     in which freed numbers return to the allocator, so it stays a
-     [Hashtbl] *)
-  versions : (int, info) Hashtbl.t;
-  (* the same versions indexed by number, [free] when not allocated:
-     the (VIP, version) match of the packet path, without hashing *)
+  (* the versions indexed by number, [free] when not allocated: the
+     (VIP, version) match of the packet path, without hashing. The reuse
+     scans and [gc] walk it in number order, so the lowest-numbered
+     candidate wins a reuse and freed numbers return to the allocator in
+     ascending order. *)
   slots : info array;
   (* every free slot holds this placeholder: version -1 and an empty
      pool, so a selection through a free slot finds no DIP. Never
      retained or released. *)
   free : info;
   allocator : Version.t;
+  (* how many [slots] hold an allocated version *)
+  mutable live : int;
 }
 
 type t = {
@@ -31,9 +31,12 @@ let create ~version_bits ~seed =
   { seed; vips = Netcore.Endpoint.Tbl.create 64; version_bits; reuses = 0 }
 
 let install vs v pool =
-  let i = { version = v; pool; refs = 0 } in
-  Hashtbl.replace vs.versions v i;
-  vs.slots.(v) <- i
+  vs.slots.(v) <- { version = v; pool; refs = 0 };
+  vs.live <- vs.live + 1
+
+(* [f]'s result for the first allocated version, in number order, for
+   which it has one *)
+let find_version vs f = Array.find_map (fun i -> if i == vs.free then None else f i) vs.slots
 
 let add_vip t vip pool =
   if Netcore.Endpoint.Tbl.mem t.vips vip then Error `Exists
@@ -41,14 +44,7 @@ let add_vip t vip pool =
     let allocator = Version.create ~bits:t.version_bits in
     let v = match Version.allocate allocator with Ok v -> v | Error `Exhausted -> assert false in
     let free = { version = -1; pool = Lb.Dip_pool.of_list []; refs = 0 } in
-    let vs =
-      {
-        versions = Hashtbl.create 8;
-        slots = Array.make (Version.capacity allocator) free;
-        free;
-        allocator;
-      }
-    in
+    let vs = { slots = Array.make (Version.capacity allocator) free; free; allocator; live = 0 } in
     install vs v pool;
     Netcore.Endpoint.Tbl.replace t.vips vip vs;
     Ok (vs, v)
@@ -78,34 +74,30 @@ let select_dip_fast t ~vip ~version flow ~none =
      plus exactly one extra member [r]; adding [d] is served by
      substituting [d] for [r] in that pool. *)
 let find_equal_pool vs ~target =
-  Hashtbl.fold
-    (fun v (i : info) acc ->
-      match acc with
-      | Some _ -> acc
-      | None -> if Lb.Dip_pool.equal i.pool target then Some v else None)
-    vs.versions None
+  find_version vs (fun i -> if Lb.Dip_pool.equal i.pool target then Some i.version else None)
 
+(* [i]'s pool is the current pool with one member [r] inserted, in
+   place: the two member arrays agree up to [r] and again after it *)
 let find_reusable vs ~current ~current_pool ~new_dip =
-  let candidate = ref None in
-  Hashtbl.iter
-    (fun v (i : info) ->
-      if !candidate = None && v <> current then begin
-        let members = Lb.Dip_pool.members i.pool in
-        if Array.length members = Lb.Dip_pool.size current_pool + 1 then begin
-          let extra =
-            Array.to_list members
-            |> List.filter (fun m -> not (Lb.Dip_pool.mem current_pool m))
-          in
-          match extra with
-          | [ r ] ->
-            if Lb.Dip_pool.equal (Lb.Dip_pool.remove i.pool r) current_pool
-               && (Netcore.Endpoint.equal r new_dip || not (Lb.Dip_pool.mem i.pool new_dip))
-            then candidate := Some (v, i, r)
-          | _ :: _ | [] -> ()
-        end
+  let cur = Lb.Dip_pool.members current_pool in
+  let n = Array.length cur in
+  find_version vs (fun i ->
+      if i.version = current || Lb.Dip_pool.size i.pool <> n + 1 then None
+      else begin
+        let m = Lb.Dip_pool.members i.pool in
+        let k = ref 0 in
+        while !k < n && Netcore.Endpoint.equal m.(!k) cur.(!k) do
+          incr k
+        done;
+        let r = m.(!k) in
+        let j = ref (!k + 1) in
+        while !j <= n && Netcore.Endpoint.equal m.(!j) cur.(!j - 1) do
+          incr j
+        done;
+        if !j > n && (Netcore.Endpoint.equal r new_dip || not (Lb.Dip_pool.mem i.pool new_dip))
+        then Some (i, r)
+        else None
       end)
-    vs.versions;
-  !candidate
 
 let publish t vs ~current update =
   let cur_info = lookup vs current in
@@ -132,11 +124,11 @@ let publish t vs ~current update =
       if Lb.Dip_pool.mem current_pool d then Error (`Bad_update "adding present DIP")
       else
         (match find_reusable vs ~current ~current_pool ~new_dip:d with
-         | Some (v, i, r) ->
+         | Some (i, r) ->
            if not (Netcore.Endpoint.equal r d) then
              i.pool <- Lb.Dip_pool.replace i.pool ~old_dip:r ~new_dip:d;
            t.reuses <- t.reuses + 1;
-           Ok v
+           Ok i.version
          | None -> fresh (Lb.Dip_pool.add current_pool d))
     | Lb.Balancer.Dip_replace { old_dip; new_dip } ->
       if not (Lb.Dip_pool.mem current_pool old_dip) then
@@ -149,8 +141,8 @@ let publish t vs ~current update =
 let destroy_if_dead vs version ~current =
   let i = lookup vs version in
   if i != vs.free && i.refs = 0 && version <> current then begin
-    Hashtbl.remove vs.versions version;
     vs.slots.(version) <- vs.free;
+    vs.live <- vs.live - 1;
     Version.release vs.allocator version
   end
 
@@ -166,14 +158,11 @@ let release vs i ~current =
   destroy_if_dead vs i.version ~current
 
 let gc vs ~current =
-  let dead =
-    Hashtbl.fold
-      (fun v (i : info) acc -> if i.refs = 0 && v <> current then v :: acc else acc)
-      vs.versions []
-  in
-  List.iter (fun v -> destroy_if_dead vs v ~current) dead
+  for v = 0 to Array.length vs.slots - 1 do
+    destroy_if_dead vs v ~current
+  done
 
-let live_versions vs = Hashtbl.length vs.versions
+let live_versions vs = vs.live
 
 let version_exhaustions t =
   Netcore.Endpoint.Tbl.fold (fun _ vs acc -> acc + Version.exhaustions vs.allocator) t.vips 0
@@ -184,13 +173,15 @@ let sram_bits t =
   Netcore.Endpoint.Tbl.fold
     (fun vip vs acc ->
       let vip_bits = Netcore.Endpoint.size_bytes vip * 8 in
-      Hashtbl.fold
-        (fun _v (i : info) acc ->
-          let member_bits =
-            Array.fold_left
-              (fun b d -> b + (Netcore.Endpoint.size_bytes d * 8))
-              0 (Lb.Dip_pool.members i.pool)
-          in
-          acc + vip_bits + t.version_bits + member_bits)
-        vs.versions acc)
+      Array.fold_left
+        (fun acc (i : info) ->
+          if i == vs.free then acc
+          else
+            let member_bits =
+              Array.fold_left
+                (fun b d -> b + (Netcore.Endpoint.size_bytes d * 8))
+                0 (Lb.Dip_pool.members i.pool)
+            in
+            acc + vip_bits + t.version_bits + member_bits)
+        acc vs.slots)
     t.vips 0

@@ -19,28 +19,8 @@ type conn_state = {
   mutable age_pos : int;  (** aging-wheel position, or [Timer_wheel.no_pos] *)
 }
 
-type job_phase =
-  | Job_recording
-  | Job_dual
-
-type update_job = {
-  job_vip : Vip_table.entry;
-  job_update : Lb.Balancer.update;
-  requested : float;  (** when [request_update] accepted it (queue wait included) *)
-  started : float;  (** when the job left the queue and step 1 began *)
-  (* the version that was current when the update executed; meaningful
-     from [Job_dual] on (initialised to the version current at start) *)
-  mutable old_version : int;
-  (* pending connections gating the next phase transition *)
-  waiting : unit Ftbl.t;
-  (* connections recorded in the Bloom filter during step 1, still
-     pending; becomes [waiting] at execution time *)
-  recorded : unit Ftbl.t;
-  mutable job_phase : job_phase;
-}
-
 type update_report = {
-  ur_vip : Netcore.Endpoint.t;
+  ur_vip : Vip_table.entry;
   ur_update : Lb.Balancer.update;
   ur_requested : float;
   ur_finished : float;
@@ -110,11 +90,6 @@ type t = {
      connection, verified against last_seen on expiry; the record keeps
      its own position *)
   aging : conn_state Asic.Timer_wheel.t;
-  meters : (Netcore.Endpoint.t, Asic.Meter.t) Hashtbl.t;  (** per-VIP rate limiters *)
-  jobs : (Netcore.Endpoint.t, update_job) Hashtbl.t;  (** active job per VIP *)
-  (* queued updates keep their request time so the control plane can
-     report true request-to-finish latency across queue waits *)
-  job_queue : (Netcore.Endpoint.t, (float * Lb.Balancer.update) Queue.t) Hashtbl.t;
   (* serve-mode observer: called once per update job as it completes or
      aborts, with virtual request/finish times and the version flip *)
   mutable update_hook : (update_report -> unit) option;
@@ -147,9 +122,6 @@ type t = {
   c_lb_packets : Telemetry.Registry.Counter.t;
   c_lb_dropped : Telemetry.Registry.Counter.t;
   g_tracked_flows : Telemetry.Registry.Gauge.t;
-  (* switch.vip.updates_completed{vip=...}, registered at a VIP's first
-     completed update *)
-  c_vip_completed : (Netcore.Endpoint.t, Telemetry.Registry.Counter.t) Hashtbl.t;
 }
 
 let src = Logs.Src.create "silkroad.switch" ~doc:"SilkRoad switch control plane"
@@ -196,7 +168,7 @@ let create ?metrics ?(check = `Warn) cfg =
     cfg;
     conns = Conn_table.create ~metrics:reg cfg;
     pools = Dip_pool_table.create ~version_bits:cfg.Config.version_bits ~seed:cfg.Config.seed;
-    vips = Vip_table.create ();
+    vips = Vip_table.create ~metrics:reg;
     transit =
       Asic.Bloom_filter.create ~seed:cfg.Config.seed ~metrics:reg
         ~bits:(cfg.Config.transit_bytes * 8) ~hashes:cfg.Config.transit_hashes ();
@@ -216,9 +188,6 @@ let create ?metrics ?(check = `Warn) cfg =
       Asic.Timer_wheel.create
         ~set_pos:(fun st pos -> st.age_pos <- pos)
         ~granularity:(cfg.Config.idle_timeout /. 4.) ~slots:16 ();
-    meters = Hashtbl.create 8;
-    jobs = Hashtbl.create 16;
-    job_queue = Hashtbl.create 16;
     update_hook = None;
     oldest_started = infinity;
     clock = 0.;
@@ -242,7 +211,6 @@ let create ?metrics ?(check = `Warn) cfg =
     c_lb_packets = counter "lb.packets";
     c_lb_dropped = counter "lb.dropped_packets";
     g_tracked_flows = Telemetry.Registry.gauge reg "switch.tracked_flows";
-    c_vip_completed = Hashtbl.create 8;
   }
 
 let config t = t.cfg
@@ -264,119 +232,88 @@ let clear_transit_if_idle t =
     Telemetry.Registry.Counter.incr t.c_transit_clears
   end
 
-(* the earliest [started] among the active jobs, [infinity] with none:
-   [advance] scans the jobs for an overdue barrier only once this one
-   is overdue. Refreshed whenever a job enters or leaves [jobs]. *)
+(* the earliest [started] among the VIPs' active jobs, [infinity] with
+   none: [advance] scans the VIPs for an overdue barrier only once this
+   one is overdue. Refreshed whenever a job starts or ends. *)
 let refresh_oldest_started t =
-  t.oldest_started <- Hashtbl.fold (fun _ job acc -> Float.min job.started acc) t.jobs infinity
+  let oldest = ref infinity in
+  Vip_table.iter_jobs (fun _ job -> oldest := Float.min job.started !oldest) t.vips;
+  t.oldest_started <- !oldest
+
+let report t ~now (e : Vip_table.entry) (job : Vip_table.job) ~old_version outcome =
+  match t.update_hook with
+  | Some f ->
+    f
+      {
+        ur_vip = e;
+        ur_update = job.update;
+        ur_requested = job.requested;
+        ur_finished = now;
+        ur_old_version = old_version;
+        ur_new_version = e.current;
+        ur_outcome = outcome;
+      }
+  | None -> ()
 
 let rec start_next_queued t ~now (e : Vip_table.entry) =
-  match Hashtbl.find_opt t.job_queue e.vip with
+  match Queue.take_opt e.queued with
   | None -> ()
-  | Some q ->
-    (match Queue.take_opt q with
-     | None -> ()
-     | Some (requested, u) -> start_job t ~now ~requested e u)
+  | Some (requested, u) -> start_job t ~now ~requested e u
 
-and finish_job t ~now job =
-  let e = job.job_vip in
+and finish_job t ~now (e : Vip_table.entry) ~old_version (job : Vip_table.job) =
   Log.debug (fun m ->
-      m "update %a on %a finished at %.6f (t_req %.6f)" Lb.Balancer.pp_update job.job_update
+      m "update %a on %a finished at %.6f (t_req %.6f)" Lb.Balancer.pp_update job.update
         Netcore.Endpoint.pp e.vip now job.started);
   Vip_table.finish t.vips e;
-  Hashtbl.remove t.jobs e.vip;
   refresh_oldest_started t;
   Telemetry.Registry.Counter.incr t.c_updates_completed;
   (* per-VIP scope: update churn is the figure-2 axis, so keep it
      attributable *)
-  Telemetry.Registry.Counter.incr
-    (match Hashtbl.find_opt t.c_vip_completed e.vip with
-     | Some c -> c
-     | None ->
-       let c =
-         Telemetry.Registry.counter t.metrics
-           ~labels:[ ("vip", Format.asprintf "%a" Netcore.Endpoint.pp e.vip) ]
-           "switch.vip.updates_completed"
-       in
-       Hashtbl.replace t.c_vip_completed e.vip c;
-       c);
+  Telemetry.Registry.Counter.incr (Lazy.force e.completed);
   Dip_pool_table.gc e.pools ~current:e.current;
   clear_transit_if_idle t;
-  (match t.update_hook with
-   | Some f ->
-     f
-       {
-         ur_vip = e.vip;
-         ur_update = job.job_update;
-         ur_requested = job.requested;
-         ur_finished = now;
-         ur_old_version = job.old_version;
-         ur_new_version = e.current;
-         ur_outcome = `Completed;
-       }
-   | None -> ());
+  report t ~now e job ~old_version `Completed;
   start_next_queued t ~now e
 
-and execute_job t ~now job =
-  let e = job.job_vip in
+and execute_job t ~now (e : Vip_table.entry) (job : Vip_table.job) =
   let current = e.current in
-  (match Dip_pool_table.publish t.pools e.pools ~current job.job_update with
-   | Ok new_version ->
-     job.old_version <- current;
-     Vip_table.execute e ~new_version;
-     job.job_phase <- Job_dual;
-     (* step 3 waits for the connections recorded during step 1 *)
-     Ftbl.reset job.waiting;
-     Ftbl.iter (fun k () -> Ftbl.replace job.waiting k ()) job.recorded;
-     if Ftbl.length job.waiting = 0 then finish_job t ~now job
-   | Error ((`Versions_exhausted | `Bad_update _) as err) ->
-     Log.warn (fun m ->
-         m "update %a on %a aborted: %s" Lb.Balancer.pp_update job.job_update
-           Netcore.Endpoint.pp e.vip
-           (match err with
-            | `Versions_exhausted -> "version numbers exhausted"
-            | `Bad_update msg -> msg));
-     Vip_table.cancel_recording t.vips e;
-     Hashtbl.remove t.jobs e.vip;
-     refresh_oldest_started t;
-     Telemetry.Registry.Counter.incr t.c_updates_failed;
-     clear_transit_if_idle t;
-     (match t.update_hook with
-      | Some f ->
-        f
-          {
-            ur_vip = e.vip;
-            ur_update = job.job_update;
-            ur_requested = job.requested;
-            ur_finished = now;
-            ur_old_version = current;
-            ur_new_version = current;
-            ur_outcome = `Failed;
-          }
-      | None -> ());
-     start_next_queued t ~now e)
+  match Dip_pool_table.publish t.pools e.pools ~current job.update with
+  | Ok new_version ->
+    Vip_table.execute e ~new_version;
+    check_job_transition t ~now e
+  | Error ((`Versions_exhausted | `Bad_update _) as err) ->
+    Log.warn (fun m ->
+        m "update %a on %a aborted: %s" Lb.Balancer.pp_update job.update Netcore.Endpoint.pp
+          e.vip
+          (match err with
+           | `Versions_exhausted -> "version numbers exhausted"
+           | `Bad_update msg -> msg));
+    Vip_table.cancel_recording t.vips e;
+    refresh_oldest_started t;
+    Telemetry.Registry.Counter.incr t.c_updates_failed;
+    clear_transit_if_idle t;
+    report t ~now e job ~old_version:current `Failed;
+    start_next_queued t ~now e
 
-and check_job_transition t ~now job =
-  if Ftbl.length job.waiting = 0 then begin
-    match job.job_phase with
-    | Job_recording -> execute_job t ~now job
-    | Job_dual -> finish_job t ~now job
-  end
+(* the next step of [e]'s job, once nothing gates it *)
+and check_job_transition t ~now (e : Vip_table.entry) =
+  match e.phase with
+  | Vip_table.Recording job when Ftbl.length job.waiting = 0 -> execute_job t ~now e job
+  | Vip_table.Dual { old_version; job } when Ftbl.length job.waiting = 0 ->
+    finish_job t ~now e ~old_version job
+  | Vip_table.Idle | Vip_table.Recording _ | Vip_table.Dual _ -> ()
 
 and start_job t ~now ~requested (e : Vip_table.entry) update =
   let job =
     {
-      job_vip = e;
-      job_update = update;
+      Vip_table.update;
       requested;
       started = now;
-      old_version = e.current;
       waiting = Ftbl.create 64;
       recorded = Ftbl.create 64;
-      job_phase = Job_recording;
     }
   in
-  Vip_table.start_recording t.vips e;
+  Vip_table.start_recording t.vips e job;
   (* step 1 barrier: every connection of this VIP that arrived before
      the request but is not yet in ConnTable and has not ended — the
      pending set filtered by VIP. That includes a flow parked on the
@@ -390,27 +327,21 @@ and start_job t ~now ~requested (e : Vip_table.entry) update =
       let st = t.pending.(i) in
       if st.cs_vip == e then Ftbl.replace job.waiting st.cs_flow ()
     done;
-  Hashtbl.replace t.jobs e.vip job;
   refresh_oldest_started t;
-  check_job_transition t ~now job
-
-(* the active job of a VIP: only a VIP out of phase [Idle] has one, so
-   an idle VIP's connections never hash into [jobs] *)
-let active_job t (e : Vip_table.entry) =
-  match e.phase with
-  | Vip_table.Idle -> None
-  | Vip_table.Recording | Vip_table.Dual _ -> Hashtbl.find_opt t.jobs e.vip
+  check_job_transition t ~now e
 
 (* a pending connection of [e] was installed (or abandoned): release
-   any barrier waiting on it *)
-let barrier_resolved t ~now e flow =
-  match active_job t e with
-  | None -> ()
-  | Some job ->
+   any barrier waiting on it. In [Dual], [waiting] is [recorded] itself,
+   so membership is read before the removal. *)
+let barrier_resolved t ~now (e : Vip_table.entry) flow =
+  match e.phase with
+  | Vip_table.Idle -> ()
+  | Vip_table.Recording job | Vip_table.Dual { job; _ } ->
+    let gating = Ftbl.mem job.waiting flow in
     Ftbl.remove job.recorded flow;
-    if Ftbl.mem job.waiting flow then begin
+    if gating then begin
       Ftbl.remove job.waiting flow;
-      check_job_transition t ~now job
+      check_job_transition t ~now e
     end
 
 (* ----- connection state bookkeeping ----- *)
@@ -603,11 +534,13 @@ let schedule_overflow_retries t ~now =
     t.overflow_inflight <- true
   end
 
+(* the batch's size is read before the drain empties the filter *)
 let drain_learning t ~at =
+  let n = Asic.Learning_filter.pending t.learning in
   match Asic.Learning_filter.drain t.learning with
   | [] -> ()
   | batch ->
-    let done_at = Asic.Switch_cpu.submit t.cpu ~now:at ~work_items:(List.length batch) in
+    let done_at = Asic.Switch_cpu.submit t.cpu ~now:at ~work_items:n in
     Queue.add (done_at, Insert_batch batch) t.cpu_done
 
 let submit_delete t ~now st =
@@ -643,22 +576,21 @@ let rec expire_all t ~now = function
 let expire_idle t ~now = expire_all t ~now (Asic.Timer_wheel.advance t.aging ~now)
 
 let release_stuck_barriers t ~now =
-  Hashtbl.iter
-    (fun _ job ->
+  let released = ref [] in
+  Vip_table.iter_jobs
+    (fun e job ->
       if now -. job.started > barrier_deadline && Ftbl.length job.waiting > 0 then begin
         Telemetry.Registry.Counter.incr t.c_forced_transitions;
         Log.warn (fun m ->
             m "update barrier on %a stuck for %.1fs: force-releasing %d pending connections"
-              Netcore.Endpoint.pp job.job_vip.vip (now -. job.started)
-              (Ftbl.length job.waiting));
-        Ftbl.reset job.waiting
+              Netcore.Endpoint.pp e.vip (now -. job.started) (Ftbl.length job.waiting));
+        Ftbl.reset job.waiting;
+        released := e :: !released
       end)
-    t.jobs;
-  (* transitions for any job whose barrier was force-cleared *)
-  let ready = Hashtbl.fold (fun _ job acc -> job :: acc) t.jobs [] in
-  List.iter
-    (fun job -> if Ftbl.length job.waiting = 0 then check_job_transition t ~now job)
-    ready
+    t.vips;
+  (* the transitions run once the walk is over: they may end jobs and
+     start queued ones *)
+  List.iter (fun e -> check_job_transition t ~now e) (List.rev !released)
 
 (* due learning batches first: their completions may already be due.
    The bool probe keeps this per-packet loop off the GC; the deadline,
@@ -733,11 +665,11 @@ let how_cpu_checked = 2
 let version_for_miss_code t flow (e : Vip_table.entry) ~syn =
   match e.phase with
   | Vip_table.Idle -> (e.current lsl 2) lor how_plain
-  | Vip_table.Recording ->
+  | Vip_table.Recording _ ->
     (* step 1: old pool, and remember the connection *)
     if t.cfg.Config.use_transit then Asic.Bloom_filter.add t.transit (flow_hash t flow);
     (e.current lsl 2) lor how_recorded
-  | Vip_table.Dual { old_version } ->
+  | Vip_table.Dual { old_version; _ } ->
     if t.cfg.Config.use_transit && Asic.Bloom_filter.mem t.transit (flow_hash t flow) then
       if syn then
         (* a SYN cannot be a pending connection: redirect to software,
@@ -747,10 +679,10 @@ let version_for_miss_code t flow (e : Vip_table.entry) ~syn =
     else (e.current lsl 2) lor how_plain
 
 (* step 1 remembers the connection in its VIP's job, to gate step 3 *)
-let record t e flow =
-  match active_job t e with
-  | Some job -> Ftbl.replace job.recorded flow ()
-  | None -> ()
+let record (e : Vip_table.entry) flow =
+  match e.phase with
+  | Vip_table.Recording job -> Ftbl.replace job.recorded flow ()
+  | Vip_table.Idle | Vip_table.Dual _ -> ()
 
 let handle_miss t ~now ~ends flow e ~syn =
   let code = version_for_miss_code t flow e ~syn in
@@ -769,7 +701,7 @@ let handle_miss t ~now ~ends flow e ~syn =
       st.ended <- true;
       settle t st
     end;
-    if how = how_recorded && not st.inserted then record t e flow;
+    if how = how_recorded && not st.inserted then record e flow;
     learn t ~now st;
     (* the software slow path knows the connection's true version; the
        hardware fast path forwards with the freshly computed one — if
@@ -783,7 +715,7 @@ let handle_miss t ~now ~ends flow e ~syn =
       forward t e ~version flow ~location
     else begin
       let st = track t ~now flow e (Dip_pool_table.lookup e.pools version) in
-      if how = how_recorded then record t e flow;
+      if how = how_recorded then record e flow;
       learn t ~now st;
       forward t e ~version flow ~location
     end
@@ -831,20 +763,15 @@ let process_flow t ~now ~flags ~payload_len flow =
   | e ->
     if
       (* §5.2 performance isolation: the VIP's meter drops Red packets in
-         the ASIC before any table is consulted. Guarded by the table
-         size so the meter-free fast path skips the hash lookup. *)
-      Hashtbl.length t.meters > 0
-      && (match Hashtbl.find_opt t.meters vip with
-          | Some m ->
-            Asic.Meter.mark m ~now ~bytes:(Netcore.Packet.wire_size_of ~payload_len flow)
-            = Asic.Meter.Red
-          | None -> false)
+         the ASIC before any table is consulted *)
+      match e.meter with
+      | Some m ->
+        Asic.Meter.mark m ~now ~bytes:(Netcore.Packet.wire_size_of ~payload_len flow)
+        = Asic.Meter.Red
+      | None -> false
     then begin
       Telemetry.Registry.Counter.incr t.c_metered_drops;
-      Telemetry.Registry.Counter.incr
-        (Telemetry.Registry.counter t.metrics
-           ~labels:[ ("vip", Format.asprintf "%a" Netcore.Endpoint.pp vip) ]
-           "switch.vip.metered_drops");
+      Telemetry.Registry.Counter.incr (Lazy.force e.metered_drops);
       drop t
     end
     else begin
@@ -903,23 +830,16 @@ let request_update t ~now ~vip update =
     | e -> e
     | exception Not_found -> invalid_arg "Switch.request_update: unknown VIP"
   in
-  if Hashtbl.mem t.jobs vip then begin
-    let q =
-      match Hashtbl.find_opt t.job_queue vip with
-      | Some q -> q
-      | None ->
-        let q = Queue.create () in
-        Hashtbl.replace t.job_queue vip q;
-        q
-    in
-    Queue.add (now, update) q
-  end
-  else start_job t ~now ~requested:now e update
+  match e.phase with
+  | Vip_table.Idle -> start_job t ~now ~requested:now e update
+  | Vip_table.Recording _ | Vip_table.Dual _ -> Queue.add (now, update) e.queued
 
 let on_update_done t f = t.update_hook <- Some f
 
 let pending_updates t =
-  Hashtbl.length t.jobs + Hashtbl.fold (fun _ q acc -> acc + Queue.length q) t.job_queue 0
+  let n = ref 0 in
+  Vip_table.iter_jobs (fun e _ -> n := !n + 1 + Queue.length e.queued) t.vips;
+  !n
 
 let remove_vip t vip =
   let e =
@@ -927,12 +847,11 @@ let remove_vip t vip =
     | e -> e
     | exception Not_found -> invalid_arg "Switch.remove_vip: unknown VIP"
   in
-  if
-    Hashtbl.mem t.jobs vip
-    || (match Hashtbl.find_opt t.job_queue vip with
-        | Some q -> not (Queue.is_empty q)
-        | None -> false)
-  then invalid_arg "Switch.remove_vip: update in progress";
+  (* a VIP with queued updates has an active one *)
+  (match e.phase with
+   | Vip_table.Idle -> ()
+   | Vip_table.Recording _ | Vip_table.Dual _ ->
+     invalid_arg "Switch.remove_vip: update in progress");
   (* tear down tracked connections: ConnTable entries, aging timers and
      version refcounts all go through the same path a deletion takes *)
   let doomed =
@@ -946,8 +865,6 @@ let remove_vip t vip =
       if st.inserted then ignore (Conn_table.remove t.conns st.cs_flow);
       destroy_state t st)
     doomed;
-  Hashtbl.remove t.job_queue vip;
-  Hashtbl.remove t.meters vip;
   Vip_table.remove t.vips e;
   Dip_pool_table.remove_vip t.pools vip
 
@@ -986,10 +903,14 @@ let forget_flows t ~now select =
   n
 
 let set_meter t ~vip ~cir ~cbs ~eir ~ebs =
-  if not (Vip_table.mem t.vips vip) then invalid_arg "Switch.set_meter: unknown VIP";
-  Hashtbl.replace t.meters vip (Asic.Meter.create ~cir ~cbs ~eir ~ebs)
+  match Vip_table.find t.vips vip with
+  | e -> Vip_table.set_meter e (Some (Asic.Meter.create ~cir ~cbs ~eir ~ebs))
+  | exception Not_found -> invalid_arg "Switch.set_meter: unknown VIP"
 
-let clear_meter t ~vip = Hashtbl.remove t.meters vip
+let clear_meter t ~vip =
+  match Vip_table.find t.vips vip with
+  | e -> Vip_table.set_meter e None
+  | exception Not_found -> ()
 
 let metered_drops t = Telemetry.Registry.Counter.value t.c_metered_drops
 let metrics t = t.metrics
@@ -1126,10 +1047,11 @@ let check_invariants t =
     (fun (e : Vip_table.entry) ->
       if not (Dip_pool_table.allocated e.pools e.current) then
         bad "current version %d of %a not in DIPPoolTable" e.current Netcore.Endpoint.pp e.vip;
-      let has_job = Hashtbl.mem t.jobs e.vip in
-      let updating = e.phase <> Vip_table.Idle in
-      if has_job <> updating then
-        bad "%a: job table and VIPTable phase disagree" Netcore.Endpoint.pp e.vip)
+      match e.phase with
+      | Vip_table.Idle when not (Queue.is_empty e.queued) ->
+        bad "%a: %d updates queued on an idle VIP" Netcore.Endpoint.pp e.vip
+          (Queue.length e.queued)
+      | Vip_table.Idle | Vip_table.Recording _ | Vip_table.Dual _ -> ())
     t.vips;
   (* the accumulators above iterate hash tables: sort so a violation
      report reads the same regardless of table layout *)

@@ -140,7 +140,7 @@ val remove_vip : t -> Netcore.Endpoint.t -> unit
 (** {2 Control-plane observation (serve mode)} *)
 
 type update_report = {
-  ur_vip : Netcore.Endpoint.t;
+  ur_vip : Vip_table.entry;  (** the VIP's record *)
   ur_update : Lb.Balancer.update;
   ur_requested : float;  (** when {!request_update} accepted it *)
   ur_finished : float;  (** when the job completed or aborted *)

@@ -1,25 +1,60 @@
+type job = {
+  update : Lb.Balancer.update;
+  requested : float;
+  started : float;
+  mutable waiting : unit Netcore.Five_tuple.Tbl.t;
+  recorded : unit Netcore.Five_tuple.Tbl.t;
+}
+
 type phase =
   | Idle
-  | Recording
-  | Dual of { old_version : int }
+  | Recording of job
+  | Dual of {
+      old_version : int;
+      job : job;
+    }
 
 type entry = {
   vip : Netcore.Endpoint.t;
   pools : Dip_pool_table.vip;
   mutable current : int;
   mutable phase : phase;
+  queued : (float * Lb.Balancer.update) Queue.t;
+  mutable meter : Asic.Meter.t option;
+  completed : Telemetry.Registry.Counter.t Lazy.t;
+  metered_drops : Telemetry.Registry.Counter.t Lazy.t;
 }
 
 type t = {
   entries : entry Netcore.Endpoint.Tbl.t;
+  metrics : Telemetry.Registry.t;
   mutable updating : int;
 }
 
-let create () = { entries = Netcore.Endpoint.Tbl.create 64; updating = 0 }
+let create ~metrics = { entries = Netcore.Endpoint.Tbl.create 64; metrics; updating = 0 }
 
 let add t vip pools ~version =
   if Netcore.Endpoint.Tbl.mem t.entries vip then invalid_arg "Vip_table.add: VIP exists";
-  let e = { vip; pools; current = version; phase = Idle } in
+  (* registered on first use, so a VIP that never completes an update
+     or drops a packet adds no series to a snapshot *)
+  let counter name =
+    lazy
+      (Telemetry.Registry.counter t.metrics
+         ~labels:[ ("vip", Format.asprintf "%a" Netcore.Endpoint.pp vip) ]
+         name)
+  in
+  let e =
+    {
+      vip;
+      pools;
+      current = version;
+      phase = Idle;
+      queued = Queue.create ();
+      meter = None;
+      completed = counter "switch.vip.updates_completed";
+      metered_drops = counter "switch.vip.metered_drops";
+    }
+  in
   Netcore.Endpoint.Tbl.replace t.entries vip e;
   e
 
@@ -31,40 +66,47 @@ let current t vip =
   | e -> Some e.current
   | exception Not_found -> None
 
-let start_recording t e =
+let start_recording t e job =
   (match e.phase with
    | Idle -> ()
-   | Recording | Dual _ -> invalid_arg "Vip_table.start_recording: update in progress");
-  e.phase <- Recording;
+   | Recording _ | Dual _ -> invalid_arg "Vip_table.start_recording: update in progress");
+  e.phase <- Recording job;
   t.updating <- t.updating + 1
 
 let execute e ~new_version =
-  (match e.phase with
-   | Recording -> ()
-   | Idle | Dual _ -> invalid_arg "Vip_table.execute: not recording");
-  e.phase <- Dual { old_version = e.current };
-  e.current <- new_version
+  match e.phase with
+  | Recording job ->
+    (* step 3 waits for the connections recorded during step 1 *)
+    job.waiting <- job.recorded;
+    e.phase <- Dual { old_version = e.current; job };
+    e.current <- new_version
+  | Idle | Dual _ -> invalid_arg "Vip_table.execute: not recording"
 
 let finish t e =
   (match e.phase with
    | Dual _ -> ()
-   | Idle | Recording -> invalid_arg "Vip_table.finish: not in dual phase");
+   | Idle | Recording _ -> invalid_arg "Vip_table.finish: not in dual phase");
   e.phase <- Idle;
   t.updating <- t.updating - 1
 
 let cancel_recording t e =
   (match e.phase with
-   | Recording -> ()
+   | Recording _ -> ()
    | Idle | Dual _ -> invalid_arg "Vip_table.cancel_recording: not recording");
   e.phase <- Idle;
   t.updating <- t.updating - 1
 
+let set_meter e m = e.meter <- m
+
 let remove t e =
   (match e.phase with
    | Idle -> ()
-   | Recording | Dual _ -> invalid_arg "Vip_table.remove: update in progress");
+   | Recording _ | Dual _ -> invalid_arg "Vip_table.remove: update in progress");
   Netcore.Endpoint.Tbl.remove t.entries e.vip
 
 let updating_count t = t.updating
 
 let iter f t = Netcore.Endpoint.Tbl.iter (fun _ e -> f e) t.entries
+
+let iter_jobs f t =
+  iter (fun e -> match e.phase with Idle -> () | Recording job | Dual { job; _ } -> f e job) t

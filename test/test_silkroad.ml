@@ -179,6 +179,41 @@ let dpt_gc () =
   Dpt.gc vs ~current:v1;
   check Alcotest.int "only current" 1 (Dpt.live_versions vs)
 
+(* Two versions qualify for substitution reuse: each holds the current
+   pool plus one extra DIP. The scan walks versions in number order, so
+   the lowest-numbered one is rewritten and made current again. *)
+let dpt_reuse_picks_lowest () =
+  let t = dpt () in
+  let vs, v0 = Result.get_ok (Dpt.add_vip t vip (pool [ 1; 2 ])) in
+  retain vs v0;
+  let publish ~current u = Result.get_ok (Dpt.publish t vs ~current u) in
+  let v1 =
+    publish ~current:v0 (Lb.Balancer.Dip_replace { old_dip = dip 2; new_dip = dip 3 })
+  in
+  retain vs v1;
+  let v2 = publish ~current:v1 (Lb.Balancer.Dip_remove (dip 3)) in
+  check Alcotest.(list int) "three versions" [ 0; 1; 2 ] [ v0; v1; v2 ];
+  let v3 = publish ~current:v2 (Lb.Balancer.Dip_add (dip 4)) in
+  check Alcotest.int "the lowest-numbered candidate" v0 v3;
+  check Alcotest.int "one reuse" 1 (Dpt.reuses t);
+  check Alcotest.bool "rewritten in place" true
+    (match pool_of vs v0 with Some p -> Lb.Dip_pool.equal p (pool [ 1; 4 ]) | None -> false);
+  check Alcotest.bool "the other candidate untouched" true
+    (match pool_of vs v1 with Some p -> Lb.Dip_pool.equal p (pool [ 1; 3 ]) | None -> false)
+
+(* The removed DIP sat mid-pool: the old version is the current pool
+   with it inserted in place, so adding a substitute rewrites that slot
+   and reuses the version. *)
+let dpt_reuse_mid_pool () =
+  let t = dpt () in
+  let vs, v0 = Result.get_ok (Dpt.add_vip t vip (pool [ 1; 2; 3 ])) in
+  retain vs v0;
+  let v1 = Result.get_ok (Dpt.publish t vs ~current:v0 (Lb.Balancer.Dip_remove (dip 2))) in
+  let v2 = Result.get_ok (Dpt.publish t vs ~current:v1 (Lb.Balancer.Dip_add (dip 4))) in
+  check Alcotest.int "reused v0" v0 v2;
+  check Alcotest.bool "the removed slot holds the substitute" true
+    (match pool_of vs v0 with Some p -> Lb.Dip_pool.equal p (pool [ 1; 4; 3 ]) | None -> false)
+
 let dpt_bad_updates () =
   let t = dpt () in
   let vs, v0 = Result.get_ok (Dpt.add_vip t vip (pool [ 1 ])) in
@@ -203,18 +238,35 @@ let vip_entry t ~version =
   let vs, _ = Result.get_ok (Dpt.add_vip (dpt ()) vip (pool [ 1 ])) in
   Silkroad.Vip_table.add t vip vs ~version
 
+let vipt_job () =
+  {
+    Silkroad.Vip_table.update = Lb.Balancer.Dip_add (dip 2);
+    requested = 0.;
+    started = 0.;
+    waiting = Netcore.Five_tuple.Tbl.create 1;
+    recorded = Netcore.Five_tuple.Tbl.create 1;
+  }
+
 let vipt_phases () =
-  let t = Silkroad.Vip_table.create () in
+  let t = Silkroad.Vip_table.create ~metrics:(Telemetry.Registry.create ()) in
   let e = vip_entry t ~version:3 in
   check (Alcotest.option Alcotest.int) "current" (Some 3) (Silkroad.Vip_table.current t vip);
   check Alcotest.int "not updating" 0 (Silkroad.Vip_table.updating_count t);
-  Silkroad.Vip_table.start_recording t e;
+  let job = vipt_job () in
+  Silkroad.Vip_table.start_recording t e job;
   check Alcotest.int "updating" 1 (Silkroad.Vip_table.updating_count t);
-  check Alcotest.bool "recording" true (e.Silkroad.Vip_table.phase = Silkroad.Vip_table.Recording);
+  check Alcotest.bool "recording the job" true
+    (match e.Silkroad.Vip_table.phase with
+     | Silkroad.Vip_table.Recording j -> j == job
+     | Silkroad.Vip_table.Idle | Silkroad.Vip_table.Dual _ -> false);
   Silkroad.Vip_table.execute e ~new_version:5;
   check (Alcotest.option Alcotest.int) "flipped" (Some 5) (Silkroad.Vip_table.current t vip);
   (match e.Silkroad.Vip_table.phase with
-   | Silkroad.Vip_table.Dual { old_version } -> check Alcotest.int "old kept" 3 old_version
+   | Silkroad.Vip_table.Dual { old_version; job = j } ->
+     check Alcotest.int "old kept" 3 old_version;
+     check Alcotest.bool "same job" true (j == job);
+     check Alcotest.bool "step 3 waits on the step-1 recorded set itself" true
+       (job.waiting == job.recorded)
    | _ -> Alcotest.fail "not dual");
   Silkroad.Vip_table.finish t e;
   check Alcotest.bool "idle" true (e.Silkroad.Vip_table.phase = Silkroad.Vip_table.Idle);
@@ -222,17 +274,17 @@ let vipt_phases () =
   check Alcotest.bool "found by address" true (Silkroad.Vip_table.find t vip == e)
 
 let vipt_illegal_transitions () =
-  let t = Silkroad.Vip_table.create () in
+  let t = Silkroad.Vip_table.create ~metrics:(Telemetry.Registry.create ()) in
   let e = vip_entry t ~version:0 in
   Alcotest.check_raises "execute w/o recording"
     (Invalid_argument "Vip_table.execute: not recording") (fun () ->
       Silkroad.Vip_table.execute e ~new_version:1);
   Alcotest.check_raises "finish w/o dual" (Invalid_argument "Vip_table.finish: not in dual phase")
     (fun () -> Silkroad.Vip_table.finish t e);
-  Silkroad.Vip_table.start_recording t e;
+  Silkroad.Vip_table.start_recording t e (vipt_job ());
   Alcotest.check_raises "double recording"
     (Invalid_argument "Vip_table.start_recording: update in progress") (fun () ->
-      Silkroad.Vip_table.start_recording t e);
+      Silkroad.Vip_table.start_recording t e (vipt_job ()));
   Alcotest.check_raises "remove while recording"
     (Invalid_argument "Vip_table.remove: update in progress") (fun () ->
       Silkroad.Vip_table.remove t e);
@@ -1061,6 +1113,9 @@ type sw_cmd =
   | Backlog of int  (** CPU work items *)
   | Forget of int  (** re-route the flows with this hash bit *)
   | Vip_readd  (** vip-remove then vip-add of the second VIP *)
+  | Vip_remove  (** vip-remove of the second VIP, leaving it absent *)
+  | Vip_add  (** vip-add of the second VIP when absent *)
+  | Meter of int * bool  (** VIP side; set a tight meter / clear it *)
 
 let vip2 = Netcore.Endpoint.v4 20 0 0 2 80
 
@@ -1081,6 +1136,9 @@ let pp_sw_cmd = function
   | Backlog n -> Printf.sprintf "backlog %d" n
   | Forget b -> Printf.sprintf "forget %d" b
   | Vip_readd -> "vip-readd"
+  | Vip_remove -> "vip-remove"
+  | Vip_add -> "vip-add"
+  | Meter (v, on) -> Printf.sprintf "meter %d %s" v (if on then "set" else "clear")
 
 let gen_sw_cmd =
   QCheck.Gen.(
@@ -1094,7 +1152,10 @@ let gen_sw_cmd =
         (2, map2 (fun v k -> Update (v, k)) (int_bound 1) (int_bound 5));
         (1, map (fun n -> Backlog n) (int_range 1 20));
         (1, map (fun b -> Forget b) (int_bound 1));
-        (1, return Vip_readd) ])
+        (1, return Vip_readd);
+        (1, return Vip_remove);
+        (1, return Vip_add);
+        (1, map2 (fun v on -> Meter (v, on)) (int_bound 1) bool) ])
 
 (* a 16-slot table, 4-bit digests and a slow CPU: inserts hit [Full]
    and the overflow queue, SYNs false-hit and repair, and connections
@@ -1131,7 +1192,8 @@ let run_sw_cmd sw now cmd =
       | 2 | 3 -> Lb.Balancer.Dip_remove (dip (base + k - 2))
       | _ -> Lb.Balancer.Dip_replace { old_dip = dip (base + k - 4); new_dip = dip (base + 5) }
     in
-    Silkroad.Switch.request_update sw ~now:!now ~vip:(if v = 0 then vip else vip2) u
+    if v = 0 || Silkroad.Switch.has_vip sw vip2 then
+      Silkroad.Switch.request_update sw ~now:!now ~vip:(if v = 0 then vip else vip2) u
   | Backlog n -> Silkroad.Switch.inject_cpu_backlog sw ~now:!now ~work_items:n
   | Forget b ->
     ignore
@@ -1141,6 +1203,18 @@ let run_sw_cmd sw now cmd =
     (match Silkroad.Switch.remove_vip sw vip2 with
      | () -> Silkroad.Switch.add_vip sw vip2 (pool_of_side 1)
      | exception Invalid_argument _ -> ())
+  | Vip_remove -> (
+    (* refused while absent or while an update on it is in flight *)
+    try Silkroad.Switch.remove_vip sw vip2 with Invalid_argument _ -> ())
+  | Vip_add ->
+    if not (Silkroad.Switch.has_vip sw vip2) then
+      Silkroad.Switch.add_vip sw vip2 (pool_of_side 1)
+  | Meter (v, on) ->
+    let vip = if v = 0 then vip else vip2 in
+    (* a few hundred bytes a second: most bursts go Red *)
+    if not on then Silkroad.Switch.clear_meter sw ~vip
+    else if Silkroad.Switch.has_vip sw vip then
+      Silkroad.Switch.set_meter sw ~vip ~cir:200. ~cbs:200 ~eir:200. ~ebs:200
 
 let invariants_hold_throughout cmds =
   let sw = Silkroad.Switch.create ~check:`Off pending_cfg in
@@ -1162,6 +1236,85 @@ let qcheck_switch_invariants =
        ~print:(fun cmds -> String.concat ", " (List.map pp_sw_cmd cmds))
        QCheck.Gen.(list_size (int_range 20 150) gen_sw_cmd))
     invariants_hold_throughout
+
+(* With one version bit a VIP has two version numbers. A connection
+   pins the first, an update takes the second, and the next update
+   finds none free: it aborts with [Versions_exhausted] while a third
+   waits behind it. The abort reports [`Failed] with old = new, and the
+   queued update then starts and completes (a substitution reuse needs
+   no free number). *)
+let switch_exhausted_update_with_queue () =
+  let cfg = { Silkroad.Config.default with Silkroad.Config.version_bits = 1 } in
+  let sw = Silkroad.Switch.create ~check:`Off cfg in
+  Silkroad.Switch.add_vip sw vip (pool [ 1; 2; 3; 4 ]);
+  let reports = ref [] in
+  Silkroad.Switch.on_update_done sw (fun r -> reports := r :: !reports);
+  let invariants what =
+    check Alcotest.(result unit (list string)) ("invariants " ^ what) (Ok ())
+      (Silkroad.Switch.check_invariants sw)
+  in
+  let step what f =
+    f ();
+    invariants what
+  in
+  step "first flow" (fun () -> ignore (Silkroad.Switch.process sw ~now:0. (syn 1)));
+  step "installed" (fun () -> Silkroad.Switch.advance sw ~now:0.01);
+  step "update A" (fun () ->
+      Silkroad.Switch.request_update sw ~now:0.01 ~vip (Lb.Balancer.Dip_remove (dip 4)));
+  step "second flow" (fun () -> ignore (Silkroad.Switch.process sw ~now:0.02 (syn 2)));
+  step "update B" (fun () ->
+      Silkroad.Switch.request_update sw ~now:0.02 ~vip (Lb.Balancer.Dip_remove (dip 3)));
+  step "update C" (fun () ->
+      Silkroad.Switch.request_update sw ~now:0.02 ~vip (Lb.Balancer.Dip_add (dip 4)));
+  check Alcotest.int "B gated by the second flow, C queued" 2
+    (Silkroad.Switch.pending_updates sw);
+  step "barrier released" (fun () -> Silkroad.Switch.advance sw ~now:0.05);
+  check Alcotest.int "nothing pending" 0 (Silkroad.Switch.pending_updates sw);
+  let s = Silkroad.Switch.stats sw in
+  check Alcotest.int "B failed" 1 s.Silkroad.Switch.updates_failed;
+  check Alcotest.int "A and C completed" 2 s.Silkroad.Switch.updates_completed;
+  match List.rev !reports with
+  | [ a; b; c ] ->
+    let outcome (r : Silkroad.Switch.update_report) =
+      match r.ur_outcome with `Completed -> "completed" | `Failed -> "failed"
+    in
+    check Alcotest.(list string) "outcomes" [ "completed"; "failed"; "completed" ]
+      (List.map outcome [ a; b; c ]);
+    check Alcotest.bool "each names the VIP's record" true
+      (List.for_all
+         (fun (r : Silkroad.Switch.update_report) ->
+           r.ur_vip == Silkroad.Vip_table.find (Silkroad.Switch.vip_table sw) vip)
+         [ a; b; c ]);
+    check Alcotest.int "B's old = new" b.ur_old_version b.ur_new_version;
+    check Alcotest.int "B left A's version current" a.ur_new_version b.ur_new_version;
+    check Alcotest.int "C reused the first version" a.ur_old_version c.ur_new_version
+  | l -> Alcotest.failf "%d reports" (List.length l)
+
+(* A CPU backlog longer than the barrier deadline holds both VIPs'
+   step-1 barriers; one [advance] past the deadline force-releases
+   both, and both updates complete. *)
+let switch_two_barriers_forced () =
+  let sw = mk_switch () in
+  Silkroad.Switch.add_vip sw vip2 (pool [ 5; 6; 7 ]);
+  ignore (Silkroad.Switch.process sw ~now:0. (syn 1));
+  ignore (Silkroad.Switch.process sw ~now:0. (Netcore.Packet.syn (side_flow 1)));
+  (* 10 s of insert work ahead of both learning events *)
+  Silkroad.Switch.inject_cpu_backlog sw ~now:0.0001 ~work_items:2_000_000;
+  Silkroad.Switch.request_update sw ~now:0.0002 ~vip (Lb.Balancer.Dip_remove (dip 4));
+  Silkroad.Switch.request_update sw ~now:0.0002 ~vip:vip2 (Lb.Balancer.Dip_remove (dip 7));
+  Silkroad.Switch.advance sw ~now:5.;
+  check Alcotest.int "both held" 2 (Silkroad.Switch.pending_updates sw);
+  Silkroad.Switch.advance sw ~now:5.5;
+  let s = Silkroad.Switch.stats sw in
+  check Alcotest.int "both force-released" 2 s.Silkroad.Switch.forced_transitions;
+  check Alcotest.int "both completed" 2 s.Silkroad.Switch.updates_completed;
+  check Alcotest.int "nothing pending" 0 (Silkroad.Switch.pending_updates sw);
+  check Alcotest.(result unit (list string)) "invariants" (Ok ())
+    (Silkroad.Switch.check_invariants sw);
+  Silkroad.Switch.advance sw ~now:11.;
+  check Alcotest.int "the held flows installed" 2 (Silkroad.Switch.connections sw);
+  check Alcotest.(result unit (list string)) "invariants once installed" (Ok ())
+    (Silkroad.Switch.check_invariants sw)
 
 (* ---------- Health_checker (§7) ---------- *)
 
@@ -1470,6 +1623,8 @@ let suites =
         tc "current survives" `Quick dpt_current_survives_zero_refs;
         tc "gc" `Quick dpt_gc;
         tc "bad updates" `Quick dpt_bad_updates;
+        tc "reuse picks the lowest version" `Quick dpt_reuse_picks_lowest;
+        tc "reuse of a mid-pool removal" `Quick dpt_reuse_mid_pool;
       ] );
     ( "silkroad.vip_table",
       [ tc "phases" `Quick vipt_phases; tc "illegal transitions" `Quick vipt_illegal_transitions ] );
@@ -1502,6 +1657,8 @@ let suites =
         tc "memory accounting" `Quick switch_memory_accounting;
         tc "udp connections" `Quick switch_udp_connections;
         tc "overflowed flows gate a later barrier" `Quick switch_overflow_gates_later_barrier;
+        tc "exhausted update with one queued" `Quick switch_exhausted_update_with_queue;
+        tc "two barriers force-released at once" `Quick switch_two_barriers_forced;
         QCheck_alcotest.to_alcotest qcheck_switch_invariants;
       ] );
     ( "silkroad.isolation",
