@@ -25,10 +25,14 @@ bench:
 	dune exec bin/silkroad_cli.exe -- experiments
 
 # silkroad-lint: pipeline feasibility (stage/SRAM/ALU budgets on the §6
-# chip), network-wide VIP placement, and the determinism source lint
-# over lib/ and bin/. Non-zero exit on any error-level finding; CI runs
+# chip), network-wide VIP placement, the determinism source lint over
+# lib/, bin/, test/ and bench/, and surface.unused-export: every value a
+# lib/ interface exports must be used by another unit outside test/
+# (read from the typed trees, so @check builds them for every
+# executable first). Non-zero exit on any error-level finding; CI runs
 # this as the `lint` job.
 lint: build
+	dune build @check
 	dune exec bin/silkroad_cli.exe -- lint
 
 # silkroad-verify: the inter-procedural Domain-safety race analysis over

@@ -555,11 +555,15 @@ let lint_cmd =
              ~doc:"Run only the pipeline feasibility and network-wide assignment checks.")
   in
   let source_flag =
-    Arg.(value & flag & info [ "source" ] ~doc:"Run only the determinism source lint.")
+    Arg.(value & flag
+         & info [ "source" ]
+             ~doc:"Run only the source rules: the determinism lint and the unused-export check.")
   in
   let root =
     Arg.(value & opt string "."
-         & info [ "root" ] ~docv:"DIR" ~doc:"Repository root whose lib/ and bin/ are linted.")
+         & info [ "root" ] ~docv:"DIR"
+             ~doc:"Repository root whose sources are linted; the unused-export check reads the \
+                   typed trees under $(docv)/_build/default (run dune build @check first).")
   in
   let conns =
     Arg.(value & opt (some int) None
@@ -597,12 +601,23 @@ let lint_cmd =
       if do_source then Analysis.Source_lint.lint_dirs (Analysis.Source_lint.default_dirs ~root)
       else []
     in
-    let ds = pipe_diags @ src_diags in
+    let surface = if do_source then Some (Analysis.Surface.analyze_root ~root) else None in
+    let ds =
+      pipe_diags @ src_diags
+      @ match surface with Some r -> r.Analysis.Surface.diags | None -> []
+    in
     if json then print_endline (Telemetry.Json.to_string_pretty (Analysis.Diag.list_to_json ds))
     else begin
       (match report with
        | Some r when verbose -> Format.fprintf ppf "%a@." Asic.Pipeline.pp_report r
        | _ -> ());
+      (match surface with
+       | Some r ->
+         Format.fprintf ppf
+           "# surface: %d typed trees, %d exported values, %d unused, %d test-only, %d allowed@."
+           r.Analysis.Surface.units r.Analysis.Surface.exported r.Analysis.Surface.unused
+           r.Analysis.Surface.test_only r.Analysis.Surface.allowed
+       | None -> ());
       Format.fprintf ppf "%a@." Analysis.Diag.pp_list ds
     end;
     match Analysis.Diag.errors ds with
@@ -612,8 +627,9 @@ let lint_cmd =
   Cmd.v
     (Cmd.info "lint"
        ~doc:
-         "Check pipeline feasibility (stage/SRAM/ALU budgets), network-wide VIP placement and \
-          source determinism; exit non-zero on any error-level finding.")
+         "Check pipeline feasibility (stage/SRAM/ALU budgets), network-wide VIP placement, \
+          source determinism and unused exported values in lib/; exit non-zero on any \
+          error-level finding.")
     Term.(ret (const run $ json_flag $ pipeline_flag $ source_flag $ root $ conns $ vips
                $ verbose_flag))
 

@@ -21,29 +21,7 @@ let default_roots =
 
 (* ----- names ----- *)
 
-(* "Silkroad__Switch" -> "Silkroad.Switch"; "Silkroad__" -> "Silkroad";
-   applied per dot-component of a Path.name *)
-let canon_component c =
-  match String.index_opt c '_' with
-  | None -> c
-  | Some _ ->
-    let n = String.length c in
-    if n > 2 && String.sub c (n - 2) 2 = "__" then String.sub c 0 (n - 2)
-    else
-      (* first "__" splits library prefix from unit name *)
-      let rec find i =
-        if i + 1 >= n then None
-        else if c.[i] = '_' && c.[i + 1] = '_' then Some i
-        else find (i + 1)
-      in
-      (match find 0 with
-       | None -> c
-       | Some i ->
-         let unit_part = String.sub c (i + 2) (n - i - 2) in
-         String.sub c 0 i ^ "." ^ String.capitalize_ascii unit_part)
-
-let canon_name s = String.concat "." (List.map canon_component (String.split_on_char '.' s))
-let canon_path p = canon_name (Path.name p)
+let canon_path = Typed_trees.canon_path
 
 let strip_stdlib s =
   if String.length s > 7 && String.sub s 0 7 = "Stdlib." then String.sub s 7 (String.length s - 7)
@@ -181,22 +159,6 @@ let is_function (e : Typedtree.expression) =
 
 (* ----- walking a unit's structure ----- *)
 
-let attr_allow (attr : Parsetree.attribute) =
-  if attr.Parsetree.attr_name.Location.txt = "silkroad.allow" then
-    match attr.Parsetree.attr_payload with
-    | Parsetree.PStr
-        [
-          {
-            Parsetree.pstr_desc =
-              Parsetree.Pstr_eval
-                ({ Parsetree.pexp_desc = Parsetree.Pexp_constant (Parsetree.Pconst_string (s, _, _)); _ }, _);
-            _;
-          };
-        ] ->
-      Some s
-    | _ -> None
-  else None
-
 let rec walk_structure acc ~prefixes ~scopes (str : Typedtree.structure) =
   List.iter (walk_item acc ~prefixes ~scopes) str.Typedtree.str_items
 
@@ -240,7 +202,7 @@ and walk_item acc ~prefixes ~scopes (item : Typedtree.structure_item) =
   | Typedtree.Tstr_recmodule mbs -> List.iter (walk_module_binding acc ~prefixes ~scopes) mbs
   | Typedtree.Tstr_include incl -> walk_module_expr acc ~prefixes ~scopes incl.Typedtree.incl_mod
   | Typedtree.Tstr_attribute attr -> (
-    match attr_allow attr with Some r -> acc.u_allow <- r :: acc.u_allow | None -> ())
+    match Typed_trees.allow_payload attr with Some r -> acc.u_allow <- r :: acc.u_allow | None -> ())
   | _ -> ()
 
 and walk_module_binding acc ~prefixes ~scopes (mb : Typedtree.module_binding) =
@@ -454,56 +416,24 @@ let analyze ~roots (units : unit_acc list) =
 
 (* ----- front ends ----- *)
 
-let typecheck_impl ~unit_name source =
-  Clflags.dont_write_files := true;
-  ignore (Warnings.parse_options false "-a");
-  Compmisc.init_path ();
-  let env = Compmisc.initial_env () in
-  let lexbuf = Lexing.from_string source in
-  Location.init lexbuf (unit_name ^ ".ml");
-  try
-    let parsed = Parse.implementation lexbuf in
-    let str, _, _, _, _ = Typemod.type_structure env parsed in
-    str
-  with exn ->
-    let msg =
-      match Location.error_of_exn exn with
-      | Some (`Ok report) ->
-        Format.asprintf "%a" Location.print_report report
-      | Some `Already_displayed | None -> Printexc.to_string exn
-    in
-    failwith (Printf.sprintf "Domain_safety: fixture %s does not typecheck: %s" unit_name msg)
-
 let analyze_impls ?(roots = default_roots) sources =
+  let env = Typed_trees.fixture_env () in
   let units =
     List.map
       (fun (unit_name, source) ->
-        let str = typecheck_impl ~unit_name source in
+        let str = Typed_trees.type_impl env ~unit_name source in
         walk_unit ~unit_name ~file:(unit_name ^ ".ml") str)
       sources
   in
   analyze ~roots units
 
-let rec find_cmts dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> []
-  | entries ->
-    Array.sort String.compare entries;
-    Array.fold_left
-      (fun acc e ->
-        let p = Filename.concat dir e in
-        if Sys.is_directory p then if e = ".git" then acc else acc @ find_cmts p
-        else if Filename.check_suffix e ".cmt" then acc @ [ p ]
-        else acc)
-      [] entries
-
 let load_cmt path =
-  match Cmt_format.read_cmt path with
-  | exception _ -> None
-  | cmt -> (
+  match Typed_trees.read path with
+  | None -> None
+  | Some cmt -> (
     match cmt.Cmt_format.cmt_annots with
     | Cmt_format.Implementation str ->
-      let unit_name = canon_name cmt.Cmt_format.cmt_modname in
+      let unit_name = Typed_trees.canon_name cmt.Cmt_format.cmt_modname in
       let file =
         match cmt.Cmt_format.cmt_sourcefile with Some f -> f | None -> path
       in
@@ -511,20 +441,9 @@ let load_cmt path =
     | _ -> None)
 
 let analyze_root ?(roots = default_roots) ~root () =
-  (* from a source checkout the typed trees live under _build/default;
-     from inside a dune sandbox [root] already is _build/default *)
-  let candidates =
-    [
-      Filename.concat (Filename.concat (Filename.concat root "_build") "default") "lib";
-      Filename.concat root "lib";
-      root;
-    ]
-  in
-  let cmts =
-    List.fold_left
-      (fun acc d -> if acc = [] && Sys.file_exists d then find_cmts d else acc)
-      [] candidates
-  in
+  let built = Typed_trees.build_root ~root in
+  let lib = Filename.concat built "lib" in
+  let cmts = Typed_trees.find ~ext:".cmt" (if Sys.file_exists lib then lib else built) in
   let units = List.filter_map load_cmt cmts in
   if units = [] then
     {

@@ -206,6 +206,113 @@ let shipped_tree_clean () =
     List.iter (fun d -> Format.eprintf "%a@." Analysis.Diag.pp d) errs;
     check Alcotest.int "no determinism errors in lib/, bin/, test/, bench/" 0 (List.length errs)
 
+(* ---------- unused exported surface ---------- *)
+
+let surface units =
+  let r = Analysis.Surface.analyze_sources units in
+  ( r,
+    List.map
+      (fun (d : Analysis.Diag.t) ->
+        (Analysis.Diag.severity_name d.Analysis.Diag.severity, d.Analysis.Diag.message))
+      r.Analysis.Surface.diags )
+
+let meter_intf =
+  ( "lib",
+    "Meter",
+    `Intf
+      "val mark : int -> int\n\
+       val dead : int -> int\n\
+       module Stepper : sig val first : int end" )
+
+let surface_fixtures_caught () =
+  let findings = Alcotest.(list (pair string string)) in
+  let r, ds =
+    surface
+      [ meter_intf; ("bin", "Main", `Impl "let () = print_int (Meter.mark 1)") ]
+  in
+  check findings "dead exports are errors, nested ones included"
+    [ ("error", "Meter.dead is exported, but no other unit uses it");
+      ("error", "Meter.Stepper.first is exported, but no other unit uses it") ]
+    ds;
+  check Alcotest.(list int) "counts" [ 3; 2; 0 ]
+    [ r.Analysis.Surface.exported; r.Analysis.Surface.unused; r.Analysis.Surface.test_only ];
+  let _, ds =
+    surface
+      [ meter_intf;
+        ("bin", "Main", `Impl "let () = print_int (Meter.mark Meter.Stepper.first)");
+        ("test", "Test_meter", `Impl "let () = assert (Meter.dead 1 = 1)") ]
+  in
+  check findings "a test-only export is a warning"
+    [ ("warning", "Meter.dead is exported, but only test/ uses it (test/test_meter.ml)") ]
+    ds;
+  (* an allow needs a reason, and one on a value the program uses is stale *)
+  let _, ds =
+    surface
+      [ ( "lib",
+          "Probe",
+          `Intf
+            "val bare : int [@@silkroad.allow \"surface.unused-export\"]\n\
+             val used : int [@@silkroad.allow \"surface.unused-export: the test is its subject\"]" );
+        ("bin", "Main", `Impl "let () = print_int Probe.used");
+        ("test", "Test_probe", `Impl "let () = assert (Probe.bare = 0)") ]
+  in
+  check findings "allow without a reason, stale allow"
+    [ ("warning", "Probe.bare is exported, but only test/ uses it (test/test_probe.ml)");
+      ("warning", "Probe.used carries a surface.unused-export allow, but the program uses it") ]
+    ds
+
+let surface_negatives_clean () =
+  let clean name units =
+    let _, ds = surface units in
+    check Alcotest.(list (pair string string)) name [] ds
+  in
+  let key_intf =
+    ("lib", "Key", `Intf "type t = int\nval equal : t -> t -> bool\nval hash : t -> int")
+  in
+  clean "use in let () and a toplevel expression"
+    [ ("lib", "Meter", `Intf "val mark : int -> int\nval dead : int -> int");
+      ("bin", "Main", `Impl "let () = print_int (Meter.mark 1)\n;; ignore (Meter.dead 2)") ];
+  clean "use through a local module alias"
+    [ ("lib", "Meter", `Intf "val mark : int -> int");
+      ("bin", "Main", `Impl "module M = Meter\nlet f = M.mark") ];
+  clean "use through a local module alias in an expression"
+    [ ("lib", "Meter", `Intf "val mark : int -> int");
+      ("bin", "Main", `Impl "let f x = let module M = Meter in M.mark x") ];
+  clean "use through open"
+    [ ("lib", "Meter", `Intf "val mark : int -> int");
+      ("bin", "Main", `Impl "open Meter\nlet f = mark") ];
+  clean "module given whole to a functor" [ key_intf; ("bin", "Main", `Impl "module T = Hashtbl.Make (Key)") ];
+  clean "module included" [ key_intf; ("bin", "Main", `Impl "include Key") ];
+  clean "an allowed test-only value"
+    [ ( "lib",
+        "Probe",
+        `Intf "val v : int [@@silkroad.allow \"surface.unused-export: the test is its subject\"]" );
+      ("test", "Test_probe", `Impl "let () = assert (Probe.v = 0)") ];
+  let r, _ =
+    surface
+      [ ("lib", "Probe", `Intf "val v : int [@@silkroad.allow \"surface.unused-export: subject\"]");
+        ("test", "Test_probe", `Impl "let () = assert (Probe.v = 0)") ]
+  in
+  check Alcotest.int "allowed counted" 1 r.Analysis.Surface.allowed
+
+(* A tree whose executables were built without typed trees (dune build
+   @all) must fail, not pass with everything they use reported unused. *)
+let surface_missing_trees () =
+  let root = Filename.temp_dir "surface" "" in
+  let write rel text =
+    let path = Filename.concat root rel in
+    if not (Sys.file_exists (Filename.dirname path)) then Sys.mkdir (Filename.dirname path) 0o755;
+    Out_channel.with_open_text path (fun oc -> output_string oc text)
+  in
+  write "lib/meter.mli" "val mark : int -> int\n";
+  write "bin/main.ml" "let () = print_int (Meter.mark 1)\n";
+  let r = Analysis.Surface.analyze_root ~root in
+  List.iter (fun f -> Sys.remove (Filename.concat root f)) [ "lib/meter.mli"; "bin/main.ml" ];
+  List.iter (fun d -> Sys.rmdir (Filename.concat root d)) [ "lib"; "bin"; "" ];
+  check Alcotest.(list string) "no typed trees is an error" [ "surface.no-cmt" ]
+    (List.map (fun (d : Analysis.Diag.t) -> d.Analysis.Diag.rule) r.Analysis.Surface.diags);
+  check Alcotest.int "and counts as one" 1 (Analysis.Diag.errors r.Analysis.Surface.diags)
+
 (* ---------- network-wide mode ---------- *)
 
 let network_default_places_all () =
@@ -281,6 +388,12 @@ let suites =
         tc "locations" `Quick source_fixture_locations;
         tc "negatives stay clean" `Quick source_negatives_clean;
         tc "shipped tree lints clean" `Quick shipped_tree_clean;
+      ] );
+    ( "analysis.surface",
+      [
+        tc "seeded fixtures caught" `Quick surface_fixtures_caught;
+        tc "negatives stay clean" `Quick surface_negatives_clean;
+        tc "missing typed trees" `Quick surface_missing_trees;
       ] );
     ( "analysis.network",
       [
