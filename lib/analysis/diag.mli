@@ -26,9 +26,6 @@ type t = {
 val v : ?loc:location -> ?hint:string -> rule:string -> severity:severity -> string -> t
 (** [v ~rule ~severity message] builds a diagnostic. *)
 
-val severity_name : severity -> string
-(** ["error"] / ["warning"] / ["info"]. *)
-
 val compare : t -> t -> int
 (** Deterministic order: location (file, line, col; located before
     unlocated), then rule, then message. *)
@@ -45,8 +42,6 @@ val pp : Format.formatter -> t -> unit
 val pp_list : Format.formatter -> t list -> unit
 (** Sorted diagnostics followed by a [N error(s), M warning(s)]
     summary line. *)
-
-val to_json : t -> Telemetry.Json.t
 
 val list_to_json : t list -> Telemetry.Json.t
 (** [{ "diagnostics": [...], "errors": n, "warnings": m }] with the

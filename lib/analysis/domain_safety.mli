@@ -43,13 +43,6 @@
     [[@@@silkroad.allow "domain.shared-mutable"]] (file-wide; checked on
     both the defining and the accessing compilation unit). *)
 
-val default_roots : string list
-(** The Domain entry points: ["Harness.Replay.Stepper"],
-    ["Control.Session"], ["Silkroad.Switch.process_flow"],
-    ["Silkroad.Switch.process_batch"]. A binding is a root when its
-    fully qualified name equals a root or extends it by [.]-components
-    (so a module prefix roots every binding under it). *)
-
 type result = {
   diags : Diag.t list;
   bindings : int;  (** module-level bindings analyzed *)

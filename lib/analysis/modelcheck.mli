@@ -58,12 +58,6 @@ val default_scopes : scope list
     alias patterns reach no branch [plain] does not: no SYN ever
     alias-hits the TransitTable in the [Dual] phase (DESIGN.md §9). *)
 
-val verify_config :
-  ?use_transit:bool -> cpu_rate:float -> learn_timeout:float -> unit -> Silkroad.Config.t
-(** The sized-down switch configuration every checked switch runs
-    under: 6-bit digests and a 4-byte TransitTable so collisions and
-    aliases are dense enough to search for. *)
-
 (** {2 Mutations} *)
 
 type mutation =
@@ -141,10 +135,6 @@ val replay_on_switch : counterexample -> Harness.Replay.result
 (** Replay trace + controls through {!Harness.Replay.run} ([Scalar])
     against real {!Silkroad.Switch}es built from [ce_cfg]. For a PCC
     counterexample the expectation is [violations = ce_violations]. *)
-
-val model_vip : Netcore.Endpoint.t
-val model_dips : unit -> Netcore.Endpoint.t array
-(** The fixed single-VIP world every scope runs in. *)
 
 (** {2 Reports} *)
 

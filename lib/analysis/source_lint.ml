@@ -1,13 +1,5 @@
 open Parsetree
 
-let rules =
-  [ ("det.wall-clock", "wall-clock read outside the allowlisted clock module");
-    ("det.self-init", "self-seeded PRNG");
-    ("det.poly-hash", "polymorphic Hashtbl.hash");
-    ("det.poly-compare", "polymorphic compare/(=) passed as a value");
-    ("det.hashtbl-order", "Hashtbl iteration order escaping into formatted output");
-    ("src.parse", "file does not parse") ]
-
 let loc_of (l : Location.t) =
   let p = l.Location.loc_start in
   { Diag.file = p.Lexing.pos_fname; line = p.Lexing.pos_lnum; col = p.Lexing.pos_cnum - p.Lexing.pos_bol }

@@ -33,14 +33,9 @@
     [[@@@silkroad.allow "det.wall-clock"]] (file-wide; the attribute
     is in the [silkroad.] namespace so the compiler ignores it). *)
 
-val rules : (string * string) list
-(** [(rule id, one-line description)] for [--help] style listings. *)
-
 val lint_string : ?file:string -> string -> Diag.t list
 (** Lint source text. [file] (default ["<string>"]) is used in
     locations. A syntax error yields a single [src.parse] error. *)
-
-val lint_file : string -> Diag.t list
 
 val lint_dirs : string list -> Diag.t list
 (** Lint every [.ml] under the given directories (recursively,

@@ -25,8 +25,6 @@ let create ?(seed = 0x710f) ?metrics ~bits ~hashes () =
   }
 
 let bits t = t.nbits
-let hashes t = t.hashes
-
 let index t i key = Netcore.Hashing.to_range (Netcore.Hashing.apply t.family i key) t.nbits
 
 let add t key =
@@ -58,13 +56,3 @@ let population t = t.population
 let fill_ratio t = float_of_int t.population /. float_of_int t.nbits
 
 let false_positive_probability t = fill_ratio t ** float_of_int t.hashes
-
-let index_bits t =
-  (* bits needed to address nbits cells *)
-  let rec go acc n = if n <= 1 then acc else go (acc + 1) ((n + 1) / 2) in
-  go 0 t.nbits
-
-let resources t =
-  Resources.add
-    (Register_array.resources t.regs)
-    (Resources.make ~hash_bits:(t.hashes * index_bits t) ())

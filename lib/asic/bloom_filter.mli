@@ -20,7 +20,6 @@ val create : ?seed:int -> ?metrics:Telemetry.Registry.t -> bits:int -> hashes:in
     counters and a [bloom.fill_ratio] gauge. *)
 
 val bits : t -> int
-val hashes : t -> int
 
 val add : t -> int64 -> unit
 val mem : t -> int64 -> bool
@@ -29,12 +28,7 @@ val clear : t -> unit
 val population : t -> int
 (** Number of set bits. *)
 
-val fill_ratio : t -> float
-
 val false_positive_probability : t -> float
 (** Probability that a fresh uniformly-hashed key would falsely hit,
     given the current fill ratio: [fill_ratio ^ hashes]. *)
 
-val resources : t -> Resources.t
-(** Underlying register-array footprint plus the hash bits consumed by
-    the multi-way addressing. *)

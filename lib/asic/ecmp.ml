@@ -2,8 +2,6 @@ let select members h =
   assert (Array.length members > 0);
   members.(Netcore.Hashing.to_range h (Array.length members))
 
-let select_index n h = Netcore.Hashing.to_range h n
-
 type 'a resilient = {
   slots : 'a array;
   members : 'a array;
@@ -18,8 +16,6 @@ let resilient ?(slots_per_member = 64) members =
 let resilient_slots t = Array.length t.slots
 let resilient_slot t i = t.slots.(i)
 let resilient_select t h = resilient_slot t (Netcore.Hashing.to_range h (resilient_slots t))
-
-let resilient_members t = t.members
 
 let resilient_remove ~equal t m =
   let survivors = Array.of_list (List.filter (fun x -> not (equal x m)) (Array.to_list t.members)) in

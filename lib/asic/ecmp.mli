@@ -14,10 +14,6 @@ val select : 'a array -> int64 -> 'a
 (** [select members h] picks the member indexed by [h mod n]. The array
     must be non-empty. *)
 
-val select_index : int -> int64 -> int
-(** [select_index n h] is just the index selection, for callers that
-    keep members elsewhere. *)
-
 type 'a resilient
 (** A resilient-hashing group: a slot table of fixed size, each slot
     owned by a member; membership changes only reassign the slots of the
@@ -35,8 +31,6 @@ val resilient_slots : 'a resilient -> int
 val resilient_slot : 'a resilient -> int -> 'a
 (** Owner of one slot, for callers that derive the slot index from a
     hash themselves (e.g. {!Netcore.Five_tuple.range}). *)
-
-val resilient_members : 'a resilient -> 'a array
 
 val resilient_remove : equal:('a -> 'a -> bool) -> 'a resilient -> 'a -> 'a resilient
 (** Remove a member: its slots are redistributed round-robin over the

@@ -31,8 +31,6 @@ let create ?metrics ~capacity ~timeout () =
   }
 
 let capacity t = t.capacity
-let timeout t = t.timeout
-
 let pending t = t.len
 let dropped t = t.dropped
 

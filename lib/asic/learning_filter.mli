@@ -26,7 +26,6 @@ val create :
     [learning.pending] gauge. *)
 
 val capacity : _ t -> int
-val timeout : _ t -> float
 
 val offer : 'm t -> now:float -> Netcore.Five_tuple.t -> 'm -> [ `Accepted | `Duplicate | `Dropped ]
 (** Record an event. [`Duplicate] when the key is already pending

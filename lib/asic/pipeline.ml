@@ -289,13 +289,6 @@ let allocate chip items =
 
 let is_feasible r = r.failure = None
 
-let stage_utilization r ~stage =
-  if stage < 0 || stage >= Array.length r.per_stage then
-    invalid_arg "Pipeline.stage_utilization: no such stage";
-  let budget = { r.chip.stage_budget with Resources.phv_bits = r.chip.chip_phv_bits } in
-  let used = { r.per_stage.(stage) with Resources.phv_bits = r.phv_used } in
-  Resources.relative_to ~base:budget used
-
 let pp_failure ppf f =
   match f.failed_class with
   | Some Phv ->

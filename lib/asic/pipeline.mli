@@ -24,8 +24,6 @@ type resource_class =
   | Salu
   | Phv
 
-val class_name : resource_class -> string
-
 type chip = {
   chip_name : string;
   n_stages : int;
@@ -108,10 +106,6 @@ val allocate : chip -> item list -> report
     overflows a stage budget. *)
 
 val is_feasible : report -> bool
-
-val stage_utilization : report -> stage:int -> Resources.percentages
-(** Usage of stage [stage] (baseline share included) relative to the
-    per-stage budget, percentage per class. *)
 
 val pp_failure : Format.formatter -> failure -> unit
 val pp_report : Format.formatter -> report -> unit

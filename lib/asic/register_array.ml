@@ -11,10 +11,7 @@ let create ?(name = "registers") ~width_bits ~size () =
   assert (size > 0);
   { name; width_bits; mask = (1 lsl width_bits) - 1; cells = Array.make size 0; ops = 0 }
 
-let name t = t.name
 let size t = Array.length t.cells
-let width_bits t = t.width_bits
-
 let read t i =
   t.ops <- t.ops + 1;
   t.cells.(i)
@@ -31,8 +28,4 @@ let read_modify_write t i f =
 
 let clear t = Array.fill t.cells 0 (Array.length t.cells) 0
 
-let ops t = t.ops
-
 let sram_bits t = size t * t.width_bits
-
-let resources t = Resources.make ~sram_bits:(sram_bits t) ~stateful_alus:1 ()

@@ -14,10 +14,6 @@ val create : ?name:string -> width_bits:int -> size:int -> unit -> t
 (** [create ~width_bits ~size ()] allocates [size] registers of
     [width_bits] bits each, all zero. [1 <= width_bits <= 62]. *)
 
-val name : t -> string
-val size : t -> int
-val width_bits : t -> int
-
 val read : t -> int -> int
 val write : t -> int -> int -> unit
 
@@ -28,11 +24,5 @@ val read_modify_write : t -> int -> (int -> int) -> int
 
 val clear : t -> unit
 
-val ops : t -> int
-(** Number of read/write operations performed (for instrumentation). *)
-
 val sram_bits : t -> int
 (** Memory footprint of the array. *)
-
-val resources : t -> Resources.t
-(** Pipeline resources: its SRAM plus one stateful ALU. *)

@@ -16,7 +16,6 @@ type t = {
   phv_bits : int;
 }
 
-val zero : t
 val add : t -> t -> t
 val sum : t list -> t
 

@@ -1,6 +1,4 @@
 let word_bits = 112
-let block_words = 1024
-
 let entries_per_word ~entry_bits =
   assert (entry_bits > 0);
   if entry_bits >= word_bits then 1 else word_bits / entry_bits

@@ -9,10 +9,6 @@
 val word_bits : int
 (** Width of one SRAM word: 112 bits. *)
 
-val block_words : int
-(** Words per SRAM block (the allocation granularity of the pipeline):
-    1024. *)
-
 val entries_per_word : entry_bits:int -> int
 (** How many entries of [entry_bits] bits pack into one word (at least
     one entry is assumed to fit; wider entries span multiple words). *)

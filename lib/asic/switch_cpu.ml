@@ -21,8 +21,6 @@ let create ?metrics ~insertions_per_sec () =
     h_queue_delay = Telemetry.Registry.histogram reg "switch_cpu.queue_delay";
   }
 
-let insertions_per_sec t = t.rate
-
 let submit t ~now ~work_items =
   assert (work_items >= 0);
   let start = Float.max now t.busy_until in
@@ -36,6 +34,4 @@ let submit t ~now ~work_items =
   Telemetry.Registry.Gauge.set t.g_backlog (finish -. now);
   finish
 
-let busy_until t = t.busy_until
 let total_items t = t.total_items
-let queue_delay t = t.h_queue_delay

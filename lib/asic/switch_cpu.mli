@@ -19,17 +19,10 @@ val create : ?metrics:Telemetry.Registry.t -> insertions_per_sec:float -> unit -
     [switch_cpu.queue_delay] histogram of per-batch sojourn times
     (backlog wait + service). A private registry is used when omitted. *)
 
-val insertions_per_sec : t -> float
-
 val submit : t -> now:float -> work_items:int -> float
 (** Schedule [work_items] units of work; returns the absolute completion
     time. Work is served FIFO, so the completion time is monotone in
     submission order. *)
 
-val busy_until : t -> float
-(** Time at which all currently-queued work completes. *)
-
 val total_items : t -> int
 
-val queue_delay : t -> Telemetry.Histogram.t
-(** The sojourn-time histogram (same object the registry snapshots). *)

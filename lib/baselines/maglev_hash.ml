@@ -68,8 +68,6 @@ let create ?metrics ?(table_size = 65537) backends =
 let lookup t h = t.table.(Netcore.Hashing.to_range h (Array.length t.table))
 
 let table_size t = Array.length t.table
-let backends t = t.backends
-
 let entries_of t b =
   Array.fold_left (fun acc x -> if Netcore.Endpoint.equal x b then acc + 1 else acc) 0 t.table
 

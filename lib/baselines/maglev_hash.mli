@@ -20,7 +20,6 @@ val lookup : t -> int64 -> Netcore.Endpoint.t
 (** Select a backend from a packet hash. *)
 
 val table_size : t -> int
-val backends : t -> Netcore.Endpoint.t list
 
 val entries_of : t -> Netcore.Endpoint.t -> int
 (** Number of table slots owned by the backend (for load-spread tests). *)

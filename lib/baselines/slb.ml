@@ -23,8 +23,6 @@ type state = {
   mutable last_refill : float;
 }
 
-let added_latency = 50e-6
-
 let over_capacity state ~now =
   if state.capacity_pps = infinity then false
   else begin

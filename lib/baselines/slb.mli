@@ -30,6 +30,3 @@ val create :
     per-VIP isolation, so an overloaded VIP's traffic starves every VIP
     on the instance (§2.2). *)
 
-val added_latency : float
-(** Representative per-packet latency the SLB adds, in seconds (50 µs,
-    the optimistic end of the paper's 50 µs – 1 ms range). *)

@@ -33,9 +33,6 @@ let create ~scenario ~seed ~vips ~horizon () =
     c_vip_migrations = Telemetry.Registry.counter reg "chaos.vip_migrations";
   }
 
-let scenario t = t.compiled.Engine.scenario
-let seed t = t.compiled.Engine.seed
-let compiled t = t.compiled
 let events t = t.compiled.Engine.events
 let metrics t = t.metrics
 

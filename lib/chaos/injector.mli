@@ -29,9 +29,6 @@ val create :
   unit ->
   t
 
-val scenario : t -> Scenario.t
-val seed : t -> int
-val compiled : t -> Engine.t
 val events : t -> Engine.event list
 val metrics : t -> Telemetry.Registry.t
 
@@ -42,4 +39,3 @@ val attribute_violation : t -> now:float -> unit
 (** Account one PCC violation observed at [now], attributed via
     {!Engine.active_fault}. *)
 
-val active_fault : t -> now:float -> string option

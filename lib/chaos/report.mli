@@ -38,7 +38,6 @@ val build :
   telemetry:Telemetry.Snapshot.t ->
   t
 
-val to_json_value : t -> Telemetry.Json.t
 val to_json : t -> string
 (** Pretty-printed; ends with a newline. *)
 

@@ -265,6 +265,3 @@ let parse_response s =
   match status with
   | `Ok -> Ok { rseq; body = Ok payload }
   | `Err -> Ok { rseq; body = Error payload }
-
-let pp_line fmt l = Format.pp_print_string fmt (render l)
-let pp_response fmt r = Format.pp_print_string fmt (render_response r)

@@ -59,7 +59,6 @@ type response = {
   body : (string, string) result;  (** [Ok payload] or [Error message] *)
 }
 
-val equal_command : command -> command -> bool
 val equal_line : line -> line -> bool
 val equal_response : response -> response -> bool
 
@@ -90,5 +89,3 @@ val parse_response : string -> (response, string) result
     off a CRLF socket client, so its whole trailing-whitespace run is
     stripped before parsing. *)
 
-val pp_line : Format.formatter -> line -> unit
-val pp_response : Format.formatter -> response -> unit

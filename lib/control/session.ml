@@ -89,7 +89,6 @@ let create ?(cfg = Silkroad.Config.default) ?(shards = 1) ?(vips = []) ?trace ()
   t
 
 let now t = t.now
-let horizon t = t.trace_horizon
 let drained t = t.phase <> Running
 let closed t = t.phase = Closed
 let switches t = Array.map Stepper.switch t.steppers

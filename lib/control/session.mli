@@ -62,7 +62,6 @@ val exec_line : t -> string -> Protocol.response option
     responses (and count as [control.errors]) without touching state. *)
 
 val now : t -> float
-val horizon : t -> float
 val drained : t -> bool
 val closed : t -> bool
 

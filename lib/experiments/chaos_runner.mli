@@ -30,8 +30,4 @@ val balancer_names : string list
     budget (so CPU stalls surface as overload), Duet migrates back every
     60 s (so repair-time remapping is observable inside the horizon). *)
 
-val make_balancer :
-  string -> seed:int -> vips:(Netcore.Endpoint.t * Lb.Dip_pool.t) list -> Lb.Balancer.t
-(** Raises [Invalid_argument] on an unknown name. *)
-
 val run : spec -> balancer:string -> Harness.Driver.result * Chaos.Report.t

@@ -14,8 +14,6 @@ let vip i = Netcore.Endpoint.v4 20 0 0 (1 + (i mod 250)) 80
 let dip i =
   Netcore.Endpoint.v4 10 0 (1 + (i / 250)) (1 + (i mod 250)) 20
 
-let dip_pool ~n = Lb.Dip_pool.of_list (List.init n dip)
-
 type scenario = {
   flows : Simnet.Flow.t list;
   updates : (float * Netcore.Endpoint.t * Lb.Balancer.update) list;

@@ -16,9 +16,6 @@ val vip : int -> Netcore.Endpoint.t
 val dip : int -> Netcore.Endpoint.t
 (** The i-th experiment DIP (10.0.x.y:20). *)
 
-val dip_pool : n:int -> Lb.Dip_pool.t
-(** A pool of the first [n] DIPs. *)
-
 type scenario = {
   flows : Simnet.Flow.t list;
   updates : (float * Netcore.Endpoint.t * Lb.Balancer.update) list;

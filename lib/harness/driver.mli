@@ -47,8 +47,6 @@ type result = {
     milliseconds through the switch CPU slow path. *)
 
 val asic_latency : float
-val slb_latency : Simnet.Dist.t
-val cpu_latency : Simnet.Dist.t
 
 val run :
   ?early_offsets:float list ->

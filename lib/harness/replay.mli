@@ -169,10 +169,6 @@ module Stepper : sig
   val make_shared : trace:Packed_trace.t -> shards:int -> shared
   val horizon : shared -> float
 
-  val first_dip : shared -> Netcore.Endpoint.t array
-  (** Flow-indexed first judged DIP ({!Silkroad.Switch.no_dip}, compared
-      with [==], when dropped or never sent). *)
-
   type t
 
   val create : shared -> shard:int -> batched:bool -> Silkroad.Switch.t -> t

@@ -14,11 +14,3 @@ let time f =
   let x = f () in
   let dt = elapsed () -. t0 in
   (x, dt)
-
-let time_metric ?metrics ~name f =
-  let x, dt = time f in
-  (match metrics with
-   | Some registry ->
-     Telemetry.Registry.Gauge.set (Telemetry.Registry.gauge registry name) dt
-   | None -> ());
-  (x, dt)

@@ -17,13 +17,6 @@ type verdict =
   | Violation  (** inconsistent or dropped — a PCC violation *)
   | Excluded  (** connection pinned to a removed DIP: not judged *)
 
-val judge : t -> flow_id:int -> dip:Netcore.Endpoint.t option -> verdict
-(** Record one forwarded packet of the flow and report the verdict, so a
-    caller (e.g. the chaos harness) can attribute each violation to
-    whatever fault was active when it happened. [dip = None] (drop) on a
-    judged connection is a violation; on a first packet it both registers
-    and breaks the connection. *)
-
 val on_packet : t -> flow_id:int -> dip:Netcore.Endpoint.t option -> unit
 (** [judge] with the verdict ignored. *)
 

@@ -18,7 +18,6 @@ type t = private {
 }
 
 val make : src:Endpoint.t -> dst:Endpoint.t -> proto:Protocol.t -> t
-val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val hash : seed:int -> t -> int64

@@ -13,26 +13,6 @@ let[@inline] seeded ~seed x =
   let key = Int64.mul (Int64.of_int (seed + 1)) 0x9e3779b97f4a7c15L in
   mix64 (Int64.logxor (mix64 key) x)
 
-let fold_bytes acc b =
-  let len = Bytes.length b in
-  let rec go acc off =
-    if off >= len then acc
-    else if len - off >= 8 then
-      go (mix64 (Int64.logxor acc (Bytes.get_int64_be b off))) (off + 8)
-    else
-      (* Tail bytes: widen one at a time. *)
-      let rec tail acc off =
-        if off >= len then mix64 acc
-        else
-          tail
-            (Int64.logxor (Int64.shift_left acc 8)
-               (Int64.of_int (Char.code (Bytes.get b off))))
-            (off + 1)
-      in
-      tail acc off
-  in
-  go acc 0
-
 let[@inline] to_range h n =
   assert (n > 0);
   (* Keep 62 bits so the value fits OCaml's native positive int range. *)

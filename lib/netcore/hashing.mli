@@ -17,9 +17,6 @@ val seeded : seed:int -> int64 -> int64
 (** [seeded ~seed x] applies a seed-keyed mix: functions with different
     seeds behave as independent hash functions. *)
 
-val fold_bytes : int64 -> Bytes.t -> int64
-(** Fold a byte string into an accumulator, 8 bytes at a time. *)
-
 val to_range : int64 -> int -> int
 (** [to_range h n] maps a hash value uniformly onto [0, n). [n] must be
     positive. *)

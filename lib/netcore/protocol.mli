@@ -4,7 +4,6 @@ type t =
   | Tcp
   | Udp
 
-val equal : t -> t -> bool
 val compare : t -> t -> int
 val to_byte : t -> int
 (** IANA protocol number: 6 for TCP, 17 for UDP. *)

@@ -9,11 +9,6 @@
     Routing is a pure function of (topology seed, link state, VIP
     placement, 5-tuple): same inputs, same path, on every run. *)
 
-val pick : Topology.t -> layer:int -> Netcore.Five_tuple.t -> Topology.node option
-(** The layer's live node with the highest rendezvous score for this
-    flow; [None] when the whole layer is down. Ties (astronomically
-    rare) break towards the lowest node id. *)
-
 val path : Topology.t -> vip:Netcore.Endpoint.t -> Netcore.Five_tuple.t -> Topology.node list
 (** The hop sequence from the entry (top) layer down to the layer
     terminating [vip], one node per layer. Stops early when a transit

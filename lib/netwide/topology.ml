@@ -101,9 +101,6 @@ let set_up t ~node_id up =
     invalid_arg "Netwide.Topology.set_up: bad node id";
   t.nodes.(node_id).up <- up
 
-let live t ~layer =
-  Array.to_list t.layer_nodes.(layer) |> List.filter (fun n -> n.up)
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
   Array.iteri

@@ -33,14 +33,6 @@ type t = {
   vips : (Netcore.Endpoint.t * Lb.Dip_pool.t) list;
 }
 
-val demands_of_vips :
-  ?conn_bits:int ->
-  ?traffic_gbps:float ->
-  (Netcore.Endpoint.t * Lb.Dip_pool.t) list ->
-  Silkroad.Assignment.vip_demand list
-(** Uniform demand records for concrete VIPs (default: a "mouse" VIP,
-    50 K connections at ~40 ConnTable bits each, 1.5 Gbps). *)
-
 val build :
   ?check:[ `Fail | `Warn | `Off ] ->
   ?sram_warn:float ->
@@ -82,8 +74,5 @@ val move_vip : t -> Netcore.Endpoint.t -> string -> unit
 
 val set_up : t -> node_id:int -> bool -> unit
 (** Mark a switch up/down. Down switches are skipped by {!Route}. *)
-
-val live : t -> layer:int -> node list
-(** Live nodes of a layer, member order. *)
 
 val pp : Format.formatter -> t -> unit

@@ -41,11 +41,4 @@ val power_and_cost : unit -> comparison
 (** Paper constants, exposed for tests and reports. *)
 
 val slb_mpps : float
-val slb_gbps : float
-val slb_watts : float
-val slb_usd : float
 val silkroad_gpps : float
-val silkroad_tbps : float
-val silkroad_connections : int
-val silkroad_watts : float
-val silkroad_usd : float

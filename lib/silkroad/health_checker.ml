@@ -56,7 +56,5 @@ let is_marked_down t dip =
   | Some st -> st.marked_down
   | None -> false
 
-let probes_sent t = t.probes_sent
-
 let probe_bandwidth_bps ~dips ~interval ~probe_bytes =
   float_of_int (dips * probe_bytes * 8) /. interval

@@ -34,7 +34,6 @@ val advance : t -> now:float -> (Netcore.Endpoint.t * [ `Down | `Up ]) list
     into [Dip_add]. *)
 
 val is_marked_down : t -> Netcore.Endpoint.t -> bool
-val probes_sent : t -> int
 
 val probe_bandwidth_bps : dips:int -> interval:float -> probe_bytes:int -> float
 (** Probe traffic this checker injects. *)

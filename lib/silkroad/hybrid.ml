@@ -74,8 +74,6 @@ let create ?metrics ?(cfg = Config.default) ?(overflow_threshold = 0.95) ?(slb_v
     g_slb_conns = Telemetry.Registry.gauge reg "hybrid.slb_connections";
   }
 
-let switch t = t.sw
-
 let soft_forward t pkt =
   let outcome = soft_process t.slb pkt in
   (match outcome.Lb.Balancer.dip with

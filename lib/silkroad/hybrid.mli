@@ -31,7 +31,6 @@ val create :
     to the SLB outright. *)
 
 val balancer : t -> Lb.Balancer.t
-val switch : t -> Switch.t
 
 val spilled_connections : t -> int
 (** Connections redirected to the SLB by the overflow rule. *)

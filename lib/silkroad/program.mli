@@ -10,17 +10,9 @@
     below, derived once from the paper's implied totals and kept
     frozen — so changes to our model show up as drift from Table 2). *)
 
-val silkroad_tables : connections:int -> vips:int -> Asic.Table_spec.t list
-(** The match-action tables SilkRoad adds, sized for the given scale
-    (IPv6 keys, 16-bit digests, 6-bit versions, 64 versions/VIP
-    provisioned in DIPPoolTable). *)
-
 val additional_resources : connections:int -> vips:int -> Asic.Resources.t
 (** Table resources plus the TransitTable register array / stateful
     ALUs and the metadata PHV bits. *)
-
-val baseline_switch_p4 : Asic.Resources.t
-(** The frozen baseline [switch.p4] resource vector. *)
 
 val table2 : connections:int -> vips:int -> Asic.Resources.percentages
 (** Additional usage as percentages of the baseline — Table 2's rows. *)
@@ -40,11 +32,6 @@ val chip : unit -> Asic.Pipeline.chip
 val pipeline_items : connections:int -> vips:int -> Asic.Pipeline.item list
 (** Items at the frozen §6 operating constants (16-bit digest, 6-bit
     versions) — the Table 2 path. *)
-
-val tables_of_config : ?vips:int -> Config.t -> Asic.Table_spec.t list
-(** [silkroad_tables] geometry driven by an actual configuration
-    (digest/version widths, ConnTable capacity, provisioned versions).
-    [vips] defaults to 1024. *)
 
 val items_of_config : ?vips:int -> Config.t -> Asic.Pipeline.item list
 

@@ -213,8 +213,6 @@ let create ?metrics ?(check = `Warn) cfg =
     g_tracked_flows = Telemetry.Registry.gauge reg "switch.tracked_flows";
   }
 
-let config t = t.cfg
-
 let add_vip t vip pool =
   match Dip_pool_table.add_vip t.pools vip pool with
   | Ok (pools, version) -> ignore (Vip_table.add t.vips vip pools ~version)

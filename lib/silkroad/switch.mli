@@ -47,8 +47,6 @@ val create :
     infeasible resource class and proceeds (the software model can still
     simulate what hardware could not hold), [`Off] skips the check. *)
 
-val config : t -> Config.t
-
 val metrics : t -> Telemetry.Registry.t
 (** The switch's registry: [switch.*] counters mirroring {!stats},
     [lb.packets] / [lb.dropped_packets], per-VIP labeled counters

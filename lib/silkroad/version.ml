@@ -14,11 +14,8 @@ let create ~bits =
   done;
   { bits; free; allocated = Array.make n false; exhaustions = 0 }
 
-let bits t = t.bits
 let capacity t = 1 lsl t.bits
 let free_count t = Queue.length t.free
-let allocated_count t = capacity t - free_count t
-
 let allocate t =
   match Queue.take_opt t.free with
   | Some v ->

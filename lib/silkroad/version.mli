@@ -12,10 +12,8 @@ type t
 val create : bits:int -> t
 (** All 2^bits version numbers free. *)
 
-val bits : t -> int
 val capacity : t -> int
 val free_count : t -> int
-val allocated_count : t -> int
 
 val allocate : t -> (int, [ `Exhausted ]) result
 (** Take the next free version number from the ring buffer. *)

@@ -128,11 +128,6 @@ let population ?(n = 96) ~rng () =
   in
   mk Pop per 0 @ mk Frontend per 0 @ mk Backend (n - (2 * per)) 0
 
-let flow_duration = function
-  | Pop -> Dist.lognormal_of_quantiles ~median:8. ~p99:90.
-  | Frontend -> Dist.lognormal_of_quantiles ~median:600. ~p99:7200.
-  | Backend -> Dist.lognormal_of_quantiles ~median:60. ~p99:3600.
-
 let pp ppf t =
   Format.fprintf ppf
     "%s: tors=%d vips=%d dips/vip=%d conns/tor(p99)=%.2e new/vip-min(med)=%.2e upd/min(p99)=%.1f"

@@ -45,6 +45,3 @@ val population : ?n:int -> rng:Prng.t -> unit -> t list
 (** A study population (default 96 clusters: 1/3 of each class, echoing
     "about a hundred clusters"). *)
 
-val flow_duration : cluster_class -> Dist.t
-(** Flow durations per class: user-facing PoP connections are short;
-    Frontends hold persistent connections; Backends mix both. *)

@@ -8,10 +8,6 @@ let mean t = t.mean
 
 let constant v = { sample = (fun _ -> v); mean = Some v }
 
-let uniform ~lo ~hi =
-  assert (hi >= lo);
-  { sample = (fun rng -> lo +. Prng.float rng (hi -. lo)); mean = Some ((lo +. hi) /. 2.) }
-
 let exponential ~mean =
   { sample = (fun rng -> Prng.exponential rng ~mean); mean = Some mean }
 
@@ -70,13 +66,3 @@ let scaled d f =
 let truncated d ~lo ~hi =
   assert (hi >= lo);
   { sample = (fun rng -> Float.min hi (Float.max lo (d.sample rng))); mean = None }
-
-let empirical values =
-  assert (values <> []);
-  let total = List.fold_left (fun acc (_, w) -> acc +. w) 0. values in
-  assert (total > 0.);
-  let mean = List.fold_left (fun acc (v, w) -> acc +. (v *. w /. total)) 0. values in
-  {
-    sample = (fun rng -> Prng.choose_weighted rng values);
-    mean = Some mean;
-  }

@@ -13,11 +13,7 @@ val mean : t -> float option
 (** Analytic mean when known in closed form. *)
 
 val constant : float -> t
-val uniform : lo:float -> hi:float -> t
 val exponential : mean:float -> t
-
-val lognormal : mu:float -> sigma:float -> t
-(** exp(N(mu, sigma²)). *)
 
 val lognormal_of_quantiles : median:float -> p99:float -> t
 (** The lognormal hitting the given median and 99th percentile — the
@@ -36,6 +32,3 @@ val scaled : t -> float -> t
 val truncated : t -> lo:float -> hi:float -> t
 (** Clamps samples into [lo, hi]. The analytic mean is dropped. *)
 
-val empirical : (float * float) list -> t
-(** [empirical [(v1, w1); ...]] draws [vi] with probability proportional
-    to [wi]. *)

@@ -19,13 +19,6 @@ let percentile xs p =
 let median xs = percentile xs 50.
 let p99 xs = percentile xs 99.
 
-(* List-free counterparts on streaming histograms: constant memory, so
-   the harness can use them at any packet count. The list versions above
-   stay exact and are fine for small inputs. *)
-let percentile_of_histogram h p =
-  if p < 0. || p > 100. then invalid_arg "Stats.percentile_of_histogram";
-  Telemetry.Histogram.quantile h (p /. 100.)
-
 let median_of_histogram h = Telemetry.Histogram.median h
 let p99_of_histogram h = Telemetry.Histogram.p99 h
 
@@ -38,12 +31,6 @@ let cdf xs ~points =
         let below = List.length (List.filter (fun x -> x <= point) xs) in
         (point, float_of_int below /. n))
     points
-
-let cdf_curve xs =
-  let arr = Array.of_list xs in
-  Array.sort Float.compare arr;
-  let n = float_of_int (Array.length arr) in
-  Array.to_list (Array.mapi (fun i v -> (v, float_of_int (i + 1) /. n)) arr)
 
 let ccdf_at xs threshold =
   if xs = [] then 0.

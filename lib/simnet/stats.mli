@@ -19,21 +19,12 @@ val p99 : float list -> float
     exact for small inputs. Accuracy is the histogram's bucket width
     (under 6% relative with {!Telemetry.Histogram.default_spec}). *)
 
-val percentile_of_histogram : Telemetry.Histogram.t -> float -> float
-(** [percentile_of_histogram h p] with [p] in [0, 100]. Returns [0.] on
-    an empty histogram; raises [Invalid_argument] on a [p] out of
-    range. *)
-
 val median_of_histogram : Telemetry.Histogram.t -> float
 val p99_of_histogram : Telemetry.Histogram.t -> float
 
 val cdf : float list -> points:float list -> (float * float) list
 (** [cdf xs ~points] evaluates the empirical CDF of [xs] at each point:
     fraction of samples <= point. *)
-
-val cdf_curve : float list -> (float * float) list
-(** The full empirical CDF as (value, cumulative fraction) steps, sorted
-    ascending. *)
 
 val ccdf_at : float list -> float -> float
 (** Fraction of samples strictly greater than the threshold ("Y% of

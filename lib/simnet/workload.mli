@@ -27,9 +27,6 @@ val hadoop_durations : Dist.t
 val cache_durations : Dist.t
 (** Lognormal with 270 s (4.5 min) median. *)
 
-val default_rate : Dist.t
-(** Per-flow throughput distribution, ~100 KB/s median. *)
-
 val profile :
   ?duration:Dist.t ->
   ?bytes_per_sec:Dist.t ->

@@ -62,7 +62,6 @@ let observe t v =
 
 let count t = t.count
 let sum t = t.sum
-let mean t = if t.count = 0 then 0. else t.sum /. float_of_int t.count
 let min_value t = if t.count = 0 then 0. else t.min_v
 let max_value t = if t.count = 0 then 0. else t.max_v
 
@@ -128,14 +127,5 @@ let merge a b =
   let fresh = copy a in
   merge_into ~into:fresh b;
   fresh
-
-let reset t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
-  t.underflow <- 0;
-  t.overflow <- 0;
-  t.count <- 0;
-  t.sum <- 0.;
-  t.min_v <- 0.;
-  t.max_v <- 0.
 
 let memory_words t = Obj.reachable_words (Obj.repr t)

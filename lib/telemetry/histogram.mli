@@ -21,10 +21,6 @@ type spec = {
   buckets_per_decade : int;
 }
 
-val default_spec : spec
-(** [1e-9] to [1e4] (covers nanoseconds to hours when values are
-    seconds) at 40 buckets per decade: 520 buckets, ~5.9% bucket width. *)
-
 val create : ?spec:spec -> unit -> t
 
 val spec : t -> spec
@@ -38,9 +34,6 @@ val observe : t -> float -> unit
 
 val count : t -> int
 val sum : t -> float
-
-val mean : t -> float
-(** 0 when empty. *)
 
 val min_value : t -> float
 (** Smallest observed value; 0 when empty. *)
@@ -63,9 +56,6 @@ val merge_into : into:t -> t -> unit
 
 val merge : t -> t -> t
 (** Fresh histogram holding the union. *)
-
-val copy : t -> t
-val reset : t -> unit
 
 val memory_words : t -> int
 (** Heap words reachable from the histogram — a test hook proving the

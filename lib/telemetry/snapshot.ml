@@ -43,9 +43,6 @@ let find t ?(labels = []) name =
 let counter t ?labels name =
   match find t ?labels name with Some { value = Counter c; _ } -> Some c | _ -> None
 
-let gauge t ?labels name =
-  match find t ?labels name with Some { value = Gauge g; _ } -> Some g | _ -> None
-
 let histogram t ?labels name =
   match find t ?labels name with Some { value = Histogram s; _ } -> Some s | _ -> None
 

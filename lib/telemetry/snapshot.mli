@@ -38,7 +38,6 @@ val find : t -> ?labels:(string * string) list -> string -> item option
     metric. *)
 
 val counter : t -> ?labels:(string * string) list -> string -> int option
-val gauge : t -> ?labels:(string * string) list -> string -> float option
 val histogram : t -> ?labels:(string * string) list -> string -> summary option
 
 val equal : t -> t -> bool

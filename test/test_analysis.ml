@@ -213,7 +213,11 @@ let surface units =
   ( r,
     List.map
       (fun (d : Analysis.Diag.t) ->
-        (Analysis.Diag.severity_name d.Analysis.Diag.severity, d.Analysis.Diag.message))
+        ( (match d.Analysis.Diag.severity with
+           | Analysis.Diag.Error -> "error"
+           | Analysis.Diag.Warning -> "warning"
+           | Analysis.Diag.Info -> "info"),
+          d.Analysis.Diag.message ))
       r.Analysis.Surface.diags )
 
 let meter_intf =
