@@ -33,12 +33,6 @@ val compare : t -> t -> int
 val errors : t list -> int
 (** Count of [Error]-level findings. *)
 
-val warnings : t list -> int
-
-val pp : Format.formatter -> t -> unit
-(** [file:line:col: severity[rule]: message], with the hint on an
-    indented [hint:] line when present. *)
-
 val pp_list : Format.formatter -> t list -> unit
 (** Sorted diagnostics followed by a [N error(s), M warning(s)]
     summary line. *)

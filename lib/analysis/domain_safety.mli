@@ -54,6 +54,7 @@ type result = {
 }
 
 val analyze_impls : ?roots:string list -> (string * string) list -> result
+[@@silkroad.allow "surface.unused-export: the race analysis's fixtures in test_verify are its subject"]
 (** [analyze_impls [(unit_name, source); ...]] typechecks each source
     text in-process (against the standard library only — fixtures;
     cross-module tests use nested modules inside one unit) and analyzes

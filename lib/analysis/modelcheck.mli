@@ -53,6 +53,7 @@ type scope = {
 }
 
 val default_scopes : scope list
+[@@silkroad.allow "surface.unused-export: test_verify exhausts the CI scopes one at a time"]
 (** The CI scope: at least 3 updates x 4 packets, all four
     collision/alias patterns, three timing regimes. With two flows the
     alias patterns reach no branch [plain] does not: no SYN ever
@@ -76,6 +77,7 @@ type mutation =
           connections still use it — must trip the recycle property *)
 
 val mutations : mutation list
+[@@silkroad.allow "surface.unused-export: test_verify checks that every mutation is hunted and killed"]
 val mutation_name : mutation -> string
 
 (** {2 Events and counterexamples} *)
@@ -111,19 +113,23 @@ type outcome = {
 }
 
 val check_scope : ?mutation:mutation -> scope -> outcome
+[@@silkroad.allow "surface.unused-export: test_verify exhausts single scopes; the program runs them all through run_verify"]
 (** Exhaust one scope. Without [?mutation], shipped semantics: the
     expectation is [oc_violating = 0], [oc_recycled = 0] and
     [oc_forced = 0] (the scope's regimes keep all delays under
     {!Silkroad.Switch.barrier_deadline}). *)
 
 val mutation_scope : mutation -> scope
+[@@silkroad.allow "surface.unused-export: test_verify hunts each mutation in its own scope"]
 (** The scope a mutation is hunted in (e.g. {!Barrier_force_release}
     needs a stretched grid and a pathologically slow CPU). *)
 
 (** {2 Realizing counterexamples} *)
 
 val ce_trace : counterexample -> Harness.Packed_trace.t
+[@@silkroad.allow "surface.unused-export: test_verify replays each counterexample through serve and Replay"]
 val ce_controls : counterexample -> (float * Harness.Replay.control) list
+[@@silkroad.allow "surface.unused-export: test_verify replays each counterexample through serve and Replay"]
 
 val ce_script : counterexample -> string
 (** A serve-mode protocol script ({!Control.Protocol} lines, [#]
@@ -132,6 +138,7 @@ val ce_script : counterexample -> string
     [ce_trace] and the config from [ce_cfg]. *)
 
 val replay_on_switch : counterexample -> Harness.Replay.result
+[@@silkroad.allow "surface.unused-export: test_verify checks each counterexample reproduces on the switch"]
 (** Replay trace + controls through {!Harness.Replay.run} ([Scalar])
     against real {!Silkroad.Switch}es built from [ce_cfg]. For a PCC
     counterexample the expectation is [violations = ce_violations]. *)

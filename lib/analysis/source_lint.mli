@@ -34,6 +34,7 @@
     is in the [silkroad.] namespace so the compiler ignores it). *)
 
 val lint_string : ?file:string -> string -> Diag.t list
+[@@silkroad.allow "surface.unused-export: the determinism lint's fixtures in test_analysis are its subject"]
 (** Lint source text. [file] (default ["<string>"]) is used in
     locations. A syntax error yields a single [src.parse] error. *)
 

@@ -29,6 +29,7 @@ val population : t -> int
 (** Number of set bits. *)
 
 val false_positive_probability : t -> float
+[@@silkroad.allow "surface.unused-export: the analytic rate test_asic compares the measured false-positive rate with"]
 (** Probability that a fresh uniformly-hashed key would falsely hit,
     given the current fill ratio: [fill_ratio ^ hashes]. *)
 

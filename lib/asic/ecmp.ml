@@ -33,21 +33,3 @@ let resilient_remove ~equal t m =
       t.slots
   in
   { slots; members = survivors }
-
-let resilient_add t m =
-  let members = Array.append t.members [| m |] in
-  let n_members = Array.length members in
-  let share = Array.length t.slots / n_members in
-  (* Deterministically steal every (n_members)-th slot until the new
-     member owns an even share. *)
-  let slots = Array.copy t.slots in
-  let stolen = ref 0 in
-  let i = ref 0 in
-  while !stolen < share && !i < Array.length slots do
-    if !i mod n_members = 0 then begin
-      slots.(!i) <- m;
-      incr stolen
-    end;
-    incr i
-  done;
-  { slots; members }

@@ -35,7 +35,3 @@ val resilient_slot : 'a resilient -> int -> 'a
 val resilient_remove : equal:('a -> 'a -> bool) -> 'a resilient -> 'a -> 'a resilient
 (** Remove a member: its slots are redistributed round-robin over the
     survivors; all other slots keep their owner. *)
-
-val resilient_add : 'a resilient -> 'a -> 'a resilient
-(** Add a member: it steals an even share of slots (deterministically)
-    from existing members; unaffected slots keep their owner. *)

@@ -7,7 +7,6 @@ type 'm t = {
   mutable payloads : 'm array;
   mutable times : float array;
   mutable len : int;
-  mutable dropped : int;
   c_offered : Telemetry.Registry.Counter.t;
   c_dropped : Telemetry.Registry.Counter.t;
   g_pending : Telemetry.Registry.Gauge.t;
@@ -24,7 +23,6 @@ let create ?metrics ~capacity ~timeout () =
     payloads = [||];
     times = [||];
     len = 0;
-    dropped = 0;
     c_offered = Telemetry.Registry.counter reg "learning.offered";
     c_dropped = Telemetry.Registry.counter reg "learning.dropped";
     g_pending = Telemetry.Registry.gauge reg "learning.pending";
@@ -32,7 +30,6 @@ let create ?metrics ~capacity ~timeout () =
 
 let capacity t = t.capacity
 let pending t = t.len
-let dropped t = t.dropped
 
 (* [Array.append] doubles the payloads: an [Array.make] too big for the
    minor heap whose filler is young forces a minor collection first *)
@@ -52,7 +49,6 @@ let offer t ~now k m =
   Telemetry.Registry.Counter.incr t.c_offered;
   if Netcore.Five_tuple.Tbl.mem t.keys k then `Duplicate
   else if t.len >= t.capacity then begin
-    t.dropped <- t.dropped + 1;
     Telemetry.Registry.Counter.incr t.c_dropped;
     `Dropped
   end
@@ -62,8 +58,6 @@ let offer t ~now k m =
     Telemetry.Registry.Gauge.set_int t.g_pending t.len;
     `Accepted
   end
-
-let ready t ~now = t.len >= t.capacity || (t.len > 0 && now -. t.times.(0) >= t.timeout)
 
 let next_deadline t = if t.len = 0 then None else Some (t.times.(0) +. t.timeout)
 

@@ -33,12 +33,7 @@ val offer : 'm t -> now:float -> Netcore.Five_tuple.t -> 'm -> [ `Accepted | `Du
     the connection will be re-learned by a later packet. *)
 
 val pending : _ t -> int
-val dropped : _ t -> int
 (** Total events dropped because the filter was full. *)
-
-val ready : _ t -> now:float -> bool
-(** True when the CPU should drain: filter full, or the oldest pending
-    event has waited at least [timeout]. *)
 
 val next_deadline : _ t -> float option
 (** Absolute time at which the timeout of the oldest event fires, if any

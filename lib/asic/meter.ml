@@ -3,41 +3,30 @@ type color =
   | Yellow
   | Red
 
+(* Every field is a float, so OCaml stores the record flat and [mark]
+   updates the buckets in place without boxing. *)
 type t = {
   cir : float;
-  cbs : int;
+  cbs : float;
   eir : float;
-  ebs : int;
+  ebs : float;
   mutable tc : float;  (** committed bucket tokens (bytes) *)
   mutable te : float;  (** excess bucket tokens (bytes) *)
   mutable last : float;
-  mutable green : int;
-  mutable yellow : int;
-  mutable red : int;
 }
 
 let create ~cir ~cbs ~eir ~ebs =
   assert (cir >= 0. && eir >= 0.);
   assert (cbs >= 0 && ebs >= 0);
-  {
-    cir;
-    cbs;
-    eir;
-    ebs;
-    tc = float_of_int cbs;
-    te = float_of_int ebs;
-    last = 0.;
-    green = 0;
-    yellow = 0;
-    red = 0;
-  }
+  let cbs = float_of_int cbs and ebs = float_of_int ebs in
+  { cir; cbs; eir; ebs; tc = cbs; te = ebs; last = 0. }
 
 let refill t ~now =
   let dt = now -. t.last in
   assert (dt >= -1e-9);
   let dt = Float.max dt 0. in
-  t.tc <- Float.min (float_of_int t.cbs) (t.tc +. (t.cir *. dt));
-  t.te <- Float.min (float_of_int t.ebs) (t.te +. (t.eir *. dt));
+  t.tc <- Float.min t.cbs (t.tc +. (t.cir *. dt));
+  t.te <- Float.min t.ebs (t.te +. (t.eir *. dt));
   t.last <- now
 
 let mark t ~now ~bytes =
@@ -46,20 +35,10 @@ let mark t ~now ~bytes =
   let b = float_of_int bytes in
   if t.tc >= b then begin
     t.tc <- t.tc -. b;
-    t.green <- t.green + bytes;
     Green
   end
   else if t.te >= b then begin
     t.te <- t.te -. b;
-    t.yellow <- t.yellow + bytes;
     Yellow
   end
-  else begin
-    t.red <- t.red + bytes;
-    Red
-  end
-
-let marked t = function Green -> t.green | Yellow -> t.yellow | Red -> t.red
-
-let pp_color ppf c =
-  Format.pp_print_string ppf (match c with Green -> "green" | Yellow -> "yellow" | Red -> "red")
+  else Red

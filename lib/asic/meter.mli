@@ -19,8 +19,3 @@ val create : cir:float -> cbs:int -> eir:float -> ebs:int -> t
 val mark : t -> now:float -> bytes:int -> color
 (** Mark (and account) a packet of [bytes] arriving at [now]. Seconds
     may not go backwards between calls. *)
-
-val marked : t -> color -> int
-(** Total bytes marked with the given color so far. *)
-
-val pp_color : Format.formatter -> color -> unit

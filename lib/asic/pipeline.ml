@@ -287,8 +287,6 @@ let allocate chip items =
     failure = !failure;
   }
 
-let is_feasible r = r.failure = None
-
 let pp_failure ppf f =
   match f.failed_class with
   | Some Phv ->

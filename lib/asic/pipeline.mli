@@ -105,7 +105,5 @@ val allocate : chip -> item list -> report
     on an unknown or forward [after] reference, or if the baseline alone
     overflows a stage budget. *)
 
-val is_feasible : report -> bool
-
 val pp_failure : Format.formatter -> failure -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -11,7 +11,6 @@ let create ?(name = "registers") ~width_bits ~size () =
   assert (size > 0);
   { name; width_bits; mask = (1 lsl width_bits) - 1; cells = Array.make size 0; ops = 0 }
 
-let size t = Array.length t.cells
 let read t i =
   t.ops <- t.ops + 1;
   t.cells.(i)
@@ -20,12 +19,4 @@ let write t i v =
   t.ops <- t.ops + 1;
   t.cells.(i) <- v land t.mask
 
-let read_modify_write t i f =
-  t.ops <- t.ops + 1;
-  let v = f t.cells.(i) land t.mask in
-  t.cells.(i) <- v;
-  v
-
 let clear t = Array.fill t.cells 0 (Array.length t.cells) 0
-
-let sram_bits t = size t * t.width_bits

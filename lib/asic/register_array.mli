@@ -17,12 +17,4 @@ val create : ?name:string -> width_bits:int -> size:int -> unit -> t
 val read : t -> int -> int
 val write : t -> int -> int -> unit
 
-val read_modify_write : t -> int -> (int -> int) -> int
-(** Atomic update; returns the value after modification. This is the
-    one-cycle transactional primitive: there is no window between the
-    read and the write. *)
-
 val clear : t -> unit
-
-val sram_bits : t -> int
-(** Memory footprint of the array. *)

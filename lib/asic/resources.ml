@@ -60,14 +60,3 @@ let relative_to ~base t =
     p_stateful_alus = pct t.stateful_alus base.stateful_alus;
     p_phv = pct t.phv_bits base.phv_bits;
   }
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>crossbar: %d bits@,sram: %d bits@,tcam: %d bits@,vliw: %d@,hash: %d bits@,salu: %d@,phv: %d bits@]"
-    t.match_crossbar_bits t.sram_bits t.tcam_bits t.vliw_actions t.hash_bits t.stateful_alus
-    t.phv_bits
-
-let pp_percentages ppf p =
-  Format.fprintf ppf
-    "@[<v>Match Crossbar: %.2f%%@,SRAM: %.2f%%@,TCAM: %.2f%%@,VLIW Actions: %.2f%%@,Hash Bits: %.2f%%@,Stateful ALUs: %.2f%%@,Packet Header Vector: %.2f%%@]"
-    p.p_match_crossbar p.p_sram p.p_tcam p.p_vliw p.p_hash_bits p.p_stateful_alus p.p_phv

@@ -16,7 +16,6 @@ type t = {
   phv_bits : int;
 }
 
-val add : t -> t -> t
 val sum : t list -> t
 
 val make :
@@ -45,6 +44,3 @@ val relative_to : base:t -> t -> percentages
     [base], field by field (Table 2's "additional usage normalized by
     the baseline switch.p4"). A zero base field with non-zero extra
     yields [infinity]; zero over zero yields [0.]. *)
-
-val pp : Format.formatter -> t -> unit
-val pp_percentages : Format.formatter -> percentages -> unit

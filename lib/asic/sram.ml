@@ -15,5 +15,4 @@ let words_for_entries ~entry_bits ~entries =
 
 let bits_for_entries ~entry_bits ~entries = words_for_entries ~entry_bits ~entries * word_bits
 
-let bytes_of_bits bits = (bits + 7) / 8
 let mib_of_bits bits = float_of_int bits /. 8. /. 1024. /. 1024.

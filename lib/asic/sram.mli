@@ -6,20 +6,8 @@
     word). This module centralises all the bit/word/byte arithmetic the
     memory model depends on. *)
 
-val word_bits : int
-(** Width of one SRAM word: 112 bits. *)
-
-val entries_per_word : entry_bits:int -> int
-(** How many entries of [entry_bits] bits pack into one word (at least
-    one entry is assumed to fit; wider entries span multiple words). *)
-
-val words_for_entries : entry_bits:int -> entries:int -> int
-(** Words needed to store [entries] entries with word packing. For
-    entries wider than a word this rounds the per-entry word count up. *)
-
 val bits_for_entries : entry_bits:int -> entries:int -> int
 (** Total SRAM bits consumed, including the packing waste. *)
 
-val bytes_of_bits : int -> int
 val mib_of_bits : int -> float
 (** Bits to binary megabytes (the unit Table 1 and Figures 12/14 use). *)

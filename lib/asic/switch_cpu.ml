@@ -1,7 +1,6 @@
 type t = {
   rate : float;
   mutable busy_until : float;
-  mutable total_items : int;
   c_items : Telemetry.Registry.Counter.t;
   c_batches : Telemetry.Registry.Counter.t;
   g_backlog : Telemetry.Registry.Gauge.t;
@@ -14,7 +13,6 @@ let create ?metrics ~insertions_per_sec () =
   {
     rate = insertions_per_sec;
     busy_until = 0.;
-    total_items = 0;
     c_items = Telemetry.Registry.counter reg "switch_cpu.work_items";
     c_batches = Telemetry.Registry.counter reg "switch_cpu.batches";
     g_backlog = Telemetry.Registry.gauge reg "switch_cpu.backlog_seconds";
@@ -26,12 +24,9 @@ let submit t ~now ~work_items =
   let start = Float.max now t.busy_until in
   let finish = start +. (float_of_int work_items /. t.rate) in
   t.busy_until <- finish;
-  t.total_items <- t.total_items + work_items;
   Telemetry.Registry.Counter.add t.c_items work_items;
   Telemetry.Registry.Counter.incr t.c_batches;
   (* sojourn time of this batch: backlog wait plus its own service *)
   Telemetry.Histogram.observe t.h_queue_delay (finish -. now);
   Telemetry.Registry.Gauge.set t.g_backlog (finish -. now);
   finish
-
-let total_items t = t.total_items

@@ -23,6 +23,3 @@ val submit : t -> now:float -> work_items:int -> float
 (** Schedule [work_items] units of work; returns the absolute completion
     time. Work is served FIFO, so the completion time is monotone in
     submission order. *)
-
-val total_items : t -> int
-

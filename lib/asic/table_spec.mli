@@ -38,11 +38,4 @@ val make :
     the full key); [overhead_bits] defaults to 6 — "an instruction
     address and a next table address" (§6 footnote 5). *)
 
-val entry_bits : t -> int
-(** Bits one entry occupies in SRAM: stored key + action data +
-    overhead. *)
-
-val sram_bits : t -> int
-(** Word-packed footprint of the full table. *)
-
 val resources : t -> Resources.t

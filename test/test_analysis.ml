@@ -18,14 +18,14 @@ let tiny ?(n_stages = 2) ?(phv = 64) ?(baseline = R.make ()) () =
         ~stateful_alus:1 ();
     chip_phv_bits = phv; baseline }
 
-let rule_of report =
-  match report.P.failure with
-  | None -> "feasible"
-  | Some f -> Analysis.Feasibility.rule_of_failure f
+(* the rule of the first finding; a feasible report has none *)
+let rule_of (ds : Analysis.Diag.t list) =
+  match ds with [] -> "feasible" | d :: _ -> d.Analysis.Diag.rule
 
 let expect_rule name items rule =
   let r, ds = Analysis.Feasibility.check_items (tiny ()) items in
-  check Alcotest.string (name ^ " rule") rule (rule_of r);
+  check Alcotest.bool (name ^ " infeasible") true (r.P.failure <> None);
+  check Alcotest.string (name ^ " rule") rule (rule_of ds);
   check Alcotest.int (name ^ " is an error") 1 (Analysis.Diag.errors ds)
 
 let overbudget_per_class () =
@@ -48,7 +48,7 @@ let divisible_spreads_and_exhausts () =
   (* 1.5 stages worth of SRAM spreads fine when divisible... *)
   let spread = [ P.item ~divisible:true ~name:"cuckoo" (R.make ~sram_bits:1536 ()) ] in
   let r, _ = Analysis.Feasibility.check_items (tiny ()) spread in
-  check Alcotest.bool "1.5-stage table placed" true (P.is_feasible r);
+  check Alcotest.bool "1.5-stage table placed" true (r.P.failure = None);
   (match r.P.placements with
    | [ p ] ->
      check Alcotest.int "starts at stage 0" 0 p.P.first_stage;
@@ -57,7 +57,7 @@ let divisible_spreads_and_exhausts () =
   (* ...but the whole chip's SRAM is still a ceiling *)
   let too_big = [ P.item ~divisible:true ~name:"cuckoo" (R.make ~sram_bits:4096 ()) ] in
   let r, ds = Analysis.Feasibility.check_items (tiny ()) too_big in
-  check Alcotest.string "whole-chip sram rule" "pipe.sram" (rule_of r);
+  check Alcotest.string "whole-chip sram rule" "pipe.sram" (rule_of ds);
   (match r.P.failure with
    | Some f ->
      check Alcotest.bool "reported as a cross-stage total" true f.P.spread;
@@ -88,16 +88,16 @@ let items_sum_to_table2 () =
      are untouched by staging *)
   let r = P.allocate (Silkroad.Program.chip ()) items in
   check Alcotest.bool "allocator total unchanged" true (r.P.total_additional = old);
-  check Alcotest.bool "1M connections feasible" true (P.is_feasible r)
+  check Alcotest.bool "1M connections feasible" true (r.P.failure = None)
 
 let default_and_10m_feasible () =
   let r = Silkroad.Program.feasibility Silkroad.Config.default in
-  check Alcotest.bool "default feasible" true (P.is_feasible r);
+  check Alcotest.bool "default feasible" true (r.P.failure = None);
   let r10 =
     Silkroad.Program.feasibility (Silkroad.Config.sized_for ~connections:10_000_000)
   in
   (* §5.2: "up to 10M connections can fit in the on-chip SRAM" *)
-  check Alcotest.bool "10M feasible" true (P.is_feasible r10);
+  check Alcotest.bool "10M feasible" true (r10.P.failure = None);
   (* the big table really is spread across stages *)
   match
     List.find_opt
@@ -109,8 +109,8 @@ let default_and_10m_feasible () =
 
 let oversized_config_rejected () =
   let cfg = Silkroad.Config.sized_for ~connections:40_000_000 in
-  let r, ds = Analysis.Feasibility.check_config cfg in
-  check Alcotest.string "40M fails on SRAM" "pipe.sram" (rule_of r);
+  let _, ds = Analysis.Feasibility.check_config cfg in
+  check Alcotest.string "40M fails on SRAM" "pipe.sram" (rule_of ds);
   check Alcotest.int "one error" 1 (Analysis.Diag.errors ds);
   let d = List.hd ds in
   (match d.Analysis.Diag.hint with
@@ -122,8 +122,8 @@ let oversized_config_rejected () =
 
 let salu_config_rejected () =
   let cfg = { Silkroad.Config.default with Silkroad.Config.transit_hashes = 8 } in
-  let r, _ = Analysis.Feasibility.check_config cfg in
-  check Alcotest.string "8 Bloom banks fail on stateful ALUs" "pipe.salu" (rule_of r)
+  let _, ds = Analysis.Feasibility.check_config cfg in
+  check Alcotest.string "8 Bloom banks fail on stateful ALUs" "pipe.salu" (rule_of ds)
 
 let switch_create_check () =
   let bad = { Silkroad.Config.default with Silkroad.Config.transit_hashes = 8 } in
@@ -203,7 +203,7 @@ let shipped_tree_clean () =
   | Some root ->
     let ds = Analysis.Source_lint.lint_dirs (Analysis.Source_lint.default_dirs ~root) in
     let errs = List.filter (fun (d : Analysis.Diag.t) -> d.Analysis.Diag.severity = Analysis.Diag.Error) ds in
-    List.iter (fun d -> Format.eprintf "%a@." Analysis.Diag.pp d) errs;
+    Format.eprintf "%a@." Analysis.Diag.pp_list errs;
     check Alcotest.int "no determinism errors in lib/, bin/, test/, bench/" 0 (List.length errs)
 
 (* ---------- unused exported surface ---------- *)
@@ -326,7 +326,7 @@ let network_default_places_all () =
       ()
   in
   check Alcotest.int "no errors" 0 (Analysis.Diag.errors ds);
-  check Alcotest.int "no warnings" 0 (Analysis.Diag.warnings ds)
+  check Alcotest.int "no findings at all" 0 (List.length ds)
 
 let mb_bits m = int_of_float (m *. 8. *. 1024. *. 1024.)
 
@@ -358,7 +358,7 @@ let diag_render_and_json () =
       ~loc:{ Analysis.Diag.file = "a.ml"; line = 3; col = 4 }
       ~hint:"do the other thing" ~rule:"det.wall-clock" ~severity:Analysis.Diag.Error "bad"
   in
-  let text = Format.asprintf "@[<v>%a@]" Analysis.Diag.pp d in
+  let text = Format.asprintf "@[<v>%a@]" Analysis.Diag.pp_list [ d ] in
   check Alcotest.bool "text form" true
     (let re = Str.regexp_string "a.ml:3:4: error[det.wall-clock]: bad" in
      try ignore (Str.search_forward re text 0); true with Not_found -> false);

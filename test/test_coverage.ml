@@ -48,15 +48,10 @@ let printers_do_not_raise () =
       Format.asprintf "%a" Simnet.Flow.pp
         { Simnet.Flow.id = 1; tuple = flow; start = 0.; duration = 1.; bytes_per_sec = 1. };
       Format.asprintf "%a" Lb.Dip_pool.pp (Lb.Dip_pool.of_list [ vip ]);
-      Format.asprintf "%a" Asic.Meter.pp_color Asic.Meter.Yellow;
       Format.asprintf "%a" Simnet.Update_trace.pp_cause Simnet.Update_trace.Testing;
       Format.asprintf "%a" Simnet.Cluster.pp
         (Simnet.Cluster.sample ~rng:(Simnet.Prng.create ~seed:1) Simnet.Cluster.Pop 0);
-      Format.asprintf "%a" Asic.Resources.pp (Asic.Resources.make ~sram_bits:8 ());
-      Format.asprintf "%a" Asic.Resources.pp_percentages
-        (Asic.Resources.relative_to
-           ~base:(Asic.Resources.make ~sram_bits:16 ())
-           (Asic.Resources.make ~sram_bits:8 ())) ]
+ ]
   in
   List.iter (fun s -> check Alcotest.bool "non-empty" true (String.length s > 0)) strings
 

@@ -211,10 +211,8 @@ let races_shipped_tree_clean () =
     match r.Domain_safety.units with
     | 0 -> () (* no typed trees in this sandbox: nothing to analyze *)
     | _ ->
-      List.iter
-        (fun (d : Diag.t) ->
-          if d.Diag.severity = Diag.Error then Format.eprintf "%a@." Diag.pp d)
-        r.Domain_safety.diags;
+      Format.eprintf "%a@." Diag.pp_list
+        (List.filter (fun (d : Diag.t) -> d.Diag.severity = Diag.Error) r.Domain_safety.diags);
       check Alcotest.int "no shared-mutable errors in the shipped tree" 0
         r.Domain_safety.shared_mutable;
       (* the analysis actually saw the Domain entry points and walked a
