@@ -39,10 +39,3 @@ let replace t ~old_dip ~new_dip =
 let equal a b =
   Array.length a.members = Array.length b.members
   && Array.for_all2 Netcore.Endpoint.equal a.members b.members
-
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_array
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       Netcore.Endpoint.pp)
-    t.members

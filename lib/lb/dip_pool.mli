@@ -35,4 +35,3 @@ val replace : t -> old_dip:Netcore.Endpoint.t -> new_dip:Netcore.Endpoint.t -> t
     [new_dip] already present. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

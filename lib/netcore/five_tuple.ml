@@ -41,12 +41,7 @@ module Tbl = Hashtbl.Make (struct
   let hash t = Int64.to_int t.pre
 end)
 
-let key_bytes { src; dst; proto = _; pre = _ } =
-  Endpoint.size_bytes src + Endpoint.size_bytes dst + 1
-
 let is_v6 { dst = { ip; _ }; _ } = Ip.is_v6 ip
 
 let pp ppf { src; dst; proto; pre = _ } =
   Format.fprintf ppf "%a->%a/%a" Endpoint.pp src Endpoint.pp dst Protocol.pp proto
-
-let to_string t = Format.asprintf "%a" pp t

@@ -38,11 +38,6 @@ val bits : seed:int -> t -> int -> int
 module Tbl : Hashtbl.S with type key = t
 (** Tuple-keyed hashtable: hashes [pre], compares with {!equal}. *)
 
-val key_bytes : t -> int
-(** Match-key size if the full tuple were stored: 13 bytes for IPv4,
-    37 bytes for IPv6 (addresses + ports + protocol). *)
-
 val is_v6 : t -> bool
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

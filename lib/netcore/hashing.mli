@@ -22,6 +22,7 @@ val to_range : int64 -> int -> int
     positive. *)
 
 val truncate_bits : int64 -> int -> int
+[@@silkroad.allow "surface.unused-export: test_netcore pins Five_tuple.bits, the cached digest chain, against the plain truncation"]
 (** [truncate_bits h k] keeps the low [k] bits of [h] (the hardware
     "digest" extraction). [0 < k <= 30]. *)
 

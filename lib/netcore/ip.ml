@@ -11,8 +11,6 @@ let compare a b =
   | V4 _, V6 _ -> -1
   | V6 _, V4 _ -> 1
 
-let equal a b = compare a b = 0
-
 let[@inline] hash_fold acc = function
   | V4 x -> Hashing.mix64 (Int64.logxor acc (Int64.of_int32 x))
   | V6 (h, l) -> Hashing.mix64 (Int64.logxor (Hashing.mix64 (Int64.logxor acc h)) l)
@@ -39,8 +37,6 @@ let pp ppf = function
     in
     Format.fprintf ppf "%x:%x:%x:%x:%x:%x:%x:%x"
       (group 0) (group 1) (group 2) (group 3) (group 4) (group 5) (group 6) (group 7)
-
-let to_string t = Format.asprintf "%a" pp t
 
 let of_string s =
   let parse_v4 s =
@@ -102,14 +98,3 @@ let of_string s =
     | Str_split.Malformed -> None
   in
   if String.contains s ':' then parse_v6 s else parse_v4 s
-
-let to_bytes = function
-  | V4 x ->
-    let b = Bytes.create 4 in
-    Bytes.set_int32_be b 0 x;
-    b
-  | V6 (h, l) ->
-    let b = Bytes.create 16 in
-    Bytes.set_int64_be b 0 h;
-    Bytes.set_int64_be b 8 l;
-    b

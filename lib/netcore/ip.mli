@@ -10,7 +10,6 @@ type t =
   | V6 of int64 * int64  (** high 64 bits, low 64 bits *)
 
 val compare : t -> t -> int
-val equal : t -> t -> bool
 val hash_fold : int64 -> t -> int64
 (** [hash_fold acc t] folds the address bytes into a running 64-bit hash
     accumulator (see {!Hashing.mix64}). *)
@@ -27,11 +26,7 @@ val family_bytes : t -> int
 val is_v6 : t -> bool
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 val of_string : string -> t option
 (** Parses dotted-quad IPv4 ([a.b.c.d]) and full/abbreviated-free IPv6
     ([h:h:h:h:h:h:h:h], 8 hex groups; [::] abbreviation is supported). *)
-
-val to_bytes : t -> Bytes.t
-(** Network byte order representation, 4 or 16 bytes. *)

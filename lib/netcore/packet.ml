@@ -9,7 +9,6 @@ let make ?(flags = Tcp_flags.data) ?(payload_len = 0) flow =
   { flow; flags; payload_len }
 
 let syn flow = make ~flags:Tcp_flags.syn ~payload_len:0 flow
-let fin flow = make ~flags:Tcp_flags.fin ~payload_len:0 flow
 let data ?(payload_len = 1024) flow = make ~flags:Tcp_flags.data ~payload_len flow
 
 (* Wire size without a packet record in hand — the batched replay path
@@ -26,6 +25,3 @@ let wire_size { flow; flags = _; payload_len } = wire_size_of ~payload_len flow
 let rewrite_dst t dip =
   let { Five_tuple.src; proto; _ } = t.flow in
   { t with flow = Five_tuple.make ~src ~dst:dip ~proto }
-
-let pp ppf { flow; flags; payload_len } =
-  Format.fprintf ppf "%a [%a] %dB" Five_tuple.pp flow Tcp_flags.pp flags payload_len

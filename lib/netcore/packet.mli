@@ -14,7 +14,6 @@ val make : ?flags:Tcp_flags.t -> ?payload_len:int -> Five_tuple.t -> t
 val syn : Five_tuple.t -> t
 (** First packet of a TCP connection. *)
 
-val fin : Five_tuple.t -> t
 val data : ?payload_len:int -> Five_tuple.t -> t
 
 val wire_size : t -> int
@@ -26,7 +25,6 @@ val wire_size_of : payload_len:int -> Five_tuple.t -> int
     path meters flows it never boxes into [t]. *)
 
 val rewrite_dst : t -> Endpoint.t -> t
+[@@silkroad.allow "surface.unused-export: the balancer's destination NAT, which the simulation leaves implicit; test_netcore checks it rebuilds the tuple"]
 (** Destination NAT: the balancer forwards the packet with the VIP
     replaced by the chosen DIP. *)
-
-val pp : Format.formatter -> t -> unit

@@ -9,9 +9,7 @@ type t = {
 
 let none = { syn = false; ack = false; fin = false; rst = false; psh = false; urg = false }
 let syn = { none with syn = true }
-let syn_ack = { none with syn = true; ack = true }
 let fin = { none with fin = true; ack = true }
-let rst = { none with rst = true }
 let data = { none with ack = true; psh = true }
 
 let to_byte { syn; ack; fin; rst; psh; urg } =

@@ -12,13 +12,10 @@ type t = {
   urg : bool;
 }
 
-val none : t
 val syn : t
 (** A bare SYN — first packet of a connection. *)
 
-val syn_ack : t
 val fin : t
-val rst : t
 val data : t
 (** ACK+PSH — a mid-connection data segment. *)
 

@@ -127,9 +127,3 @@ let population ?(n = 96) ~rng () =
     List.init count (fun i -> sample ~rng cls (base + i))
   in
   mk Pop per 0 @ mk Frontend per 0 @ mk Backend (n - (2 * per)) 0
-
-let pp ppf t =
-  Format.fprintf ppf
-    "%s: tors=%d vips=%d dips/vip=%d conns/tor(p99)=%.2e new/vip-min(med)=%.2e upd/min(p99)=%.1f"
-    t.name t.n_tors t.n_vips t.dips_per_vip t.conns_per_tor_p99 t.new_conns_per_vip_min_median
-    t.updates_per_min_p99

@@ -35,13 +35,7 @@ type t = {
 }
 
 val class_name : cluster_class -> string
-val pp : Format.formatter -> t -> unit
-
-val sample : rng:Prng.t -> cluster_class -> int -> t
-(** [sample ~rng cls i] draws one cluster of the given class (index [i]
-    is only used for naming). *)
 
 val population : ?n:int -> rng:Prng.t -> unit -> t list
 (** A study population (default 96 clusters: 1/3 of each class, echoing
     "about a hundred clusters"). *)
-

@@ -10,10 +10,12 @@ type t
 
 val sample : t -> Prng.t -> float
 val mean : t -> float option
+[@@silkroad.allow "surface.unused-export: the analytic mean test_simnet checks sampling against"]
 (** Analytic mean when known in closed form. *)
 
 val constant : float -> t
 val exponential : mean:float -> t
+[@@silkroad.allow "surface.unused-export: a workload shape test_simnet checks against its analytic mean"]
 
 val lognormal_of_quantiles : median:float -> p99:float -> t
 (** The lognormal hitting the given median and 99th percentile — the
@@ -21,12 +23,15 @@ val lognormal_of_quantiles : median:float -> p99:float -> t
     shapes. Requires [0 < median < p99]. *)
 
 val pareto : shape:float -> scale:float -> t
+[@@silkroad.allow "surface.unused-export: a workload shape test_simnet checks against its analytic mean"]
 (** Heavy-tailed; [scale] is the minimum value. *)
 
 val mixture : (t * float) list -> t
+[@@silkroad.allow "surface.unused-export: a workload shape test_simnet checks against its analytic mean"]
 (** Weighted mixture. *)
 
 val scaled : t -> float -> t
+[@@silkroad.allow "surface.unused-export: a workload shape test_coverage checks against its analytic mean"]
 (** [scaled d f] samples [d] and multiplies by [f]. *)
 
 val truncated : t -> lo:float -> hi:float -> t

@@ -7,10 +7,3 @@ type t = {
 }
 
 let finish t = t.start +. t.duration
-let active_at t at = at >= t.start && at < finish t
-let bytes t = t.bytes_per_sec *. t.duration
-let vip t = t.tuple.Netcore.Five_tuple.dst
-
-let pp ppf t =
-  Format.fprintf ppf "flow#%d %a [%.3f,%.3f)" t.id Netcore.Five_tuple.pp t.tuple t.start
-    (finish t)

@@ -10,12 +10,3 @@ type t = {
 
 val finish : t -> float
 (** [start +. duration]. *)
-
-val active_at : t -> float -> bool
-(** Whether the flow is open at the given instant. *)
-
-val bytes : t -> float
-(** Total bytes the flow transfers over its lifetime. *)
-
-val vip : t -> Netcore.Endpoint.t
-val pp : Format.formatter -> t -> unit

@@ -14,7 +14,6 @@ val split : t -> t
 val copy : t -> t
 
 val int64 : t -> int64
-val bits30 : t -> int
 (** 30 uniform bits as a non-negative int. *)
 
 val int : t -> int -> int

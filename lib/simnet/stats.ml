@@ -1,7 +1,3 @@
-let mean = function
-  | [] -> 0.
-  | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
-
 let percentile xs p =
   if xs = [] then invalid_arg "Stats.percentile: empty list";
   assert (p >= 0. && p <= 100.);
@@ -21,16 +17,6 @@ let p99 xs = percentile xs 99.
 
 let median_of_histogram h = Telemetry.Histogram.median h
 let p99_of_histogram h = Telemetry.Histogram.p99 h
-
-let cdf xs ~points =
-  let n = float_of_int (List.length xs) in
-  List.map
-    (fun point ->
-      if xs = [] then (point, 0.)
-      else
-        let below = List.length (List.filter (fun x -> x <= point) xs) in
-        (point, float_of_int below /. n))
-    points
 
 let ccdf_at xs threshold =
   if xs = [] then 0.

@@ -3,9 +3,6 @@
     clusters or series over a swept parameter; this module produces those
     rows. *)
 
-val mean : float list -> float
-(** Arithmetic mean; 0 on the empty list. *)
-
 val percentile : float list -> float -> float
 (** [percentile xs p] with [p] in [0, 100], by linear interpolation
     between order statistics. Raises [Invalid_argument] on []. *)
@@ -22,13 +19,10 @@ val p99 : float list -> float
 val median_of_histogram : Telemetry.Histogram.t -> float
 val p99_of_histogram : Telemetry.Histogram.t -> float
 
-val cdf : float list -> points:float list -> (float * float) list
-(** [cdf xs ~points] evaluates the empirical CDF of [xs] at each point:
-    fraction of samples <= point. *)
-
 val ccdf_at : float list -> float -> float
 (** Fraction of samples strictly greater than the threshold ("Y% of
     clusters have more than X updates" — Figure 2's axis). *)
 
 val histogram : float list -> bins:(float * float) list -> (float * float * int) list
+[@@silkroad.allow "surface.unused-export: binning for figure tables; test_coverage is its subject"]
 (** Counts per [lo, hi) bin. *)

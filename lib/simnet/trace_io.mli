@@ -19,7 +19,9 @@
     flow trace by [silkroad_cli serve --script FILE --flows FILE]. *)
 
 val flow_to_line : Flow.t -> string
+[@@silkroad.allow "surface.unused-export: test_simnet round-trips single lines of the trace format"]
 val flow_of_line : string -> (Flow.t, string) result
+[@@silkroad.allow "surface.unused-export: test_simnet feeds the trace parser malformed and non-finite lines"]
 
 val save_flows : string -> Flow.t list -> unit
 (** Write a flow trace file (with a header comment). *)

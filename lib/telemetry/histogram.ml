@@ -117,15 +117,3 @@ let merge_into ~into src =
     into.overflow <- into.overflow + src.overflow;
     Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) src.counts
   end
-
-let copy t =
-  let fresh = create ~spec:t.sp () in
-  merge_into ~into:fresh t;
-  fresh
-
-let merge a b =
-  let fresh = copy a in
-  merge_into ~into:fresh b;
-  fresh
-
-let memory_words t = Obj.reachable_words (Obj.repr t)

@@ -41,6 +41,7 @@ val min_value : t -> float
 val max_value : t -> float
 
 val quantile : t -> float -> float
+[@@silkroad.allow "surface.unused-export: test_telemetry checks accuracy at arbitrary quantiles; the program reads the fixed median/p90/p99/p999 built on it"]
 (** [quantile t q] with [q] in [0, 1]: the estimated value below which a
     [q] fraction of observations fall, clamped to the observed
     [min]/[max]. 0 when empty. *)
@@ -53,10 +54,3 @@ val p999 : t -> float
 val merge_into : into:t -> t -> unit
 (** Add the right histogram's contents into [into]. Raises
     [Invalid_argument] when the specs differ. *)
-
-val merge : t -> t -> t
-(** Fresh histogram holding the union. *)
-
-val memory_words : t -> int
-(** Heap words reachable from the histogram — a test hook proving the
-    footprint does not grow with [count]. *)

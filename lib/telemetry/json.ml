@@ -230,5 +230,3 @@ let parse s =
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
-
-let equal (a : t) (b : t) = a = b

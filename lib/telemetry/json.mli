@@ -27,5 +27,3 @@ val parse : string -> (t, string) result
 
 val member : string -> t -> t option
 (** Field lookup in an [Obj]; [None] on other constructors. *)
-
-val equal : t -> t -> bool

@@ -81,9 +81,6 @@ let find t name labels = Hashtbl.find_opt t.entries (key name (sort_labels label
 let counter_value t ?(labels = []) name =
   match find t name labels with Some { metric = M_counter c; _ } -> !c | _ -> 0
 
-let gauge_value t ?(labels = []) name =
-  match find t name labels with Some { metric = M_gauge g; _ } -> g.Gauge.v | _ -> 0.
-
 let find_histogram t ?(labels = []) name =
   match find t name labels with Some { metric = M_histogram h; _ } -> Some h | _ -> None
 
@@ -121,4 +118,3 @@ let merge_all regs =
   into
 
 let to_json t = Snapshot.to_json (snapshot t)
-let to_csv t = Snapshot.to_csv (snapshot t)

@@ -48,9 +48,6 @@ val histogram : t -> ?labels:labels -> ?spec:Histogram.spec -> string -> Histogr
 val counter_value : t -> ?labels:labels -> string -> int
 (** 0 when absent. *)
 
-val gauge_value : t -> ?labels:labels -> string -> float
-(** 0 when absent. *)
-
 val find_histogram : t -> ?labels:labels -> string -> Histogram.t option
 
 val snapshot : t -> Snapshot.t
@@ -69,4 +66,3 @@ val merge_all : t list -> t
     snapshot. *)
 
 val to_json : t -> string
-val to_csv : t -> string

@@ -40,14 +40,6 @@ let find t ?(labels = []) name =
   let labels = sort_labels labels in
   List.find_opt (fun item -> String.equal item.name name && item.labels = labels) t
 
-let counter t ?labels name =
-  match find t ?labels name with Some { value = Counter c; _ } -> Some c | _ -> None
-
-let histogram t ?labels name =
-  match find t ?labels name with Some { value = Histogram s; _ } -> Some s | _ -> None
-
-let equal (a : t) (b : t) = a = b
-
 (* ----- JSON ----- *)
 
 let json_of_item item =

@@ -37,16 +37,12 @@ val find : t -> ?labels:(string * string) list -> string -> item option
 (** Label order is irrelevant; [?labels] defaults to the unlabeled
     metric. *)
 
-val counter : t -> ?labels:(string * string) list -> string -> int option
-val histogram : t -> ?labels:(string * string) list -> string -> summary option
-
-val equal : t -> t -> bool
-
 val to_json_value : t -> Json.t
 val to_json : t -> string
 (** Pretty-printed JSON array, one object per metric. *)
 
 val of_json : string -> (t, string) result
+[@@silkroad.allow "surface.unused-export: reads back the snapshot JSON the CLI writes; test_telemetry's round trip is its subject"]
 
 val to_csv : t -> string
 (** One [name,labels,kind,field,value] row per scalar, histogram

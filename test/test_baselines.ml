@@ -15,7 +15,7 @@ let flow i =
 
 let syn i = Netcore.Packet.syn (flow i)
 let data i = Netcore.Packet.data (flow i)
-let fin i = Netcore.Packet.fin (flow i)
+let fin i = Netcore.Packet.make ~flags:Netcore.Tcp_flags.fin ~payload_len:0 (flow i)
 
 (* ---------- Ecmp_lb ---------- *)
 

@@ -5,6 +5,12 @@
 let check = Alcotest.check
 let tc = Alcotest.test_case
 
+(* a snapshot's counter by name, [None] when absent *)
+let snapshot_counter snap name =
+  match Telemetry.Snapshot.find snap name with
+  | Some { Telemetry.Snapshot.value = Telemetry.Snapshot.Counter n; _ } -> Some n
+  | Some _ | None -> None
+
 let vips () = Experiments.Common.vips_of ~n_vips:2 ~dips_per_vip:8
 
 let scenario_exn name =
@@ -37,7 +43,7 @@ let event_key (e : Chaos.Engine.event) =
     | Chaos.Engine.Dip_died d -> "died:" ^ Netcore.Endpoint.to_string d
     | Chaos.Engine.Dip_recovered d -> "up:" ^ Netcore.Endpoint.to_string d
     | Chaos.Engine.Cpu_backlog n -> Printf.sprintf "cpu:%d" n
-    | Chaos.Engine.Syn_packet f -> "syn:" ^ Netcore.Five_tuple.to_string f
+    | Chaos.Engine.Syn_packet f -> "syn:" ^ Format.asprintf "%a" Netcore.Five_tuple.pp f
     | Chaos.Engine.Switch_failed r ->
       Printf.sprintf "switch-fail:%x:%f" r.Lb.Balancer.rr_salt r.Lb.Balancer.rr_fraction
     | Chaos.Engine.Switch_recovered r ->
@@ -215,12 +221,12 @@ let attribution_complete () =
     Alcotest.(option int)
     "total in telemetry"
     (Some report.Chaos.Report.violation_packets)
-    (Telemetry.Snapshot.counter result.Harness.Driver.telemetry "chaos.violations");
+    (snapshot_counter result.Harness.Driver.telemetry "chaos.violations");
   (* the chaos counters ride in the run's merged snapshot *)
   List.iter
     (fun name ->
       check Alcotest.bool (name ^ " present") true
-        (Option.is_some (Telemetry.Snapshot.counter result.Harness.Driver.telemetry name)))
+        (Option.is_some (snapshot_counter result.Harness.Driver.telemetry name)))
     [ "chaos.updates_delivered"; "chaos.dips_failed"; "chaos.dips_recovered" ];
   (* and the bulk of the blame lands on the injected fault *)
   let mass =
@@ -238,7 +244,7 @@ let quiet_scenario_clean () =
   let result, report = Experiments.Chaos_runner.run spec ~balancer:"silkroad" in
   check Alcotest.int "no broken connections" 0 report.Chaos.Report.broken_connections;
   check Alcotest.bool "background churn delivered" true
-    (match Telemetry.Snapshot.counter result.Harness.Driver.telemetry "chaos.updates_delivered" with
+    (match snapshot_counter result.Harness.Driver.telemetry "chaos.updates_delivered" with
      | Some n -> n > 0
      | None -> false)
 

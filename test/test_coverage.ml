@@ -34,24 +34,13 @@ let config_sizing () =
 
 let printers_do_not_raise () =
   let vip = Netcore.Endpoint.v4 20 0 0 1 80 in
-  let flow =
-    Netcore.Five_tuple.make ~src:(Netcore.Endpoint.v4 1 2 3 4 9) ~dst:vip
-      ~proto:Netcore.Protocol.Udp
-  in
   let strings =
     [ Format.asprintf "%a" Lb.Balancer.pp_location Lb.Balancer.Asic;
       Format.asprintf "%a" Lb.Balancer.pp_location Lb.Balancer.Slb;
       Format.asprintf "%a" Lb.Balancer.pp_update (Lb.Balancer.Dip_add vip);
       Format.asprintf "%a" Lb.Balancer.pp_update
         (Lb.Balancer.Dip_replace { old_dip = vip; new_dip = Netcore.Endpoint.v4 1 1 1 1 1 });
-      Format.asprintf "%a" Netcore.Packet.pp (Netcore.Packet.syn flow);
-      Format.asprintf "%a" Simnet.Flow.pp
-        { Simnet.Flow.id = 1; tuple = flow; start = 0.; duration = 1.; bytes_per_sec = 1. };
-      Format.asprintf "%a" Lb.Dip_pool.pp (Lb.Dip_pool.of_list [ vip ]);
-      Format.asprintf "%a" Simnet.Update_trace.pp_cause Simnet.Update_trace.Testing;
-      Format.asprintf "%a" Simnet.Cluster.pp
-        (Simnet.Cluster.sample ~rng:(Simnet.Prng.create ~seed:1) Simnet.Cluster.Pop 0);
- ]
+      Format.asprintf "%a" Simnet.Update_trace.pp_cause Simnet.Update_trace.Testing ]
   in
   List.iter (fun s -> check Alcotest.bool "non-empty" true (String.length s > 0)) strings
 

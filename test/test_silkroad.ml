@@ -668,7 +668,7 @@ let mk_switch ?(cfg = Silkroad.Config.default) ?(dips = [ 1; 2; 3; 4 ]) () =
 
 let syn i = Netcore.Packet.syn (flow i)
 let data i = Netcore.Packet.data (flow i)
-let fin i = Netcore.Packet.fin (flow i)
+let fin i = Netcore.Packet.make ~flags:Netcore.Tcp_flags.fin ~payload_len:0 (flow i)
 
 let switch_forwards () =
   let sw = mk_switch () in
@@ -1048,7 +1048,7 @@ let switch_udp_connections () =
      by idle timeout; PCC must hold across updates all the same *)
   let cfg = { Silkroad.Config.default with Silkroad.Config.idle_timeout = 2. } in
   let sw = mk_switch ~cfg ~dips:[ 1; 2; 3; 4; 5; 6; 7; 8 ] () in
-  let pkt i = Netcore.Packet.make ~flags:Netcore.Tcp_flags.none ~payload_len:256 (udp_flow i) in
+  let pkt i = Netcore.Packet.make ~flags:(Netcore.Tcp_flags.of_byte 0) ~payload_len:256 (udp_flow i) in
   let before =
     List.init 40 (fun i -> (i, (Silkroad.Switch.process sw ~now:0. (pkt i)).Lb.Balancer.dip))
   in
@@ -1177,7 +1177,7 @@ let run_sw_cmd sw now cmd =
   match cmd with
   | Syn i -> pkt Netcore.Packet.syn i
   | Data i -> pkt Netcore.Packet.data i
-  | Fin i -> pkt Netcore.Packet.fin i
+  | Fin i -> pkt (Netcore.Packet.make ~flags:Netcore.Tcp_flags.fin ~payload_len:0) i
   | Wait dt ->
     now := !now +. dt;
     Silkroad.Switch.advance sw ~now:!now
