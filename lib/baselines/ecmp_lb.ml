@@ -52,5 +52,3 @@ let create_with ?metrics ~seed vips =
     (* stateless: no slow path to stall *)
     disturb = (fun ~now:_ _ -> ());
   }
-
-let create ?metrics ~seed () = create_with ?metrics ~seed []

@@ -6,10 +6,6 @@
     PCC is violated for roughly [(n-1)/n] of the flows whose hash moves.
     Used as the lower bound in the PCC experiments. *)
 
-val create : ?metrics:Telemetry.Registry.t -> seed:int -> unit -> Lb.Balancer.t
-(** An empty balancer; VIPs are created implicitly by the first update
-    ([Dip_add]) targeting them. *)
-
 val create_with :
   ?metrics:Telemetry.Registry.t ->
   seed:int ->

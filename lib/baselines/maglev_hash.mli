@@ -20,10 +20,13 @@ val lookup : t -> int64 -> Netcore.Endpoint.t
 (** Select a backend from a packet hash. *)
 
 val table_size : t -> int
+[@@silkroad.allow "surface.unused-export: test_baselines checks Maglev's balance across the lookup table"]
 
 val entries_of : t -> Netcore.Endpoint.t -> int
+[@@silkroad.allow "surface.unused-export: test_baselines checks Maglev's balance across the lookup table"]
 (** Number of table slots owned by the backend (for load-spread tests). *)
 
 val disruption : t -> t -> float
+[@@silkroad.allow "surface.unused-export: test_baselines checks Maglev's minimal disruption on a backend removal"]
 (** Fraction of table slots whose owner differs between two tables —
     the fraction of stateless flows a membership change would remap. *)

@@ -39,6 +39,7 @@ val build :
   t
 
 val to_json : t -> string
+[@@silkroad.allow "surface.unused-export: test_chaos checks the bytes save writes are identical across runs"]
 (** Pretty-printed; ends with a newline. *)
 
 val save : string -> t -> unit

@@ -24,33 +24,6 @@ type response = {
   body : (string, string) result;
 }
 
-let equal_command a b =
-  let ep = Netcore.Endpoint.equal in
-  match (a, b) with
-  | Vip_add (v, ds), Vip_add (v', ds') -> ep v v' && List.equal ep ds ds'
-  | Vip_remove v, Vip_remove v' -> ep v v'
-  | Dip_add (v, d), Dip_add (v', d') | Dip_remove (v, d), Dip_remove (v', d') ->
-      ep v v' && ep d d'
-  | Dip_replace r, Dip_replace r' ->
-      ep r.vip r'.vip && ep r.old_dip r'.old_dip && ep r.new_dip r'.new_dip
-  | Health (s, d), Health (s', d') -> s = s' && ep d d'
-  | Advance x, Advance y -> Float.equal x y
-  | Stats q, Stats q' -> Option.equal String.equal q q'
-  | Drain, Drain | Quit, Quit -> true
-  | ( ( Vip_add _ | Vip_remove _ | Dip_add _ | Dip_remove _ | Dip_replace _
-      | Health _ | Advance _ | Stats _ | Drain | Quit ),
-      _ ) ->
-      false
-
-let equal_line a b = Option.equal Int.equal a.seq b.seq && equal_command a.cmd b.cmd
-
-let equal_response a b =
-  Option.equal Int.equal a.rseq b.rseq
-  &&
-  match (a.body, b.body) with
-  | Ok x, Ok y | Error x, Error y -> String.equal x y
-  | Ok _, Error _ | Error _, Ok _ -> false
-
 (* %.17g is the shortest fixed precision that round-trips every finite
    float exactly through [float_of_string]. *)
 let render_float x = Printf.sprintf "%.17g" x

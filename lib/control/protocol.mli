@@ -59,9 +59,6 @@ type response = {
   body : (string, string) result;  (** [Ok payload] or [Error message] *)
 }
 
-val equal_line : line -> line -> bool
-val equal_response : response -> response -> bool
-
 val render : line -> string
 (** One line, no trailing newline. *)
 
@@ -84,8 +81,8 @@ val parse : string -> (line option, string) result
 
 val render_response : response -> string
 val parse_response : string -> (response, string) result
+[@@silkroad.allow "surface.unused-export: the client side of the line protocol; test_control's render/parse round trip is its subject"]
 (** Exact inverse of {!render_response}: the payload is carried
     verbatim, trailing spaces included. A line ending in ['\r'] came
     off a CRLF socket client, so its whole trailing-whitespace run is
     stripped before parsing. *)
-

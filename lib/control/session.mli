@@ -57,11 +57,13 @@ val create :
     commands in virtual-time order. *)
 
 val exec : t -> Protocol.line -> Protocol.response
+[@@silkroad.allow "surface.unused-export: test_control drives the session with command values; the program parses lines through exec_line first"]
 val exec_line : t -> string -> Protocol.response option
 (** [None] for blank/comment lines; parse failures come back as [err]
     responses (and count as [control.errors]) without touching state. *)
 
 val now : t -> float
+[@@silkroad.allow "surface.unused-export: test_control sends packets at the session clock"]
 val drained : t -> bool
 val closed : t -> bool
 
@@ -73,6 +75,7 @@ val pending_updates : t -> int
 (** Control-path backlog of shard 0's switch. *)
 
 val switches : t -> Silkroad.Switch.t array
+[@@silkroad.allow "surface.unused-export: test_control checks the switch state behind the session"]
 
 val control_metrics : t -> Telemetry.Registry.t
 (** The session's own [control.*] registry. *)

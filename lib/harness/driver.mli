@@ -47,6 +47,7 @@ type result = {
     milliseconds through the switch CPU slow path. *)
 
 val asic_latency : float
+[@@silkroad.allow "surface.unused-export: the configured ASIC latency test_telemetry checks the driver's latency median against"]
 
 val run :
   ?early_offsets:float list ->

@@ -24,15 +24,12 @@ type t = {
 val n_flows : t -> int
 val n_packets : t -> int
 
-val dummy_tuple : Netcore.Five_tuple.t
-(** Placeholder tuple ([Endpoint.none] to [Endpoint.none]) used to
-    initialise flow arrays before they are filled. *)
-
 val default_early : float list
 (** The default [early_offsets]: 250 µs, 1 ms, 5 ms, 20 ms, 100 ms —
     inside the connection-learning race window §4.3 is about. *)
 
 val time_order : float array -> int array
+[@@silkroad.allow "surface.unused-export: the radix sort compile applies; test_harness checks it against a stable sort"]
 (** The indices of [times] sorted by time, equal times in index order:
     the permutation {!compile} applies to the emitted packets. A stable
     LSD radix sort on the IEEE-754 bit pattern (six 11-bit passes), so

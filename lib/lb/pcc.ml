@@ -63,8 +63,6 @@ let on_dip_removed t ~dip =
 let total t = t.total
 let broken t = t.broken
 
-let broken_fraction t = if t.total = 0 then 0. else float_of_int t.broken /. float_of_int t.total
-
 let violations t = t.violations
 
 (* The flow-indexed refinement of the oracle above: the same transitions

@@ -37,9 +37,6 @@ val total : t -> int
 val broken : t -> int
 (** Connections with at least one inconsistent or dropped packet. *)
 
-val broken_fraction : t -> float
-(** [broken / total]; 0 when no connections were observed. *)
-
 val violations : t -> int
 (** Total inconsistent packets (a single broken connection may count
     several). *)

@@ -32,12 +32,3 @@ let of_byte b =
 
 let is_connection_start t = t.syn && not t.ack
 let is_connection_end t = t.fin || t.rst
-
-let pp ppf t =
-  let parts =
-    List.filter_map
-      (fun (set, name) -> if set then Some name else None)
-      [ (t.syn, "SYN"); (t.ack, "ACK"); (t.fin, "FIN"); (t.rst, "RST");
-        (t.psh, "PSH"); (t.urg, "URG") ]
-  in
-  Format.pp_print_string ppf (if parts = [] then "-" else String.concat "|" parts)

@@ -26,5 +26,3 @@ val is_connection_start : t -> bool
 
 val is_connection_end : t -> bool
 (** FIN or RST set. *)
-
-val pp : Format.formatter -> t -> unit

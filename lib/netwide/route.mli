@@ -10,6 +10,7 @@
     placement, 5-tuple): same inputs, same path, on every run. *)
 
 val path : Topology.t -> vip:Netcore.Endpoint.t -> Netcore.Five_tuple.t -> Topology.node list
+[@@silkroad.allow "surface.unused-export: test_netwide checks per-flow routes hop by hop; the program asks only for the owner"]
 (** The hop sequence from the entry (top) layer down to the layer
     terminating [vip], one node per layer. Stops early when a transit
     layer has no live node (the flow is undeliverable past that

@@ -34,6 +34,8 @@ val advance : t -> now:float -> (Netcore.Endpoint.t * [ `Down | `Up ]) list
     into [Dip_add]. *)
 
 val is_marked_down : t -> Netcore.Endpoint.t -> bool
+[@@silkroad.allow "surface.unused-export: test_silkroad observes the checker's hysteresis through it"]
 
 val probe_bandwidth_bps : dips:int -> interval:float -> probe_bytes:int -> float
+[@@silkroad.allow "surface.unused-export: reproduces the paper's probe overhead estimate, which test_silkroad pins"]
 (** Probe traffic this checker injects. *)

@@ -140,4 +140,3 @@ let balancer t =
   }
 
 let spilled_connections t = Telemetry.Registry.Counter.value t.c_spilled
-let slb_connections t = Ftbl.length t.slb.soft_conns

@@ -34,6 +34,3 @@ val balancer : t -> Lb.Balancer.t
 
 val spilled_connections : t -> int
 (** Connections redirected to the SLB by the overflow rule. *)
-
-val slb_connections : t -> int
-(** Connections currently tracked by the SLB (spilled + pinned VIPs). *)

@@ -30,6 +30,7 @@ val asic_generations : generation list
     50–100 MB. *)
 
 val conn_entry_bits : layout:layout -> ipv6:bool -> digest_bits:int -> version_bits:int -> int
+[@@silkroad.allow "surface.unused-export: the per-entry sizes Table 1 is built from; test_silkroad pins the paper's anchors"]
 (** Bits per ConnTable entry under the layout (including the 6-bit
     instruction/next-table overhead and, for [Naive]/[Digest_only], the
     DIP + port action data). *)
@@ -39,6 +40,7 @@ val conn_table_bits :
 (** Word-packed ConnTable footprint. *)
 
 val dip_pool_table_bits : ipv6:bool -> versions:int -> total_dips:int -> int
+[@@silkroad.allow "surface.unused-export: the DIPPoolTable size Table 1 is built from; test_silkroad pins the paper's anchor"]
 (** DIPPoolTable footprint: every live version holds its member DIPs
     ("64 versions of 4187 IPv6 DIPs" ≈ 4.8 MB). [total_dips] is the
     total membership across the VIPs' pools. *)

@@ -12,5 +12,3 @@
 
 val emit : Config.t -> string
 (** The program text (P4_16, v1model-flavoured). *)
-
-val line_count : Config.t -> int

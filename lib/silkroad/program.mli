@@ -11,6 +11,7 @@
     frozen — so changes to our model show up as drift from Table 2). *)
 
 val additional_resources : connections:int -> vips:int -> Asic.Resources.t
+[@@silkroad.allow "surface.unused-export: test_analysis checks that the placeable items sum to the Table 2 resources"]
 (** Table resources plus the TransitTable register array / stateful
     ALUs and the metadata PHV bits. *)
 
@@ -30,6 +31,7 @@ val chip : unit -> Asic.Pipeline.chip
     {!baseline_switch_p4} resident. *)
 
 val pipeline_items : connections:int -> vips:int -> Asic.Pipeline.item list
+[@@silkroad.allow "surface.unused-export: test_analysis checks that the placeable items sum to the Table 2 resources"]
 (** Items at the frozen §6 operating constants (16-bit digest, 6-bit
     versions) — the Table 2 path. *)
 

@@ -67,6 +67,7 @@ val advance : t -> now:float -> unit
     entries. *)
 
 val barrier_deadline : float
+[@@silkroad.allow "surface.unused-export: test_silkroad advances past the deadline to force a barrier release"]
 (** Liveness valve on the §4.3 step-1/step-3 barriers: an update stuck
     waiting longer than this (seconds of virtual time) is force-released
     and counted under [forced_transitions]. Exposed so a timing regime
@@ -100,6 +101,7 @@ val process_flow :
     {!no_dip}; {!last_location} reports where the packet went. *)
 
 val last_location : t -> Lb.Balancer.location
+[@@silkroad.allow "surface.unused-export: test_alloc checks where an allocation-free exact hit went"]
 (** Location taken by the most recent {!process_flow}/{!process} call. *)
 
 val process_batch :
@@ -184,6 +186,7 @@ val set_meter :
     existing meter. *)
 
 val clear_meter : t -> vip:Netcore.Endpoint.t -> unit
+[@@silkroad.allow "surface.unused-export: the meter-off half of a VIP's meter state, which the random-command invariant property drives"]
 
 val metered_drops : t -> int
 (** Packets dropped Red by VIP meters. *)

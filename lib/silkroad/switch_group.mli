@@ -24,7 +24,9 @@ val create :
 
 val balancer : t -> Lb.Balancer.t
 val members : t -> Switch.t array
+[@@silkroad.allow "surface.unused-export: test_silkroad checks spread and failover across the group"]
 val alive : t -> int
+[@@silkroad.allow "surface.unused-export: test_silkroad checks spread and failover across the group"]
 
 val fail : t -> int -> unit
 (** Kill member [i]: its ConnTable is lost and its flows re-hash to the

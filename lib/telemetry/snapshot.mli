@@ -45,5 +45,6 @@ val of_json : string -> (t, string) result
 [@@silkroad.allow "surface.unused-export: reads back the snapshot JSON the CLI writes; test_telemetry's round trip is its subject"]
 
 val to_csv : t -> string
+[@@silkroad.allow "surface.unused-export: CSV export of a snapshot; test_telemetry is its subject"]
 (** One [name,labels,kind,field,value] row per scalar, histogram
     summaries flattened into one row per field. *)

@@ -41,7 +41,7 @@ let ecmp_breaks_on_update () =
   check Alcotest.bool (Printf.sprintf "%d moved > 50" moved) true (moved > 50)
 
 let ecmp_unknown_vip_drops () =
-  let b = Baselines.Ecmp_lb.create ~seed:1 () in
+  let b = Baselines.Ecmp_lb.create_with ~seed:1 [] in
   let o = b.Lb.Balancer.process ~now:0. (syn 1) in
   check Alcotest.bool "dropped" true (o.Lb.Balancer.dip = None)
 

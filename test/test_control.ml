@@ -91,7 +91,7 @@ let arb_response = QCheck.make ~print:P.render_response gen_response
 let qcheck_line_roundtrip =
   QCheck.Test.make ~name:"render/parse round-trip (lines)" ~count:500 arb_line (fun l ->
       match P.parse (P.render l) with
-      | Ok (Some l') when P.equal_line l l' -> true
+      | Ok (Some l') when l = l' -> true
       | Ok (Some l') ->
           QCheck.Test.fail_reportf "parsed %S from %S" (P.render l') (P.render l)
       | Ok None -> QCheck.Test.fail_reportf "%S parsed as blank" (P.render l)
@@ -101,7 +101,7 @@ let qcheck_response_roundtrip =
   QCheck.Test.make ~name:"render/parse round-trip (responses)" ~count:500 arb_response
     (fun r ->
       match P.parse_response (P.render_response r) with
-      | Ok r' when P.equal_response r r' -> true
+      | Ok r' when r = r' -> true
       | Ok r' ->
           QCheck.Test.fail_reportf "parsed %S from %S" (P.render_response r')
             (P.render_response r)
@@ -155,7 +155,7 @@ let garbage_rejected () =
 let crlf_tolerated () =
   let same canonical noisy =
     match (P.parse canonical, P.parse noisy) with
-    | Ok (Some a), Ok (Some b) when P.equal_line a b -> ()
+    | Ok (Some a), Ok (Some b) when a = b -> ()
     | _, Error e -> Alcotest.failf "%S rejected: %s" noisy e
     | _, Ok None -> Alcotest.failf "%S treated as blank" noisy
     | _, Ok (Some b) -> Alcotest.failf "%S parsed as %S" noisy (P.render b)

@@ -72,7 +72,7 @@ let endpoint_hash_fold_differs () =
 
 let balancer_interface_complete () =
   (* the record exposes everything the harness needs for any impl *)
-  let b = Baselines.Ecmp_lb.create ~seed:1 () in
+  let b = Baselines.Ecmp_lb.create_with ~seed:1 [] in
   check Alcotest.string "name" "ecmp" b.Lb.Balancer.name;
   b.Lb.Balancer.advance ~now:0.;
   check Alcotest.int "connections" 0 (b.Lb.Balancer.connections ())

@@ -161,8 +161,8 @@ let control_semantics () =
       advance = (fun ~now -> note "advance %g" now);
       process =
         (fun ~now pkt ->
-          note "process %g %s len=%d" now
-            (Format.asprintf "%a" Netcore.Tcp_flags.pp pkt.Netcore.Packet.flags)
+          note "process %g flags=%d len=%d" now
+            (Netcore.Tcp_flags.to_byte pkt.Netcore.Packet.flags)
             pkt.Netcore.Packet.payload_len;
           { Lb.Balancer.dip = None; location = Lb.Balancer.Asic });
       update =
@@ -180,7 +180,7 @@ let control_semantics () =
     }
   in
   let tuple = (flow ~id:0 ~start:0. ~duration:1.).Simnet.Flow.tuple in
-  let syn = Format.asprintf "%a" Netcore.Tcp_flags.pp Netcore.Tcp_flags.syn in
+  let syn = Netcore.Tcp_flags.to_byte Netcore.Tcp_flags.syn in
   let reroute = { Lb.Balancer.rr_vip = None; rr_fraction = 0.5; rr_salt = 7 } in
   let upd u = Harness.Replay.Update (vip, u) in
   let cases =
@@ -194,7 +194,7 @@ let control_semantics () =
         [ "advance 1"; "update 1 replace 10.0.0.3:20 -> 10.0.0.4:20" ] );
       (Harness.Replay.Dip_dead (dip 5), Some 5, []);
       (Harness.Replay.Cpu_backlog 9, None, [ "advance 1"; "backlog 1 9" ]);
-      (Harness.Replay.Attack_syn tuple, None, [ "advance 1"; "process 1 " ^ syn ^ " len=0" ]);
+      (Harness.Replay.Attack_syn tuple, None, [ "advance 1"; Printf.sprintf "process 1 flags=%d len=0" syn ]);
       (Harness.Replay.Reroute reroute, None, [ "advance 1"; "reroute 1 salt=7" ]);
     ]
   in
@@ -319,7 +319,11 @@ module Reference = struct
     in
     let flow_ids = Array.make n_flows 0 in
     let flow_vip = Array.make n_flows 0 in
-    let flow_tuples = Array.make n_flows Harness.Packed_trace.dummy_tuple in
+    let flow_tuples =
+      Array.make n_flows
+        (Netcore.Five_tuple.make ~src:Netcore.Endpoint.none ~dst:Netcore.Endpoint.none
+           ~proto:Netcore.Protocol.Tcp)
+    in
     let total = List.fold_left (fun acc (_, pts) -> acc + List.length pts) 0 kept in
     let raw_times = Array.make total 0. in
     let raw_flow = Array.make total 0 in

@@ -85,8 +85,7 @@ let pcc_consistent_flow () =
   Lb.Pcc.on_packet o ~flow_id:1 ~dip:(Some (dip 1));
   Lb.Pcc.on_finish o ~flow_id:1;
   check Alcotest.int "total" 1 (Lb.Pcc.total o);
-  check Alcotest.int "broken" 0 (Lb.Pcc.broken o);
-  check (Alcotest.float 1e-9) "fraction" 0. (Lb.Pcc.broken_fraction o)
+  check Alcotest.int "broken" 0 (Lb.Pcc.broken o)
 
 let pcc_violation () =
   let o = Lb.Pcc.create () in

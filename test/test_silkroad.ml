@@ -326,9 +326,8 @@ let ct_remove () =
 
 let ct_entry_bits () =
   let t = Silkroad.Conn_table.create Silkroad.Config.default in
-  (* 16-bit digest + 6-bit version + 6-bit overhead = 28 *)
-  check Alcotest.int "28-bit entries" 28 (Silkroad.Conn_table.entry_bits t);
-  (* 4 entries per 112-bit word at capacity 1M: 28 Mbit = 3.5 MB *)
+  (* 16-bit digest + 6-bit version + 6-bit overhead = 28-bit entries,
+     4 per 112-bit word at capacity 1M: 28 Mbit = 3.5 MB *)
   let bits = Silkroad.Conn_table.sram_bits t in
   check Alcotest.int "sram bits" (Silkroad.Config.conn_capacity Silkroad.Config.default / 4 * 112) bits
 
@@ -933,8 +932,7 @@ let hybrid_pinned_vip_at_slb () =
       ~proto:Netcore.Protocol.Tcp
   in
   let o2 = b.Lb.Balancer.process ~now:0. (Netcore.Packet.syn f2) in
-  check Alcotest.bool "pinned vip at slb" true (o2.Lb.Balancer.location = Lb.Balancer.Slb);
-  check Alcotest.int "slb tracks it" 1 (Silkroad.Hybrid.slb_connections h)
+  check Alcotest.bool "pinned vip at slb" true (o2.Lb.Balancer.location = Lb.Balancer.Slb)
 
 let hybrid_overflow_spills () =
   (* tiny ConnTable: once hot, new conns spill to the SLB and stay there *)
@@ -1716,7 +1714,9 @@ let suites =
                 "register<bit<1>>(2048)" ]);
         tc "about 400 lines" `Quick (fun () ->
             (* the paper: "defined in a 400 line P4 program" *)
-            let n = Silkroad.P4_sketch.line_count Silkroad.Config.default in
+            let n =
+              List.length (String.split_on_char '\n' (Silkroad.P4_sketch.emit Silkroad.Config.default))
+            in
             check Alcotest.bool (Printf.sprintf "%d lines in [250, 500]" n) true
               (n >= 250 && n <= 500));
       ] );
