@@ -287,6 +287,11 @@ let surface_negatives_clean () =
       ("bin", "Main", `Impl "open Meter\nlet f = mark") ];
   clean "module given whole to a functor" [ key_intf; ("bin", "Main", `Impl "module T = Hashtbl.Make (Key)") ];
   clean "module included" [ key_intf; ("bin", "Main", `Impl "include Key") ];
+  clean "module packed whole"
+    [ key_intf;
+      ( "bin",
+        "Main",
+        `Impl "module type H = sig val hash : int -> int end\nlet m = (module Key : H)" ) ];
   clean "an allowed test-only value"
     [ ( "lib",
         "Probe",
