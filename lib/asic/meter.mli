@@ -17,5 +17,6 @@ val create : cir:float -> cbs:int -> eir:float -> ebs:int -> t
     Buckets start full. *)
 
 val mark : t -> now:float -> bytes:int -> color
-(** Mark (and account) a packet of [bytes] arriving at [now]. Seconds
-    may not go backwards between calls. *)
+(** Mark a packet of [bytes] arriving at [now], taking its tokens from
+    the first bucket that holds enough. Seconds may not go backwards
+    between calls. *)
