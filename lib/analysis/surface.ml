@@ -129,11 +129,11 @@ let refs_of ~unit_name ~file ~test (str : Typedtree.structure) =
 let allow_reason payload =
   let prefix = rule ^ ":" in
   let n = String.length prefix in
-  if String.length payload > n && String.sub payload 0 n = prefix then
+  if not (String.starts_with ~prefix payload) then None
+  else
     match String.trim (String.sub payload n (String.length payload - n)) with
     | "" -> None
     | reason -> Some reason
-  else None
 
 let judge ~units exports refs =
   let used_by e r =
@@ -142,8 +142,8 @@ let judge ~units exports refs =
        || List.exists (fun m -> String.starts_with ~prefix:(m ^ ".") e.e_name) r.r_whole)
   in
   let diags = ref [] and unused = ref 0 and test_only = ref 0 and allowed = ref 0 in
-  let report severity message hint =
-    fun e -> diags := Diag.v ~loc:e.e_loc ~rule ~severity ~hint message :: !diags
+  let report e severity message hint =
+    diags := Diag.v ~loc:e.e_loc ~rule ~severity ~hint message :: !diags
   in
   List.iter
     (fun e ->
@@ -152,25 +152,24 @@ let judge ~units exports refs =
       match (List.exists (fun r -> not r.r_test) users, users, reason) with
       | true, _, None -> ()
       | true, _, Some _ ->
-        report Diag.Warning
+        report e Diag.Warning
           (Printf.sprintf "%s carries a surface.unused-export allow, but the program uses it" e.e_name)
-          "drop the allow" e
+          "drop the allow"
       | false, [], _ ->
         incr unused;
-        report Diag.Error
+        report e Diag.Error
           (Printf.sprintf "%s is exported, but no other unit uses it" e.e_name)
-          "delete it, or drop it from the .mli if its own unit uses it" e
+          "delete it, or drop it from the .mli if its own unit uses it"
       | false, _, Some _ -> incr allowed
       | false, users, None ->
         incr test_only;
-        report Diag.Warning
+        report e Diag.Warning
           (Printf.sprintf "%s is exported, but only test/ uses it (%s)" e.e_name
              (String.concat ", " (List.sort_uniq String.compare (List.map (fun r -> r.r_file) users))))
           (Printf.sprintf
              "test it through what the program uses, delete it with its test, or say why it \
               stays: [@@silkroad.allow \"%s: <reason>\"]"
-             rule)
-          e)
+             rule))
     exports;
   {
     diags = List.sort Diag.compare !diags;
