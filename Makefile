@@ -27,7 +27,8 @@ bench:
 # silkroad-lint: pipeline feasibility (stage/SRAM/ALU budgets on the §6
 # chip), network-wide VIP placement, the determinism source lint over
 # lib/, bin/, test/ and bench/, and surface.unused-export: every value a
-# lib/ interface exports must be used by another unit outside test/
+# lib/ unit exports (its .mli, or its whole top level without one) must
+# be used by another unit outside test/
 # (read from the typed trees, so @check builds them for every
 # executable first). Non-zero exit on any error-level finding; CI runs
 # this as the `lint` job.

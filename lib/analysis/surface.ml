@@ -1,7 +1,9 @@
 (* Unused exported surface over compiler-libs typed trees. See the .mli
    for the rules; the shape of the code:
 
-     .cmti of every lib/ unit -> exports (qualified name, loc, allow)
+     .cmti of every lib/ unit -> exports (qualified name, loc, allow);
+                                 a lib/ unit without one exports every
+                                 top-level value of its .cmt
      .cmt of every unit       -> the qualified names it references,
                                  module aliases resolved, plus the
                                  modules it uses whole
@@ -41,17 +43,21 @@ let loc_of (l : Location.t) =
 
 (* ----- exports ----- *)
 
+let export ~unit_name ~prefix name loc attributes =
+  {
+    e_name = prefix ^ "." ^ name;
+    e_unit = unit_name;
+    e_loc = loc_of loc;
+    e_allow = List.find_map Typed_trees.allow_payload attributes;
+  }
+
 let rec exports_of ~unit_name ~prefix (sg : Typedtree.signature) acc =
   List.fold_left
     (fun acc (item : Typedtree.signature_item) ->
       match item.Typedtree.sig_desc with
       | Typedtree.Tsig_value vd ->
-        {
-          e_name = prefix ^ "." ^ vd.Typedtree.val_name.Location.txt;
-          e_unit = unit_name;
-          e_loc = loc_of vd.Typedtree.val_loc;
-          e_allow = List.find_map Typed_trees.allow_payload vd.Typedtree.val_attributes;
-        }
+        export ~unit_name ~prefix vd.Typedtree.val_name.Location.txt vd.Typedtree.val_loc
+          vd.Typedtree.val_attributes
         :: acc
       | Typedtree.Tsig_module
           {
@@ -62,6 +68,33 @@ let rec exports_of ~unit_name ~prefix (sg : Typedtree.signature) acc =
         exports_of ~unit_name ~prefix:(prefix ^ "." ^ name) sg acc
       | _ -> acc)
     acc sg.Typedtree.sig_items
+
+(* the same for a unit without an interface: every value its top level
+   binds, and those of its [module M = struct ... end]s *)
+let rec impl_exports_of ~unit_name ~prefix (str : Typedtree.structure) acc =
+  List.fold_left
+    (fun acc (item : Typedtree.structure_item) ->
+      match item.Typedtree.str_desc with
+      | Typedtree.Tstr_value (_, vbs) ->
+        List.fold_left
+          (fun acc (vb : Typedtree.value_binding) ->
+            List.fold_left
+              (fun acc (_, (name : string Location.loc), _) ->
+                export ~unit_name ~prefix name.Location.txt name.Location.loc
+                  vb.Typedtree.vb_attributes
+                :: acc)
+              acc
+              (Typedtree.pat_bound_idents_full vb.Typedtree.vb_pat))
+          acc vbs
+      | Typedtree.Tstr_module
+          {
+            Typedtree.mb_name = { Location.txt = Some name; _ };
+            mb_expr = { Typedtree.mod_desc = Typedtree.Tmod_structure str; _ };
+            _;
+          } ->
+        impl_exports_of ~unit_name ~prefix:(prefix ^ "." ^ name) str acc
+      | _ -> acc)
+    acc str.Typedtree.str_items
 
 (* ----- references ----- *)
 
@@ -159,7 +192,7 @@ let judge ~units exports refs =
         incr unused;
         report e Diag.Error
           (Printf.sprintf "%s is exported, but no other unit uses it" e.e_name)
-          "delete it, or drop it from the .mli if its own unit uses it"
+          "delete it, or leave it out of its unit's .mli (adding one if needed)"
       | false, _, Some _ -> incr allowed
       | false, users, None ->
         incr test_only;
@@ -183,32 +216,32 @@ let judge ~units exports refs =
 (* ----- front ends ----- *)
 
 let analyze_sources units =
-  let env, exports =
+  let has_intf name = List.exists (function _, n, `Intf _ -> n = name | _ -> false) units in
+  let visible env unit_name sg =
+    Env.add_module (Ident.create_local unit_name) Types.Mp_present (Types.Mty_signature sg) env
+  in
+  let _, exports, refs =
     List.fold_left
-      (fun (env, exports) (dir, unit_name, source) ->
+      (fun (env, exports, refs) (dir, unit_name, source) ->
         match source with
         | `Intf src ->
           let sg = Typed_trees.type_intf env ~unit_name src in
-          let env =
-            Env.add_module (Ident.create_local unit_name) Types.Mp_present
-              (Types.Mty_signature sg.Typedtree.sig_type) env
-          in
-          (env, if dir = "lib" then exports_of ~unit_name ~prefix:unit_name sg exports else exports)
-        | `Impl _ -> (env, exports))
-      (Typed_trees.fixture_env (), [])
-      units
-  in
-  let refs =
-    List.filter_map
-      (fun (dir, unit_name, source) ->
-        match source with
+          ( visible env unit_name sg.Typedtree.sig_type,
+            (if dir = "lib" then exports_of ~unit_name ~prefix:unit_name sg exports else exports),
+            refs )
         | `Impl src ->
+          let str = Typed_trees.type_impl env ~unit_name src in
           let file = Filename.concat dir (String.uncapitalize_ascii unit_name ^ ".ml") in
-          Some (refs_of ~unit_name ~file ~test:(dir = "test") (Typed_trees.type_impl env ~unit_name src))
-        | `Intf _ -> None)
+          let refs = refs_of ~unit_name ~file ~test:(dir = "test") str :: refs in
+          if dir = "lib" && not (has_intf unit_name) then
+            ( visible env unit_name str.Typedtree.str_type,
+              impl_exports_of ~unit_name ~prefix:unit_name str exports,
+              refs )
+          else (env, exports, refs))
+      (Typed_trees.fixture_env (), [], [])
       units
   in
-  judge ~units:(List.length units) (List.rev exports) refs
+  judge ~units:(List.length units) (List.rev exports) (List.rev refs)
 
 (* every .ml (and, under lib/, .mli) a typed tree should exist for, as
    paths relative to the build root, the form cmt_sourcefile records *)
@@ -262,15 +295,28 @@ let analyze_root ~root =
       allowed = 0;
     }
   else
+    let unit_name cmt = Typed_trees.canon_name cmt.Cmt_format.cmt_modname in
+    let intfs = Hashtbl.create 256 in
+    List.iter
+      (fun (dir, cmt) ->
+        match cmt.Cmt_format.cmt_annots with
+        | Cmt_format.Interface _ when dir = "lib" -> Hashtbl.replace intfs (unit_name cmt) ()
+        | _ -> ())
+      trees;
     let exports, refs =
       List.fold_left
         (fun (exports, refs) (dir, cmt) ->
-          let unit_name = Typed_trees.canon_name cmt.Cmt_format.cmt_modname in
+          let unit_name = unit_name cmt in
           match cmt.Cmt_format.cmt_annots with
           | Cmt_format.Interface sg when dir = "lib" ->
             (exports_of ~unit_name ~prefix:unit_name sg exports, refs)
           | Cmt_format.Implementation str ->
             let file = Option.value cmt.Cmt_format.cmt_sourcefile ~default:unit_name in
+            let exports =
+              if dir = "lib" && not (Hashtbl.mem intfs unit_name) then
+                impl_exports_of ~unit_name ~prefix:unit_name str exports
+              else exports
+            in
             (exports, refs_of ~unit_name ~file ~test:(dir = "test") str :: refs)
           | _ -> (exports, refs))
         ([], []) trees

@@ -2,8 +2,10 @@
     unused.
 
     Every [val] of every [lib/] interface, nested signatures such as
-    [Harness.Replay.Stepper] included, is checked against the references
-    in the typed trees of every other unit under [lib/], [bin/],
+    [Harness.Replay.Stepper] included, and every top-level value of a
+    [lib/] unit that has no interface (with those of its nested
+    [module M = struct ... end]s), is checked against the references in
+    the typed trees of every other unit under [lib/], [bin/],
     [bench/], [examples/], [perfbench/] and [test/]. A reference is any
     use of the value in an expression (a [let () = ...] body counts),
     after local module aliases ([module R = Telemetry.Registry]) are
@@ -12,8 +14,9 @@
     all of its values.
 
     - [surface.unused-export] ({e error}): no other unit outside
-      [test/] uses the value. Delete it, or drop it from the [.mli] when
-      its own unit still uses it.
+      [test/] uses the value. Delete it, or leave it out of its unit's
+      [.mli] (writing one if the unit has none) when that unit still
+      uses it.
     - [surface.unused-export] ({e warning}): only [test/] uses it. It is
       not reported when the [val] carries
       [[@@silkroad.allow "surface.unused-export: <reason>"]], a
@@ -43,8 +46,10 @@ val analyze_sources : (string * string * [ `Intf of string | `Impl of string ]) 
 (** [analyze_sources [(dir, unit_name, source); ...]] typechecks
     in-memory units against the standard library and checks them as
     {!analyze_root} checks a tree. [dir] is the top directory the unit
-    sits in (["lib"], ["bin"], ["test"], ...). An [`Intf] of a ["lib"]
-    unit declares exports; interfaces are typechecked first, in order,
-    and each is visible to the units after it under its [unit_name]. An
-    [`Impl] is a unit whose references count. Raises [Failure] on a
+    sits in (["lib"], ["bin"], ["test"], ...). Units are typechecked in
+    order. An [`Intf] of a ["lib"] unit declares exports and is visible
+    to the units after it under its [unit_name]. An [`Impl] is a unit
+    whose references count; a ["lib"] one with no [`Intf] of its
+    [unit_name] declares its top-level values as exports and is visible
+    to the units after it. Raises [Failure] on a
     fixture that does not typecheck. *)

@@ -6,7 +6,7 @@
 
     - {!select}: plain modulo selection. Removing a member reshuffles
       almost every flow — the source of Duet's PCC violations.
-    - {!select_resilient}: resilient hashing over a fixed slot table.
+    - {!resilient_select}: resilient hashing over a fixed slot table.
       Only flows of a removed member are remapped (§7 "Handle DIP
       failures"). *)
 

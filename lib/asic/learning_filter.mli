@@ -33,7 +33,7 @@ val offer : 'm t -> now:float -> Netcore.Five_tuple.t -> 'm -> [ `Accepted | `Du
     the connection will be re-learned by a later packet. *)
 
 val pending : _ t -> int
-(** Total events dropped because the filter was full. *)
+(** Events waiting for the next drain. *)
 
 val next_deadline : _ t -> float option
 (** Absolute time at which the timeout of the oldest event fires, if any

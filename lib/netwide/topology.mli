@@ -50,8 +50,9 @@ val build :
     [`Warn] keeps the diagnostics in {!field-diags} and proceeds,
     [`Off] skips {!Analysis.Feasibility.check_network} and uses the raw
     {!Silkroad.Assignment.assign} placement. [demands] defaults to
-    {!demands_of_vips} over [vips]. VIPs the placement could not place
-    (under [`Warn]/[`Off]) fall back to the bottom layer.
+    2,000,000 ConnTable bits and 1.5 Gb/s for each of [vips]. VIPs the
+    placement could not place (under [`Warn]/[`Off]) fall back to the
+    bottom layer.
 
     A layer whose [sram_budget_bits] is zero is a {e pure transit}
     layer: it participates in routing but is excluded from the bin

@@ -28,7 +28,7 @@ val table2 : connections:int -> vips:int -> Asic.Resources.percentages
 
 val chip : unit -> Asic.Pipeline.chip
 (** The §6-generation chip the checker places onto, with
-    {!baseline_switch_p4} resident. *)
+    the frozen switch.p4 baseline (the base of {!table2}) resident. *)
 
 val pipeline_items : connections:int -> vips:int -> Asic.Pipeline.item list
 [@@silkroad.allow "surface.unused-export: test_analysis checks that the placeable items sum to the Table 2 resources"]

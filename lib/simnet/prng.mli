@@ -14,7 +14,7 @@ val split : t -> t
 val copy : t -> t
 
 val int64 : t -> int64
-(** 30 uniform bits as a non-negative int. *)
+(** The next 64 uniform bits. *)
 
 val int : t -> int -> int
 (** [int t n] is uniform on [0, n). [n > 0]. *)

@@ -9,9 +9,9 @@
     under 3% at the default resolution of 40 buckets per decade — which
     is the discipline Charon and Concury apply to datapath telemetry.
 
-    Two histograms with the same bucketing {!spec} can be {!merge}d
-    (commutatively and associatively), which is how a switch group
-    aggregates its members. *)
+    Two histograms with the same bucketing {!spec} can be merged
+    with {!merge_into} (commutatively and associatively), which is how a
+    switch group aggregates its members. *)
 
 type t
 

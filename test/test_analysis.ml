@@ -249,6 +249,18 @@ let surface_fixtures_caught () =
   check findings "a test-only export is a warning"
     [ ("warning", "Meter.dead is exported, but only test/ uses it (test/test_meter.ml)") ]
     ds;
+  (* a lib/ unit without an .mli exports its whole top level *)
+  let _, ds =
+    surface
+      [ ( "lib",
+          "Fig",
+          `Impl "let helper x = x + 1\nlet run () = helper 1\nmodule Sub = struct let inner = 2 end" );
+        ("bin", "Main", `Impl "let () = print_int (Fig.run ())") ]
+  in
+  check findings "a unit without an interface"
+    [ ("error", "Fig.helper is exported, but no other unit uses it");
+      ("error", "Fig.Sub.inner is exported, but no other unit uses it") ]
+    ds;
   (* an allow needs a reason, and one on a value the program uses is stale *)
   let _, ds =
     surface
@@ -282,6 +294,10 @@ let surface_negatives_clean () =
   clean "use through a local module alias in an expression"
     [ ("lib", "Meter", `Intf "val mark : int -> int");
       ("bin", "Main", `Impl "let f x = let module M = Meter in M.mark x") ];
+  clean "a helper its interface leaves out"
+    [ ("lib", "Meter", `Intf "val mark : int -> int");
+      ("lib", "Meter", `Impl "let helper x = x\nlet mark x = helper x");
+      ("bin", "Main", `Impl "let () = print_int (Meter.mark 1)") ];
   clean "use through open"
     [ ("lib", "Meter", `Intf "val mark : int -> int");
       ("bin", "Main", `Impl "open Meter\nlet f = mark") ];

@@ -5,12 +5,6 @@
 let check = Alcotest.check
 let tc = Alcotest.test_case
 
-(* a snapshot's counter by name, [None] when absent *)
-let snapshot_counter snap name =
-  match Telemetry.Snapshot.find snap name with
-  | Some { Telemetry.Snapshot.value = Telemetry.Snapshot.Counter n; _ } -> Some n
-  | Some _ | None -> None
-
 let vips () = Experiments.Common.vips_of ~n_vips:2 ~dips_per_vip:8
 
 let scenario_exn name =
@@ -221,12 +215,12 @@ let attribution_complete () =
     Alcotest.(option int)
     "total in telemetry"
     (Some report.Chaos.Report.violation_packets)
-    (snapshot_counter result.Harness.Driver.telemetry "chaos.violations");
+    (Snap.counter result.Harness.Driver.telemetry "chaos.violations");
   (* the chaos counters ride in the run's merged snapshot *)
   List.iter
     (fun name ->
       check Alcotest.bool (name ^ " present") true
-        (Option.is_some (snapshot_counter result.Harness.Driver.telemetry name)))
+        (Option.is_some (Snap.counter result.Harness.Driver.telemetry name)))
     [ "chaos.updates_delivered"; "chaos.dips_failed"; "chaos.dips_recovered" ];
   (* and the bulk of the blame lands on the injected fault *)
   let mass =
@@ -244,7 +238,7 @@ let quiet_scenario_clean () =
   let result, report = Experiments.Chaos_runner.run spec ~balancer:"silkroad" in
   check Alcotest.int "no broken connections" 0 report.Chaos.Report.broken_connections;
   check Alcotest.bool "background churn delivered" true
-    (match snapshot_counter result.Harness.Driver.telemetry "chaos.updates_delivered" with
+    (match Snap.counter result.Harness.Driver.telemetry "chaos.updates_delivered" with
      | Some n -> n > 0
      | None -> false)
 

@@ -932,7 +932,10 @@ let hybrid_pinned_vip_at_slb () =
       ~proto:Netcore.Protocol.Tcp
   in
   let o2 = b.Lb.Balancer.process ~now:0. (Netcore.Packet.syn f2) in
-  check Alcotest.bool "pinned vip at slb" true (o2.Lb.Balancer.location = Lb.Balancer.Slb)
+  check Alcotest.bool "pinned vip at slb" true (o2.Lb.Balancer.location = Lb.Balancer.Slb);
+  check (Alcotest.float 0.) "slb tracks it" 1.
+    (Telemetry.Registry.Gauge.value
+       (Telemetry.Registry.gauge (b.Lb.Balancer.metrics ()) "hybrid.slb_connections"))
 
 let hybrid_overflow_spills () =
   (* tiny ConnTable: once hot, new conns spill to the SLB and stay there *)

@@ -6,17 +6,6 @@
 let check = Alcotest.check
 let tc = Alcotest.test_case
 
-(* a snapshot's counter by name, [None] when absent *)
-let snapshot_counter snap name =
-  match Telemetry.Snapshot.find snap name with
-  | Some { Telemetry.Snapshot.value = Telemetry.Snapshot.Counter n; _ } -> Some n
-  | Some _ | None -> None
-
-let snapshot_histogram snap name =
-  match Telemetry.Snapshot.find snap name with
-  | Some { Telemetry.Snapshot.value = Telemetry.Snapshot.Histogram sum; _ } -> Some sum
-  | Some _ | None -> None
-
 (* a fresh histogram holding both, as Registry.merge_into combines them *)
 let merge a b =
   let h = Telemetry.Histogram.create ~spec:(Telemetry.Histogram.spec a) () in
@@ -203,8 +192,8 @@ let json_roundtrip () =
    | Ok s' -> check Alcotest.bool "roundtrip equal" true (s = s'));
   (* snapshot accessors *)
   check (Alcotest.option Alcotest.int) "counter" (Some 12345)
-    (snapshot_counter s "c.packets");
-  (match snapshot_histogram s "h.latency" with
+    (Snap.counter s "c.packets");
+  (match Snap.histogram s "h.latency" with
    | None -> Alcotest.fail "histogram missing from snapshot"
    | Some sum -> check Alcotest.int "histogram count" 5 sum.Telemetry.Snapshot.count)
 
@@ -342,7 +331,7 @@ let switch_stats_match_registry () =
   (* the driver's merged snapshot carries the same values *)
   check (Alcotest.option Alcotest.int) "snapshot matches registry"
     (Some stats.Silkroad.Switch.asic_packets)
-    (snapshot_counter r.Harness.Driver.telemetry "switch.asic_packets");
+    (Snap.counter r.Harness.Driver.telemetry "switch.asic_packets");
   (* satellite: collision repairs are accounted against the CPU queue *)
   if stats.Silkroad.Switch.collision_repairs > 0 then
     check Alcotest.bool "repairs completed through cpu queue" true
@@ -394,7 +383,7 @@ let driver_latency_agrees_with_exact () =
   (* p99 must be in the SLB band (50us..1ms-ish), far above the median *)
   check Alcotest.bool "p99 in slb band" true
     (r.Harness.Driver.latency_p99 > 20e-6 && r.Harness.Driver.latency_p99 < 5e-3);
-  match snapshot_histogram r.Harness.Driver.telemetry "driver.latency" with
+  match Snap.histogram r.Harness.Driver.telemetry "driver.latency" with
   | None -> Alcotest.fail "driver.latency missing"
   | Some s ->
     check Alcotest.int "histogram saw every probe" r.Harness.Driver.packets
