@@ -26,12 +26,12 @@ bench:
 
 # silkroad-lint: pipeline feasibility (stage/SRAM/ALU budgets on the §6
 # chip), network-wide VIP placement, the determinism source lint over
-# lib/, bin/, test/ and bench/, and surface.unused-export: every value a
-# lib/ unit exports (its .mli, or its whole top level without one) must
-# be used by another unit outside test/
-# (read from the typed trees, so @check builds them for every
-# executable first). Non-zero exit on any error-level finding; CI runs
-# this as the `lint` job.
+# lib/, bin/, test/, bench/ and examples/, and surface.unused-export:
+# every value a lib/ unit exports (its .mli, or its whole top level
+# without one) must be used by another unit outside test/ (read from
+# the typed trees, so @check builds them for every executable first).
+# Non-zero exit on any error-level finding; CI runs this as the `lint`
+# job.
 lint: build
 	dune build @check
 	dune exec bin/silkroad_cli.exe -- lint

@@ -146,4 +146,4 @@ let lint_dirs dirs =
   List.concat_map lint_file files
 
 let default_dirs ~root =
-  List.map (Filename.concat root) [ "lib"; "bin"; "test"; "bench" ]
+  List.map (Filename.concat root) [ "lib"; "bin"; "test"; "bench"; "examples" ]

@@ -44,7 +44,7 @@ val lint_dirs : string list -> Diag.t list
     hidden directories. *)
 
 val default_dirs : root:string -> string list
-(** [lib], [bin], [test] and [bench] under [root] — the full source
-    surface the CI gate lints. Tests and benches matter too: a
+(** [lib], [bin], [test], [bench] and [examples] under [root] — the
+    full source surface the CI gate lints. Tests and benches matter too: a
     nondeterministic expectation (unsorted [Hashtbl] render, polymorphic
     comparator) makes a green run unreproducible. *)

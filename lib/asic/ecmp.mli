@@ -23,14 +23,7 @@ val resilient : ?slots_per_member:int -> 'a array -> 'a resilient
 (** Build a slot table (default 64 slots per member, in round-robin). *)
 
 val resilient_select : 'a resilient -> int64 -> 'a
-(** [resilient_select t h] is [resilient_slot t (to_range h (resilient_slots t))]. *)
-
-val resilient_slots : 'a resilient -> int
-(** Size of the slot table. *)
-
-val resilient_slot : 'a resilient -> int -> 'a
-(** Owner of one slot, for callers that derive the slot index from a
-    hash themselves (e.g. {!Netcore.Five_tuple.range}). *)
+(** The owner of the slot [h] maps to. *)
 
 val resilient_remove : equal:('a -> 'a -> bool) -> 'a resilient -> 'a -> 'a resilient
 (** Remove a member: its slots are redistributed round-robin over the

@@ -55,9 +55,13 @@ let isolation ~quick ppf =
     "  paper claim: x86 SLBs have poor performance isolation; SilkRoad throttles@.";
   Format.fprintf ppf "  the offending VIP in hardware and other VIPs are unaffected.@."
 
-(* §7: switch failure. Connections on the latest DIP-pool version
-   survive a member failure (identical VIPTables hash identically);
-   connections pinned to an old version break — like an SLB failure. *)
+(* §7: switch failure. The fabric is one layer of three ToRs that all
+   host the VIP and see every update, so their latest VIPTables agree;
+   rendezvous ECMP spreads the flows over them. When ToR 0 fails, its
+   flows re-home to the survivors, which never learned them: those on
+   the latest version map identically (same VIPTable, same hash), those
+   pinned to an old version re-hash under the new pool and break — like
+   an SLB failure. *)
 let switch_failure ~quick ppf =
   let n = if quick then 2_000 else 10_000 in
   let vips = Common.vips_of ~n_vips:1 ~dips_per_vip:8 in
@@ -65,34 +69,42 @@ let switch_failure ~quick ppf =
   Common.header ppf "Switch failure in a redundant group (§7)";
   Common.row ppf [ "scenario"; "conns"; "broken"; "fraction" ];
   Common.rule ppf;
+  let horizon = 4. in
+  (* a SYN at 0 and one data probe at 3, after the failure at 2 *)
+  let trace =
+    Harness.Packed_trace.compile ~early_offsets:[ 3. ] ~probe_interval:horizon ~horizon
+      (List.init n (fun i ->
+           {
+             Simnet.Flow.id = i;
+             tuple =
+               Netcore.Five_tuple.make
+                 ~src:
+                   (Netcore.Endpoint.v4 3 ((i / 62500) + 1) ((i / 250) mod 250)
+                      (1 + (i mod 250)) 7777)
+                 ~dst:vip ~proto:Netcore.Protocol.Tcp;
+             start = 0.;
+             duration = horizon;
+             bytes_per_sec = 1000.;
+           }))
+  in
+  (* 50 MB of LB SRAM per ToR: every ToR can host the VIP *)
+  let tors =
+    [ { Silkroad.Assignment.layer_name = "tor"; switches = 3;
+        sram_budget_bits = 50 * 8 * 1024 * 1024; capacity_gbps = 10_000. } ]
+  in
   let run_case ~with_update name =
-    let g = Silkroad.Switch_group.create ~seed:6 ~switches:3 ~vips () in
-    let b = Silkroad.Switch_group.balancer g in
-    let flows =
-      List.init n (fun i ->
-          Netcore.Five_tuple.make
-            ~src:(Netcore.Endpoint.v4 3 ((i / 62500) + 1) ((i / 250) mod 250) (1 + (i mod 250)) 7777)
-            ~dst:vip ~proto:Netcore.Protocol.Tcp)
+    let topo = Netwide.Topology.build ~seed:6 ~layers:tors ~vips () in
+    let controls =
+      if with_update then
+        [ (1., Harness.Replay.Update (vip, Lb.Balancer.Dip_add (Common.dip 100))) ]
+      else []
     in
-    let before =
-      List.map (fun f -> (f, (b.Lb.Balancer.process ~now:0. (Netcore.Packet.syn f)).Lb.Balancer.dip)) flows
-    in
-    b.Lb.Balancer.advance ~now:1.;
-    if with_update then begin
-      b.Lb.Balancer.update ~now:1. ~vip (Lb.Balancer.Dip_add (Common.dip 100));
-      b.Lb.Balancer.advance ~now:2.
-    end;
-    Silkroad.Switch_group.fail g 0;
-    let broken =
-      List.length
-        (List.filter
-           (fun (f, d) ->
-             (b.Lb.Balancer.process ~now:3. (Netcore.Packet.data f)).Lb.Balancer.dip <> d)
-           before)
-    in
+    let events = [ (2., Netwide.Replay.Switch_down 0) ] in
+    let r = Netwide.Replay.run ~topo ~trace ~controls ~events () in
+    let conns = r.Netwide.Replay.connections and broken = r.Netwide.Replay.broken in
     Common.row ppf
-      [ name; string_of_int n; string_of_int broken;
-        Common.pct (float_of_int broken /. float_of_int n) ]
+      [ name; string_of_int conns; string_of_int broken;
+        Common.pct (float_of_int broken /. float_of_int conns) ]
   in
   run_case ~with_update:false "no update before failure";
   run_case ~with_update:true "update pinned old versions";

@@ -66,8 +66,7 @@ type t = {
       (** the balancer's telemetry registry. Every implementation exposes
           at least the uniform [lb.packets] / [lb.dropped_packets]
           counters, plus its own implementation-specific metrics. A thunk
-          so aggregates (e.g. a switch group) can merge member registries
-          at snapshot time. *)
+          so a wrapper can merge registries at snapshot time. *)
   disturb : now:float -> disturbance -> unit;
       (** apply a fault-injection disturbance. Implementations translate
           it to whatever internal resource it stresses; a no-op where the

@@ -20,8 +20,3 @@ let wire_size_of ~payload_len flow =
   eth + ip + l4 + payload_len
 
 let wire_size { flow; flags = _; payload_len } = wire_size_of ~payload_len flow
-
-(* through [make], so the rewritten tuple carries its own cached hash *)
-let rewrite_dst t dip =
-  let { Five_tuple.src; proto; _ } = t.flow in
-  { t with flow = Five_tuple.make ~src ~dst:dip ~proto }

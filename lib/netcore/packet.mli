@@ -23,8 +23,3 @@ val wire_size : t -> int
 val wire_size_of : payload_len:int -> Five_tuple.t -> int
 (** {!wire_size} without building a packet record — the batched replay
     path meters flows it never boxes into [t]. *)
-
-val rewrite_dst : t -> Endpoint.t -> t
-[@@silkroad.allow "surface.unused-export: the balancer's destination NAT, which the simulation leaves implicit; test_netcore checks it rebuilds the tuple"]
-(** Destination NAT: the balancer forwards the packet with the VIP
-    replaced by the chosen DIP. *)

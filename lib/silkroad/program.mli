@@ -12,8 +12,9 @@
 
 val additional_resources : connections:int -> vips:int -> Asic.Resources.t
 [@@silkroad.allow "surface.unused-export: test_analysis checks that the placeable items sum to the Table 2 resources"]
-(** Table resources plus the TransitTable register array / stateful
-    ALUs and the metadata PHV bits. *)
+(** The sum of {!pipeline_items}' resources: the match tables, the
+    TransitTable register array and stateful ALUs, and the metadata PHV
+    bits. *)
 
 val table2 : connections:int -> vips:int -> Asic.Resources.percentages
 (** Additional usage as percentages of the baseline — Table 2's rows. *)
@@ -22,9 +23,9 @@ val table2 : connections:int -> vips:int -> Asic.Resources.percentages
 
     The same inventory, viewed as placeable {!Asic.Pipeline} items with
     Figure 10's dependency structure (ConnTable → VIPTable →
-    TransitTable/DIPPoolTable, LearnTable on the miss signal). The item
-    resources sum to {!additional_resources} exactly, so Table 2 is
-    unchanged by the stage allocator. *)
+    TransitTable/DIPPoolTable, LearnTable on the miss signal).
+    {!additional_resources} is the items' sum, so the stage allocator
+    places exactly what Table 2 counts. *)
 
 val chip : unit -> Asic.Pipeline.chip
 (** The §6-generation chip the checker places onto, with

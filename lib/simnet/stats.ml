@@ -23,10 +23,3 @@ let ccdf_at xs threshold =
   else
     let above = List.length (List.filter (fun x -> x > threshold) xs) in
     float_of_int above /. float_of_int (List.length xs)
-
-let histogram xs ~bins =
-  List.map
-    (fun (lo, hi) ->
-      let count = List.length (List.filter (fun x -> x >= lo && x < hi) xs) in
-      (lo, hi, count))
-    bins

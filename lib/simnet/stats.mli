@@ -1,7 +1,6 @@
-(** Descriptive statistics for experiment reporting: percentiles, CDFs
-    and fixed-bin histograms. All figures in the paper are CDFs across
-    clusters or series over a swept parameter; this module produces those
-    rows. *)
+(** Descriptive statistics for experiment reporting: percentiles and
+    CDFs. All figures in the paper are CDFs across clusters or series
+    over a swept parameter; this module produces those rows. *)
 
 val percentile : float list -> float -> float
 (** [percentile xs p] with [p] in [0, 100], by linear interpolation
@@ -22,7 +21,3 @@ val p99_of_histogram : Telemetry.Histogram.t -> float
 val ccdf_at : float list -> float -> float
 (** Fraction of samples strictly greater than the threshold ("Y% of
     clusters have more than X updates" — Figure 2's axis). *)
-
-val histogram : float list -> bins:(float * float) list -> (float * float * int) list
-[@@silkroad.allow "surface.unused-export: binning for figure tables; test_coverage is its subject"]
-(** Counts per [lo, hi) bin. *)

@@ -46,31 +46,6 @@ let arrivals ~rng ~id_base p =
   in
   gen id_base 0.
 
-let merge seqs =
-  (* Small-N merge: scan the current heads for the minimum start time. *)
-  let rec next heads () =
-    let heads = List.filter_map (fun s -> match s () with
-      | Seq.Nil -> None
-      | Seq.Cons (flow, rest) -> Some (flow, rest)) heads
-    in
-    match heads with
-    | [] -> Seq.Nil
-    | _ ->
-      let (best, _) =
-        List.fold_left
-          (fun (bf, br) (f, r) ->
-            if f.Flow.start < bf.Flow.start then (f, r) else (bf, br))
-          (List.hd heads) (List.tl heads)
-      in
-      let rest =
-        List.map
-          (fun (f, r) -> if f == best then r else fun () -> Seq.Cons (f, r))
-          heads
-      in
-      Seq.Cons (best, next rest)
-  in
-  next seqs
-
 let take_until ~horizon seq =
   let rec go acc s =
     match s () with

@@ -42,9 +42,5 @@ val arrivals : rng:Prng.t -> id_base:int -> profile -> Flow.t Seq.t
     client population; collisions are possible but astronomically
     rare. *)
 
-val merge : Flow.t Seq.t list -> Flow.t Seq.t
-[@@silkroad.allow "surface.unused-export: merges per-VIP arrival streams in start order; test_simnet is its subject"]
-(** Merge several time-ordered sequences into one, preserving order. *)
-
 val take_until : horizon:float -> Flow.t Seq.t -> Flow.t list
 (** Materialize every flow that starts before [horizon]. *)

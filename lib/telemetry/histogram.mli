@@ -10,8 +10,8 @@
     is the discipline Charon and Concury apply to datapath telemetry.
 
     Two histograms with the same bucketing {!spec} can be merged
-    with {!merge_into} (commutatively and associatively), which is how a
-    switch group aggregates its members. *)
+    with {!merge_into} (commutatively and associatively), which is how
+    the network-wide replay aggregates its switches. *)
 
 type t
 

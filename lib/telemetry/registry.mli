@@ -55,9 +55,9 @@ val snapshot : t -> Snapshot.t
 
 val merge_into : into:t -> t -> unit
 (** Fold the right registry into [into]: counters and gauges add,
-    histograms merge — the aggregation a {!Snapshot} of a whole switch
-    group wants. Gauges are summed, which reads naturally for
-    occupancies and sizes. Raises [Invalid_argument] on a kind or
+    histograms merge — the aggregation a {!Snapshot} of a whole
+    network of switches wants. Gauges are summed, which reads naturally
+    for occupancies and sizes. Raises [Invalid_argument] on a kind or
     histogram-spec mismatch. *)
 
 val merge_all : t list -> t

@@ -67,91 +67,3 @@ let json_of_item item =
 
 let to_json_value t = Json.List (List.map json_of_item t)
 let to_json t = Json.to_string_pretty (to_json_value t)
-
-let item_of_json j =
-  let ( let* ) = Option.bind in
-  let str k = match Json.member k j with Some (Json.String s) -> Some s | _ -> None in
-  let int k = match Json.member k j with Some (Json.Int i) -> Some i | _ -> None in
-  let flt k =
-    match Json.member k j with
-    | Some (Json.Float f) -> Some f
-    | Some (Json.Int i) -> Some (float_of_int i)
-    | _ -> None
-  in
-  let* name = str "name" in
-  let labels =
-    match Json.member "labels" j with
-    | Some (Json.Obj fields) ->
-      sort_labels
-        (List.filter_map
-           (fun (k, v) -> match v with Json.String s -> Some (k, s) | _ -> None)
-           fields)
-    | _ -> []
-  in
-  let* kind = str "kind" in
-  let* value =
-    match kind with
-    | "counter" ->
-      let* c = int "value" in
-      Some (Counter c)
-    | "gauge" ->
-      let* g = flt "value" in
-      Some (Gauge g)
-    | "histogram" ->
-      let* count = int "count" in
-      let* sum = flt "sum" in
-      let* min = flt "min" in
-      let* max = flt "max" in
-      let* p50 = flt "p50" in
-      let* p90 = flt "p90" in
-      let* p99 = flt "p99" in
-      let* p999 = flt "p999" in
-      Some (Histogram { count; sum; min; max; p50; p90; p99; p999 })
-    | _ -> None
-  in
-  Some { name; labels; value }
-
-let of_json s =
-  match Json.parse s with
-  | Error e -> Error e
-  | Ok (Json.List items) ->
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | j :: rest ->
-        (match item_of_json j with
-         | Some item -> go (item :: acc) rest
-         | None -> Error "malformed snapshot item")
-    in
-    go [] items
-  | Ok _ -> Error "snapshot must be a JSON array"
-
-(* ----- CSV ----- *)
-
-let csv_escape s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
-let to_csv t =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "name,labels,kind,field,value\n";
-  let row name labels kind field value =
-    Buffer.add_string buf
-      (Printf.sprintf "%s,%s,%s,%s,%s\n" (csv_escape name) (csv_escape labels) kind field value)
-  in
-  List.iter
-    (fun item ->
-      let labels =
-        String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) item.labels)
-      in
-      match item.value with
-      | Counter c -> row item.name labels "counter" "value" (string_of_int c)
-      | Gauge g -> row item.name labels "gauge" "value" (Printf.sprintf "%.17g" g)
-      | Histogram s ->
-        row item.name labels "histogram" "count" (string_of_int s.count);
-        List.iter
-          (fun (field, v) -> row item.name labels "histogram" field (Printf.sprintf "%.17g" v))
-          [ ("sum", s.sum); ("min", s.min); ("max", s.max); ("p50", s.p50); ("p90", s.p90);
-            ("p99", s.p99); ("p999", s.p999) ])
-    t;
-  Buffer.contents buf

@@ -3,9 +3,7 @@
 
     Histograms appear as fixed summaries (count/sum/min/max and the
     quantiles the paper's figures use) rather than raw buckets, so
-    snapshots from different runs are directly comparable rows. A
-    snapshot survives a JSON round-trip bit-exactly
-    ([of_json (to_json s) = Ok s]). *)
+    snapshots from different runs are directly comparable rows. *)
 
 type summary = {
   count : int;
@@ -40,11 +38,3 @@ val find : t -> ?labels:(string * string) list -> string -> item option
 val to_json_value : t -> Json.t
 val to_json : t -> string
 (** Pretty-printed JSON array, one object per metric. *)
-
-val of_json : string -> (t, string) result
-[@@silkroad.allow "surface.unused-export: reads back the snapshot JSON the CLI writes; test_telemetry's round trip is its subject"]
-
-val to_csv : t -> string
-[@@silkroad.allow "surface.unused-export: CSV export of a snapshot; test_telemetry is its subject"]
-(** One [name,labels,kind,field,value] row per scalar, histogram
-    summaries flattened into one row per field. *)

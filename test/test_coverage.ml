@@ -44,18 +44,6 @@ let printers_do_not_raise () =
   in
   List.iter (fun s -> check Alcotest.bool "non-empty" true (String.length s > 0)) strings
 
-let stats_histogram () =
-  let h = Simnet.Stats.histogram [ 1.; 2.; 3.; 10. ] ~bins:[ (0., 5.); (5., 20.) ] in
-  check
-    (Alcotest.list (Alcotest.triple (Alcotest.float 1e-9) (Alcotest.float 1e-9) Alcotest.int))
-    "bins" [ (0., 5., 3); (5., 20., 1) ] h
-
-let dist_scaled () =
-  let rng = Simnet.Prng.create ~seed:1 in
-  let d = Simnet.Dist.scaled (Simnet.Dist.constant 3.) 2. in
-  check (Alcotest.float 1e-9) "sample" 6. (Simnet.Dist.sample d rng);
-  check (Alcotest.option (Alcotest.float 1e-9)) "mean" (Some 6.) (Simnet.Dist.mean d)
-
 let prng_shuffle_permutes () =
   let rng = Simnet.Prng.create ~seed:2 in
   let arr = Array.init 50 (fun i -> i) in
@@ -93,8 +81,6 @@ let suites =
         tc "config validation" `Quick config_validation;
         tc "config sizing" `Quick config_sizing;
         tc "printers" `Quick printers_do_not_raise;
-        tc "histogram" `Quick stats_histogram;
-        tc "scaled dist" `Quick dist_scaled;
         tc "shuffle" `Quick prng_shuffle_permutes;
         tc "endpoint hash fold" `Quick endpoint_hash_fold_differs;
         tc "balancer record" `Quick balancer_interface_complete;

@@ -275,33 +275,6 @@ let packet_sizes () =
   let p6 = Netcore.Packet.make ~payload_len:100 t6 in
   check Alcotest.int "v6 udp" 162 (Netcore.Packet.wire_size p6)
 
-let packet_rewrite () =
-  let dip = Netcore.Endpoint.v4 10 0 0 2 20 in
-  let p = Netcore.Packet.syn (tuple ()) in
-  let p' = Netcore.Packet.rewrite_dst p dip in
-  check Alcotest.bool "dst rewritten" true
-    (Netcore.Endpoint.equal p'.Netcore.Packet.flow.Netcore.Five_tuple.dst dip);
-  check Alcotest.bool "src kept" true
-    (Netcore.Endpoint.equal p'.Netcore.Packet.flow.Netcore.Five_tuple.src
-       p.Netcore.Packet.flow.Netcore.Five_tuple.src)
-
-(* the rewritten tuple is built by [make], so its cached hash is fresh *)
-let packet_rewrite_rehashes () =
-  let dip = Netcore.Endpoint.v4 10 0 0 2 20 in
-  let p = Netcore.Packet.syn (tuple ()) in
-  let flow = (Netcore.Packet.rewrite_dst p dip).Netcore.Packet.flow in
-  let made =
-    Netcore.Five_tuple.make ~src:(Netcore.Endpoint.v4 1 2 3 4 1234) ~dst:dip
-      ~proto:Netcore.Protocol.Tcp
-  in
-  check Alcotest.bool "equal to make" true (Netcore.Five_tuple.equal flow made);
-  check Alcotest.bool "structurally equal" true (flow = made);
-  List.iter
-    (fun seed ->
-      check Alcotest.bool "hashes like make" true
-        (Int64.equal (Netcore.Five_tuple.hash ~seed flow) (Netcore.Five_tuple.hash ~seed made)))
-    [ 0; 7; 0x7a17 ]
-
 let suites =
   [
     ( "netcore.ip",
@@ -341,7 +314,5 @@ let suites =
         tc "flag bytes" `Quick flags_byte_roundtrip;
         tc "flag predicates" `Quick flags_predicates;
         tc "wire sizes" `Quick packet_sizes;
-        tc "rewrite dst" `Quick packet_rewrite;
-        tc "rewrite dst rehashes" `Quick packet_rewrite_rehashes;
       ] );
   ]

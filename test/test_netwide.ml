@@ -25,7 +25,8 @@
      before a ToR failure is re-routed to a different switch and must
      survive a concurrent DIP pool update with zero PCC violations;
      recovery routes it back, again without violations; a VIP migration
-     moves only that VIP's flows. *)
+     moves only that VIP's flows. Failing a ToR after an update breaks
+     only re-homed connections pinned to the old version (§7). *)
 
 let check = Alcotest.check
 let tc = Alcotest.test_case
@@ -332,6 +333,44 @@ let vip_migration_moves_only_its_flows () =
   check Alcotest.int "the moved VIP now terminates on the Agg" 0
     (Netwide.Topology.layer_of_vip topo vip0)
 
+(* 3 state-holding ToRs and nothing above them: the redundant group of
+   §7 "Handle switch failures", every ToR hosting every VIP *)
+let three_tor () =
+  Netwide.Topology.build ~layers:[ layer "tor" 3 big 10_000. ] ~vips:default_vips ()
+
+(* §7: a failed switch breaks only the connections it had pinned to an
+   old version. ToR 0 dies at t=12; the update at t=10 pins every
+   connection learned before it to the old version on its ToR, and the
+   survivors hash ToR 0's connections under the new pool, so some
+   break — and only re-homed ones can. Without the update every ToR
+   still holds the pool those connections were hashed under. *)
+let tor_failure_at_12 controls =
+  let flows = Experiments.Common.fabric_flows ~seed:4141 ~n:600 ~span:5. default_vips in
+  let trace = Harness.Packed_trace.compile ~probe_interval:1. ~horizon:30. flows in
+  Netwide.Replay.run ~topo:(three_tor ()) ~trace ~controls
+    ~events:[ (12., Netwide.Replay.Switch_down 0) ]
+    ()
+
+let failure_without_update () =
+  let r = tor_failure_at_12 [] in
+  check Alcotest.bool "the failure re-homed connections" true (r.Netwide.Replay.moved_flows > 0);
+  check Alcotest.int "zero broken" 0 r.Netwide.Replay.broken
+
+let update_then_failure () =
+  let vip0, _ = List.hd default_vips in
+  let r =
+    tor_failure_at_12
+      (Harness.Replay.controls_of_updates ~horizon:30.
+         [ (10., vip0, Lb.Balancer.Dip_add (Experiments.Common.dip 100)) ])
+  in
+  let broken = r.Netwide.Replay.broken in
+  check Alcotest.bool (Printf.sprintf "some broke (%d)" broken) true (broken > 0);
+  check Alcotest.bool
+    (Printf.sprintf "only re-homed connections break (%d <= %d)" broken
+       r.Netwide.Replay.moved_flows)
+    true
+    (broken <= r.Netwide.Replay.moved_flows)
+
 let parallel_matches_sequential () =
   let flows = Experiments.Common.fabric_flows ~seed:31337 ~n:400 ~span:25. default_vips in
   let trace = Harness.Packed_trace.compile ~probe_interval:1. ~horizon:90. flows in
@@ -422,6 +461,8 @@ let suites =
         tc "failure + concurrent update: zero violations" `Slow failure_with_concurrent_update;
         tc "failure and recovery round trip" `Quick failure_and_recovery;
         tc "vip migration moves only its flows" `Quick vip_migration_moves_only_its_flows;
+        tc "fail without update" `Quick failure_without_update;
+        tc "update then fail" `Quick update_then_failure;
         tc "parallel = sequential" `Quick parallel_matches_sequential;
       ] );
     ("netwide.golden", List.map netwide_golden_case netwide_golden);

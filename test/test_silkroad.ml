@@ -986,59 +986,6 @@ let hybrid_updates_reach_both () =
       ((b.Lb.Balancer.process ~now:1. (Netcore.Packet.syn f)).Lb.Balancer.dip = Some (dip 4))
   done
 
-(* ---------- Switch_group (§7: switch failures) ---------- *)
-
-let group_spreads_and_survives () =
-  let g = Silkroad.Switch_group.create ~seed:4 ~switches:3 ~vips:[ (vip, pool [ 1; 2; 3; 4 ]) ] () in
-  let b = Silkroad.Switch_group.balancer g in
-  (* flows spread over the 3 members *)
-  let before = List.init 90 (fun i -> (i, (b.Lb.Balancer.process ~now:0. (syn i)).Lb.Balancer.dip)) in
-  b.Lb.Balancer.advance ~now:1.;
-  let conns = Array.map Silkroad.Switch.connections (Silkroad.Switch_group.members g) in
-  Array.iter (fun c -> check Alcotest.bool "each member holds some" true (c > 0)) conns;
-  (* no updates ever: failing a switch re-hashes its flows onto an
-     identical VIPTable -> no breakage *)
-  Silkroad.Switch_group.fail g 0;
-  check Alcotest.int "two alive" 2 (Silkroad.Switch_group.alive g);
-  List.iter
-    (fun (i, d) ->
-      let o = b.Lb.Balancer.process ~now:2. (data i) in
-      check Alcotest.bool "same mapping on survivor" true (o.Lb.Balancer.dip = d))
-    before
-
-let group_old_version_conns_break () =
-  let g = Silkroad.Switch_group.create ~seed:4 ~switches:2 ~vips:[ (vip, pool [ 1; 2; 3; 4; 5; 6; 7; 8 ]) ] () in
-  let b = Silkroad.Switch_group.balancer g in
-  let before = List.init 200 (fun i -> (i, (b.Lb.Balancer.process ~now:0. (syn i)).Lb.Balancer.dip)) in
-  b.Lb.Balancer.advance ~now:1.;
-  (* an update pins existing conns to the old version *)
-  b.Lb.Balancer.update ~now:1. ~vip (Lb.Balancer.Dip_add (dip 9));
-  b.Lb.Balancer.advance ~now:2.;
-  (* without failure: nothing breaks *)
-  List.iter
-    (fun (i, d) ->
-      check Alcotest.bool "held before failure" true
-        ((b.Lb.Balancer.process ~now:2. (data i)).Lb.Balancer.dip = d))
-    before;
-  Silkroad.Switch_group.fail g 0;
-  (* flows that lived on switch 0 under the old version re-hash under the
-     NEW pool on switch 1: some break — "the same issue with an SLB
-     failure" (§7) *)
-  let broken =
-    List.length
-      (List.filter
-         (fun (i, d) -> (b.Lb.Balancer.process ~now:3. (data i)).Lb.Balancer.dip <> d)
-         before)
-  in
-  check Alcotest.bool (Printf.sprintf "some broke (%d)" broken) true (broken > 0);
-  check Alcotest.bool "most survive" true (broken < 100)
-
-let group_last_switch_protected () =
-  let g = Silkroad.Switch_group.create ~seed:4 ~switches:2 ~vips:[ (vip, pool [ 1 ]) ] () in
-  Silkroad.Switch_group.fail g 0;
-  Alcotest.check_raises "last" (Invalid_argument "Switch_group.fail: cannot kill the last switch")
-    (fun () -> Silkroad.Switch_group.fail g 1)
-
 let udp_flow i =
   Netcore.Five_tuple.make
     ~src:(Netcore.Endpoint.v4 4 4 ((i / 60000) + 1) 4 (1 + (i mod 60000)))
@@ -1672,12 +1619,6 @@ let suites =
         tc "pinned vip" `Quick hybrid_pinned_vip_at_slb;
         tc "overflow spills" `Quick hybrid_overflow_spills;
         tc "updates reach both" `Quick hybrid_updates_reach_both;
-      ] );
-    ( "silkroad.switch_group",
-      [
-        tc "spread & survive" `Quick group_spreads_and_survives;
-        tc "old versions break" `Quick group_old_version_conns_break;
-        tc "last switch protected" `Quick group_last_switch_protected;
       ] );
     ( "silkroad.health",
       [

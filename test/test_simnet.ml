@@ -76,36 +76,11 @@ let dist_lognormal_quantiles () =
   check Alcotest.bool (Printf.sprintf "p99 %.0f within 25%%" p99) true
     (abs_float (p99 -. 6000.) /. 6000. < 0.25)
 
-let dist_exponential_mean () =
-  let d = Simnet.Dist.exponential ~mean:10. in
-  (match Simnet.Dist.mean d with
-   | Some m -> check (Alcotest.float 1e-9) "analytic mean" 10. m
-   | None -> Alcotest.fail "no mean");
-  let rng = Simnet.Prng.create ~seed:9 in
-  let samples = List.init 20_000 (fun _ -> Simnet.Dist.sample d rng) in
-  check Alcotest.bool "empirical mean" true (abs_float ((List.fold_left ( +. ) 0. samples /. float_of_int (List.length samples)) -. 10.) < 0.5)
-
 let dist_constant_truncated () =
   let rng = Simnet.Prng.create ~seed:10 in
   check (Alcotest.float 1e-9) "constant" 5. (Simnet.Dist.sample (Simnet.Dist.constant 5.) rng);
   let d = Simnet.Dist.truncated (Simnet.Dist.constant 100.) ~lo:0. ~hi:10. in
   check (Alcotest.float 1e-9) "truncated" 10. (Simnet.Dist.sample d rng)
-
-let dist_mixture_mean () =
-  let d = Simnet.Dist.mixture [ (Simnet.Dist.constant 0., 1.); (Simnet.Dist.constant 10., 1.) ] in
-  match Simnet.Dist.mean d with
-  | Some m -> check (Alcotest.float 1e-9) "mixture mean" 5. m
-  | None -> Alcotest.fail "no mean"
-
-let dist_pareto () =
-  let d = Simnet.Dist.pareto ~shape:2. ~scale:1. in
-  (match Simnet.Dist.mean d with
-   | Some m -> check (Alcotest.float 1e-9) "pareto mean" 2. m
-   | None -> Alcotest.fail "no mean");
-  let rng = Simnet.Prng.create ~seed:11 in
-  for _ = 1 to 1000 do
-    check Alcotest.bool "above scale" true (Simnet.Dist.sample d rng >= 1.)
-  done
 
 (* ---------- Stats ---------- *)
 
@@ -159,22 +134,6 @@ let workload_duration_median () =
   let durations = List.map (fun f -> f.Simnet.Flow.duration) flows in
   let med = Simnet.Stats.median durations in
   check Alcotest.bool (Printf.sprintf "hadoop median %.1f ~ 10s" med) true (med > 8. && med < 12.)
-
-let workload_merge () =
-  let vip = Netcore.Endpoint.v4 20 0 0 1 80 in
-  let mk seed = Simnet.Workload.arrivals ~rng:(Simnet.Prng.create ~seed) ~id_base:(seed * 100000)
-      (Simnet.Workload.profile ~vip ~new_conns_per_sec:10. ())
-  in
-  let merged = Simnet.Workload.merge [ mk 1; mk 2; mk 3 ] in
-  let flows = Simnet.Workload.take_until ~horizon:20. merged in
-  let rec increasing = function
-    | a :: (b :: _ as rest) -> a.Simnet.Flow.start <= b.Simnet.Flow.start && increasing rest
-    | [ _ ] | [] -> true
-  in
-  check Alcotest.bool "merged sorted" true (increasing flows);
-  check Alcotest.bool "roughly 3x rate" true
-    (let n = List.length flows in
-     n > 400 && n < 800)
 
 let flow_accessors () =
   let tuple =
@@ -440,10 +399,7 @@ let suites =
     ( "simnet.dist",
       [
         tc "lognormal quantiles" `Quick dist_lognormal_quantiles;
-        tc "exponential mean" `Quick dist_exponential_mean;
         tc "constant/truncated" `Quick dist_constant_truncated;
-        tc "mixture mean" `Quick dist_mixture_mean;
-        tc "pareto" `Quick dist_pareto;
       ] );
     ( "simnet.stats",
       [
@@ -455,7 +411,6 @@ let suites =
       [
         tc "arrival rate" `Quick workload_rate;
         tc "hadoop median" `Quick workload_duration_median;
-        tc "merge" `Quick workload_merge;
         tc "flow accessors" `Quick flow_accessors;
       ] );
     ( "simnet.update_trace",
