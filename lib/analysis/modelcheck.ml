@@ -12,6 +12,7 @@ module Ep = Netcore.Endpoint
 module Ft = Netcore.Five_tuple
 module Pool = Lb.Dip_pool
 module Sw = Silkroad.Switch
+module Stepper = Harness.Replay.Stepper
 
 type regime = {
   rg_name : string;
@@ -244,28 +245,49 @@ type run_result = {
   rr_stats : Sw.stats;
 }
 
-(* Harness.Replay.Stepper's discipline: a packet is processed and judged;
-   an update advances the switch, logs the retired DIP with the judge,
-   then is requested. [Switch.check_invariants] runs after every event;
-   the run stops at the first failure, or at DIPPoolTable's own
+let horizon_of events = (match List.rev events with (t, _) :: _ -> t | [] -> 0.) +. 1.0
+
+(* The schedule's packets as a packed trace, in event order: event
+   times are (i+1)*gap, so they are unique and already sorted. The
+   horizon is one second past the last event. *)
+let trace_of ~vip ~flows events =
+  let pkts =
+    Array.of_list
+      (List.filter_map
+         (function
+           | t, Pkt { eflow; esyn; eends } ->
+             Some (t, eflow, Char.chr (Netcore.Tcp_flags.to_byte (flags_of ~esyn ~eends)))
+           | _, Upd _ -> None)
+         events)
+  in
+  let n_flows = Array.length flows in
+  {
+    Harness.Packed_trace.horizon = horizon_of events;
+    vips = [| vip |];
+    flow_ids = Array.init n_flows Fun.id;
+    flow_vip = Array.make n_flows 0;
+    flow_tuples = Array.copy flows;
+    times = Array.map (fun (t, _, _) -> t) pkts;
+    pkt_flow = Array.map (fun (_, fi, _) -> fi) pkts;
+    pkt_flags = Bytes.init (Array.length pkts) (fun i -> let _, _, c = pkts.(i) in c);
+  }
+
+(* The schedule runs on Harness.Replay.Stepper: a packet event flushes
+   exactly its one packet, an update event is the stepper's [Update]
+   control. [Switch.check_invariants] runs after every event; the run
+   stops at the first failure, or at DIPPoolTable's own
    [Invalid_argument] on a release of a destroyed version. *)
-let run_switch ~cfg ~eager_gc ~flows ~removed ~events ~horizon =
+let run_switch ~cfg ~eager_gc ~flows ~removed ~events =
   let sw = Sw.create ~check:`Off cfg in
   Sw.add_vip sw model_vip (pool_full ());
   if eager_gc then Sw.on_update_done sw release_old_version;
-  let pcc = Lb.Pcc.Flat.create (Array.length flows) in
-  let counts = Lb.Pcc.Flat.counters () in
+  let sh = Stepper.make_shared ~trace:(trace_of ~vip:model_vip ~flows events) ~shards:1 in
+  let st = Stepper.create sh ~shard:0 ~batched:false sw in
   let step (t, ev) =
     match ev with
-    | Pkt { eflow; esyn; eends } ->
-      let dip =
-        Sw.process_flow sw ~now:t ~flags:(flags_of ~esyn ~eends) ~payload_len:0 flows.(eflow)
-      in
-      Lb.Pcc.Flat.judge pcc counts eflow dip ~ends:eends
+    | Pkt _ -> Stepper.flush_to st t
     | Upd j ->
-      Sw.advance sw ~now:t;
-      Lb.Pcc.Flat.exclude counts removed.(j);
-      Sw.request_update sw ~now:t ~vip:model_vip (Lb.Balancer.Dip_remove removed.(j))
+      Stepper.apply st ~at:t (Harness.Replay.Update (model_vip, Lb.Balancer.Dip_remove removed.(j)))
   in
   let sound () = Result.is_ok (Sw.check_invariants sw) in
   let recycle =
@@ -276,13 +298,17 @@ let run_switch ~cfg ~eager_gc ~flows ~removed ~events ~horizon =
           sound ())
         events
       &&
-      (Sw.advance sw ~now:horizon;
+      (Stepper.finish st ~now:(Stepper.horizon sh);
        sound ())
     with
     | ok -> not ok
     | exception Invalid_argument _ -> true
   in
-  { rr_violations = counts.Lb.Pcc.Flat.violations; rr_recycle = recycle; rr_stats = Sw.stats sw }
+  {
+    rr_violations = (Stepper.counts st).Harness.Replay.c_violations;
+    rr_recycle = recycle;
+    rr_stats = Sw.stats sw;
+  }
 
 (* ----- enumeration ----- *)
 
@@ -360,7 +386,6 @@ let max_counterexamples = 8
 let regime_config ?(use_transit = true) rg =
   verify_config ~use_transit ~cpu_rate:rg.cpu_rate ~learn_timeout:rg.learn_timeout ()
 
-let horizon_of events = (match List.rev events with (t, _) :: _ -> t | [] -> 0.) +. 1.0
 
 (* The stuck regime force-releases barriers by design, and the switch
    logs a warning for each; enumeration runs with the switch's log
@@ -394,8 +419,7 @@ let check_scope ?mutation scope =
           each_order ~flow_packets:scope.sc_flow_packets ~updates:scope.sc_updates
             (fun order ->
               let events = events_of_order ~flow_packets:scope.sc_flow_packets ~gap:rg.gap order in
-              let horizon = horizon_of events in
-              let r = run_switch ~cfg ~eager_gc ~flows ~removed ~events ~horizon in
+              let r = run_switch ~cfg ~eager_gc ~flows ~removed ~events in
               incr runs;
               events_total := !events_total + List.length events;
               if r.rr_stats.Sw.forced_transitions > 0 then incr forced;
@@ -442,36 +466,7 @@ let check_scope ?mutation scope =
 
 (* ----- realizing counterexamples ----- *)
 
-let ce_packets ce =
-  List.filter_map
-    (fun (t, ev) ->
-      match ev with
-      | Pkt { eflow; esyn; eends } -> Some (t, (eflow, esyn, eends))
-      | Upd _ -> None)
-    ce.ce_events
-
-let ce_trace ce =
-  let pkts = ce_packets ce in
-  let n = List.length pkts in
-  let times = Array.make n 0. in
-  let pkt_flow = Array.make n 0 in
-  let pkt_flags = Bytes.make n '\000' in
-  List.iteri
-    (fun i (t, (eflow, esyn, eends)) ->
-      times.(i) <- t;
-      pkt_flow.(i) <- eflow;
-      Bytes.set pkt_flags i (Char.chr (Netcore.Tcp_flags.to_byte (flags_of ~esyn ~eends))))
-    pkts;
-  {
-    Harness.Packed_trace.horizon = horizon_of ce.ce_events;
-    vips = [| ce.ce_vip |];
-    flow_ids = Array.init (Array.length ce.ce_flows) Fun.id;
-    flow_vip = Array.make (Array.length ce.ce_flows) 0;
-    flow_tuples = Array.copy ce.ce_flows;
-    times;
-    pkt_flow;
-    pkt_flags;
-  }
+let ce_trace ce = trace_of ~vip:ce.ce_vip ~flows:ce.ce_flows ce.ce_events
 
 let ce_updates ce =
   List.filter_map

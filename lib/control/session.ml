@@ -7,6 +7,7 @@ type phase =
   | Closed
 
 type t = {
+  switches : Silkroad.Switch.t array;
   steppers : Stepper.t array;
   trace_horizon : float;
   registry : Registry.t;
@@ -33,7 +34,7 @@ type t = {
          whose old version has not been observed recycled yet *)
 }
 
-let switch0 t = Stepper.switch t.steppers.(0)
+let switch0 t = t.switches.(0)
 
 (* Population counts span 1 .. bloom bits, far beyond the latency
    histogram's default range. *)
@@ -47,12 +48,13 @@ let create ?(cfg = Silkroad.Config.default) ?(shards = 1) ?(vips = []) ?trace ()
     | None -> Harness.Packed_trace.compile ~horizon:0. []
   in
   let sh = Stepper.make_shared ~trace ~shards in
-  let steppers =
-    Array.init shards (fun k ->
+  let switches =
+    Array.init shards (fun _ ->
         let sw = Silkroad.Switch.create cfg in
         List.iter (fun (v, pool) -> Silkroad.Switch.add_vip sw v pool) vips;
-        Stepper.create sh ~shard:k ~batched:true sw)
+        sw)
   in
+  let steppers = Array.mapi (fun k sw -> Stepper.create sh ~shard:k ~batched:true sw) switches in
   let registry = Registry.create () in
   let members = Hashtbl.create 16 in
   List.iter
@@ -61,6 +63,7 @@ let create ?(cfg = Silkroad.Config.default) ?(shards = 1) ?(vips = []) ?trace ()
     vips;
   let t =
     {
+      switches;
       steppers;
       trace_horizon = Stepper.horizon sh;
       registry;
@@ -91,7 +94,7 @@ let create ?(cfg = Silkroad.Config.default) ?(shards = 1) ?(vips = []) ?trace ()
 let now t = t.now
 let drained t = t.phase <> Running
 let closed t = t.phase = Closed
-let switches t = Array.map Stepper.switch t.steppers
+let switches t = Array.copy t.switches
 let pending_updates t = Silkroad.Switch.pending_updates (switch0 t)
 
 let counts t =
@@ -101,7 +104,7 @@ let control_metrics t = t.registry
 
 let switch_metrics t =
   Registry.merge_all
-    (Array.to_list (Array.map (fun st -> Silkroad.Switch.metrics (Stepper.switch st)) t.steppers))
+    (Array.to_list (Array.map Silkroad.Switch.metrics t.switches))
 
 let metrics t = Registry.merge_all [ t.registry; switch_metrics t ]
 
@@ -175,7 +178,7 @@ let vip_add t vip dips =
   else if not (distinct dips) then Error "duplicate dip in pool"
   else begin
     flush t;
-    each t (fun st -> Silkroad.Switch.add_vip (Stepper.switch st) vip (Lb.Dip_pool.of_list dips));
+    Array.iter (fun sw -> Silkroad.Switch.add_vip sw vip (Lb.Dip_pool.of_list dips)) t.switches;
     Hashtbl.replace t.members vip dips;
     t.vip_order <- t.vip_order @ [ vip ];
     Ok (Printf.sprintf "vip %s pool=%d" (ep vip) (List.length dips))
@@ -188,7 +191,7 @@ let vip_remove t vip =
     (* Switch.remove_vip validates (active/queued update) before any
        mutation, and every shard is in the same update state, so a raise
        from the first switch means nothing changed anywhere. *)
-    match each t (fun st -> Silkroad.Switch.remove_vip (Stepper.switch st) vip) with
+    match Array.iter (fun sw -> Silkroad.Switch.remove_vip sw vip) t.switches with
     | () ->
         Hashtbl.remove t.members vip;
         t.vip_order <- List.filter (fun v -> not (Netcore.Endpoint.equal v vip)) t.vip_order;

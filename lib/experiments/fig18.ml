@@ -11,6 +11,11 @@ let run ~quick ppf =
   let trace = if quick then 240. else 600. in
   let sizes = [ 1; 8; 64; 256 ] in
   let timeouts = [ 0.001; 0.005; 0.02 ] in
+  (* every cell replays the same workload; only the switch differs *)
+  let s =
+    Common.scenario ~seed:18 ~n_vips ~dips_per_vip ~duration:Simnet.Workload.hadoop_durations
+      ~conns_per_sec_per_vip:conns ~updates_per_min:10. ~trace_seconds:trace ()
+  in
   Common.header ppf "Figure 18: broken connections vs TransitTable size (10 upd/min)";
   Common.row ppf ("filter bytes" :: List.map (fun t -> Printf.sprintf "timeout %gms" (1000. *. t)) timeouts);
   Common.rule ppf;
@@ -24,11 +29,6 @@ let run ~quick ppf =
                 Silkroad.Config.transit_bytes = bytes;
                 learning_timeout = timeout;
                 cpu_insertions_per_sec = 2_000. }
-            in
-            let s =
-              Common.scenario ~seed:18 ~n_vips ~dips_per_vip
-                ~duration:Simnet.Workload.hadoop_durations ~conns_per_sec_per_vip:conns
-                ~updates_per_min:10. ~trace_seconds:trace ()
             in
             let _, b = Common.silkroad ~cfg ~vips:(Common.vips_of ~n_vips ~dips_per_vip) () in
             let r = Common.run b s in

@@ -2,21 +2,20 @@
     schedule against any {!Lb.Balancer.t}, and measure what the paper
     measures.
 
-    The driver is a front end over the one packet schedule: the flows
-    are compiled with {!Packed_trace.compile} (a SYN at each flow's
-    start, early probes inside the connection-learning race window
-    §4.3 is about, steady probes every [probe_interval] — which expose
+    The driver is one {!Replay.Stepper} plus observers. The flows are
+    compiled with {!Packed_trace.compile} (a SYN at each flow's start,
+    early probes inside the connection-learning race window §4.3 is
+    about, steady probes every [probe_interval] — which expose
     Duet-style breakage at migration time — and a FIN at its end), the
     chaos timeline and scripted updates become one {!Replay.control}
-    stream, and a single cursor walks the packets, applying each control
-    once every packet stamped at or before it has fired — the tie order
-    of {!Replay.Stepper}. A control excludes its {!Replay.retired_dip}
-    from the judge and goes to the balancer through {!Replay.apply_to},
-    the one control semantics every engine shares. Every probe is
-    checked by {!Lb.Pcc.Flat}, indexed by the compiled trace's flow
-    index, against the flow's first assignment; traffic volume is
-    attributed to whichever component handled each probe, weighted by
-    the flow's rate over the preceding inter-probe gap. *)
+    stream, and the stepper's per-packet path walks the packets, judges
+    them with {!Lb.Pcc.Flat} and applies the controls — the same loop,
+    tie order and control semantics as {!Replay.run}. The driver's own
+    probe advances the balancer to the packet's time and sends it one
+    packet record; what it adds is the latency sample and the byte
+    attribution by handling location (each probe carries the flow's
+    rate over the preceding inter-probe gap), and the attribution of
+    every violation to the active chaos fault window. *)
 
 type result = {
   balancer_name : string;

@@ -1,9 +1,9 @@
 (* Flat pre-encoded packet traces: one float per packet time, one int
    per flow index, one byte per flag set, all in time-sorted arrays.
-   This is the one packet schedule of the library: the experiment
-   driver and the replay engine both walk it with a single cursor, so
-   tie order is fixed here — equal-time packets keep flow-major
-   emission order. *)
+   This is the one packet schedule of the library: Replay.Stepper, the
+   loop the experiment driver and the replay engine both run on, walks
+   it with a single cursor, so tie order is fixed here — equal-time
+   packets keep flow-major emission order. *)
 
 type t = {
   horizon : float;

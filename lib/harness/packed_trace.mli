@@ -3,12 +3,12 @@
     A packed trace is a workload's probe schedule with all the boxing
     stripped: per-packet time, flow index and flag byte live in three
     parallel arrays sorted by (time, emission order), and per-flow
-    metadata (5-tuple, VIP, id) lives in flow-indexed arrays. Every
-    engine walks this schedule with one cursor: the experiment driver
-    against any balancer, and the replay engine through
-    {!Silkroad.Switch.process_batch} without allocating a packet record
-    per probe. Tie order is defined here once: equal-time packets fire
-    in flow-major emission order. *)
+    metadata (5-tuple, VIP, id) lives in flow-indexed arrays. One loop
+    walks it on one switch or balancer, {!Replay.Stepper}: the replay
+    engine, serve mode, the experiment driver and the model checker
+    all run on it, and [Netwide.Replay] walks it across a fabric. Tie
+    order is defined here once: equal-time packets fire in flow-major
+    emission order. *)
 
 type t = {
   horizon : float;

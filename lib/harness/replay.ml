@@ -2,11 +2,12 @@
    more Switch instances with flat-array PCC accounting.
 
    Equivalence contract (pinned by test/test_replay.ml):
-   - [Scalar] reproduces Driver.run's observable counters exactly: same
-     packets in the same order, controls applied with the same tie order
-     (packets at a control's timestamp fire first) and the same
-     semantics ([retired_dip] and [apply_to] below, shared by every
-     engine).
+   - [Scalar] is the Stepper's per-packet path with Switch.process_flow
+     as its probe. Driver.run is the same path with the balancer's
+     [advance] and [process] as the probe, so the two share packet
+     order, control tie order (packets at a control's timestamp fire
+     first) and control semantics ([retired_dip] and [apply_to] below)
+     by construction; the tests pin the two probes' counters equal.
    - [Batch] is byte-identical to [Scalar]: same single switch, same
      packet order — only the boxing differs.
    - [Sharded] partitions flows by 5-tuple hash across K independent
@@ -23,10 +24,11 @@
    counters — and with them its exclusion log — are per shard.
 
    The engine is factored as an incremental [Stepper] (one per shard)
-   so the long-running serve mode can drive the identical loop one
-   control command at a time: [run] below is nothing but "apply every
-   control in time order, then finish", which is why a scripted serve
-   session is counter-identical to a batch replay by construction. *)
+   so the long-running serve mode, the experiment driver and the model
+   checker drive the identical loop: [run] below is nothing but "apply
+   every control in time order, then finish", which is why a scripted
+   serve session is counter-identical to a batch replay by
+   construction. *)
 
 type control =
   | Update of Netcore.Endpoint.t * Lb.Balancer.update
@@ -165,7 +167,6 @@ let run_tasks ~parallel n task =
 
 module Stepper = struct
   type shared = {
-    horizon : float;
     shards : int;
     trace : Packed_trace.t;
     idx : int array array;  (** per shard: its packets' indices in [trace], in order *)
@@ -198,28 +199,37 @@ module Stepper = struct
       end
     in
     {
-      horizon = trace.Packed_trace.horizon;
       shards;
       trace;
       idx;
       pcc = Lb.Pcc.Flat.create (Packed_trace.n_flows trace);
     }
 
-  let horizon sh = sh.horizon
+  let horizon sh = sh.trace.Packed_trace.horizon
   let first_dip sh = Lb.Pcc.Flat.first_dip sh.pcc
+
+  (* How a stepper moves its packets: the switch's batch call, or one
+     call per packet to any balancer's probe *)
+  type path =
+    | Batched of {
+        switch : Silkroad.Switch.t;
+        dips : Netcore.Endpoint.t array;  (** one batch's results *)
+      }
+    | Each of {
+        probe : int -> float -> Netcore.Tcp_flags.t -> Netcore.Endpoint.t;
+        on_violation : float -> unit;
+      }
 
   type t = {
     sh : shared;
     shard : int;
     idx : int array;  (** this shard's packet indices *)
-    switch : Silkroad.Switch.t;
-    balancer : Lb.Balancer.t;
-    batched : bool;
+    balancer : Lb.Balancer.t;  (** the control side: {!apply_to} and the final advance *)
+    path : path;
     counters : Lb.Pcc.Flat.counters;
     (* flag byte -> flag set; the stepper's own, so no decoding table
        is shared between domains *)
     flags_of_byte : Netcore.Tcp_flags.t array;
-    dips : Netcore.Endpoint.t array;  (** one batch's results *)
     mutable cursor : int;  (** next unprocessed packet of this shard *)
   }
 
@@ -227,58 +237,66 @@ module Stepper = struct
      before the next call, so [dips] stays this small *)
   let batch = 1024
 
-  let create sh ~shard ~batched switch =
+  let payload_len = 1024
+
+  let make sh ~shard balancer path =
     if shard < 0 || shard >= sh.shards then invalid_arg "Replay.Stepper.create: bad shard";
     {
       sh;
       shard;
       idx = sh.idx.(shard);
-      switch;
-      balancer = Silkroad.Switch.balancer switch;
-      batched;
+      balancer;
+      path;
       counters = Lb.Pcc.Flat.counters ();
       flags_of_byte = Array.init 256 Netcore.Tcp_flags.of_byte;
-      dips = Array.make batch Silkroad.Switch.no_dip;
       cursor = 0;
     }
 
-  let switch st = st.switch
+  let of_balancer sh ~shard balancer ~probe ~on_violation =
+    make sh ~shard balancer (Each { probe; on_violation })
 
-  let payload_len = 1024
+  let create sh ~shard ~batched switch =
+    let balancer = Silkroad.Switch.balancer switch in
+    if batched then
+      make sh ~shard balancer (Batched { switch; dips = Array.make batch Silkroad.Switch.no_dip })
+    else
+      let tuples = sh.trace.Packed_trace.flow_tuples in
+      of_balancer sh ~shard balancer ~on_violation:ignore ~probe:(fun fi now flags ->
+          Silkroad.Switch.process_flow switch ~now ~flags ~payload_len tuples.(fi))
 
   let process_range st lo hi =
     let tr = st.sh.trace and idx = st.idx in
     let times = tr.Packed_trace.times
-    and tuples = tr.Packed_trace.flow_tuples
     and pkt_flow = tr.Packed_trace.pkt_flow
     and pkt_flags = tr.Packed_trace.pkt_flags
     and flags_of_byte = st.flags_of_byte in
     let pcc = st.sh.pcc and c = st.counters in
-    if st.batched then begin
+    match st.path with
+    | Batched { switch; dips } ->
+      let tuples = tr.Packed_trace.flow_tuples in
       let pos = ref lo in
       while !pos < hi do
         let len = Int.min batch (hi - !pos) in
-        Silkroad.Switch.process_batch st.switch ~times ~tuples ~pkt_flow ~pkt_flags ~flags_of_byte
-          ~payload_len ~idx ~dips:st.dips ~pos:!pos ~len;
+        Silkroad.Switch.process_batch switch ~times ~tuples ~pkt_flow ~pkt_flags ~flags_of_byte
+          ~payload_len ~idx ~dips ~pos:!pos ~len;
         for k = 0 to len - 1 do
           let i = idx.(!pos + k) in
-          Lb.Pcc.Flat.judge pcc c pkt_flow.(i) st.dips.(k)
+          Lb.Pcc.Flat.judge pcc c pkt_flow.(i) dips.(k)
             ~ends:
               (Netcore.Tcp_flags.is_connection_end
                  flags_of_byte.(Char.code (Bytes.get pkt_flags i)))
         done;
         pos := !pos + len
       done
-    end
-    else
+    | Each { probe; on_violation } ->
       for j = lo to hi - 1 do
         let i = idx.(j) in
+        let fi = pkt_flow.(i) and at = times.(i) in
         let flags = flags_of_byte.(Char.code (Bytes.get pkt_flags i)) in
-        let dip =
-          Silkroad.Switch.process_flow st.switch ~now:times.(i) ~flags ~payload_len
-            tuples.(pkt_flow.(i))
-        in
-        Lb.Pcc.Flat.judge pcc c pkt_flow.(i) dip ~ends:(Netcore.Tcp_flags.is_connection_end flags)
+        let dip = probe fi at flags in
+        let violations = c.Lb.Pcc.Flat.violations in
+        Lb.Pcc.Flat.judge pcc c fi dip ~ends:(Netcore.Tcp_flags.is_connection_end flags);
+        if c.Lb.Pcc.Flat.violations > violations then on_violation at
       done
 
   (* process this shard's packets with time <= [at]: every probe stamped
@@ -307,7 +325,7 @@ module Stepper = struct
     let n = Array.length st.idx in
     process_range st st.cursor n;
     st.cursor <- n;
-    Silkroad.Switch.advance st.switch ~now
+    st.balancer.Lb.Balancer.advance ~now
 
   let counts st = counts_of st.counters
 end
@@ -353,7 +371,8 @@ let run ?(mode = Batch) ~make_switch ~(trace : Packed_trace.t) ~controls () =
   let controls =
     Array.of_list (List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) controls)
   in
-  let steppers = Array.init shards (fun k -> Stepper.create sh ~shard:k ~batched (make_switch ())) in
+  let switches = Array.init shards (fun _ -> make_switch ()) in
+  let steppers = Array.mapi (fun k sw -> Stepper.create sh ~shard:k ~batched sw) switches in
   let run_shard k =
     let st = steppers.(k) in
     Array.iter (fun (at, ctrl) -> Stepper.apply st ~at ctrl) controls;
@@ -361,7 +380,6 @@ let run ?(mode = Batch) ~make_switch ~(trace : Packed_trace.t) ~controls () =
   in
   let (), elapsed = Stopwatch.time (fun () -> run_tasks ~parallel shards run_shard) in
   let tot = sum_counts (Array.to_list (Array.map Stepper.counts steppers)) in
-  let switches = Array.map Stepper.switch steppers in
   let false_hits = ref 0 in
   let repairs = ref 0 in
   Array.iter

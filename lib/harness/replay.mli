@@ -7,8 +7,11 @@
     Three modes, with a pinned equivalence contract:
 
     - [Scalar] — one switch, one {!Silkroad.Switch.process_flow} call
-      per packet. Reproduces {!Driver.run}'s observable counters exactly
-      (same packets, same order, same control tie-breaking).
+      per packet: the {!Stepper}'s per-packet path, which {!Driver.run}
+      also runs with the balancer's [advance] and [process] as its
+      probe. Packet order, control tie-breaking and control semantics
+      are therefore shared by construction; its counters equal the
+      Driver's on a SilkRoad balancer.
     - [Batch] — one switch, {!Silkroad.Switch.process_batch} over the
       packet runs between control events. Byte-identical to [Scalar],
       including the merged telemetry snapshot.
@@ -39,9 +42,9 @@
     switch but touch neither the packet counters nor the judge. *)
 
 (** A control event. Its meaning is defined once, by {!retired_dip}
-    (the judge side) and {!apply_to} (the balancer side); every engine —
-    {!Driver}, {!Stepper}, [Netwide.Replay] — calls both and keeps only
-    its own routing of the control to switches. *)
+    (the judge side) and {!apply_to} (the balancer side); both engines —
+    {!Stepper} and [Netwide.Replay] — call both and keep only their own
+    routing of the control to switches. *)
 type control =
   | Update of Netcore.Endpoint.t * Lb.Balancer.update
       (** a DIP-pool update; a removal or replacement retires the old DIP *)
@@ -146,18 +149,19 @@ val run_tasks : parallel:bool -> int -> (int -> unit) -> unit
     [w, w + workers, ...] start to finish. Tasks must touch disjoint
     state. *)
 
-(** The replay loop, exposed incrementally: one stepper per shard, each
-    owning a switch and a cursor into its share of the packed trace.
+(** The packet loop, exposed incrementally: one stepper per shard, each
+    driving a balancer with a cursor into its share of the packed trace.
     {!run} is exactly "apply every control in time order, then finish" on
-    these steppers — the long-running serve mode ({!Control.Session})
+    these steppers. The long-running serve mode ({!Control.Session})
     drives the same steppers one command at a time, which is what makes
     a scripted serve session counter-identical to a batch replay by
-    construction.
+    construction; {!Driver.run} and the model checker drive one stepper
+    each.
 
-    Discipline (shared with {!run} and {!Driver}): packets at time
-    [t <= at] fire before a control applied at [at], and
-    {!Stepper.apply}/{!Stepper.finish} are the only places the switch's
-    control plane is advanced outside the packet path. *)
+    Discipline: packets at time [t <= at] fire before a control applied
+    at [at], and {!Stepper.apply}/{!Stepper.finish} are the only places
+    the balancer's control plane is advanced outside the per-packet
+    path. *)
 module Stepper : sig
   type shared
   (** The trace, read in place, each shard's packet indices into it, and
@@ -172,28 +176,40 @@ module Stepper : sig
   type t
 
   val create : shared -> shard:int -> batched:bool -> Silkroad.Switch.t -> t
-  (** One stepper per shard, [shard] in [0 .. shards-1]. [batched] uses
+  (** A stepper on a switch, [shard] in [0 .. shards-1]. [batched] uses
       {!Silkroad.Switch.process_batch} over runs of up to 1024 packets
-      (the fast path); [false] mirrors the scalar one-call-per-packet
-      loop. *)
+      (the fast path); [false] is {!of_balancer} with
+      {!Silkroad.Switch.process_flow} as the probe and no violation
+      observer. *)
 
-  val switch : t -> Silkroad.Switch.t
+  val of_balancer :
+    shared ->
+    shard:int ->
+    Lb.Balancer.t ->
+    probe:(int -> float -> Netcore.Tcp_flags.t -> Netcore.Endpoint.t) ->
+    on_violation:(float -> unit) ->
+    t
+  (** The per-packet path for any balancer. [probe fi at flags] sends
+      one packet of flow index [fi] at time [at] and returns its DIP
+      ({!Lb.Pcc.Flat.no_dip} on a drop); the stepper judges it, and
+      calls [on_violation at] when that judgement counted a PCC
+      violation. Controls and {!finish} go to the balancer. *)
 
   val flush_to : t -> float -> unit
   (** Process this shard's packets with time [<= t] (monotone: already
       processed packets are never revisited). Does {e not} advance the
-      switch's control plane beyond what the packet path itself does —
+      balancer's control plane beyond what the probe itself does —
       exactly the batch loop's behaviour between controls. *)
 
   val apply : t -> at:float -> control -> unit
   (** [flush_to at], log the {!retired_dip} in this shard's judge
-      counters (the only ones that judge its flows), then {!apply_to} the switch — except an attack SYN, which only its
-      flow's owner shard applies (so broadcasting every control to every
-      shard is safe). Controls must be applied in non-decreasing time
-      order. *)
+      counters (the only ones that judge its flows), then {!apply_to}
+      the balancer — except an attack SYN, which only its flow's owner
+      shard applies (so broadcasting every control to every shard is
+      safe). Controls must be applied in non-decreasing time order. *)
 
   val finish : t -> now:float -> unit
-  (** Process every remaining packet, then advance the switch to [now]
+  (** Process every remaining packet, then advance the balancer to [now]
       (the trace horizon in {!run}; a serve session may drain later). *)
 
   val counts : t -> counts

@@ -42,10 +42,10 @@ val violations : t -> int
     several). *)
 
 (** The flow-indexed, allocation-free refinement of the oracle above —
-    the one judge every engine ([Harness.Driver], [Harness.Replay],
-    [Netwide.Replay]) calls, and the one the model checker judges each
-    enumerated schedule's real switch with; the oracle itself is
-    the reference a qcheck property holds it equal to. Flows are dense
+    the one judge both packet loops ([Harness.Replay.Stepper], which
+    the experiment driver, serve mode and the model checker run on,
+    and [Netwide.Replay]) call; the oracle itself is the reference a
+    qcheck property holds it equal to. Flows are dense
     indices [0 .. n-1]; the verdict counters live in caller-owned
     {!counters}, so engines that judge disjoint flow sets on several
     Domains keep one set per owner and sum them afterwards. *)

@@ -572,6 +572,32 @@ let golden_case (scenario, balancer, digest) =
       check Alcotest.string "telemetry digest" digest
         (Digest.to_hex (Digest.string (Telemetry.Snapshot.to_json r.Harness.Driver.telemetry))))
 
+(* The stepper reports each judgement that counted a violation, and the
+   driver attributes it to the chaos fault window: the injector's total
+   equals the driver's violation count, and its per-fault split sums to
+   the same total. *)
+let violations_attributed () =
+  let spec =
+    Experiments.Chaos_runner.smoke_spec (Option.get (Chaos.Scenario.find "dip-flap")) ~seed:3
+  in
+  let r, _ = Experiments.Chaos_runner.run spec ~balancer:"ecmp" in
+  let counter (item : Telemetry.Snapshot.item) =
+    match item.Telemetry.Snapshot.value with Telemetry.Snapshot.Counter n -> n | _ -> 0
+  in
+  let items =
+    List.filter
+      (fun (i : Telemetry.Snapshot.item) -> i.Telemetry.Snapshot.name = "chaos.violations")
+      r.Harness.Driver.telemetry
+  in
+  let total, split =
+    List.partition (fun (i : Telemetry.Snapshot.item) -> i.Telemetry.Snapshot.labels = []) items
+  in
+  check Alcotest.bool "the run has violations" true (r.Harness.Driver.violation_packets > 0);
+  check Alcotest.int "attributed total" r.Harness.Driver.violation_packets
+    (List.fold_left (fun acc i -> acc + counter i) 0 total);
+  check Alcotest.int "per-fault split" r.Harness.Driver.violation_packets
+    (List.fold_left (fun acc i -> acc + counter i) 0 split)
+
 let suites =
   [
     ( "harness.driver",
@@ -579,6 +605,7 @@ let suites =
         tc "probe train" `Quick probe_train_shape;
         tc "horizon truncation" `Quick horizon_truncates;
         tc "violations counted" `Quick unstable_balancer_counted;
+        tc "violations attributed to chaos" `Quick violations_attributed;
         tc "traffic & latency attribution" `Quick traffic_attribution;
         tc "update ordering" `Quick update_delivery_order;
         tc "control semantics" `Quick control_semantics;

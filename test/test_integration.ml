@@ -224,11 +224,13 @@ let deterministic_replay () =
 (* The headline invariant as a property: whatever the arrival rate,
    update rate, pool size and seed, SilkRoad stays within the chaos
    gate's broken-connection SLO (<= 0.001). Exact zero is not the
-   physics: a connection that idles past the ConnTable timeout (or
-   loses the cuckoo insert race under pressure) re-learns against the
-   then-active pool, so heavy random churn can break a stray
-   connection — e.g. seed/rate/upd/pool = (8, 95, 24, 6) breaks
-   exactly 1 of 5564 on the unmodified switch. *)
+   physics: a connection born in step 1 (Recording) takes the old
+   pool, including the DIP being removed; the judge excuses only a DIP
+   retired after the connection's birth, and a later update's
+   substitution reuse (§4.2) rewrites that DIP's slot in the old
+   version in place, so the connection's next exact hit is re-mapped.
+   E.g. seed/rate/upd/pool = (8, 95, 24, 6) breaks exactly 1 of 5564
+   on the unmodified switch (ROADMAP item 8). *)
 let qcheck_silkroad_pcc =
   QCheck.Test.make ~name:"silkroad keeps PCC on random scenarios" ~count:8
     QCheck.(quad small_int (int_range 20 120) (int_range 1 40) (int_range 4 12))

@@ -14,10 +14,14 @@
      computed from pure table geometry via Conn_table.probe_positions)
      — digest collisions are the only divergence class, as §4.2 argues.
 
-   - driver vs replay: Replay.run in Scalar mode must reproduce
-     Driver.run's observable counters exactly — same packets, same
-     order, same control tie-breaking — on scripted-update workloads
-     and under all chaos scenarios.
+   - driver vs replay: Driver.run and Replay.run in Scalar mode run
+     the same Replay.Stepper loop, so packet order, control
+     tie-breaking and control semantics are shared by construction.
+     What differs is the per-packet probe: the Driver sends a packet
+     record through the balancer's closures ([advance], then
+     [process]), Scalar calls Switch.process_flow directly. Their
+     counters must agree exactly on scripted-update workloads and under
+     all chaos scenarios.
 
    - scalar vs batch vs sharded: Batch must be byte-identical to Scalar
      (same switch, same order, only the boxing differs), checked as
