@@ -11,12 +11,16 @@ test:
 # Full verification: build everything, run the test suite and the
 # silkroad-verify gate, then a demo run that exercises the telemetry
 # pipeline end to end (leaving every balancer's registry snapshot in
-# BENCH_telemetry.json) and the control-plane smoke bench (serve-mode
-# update churn under replay load).
+# BENCH_telemetry.json), the control-plane smoke bench (serve-mode
+# update churn under replay load) and the repo benchmark's self-test
+# through its own entry point (every workload at tiny scale, untraced
+# and traced: repetitions agree, traced and untraced telemetry are
+# identical, every metric is named in BENCHMARK.json).
 check: build test verify
 	dune exec bin/silkroad_cli.exe -- demo --rate 50 --updates 6 --seconds 30 --dips 8 \
 	  --metrics-json BENCH_telemetry.json
 	dune exec bench/main.exe -- --control --smoke
+	python3 perfbench/run.py --selftest
 
 # The paper reproduction: every table and figure of the evaluation at
 # the quick operating point (`silkroad_cli experiments --full` for the

@@ -1,12 +1,14 @@
 (* Flat structure-of-arrays cuckoo layout.
 
-   One int array holds the per-slot stored digest (-1 = empty; the
-   occupied marker 0 in exact mode), and two lazily-created parallel
-   arrays hold the true keys and values, indexed by
-   ((stage * rows + row) * ways + way). Lookups touch only the digest
-   array until a match is found — cache-line friendly and free of the
-   per-slot option/record boxes of the original layout, which the test
-   suite keeps as its reference.
+   One int array holds one word per slot: the stored digest in the low
+   31 bits (0 as the occupied marker in exact mode) and the value in
+   the bits above, or -1 for an empty slot. A lazily-created parallel
+   array holds the true keys. Both are indexed by
+   ((stage * rows + row) * ways + way). Lookups touch only the word
+   array until a match is found, and a hit reads its value from the
+   word it matched — cache-line friendly and free of the per-slot
+   option/record boxes of the original layout, which the test suite
+   keeps as its reference.
 
    The insert path escalates through three regimes (§4.1's switch-CPU
    insert at its real costs):
@@ -18,10 +20,11 @@
      pop, so the greedy pass picks the same victim the BFS's first
      depth-1 solution would, keeping both layouts' placements
      identical;
-   - BFS over eviction chains, run in a pre-allocated scratch arena
-     (int queues + generation-stamped visited array) so a saturated
-     table no longer allocates a queue, hashtable and chain nodes per
-     insert.
+   - BFS over eviction chains, run in a scratch arena (int queues +
+     generation-stamped visited array) allocated by the first insert
+     that reaches the BFS and reused after, so a saturated table no
+     longer allocates a queue, hashtable and chain nodes per insert,
+     and a table that never needs the BFS never pays for the arena.
 
    The differential suite in test_asic pins this module's
    placements, sizes, moves and lookups byte-identical to the boxed
@@ -35,27 +38,35 @@ module type KEY = sig
   val bits : seed:int -> t -> int -> int
 end
 
+(* A slot's word: [(value lsl value_shift) lor code], or -1 when empty.
+   Codes are at most 30 bits wide, so an empty word's low bits
+   ([digest_mask]) never equal a stored code. These live outside the
+   functor: a functor-level [value_of] is a free variable of the BFS's
+   unwind closure, one more word allocated per BFS insert. *)
+let value_shift = 31
+let digest_mask = (1 lsl value_shift) - 1
+let max_value = digest_mask
+let[@inline] value_of word = word lsr value_shift
+
 module Make (Key : KEY) = struct
   type key = Key.t
 
-  type 'v hit = {
+  type hit = {
     stage : int;
     exact : bool;
     key : Key.t;
-    value : 'v;
+    value : int;
   }
 
-  (* Keys/values can only be allocated once a first key and value are
-     available, so they live behind an option set on first insert. The
-     dummies blank freed slots, keeping removed entries collectable. *)
-  type ('k, 'v) cells = {
-    ckeys : 'k array;
-    cvals : 'v array;
-    cdk : 'k;
-    cdv : 'v;
+  (* The key array can only be allocated once a first key is available,
+     so it lives behind an option set on first insert. The dummy blanks
+     freed slots, keeping removed keys collectable. *)
+  type cells = {
+    ckeys : Key.t array;
+    cdk : Key.t;
   }
 
-  type 'v t = {
+  type t = {
     seed : int;
     digest_bits : int option;
     exact_mode : bool;
@@ -63,12 +74,12 @@ module Make (Key : KEY) = struct
     n_stages : int;
     n_rows : int;
     n_ways : int;
-    codes : int array;  (** per-slot stored digest; -1 = empty (0 marks occupied in exact mode) *)
-    mutable cells : (Key.t, 'v) cells option;
-    (* BFS scratch arena, reused across inserts *)
-    q_slot : int array;
-    q_parent : int array;
-    visited : int array;  (** (stage * n_rows + row) -> generation stamp *)
+    words : int array;  (** per-slot packed code and value; -1 = empty *)
+    mutable cells : cells option;
+    (* BFS scratch arena: empty until the first BFS, reused after *)
+    mutable q_slot : int array;
+    mutable q_parent : int array;
+    mutable visited : int array;  (** (stage * n_rows + row) -> generation stamp *)
     mutable bfs_gen : int;
     mutable size : int;
     mutable moves : int;
@@ -86,13 +97,6 @@ module Make (Key : KEY) = struct
     (match digest_bits with
      | None -> ()
      | Some b -> assert (b >= 1 && b <= 30));
-    let total = stages * rows_per_stage * ways in
-    (* Each BFS enqueues at most [ways] nodes per newly visited row:
-       bounded both by the root frontier plus (stages-1)*ways per
-       expansion, and by every row being visited at most once. *)
-    let arena_cap =
-      Int.min total ((stages * ways) + (max_bfs_nodes * (stages - 1) * ways))
-    in
     {
       seed;
       digest_bits;
@@ -101,11 +105,11 @@ module Make (Key : KEY) = struct
       n_stages = stages;
       n_rows = rows_per_stage;
       n_ways = ways;
-      codes = Array.make total (-1);
+      words = Array.make (stages * rows_per_stage * ways) (-1);
       cells = None;
-      q_slot = Array.make arena_cap 0;
-      q_parent = Array.make arena_cap (-1);
-      visited = Array.make (stages * rows_per_stage) 0;
+      q_slot = [||];
+      q_parent = [||];
+      visited = [||];
       bfs_gen = 0;
       size = 0;
       moves = 0;
@@ -136,30 +140,43 @@ module Make (Key : KEY) = struct
   let[@inline] base t stage row = ((stage * t.n_rows) + row) * t.n_ways
   let[@inline] stage_of_idx t idx = idx / (t.n_rows * t.n_ways)
 
-  let ensure_cells t k v =
+  let ensure_cells t k =
     match t.cells with
     | Some c -> c
     | None ->
-      let total = capacity t in
-      let c = { ckeys = Array.make total k; cvals = Array.make total v; cdk = k; cdv = v } in
+      let c = { ckeys = Array.make (capacity t) k; cdk = k } in
       t.cells <- Some c;
       c
+
+  (* Each BFS enqueues at most [ways] nodes per newly visited row:
+     bounded both by the root frontier plus (stages-1)*ways per
+     expansion, and by every row being visited at most once. *)
+  let ensure_arena t =
+    if Array.length t.visited = 0 then begin
+      let arena_cap =
+        Int.min (capacity t)
+          ((t.n_stages * t.n_ways) + (t.max_bfs_nodes * (t.n_stages - 1) * t.n_ways))
+      in
+      t.q_slot <- Array.make arena_cap 0;
+      t.q_parent <- Array.make arena_cap (-1);
+      t.visited <- Array.make (t.n_stages * t.n_rows) 0
+    end
 
   let cells_exn t =
     match t.cells with
     | Some c -> c
     | None -> assert false
 
-  type 'v probe = {
+  type probe = {
     mutable probe_hit : bool;
     mutable probe_exact : bool;
-    mutable probe_value : 'v;
+    mutable probe_value : int;
   }
 
-  let make_probe v = { probe_hit = false; probe_exact = false; probe_value = v }
+  let make_probe () = { probe_hit = false; probe_exact = false; probe_value = 0 }
 
   (* The hardware lookup: the first slot, in stage then way order, whose
-     stored code matches — the stage's digest, or in exact mode the true
+     word's code matches — the stage's digest, or in exact mode the true
      key. [rows.(stage)] and [digests.(stage)] are the key's probe
      positions. Returns the slot index, or -1. A plain loop over local
      refs, not local recursive functions: those closures would be
@@ -167,7 +184,7 @@ module Make (Key : KEY) = struct
      counters past the end, and the function is inlined into the
      per-packet [lookup_pos_into]: a [found] test in both loop
      conditions, or a call per lookup, each measured slower. *)
-  let[@inline] first_match t (c : _ cells) k ~(rows : int array) ~(digests : int array) =
+  let[@inline] first_match t (c : cells) k ~(rows : int array) ~(digests : int array) =
     let found = ref (-1) and stage = ref 0 in
     while !stage < t.n_stages do
       let b = base t !stage (Array.unsafe_get rows !stage) in
@@ -175,10 +192,10 @@ module Make (Key : KEY) = struct
       let way = ref 0 in
       while !way < t.n_ways do
         let i = b + !way in
-        let stored = Array.unsafe_get t.codes i in
+        let stored = Array.unsafe_get t.words i in
         if
           if t.exact_mode then stored >= 0 && Key.equal (Array.unsafe_get c.ckeys i) k
-          else stored = code
+          else stored land digest_mask = code
         then begin
           found := i;
           way := t.n_ways;
@@ -195,7 +212,7 @@ module Make (Key : KEY) = struct
      [range]/[bits]) rather than through a functor call per stage, and
      the outcome lands in a caller-owned buffer, so the hardware fast
      path allocates nothing. *)
-  let lookup_pos_into t ~key:k ~rows ~digests (p : 'v probe) =
+  let lookup_pos_into t ~key:k ~rows ~digests (p : probe) =
     match t.cells with
     | None -> p.probe_hit <- false
     | Some c ->
@@ -203,7 +220,7 @@ module Make (Key : KEY) = struct
       p.probe_hit <- i >= 0;
       if i >= 0 then begin
         p.probe_exact <- Key.equal (Array.unsafe_get c.ckeys i) k;
-        p.probe_value <- Array.unsafe_get c.cvals i
+        p.probe_value <- value_of (Array.unsafe_get t.words i)
       end
 
   let lookup t k =
@@ -220,16 +237,18 @@ module Make (Key : KEY) = struct
              stage = stage_of_idx t i;
              exact = Key.equal c.ckeys.(i) k;
              key = c.ckeys.(i);
-             value = c.cvals.(i);
+             value = value_of t.words.(i);
            }
-            : _ hit)
+            : hit)
 
   (* Software-side scan by true key: the entry for [k] can only sit in one
      of its candidate rows. Returns the slot index, or -1. Every insert
      and removal starts here, so it is a closure-free loop like
      [first_match]. Digest first: [place] always stores
-     [code_of t stage k], so a way whose code differs cannot hold [k],
-     and only the ways that match it dereference their stored key. *)
+     [code_of t stage k], so a way whose code differs cannot hold [k]
+     (an empty word's code is above every digest, and above the
+     exact-mode marker 0), and only the ways that match it dereference
+     their stored key. *)
   let locate_exact_idx t k =
     match t.cells with
     | None -> -1
@@ -241,7 +260,7 @@ module Make (Key : KEY) = struct
         let way = ref 0 in
         while !found < 0 && !way < t.n_ways do
           let i = b + !way in
-          if t.codes.(i) = code && Key.equal c.ckeys.(i) k then found := i;
+          if t.words.(i) land digest_mask = code && Key.equal c.ckeys.(i) k then found := i;
           incr way
         done;
         incr stage
@@ -250,7 +269,7 @@ module Make (Key : KEY) = struct
 
   let find_exact t k =
     let idx = locate_exact_idx t k in
-    if idx < 0 then None else Some (cells_exn t).cvals.(idx)
+    if idx < 0 then None else Some (value_of t.words.(idx))
 
   let mem_exact t k = locate_exact_idx t k >= 0
 
@@ -271,20 +290,18 @@ module Make (Key : KEY) = struct
     let b = base t stage row in
     let free = ref (-1) and way = ref 0 in
     while !free < 0 && !way < t.n_ways do
-      if t.codes.(b + !way) < 0 then free := !way;
+      if t.words.(b + !way) < 0 then free := !way;
       incr way
     done;
     !free
 
   let place t c idx stage k v =
-    t.codes.(idx) <- code_of t stage k;
-    c.ckeys.(idx) <- k;
-    c.cvals.(idx) <- v
+    t.words.(idx) <- (v lsl value_shift) lor code_of t stage k;
+    c.ckeys.(idx) <- k
 
   let clear_slot t c idx =
-    t.codes.(idx) <- -1;
-    c.ckeys.(idx) <- c.cdk;
-    c.cvals.(idx) <- c.cdv
+    t.words.(idx) <- -1;
+    c.ckeys.(idx) <- c.cdk
 
   (* Greedy depth-1 kick: scan the eviction frontier in exactly the
      order the BFS would pop it (root stages ascending, ways ascending,
@@ -295,7 +312,7 @@ module Make (Key : KEY) = struct
   exception Kick of int * int
   (* victim slot index, destination free slot index *)
 
-  let greedy_pass t (c : _ cells) ~forbid k =
+  let greedy_pass t (c : cells) ~forbid k =
     try
       let stage = ref 0 in
       while !stage < t.n_stages do
@@ -326,13 +343,14 @@ module Make (Key : KEY) = struct
   exception Found_free of int * int
   (* free slot index and the arena node whose occupant moves into it *)
 
-  (* BFS over eviction chains, in the pre-allocated scratch arena:
+  (* BFS over eviction chains, in the scratch arena:
      [q_slot]/[q_parent] are the queue and the eviction tree (parent -1 =
      a root, i.e. a candidate slot of [k] itself); [visited] uses
      generation stamps so no per-insert clearing is needed. Traversal
      order is identical to the reference implementation's queue-and-
      hashtable BFS. *)
-  let bfs_insert t (c : _ cells) ~forbid k v =
+  let bfs_insert t (c : cells) ~forbid k v =
+    ensure_arena t;
     t.bfs_gen <- t.bfs_gen + 1;
     let gen = t.bfs_gen in
     let head = ref 0 and tail = ref 0 in
@@ -363,7 +381,7 @@ module Make (Key : KEY) = struct
           let vidx = t.q_slot.(node) in
           (* Roots were full by construction and no moves happen during
              the search, so every queued slot is still occupied. *)
-          assert (t.codes.(vidx) >= 0);
+          assert (t.words.(vidx) >= 0);
           let vk = c.ckeys.(vidx) in
           let ns = stage_of_idx t vidx in
           (* The occupant may move to its candidate row in any other stage. *)
@@ -399,7 +417,7 @@ module Make (Key : KEY) = struct
           end
           else begin
             let vidx = t.q_slot.(node) in
-            let mk = c.ckeys.(vidx) and mv = c.cvals.(vidx) in
+            let mk = c.ckeys.(vidx) and mv = value_of t.words.(vidx) in
             place t c free_idx (stage_of_idx t free_idx) mk mv;
             clear_slot t c vidx;
             unwind vidx t.q_parent.(node) (moves + 1)
@@ -414,7 +432,7 @@ module Make (Key : KEY) = struct
     result
 
   let insert_kv t ~forbid k v =
-    let c = ensure_cells t k v in
+    let c = ensure_cells t k in
     (* Direct: a free slot in one of the candidate rows. *)
     let idx = ref (-1) and stage = ref 0 in
     while !idx < 0 && !stage < t.n_stages do
@@ -437,7 +455,7 @@ module Make (Key : KEY) = struct
     else
       let vidx, dest = greedy_pass t c ~forbid k in
       if vidx >= 0 then begin
-        let mk = c.ckeys.(vidx) and mv = c.cvals.(vidx) in
+        let mk = c.ckeys.(vidx) and mv = value_of t.words.(vidx) in
         place t c dest (stage_of_idx t dest) mk mv;
         place t c vidx (stage_of_idx t vidx) k v;
         t.moves <- t.moves + 1;
@@ -448,7 +466,8 @@ module Make (Key : KEY) = struct
       else bfs_insert t c ~forbid k v
 
   let insert ?(forbid_stages = []) t k v =
-    if mem_exact t k then Error `Duplicate
+    if v < 0 || v > max_value then invalid_arg "Cuckoo.insert: value outside [0, 2^31)"
+    else if mem_exact t k then Error `Duplicate
     else insert_kv t ~forbid:forbid_stages k v
 
   let remove t k =
@@ -467,17 +486,15 @@ module Make (Key : KEY) = struct
       let stage = stage_of_idx t idx in
       if List.mem stage forbid_stages then begin
         let c = cells_exn t in
-        let v = c.cvals.(idx) in
-        let code = t.codes.(idx) in
+        let word = t.words.(idx) in
         clear_slot t c idx;
         t.size <- t.size - 1;
-        match insert_kv t ~forbid:forbid_stages k v with
+        match insert_kv t ~forbid:forbid_stages k (value_of word) with
         | Ok moves -> Ok (moves + 1)
         | Error `Full ->
           (* Roll back so the table is unchanged on failure. *)
-          t.codes.(idx) <- code;
+          t.words.(idx) <- word;
           c.ckeys.(idx) <- k;
-          c.cvals.(idx) <- v;
           t.size <- t.size + 1;
           Error `Full
       end

@@ -9,13 +9,18 @@
     eviction frontier and then runs a breadth-first search over
     eviction chains to make room ("a sequence of moves").
 
-    This implementation stores the table as flat parallel arrays —
-    per-slot digests in one int array, true keys and values in two
-    lazily-created companion arrays — mirroring how the hardware packs a
-    row's [ways] digests into one SRAM word, and runs the BFS in a
-    pre-allocated scratch arena so inserts allocate nothing. The test
-    suite keeps the original per-slot boxed layout as a reference and
-    pins this one placement-identical to it.
+    Values are ints. This implementation stores the table as two flat
+    parallel arrays: one int word per slot holding the stored digest
+    and the value (the digest+version word of §4.2's ConnTable entry),
+    and a lazily-created companion array of true keys for the switch
+    software. A row's [ways] words sit side by side, as the hardware
+    packs them into one SRAM word, and a hit reads its value from the
+    word it matched. The eviction BFS runs in a scratch arena that the
+    first insert reaching the BFS allocates and later ones reuse, so
+    inserts allocate nothing and a table that never needs the BFS
+    never holds the arena. The test suite keeps the original per-slot
+    boxed layout as a reference and pins this one placement-identical
+    to it.
 
     Two matching modes are supported:
 
@@ -51,13 +56,13 @@ end
 
 module Make (Key : KEY) : sig
   type key = Key.t
-  type 'v t
+  type t
 
-  type 'v hit = {
+  type hit = {
     stage : int;  (** stage of the matching entry *)
     exact : bool;  (** false when the hit is a digest false positive *)
     key : key;  (** the true key of the matched entry *)
-    value : 'v;
+    value : int;
   }
 
   val create :
@@ -68,45 +73,45 @@ module Make (Key : KEY) : sig
     rows_per_stage:int ->
     ways:int ->
     unit ->
-    'v t
+    t
   (** [max_bfs_nodes] bounds the eviction-chain BFS (default 4096
-      expansions). *)
+      expansions). [digest_bits] must be in [1, 30]. *)
 
-  val stages : _ t -> int
-  val capacity : _ t -> int
-  val size : _ t -> int
-  val occupancy : _ t -> float
+  val stages : t -> int
+  val capacity : t -> int
+  val size : t -> int
+  val occupancy : t -> float
 
-  val lookup : 'v t -> key -> 'v hit option
+  val lookup : t -> key -> hit option
   (** Hardware lookup: probes stages in pipeline order, and each row's
       ways in order, and returns the first slot whose stored key (digest
       or full key) matches. *)
 
-  type 'v probe = {
+  type probe = {
     mutable probe_hit : bool;
     mutable probe_exact : bool;
-    mutable probe_value : 'v;
+    mutable probe_value : int;
   }
   (** Caller-owned result buffer for {!lookup_pos_into}: the replay fast
       path reuses one per table instead of allocating a hit record per
       packet. Fields other than [probe_hit] are meaningful only when
       [probe_hit] is true. *)
 
-  val make_probe : 'v -> 'v probe
-  (** A fresh buffer; the argument is a placeholder value. *)
+  val make_probe : unit -> probe
+  (** A fresh buffer. *)
 
-  val row_seed : _ t -> stage:int -> int
+  val row_seed : t -> stage:int -> int
   (** Seed for the stage's row-index hash: the row is
       [Key.range ~seed k rows_per_stage]. Callers that probe every stage
       per packet compute the rows once themselves and feed them to
       {!lookup_pos_into}, instead of two functor calls per stage. *)
 
-  val digest_seed : _ t -> stage:int -> int
+  val digest_seed : t -> stage:int -> int
   (** Seed for the stage's digest hash; the digest is
       [Key.bits ~seed k digest_bits]. *)
 
   val lookup_pos_into :
-    'v t -> key:key -> rows:int array -> digests:int array -> 'v probe -> unit
+    t -> key:key -> rows:int array -> digests:int array -> probe -> unit
   (** Allocation-free {!lookup} with caller-precomputed probe
       positions: [rows.(stage)] and [digests.(stage)] must equal the
       row and digest {!probe_positions} gives for [key] at [stage]
@@ -114,51 +119,53 @@ module Make (Key : KEY) : sig
       in the same order as {!lookup} and writes the outcome into the
       buffer; [digests] is ignored in exact mode. *)
 
-  val find_exact : 'v t -> key -> 'v option
+  val find_exact : t -> key -> int option
   (** Software lookup by true key. *)
 
-  val mem_exact : _ t -> key -> bool
+  val mem_exact : t -> key -> bool
 
   val insert :
-    ?forbid_stages:int list -> 'v t -> key -> 'v -> (int, [ `Full | `Duplicate ]) result
-  (** [insert t k v] places [k], evicting residents as needed — first a
+    ?forbid_stages:int list -> t -> key -> int -> (int, [ `Full | `Duplicate ]) result
+  (** [insert t k v] places [k] with value [v], which must be in
+      [[0, 2^31)] (it shares the slot's word with the digest; raises
+      [Invalid_argument] otherwise), evicting residents as needed — first a
       greedy depth-1 kick pass, then the BFS over eviction chains;
       [Ok moves] reports how many existing entries were moved.
       [forbid_stages] restricts only where [k] itself lands (entries
       displaced along the eviction chain may go anywhere). [`Duplicate]
       if [k] is already present. *)
 
-  val remove : 'v t -> key -> bool
+  val remove : t -> key -> bool
   (** Remove by true key. Returns false when absent. *)
 
-  val relocate : 'v t -> key -> forbid_stages:int list -> (int, [ `Full | `Not_found ]) result
+  val relocate : t -> key -> forbid_stages:int list -> (int, [ `Full | `Not_found ]) result
   (** Move an existing entry so that it no longer occupies any of
       [forbid_stages]. Used to repair digest false positives (§4.2):
       the colliding resident entry is migrated to another stage, whose
       different hash function separates the two connections. *)
 
-  val moves : _ t -> int
+  val moves : t -> int
   (** Cumulative entry moves performed by insertions/relocations. *)
 
-  val failed_inserts : _ t -> int
+  val failed_inserts : t -> int
 
-  val greedy_kicks : _ t -> int
+  val greedy_kicks : t -> int
   (** Inserts resolved by the greedy depth-1 kick pass (each performed
       exactly one move without entering the BFS). *)
 
-  val bfs_expansions : _ t -> int
+  val bfs_expansions : t -> int
   (** Cumulative BFS node expansions across all inserts. *)
 
-  val stage_of_exact : _ t -> key -> int option
+  val stage_of_exact : t -> key -> int option
   (** Which stage holds the entry with this true key, if any. *)
 
-  val probe_positions : _ t -> key -> (int * int * int) list
+  val probe_positions : t -> key -> (int * int * int) list
   (** [(stage, row, digest)] triples the hardware probes when looking up
       this key — one per stage ([digest] is [-1] in exact mode). Lets the
       switch software maintain a shadow index of which table positions
       each tracked connection would match. *)
 
-  val set_placement_filter : 'v t -> (key -> stage:int -> row:int -> bool) option -> unit
+  val set_placement_filter : t -> (key -> stage:int -> row:int -> bool) option -> unit
   (** Software veto over entry placement: when set, an entry for [key]
       may only be placed (by insertion, eviction moves or relocation) in
       a row where the filter returns [true]. Used to refuse positions

@@ -3,13 +3,21 @@
     them concurrently.
 
     The session owns {!Harness.Replay.Stepper}s — the exact per-shard
-    incremental loop {!Harness.Replay.run} is built from — and never
-    touches the switches outside {!Harness.Replay.Stepper.apply} /
-    [flush_to] / [finish]. A scripted session is therefore
-    counter-identical, down to the merged telemetry snapshot, to a batch
-    replay of the same trace with the equivalent control list: both
-    execute the same switch calls in the same order (the test suite pins
-    this).
+    incremental loop {!Harness.Replay.run} is built from. Packets,
+    updates and chaos controls reach the switches only through
+    {!Harness.Replay.Stepper.apply} / [flush_to] / [finish]. VIP
+    membership is the one exception: [vip-add] and [vip-remove] flush
+    every stepper to the session's time, then call
+    {!Silkroad.Switch.add_vip} / {!Silkroad.Switch.remove_vip} on each
+    shard's switch directly. Neither call reads a clock or advances the
+    switch, and [add_vip] is the call a batch replay's switch factory
+    makes before the first packet. So a scripted session whose
+    [vip-add]s come before any packet to their VIP, and that removes no
+    VIP, is counter-identical, down to the merged telemetry snapshot, to
+    a batch replay of the same trace with those pools registered up
+    front and the equivalent control list: both make the same packet
+    and control calls in the same order, and no packet can tell when a
+    VIP it finds was registered (the test suite pins this).
 
     Time is virtual and owned by the session: it only moves on [advance]
     (and [drain], which jumps to the trace horizon), so sessions are

@@ -169,19 +169,20 @@ module Stepper = struct
   type shared = {
     shards : int;
     trace : Packed_trace.t;
-    idx : int array array;  (** per shard: its packets' indices in [trace], in order *)
+    idx : int array array;
+        (** per shard: its packets' indices in [trace], in order; empty for
+            a single shard, whose packets are the trace's own *)
     pcc : Lb.Pcc.Flat.t;
   }
 
   (* Counting-sort gather of packet indices: within a shard, packets keep
      the global (time, emission) order — exactly the subsequence a
      per-shard switch would have seen in a scalar run. The trace itself
-     is read in place. *)
+     is read in place, and a single shard needs no index at all. *)
   let make_shared ~(trace : Packed_trace.t) ~shards =
     if shards < 1 then invalid_arg "Replay.Stepper.make_shared: shards must be >= 1";
-    let n_pkts = Packed_trace.n_packets trace in
     let idx =
-      if shards = 1 then [| Array.init n_pkts Fun.id |]
+      if shards = 1 then [| [||] |]
       else begin
         let flow_shard = Array.map (shard_of ~shards) trace.Packed_trace.flow_tuples in
         let pkt_flow = trace.Packed_trace.pkt_flow in
@@ -213,6 +214,7 @@ module Stepper = struct
   type path =
     | Batched of {
         switch : Silkroad.Switch.t;
+        ids : int array;  (** one batch's packet indices *)
         dips : Netcore.Endpoint.t array;  (** one batch's results *)
       }
     | Each of {
@@ -223,7 +225,9 @@ module Stepper = struct
   type t = {
     sh : shared;
     shard : int;
-    idx : int array;  (** this shard's packet indices *)
+    whole : bool;  (** the only shard: its [j]th packet is the trace's *)
+    idx : int array;  (** otherwise, this shard's packet indices *)
+    n : int;  (** this shard's packet count *)
     balancer : Lb.Balancer.t;  (** the control side: {!apply_to} and the final advance *)
     path : path;
     counters : Lb.Pcc.Flat.counters;
@@ -241,10 +245,13 @@ module Stepper = struct
 
   let make sh ~shard balancer path =
     if shard < 0 || shard >= sh.shards then invalid_arg "Replay.Stepper.create: bad shard";
+    let whole = sh.shards = 1 and idx = sh.idx.(shard) in
     {
       sh;
       shard;
-      idx = sh.idx.(shard);
+      whole;
+      idx;
+      n = (if whole then Packed_trace.n_packets sh.trace else Array.length idx);
       balancer;
       path;
       counters = Lb.Pcc.Flat.counters ();
@@ -258,29 +265,37 @@ module Stepper = struct
   let create sh ~shard ~batched switch =
     let balancer = Silkroad.Switch.balancer switch in
     if batched then
-      make sh ~shard balancer (Batched { switch; dips = Array.make batch Silkroad.Switch.no_dip })
+      make sh ~shard balancer
+        (Batched
+           { switch; ids = Array.make batch 0; dips = Array.make batch Silkroad.Switch.no_dip })
     else
       let tuples = sh.trace.Packed_trace.flow_tuples in
       of_balancer sh ~shard balancer ~on_violation:ignore ~probe:(fun fi now flags ->
           Silkroad.Switch.process_flow switch ~now ~flags ~payload_len tuples.(fi))
 
+  (* the trace index of this shard's [j]th packet *)
+  let[@inline] packet st j = if st.whole then j else st.idx.(j)
+
   let process_range st lo hi =
-    let tr = st.sh.trace and idx = st.idx in
+    let tr = st.sh.trace in
     let times = tr.Packed_trace.times
     and pkt_flow = tr.Packed_trace.pkt_flow
     and pkt_flags = tr.Packed_trace.pkt_flags
     and flags_of_byte = st.flags_of_byte in
     let pcc = st.sh.pcc and c = st.counters in
     match st.path with
-    | Batched { switch; dips } ->
+    | Batched { switch; ids; dips } ->
       let tuples = tr.Packed_trace.flow_tuples in
       let pos = ref lo in
       while !pos < hi do
         let len = Int.min batch (hi - !pos) in
-        Silkroad.Switch.process_batch switch ~times ~tuples ~pkt_flow ~pkt_flags ~flags_of_byte
-          ~payload_len ~idx ~dips ~pos:!pos ~len;
         for k = 0 to len - 1 do
-          let i = idx.(!pos + k) in
+          ids.(k) <- packet st (!pos + k)
+        done;
+        Silkroad.Switch.process_batch switch ~times ~tuples ~pkt_flow ~pkt_flags ~flags_of_byte
+          ~payload_len ~idx:ids ~dips ~len;
+        for k = 0 to len - 1 do
+          let i = ids.(k) in
           Lb.Pcc.Flat.judge pcc c pkt_flow.(i) dips.(k)
             ~ends:
               (Netcore.Tcp_flags.is_connection_end
@@ -290,7 +305,7 @@ module Stepper = struct
       done
     | Each { probe; on_violation } ->
       for j = lo to hi - 1 do
-        let i = idx.(j) in
+        let i = packet st j in
         let fi = pkt_flow.(i) and at = times.(i) in
         let flags = flags_of_byte.(Char.code (Bytes.get pkt_flags i)) in
         let dip = probe fi at flags in
@@ -302,10 +317,9 @@ module Stepper = struct
   (* process this shard's packets with time <= [at]: every probe stamped
      at a control's time fires before the control *)
   let flush_to st at =
-    let times = st.sh.trace.Packed_trace.times and idx = st.idx in
-    let n = Array.length idx in
+    let times = st.sh.trace.Packed_trace.times in
     let j = ref st.cursor in
-    while !j < n && times.(idx.(!j)) <= at do
+    while !j < st.n && times.(packet st !j) <= at do
       incr j
     done;
     process_range st st.cursor !j;
@@ -322,9 +336,8 @@ module Stepper = struct
     | _ -> apply_to st.balancer ~at ctrl
 
   let finish st ~now =
-    let n = Array.length st.idx in
-    process_range st st.cursor n;
-    st.cursor <- n;
+    process_range st st.cursor st.n;
+    st.cursor <- st.n;
     st.balancer.Lb.Balancer.advance ~now
 
   let counts st = counts_of st.counters

@@ -167,8 +167,9 @@ module Stepper : sig
   (** The trace, read in place, each shard's packet indices into it, and
       the {!Lb.Pcc.Flat} judge state all shards of a run share; writes
       are disjoint by flow owner, so parallel steppers need no locks.
-      The index arrays (one int a packet in all) are the only per-run
-      allocation that grows with the trace. *)
+      With more than one shard, the index arrays (one int a packet in
+      all) are the only per-run allocation that grows with the trace; a
+      single shard reads the trace in order and has none. *)
 
   val make_shared : trace:Packed_trace.t -> shards:int -> shared
   val horizon : shared -> float

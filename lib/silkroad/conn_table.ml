@@ -113,8 +113,8 @@ type lookup_result = {
 }
 
 type t = {
-  table : int Table.t;
-  probe : int Table.probe;  (** reusable lookup buffer for {!lookup_code} *)
+  table : Table.t;
+  probe : Table.probe;  (** reusable lookup buffer for {!lookup_code} *)
   digest_bits : int;
   version_bits : int;
   n_stages : int;
@@ -174,7 +174,7 @@ let create ?metrics (cfg : Config.t) =
   let t =
     {
       table;
-      probe = Table.make_probe 0;
+      probe = Table.make_probe ();
       digest_bits = cfg.Config.digest_bits;
       version_bits = cfg.Config.version_bits;
       n_stages = stages;
@@ -203,8 +203,10 @@ let track_size t =
   Telemetry.Registry.Gauge.set t.g_occupancy (Table.occupancy t.table)
 
 (* The hardware lookup, allocation-free: [-1] on a miss, otherwise
-   [(version lsl 1) lor exact_bit]. Versions are small non-negative ints
-   (at most [version_bits] wide), so the encoding is lossless. *)
+   [(version lsl 1) lor exact_bit], the version read from the word the
+   lookup matched. Versions are small non-negative ints (at most
+   [version_bits] <= 16 wide), so they fit the table's value range and
+   the encoding is lossless. *)
 let lookup_code t flow =
   let rows = t.scratch_rows and digs = t.scratch_digs in
   for stage = 0 to t.n_stages - 1 do

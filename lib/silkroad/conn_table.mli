@@ -3,10 +3,12 @@
     A multi-stage cuckoo exact-match table whose entries store only a
     16-bit per-stage hash {e digest} of the 5-tuple (instead of 37 bytes
     for IPv6) and a 6-bit DIP-pool {e version} (instead of an 18-byte
-    DIP). Hardware lookups may therefore falsely hit a colliding entry;
-    a TCP SYN that hits an existing entry signals exactly this, and the
-    switch software repairs it by relocating the resident entry to a
-    stage whose different hash function separates the two connections.
+    DIP), packed into one word per slot beside the switch software's
+    copy of the true key. Hardware lookups may therefore falsely hit a
+    colliding entry; a TCP SYN that hits an existing entry signals
+    exactly this, and the switch software repairs it by relocating the
+    resident entry to a stage whose different hash function separates
+    the two connections.
 
     Insertions and removals are software operations (the switch CPU runs
     the cuckoo BFS); the {!Switch} module drives their timing. *)

@@ -14,10 +14,20 @@ type conn_state = {
   mutable in_pipeline : bool;  (** learning event in the filter or at the CPU *)
   mutable ended : bool;
   mutable destroyed : bool;  (** torn down and gone from [flows] *)
-  mutable last_seen : float;
+  mutable last_seen_bits : int;  (** the last packet's time, as [time_bits] *)
   mutable pend_pos : int;  (** slot in the pending vector, or -1 *)
   mutable age_pos : int;  (** aging-wheel position, or [Timer_wheel.no_pos] *)
 }
+
+(* A packet time as an int: its IEEE-754 bits, as [Packed_trace.compile]
+   keys them. Times are >= 0, so masking off the sign bit decodes every
+   one of them to an equal float. An int field lets a packet's boxed
+   time die in the minor heap instead of being promoted with the
+   connection that last saw it. *)
+let[@inline] time_bits now = Int64.to_int (Int64.bits_of_float now)
+
+let[@inline] last_seen st =
+  Int64.float_of_bits (Int64.logand (Int64.of_int st.last_seen_bits) Int64.max_int)
 
 type update_report = {
   ur_vip : Vip_table.entry;
@@ -369,7 +379,7 @@ let track t ~now flow e pool =
       in_pipeline = false;
       ended = false;
       destroyed = false;
-      last_seen = now;
+      last_seen_bits = time_bits now;
       pend_pos = -1;
       age_pos = Asic.Timer_wheel.no_pos;
     }
@@ -549,7 +559,7 @@ let submit_delete t ~now st =
    destruction cancels its entry *)
 let expire_one t ~now (st : conn_state) =
   if st.ended then ()
-  else if now -. st.last_seen >= t.cfg.Config.idle_timeout then begin
+  else if now -. last_seen st >= t.cfg.Config.idle_timeout then begin
     (* no [settle]: an installed flow left the pending set when it was
        inserted, and an uninstalled one is destroyed right here *)
     st.ended <- true;
@@ -562,7 +572,7 @@ let expire_one t ~now (st : conn_state) =
   end
   else
     (* saw traffic since: re-arm for the remaining idle budget *)
-    Asic.Timer_wheel.schedule t.aging ~key:st ~at:(st.last_seen +. t.cfg.Config.idle_timeout)
+    Asic.Timer_wheel.schedule t.aging ~key:st ~at:(last_seen st +. t.cfg.Config.idle_timeout)
 
 (* closure-free: the wheel returns [] on every same-tick packet *)
 let rec expire_all t ~now = function
@@ -694,7 +704,7 @@ let handle_miss t ~now ~ends flow e ~syn =
   match Ftbl.find t.flows flow with
   | st ->
     (* a pending connection's later packet *)
-    st.last_seen <- now;
+    st.last_seen_bits <- time_bits now;
     if ends then begin
       st.ended <- true;
       settle t st
@@ -727,7 +737,7 @@ let handle_false_hit_syn t ~now flow e =
     let st =
       match Ftbl.find_opt t.flows flow with
       | Some st ->
-        st.last_seen <- now;
+        st.last_seen_bits <- time_bits now;
         st
       | None -> track t ~now flow e (Dip_pool_table.lookup e.pools version)
     in
@@ -783,7 +793,7 @@ let process_flow t ~now ~flags ~payload_len flow =
           (* exact hit *)
           (match Ftbl.find t.flows flow with
            | st ->
-             st.last_seen <- now;
+             st.last_seen_bits <- time_bits now;
              (* an exact hit is installed, so not pending: no [settle] *)
              if ends && not st.ended then begin
                st.ended <- true;
@@ -811,9 +821,9 @@ let process t ~now pkt =
   else { Lb.Balancer.dip = Some dip; location = t.last_location }
 
 let process_batch t ~times ~tuples ~pkt_flow ~pkt_flags ~flags_of_byte ~payload_len ~idx ~dips
-    ~pos ~len =
+    ~len =
   for k = 0 to len - 1 do
-    let i = idx.(pos + k) in
+    let i = idx.(k) in
     dips.(k) <-
       process_flow t ~now:times.(i)
         ~flags:flags_of_byte.(Char.code (Bytes.get pkt_flags i))

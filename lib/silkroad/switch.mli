@@ -114,17 +114,17 @@ val process_batch :
   payload_len:int ->
   idx:int array ->
   dips:Netcore.Endpoint.t array ->
-  pos:int ->
   len:int ->
   unit
-(** Run {!process_flow} over the packets [i = idx.(pos + k)], [k] in
+(** Run {!process_flow} over the packets [i = idx.(k)], [k] in
     [0 .. len-1] (times must be non-decreasing), in place in a packed
     schedule: packet [i] is at [times.(i)], of the flow
     [tuples.(pkt_flow.(i))], with the flags [flags_of_byte] decodes
     from byte [i] of [pkt_flags] (a 256-entry table). Result [k] goes
     to [dips.(k)]. On the exact-hit path the loop allocates only the
     boxed packet time it hands to {!process_flow} (two words a packet),
-    which allocates nothing itself; [test/test_alloc.ml] checks both. *)
+    which allocates nothing itself and keeps the time's bits, not the
+    box, so the box dies young; [test/test_alloc.ml] checks all three. *)
 
 val request_update : t -> now:float -> vip:Netcore.Endpoint.t -> Lb.Balancer.update -> unit
 (** Request a DIP-pool update; updates to a VIP already updating are

@@ -3,7 +3,8 @@
    after a warm-up pass, under the same build (dune's dev profile, where
    every library is compiled [-opaque]) that the benchmark runs. The
    exact-hit path must allocate nothing: the only allowance is a few
-   words for the probe itself. *)
+   words for the probe itself. Two pins read other counters: the words
+   an exact hit leaves to be promoted, and the ConnTable's footprint. *)
 
 let check = Alcotest.check
 let tc = Alcotest.test_case
@@ -73,28 +74,56 @@ let process_flow_exact_hit () =
   check_free "Switch.process_flow, exact hit" w
 
 (* The batch loop reads each packet in place in a packed schedule,
-   through an index array, and boxes its time for [process_flow], which
-   keeps it as the connection's [last_seen]: two words a packet, and
-   nothing else. *)
+   through an index array, and boxes its time for [process_flow]: two
+   words a packet, and nothing else. The box dies young, because the
+   connection keeps the time's bits as its [last_seen], not the box
+   ([exact_hits_promote_nothing] pins that). *)
+(* [n] data packets at [now], cycling through [flows], laid out as a
+   packed schedule: the [process_batch] call over them, and the array
+   it writes their DIPs to *)
+let exact_hit_batch sw ~now n =
+  let times = Array.make n now in
+  let pkt_flow = Array.init n (fun i -> i mod n_flows) in
+  let pkt_flags = Bytes.make n (Char.chr (Netcore.Tcp_flags.to_byte Netcore.Tcp_flags.data)) in
+  let flags_of_byte = Array.init 256 Netcore.Tcp_flags.of_byte in
+  let idx = Array.init n Fun.id in
+  let dips = Array.make n Silkroad.Switch.no_dip in
+  let run () =
+    Silkroad.Switch.process_batch sw ~times ~tuples:flows ~pkt_flow ~pkt_flags ~flags_of_byte
+      ~payload_len:1024 ~idx ~dips ~len:n
+  in
+  (run, dips)
+
 let process_batch_exact_hit () =
   let sw, now = installed_switch () in
-  let times = Array.make calls now in
-  let pkt_flow = Array.init calls (fun i -> i mod n_flows) in
-  let pkt_flags = Bytes.make calls (Char.chr (Netcore.Tcp_flags.to_byte Netcore.Tcp_flags.data)) in
-  let flags_of_byte = Array.init 256 Netcore.Tcp_flags.of_byte in
-  let idx = Array.init calls Fun.id in
-  let dips = Array.make calls Silkroad.Switch.no_dip in
-  let w =
-    words (fun () ->
-        Silkroad.Switch.process_batch sw ~times ~tuples:flows ~pkt_flow ~pkt_flags ~flags_of_byte
-          ~payload_len:1024 ~idx ~dips ~pos:0 ~len:calls)
-  in
+  let run, dips = exact_hit_batch sw ~now calls in
+  let w = words run in
   check Alcotest.bool "every packet forwarded" true
     (Array.for_all (fun d -> d != Silkroad.Switch.no_dip) dips);
   check Alcotest.bool
     (Printf.sprintf "Switch.process_batch, exact hit: %.0f words for %d packets" w calls)
     true
     (w <= (2. *. float_of_int calls) +. slack)
+
+(* One exact hit on each of [n_flows] installed connections, through
+   the batch loop, which boxes every packet time. Storing the time in
+   the long-lived connection record as a float would keep each box
+   alive into the next minor collection, which then promotes it: two
+   words a connection. The record stores the time's bits as an int, so
+   only the probe's own boxed counter reading survives. *)
+let exact_hits_promote_nothing () =
+  let sw, now = installed_switch () in
+  let run, dips = exact_hit_batch sw ~now n_flows in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  run ();
+  Gc.minor ();
+  let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before in
+  check Alcotest.bool "every packet forwarded" true
+    (Array.for_all (fun d -> d != Silkroad.Switch.no_dip) dips);
+  check Alcotest.bool
+    (Printf.sprintf "Switch.process_batch, %d exact hits: %.0f words promoted" n_flows promoted)
+    true (promoted <= slack)
 
 let lookup_code () =
   let sw, _ = installed_switch () in
@@ -275,6 +304,33 @@ let conn_table_insert_remove () =
     true
     (w <= (insert_remove_words_per_pair *. float_of_int calls) +. slack)
 
+(* The ConnTable's own footprint on the default geometry (1,048,576
+   slots): one int word a slot for the packed digest and version, one
+   key pointer a slot (allocated by the first insert), and a constant
+   for the shadow index, the seeds and the telemetry handles. The BFS
+   arena is allocated only by an insert that reaches the BFS. A layout
+   with separate digest and version arrays and an eagerly allocated
+   arena reads ~3.28 words a slot. *)
+let footprint_words_per_slot = 2.
+let footprint_constant_words = 4096.
+
+let conn_table_footprint () =
+  (* start from an empty minor heap: without it, OCaml 5.1.1's
+     [Gc.allocated_bytes] read 1,214,481 words across one
+     1,048,576-word [Array.make] *)
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let ct = Silkroad.Conn_table.create Silkroad.Config.default in
+  ignore (Silkroad.Conn_table.insert ct flows.(0) ~version:1);
+  let w = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  let slots = Silkroad.Conn_table.capacity ct in
+  check Alcotest.bool
+    (Printf.sprintf "Conn_table.create + one insert: %.0f words for %d slots (%.3f a slot)" w
+       slots
+       (w /. float_of_int slots))
+    true
+    (w <= (footprint_words_per_slot *. float_of_int slots) +. footprint_constant_words)
+
 (* The judge every engine calls per packet: a consistent packet, and a
    packet of a flow excused by a logged exclusion, allocate nothing. *)
 let pcc_judge () =
@@ -310,6 +366,7 @@ let suites =
       [
         tc "process_flow exact hit" `Quick process_flow_exact_hit;
         tc "process_batch exact hit" `Quick process_batch_exact_hit;
+        tc "exact hits promote nothing" `Quick exact_hits_promote_nothing;
         tc "lookup_code" `Quick lookup_code;
         tc "advance same tick" `Quick advance_same_tick;
         tc "advance with a learning event pending" `Quick advance_learning_pending;
@@ -319,5 +376,6 @@ let suites =
         tc "range and bits" `Quick range_and_bits;
         tc "pcc judge consistent and excluded" `Quick pcc_judge;
         tc "conn_table insert + remove" `Quick conn_table_insert_remove;
+        tc "conn_table footprint" `Quick conn_table_footprint;
       ] );
   ]

@@ -447,6 +447,61 @@ let cuckoo_greedy_kicks_counter () =
     true (IC.greedy_kicks t > 0);
   check Alcotest.int "kicks count into moves" (ICB.moves tb) (IC.moves t)
 
+(* A slot is one int word: the digest in its low 31 bits, the value
+   above them. Values outside [0, 2^31) are refused before the table is
+   touched, and the widest value, 2^31 - 1, comes back intact from every
+   path that reads or rewrites a word: the hardware lookup, the
+   software lookup, a greedy kick, a BFS move and a failed relocation's
+   rollback. Each key [k] carries [max_value - k], so a value read from
+   the wrong slot shows too. *)
+let cuckoo_value_contract () =
+  let max_value = (1 lsl 31) - 1 in
+  List.iter
+    (fun digest_bits ->
+      let mode = match digest_bits with None -> "exact" | Some b -> Printf.sprintf "%d-bit" b in
+      let name s = Printf.sprintf "%s: %s" mode s in
+      let t = IC.create ?digest_bits ~stages:2 ~rows_per_stage:16 ~ways:1 () in
+      List.iter
+        (fun v ->
+          match IC.insert t 0 v with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.fail (name (Printf.sprintf "value %d accepted" v)))
+        [ -1; min_int; 1 lsl 31; max_int ];
+      check Alcotest.int (name "refused inserts leave the table empty") 0 (IC.size t);
+      let kept = ref [] in
+      (try
+         for k = 0 to IC.capacity t - 1 do
+           match IC.insert t k (max_value - k) with
+           | Ok _ -> kept := k :: !kept
+           | Error `Full -> raise Exit
+           | Error `Duplicate -> Alcotest.fail (name "duplicate")
+         done
+       with Exit -> ());
+      check Alcotest.bool (name "a greedy kick ran") true (IC.greedy_kicks t > 0);
+      check Alcotest.bool (name "the BFS moved an entry") true
+        (IC.moves t > IC.greedy_kicks t && IC.bfs_expansions t > 0);
+      let intact k =
+        IC.find_exact t k = Some (max_value - k)
+        &&
+        match IC.lookup t k with
+        | Some h -> h.IC.exact && h.IC.key = k && h.IC.value = max_value - k
+        | None -> false
+      in
+      List.iter
+        (fun k -> check Alcotest.bool (name (Printf.sprintf "key %d intact" k)) true (intact k))
+        !kept;
+      check Alcotest.bool (name "key 0 holds 2^31 - 1") true
+        (List.mem 0 !kept && IC.find_exact t 0 = Some max_value);
+      (* no stage is allowed, so the reinsert fails and rolls back *)
+      let size = IC.size t and stage = IC.stage_of_exact t 0 in
+      (match IC.relocate t 0 ~forbid_stages:[ 0; 1 ] with
+       | Error `Full -> ()
+       | Ok _ | Error `Not_found -> Alcotest.fail (name "relocate to no stage succeeded"));
+      check Alcotest.int (name "rollback keeps the size") size (IC.size t);
+      check Alcotest.(option int) (name "rollback keeps the stage") stage (IC.stage_of_exact t 0);
+      check Alcotest.bool (name "2^31 - 1 survives the rollback") true (intact 0))
+    [ None; Some 16; Some 30 ]
+
 (* ---------- Learning_filter ---------- *)
 
 (* The learning filter is keyed on 5-tuples; [key i] is a distinct
@@ -867,6 +922,7 @@ let suites =
         tc "placement filter" `Quick cuckoo_placement_filter_respected;
         tc "bfs budget boundary" `Quick cuckoo_bfs_boundary;
         tc "greedy kick counter" `Quick cuckoo_greedy_kicks_counter;
+        tc "value contract" `Quick cuckoo_value_contract;
         QCheck_alcotest.to_alcotest qcheck_cuckoo_model;
         QCheck_alcotest.to_alcotest qcheck_cuckoo_moves_preserve;
         QCheck_alcotest.to_alcotest qcheck_flat_boxed_differential;

@@ -427,7 +427,7 @@ module Ref_conn_table = struct
   end)
 
   type t = {
-    table : int Table.t;
+    table : Table.t;
     digest_bits : int;
     n_rows : int;
     probe_index : (int, Netcore.Five_tuple.t list ref) Hashtbl.t;
