@@ -8,19 +8,18 @@ build:
 test:
 	dune runtest
 
-# Full verification: build everything, run the test suite and the
-# silkroad-verify gate, then a demo run that exercises the telemetry
-# pipeline end to end (leaving every balancer's registry snapshot in
-# BENCH_telemetry.json), the control-plane smoke bench (serve-mode
-# update churn under replay load) and the repo benchmark's self-test
-# through its own entry point (every workload at tiny scale, untraced
-# and traced: repetitions agree, traced and untraced telemetry are
-# identical, every metric is named in BENCHMARK.json).
+# Full verification: build everything, run the test suite (which also
+# runs the repo benchmark's self-test, `perfbench/benchmark.exe --scale
+# tiny`: every workload untraced and traced, repetitions agree, traced
+# and untraced telemetry are identical, every metric is named in
+# BENCHMARK.json) and the silkroad-verify gate, then a demo run that
+# exercises the telemetry pipeline end to end (leaving every balancer's
+# registry snapshot in BENCH_telemetry.json) and the control-plane
+# smoke bench (serve-mode update churn under replay load).
 check: build test verify
 	dune exec bin/silkroad_cli.exe -- demo --rate 50 --updates 6 --seconds 30 --dips 8 \
 	  --metrics-json BENCH_telemetry.json
 	dune exec bench/main.exe -- --control --smoke
-	python3 perfbench/run.py --selftest
 
 # The paper reproduction: every table and figure of the evaluation at
 # the quick operating point (`silkroad_cli experiments --full` for the
@@ -30,12 +29,13 @@ bench:
 
 # silkroad-lint: pipeline feasibility (stage/SRAM/ALU budgets on the §6
 # chip), network-wide VIP placement, the determinism source lint over
-# lib/, bin/, test/, bench/ and examples/, and surface.unused-export:
-# every value a lib/ unit exports (its .mli, or its whole top level
-# without one) must be used by another unit outside test/ (read from
-# the typed trees, so @check builds them for every executable first).
-# Non-zero exit on any error-level finding; CI runs this as the `lint`
-# job.
+# lib/, bin/, test/, bench/ and examples/, surface.unused-export: every
+# value a lib/ unit exports (its .mli, or its whole top level without
+# one) must be used by another unit outside test/, and
+# surface.unused-option: every optional parameter of such a value must
+# be passed by another unit outside test/ (both read from the typed
+# trees, so @check builds them for every executable first). Non-zero
+# exit on any error-level finding; CI runs this as the `lint` job.
 lint: build
 	dune build @check
 	dune exec bin/silkroad_cli.exe -- lint

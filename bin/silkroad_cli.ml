@@ -557,12 +557,13 @@ let lint_cmd =
   let source_flag =
     Arg.(value & flag
          & info [ "source" ]
-             ~doc:"Run only the source rules: the determinism lint and the unused-export check.")
+             ~doc:"Run only the source rules: the determinism lint and the unused-export and \
+                   unused-option checks.")
   in
   let root =
     Arg.(value & opt string "."
          & info [ "root" ] ~docv:"DIR"
-             ~doc:"Repository root whose sources are linted; the unused-export check reads the \
+             ~doc:"Repository root whose sources are linted; the surface checks read the \
                    typed trees under $(docv)/_build/default (run dune build @check first).")
   in
   let conns =
@@ -614,9 +615,12 @@ let lint_cmd =
       (match surface with
        | Some r ->
          Format.fprintf ppf
-           "# surface: %d typed trees, %d exported values, %d unused, %d test-only, %d allowed@."
+           "# surface: %d typed trees, %d exported values, %d unused, %d test-only, %d allowed; \
+            %d optional parameters, %d unused, %d test-only, %d allowed@."
            r.Analysis.Surface.units r.Analysis.Surface.exported r.Analysis.Surface.unused
-           r.Analysis.Surface.test_only r.Analysis.Surface.allowed
+           r.Analysis.Surface.test_only r.Analysis.Surface.allowed r.Analysis.Surface.options
+           r.Analysis.Surface.opt_unused r.Analysis.Surface.opt_test_only
+           r.Analysis.Surface.opt_allowed
        | None -> ());
       Format.fprintf ppf "%a@." Analysis.Diag.pp_list ds
     end;
@@ -628,8 +632,8 @@ let lint_cmd =
     (Cmd.info "lint"
        ~doc:
          "Check pipeline feasibility (stage/SRAM/ALU budgets), network-wide VIP placement, \
-          source determinism and unused exported values in lib/; exit non-zero on any \
-          error-level finding.")
+          source determinism, and unused exported values and optional parameters in lib/; \
+          exit non-zero on any error-level finding.")
     Term.(ret (const run $ json_flag $ pipeline_flag $ source_flag $ root $ conns $ vips
                $ verbose_flag))
 

@@ -416,7 +416,7 @@ let analyze ~roots (units : unit_acc list) =
 
 (* ----- front ends ----- *)
 
-let analyze_impls ?(roots = default_roots) sources =
+let analyze_impls ~roots sources =
   let env = Typed_trees.fixture_env () in
   let units =
     List.map
@@ -440,7 +440,7 @@ let load_cmt path =
       Some (walk_unit ~unit_name ~file str)
     | _ -> None)
 
-let analyze_root ?(roots = default_roots) ~root () =
+let analyze_root ~root () =
   let built = Typed_trees.build_root ~root in
   let lib = Filename.concat built "lib" in
   let cmts = Typed_trees.find ~ext:".cmt" (if Sys.file_exists lib then lib else built) in
@@ -460,4 +460,4 @@ let analyze_root ?(roots = default_roots) ~root () =
       shared_mutable = 0;
       synchronized = 0;
     }
-  else analyze ~roots units
+  else analyze ~roots:default_roots units

@@ -53,7 +53,7 @@ type result = {
   synchronized : int;  (** reachable synchronized globals (infos) *)
 }
 
-val analyze_impls : ?roots:string list -> (string * string) list -> result
+val analyze_impls : roots:string list -> (string * string) list -> result
 [@@silkroad.allow "surface.unused-export: the race analysis's fixtures in test_verify are its subject"]
 (** [analyze_impls [(unit_name, source); ...]] typechecks each source
     text in-process (against the standard library only — fixtures;
@@ -62,7 +62,7 @@ val analyze_impls : ?roots:string list -> (string * string) list -> result
     prefixes every binding in that unit. Raises [Failure] on a fixture
     that does not parse or typecheck. *)
 
-val analyze_root : ?roots:string list -> root:string -> unit -> result
+val analyze_root : root:string -> unit -> result
 (** Analyze the built tree: loads every [.cmt] under [root/lib]
     (including the [.objs] directories dune hides), mangled unit names
     canonicalized ([Silkroad__Switch] → [Silkroad.Switch]). Requires a

@@ -128,7 +128,11 @@ let default_demands ?(cfg = Silkroad.Config.default) ~vips () =
         conn_bits = conn_bits connections;
         traffic_gbps = gbps })
 
-let check_network ?(sram_warn = 0.9) ~layers ~vips () =
+(* the per-switch SRAM utilization past which a placement has no
+   headroom for the next DIP-pool growth *)
+let sram_warn = 0.9
+
+let check_network ~layers ~vips () =
   let p = Silkroad.Assignment.assign ~layers ~vips in
   let unplaced =
     List.map

@@ -19,8 +19,8 @@
     {!check_network} validates a VIP→layer assignment against
     per-switch SRAM and forwarding budgets using the §5 bin-packing
     heuristic: each VIP that no layer can host is a [net.unplaced]
-    error, and a maximum per-switch SRAM utilization above
-    [sram_warn] (default 0.9) is a [net.sram-headroom] warning. *)
+    error, and a maximum per-switch SRAM utilization above 90% is a
+    [net.sram-headroom] warning. *)
 
 val check_items :
   ?cfg:Silkroad.Config.t ->
@@ -49,7 +49,6 @@ val default_demands :
     {!Silkroad.Config.default}). *)
 
 val check_network :
-  ?sram_warn:float ->
   layers:Silkroad.Assignment.layer list ->
   vips:Silkroad.Assignment.vip_demand list ->
   unit ->

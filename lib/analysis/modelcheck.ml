@@ -521,7 +521,7 @@ type report = {
   rp_diags : Diag.t list;
 }
 
-let run_verify ?(scopes = default_scopes) ?(mutants = mutations) () =
+let run_verify () =
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let shipped =
@@ -556,7 +556,7 @@ let run_verify ?(scopes = default_scopes) ?(mutants = mutations) () =
                    premature recycles"
                   sc.sc_name oc.oc_runs oc.oc_events));
         (sc, oc))
-      scopes
+      default_scopes
   in
   let mutant_results =
     List.map
@@ -617,6 +617,6 @@ let run_verify ?(scopes = default_scopes) ?(mutants = mutations) () =
                 (Printf.sprintf "mutant %s survived: %d runs on the real switch, none fails"
                    (mutation_name mu) oc.oc_runs)));
         (mu, oc, killed))
-      mutants
+      mutations
   in
   { rp_shipped = shipped; rp_mutants = mutant_results; rp_diags = List.sort Diag.compare !diags }

@@ -156,7 +156,7 @@ type report = {
   rp_diags : Diag.t list;
 }
 
-val run_verify : ?scopes:scope list -> ?mutants:mutation list -> unit -> report
+val run_verify : unit -> report
 (** The [silkroad_cli verify --model] entry point: exhaust the shipped
     scopes, then hunt every mutation. Diags: [model.scope] info lines
     with exploration counts; [model.pcc] / [model.recycle] /

@@ -10,16 +10,7 @@ let path_of lid = try String.concat "." (Longident.flatten lid) with _ -> ""
    file-wide *)
 let allowed_rules str =
   let allowed = ref [] in
-  let attribute _ (a : attribute) =
-    if a.attr_name.Location.txt = "silkroad.allow" then
-      match a.attr_payload with
-      | PStr
-          [ { pstr_desc =
-                Pstr_eval ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-              _ } ] ->
-        allowed := s :: !allowed
-      | _ -> ()
-  in
+  let attribute _ a = Option.iter (fun s -> allowed := s :: !allowed) (Typed_trees.allow_payload a) in
   let it = { Ast_iterator.default_iterator with attribute } in
   it.Ast_iterator.structure it str;
   !allowed

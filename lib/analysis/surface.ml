@@ -1,15 +1,20 @@
 (* Unused exported surface over compiler-libs typed trees. See the .mli
    for the rules; the shape of the code:
 
-     .cmti of every lib/ unit -> exports (qualified name, loc, allow);
-                                 a lib/ unit without one exports every
-                                 top-level value of its .cmt
+     .cmti of every lib/ unit -> exports (qualified name, loc, optional
+                                 parameters, allows); a lib/ unit
+                                 without one exports every top-level
+                                 value of its .cmt
      .cmt of every unit       -> the qualified names it references,
-                                 module aliases resolved, plus the
+                                 module aliases resolved, the optional
+                                 arguments it passes them, plus the
                                  modules it uses whole
-     judge                    -> per export, which other units use it *)
+     judge                    -> per export, which other units use it;
+                                 per optional parameter of a used
+                                 export, which other units pass it *)
 
 let rule = "surface.unused-export"
+let option_rule = "surface.unused-option"
 
 let dirs = [ "lib"; "bin"; "bench"; "examples"; "perfbench"; "test" ]
 
@@ -17,7 +22,8 @@ type export = {
   e_name : string;  (** canonical qualified name, e.g. [Harness.Replay.Stepper.create] *)
   e_unit : string;
   e_loc : Diag.location;
-  e_allow : string option;  (** the allow's payload, when the [val] has one *)
+  e_options : string list;  (** labels of its optional parameters *)
+  e_allows : string list;  (** the payloads of the [val]'s allows *)
 }
 
 type refs = {
@@ -25,6 +31,7 @@ type refs = {
   r_file : string;  (** for messages *)
   r_test : bool;
   r_values : (string, unit) Hashtbl.t;
+  r_passed : (string * string, unit) Hashtbl.t;  (** (value, label) of each optional argument passed *)
   r_whole : string list;  (** modules used whole: functor arguments, includes, packs *)
 }
 
@@ -35,6 +42,10 @@ type result = {
   unused : int;
   test_only : int;
   allowed : int;
+  options : int;
+  opt_unused : int;
+  opt_test_only : int;
+  opt_allowed : int;
 }
 
 let loc_of (l : Location.t) =
@@ -43,12 +54,21 @@ let loc_of (l : Location.t) =
 
 (* ----- exports ----- *)
 
-let export ~unit_name ~prefix name loc attributes =
+(* the labels of the optional parameters of a function type, in order *)
+let rec optional_labels ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (Asttypes.Optional l, _, ret, _) -> l :: optional_labels ret
+  | Types.Tarrow (_, _, ret, _) -> optional_labels ret
+  | Types.Tpoly (ty, _) -> optional_labels ty
+  | _ -> []
+
+let export ~unit_name ~prefix name loc ty attributes =
   {
     e_name = prefix ^ "." ^ name;
     e_unit = unit_name;
     e_loc = loc_of loc;
-    e_allow = List.find_map Typed_trees.allow_payload attributes;
+    e_options = optional_labels ty;
+    e_allows = List.filter_map Typed_trees.allow_payload attributes;
   }
 
 let rec exports_of ~unit_name ~prefix (sg : Typedtree.signature) acc =
@@ -57,7 +77,7 @@ let rec exports_of ~unit_name ~prefix (sg : Typedtree.signature) acc =
       match item.Typedtree.sig_desc with
       | Typedtree.Tsig_value vd ->
         export ~unit_name ~prefix vd.Typedtree.val_name.Location.txt vd.Typedtree.val_loc
-          vd.Typedtree.val_attributes
+          vd.Typedtree.val_desc.Typedtree.ctyp_type vd.Typedtree.val_attributes
         :: acc
       | Typedtree.Tsig_module
           {
@@ -79,8 +99,8 @@ let rec impl_exports_of ~unit_name ~prefix (str : Typedtree.structure) acc =
         List.fold_left
           (fun acc (vb : Typedtree.value_binding) ->
             List.fold_left
-              (fun acc (_, (name : string Location.loc), _) ->
-                export ~unit_name ~prefix name.Location.txt name.Location.loc
+              (fun acc (_, (name : string Location.loc), ty) ->
+                export ~unit_name ~prefix name.Location.txt name.Location.loc ty
                   vb.Typedtree.vb_attributes
                 :: acc)
               acc
@@ -121,20 +141,48 @@ let refs_of ~unit_name ~file ~test (str : Typedtree.structure) =
     | _ -> ()
   in
   let values = Hashtbl.create 256 in
+  let passed = Hashtbl.create 64 in
   let whole = ref [] in
   let use_whole me = match module_ident me with Some p -> whole := resolve p :: !whole | None -> () in
+  let pass name l = Hashtbl.replace passed (name, l) () in
+  (* A value used as a value, not applied, may get any of its options
+     where it flows, as may one applied partially with an option still
+     open (its argument [None], or absent): both count as passing. An
+     option the application closes is passed when its argument sits at
+     a real location; the typer fills an omitted one with a ghost
+     [None]. *)
+  let applied name (fn : Typedtree.expression) args =
+    List.iter
+      (fun l ->
+        match List.assoc_opt (Asttypes.Optional l) args with
+        | Some (Some (a : Typedtree.expression)) when a.Typedtree.exp_loc.Location.loc_ghost -> ()
+        | _ -> pass name l)
+      (optional_labels fn.Typedtree.exp_type)
+  in
   let open Tast_iterator in
   let it =
     {
       default_iterator with
       expr =
         (fun sub e ->
-          (match e.Typedtree.exp_desc with
-           | Typedtree.Texp_ident (p, _, _) -> Hashtbl.replace values (resolve p) ()
-           | Typedtree.Texp_letmodule (id, _, _, me, _) -> alias id me
-           | Typedtree.Texp_pack me -> use_whole me
-           | _ -> ());
-          default_iterator.expr sub e);
+          match e.Typedtree.exp_desc with
+          | Typedtree.Texp_apply (({ Typedtree.exp_desc = Typedtree.Texp_ident (p, _, _); _ } as fn), args)
+            ->
+            let name = resolve p in
+            Hashtbl.replace values name ();
+            applied name fn args;
+            List.iter (fun (_, a) -> Option.iter (sub.expr sub) a) args
+          | Typedtree.Texp_ident (p, _, _) ->
+            let name = resolve p in
+            Hashtbl.replace values name ();
+            List.iter (pass name) (optional_labels e.Typedtree.exp_type)
+          | Typedtree.Texp_letmodule (id, _, _, me, _) ->
+            alias id me;
+            default_iterator.expr sub e
+          | Typedtree.Texp_pack me ->
+            use_whole me;
+            default_iterator.expr sub e
+          | _ -> default_iterator.expr sub e);
       module_binding =
         (fun sub mb ->
           alias mb.Typedtree.mb_id mb.Typedtree.mb_expr;
@@ -154,55 +202,93 @@ let refs_of ~unit_name ~file ~test (str : Typedtree.structure) =
     }
   in
   it.structure it str;
-  { r_unit = unit_name; r_file = file; r_test = test; r_values = values; r_whole = !whole }
+  { r_unit = unit_name; r_file = file; r_test = test; r_values = values; r_passed = passed; r_whole = !whole }
 
 (* ----- judging ----- *)
 
-(* "surface.unused-export: <reason>" with a non-empty reason *)
-let allow_reason payload =
+(* the reason of the first "<rule>: <reason>" allow with a non-empty one *)
+let allow_reason ~rule allows =
   let prefix = rule ^ ":" in
   let n = String.length prefix in
-  if not (String.starts_with ~prefix payload) then None
-  else
-    match String.trim (String.sub payload n (String.length payload - n)) with
-    | "" -> None
-    | reason -> Some reason
+  List.find_map
+    (fun payload ->
+      if not (String.starts_with ~prefix payload) then None
+      else
+        match String.trim (String.sub payload n (String.length payload - n)) with
+        | "" -> None
+        | reason -> Some reason)
+    allows
 
 let judge ~units exports refs =
-  let used_by e r =
-    r.r_unit <> e.e_unit
-    && (Hashtbl.mem r.r_values e.e_name
-       || List.exists (fun m -> String.starts_with ~prefix:(m ^ ".") e.e_name) r.r_whole)
+  let whole_by e r = List.exists (fun m -> String.starts_with ~prefix:(m ^ ".") e.e_name) r.r_whole in
+  let others e p = List.filter (fun r -> r.r_unit <> e.e_unit && (p r || whole_by e r)) refs in
+  let files users = String.concat ", " (List.sort_uniq String.compare (List.map (fun r -> r.r_file) users)) in
+  (* what the units that use (or pass) something make of it *)
+  let verdict users reason =
+    if List.exists (fun r -> not r.r_test) users then `Program
+    else match (users, reason) with [], _ -> `Unused | _, Some _ -> `Allowed | _, None -> `Test_only
   in
   let diags = ref [] and unused = ref 0 and test_only = ref 0 and allowed = ref 0 in
-  let report e severity message hint =
+  let options = ref 0 and opt_unused = ref 0 and opt_test_only = ref 0 and opt_allowed = ref 0 in
+  let report e ~rule severity message hint =
     diags := Diag.v ~loc:e.e_loc ~rule ~severity ~hint message :: !diags
+  in
+  let allow_hint rule =
+    Printf.sprintf "say why it stays: [@@silkroad.allow \"%s: <reason>\"]" rule
+  in
+  let judge_options e =
+    let reason = allow_reason ~rule:option_rule e.e_allows in
+    let verdicts =
+      List.map
+        (fun l ->
+          let passers = others e (fun r -> Hashtbl.mem r.r_passed (e.e_name, l)) in
+          let v = verdict passers reason in
+          incr options;
+          (match v with
+           | `Program -> ()
+           | `Unused ->
+             incr opt_unused;
+             report e ~rule:option_rule Diag.Error
+               (Printf.sprintf "?%s of %s is never passed by another unit" l e.e_name)
+               "delete the option, and the code only it reaches"
+           | `Allowed -> incr opt_allowed
+           | `Test_only ->
+             incr opt_test_only;
+             report e ~rule:option_rule Diag.Warning
+               (Printf.sprintf "?%s of %s is passed only by test/ (%s)" l e.e_name (files passers))
+               ("test through what the program passes, delete it with its test, or "
+               ^ allow_hint option_rule));
+          v)
+        e.e_options
+    in
+    if reason <> None && List.for_all (fun v -> v = `Program) verdicts then
+      report e ~rule:option_rule Diag.Warning
+        (Printf.sprintf "%s carries a %s allow, but the program passes all its options" e.e_name
+           option_rule)
+        "drop the allow"
   in
   List.iter
     (fun e ->
-      let users = List.filter (used_by e) refs in
-      let reason = Option.bind e.e_allow allow_reason in
-      match (List.exists (fun r -> not r.r_test) users, users, reason) with
-      | true, _, None -> ()
-      | true, _, Some _ ->
-        report e Diag.Warning
-          (Printf.sprintf "%s carries a surface.unused-export allow, but the program uses it" e.e_name)
-          "drop the allow"
-      | false, [], _ ->
+      let users = others e (fun r -> Hashtbl.mem r.r_values e.e_name) in
+      let reason = allow_reason ~rule e.e_allows in
+      match verdict users reason with
+      | `Program ->
+        if reason <> None then
+          report e ~rule Diag.Warning
+            (Printf.sprintf "%s carries a %s allow, but the program uses it" e.e_name rule)
+            "drop the allow";
+        judge_options e
+      | `Unused ->
         incr unused;
-        report e Diag.Error
+        report e ~rule Diag.Error
           (Printf.sprintf "%s is exported, but no other unit uses it" e.e_name)
           "delete it, or leave it out of its unit's .mli (adding one if needed)"
-      | false, _, Some _ -> incr allowed
-      | false, users, None ->
+      | `Allowed -> incr allowed
+      | `Test_only ->
         incr test_only;
-        report e Diag.Warning
-          (Printf.sprintf "%s is exported, but only test/ uses it (%s)" e.e_name
-             (String.concat ", " (List.sort_uniq String.compare (List.map (fun r -> r.r_file) users))))
-          (Printf.sprintf
-             "test it through what the program uses, delete it with its test, or say why it \
-              stays: [@@silkroad.allow \"%s: <reason>\"]"
-             rule))
+        report e ~rule Diag.Warning
+          (Printf.sprintf "%s is exported, but only test/ uses it (%s)" e.e_name (files users))
+          ("test it through what the program uses, delete it with its test, or " ^ allow_hint rule))
     exports;
   {
     diags = List.sort Diag.compare !diags;
@@ -211,6 +297,10 @@ let judge ~units exports refs =
     unused = !unused;
     test_only = !test_only;
     allowed = !allowed;
+    options = !options;
+    opt_unused = !opt_unused;
+    opt_test_only = !opt_test_only;
+    opt_allowed = !opt_allowed;
   }
 
 (* ----- front ends ----- *)
@@ -293,6 +383,10 @@ let analyze_root ~root =
       unused = 0;
       test_only = 0;
       allowed = 0;
+      options = 0;
+      opt_unused = 0;
+      opt_test_only = 0;
+      opt_allowed = 0;
     }
   else
     let unit_name cmt = Typed_trees.canon_name cmt.Cmt_format.cmt_modname in

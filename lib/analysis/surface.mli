@@ -1,5 +1,5 @@
-(** The [surface.*] rules of [silkroad-lint]: no exported value goes
-    unused.
+(** The [surface.*] rules of [silkroad-lint]: no exported value, and
+    no optional parameter of one, goes unused.
 
     Every [val] of every [lib/] interface, nested signatures such as
     [Harness.Replay.Stepper] included, and every top-level value of a
@@ -23,6 +23,24 @@
       non-empty reason saying why a test-only export should stay (for
       example, the test is its subject). An allow on a value the program
       uses is itself a warning, since it no longer says anything.
+    - [surface.unused-option] ({e error}): an optional parameter of
+      an exported value the program uses is passed by no other unit
+      outside [test/]. It is passed at an application of the value when
+      its argument sits at a real location: the typer fills an omitted
+      [?l] of a total application with a ghost [None], while [~l:v],
+      [?l:e] and an explicit [?l:None] are the caller's own. A partial
+      application that leaves [?l] open, and a use of the value that
+      does not apply it, count as passing it, since the rule does not
+      follow values. A module used whole passes every option of its
+      values. Delete the option, and the code only it reaches.
+    - [surface.unused-option] ({e warning}): only [test/] passes it.
+      [[@@silkroad.allow "surface.unused-option: <reason>"]] on the
+      [val] keeps its test-only options; an allow on a value whose
+      options the program all passes is itself a warning.
+      Options of a value only tests use are [surface.unused-export]'s
+      to judge, and members of a functor's result, such as
+      [Asic.Cuckoo.Make]'s [create ?max_bfs_nodes], are out of reach:
+      the rule reads only plain nested signatures.
     - [surface.no-cmt] ({e error}): some source file under those
       directories has no typed tree. [dune build @all] writes none for
       executables, and without them everything the CLI and the benches
@@ -35,6 +53,10 @@ type result = {
   unused : int;  (** exported values no non-test unit uses (errors) *)
   test_only : int;  (** exported values only [test/] uses, not allowed (warnings) *)
   allowed : int;  (** test-only values whose allow gives a reason *)
+  options : int;  (** optional parameters of the exported values the program uses *)
+  opt_unused : int;  (** optional parameters no non-test unit passes (errors) *)
+  opt_test_only : int;  (** optional parameters only [test/] passes, not allowed (warnings) *)
+  opt_allowed : int;  (** test-only optional parameters whose allow gives a reason *)
 }
 
 val analyze_root : root:string -> result

@@ -4,7 +4,8 @@
     ([surface.unused-export] in [lint]) both load the [.cmt]/[.cmti]
     files dune writes, undo dune's library name mangling, honour the
     [silkroad.allow] attribute and typecheck in-memory fixtures. This is
-    that shared code. *)
+    that shared code; {!Source_lint} reads its file-wide allows with
+    {!allow_payload} too. *)
 
 val canon_name : string -> string
 (** Undo dune's library mangling in every dot-component:

@@ -76,6 +76,9 @@ module Make (Key : KEY) = struct
     n_ways : int;
     words : int array;  (** per-slot packed code and value; -1 = empty *)
     mutable cells : cells option;
+    (* [lookup]'s probe positions, rewritten on every call *)
+    look_rows : int array;
+    look_digests : int array;
     (* BFS scratch arena: empty until the first BFS, reused after *)
     mutable q_slot : int array;
     mutable q_parent : int array;
@@ -107,6 +110,8 @@ module Make (Key : KEY) = struct
       n_ways = ways;
       words = Array.make (stages * rows_per_stage * ways) (-1);
       cells = None;
+      look_rows = Array.make stages 0;
+      look_digests = Array.make stages 0;
       q_slot = [||];
       q_parent = [||];
       visited = [||];
@@ -227,8 +232,11 @@ module Make (Key : KEY) = struct
     match t.cells with
     | None -> None
     | Some c ->
-      let rows = Array.init t.n_stages (fun stage -> row_of t stage k)
-      and digests = Array.init t.n_stages (fun stage -> code_of t stage k) in
+      let rows = t.look_rows and digests = t.look_digests in
+      for stage = 0 to t.n_stages - 1 do
+        rows.(stage) <- row_of t stage k;
+        digests.(stage) <- code_of t stage k
+      done;
       let i = first_match t c k ~rows ~digests in
       if i < 0 then None
       else

@@ -14,11 +14,9 @@ type t = {
   match_key_bits : int;  (** bits presented to the match crossbar *)
   stored_key_bits : int;  (** bits stored per entry (digest or full key) *)
   action_data_bits : int;
-  overhead_bits : int;  (** instruction + next-table pointers per entry *)
   n_actions : int;
   index_hash_bits : int;  (** hash bits for row addressing / digests *)
   metadata_phv_bits : int;
-  uses_stateful_alu : int;  (** stateful ALUs (registers/meters) *)
 }
 
 val make :
@@ -27,15 +25,13 @@ val make :
   match_key_bits:int ->
   ?stored_key_bits:int ->
   action_data_bits:int ->
-  ?overhead_bits:int ->
   ?n_actions:int ->
   ?index_hash_bits:int ->
   ?metadata_phv_bits:int ->
-  ?uses_stateful_alu:int ->
   unit ->
   t
 (** [stored_key_bits] defaults to [match_key_bits] (exact match storing
-    the full key); [overhead_bits] defaults to 6 — "an instruction
-    address and a next table address" (§6 footnote 5). *)
+    the full key). Every entry also stores 6 overhead bits, "an
+    instruction address and a next table address" (§6 footnote 5). *)
 
 val resources : t -> Resources.t

@@ -11,9 +11,6 @@ type stats = {
 }
 
 type vip_state = {
-  mutable pinned_to_slb : bool;
-      (** VIP permanently handled by SLBs: the switch ECMP table had no
-          room for it (§2.3) *)
   mutable switch_pool : Lb.Dip_pool.t;  (** what the ASIC ECMP currently hashes over *)
   mutable slb_pool : Lb.Dip_pool.t;  (** the SLB's (up-to-date) VIPTable *)
   mutable at_slb : bool;
@@ -29,9 +26,13 @@ type vip_state = {
   old_conns : (Netcore.Five_tuple.t, unit) Hashtbl.t;
 }
 
+(* the redirect-to-execute wait: longer than the harness's 15 s probe
+   interval, so every ongoing connection is snooped before an update
+   executes *)
+let grace = 30.
+
 type state = {
   seed : int;
-  grace : float;
   policy : migrate_policy;
   vips : (Netcore.Endpoint.t, vip_state) Hashtbl.t;
   metrics : Telemetry.Registry.t;
@@ -50,7 +51,6 @@ let get_vip state vip =
   | None ->
     let vs =
       {
-        pinned_to_slb = false;
         switch_pool = Lb.Dip_pool.of_list [];
         slb_pool = Lb.Dip_pool.of_list [];
         at_slb = false;
@@ -96,7 +96,7 @@ let advance_vip state ~now vs =
     | _ :: _ | [] -> ()
   in
   exec ();
-  if vs.at_slb && (not vs.pinned_to_slb) && vs.pending = [] then begin
+  if vs.at_slb && vs.pending = [] then begin
     match state.policy with
     | Migrate_every period ->
       (* migration events fire on global period boundaries *)
@@ -105,7 +105,7 @@ let advance_vip state ~now vs =
     | Migrate_pcc ->
       (* safe only once every ongoing connection has been snooped (the
          grace covers the max inter-packet gap) and none is old *)
-      if now >= vs.redirect_since +. state.grace && Hashtbl.length vs.old_conns = 0 then
+      if now >= vs.redirect_since +. grace && Hashtbl.length vs.old_conns = 0 then
         migrate_back state vs
   end
 
@@ -124,7 +124,7 @@ let process state ~now (pkt : Netcore.Packet.t) =
   | None -> account_outcome state { Lb.Balancer.dip = None; location = Lb.Balancer.Asic }
   | Some vs ->
     advance_vip state ~now vs;
-    if vs.at_slb || vs.pinned_to_slb then begin
+    if vs.at_slb then begin
       Telemetry.Registry.Counter.incr state.c_slb_packets;
       Telemetry.Registry.Counter.add state.c_slb_bytes (Netcore.Packet.wire_size pkt);
       let finish dip =
@@ -158,10 +158,6 @@ let process state ~now (pkt : Netcore.Packet.t) =
 
 let update state ~now ~vip u =
   let vs = get_vip state vip in
-  if vs.pinned_to_slb then
-    (* SLB-homed VIP: atomic software update, no redirect dance *)
-    vs.slb_pool <- Lb.Balancer.apply_update vs.slb_pool u
-  else begin
   if not vs.at_slb then begin
     (* Redirect the VIP's traffic to the SLBs; the update executes after
        the grace period, by which time ongoing connections have been
@@ -170,7 +166,7 @@ let update state ~now ~vip u =
     vs.redirect_since <- now;
     Hashtbl.reset vs.conns
   end;
-  let exec_at = Float.max (now +. 1e-6) (vs.redirect_since +. state.grace) in
+  let exec_at = Float.max (now +. 1e-6) (vs.redirect_since +. grace) in
   (* keep FIFO order even if several updates land in the same grace *)
   let exec_at =
     match List.rev vs.pending with
@@ -178,14 +174,12 @@ let update state ~now ~vip u =
     | _ -> exec_at
   in
   vs.pending <- vs.pending @ [ (exec_at, u) ]
-  end
 
-let create ~seed ?metrics ?(grace = 30.) ?switch_vip_budget ~policy ~vips () =
-  let reg = match metrics with Some r -> r | None -> Telemetry.Registry.create () in
+let create ~seed ~policy ~vips () =
+  let reg = Telemetry.Registry.create () in
   let state =
     {
       seed;
-      grace;
       policy;
       vips = Hashtbl.create 16;
       metrics = reg;
@@ -198,16 +192,11 @@ let create ~seed ?metrics ?(grace = 30.) ?switch_vip_budget ~policy ~vips () =
       c_lb_dropped = Telemetry.Registry.counter reg "lb.dropped_packets";
     }
   in
-  List.iteri
-    (fun i (vip, pool) ->
+  List.iter
+    (fun (vip, pool) ->
       let vs = get_vip state vip in
       vs.switch_pool <- pool;
-      vs.slb_pool <- pool;
-      (* §2.3: the switch ECMP table only fits so many VIPs; the rest
-         live on SLBs permanently *)
-      (match switch_vip_budget with
-       | Some budget when i >= budget -> vs.pinned_to_slb <- true
-       | Some _ | None -> ()))
+      vs.slb_pool <- pool)
     vips;
   let balancer =
     {

@@ -35,18 +35,11 @@ type stats = {
 
 val create :
   seed:int ->
-  ?metrics:Telemetry.Registry.t ->
-  ?grace:float ->
-  ?switch_vip_budget:int ->
   policy:migrate_policy ->
   vips:(Netcore.Endpoint.t * Lb.Dip_pool.t) list ->
   unit ->
   Lb.Balancer.t * (unit -> stats)
-(** [grace] is the redirect-to-execute wait (default 30 s): an update
-    executes at the SLB only once every ongoing connection has had a
-    chance to be snooped into the SLB ConnTable, so it must exceed the
-    workload's maximum inter-packet gap (the harness probes every 15 s).
-    [switch_vip_budget] caps how many VIPs fit the switch's ECMP table
-    (§2.3: "Due to the limited ECMP table size, Duet only uses switches
-    to handle VIPs with high-volume traffic"); VIPs past the budget are
-    served by SLBs permanently. *)
+(** An update executes at the SLB 30 s after the redirect: only once
+    every ongoing connection has had a chance to be snooped into the SLB
+    ConnTable, so the grace must exceed the workload's maximum
+    inter-packet gap (the harness probes every 15 s). *)

@@ -30,8 +30,8 @@ let update state ~now:_ ~vip u =
   in
   Hashtbl.replace state.vips vip (Lb.Balancer.apply_update pool u)
 
-let create_with ?metrics ~seed vips =
-  let reg = match metrics with Some r -> r | None -> Telemetry.Registry.create () in
+let create_with ~seed vips =
+  let reg = Telemetry.Registry.create () in
   let state =
     {
       seed;

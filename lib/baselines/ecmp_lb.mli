@@ -6,9 +6,5 @@
     PCC is violated for roughly [(n-1)/n] of the flows whose hash moves.
     Used as the lower bound in the PCC experiments. *)
 
-val create_with :
-  ?metrics:Telemetry.Registry.t ->
-  seed:int ->
-  (Netcore.Endpoint.t * Lb.Dip_pool.t) list ->
-  Lb.Balancer.t
+val create_with : seed:int -> (Netcore.Endpoint.t * Lb.Dip_pool.t) list -> Lb.Balancer.t
 (** A balancer with pre-populated VIPs. *)

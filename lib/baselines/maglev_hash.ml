@@ -3,20 +3,14 @@ type t = {
   backends : Netcore.Endpoint.t list;
 }
 
-let is_prime n =
-  if n < 2 then false
-  else
-    let rec go d = d * d > n || (n mod d <> 0 && go (d + 1)) in
-    go 2
+(* a prime, so every skip walks the whole table *)
+let m = 65537
 
-let create ?metrics ?(table_size = 65537) backends =
+let create backends =
   if backends = [] then invalid_arg "Maglev_hash.create: no backends";
-  if not (is_prime table_size) then invalid_arg "Maglev_hash.create: table size must be prime";
-  if List.length backends >= table_size then
-    invalid_arg "Maglev_hash.create: table smaller than backend set";
+  if List.length backends >= m then invalid_arg "Maglev_hash.create: table smaller than backend set";
   let n = List.length backends in
   let backends_arr = Array.of_list backends in
-  let m = table_size in
   (* Per-backend permutation parameters from two independent hashes of
      the backend identity. *)
   let offsets = Array.make n 0 and skips = Array.make n 0 in
@@ -30,13 +24,11 @@ let create ?metrics ?(table_size = 65537) backends =
   let next = Array.make n 0 in
   let table = Array.make m (-1) in
   let filled = ref 0 in
-  let probes = ref 0 in
   (* Round-robin: each backend claims its next preferred empty slot. *)
   while !filled < m do
     for i = 0 to n - 1 do
       if !filled < m then begin
         let rec claim () =
-          incr probes;
           let c = (offsets.(i) + (next.(i) * skips.(i))) mod m in
           next.(i) <- next.(i) + 1;
           if table.(c) < 0 then begin
@@ -49,20 +41,6 @@ let create ?metrics ?(table_size = 65537) backends =
       end
     done
   done;
-  (match metrics with
-   | None -> ()
-   | Some reg ->
-     Telemetry.Registry.Gauge.set
-       (Telemetry.Registry.gauge reg "maglev.table_size")
-       (float_of_int m);
-     Telemetry.Registry.Gauge.set
-       (Telemetry.Registry.gauge reg "maglev.backends")
-       (float_of_int n);
-     (* permutation probes the build needed — the paper's O(M log M)
-        expectation, so a useful regression canary *)
-     Telemetry.Registry.Counter.add
-       (Telemetry.Registry.counter reg "maglev.build_probes")
-       !probes);
   { table = Array.map (fun i -> backends_arr.(i)) table; backends }
 
 let lookup t h = t.table.(Netcore.Hashing.to_range h (Array.length t.table))

@@ -10,11 +10,10 @@
 
 type t
 
-val create :
-  ?metrics:Telemetry.Registry.t -> ?table_size:int -> Netcore.Endpoint.t list -> t
-(** [table_size] must be a prime larger than the number of backends
-    (default 65537). Raises [Invalid_argument] on an empty backend list
-    or a non-prime size. *)
+val create : Netcore.Endpoint.t list -> t
+(** A lookup table of 65537 slots (a prime, Maglev's default size).
+    Raises [Invalid_argument] on an empty backend list or one with as
+    many backends as slots. *)
 
 val lookup : t -> int64 -> Netcore.Endpoint.t
 (** Select a backend from a packet hash. *)

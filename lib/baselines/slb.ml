@@ -85,8 +85,8 @@ let update state ~now:_ ~vip u =
   in
   Hashtbl.replace state.vips vip (Lb.Balancer.apply_update pool u)
 
-let create ~seed ?metrics ?(capacity_pps = infinity) ?(vips = []) () =
-  let reg = match metrics with Some r -> r | None -> Telemetry.Registry.create () in
+let create ~seed ?(capacity_pps = infinity) ?(vips = []) () =
+  let reg = Telemetry.Registry.create () in
   let state =
     {
       seed;

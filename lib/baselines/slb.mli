@@ -19,7 +19,6 @@ type stats = {
 
 val create :
   seed:int ->
-  ?metrics:Telemetry.Registry.t ->
   ?capacity_pps:float ->
   ?vips:(Netcore.Endpoint.t * Lb.Dip_pool.t) list ->
   unit ->

@@ -53,7 +53,9 @@ val create :
   ?trace:Harness.Packed_trace.t ->
   unit ->
   t
-(** [?shards] (default 1) switches partitioned as in sharded replay,
+[@@silkroad.allow "surface.unused-option: cfg lets test_verify replay each model-checker counterexample through serve on the checker's small tables, and test_control slow the switch CPU"]
+(** [?cfg] (default {!Silkroad.Config.default}) builds every switch.
+    [?shards] (default 1) switches partitioned as in sharded replay,
     each on the {!Silkroad.Switch.process_batch} packet path; [?vips]
     are pre-registered on every switch before any traffic, exactly like
     [make_switch] in a batch run. A [vip-add] at time 0 is equivalent

@@ -107,8 +107,8 @@ let hashing_disruption ~quick ppf =
   let r' = Asic.Ecmp.resilient_remove ~equal:Netcore.Endpoint.equal r removed in
   count "Resilient" (Asic.Ecmp.resilient_select r) (Asic.Ecmp.resilient_select r');
   (* maglev *)
-  let m = Baselines.Maglev_hash.create ~table_size:65537 dips in
-  let m' = Baselines.Maglev_hash.create ~table_size:65537 survivors in
+  let m = Baselines.Maglev_hash.create dips in
+  let m' = Baselines.Maglev_hash.create survivors in
   count "Maglev" (Baselines.Maglev_hash.lookup m) (Baselines.Maglev_hash.lookup m');
   Format.fprintf ppf
     "  ideal minimum is 1/16 = 6.25%% (only the removed DIP's flows);@.";

@@ -26,9 +26,8 @@ let slb_latency = Simnet.Dist.lognormal_of_quantiles ~median:150e-6 ~p99:1e-3
    milliseconds delay to the redirected TCP SYN packet" (§4.2) *)
 let cpu_latency = Simnet.Dist.lognormal_of_quantiles ~median:2e-3 ~p99:10e-3
 
-let run ?(early_offsets = Packed_trace.default_early) ?(probe_interval = 15.) ?chaos ~balancer
-    ~flows ~updates ~horizon () =
-  let trace = Packed_trace.compile ~early_offsets ~probe_interval ~horizon flows in
+let run ?(probe_interval = 15.) ?chaos ~balancer ~flows ~updates ~horizon () =
+  let trace = Packed_trace.compile ~probe_interval ~horizon flows in
   (* streaming latency histograms and byte gauges: the driver's
      footprint does not grow with the probe count *)
   let reg = Telemetry.Registry.create () in

@@ -49,7 +49,6 @@ val asic_latency : float
 [@@silkroad.allow "surface.unused-export: the configured ASIC latency test_telemetry checks the driver's latency median against"]
 
 val run :
-  ?early_offsets:float list ->
   ?probe_interval:float ->
   ?chaos:Chaos.Injector.t ->
   balancer:Lb.Balancer.t ->

@@ -24,10 +24,6 @@ type t = {
 val n_flows : t -> int
 val n_packets : t -> int
 
-val default_early : float list
-(** The default [early_offsets]: 250 µs, 1 ms, 5 ms, 20 ms, 100 ms —
-    inside the connection-learning race window §4.3 is about. *)
-
 val time_order : float array -> int array
 [@@silkroad.allow "surface.unused-export: the radix sort compile applies; test_harness checks it against a stable sort"]
 (** The indices of [times] sorted by time, equal times in index order:
@@ -45,7 +41,8 @@ val compile :
   t
 (** Pre-encode the packet trains of these flows. Each flow's train is
     a SYN at its start, a data probe at each early offset (default
-    {!default_early}) and every [probe_interval] (default 15 s) after
+    250 µs, 1 ms, 5 ms, 20 ms and 100 ms, inside the connection-learning
+    race window §4.3 is about) and every [probe_interval] (default 15 s) after
     the start while the flow lives (equal times once), and a FIN when
     it ends before the horizon. Flows starting at or after the horizon
     are dropped; the rest keep their list order as flow indices, and

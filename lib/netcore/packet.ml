@@ -9,7 +9,7 @@ let make ?(flags = Tcp_flags.data) ?(payload_len = 0) flow =
   { flow; flags; payload_len }
 
 let syn flow = make ~flags:Tcp_flags.syn ~payload_len:0 flow
-let data ?(payload_len = 1024) flow = make ~flags:Tcp_flags.data ~payload_len flow
+let data flow = make ~flags:Tcp_flags.data ~payload_len:1024 flow
 
 (* Wire size without a packet record in hand — the batched replay path
    meters flows it never boxes into [t]. *)

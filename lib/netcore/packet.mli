@@ -14,7 +14,8 @@ val make : ?flags:Tcp_flags.t -> ?payload_len:int -> Five_tuple.t -> t
 val syn : Five_tuple.t -> t
 (** First packet of a TCP connection. *)
 
-val data : ?payload_len:int -> Five_tuple.t -> t
+val data : Five_tuple.t -> t
+(** A data packet with a 1024-byte payload. *)
 
 val wire_size : t -> int
 (** Total bytes on the wire: Ethernet + IP + TCP/UDP headers + payload.

@@ -12,17 +12,18 @@ type t = {
   layer_nodes : node array array;
   nodes : node array;
   placement : Silkroad.Assignment.placement;
-  diags : Analysis.Diag.t list;
   vip_layer : int Netcore.Endpoint.Tbl.t;
   vips : (Netcore.Endpoint.t * Lb.Dip_pool.t) list;
 }
 
 (* a "mouse" VIP of Feasibility.default_demands: 50 K connections at
    ~40 ConnTable bits each *)
-let demands_of_vips ?(conn_bits = 50_000 * 40) ?(traffic_gbps = 1.5) vips =
-  List.map (fun (vip, _) -> { Silkroad.Assignment.vip; conn_bits; traffic_gbps }) vips
+let demands_of_vips vips =
+  List.map
+    (fun (vip, _) -> { Silkroad.Assignment.vip; conn_bits = 50_000 * 40; traffic_gbps = 1.5 })
+    vips
 
-let build ?(check = `Fail) ?(sram_warn = 0.9) ?demands ?(seed = 0x7090) ~layers ~vips () =
+let build ?(seed = 0x7090) ~layers ~vips () =
   if layers = [] then invalid_arg "Netwide.Topology.build: no layers";
   (* a layer with no LB SRAM budget is a pure transit layer: it routes
      but cannot host VIP state, so it stays out of the bin packing *)
@@ -30,21 +31,14 @@ let build ?(check = `Fail) ?(sram_warn = 0.9) ?demands ?(seed = 0x7090) ~layers 
     List.filter (fun (l : Silkroad.Assignment.layer) -> l.Silkroad.Assignment.sram_budget_bits > 0) layers
   in
   if hosting = [] then invalid_arg "Netwide.Topology.build: no layer has LB SRAM";
-  let demands = match demands with Some d -> d | None -> demands_of_vips vips in
   let placement, diags =
-    match check with
-    | `Off -> (Silkroad.Assignment.assign ~layers:hosting ~vips:demands, [])
-    | (`Fail | `Warn) as check ->
-      let placement, diags =
-        Analysis.Feasibility.check_network ~sram_warn ~layers:hosting ~vips:demands ()
-      in
-      if check = `Fail && Analysis.Diag.errors diags > 0 then
-        invalid_arg
-          (Format.asprintf "@[<v>Netwide.Topology.build: infeasible placement:@,%a@]"
-             Analysis.Diag.pp_list
-             (List.filter (fun d -> d.Analysis.Diag.severity = Analysis.Diag.Error) diags));
-      (placement, diags)
+    Analysis.Feasibility.check_network ~layers:hosting ~vips:(demands_of_vips vips) ()
   in
+  if Analysis.Diag.errors diags > 0 then
+    invalid_arg
+      (Format.asprintf "@[<v>Netwide.Topology.build: infeasible placement:@,%a@]"
+         Analysis.Diag.pp_list
+         (List.filter (fun d -> d.Analysis.Diag.severity = Analysis.Diag.Error) diags));
   let layer_arr = Array.of_list layers in
   let next_id = ref 0 in
   let layer_nodes =
@@ -57,7 +51,6 @@ let build ?(check = `Fail) ?(sram_warn = 0.9) ?demands ?(seed = 0x7090) ~layers 
       layer_arr
   in
   let nodes = Array.concat (Array.to_list layer_nodes) in
-  let bottom = Array.length layer_arr - 1 in
   let pos_of_name name =
     let rec go i = function
       | [] -> None
@@ -66,17 +59,15 @@ let build ?(check = `Fail) ?(sram_warn = 0.9) ?demands ?(seed = 0x7090) ~layers 
     in
     go 0 layers
   in
+  (* the gate above leaves no VIP unplaced *)
   let vip_layer = Netcore.Endpoint.Tbl.create (List.length vips) in
-  (* placement first; anything unplaced (possible under `Warn/`Off)
-     falls back to the bottom layer so routing stays total *)
-  List.iter (fun (vip, _) -> Netcore.Endpoint.Tbl.replace vip_layer vip bottom) vips;
   List.iter
     (fun (vip, lname) ->
       match pos_of_name lname with
       | Some pos -> Netcore.Endpoint.Tbl.replace vip_layer vip pos
       | None -> ())
     placement.Silkroad.Assignment.assignment;
-  { seed; layers; layer_nodes; nodes; placement; diags; vip_layer; vips }
+  { seed; layers; layer_nodes; nodes; placement; vip_layer; vips }
 
 let n_nodes t = Array.length t.nodes
 

@@ -28,31 +28,21 @@ type t = {
   layer_nodes : node array array;  (** per layer position *)
   nodes : node array;  (** all nodes, grouped by layer, id order *)
   placement : Silkroad.Assignment.placement;
-  diags : Analysis.Diag.t list;  (** feasibility diagnostics from construction *)
   vip_layer : int Netcore.Endpoint.Tbl.t;  (** VIP → layer position *)
   vips : (Netcore.Endpoint.t * Lb.Dip_pool.t) list;
 }
 
 val build :
-  ?check:[ `Fail | `Warn | `Off ] ->
-  ?sram_warn:float ->
-  ?demands:Silkroad.Assignment.vip_demand list ->
   ?seed:int ->
   layers:Silkroad.Assignment.layer list ->
   vips:(Netcore.Endpoint.t * Lb.Dip_pool.t) list ->
   unit ->
   t
 (** Place the VIPs over the layers and materialise the switch nodes.
-
-    [check] (default [`Fail]) controls the network-mode feasibility
-    gate: [`Fail] raises [Invalid_argument] carrying the [net.*]
-    diagnostics when the placement has errors (a VIP nowhere to live),
-    [`Warn] keeps the diagnostics in {!field-diags} and proceeds,
-    [`Off] skips {!Analysis.Feasibility.check_network} and uses the raw
-    {!Silkroad.Assignment.assign} placement. [demands] defaults to
-    2,000,000 ConnTable bits and 1.5 Gb/s for each of [vips]. VIPs the
-    placement could not place (under [`Warn]/[`Off]) fall back to the
-    bottom layer.
+    Each VIP demands 2,000,000 ConnTable bits and 1.5 Gb/s. Raises
+    [Invalid_argument] carrying the [net.*] diagnostics of
+    {!Analysis.Feasibility.check_network} when the placement has errors
+    (a VIP nowhere to live).
 
     A layer whose [sram_budget_bits] is zero is a {e pure transit}
     layer: it participates in routing but is excluded from the bin

@@ -6,24 +6,21 @@ type dip_state = {
 type t = {
   interval : float;
   threshold : int;
-  probe_bytes : int;
   is_alive : Netcore.Endpoint.t -> bool;
   dips : Netcore.Endpoint.t list;
   states : (Netcore.Endpoint.t, dip_state) Hashtbl.t;
   mutable next_round : float;
-  mutable probes_sent : int;
 }
 
-let create ?(interval = 10.) ?(threshold = 3) ?(probe_bytes = 100) ~is_alive ~dips () =
-  assert (interval > 0. && threshold >= 1 && probe_bytes > 0);
+let create ?(interval = 10.) ?(threshold = 3) ~is_alive ~dips () =
+  assert (interval > 0. && threshold >= 1);
   let states = Hashtbl.create (List.length dips) in
   List.iter (fun d -> Hashtbl.replace states d { misses = 0; marked_down = false }) dips;
-  { interval; threshold; probe_bytes; is_alive; dips; states; next_round = 0.; probes_sent = 0 }
+  { interval; threshold; is_alive; dips; states; next_round = 0. }
 
 let probe_round t =
   List.filter_map
     (fun dip ->
-      t.probes_sent <- t.probes_sent + 1;
       let st = Hashtbl.find t.states dip in
       if t.is_alive dip then begin
         st.misses <- 0;

@@ -19,13 +19,11 @@ type t
 val create :
   ?interval:float ->
   ?threshold:int ->
-  ?probe_bytes:int ->
   is_alive:(Netcore.Endpoint.t -> bool) ->
   dips:Netcore.Endpoint.t list ->
   unit ->
   t
-(** Defaults: probe every 10 s, declare down after 3 missed probes,
-    100-byte probes. *)
+(** Defaults: probe every 10 s, declare down after 3 missed probes. *)
 
 val advance : t -> now:float -> (Netcore.Endpoint.t * [ `Down | `Up ]) list
 (** Run all probes due by [now] (in order) and return the state
@@ -38,4 +36,4 @@ val is_marked_down : t -> Netcore.Endpoint.t -> bool
 
 val probe_bandwidth_bps : dips:int -> interval:float -> probe_bytes:int -> float
 [@@silkroad.allow "surface.unused-export: reproduces the paper's probe overhead estimate, which test_silkroad pins"]
-(** Probe traffic this checker injects. *)
+(** Probe traffic a checker injects with [probe_bytes]-byte probes. *)

@@ -34,7 +34,6 @@ type t = {
   sw : Switch.t;
   slb : soft_lb;
   overflow_threshold : float;
-  pinned : (Netcore.Endpoint.t, unit) Hashtbl.t;
   (* connections spilled to the SLB by the overflow rule: they must stay
      there for life even if occupancy later drops *)
   spilled : unit Ftbl.t;
@@ -47,25 +46,21 @@ type t = {
   g_slb_conns : Telemetry.Registry.Gauge.t;
 }
 
-let create ?metrics ?(cfg = Config.default) ?(overflow_threshold = 0.95) ?(slb_vips = [])
-    ~seed ~vips () =
-  let reg = match metrics with Some r -> r | None -> Telemetry.Registry.create () in
+let create ?(cfg = Config.default) ?(overflow_threshold = 0.95) ~seed ~vips () =
+  let reg = Telemetry.Registry.create () in
   let sw = Switch.create ~metrics:reg cfg in
   let slb =
     { soft_seed = seed; soft_vips = Hashtbl.create 16; soft_conns = Ftbl.create 1024 }
   in
-  let pinned = Hashtbl.create 8 in
-  List.iter (fun v -> Hashtbl.replace pinned v ()) slb_vips;
   List.iter
     (fun (v, pool) ->
       Hashtbl.replace slb.soft_vips v pool;
-      if not (Hashtbl.mem pinned v) then Switch.add_vip sw v pool)
+      Switch.add_vip sw v pool)
     vips;
   {
     sw;
     slb;
     overflow_threshold;
-    pinned;
     spilled = Ftbl.create 1024;
     metrics = reg;
     c_spilled = Telemetry.Registry.counter reg "hybrid.spilled";
@@ -85,12 +80,8 @@ let soft_forward t pkt =
 
 let process t ~now pkt =
   let flow = pkt.Netcore.Packet.flow in
-  let vip = flow.Netcore.Five_tuple.dst in
-  if Hashtbl.mem t.pinned vip || Ftbl.mem t.spilled flow then begin
-    if
-      Ftbl.mem t.spilled flow
-      && Netcore.Tcp_flags.is_connection_end pkt.Netcore.Packet.flags
-    then Ftbl.remove t.spilled flow;
+  if Ftbl.mem t.spilled flow then begin
+    if Netcore.Tcp_flags.is_connection_end pkt.Netcore.Packet.flags then Ftbl.remove t.spilled flow;
     soft_forward t pkt
   end
   else if

@@ -89,4 +89,4 @@ let items_of_config ?(vips = 1024) (cfg : Config.t) =
     ~version_bits:cfg.Config.version_bits ~transit_hashes:cfg.Config.transit_hashes
     ~transit_bits:(cfg.Config.transit_bytes * 8)
 
-let feasibility ?vips cfg = Asic.Pipeline.allocate (chip ()) (items_of_config ?vips cfg)
+let feasibility cfg = Asic.Pipeline.allocate (chip ()) (items_of_config cfg)

@@ -38,7 +38,7 @@ val pipeline_items : connections:int -> vips:int -> Asic.Pipeline.item list
 
 val items_of_config : ?vips:int -> Config.t -> Asic.Pipeline.item list
 
-val feasibility : ?vips:int -> Config.t -> Asic.Pipeline.report
+val feasibility : Config.t -> Asic.Pipeline.report
 (** Place everything the configuration implies on {!chip}. A [failure]
     in the report means the configuration cannot be compiled to the
     ASIC: {!Switch.create} warns or refuses according to its [?check]

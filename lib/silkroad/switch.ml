@@ -412,6 +412,13 @@ let destroy_state t (st : conn_state) =
   Ftbl.remove t.flows st.cs_flow;
   st.destroyed <- true
 
+(* tear [st] down as a deletion does: its ConnTable entry when it was
+   installed, any step-1 barrier it held, then its state *)
+let teardown t ~now (st : conn_state) =
+  if st.inserted then ignore (Conn_table.remove t.conns st.cs_flow);
+  barrier_resolved t ~now st.cs_vip st.cs_flow;
+  destroy_state t st
+
 (* the state CPU work queued for [st] now acts on: [st] itself, or, once
    [st] was destroyed, whichever newer connection holds its tuple.
    Raises [Not_found] when there is none. *)
@@ -441,11 +448,9 @@ let rec complete_cpu_work t ~now =
                     a newer connection on the same 5-tuple; if it has
                     ended, its own delete is queued and tears it down *)
                  ()
-               else if st.ended then begin
+               else if st.ended then
                  (* flow finished before its entry was installed *)
-                 barrier_resolved t ~now st.cs_vip st.cs_flow;
-                 destroy_state t st
-               end
+                 teardown t ~now st
                else begin
                  (match Conn_table.insert t.conns st.cs_flow ~version:st.cs_pool.version with
                   | Ok _ | Error `Duplicate ->
@@ -499,8 +504,7 @@ let rec complete_cpu_work t ~now =
                if st.inserted then st.in_pipeline <- false
                else if st.ended then begin
                  st.in_pipeline <- false;
-                 barrier_resolved t ~now st.cs_vip st.cs_flow;
-                 destroy_state t st
+                 teardown t ~now st
                end
                else (
                  match Conn_table.insert t.conns st.cs_flow ~version:st.cs_pool.version with
@@ -564,11 +568,9 @@ let expire_one t ~now (st : conn_state) =
        inserted, and an uninstalled one is destroyed right here *)
     st.ended <- true;
     if st.inserted then submit_delete t ~now st
-    else begin
+    else
       (* never installed (e.g. table full): just drop the state *)
-      barrier_resolved t ~now st.cs_vip st.cs_flow;
-      destroy_state t st
-    end
+      teardown t ~now st
   end
   else
     (* saw traffic since: re-arm for the remaining idle budget *)
@@ -868,11 +870,8 @@ let remove_vip t vip =
         if st.cs_vip == e then st :: acc else acc)
       t.flows []
   in
-  List.iter
-    (fun (st : conn_state) ->
-      if st.inserted then ignore (Conn_table.remove t.conns st.cs_flow);
-      destroy_state t st)
-    doomed;
+  (* an idle VIP holds no barrier, so the clock [teardown] reads is moot *)
+  List.iter (teardown t ~now:t.clock) doomed;
   Vip_table.remove t.vips e;
   Dip_pool_table.remove_vip t.pools vip
 
@@ -900,12 +899,7 @@ let forget_flows t ~now select =
       (fun flow (st : conn_state) acc -> if select flow st.cs_vip.vip then st :: acc else acc)
       t.flows []
   in
-  List.iter
-    (fun (st : conn_state) ->
-      if st.inserted then ignore (Conn_table.remove t.conns st.cs_flow);
-      barrier_resolved t ~now st.cs_vip st.cs_flow;
-      destroy_state t st)
-    doomed;
+  List.iter (teardown t ~now) doomed;
   let n = List.length doomed in
   Telemetry.Registry.Counter.add t.c_rerouted_flows n;
   n

@@ -2,7 +2,6 @@ type profile = {
   vip : Netcore.Endpoint.t;
   new_conns_per_sec : float;
   duration : Dist.t;
-  bytes_per_sec : Dist.t;
   client_ipv6 : bool;
 }
 
@@ -13,12 +12,12 @@ let hadoop_durations = Dist.lognormal_of_quantiles ~median:10. ~p99:120.
 (* Median 4.5 minutes (270 s); long-lived cache sessions run for an hour. *)
 let cache_durations = Dist.lognormal_of_quantiles ~median:270. ~p99:3600.
 
-let default_rate = Dist.lognormal_of_quantiles ~median:100_000. ~p99:10_000_000.
+(* per-flow average rate, bytes per second *)
+let rate = Dist.lognormal_of_quantiles ~median:100_000. ~p99:10_000_000.
 
-let profile ?(duration = hadoop_durations) ?(bytes_per_sec = default_rate)
-    ?(client_ipv6 = false) ~vip ~new_conns_per_sec () =
+let profile ?(duration = hadoop_durations) ?(client_ipv6 = false) ~vip ~new_conns_per_sec () =
   assert (new_conns_per_sec > 0.);
-  { vip; new_conns_per_sec; duration; bytes_per_sec; client_ipv6 }
+  { vip; new_conns_per_sec; duration; client_ipv6 }
 
 let random_client rng ~ipv6 =
   let port = 1024 + Prng.int rng (65536 - 1024) in
@@ -40,7 +39,7 @@ let arrivals ~rng ~id_base p =
     let src = random_client rng ~ipv6:p.client_ipv6 in
     let tuple = Netcore.Five_tuple.make ~src ~dst:p.vip ~proto:Netcore.Protocol.Tcp in
     let duration = Float.max 0.001 (Dist.sample p.duration rng) in
-    let bytes_per_sec = Float.max 1. (Dist.sample p.bytes_per_sec rng) in
+    let bytes_per_sec = Float.max 1. (Dist.sample rate rng) in
     let flow = { Flow.id; tuple; start; duration; bytes_per_sec } in
     Seq.Cons (flow, gen (id + 1) start)
   in

@@ -17,7 +17,6 @@ type profile = {
   vip : Netcore.Endpoint.t;
   new_conns_per_sec : float;
   duration : Dist.t;
-  bytes_per_sec : Dist.t;  (** per-flow average rate *)
   client_ipv6 : bool;
 }
 
@@ -29,12 +28,14 @@ val cache_durations : Dist.t
 
 val profile :
   ?duration:Dist.t ->
-  ?bytes_per_sec:Dist.t ->
   ?client_ipv6:bool ->
   vip:Netcore.Endpoint.t ->
   new_conns_per_sec:float ->
   unit ->
   profile
+[@@silkroad.allow "surface.unused-option: client_ipv6 drives test_integration's IPv6 end-to-end run, the only check of section 4.2's 37-byte key through the switch"]
+(** Each flow's average rate is lognormal with a 100 kB/s median and a
+    10 MB/s p99. *)
 
 val arrivals : rng:Prng.t -> id_base:int -> profile -> Flow.t Seq.t
 (** Infinite sequence of flows with increasing start times (Poisson

@@ -66,8 +66,8 @@ let counter t ?(labels = []) name =
   | M_counter c -> c
   | m -> mismatch name ~wanted:"counter" m
 
-let gauge t ?(labels = []) name =
-  match register t name labels (fun () -> M_gauge { Gauge.v = 0. }) with
+let gauge t name =
+  match register t name [] (fun () -> M_gauge { Gauge.v = 0. }) with
   | M_gauge g -> g
   | m -> mismatch name ~wanted:"gauge" m
 
@@ -76,13 +76,12 @@ let histogram t ?(labels = []) ?spec name =
   | M_histogram h -> h
   | m -> mismatch name ~wanted:"histogram" m
 
-let find t name labels = Hashtbl.find_opt t.entries (key name (sort_labels labels))
+(* unlabeled metrics only: [key name []] is [name] *)
+let counter_value t name =
+  match Hashtbl.find_opt t.entries name with Some { metric = M_counter c; _ } -> !c | _ -> 0
 
-let counter_value t ?(labels = []) name =
-  match find t name labels with Some { metric = M_counter c; _ } -> !c | _ -> 0
-
-let find_histogram t ?(labels = []) name =
-  match find t name labels with Some { metric = M_histogram h; _ } -> Some h | _ -> None
+let find_histogram t name =
+  match Hashtbl.find_opt t.entries name with Some { metric = M_histogram h; _ } -> Some h | _ -> None
 
 let snapshot t =
   Hashtbl.fold
@@ -105,7 +104,7 @@ let merge_into ~into src =
     (fun _ e ->
       match e.metric with
       | M_counter c -> Counter.add (counter into ~labels:e.labels e.name) !c
-      | M_gauge g -> Gauge.add (gauge into ~labels:e.labels e.name) g.Gauge.v
+      | M_gauge g -> Gauge.add (gauge into e.name) g.Gauge.v
       | M_histogram h ->
         Histogram.merge_into
           ~into:(histogram into ~labels:e.labels ~spec:(Histogram.spec h) e.name)

@@ -40,15 +40,16 @@ end
 val create : unit -> t
 
 val counter : t -> ?labels:labels -> string -> Counter.t
-val gauge : t -> ?labels:labels -> string -> Gauge.t
+val gauge : t -> string -> Gauge.t
 
 val histogram : t -> ?labels:labels -> ?spec:Histogram.spec -> string -> Histogram.t
 (** [?spec] only applies on first registration. *)
 
-val counter_value : t -> ?labels:labels -> string -> int
-(** 0 when absent. *)
+val counter_value : t -> string -> int
+(** The unlabeled counter's value; 0 when absent. *)
 
-val find_histogram : t -> ?labels:labels -> string -> Histogram.t option
+val find_histogram : t -> string -> Histogram.t option
+(** The unlabeled histogram. *)
 
 val snapshot : t -> Snapshot.t
 (** Deterministic order: sorted by metric name, then labels. *)

@@ -34,11 +34,7 @@ let summarize h =
     p999 = Histogram.p999 h;
   }
 
-let sort_labels labels = List.sort (fun (a, _) (b, _) -> String.compare a b) labels
-
-let find t ?(labels = []) name =
-  let labels = sort_labels labels in
-  List.find_opt (fun item -> String.equal item.name name && item.labels = labels) t
+let find t name = List.find_opt (fun item -> String.equal item.name name && item.labels = []) t
 
 (* ----- JSON ----- *)
 

@@ -31,9 +31,8 @@ type t = item list
 
 val summarize : Histogram.t -> summary
 
-val find : t -> ?labels:(string * string) list -> string -> item option
-(** Label order is irrelevant; [?labels] defaults to the unlabeled
-    metric. *)
+val find : t -> string -> item option
+(** The unlabeled metric. *)
 
 val to_json_value : t -> Json.t
 val to_json : t -> string

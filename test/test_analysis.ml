@@ -319,6 +319,94 @@ let surface_negatives_clean () =
   in
   check Alcotest.int "allowed counted" 1 r.Analysis.Surface.allowed
 
+(* ---------- unused optional parameters ---------- *)
+
+let gate_intf = ("lib", "Gate", `Intf "val open_ : ?timeout:float -> port:int -> unit -> int")
+let gate_bin = ("bin", "Main", `Impl "let () = print_int (Gate.open_ ~port:1 ())")
+
+let option_counts (r : Analysis.Surface.result) =
+  [ r.Analysis.Surface.options; r.Analysis.Surface.opt_unused; r.Analysis.Surface.opt_test_only;
+    r.Analysis.Surface.opt_allowed ]
+
+let options_caught () =
+  let findings = Alcotest.(list (pair string string)) in
+  let never = ("error", "?timeout of Gate.open_ is never passed by another unit") in
+  (* the typer fills the omitted option of a total application with a
+     ghost [None], which passes nothing *)
+  let r, ds = surface [ gate_intf; gate_bin ] in
+  check findings "only ever omitted" [ never ] ds;
+  check Alcotest.(list int) "counts" [ 1; 1; 0; 0 ] (option_counts r);
+  (* the defining unit's own calls are not another unit's *)
+  let _, ds =
+    surface
+      [ ( "lib",
+          "Gate",
+          `Impl "let open_ ?(timeout = 1.) ~port () = int_of_float timeout + port
+                 let default () = open_ ~timeout:2. ~port:0 ()" );
+        ("bin", "Main", `Impl "let () = print_int (Gate.open_ ~port:1 () + Gate.default ())") ]
+  in
+  check findings "passed by nobody else" [ never ] ds;
+  let test_gate = ("test", "Test_gate", `Impl "let () = assert (Gate.open_ ~timeout:1. ~port:1 () = 2)") in
+  let r, ds = surface [ gate_intf; gate_bin; test_gate ] in
+  check findings "passed only by test/"
+    [ ("warning", "?timeout of Gate.open_ is passed only by test/ (test/test_gate.ml)") ]
+    ds;
+  check Alcotest.(list int) "counts" [ 1; 0; 1; 0 ] (option_counts r);
+  (* an allow needs a reason, and one the program makes moot is stale *)
+  let _, ds =
+    surface
+      [ ( "lib",
+          "Gate",
+          `Intf
+            "val open_ : ?timeout:float -> port:int -> unit -> int \
+             [@@silkroad.allow \"surface.unused-option\"]\n\
+             val close : ?force:bool -> unit -> unit \
+             [@@silkroad.allow \"surface.unused-option: the test is its subject\"]" );
+        ("bin", "Main", `Impl "let () = print_int (Gate.open_ ~port:1 ()); Gate.close ~force:true ()");
+        test_gate ]
+  in
+  check findings "allow without a reason, stale allow"
+    [ ("warning", "?timeout of Gate.open_ is passed only by test/ (test/test_gate.ml)");
+      ("warning", "Gate.close carries a surface.unused-option allow, but the program passes all its options") ]
+    ds;
+  let r, ds =
+    surface
+      [ ( "lib",
+          "Gate",
+          `Intf
+            "val open_ : ?timeout:float -> port:int -> unit -> int \
+             [@@silkroad.allow \"surface.unused-option: the test is its subject\"]" );
+        gate_bin;
+        test_gate ]
+  in
+  check findings "an allowed test-only option" [] ds;
+  check Alcotest.(list int) "allowed counted" [ 1; 0; 0; 1 ] (option_counts r)
+
+let options_negatives_clean () =
+  let clean name units =
+    let _, ds = surface units in
+    check Alcotest.(list (pair string string)) name [] ds
+  in
+  let passing src = [ gate_intf; ("bin", "Main", `Impl src) ] in
+  clean "passed with ~l" (passing "let () = print_int (Gate.open_ ~timeout:1. ~port:1 ())");
+  clean "passed with ?l" (passing "let () = print_int (Gate.open_ ?timeout:(Some 1.) ~port:1 ())");
+  clean "an explicit ?l:None" (passing "let () = print_int (Gate.open_ ?timeout:None ~port:1 ())");
+  (* a lib wrapper forwards the option it gets from bin *)
+  clean "forwarded by a lib wrapper"
+    [ gate_intf;
+      ("lib", "Wrap", `Impl "let make ?timeout () = Gate.open_ ?timeout ~port:1 ()");
+      ("bin", "Main", `Impl "let () = print_int (Wrap.make ~timeout:2. ())") ];
+  (* the option is still open in the value a partial application
+     returns; where that value goes is beyond the rule, so it counts *)
+  clean "a partial application used as a value"
+    (passing "let f = Gate.open_ ~port:1
+let () = List.iter (fun g -> print_int (g ())) [ f ]");
+  clean "the value itself" (passing "let f = Gate.open_
+let () = print_int (f ~port:1 ())");
+  (* an export the program does not use is surface.unused-export's *)
+  let r, _ = surface [ gate_intf ] in
+  check Alcotest.(list int) "options of unused exports are not judged" [ 0; 0; 0; 0 ] (option_counts r)
+
 (* A tree whose executables were built without typed trees (dune build
    @all) must fail, not pass with everything they use reported unused. *)
 let surface_missing_trees () =
@@ -420,6 +508,8 @@ let suites =
         tc "seeded fixtures caught" `Quick surface_fixtures_caught;
         tc "negatives stay clean" `Quick surface_negatives_clean;
         tc "missing typed trees" `Quick surface_missing_trees;
+        tc "unused options caught" `Quick options_caught;
+        tc "passed options stay clean" `Quick options_negatives_clean;
       ] );
     ( "analysis.network",
       [

@@ -884,7 +884,7 @@ let resources_math () =
 let table_spec_sram () =
   let spec =
     Asic.Table_spec.make ~name:"conn" ~entries:1_000_000 ~match_key_bits:296
-      ~stored_key_bits:16 ~action_data_bits:6 ~overhead_bits:6 ()
+      ~stored_key_bits:16 ~action_data_bits:6 ()
   in
   let sram spec = (Asic.Table_spec.resources spec).Asic.Resources.sram_bits in
   check Alcotest.int "sram" (250_000 * 112) (sram spec);

@@ -258,6 +258,9 @@ let golden =
 
 (* ---------- Packed_trace ---------- *)
 
+(* the early offsets Packed_trace.compile probes at by default *)
+let default_early = [ 250e-6; 1e-3; 5e-3; 20e-3; 0.1 ]
+
 (* The reference compile: each flow's train built as a list of
    (time, flags) pairs, packets sorted by a comparison stable sort on
    time. Packed_trace.compile must give the very same arrays. *)
@@ -393,7 +396,7 @@ let gen_compile_input =
       (frequency
          [
            (2, map (fun k -> float_of_int k *. probe_interval) (int_range 1 4));
-           (2, oneofl Harness.Packed_trace.default_early);
+           (2, oneofl default_early);
            (3, map (fun x -> (x +. 1e-9) *. probe_interval) (float_bound_inclusive 3.));
          ])
   in
@@ -474,7 +477,7 @@ let compile_workload_is_reference () =
   check Alcotest.bool "identical arrays" true
     (same_trace
        (Harness.Packed_trace.compile ~horizon flows)
-       (Reference.compile ~early_offsets:Harness.Packed_trace.default_early ~probe_interval:15.
+       (Reference.compile ~early_offsets:default_early ~probe_interval:15.
           ~horizon flows))
 
 let raises_invalid f =

@@ -264,7 +264,7 @@ let flags_predicates () =
     || Netcore.Tcp_flags.is_connection_end Netcore.Tcp_flags.data)
 
 let packet_sizes () =
-  let p = Netcore.Packet.data ~payload_len:1000 (tuple ()) in
+  let p = Netcore.Packet.make ~payload_len:1000 (tuple ()) in
   check Alcotest.int "v4 tcp" 1054 (Netcore.Packet.wire_size p);
   let t6 =
     Netcore.Five_tuple.make

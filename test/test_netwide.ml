@@ -79,21 +79,6 @@ let build_fails_on_infeasible () =
          true
        with Not_found -> false)
 
-let build_warn_keeps_diags () =
-  let topo =
-    Netwide.Topology.build ~check:`Warn ~layers:infeasible_layers ~vips:default_vips ()
-  in
-  check Alcotest.bool "diagnostics carry errors" true
-    (Analysis.Diag.errors topo.Netwide.Topology.diags > 0);
-  check Alcotest.bool "unplaced VIPs reported" true
-    (topo.Netwide.Topology.placement.Silkroad.Assignment.unplaced <> [])
-
-let build_off_skips_check () =
-  let topo =
-    Netwide.Topology.build ~check:`Off ~layers:infeasible_layers ~vips:default_vips ()
-  in
-  check Alcotest.int "no diagnostics" 0 (List.length topo.Netwide.Topology.diags)
-
 let degenerate_places_all_on_tor () =
   let topo = degenerate_topo () in
   check Alcotest.int "three layers, three nodes" 3 (Netwide.Topology.n_nodes topo);
@@ -442,8 +427,6 @@ let suites =
     ( "netwide.topology",
       [
         tc "infeasible placement fails at build" `Quick build_fails_on_infeasible;
-        tc "warn mode keeps the diagnostics" `Quick build_warn_keeps_diags;
-        tc "off mode skips the check" `Quick build_off_skips_check;
         tc "degenerate topology pins every VIP to the ToR" `Quick degenerate_places_all_on_tor;
       ] );
     ( "netwide.route",

@@ -917,26 +917,6 @@ let switch_meter_unknown_vip () =
 
 (* ---------- Hybrid (§7: combine with SLBs) ---------- *)
 
-let hybrid_pinned_vip_at_slb () =
-  let vip2 = Netcore.Endpoint.v4 20 0 0 2 80 in
-  let h =
-    Silkroad.Hybrid.create ~seed:3 ~slb_vips:[ vip2 ]
-      ~vips:[ (vip, pool [ 1; 2 ]); (vip2, pool [ 3; 4 ]) ]
-      ()
-  in
-  let b = Silkroad.Hybrid.balancer h in
-  let o1 = b.Lb.Balancer.process ~now:0. (syn 1) in
-  check Alcotest.bool "normal vip at asic" true (o1.Lb.Balancer.location = Lb.Balancer.Asic);
-  let f2 =
-    Netcore.Five_tuple.make ~src:(Netcore.Endpoint.v4 9 9 9 9 999) ~dst:vip2
-      ~proto:Netcore.Protocol.Tcp
-  in
-  let o2 = b.Lb.Balancer.process ~now:0. (Netcore.Packet.syn f2) in
-  check Alcotest.bool "pinned vip at slb" true (o2.Lb.Balancer.location = Lb.Balancer.Slb);
-  check (Alcotest.float 0.) "slb tracks it" 1.
-    (Telemetry.Registry.Gauge.value
-       (Telemetry.Registry.gauge (b.Lb.Balancer.metrics ()) "hybrid.slb_connections"))
-
 let hybrid_overflow_spills () =
   (* tiny ConnTable: once hot, new conns spill to the SLB and stay there *)
   let cfg =
@@ -966,25 +946,20 @@ let hybrid_overflow_spills () =
   check Alcotest.bool "spilled conn pinned" true (d0 = d1)
 
 let hybrid_updates_reach_both () =
-  let vip2 = Netcore.Endpoint.v4 20 0 0 2 80 in
-  let h =
-    Silkroad.Hybrid.create ~seed:3 ~slb_vips:[ vip2 ]
-      ~vips:[ (vip, pool [ 1; 2 ]); (vip2, pool [ 3; 4 ]) ]
-      ()
-  in
+  (* a zero threshold spills every new connection to the SLB *)
+  let h = Silkroad.Hybrid.create ~overflow_threshold:0. ~seed:3 ~vips:[ (vip, pool [ 3; 4 ]) ] () in
   let b = Silkroad.Hybrid.balancer h in
-  b.Lb.Balancer.update ~now:0. ~vip:vip2 (Lb.Balancer.Dip_remove (dip 3));
+  b.Lb.Balancer.update ~now:0. ~vip (Lb.Balancer.Dip_remove (dip 3));
   b.Lb.Balancer.advance ~now:1.;
-  (* all new conns of vip2 now land on dip 4 *)
+  (* all new conns now land on dip 4 *)
   for i = 0 to 20 do
-    let f =
-      Netcore.Five_tuple.make
-        ~src:(Netcore.Endpoint.v4 9 9 9 9 (1000 + i))
-        ~dst:vip2 ~proto:Netcore.Protocol.Tcp
-    in
-    check Alcotest.bool "new pool live at slb" true
-      ((b.Lb.Balancer.process ~now:1. (Netcore.Packet.syn f)).Lb.Balancer.dip = Some (dip 4))
-  done
+    let o = b.Lb.Balancer.process ~now:1. (syn (1000 + i)) in
+    check Alcotest.bool "at slb" true (o.Lb.Balancer.location = Lb.Balancer.Slb);
+    check Alcotest.bool "new pool live at slb" true (o.Lb.Balancer.dip = Some (dip 4))
+  done;
+  check (Alcotest.float 0.) "slb tracks them" 21.
+    (Telemetry.Registry.Gauge.value
+       (Telemetry.Registry.gauge (b.Lb.Balancer.metrics ()) "hybrid.slb_connections"))
 
 let udp_flow i =
   Netcore.Five_tuple.make
@@ -1616,7 +1591,6 @@ let suites =
       ] );
     ( "silkroad.hybrid",
       [
-        tc "pinned vip" `Quick hybrid_pinned_vip_at_slb;
         tc "overflow spills" `Quick hybrid_overflow_spills;
         tc "updates reach both" `Quick hybrid_updates_reach_both;
       ] );

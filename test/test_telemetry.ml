@@ -40,16 +40,16 @@ let registry_labels () =
   Telemetry.Registry.Counter.incr a;
   Telemetry.Registry.Counter.add b 2;
   check Alcotest.int "label a" 1
-    (Telemetry.Registry.counter_value reg ~labels:[ ("vip", "a") ] "x");
+    (Telemetry.Registry.Counter.value (Telemetry.Registry.counter reg ~labels:[ ("vip", "a") ] "x"));
   check Alcotest.int "label b" 2
-    (Telemetry.Registry.counter_value reg ~labels:[ ("vip", "b") ] "x");
+    (Telemetry.Registry.Counter.value (Telemetry.Registry.counter reg ~labels:[ ("vip", "b") ] "x"));
+  check Alcotest.int "no unlabeled series" 0 (Telemetry.Registry.counter_value reg "x");
   (* label order is canonicalized *)
   let ab = Telemetry.Registry.counter reg ~labels:[ ("k1", "1"); ("k2", "2") ] "y" in
   let ba = Telemetry.Registry.counter reg ~labels:[ ("k2", "2"); ("k1", "1") ] "y" in
   Telemetry.Registry.Counter.incr ab;
   Telemetry.Registry.Counter.incr ba;
-  check Alcotest.int "sorted labels are one key" 2
-    (Telemetry.Registry.counter_value reg ~labels:[ ("k1", "1"); ("k2", "2") ] "y")
+  check Alcotest.int "sorted labels are one key" 2 (Telemetry.Registry.Counter.value ab)
 
 let registry_kind_mismatch () =
   let reg = Telemetry.Registry.create () in
@@ -181,9 +181,10 @@ let json_roundtrip () =
   let reg = Telemetry.Registry.create () in
   Telemetry.Registry.Counter.add (Telemetry.Registry.counter reg "c.packets") 12345;
   Telemetry.Registry.Gauge.set (Telemetry.Registry.gauge reg "g.ratio") 0.1;
-  Telemetry.Registry.Gauge.set
-    (Telemetry.Registry.gauge reg ~labels:[ ("vip", "20.0.0.1:80") ] "g.per_vip")
-    (-3.75);
+  Telemetry.Registry.Gauge.set (Telemetry.Registry.gauge reg "g.level") (-3.75);
+  Telemetry.Registry.Counter.add
+    (Telemetry.Registry.counter reg ~labels:[ ("vip", "20.0.0.1:80") ] "c.per_vip")
+    7;
   let h = Telemetry.Registry.histogram reg "h.latency" in
   List.iter (Telemetry.Histogram.observe h) [ 1e-6; 2e-5; 3e-4; 0.7e-6; 1e-3 ];
   let s = Telemetry.Registry.snapshot reg in
@@ -260,7 +261,7 @@ let driver_constant_memory () =
         })
   in
   let run n =
-    Harness.Driver.run ~early_offsets:[] ~probe_interval:0.1 ~balancer:(stub ())
+    Harness.Driver.run ~probe_interval:0.1 ~balancer:(stub ())
       ~flows:(flows n) ~updates:[] ~horizon:100. ()
   in
   let small = run 10 in
