@@ -25,6 +25,22 @@ let all_minor_words () =
   Gc.minor ();
   (Gc.quick_stat ()).Gc.minor_words
 
+(* This process's peak resident set so far, MB: VmHWM from
+   /proc/self/status, or nan where there is none. *)
+let vm_hwm_mb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | status ->
+    List.fold_left
+      (fun acc line ->
+        match String.split_on_char ':' line with
+        | [ "VmHWM"; v ] -> (
+          match String.split_on_char ' ' (String.trim v) with
+          | kb :: _ -> float_of_int (int_of_string kb) /. 1024.
+          | [] -> acc)
+        | _ -> acc)
+      Float.nan (String.split_on_char '\n' status)
+  | exception Sys_error _ -> Float.nan
+
 let replay_modes () =
   let auto = Harness.Replay.auto_shards () in
   [ ("scalar", Harness.Replay.Scalar); ("batch", Harness.Replay.Batch);
@@ -47,16 +63,6 @@ let replay_section ppf ~smoke =
   in
   Format.fprintf ppf "@.=== Replay bench (%s): %d flows ===@." label
     (List.length s.Experiments.Common.flows);
-  let _sw, balancer = Experiments.Common.silkroad ~vips () in
-  let d, driver_s =
-    Harness.Stopwatch.time (fun () ->
-        Harness.Driver.run ~balancer ~flows:s.Experiments.Common.flows ~updates:[]
-          ~horizon:s.Experiments.Common.horizon ())
-  in
-  let driver_pps = float_of_int d.Harness.Driver.packets /. driver_s in
-  Format.fprintf ppf "  %-16s %10.2e pkt/s  %8.1f ns/pkt  (%d packets)@." "driver" driver_pps
-    (driver_s *. 1e9 /. float_of_int d.Harness.Driver.packets)
-    d.Harness.Driver.packets;
   let trace, compile_s =
     Harness.Stopwatch.time (fun () ->
         Harness.Packed_trace.compile ~horizon:s.Experiments.Common.horizon
@@ -64,6 +70,14 @@ let replay_section ppf ~smoke =
   in
   Format.fprintf ppf "  trace compiled in %.2f s (%d packets)@." compile_s
     (Harness.Packed_trace.n_packets trace);
+  let _sw, balancer = Experiments.Common.silkroad ~vips () in
+  let d, driver_s =
+    Harness.Stopwatch.time (fun () -> Harness.Driver.run ~balancer ~trace ~updates:[] ())
+  in
+  let driver_pps = float_of_int d.Harness.Driver.packets /. driver_s in
+  Format.fprintf ppf "  %-16s %10.2e pkt/s  %8.1f ns/pkt  (%d packets)@." "driver" driver_pps
+    (driver_s *. 1e9 /. float_of_int d.Harness.Driver.packets)
+    d.Harness.Driver.packets;
   let fields = ref [] in
   let field k v = fields := (label ^ "_" ^ k, v) :: !fields in
   field "connections" (Telemetry.Json.Int d.Harness.Driver.connections);
@@ -177,18 +191,28 @@ let replay_scale_section ppf ~connections =
     connections auto;
   (* scope the flow list inside the binding so the 10M-element list is
      garbage before the replay legs run *)
-  let trace, compile_s =
+  let trace, compile_s, generate_hwm, compile_bytes =
     let s =
       Experiments.Common.scenario ~conns_per_sec_per_vip ~updates_per_min:0. ~trace_seconds ()
     in
-    Harness.Stopwatch.time (fun () ->
-        Harness.Packed_trace.compile ~horizon:s.Experiments.Common.horizon
-          s.Experiments.Common.flows)
+    let generate_hwm = vm_hwm_mb () in
+    let bytes0 = Gc.allocated_bytes () in
+    let trace, compile_s =
+      Harness.Stopwatch.time (fun () ->
+          Harness.Packed_trace.compile ~horizon:s.Experiments.Common.horizon
+            s.Experiments.Common.flows)
+    in
+    (trace, compile_s, generate_hwm, Gc.allocated_bytes () -. bytes0)
   in
+  let compile_hwm = vm_hwm_mb () in
+  let n_packets = Harness.Packed_trace.n_packets trace in
+  let compile_bytes_per_packet = compile_bytes /. float_of_int (Int.max 1 n_packets) in
   Gc.full_major ();
   Format.fprintf ppf "  trace compiled in %.2f s (%d flows, %d packets)@." compile_s
-    (Harness.Packed_trace.n_flows trace)
-    (Harness.Packed_trace.n_packets trace);
+    (Harness.Packed_trace.n_flows trace) n_packets;
+  Format.fprintf ppf
+    "  VmHWM %.0f MB after generate, %.0f MB after compile; compile allocated %.1f B/packet@."
+    generate_hwm compile_hwm compile_bytes_per_packet;
   (* best-of-2: deterministic replay, so the repeat only strips machine
      noise from the parallel/sequential ratio (each 10M leg is minutes
      long, so noise is already well averaged; 2 is enough) *)
@@ -259,6 +283,9 @@ let replay_scale_section ppf ~connections =
     f "connections" (Telemetry.Json.Int rs.Harness.Replay.connections);
     f "packets" (Telemetry.Json.Int rs.Harness.Replay.packets);
     f "auto_shards" (Telemetry.Json.Int auto); f "compile_s" (Telemetry.Json.Float compile_s);
+    f "generate_vm_hwm_mb" (Telemetry.Json.Float generate_hwm);
+    f "compile_vm_hwm_mb" (Telemetry.Json.Float compile_hwm);
+    f "compile_bytes_per_packet" (Telemetry.Json.Float compile_bytes_per_packet);
     f "broken" (Telemetry.Json.Int rs.Harness.Replay.broken);
     f "seq_pps" (Telemetry.Json.Float seq_pps);
     f "seq_ns_per_packet" (Telemetry.Json.Float seq_ns);

@@ -59,7 +59,9 @@ let () =
   Format.printf "PoP cluster: %d VIPs x %d DIPs, %d connections, %d updates over 5 min@."
     n_vips dips_per_vip (List.length flows) (List.length updates);
   let r =
-    Harness.Driver.run ~balancer:(Silkroad.Switch.balancer sw) ~flows ~updates ~horizon:360. ()
+    Harness.Driver.run ~balancer:(Silkroad.Switch.balancer sw)
+      ~trace:(Harness.Packed_trace.compile ~horizon:360. flows)
+      ~updates ()
   in
   Format.printf "  broken connections: %d / %d@." r.Harness.Driver.broken_connections
     r.Harness.Driver.connections;

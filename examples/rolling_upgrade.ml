@@ -45,8 +45,9 @@ let () =
   let flows, updates = scenario () in
   Format.printf "rolling upgrade of %d DIPs, %d updates, %d connections over 15 min@."
     n_dips (List.length updates) (List.length flows);
+  let trace = Harness.Packed_trace.compile ~horizon:960. flows in
   let run name balancer =
-    let r = Harness.Driver.run ~balancer ~flows ~updates ~horizon:960. () in
+    let r = Harness.Driver.run ~balancer ~trace ~updates () in
     Format.printf "  %-12s broken %5d / %d (%s)   traffic: asic %s, slb %s@." name
       r.Harness.Driver.broken_connections r.Harness.Driver.connections
       (Printf.sprintf "%.3f%%" (100. *. r.Harness.Driver.broken_fraction))

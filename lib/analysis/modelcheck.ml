@@ -267,6 +267,7 @@ let trace_of ~vip ~flows events =
     flow_ids = Array.init n_flows Fun.id;
     flow_vip = Array.make n_flows 0;
     flow_tuples = Array.copy flows;
+    flow_rate = Array.make n_flows 0.;
     times = Array.map (fun (t, _, _) -> t) pkts;
     pkt_flow = Array.map (fun (_, fi, _) -> fi) pkts;
     pkt_flags = Bytes.init (Array.length pkts) (fun i -> let _, _, c = pkts.(i) in c);

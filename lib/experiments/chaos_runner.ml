@@ -60,8 +60,11 @@ let run spec ~balancer =
   in
   let b = make_balancer balancer ~seed:spec.seed ~vips in
   let result =
-    Harness.Driver.run ~probe_interval:spec.probe_interval ~chaos:injector ~balancer:b
-      ~flows:workload.Common.flows ~updates:[] ~horizon ()
+    Harness.Driver.run ~chaos:injector ~balancer:b
+      ~trace:
+        (Harness.Packed_trace.compile ~probe_interval:spec.probe_interval ~horizon
+           workload.Common.flows)
+      ~updates:[] ()
   in
   let report =
     Chaos.Report.build ~scenario:spec.scenario ~seed:spec.seed ~horizon

@@ -18,6 +18,7 @@ type scenario = {
   flows : Simnet.Flow.t list;
   updates : (float * Netcore.Endpoint.t * Lb.Balancer.update) list;
   horizon : float;
+  trace : Harness.Packed_trace.t Lazy.t;
 }
 
 let vips_of ~n_vips ~dips_per_vip =
@@ -59,7 +60,8 @@ let scenario ?(seed = 7011) ?(n_vips = 4) ?(dips_per_vip = 8) ?duration ~conns_p
                    | Simnet.Update_trace.Add -> Lb.Balancer.Dip_add d ))
                events))
   in
-  { flows; updates; horizon = trace_seconds +. 60. }
+  let horizon = trace_seconds +. 60. in
+  { flows; updates; horizon; trace = lazy (Harness.Packed_trace.compile ~horizon flows) }
 
 let fabric_flows ~seed ~n ~span vips =
   let rng = Random.State.make [| seed; 0x5eed |] in
@@ -87,7 +89,7 @@ let silkroad ?(cfg = Silkroad.Config.default) ~vips () =
   (sw, Silkroad.Switch.balancer sw)
 
 let run balancer (s : scenario) =
-  Harness.Driver.run ~balancer ~flows:s.flows ~updates:s.updates ~horizon:s.horizon ()
+  Harness.Driver.run ~balancer ~trace:(Lazy.force s.trace) ~updates:s.updates ()
 
 (* ----- output ----- *)
 

@@ -20,6 +20,10 @@ type scenario = {
   flows : Simnet.Flow.t list;
   updates : (float * Netcore.Endpoint.t * Lb.Balancer.update) list;
   horizon : float;  (** harness horizon (includes drain time) *)
+  trace : Harness.Packed_trace.t Lazy.t;
+      (** [flows] compiled at [horizon] with the default probes, on first
+          use and then shared: every {!run} of the scenario replays the
+          same trace. A caller that only reads [flows] never pays for it. *)
 }
 
 val scenario :
@@ -52,6 +56,7 @@ val silkroad : ?cfg:Silkroad.Config.t -> vips:(Netcore.Endpoint.t * Lb.Dip_pool.
   unit -> Silkroad.Switch.t * Lb.Balancer.t
 
 val run : Lb.Balancer.t -> scenario -> Harness.Driver.result
+(** {!Harness.Driver.run} on the scenario's trace and updates. *)
 
 (** Output helpers: fixed-width table rendering shared by every bench. *)
 

@@ -18,12 +18,9 @@ let isolation ~quick ppf =
   let attack = mk_flows ~seed:1 400. attacked in
   let normal = mk_flows ~seed:2 20. victim in
   let victim_ids = List.map (fun f -> f.Simnet.Flow.id) normal in
+  let trace = Harness.Packed_trace.compile ~horizon:(horizon +. 10.) (attack @ normal) in
   let run balancer =
-    let sim_flows = attack @ normal in
-    let r =
-      Harness.Driver.run ~balancer ~flows:sim_flows ~updates:[] ~horizon:(horizon +. 10.) ()
-    in
-    ignore r;
+    ignore (Harness.Driver.run ~balancer ~trace ~updates:[] () : Harness.Driver.result);
     balancer
   in
   (* measure per-VIP delivery by probing the victim's flows afterward *)

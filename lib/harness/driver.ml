@@ -26,8 +26,8 @@ let slb_latency = Simnet.Dist.lognormal_of_quantiles ~median:150e-6 ~p99:1e-3
    milliseconds delay to the redirected TCP SYN packet" (§4.2) *)
 let cpu_latency = Simnet.Dist.lognormal_of_quantiles ~median:2e-3 ~p99:10e-3
 
-let run ?(probe_interval = 15.) ?chaos ~balancer ~flows ~updates ~horizon () =
-  let trace = Packed_trace.compile ~probe_interval ~horizon flows in
+let run ?chaos ~balancer ~(trace : Packed_trace.t) ~updates () =
+  let horizon = trace.Packed_trace.horizon in
   (* streaming latency histograms and byte gauges: the driver's
      footprint does not grow with the probe count *)
   let reg = Telemetry.Registry.create () in
@@ -62,11 +62,11 @@ let run ?(probe_interval = 15.) ?chaos ~balancer ~flows ~updates ~horizon () =
       (fun (a, _) (b, _) -> Float.compare a b)
       (Replay.controls_of_chaos ~horizon events @ Replay.controls_of_updates ~horizon updates)
   in
-  (* per flow index (the compiled trace keeps exactly the flows starting
-     before the horizon, in order): byte rate and previous packet time *)
-  let kept = Array.of_list (List.filter (fun f -> f.Simnet.Flow.start < horizon) flows) in
-  let rate = Array.map (fun f -> f.Simnet.Flow.bytes_per_sec) kept in
-  let last = Array.map (fun f -> f.Simnet.Flow.start) kept in
+  (* per flow index: the previous packet's time. A flow's first packet
+     is its SYN at its start, so the gap it sees is the 1e-4 floor,
+     whatever this starts at. *)
+  let last = Array.make (Packed_trace.n_flows trace) Float.infinity in
+  let rate = trace.Packed_trace.flow_rate in
   let tuples = trace.Packed_trace.flow_tuples in
   (* one probe of flow [fi] at [at]: its bytes are the flow's rate over
      the gap since its previous probe, attributed with a latency sample

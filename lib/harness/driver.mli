@@ -2,12 +2,13 @@
     schedule against any {!Lb.Balancer.t}, and measure what the paper
     measures.
 
-    The driver is one {!Replay.Stepper} plus observers. The flows are
-    compiled with {!Packed_trace.compile} (a SYN at each flow's start,
-    early probes inside the connection-learning race window §4.3 is
-    about, steady probes every [probe_interval] — which expose
-    Duet-style breakage at migration time — and a FIN at its end), the
-    chaos timeline and scripted updates become one {!Replay.control}
+    The driver is one {!Replay.Stepper} plus observers. It replays a
+    trace the caller compiled once with {!Packed_trace.compile} (a SYN
+    at each flow's start, early probes inside the connection-learning
+    race window §4.3 is about, steady probes every [probe_interval] —
+    which expose Duet-style breakage at migration time — and a FIN at
+    its end), so a figure that runs one workload against many balancers
+    compiles it once. The chaos timeline and scripted updates become one {!Replay.control}
     stream, and the stepper's per-packet path walks the packets, judges
     them with {!Lb.Pcc.Flat} and applies the controls — the same loop,
     tie order and control semantics as {!Replay.run}. The driver's own
@@ -49,16 +50,16 @@ val asic_latency : float
 [@@silkroad.allow "surface.unused-export: the configured ASIC latency test_telemetry checks the driver's latency median against"]
 
 val run :
-  ?probe_interval:float ->
   ?chaos:Chaos.Injector.t ->
   balancer:Lb.Balancer.t ->
-  flows:Simnet.Flow.t list ->
+  trace:Packed_trace.t ->
   updates:(float * Netcore.Endpoint.t * Lb.Balancer.update) list ->
-  horizon:float ->
   unit ->
   result
-(** Flows starting after [horizon] are ignored; probes are truncated at
-    [horizon]. Updates are applied at their scheduled times.
+(** Replay [trace] up to its horizon (a compiled trace holds only the
+    flows starting before it, with probes truncated at it). Each probe's
+    bytes are read from the trace's [flow_rate]. Updates are applied at
+    their scheduled times; those at or after the horizon are dropped.
 
     With [?chaos], the injector's compiled timeline is replayed
     alongside the workload (chaos before scripted updates at equal

@@ -11,6 +11,7 @@ type t = {
   flow_ids : int array;
   flow_vip : int array;  (** per flow: index into [vips] *)
   flow_tuples : Netcore.Five_tuple.t array;
+  flow_rate : float array;  (** per flow: bytes per second *)
   times : float array;  (** per packet, sorted (ties: emission order) *)
   pkt_flow : int array;  (** per packet: index into the flow arrays *)
   pkt_flags : Bytes.t;  (** per packet: [Tcp_flags.to_byte] *)
@@ -27,14 +28,53 @@ let default_early = [ 250e-6; 1e-3; 5e-3; 20e-3; 0.1 ]
 
 (* ----- ordering ----- *)
 
-(* A time's sort key is its IEEE-754 bit pattern, which for finite
-   times >= 0 orders as the times do. The sign bit is 0, so the pattern
-   fits an OCaml int; [Int64.to_int] drops that bit, so -0.0 keys as
-   +0.0 and the two tie. Six 11-bit digits cover its 63 bits. A pass
-   scatters to 2048 buckets, whose write positions stay cache- and
-   TLB-resident; 16-bit digits (four passes, 65536 buckets) were ~20%
-   faster at ~1M packets but ~20% slower at 1M-5M connections (8M-38M
-   packets). *)
+(* Packets are sorted by time alone, stably: equal times keep their
+   emission order. The sort is a bucket sort in two levels. Times map
+   linearly into at most [coarse_max] coarse buckets over the
+   schedule's time span, so bucket order is time order; each packet is
+   written straight into its bucket, and each bucket is then sorted in
+   place while it sits in cache: a fine counting pass over the bucket's
+   own span, then an insertion sort of each fine bucket. A fine bucket
+   over [fine_max] packets (times clustered in a span the fine pass
+   cannot split) falls back to an LSD radix sort, so equal or clustered
+   times stay linear. 2048 coarse buckets, like one 11-bit radix digit,
+   keep the scatter's write positions cache- and TLB-resident. *)
+let coarse_max = 2048
+
+(* at least this many packets a coarse bucket on average *)
+let coarse_fill = 64
+
+(* a bucket this short is insertion-sorted without a fine pass *)
+let insertion_max = 16
+let fine_max = 64
+
+(* The bucket of time [t] among [last + 1] buckets spanning [lo, lo +.
+   (last + 1) /. scale]: monotone in [t], so bucket order is time
+   order. The clamp is taken on the float, so a [scale] that overflowed
+   to infinity (a subnormal span) puts every time in one bucket. *)
+let[@inline] bucket ~lo ~scale ~last t =
+  let x = (t -. lo) *. scale in
+  if x < float_of_int last then int_of_float x else last
+
+let[@inline] scale_of ~lo ~hi n = if hi -. lo > 0. then float_of_int n /. (hi -. lo) else 0.
+
+let insertion_sort (times : float array) (payload : int array) a b =
+  for i = a + 1 to b - 1 do
+    let t = Array.unsafe_get times i and p = Array.unsafe_get payload i in
+    let j = ref (i - 1) in
+    while !j >= a && Array.unsafe_get times !j > t do
+      Array.unsafe_set times (!j + 1) (Array.unsafe_get times !j);
+      Array.unsafe_set payload (!j + 1) (Array.unsafe_get payload !j);
+      decr j
+    done;
+    Array.unsafe_set times (!j + 1) t;
+    Array.unsafe_set payload (!j + 1) p
+  done
+
+(* The fallback's key is a time's IEEE-754 bit pattern, which for
+   finite times >= 0 orders as the times do. The sign bit is 0, so the
+   pattern fits an OCaml int; [Int64.to_int] drops that bit, so -0.0
+   keys as +0.0 and the two tie. Six 11-bit digits cover its 63 bits. *)
 let digit_bits = 11
 let radix = 1 lsl digit_bits
 let n_digits = 6
@@ -42,9 +82,8 @@ let n_digits = 6
 (* Stable LSD radix sort of [payload] by [keys] (equal lengths, keys
    >= 0), one digit a pass; returns the sorted pair of arrays, which
    may be the inputs reused. One histogram pass counts every digit at
-   once. Each pass is a stable counting scatter, so equal keys keep their
-   input order. Keys and payloads move together, so every read is
-   sequential. *)
+   once, and a digit every key shares is skipped. Each pass is a stable
+   counting scatter, so equal keys keep their input order. *)
 let radix_sort keys payload =
   let n = Array.length keys in
   let counts = Array.make (n_digits * radix) 0 in
@@ -59,69 +98,207 @@ let radix_sort keys payload =
   let dst_k = ref (Array.make n 0) and dst_p = ref (Array.make n 0) in
   for d = 0 to n_digits - 1 do
     let base = d * radix and shift = d * digit_bits in
-    (* bucket counts -> first output slot of each bucket *)
-    let pos = ref 0 in
-    for b = base to base + radix - 1 do
-      let c = counts.(b) in
-      counts.(b) <- !pos;
-      pos := !pos + c
-    done;
-    let sk = !src_k and sp = !src_p and dk = !dst_k and dp = !dst_p in
-    for j = 0 to n - 1 do
-      let k = Array.unsafe_get sk j in
-      let b = base + ((k lsr shift) land (radix - 1)) in
-      let at = Array.unsafe_get counts b in
-      Array.unsafe_set dk at k;
-      Array.unsafe_set dp at (Array.unsafe_get sp j);
-      Array.unsafe_set counts b (at + 1)
-    done;
-    src_k := dk;
-    src_p := dp;
-    dst_k := sk;
-    dst_p := sp
+    if n > 0 && counts.(base + ((keys.(0) lsr shift) land (radix - 1))) < n then begin
+      (* bucket counts -> first output slot of each bucket *)
+      let pos = ref 0 in
+      for b = base to base + radix - 1 do
+        let c = counts.(b) in
+        counts.(b) <- !pos;
+        pos := !pos + c
+      done;
+      let sk = !src_k and sp = !src_p and dk = !dst_k and dp = !dst_p in
+      for j = 0 to n - 1 do
+        let k = Array.unsafe_get sk j in
+        let b = base + ((k lsr shift) land (radix - 1)) in
+        let at = Array.unsafe_get counts b in
+        Array.unsafe_set dk at k;
+        Array.unsafe_set dp at (Array.unsafe_get sp j);
+        Array.unsafe_set counts b (at + 1)
+      done;
+      src_k := dk;
+      src_p := dp;
+      dst_k := sk;
+      dst_p := sp
+    end
   done;
   (!src_k, !src_p)
 
+(* Sort [a, b) of the pair by radix, through an index permutation so
+   that the float times move unchanged (-0.0 included). A run of equal
+   times (flows opened at one instant) is already in order. *)
+let radix_slice (times : float array) (payload : int array) a b =
+  let i = ref (a + 1) in
+  while !i < b && times.(!i) = times.(a) do
+    incr i
+  done;
+  if !i < b then begin
+    let m = b - a in
+    let keys = Array.init m (fun i -> Int64.to_int (Int64.bits_of_float times.(a + i))) in
+    let _, order = radix_sort keys (Array.init m Fun.id) in
+    let ts = Array.sub times a m and ps = Array.sub payload a m in
+    for i = 0 to m - 1 do
+      times.(a + i) <- ts.(order.(i));
+      payload.(a + i) <- ps.(order.(i))
+    done
+  end
+
+(* Sort [a, b) of the pair in place, stably, through the scratch [st],
+   [sp] (at least [b - a] long) and [cnt] (one longer). *)
+let sort_slice (times : float array) (payload : int array) ~(st : float array) ~sp ~cnt a b =
+  let m = b - a in
+  if m <= insertion_max then insertion_sort times payload a b
+  else begin
+    let lo = ref times.(a) and hi = ref times.(a) in
+    for i = a + 1 to b - 1 do
+      let t = Array.unsafe_get times i in
+      if t < !lo then lo := t;
+      if t > !hi then hi := t
+    done;
+    (* all times equal: emission order is already the order *)
+    if !lo < !hi then begin
+      let lo = !lo and last = m - 1 in
+      let scale = scale_of ~lo ~hi:!hi m in
+      Array.fill cnt 0 (m + 1) 0;
+      for i = a to b - 1 do
+        let k = bucket ~lo ~scale ~last (Array.unsafe_get times i) + 1 in
+        Array.unsafe_set cnt k (Array.unsafe_get cnt k + 1)
+      done;
+      (* cnt.(k): first slot of fine bucket k, then its next free slot *)
+      for k = 1 to m do
+        cnt.(k) <- cnt.(k) + cnt.(k - 1)
+      done;
+      for i = a to b - 1 do
+        let t = Array.unsafe_get times i in
+        let k = bucket ~lo ~scale ~last t in
+        let j = Array.unsafe_get cnt k in
+        Array.unsafe_set st j t;
+        Array.unsafe_set sp j (Array.unsafe_get payload i);
+        Array.unsafe_set cnt k (j + 1)
+      done;
+      (* fine bucket k now spans [cnt.(k - 1), cnt.(k)) *)
+      let s = ref 0 in
+      for k = 0 to last do
+        let e = cnt.(k) in
+        if e - !s > fine_max then radix_slice st sp !s e else insertion_sort st sp !s e;
+        s := e
+      done;
+      Array.blit st 0 times a m;
+      Array.blit sp 0 payload a m
+    end
+  end
+
+(* Where packets go while the schedule is bucketed: in counting mode
+   [cursor.(k)] counts coarse bucket [k]'s packets; in writing mode it
+   is the bucket's next free slot in [times] and [payload]. *)
+type sink = {
+  count : bool;
+  lo : float;
+  scale : float;
+  last : int;
+  cursor : int array;
+  times : float array;
+  payload : int array;
+}
+
+(* A counting sink for about [packets] times in [lo, hi]. *)
+let counting_sink ~packets ~lo ~hi =
+  let n = Int.max 1 (Int.min coarse_max (packets / coarse_fill)) in
+  {
+    count = true;
+    lo;
+    scale = scale_of ~lo ~hi n;
+    last = n - 1;
+    cursor = Array.make n 0;
+    times = [||];
+    payload = [||];
+  }
+
+(* The same buckets in writing mode, sized for the counted packets. *)
+let writing_sink s =
+  let total = ref 0 in
+  Array.iteri
+    (fun k c ->
+      s.cursor.(k) <- !total;
+      total := !total + c)
+    s.cursor;
+  { s with count = false; times = Array.make !total 0.; payload = Array.make !total 0 }
+
+(* One packet: kept a top-level function with explicit arguments so
+   that [at] stays unboxed where it is inlined. *)
+let[@inline] put s at pl =
+  let k = bucket ~lo:s.lo ~scale:s.scale ~last:s.last at in
+  let j = Array.unsafe_get s.cursor k in
+  Array.unsafe_set s.cursor k (j + 1);
+  if not s.count then begin
+    Array.unsafe_set s.times j at;
+    Array.unsafe_set s.payload j pl
+  end
+
+(* After the writing pass, [cursor.(k)] is the end of coarse bucket
+   [k]: sort each bucket in place. *)
+let sort_buckets s =
+  let widest = ref 0 and start = ref 0 in
+  Array.iter
+    (fun e ->
+      widest := Int.max !widest (e - !start);
+      start := e)
+    s.cursor;
+  let w = if !widest > insertion_max then !widest else 0 in
+  let st = Array.make w 0. and sp = Array.make w 0 and cnt = Array.make (w + 1) 0 in
+  let start = ref 0 in
+  Array.iter
+    (fun e ->
+      sort_slice s.times s.payload ~st ~sp ~cnt !start e;
+      start := e)
+    s.cursor
+
 let time_order times =
-  let key i =
-    let x = times.(i) in
-    if x >= 0. && x <= Float.max_float then Int64.to_int (Int64.bits_of_float x)
-    else invalid_arg "Packed_trace.time_order: times must be finite and >= 0"
-  in
+  let lo = ref Float.infinity and hi = ref Float.neg_infinity in
+  Array.iter
+    (fun x ->
+      if not (x >= 0. && x <= Float.max_float) then
+        invalid_arg "Packed_trace.time_order: times must be finite and >= 0";
+      if x < !lo then lo := x;
+      if x > !hi then hi := x)
+    times;
   let n = Array.length times in
-  snd (radix_sort (Array.init n key) (Array.init n (fun i -> i)))
+  let s = counting_sink ~packets:n ~lo:!lo ~hi:!hi in
+  for i = 0 to n - 1 do
+    put s times.(i) i
+  done;
+  let s = writing_sink s in
+  for i = 0 to n - 1 do
+    put s times.(i) i
+  done;
+  sort_buckets s;
+  s.payload
 
 (* ----- compiling ----- *)
 
-(* While sorting, a packet's payload packs its flow index, whether its
-   time is -0.0 (its key cannot tell) and its flag byte. *)
-let neg_zero_bit = 0x100
-let flow_shift = 9
+(* While sorting, a packet's payload packs its flow index above its
+   flag byte. *)
+let flow_shift = 8
 
 let syn_byte = Netcore.Tcp_flags.to_byte Netcore.Tcp_flags.syn
 let data_byte = Netcore.Tcp_flags.to_byte Netcore.Tcp_flags.data
 let fin_byte = Netcore.Tcp_flags.to_byte Netcore.Tcp_flags.fin
 
-(* Emit one flow's packets at [p] in emission order as (key, payload)
-   pairs, or only count them when [keys] is empty; returns the next
-   free slot. The train is a SYN at the start, then the merge of the
-   early probes (start + each of the sorted, distinct [early] offsets)
-   with the steady chain (start + interval, + interval, ...), both
-   kept while before [finish] and with equal times emitted once, then
-   a FIN at the flow's end when that is before the horizon. Every time
-   is finite and >= 0 (or -0.0) once {!check_flow} has passed, and
-   written without being boxed. *)
-let emit_train ~early ~probe_interval ~horizon ~keys ~payload fi (flow : Simnet.Flow.t) p =
-  let write = Array.length keys > 0 in
+(* Put one flow's packets into [s] in emission order; returns how many.
+   The train is a SYN at the start, then the merge of the early probes
+   (start + each of the sorted, distinct [early] offsets) with the
+   steady chain (start + interval, + interval, ...), both kept while
+   before [finish] and with equal times emitted once, then a FIN at the
+   flow's end when that is before the horizon. Every time is finite and
+   >= 0 (or -0.0) once {!check_flow} has passed, and written without
+   being boxed. *)
+let emit_train ~early ~probe_interval ~horizon s fi (flow : Simnet.Flow.t) =
   let start = flow.Simnet.Flow.start in
-  let fin = Simnet.Flow.finish flow in
+  (* [Simnet.Flow.finish], inline: a call across modules boxes it *)
+  let fin = start +. flow.Simnet.Flow.duration in
   let finish = Float.min fin horizon in
   let tag = fi lsl flow_shift in
-  if write then begin
-    keys.(p) <- Int64.to_int (Int64.bits_of_float start);
-    payload.(p) <- tag lor (if Float.sign_bit start then neg_zero_bit else 0) lor syn_byte
-  end;
-  let p = ref (p + 1) in
+  put s start (tag lor syn_byte);
+  let n = ref 1 in
   let n_early = Array.length early in
   let e = ref 0 and steady = ref (start +. probe_interval) and last = ref Float.neg_infinity in
   let live = ref true in
@@ -145,24 +322,18 @@ let emit_train ~early ~probe_interval ~horizon ~keys ~payload fi (flow : Simnet.
       in
       (* at > 0: start >= 0 plus a positive offset *)
       if at > !last then begin
-        if write then begin
-          keys.(!p) <- Int64.to_int (Int64.bits_of_float at);
-          payload.(!p) <- tag lor data_byte
-        end;
-        incr p;
+        put s at (tag lor data_byte);
+        incr n;
         last := at
       end
     end
     else live := false
   done;
   if fin < horizon then begin
-    if write then begin
-      keys.(!p) <- Int64.to_int (Int64.bits_of_float fin);
-      payload.(!p) <- tag lor (if Float.sign_bit fin then neg_zero_bit else 0) lor fin_byte
-    end;
-    incr p
+    put s fin (tag lor fin_byte);
+    incr n
   end;
-  !p
+  !n
 
 let check_flow (flow : Simnet.Flow.t) =
   let start = flow.Simnet.Flow.start and duration = flow.Simnet.Flow.duration in
@@ -171,8 +342,8 @@ let check_flow (flow : Simnet.Flow.t) =
   if not (Float.is_finite duration && duration >= 0.) then
     invalid_arg "Packed_trace.compile: flow duration must be finite and >= 0"
 
-(* The most packets a schedule may hold: 2^32, about 176 GB of arrays
-   at 41 bytes a packet. Without a bound, a finite but huge lifetime
+(* The most packets a schedule may hold: 2^32, about 73 GB of output
+   arrays at 17 bytes a packet. Without a bound, a finite but huge lifetime
    (1e15 s at 15 s is ~7e13 steady probes) would keep the counting pass
    walking one chain for days, so every flow's steady count is
    estimated in O(1) from its lifetime before any chain is walked. A
@@ -195,49 +366,62 @@ let compile ?(early_offsets = default_early) ?(probe_interval = 15.) ~horizon fl
     early_offsets;
   let early = Array.of_list (List.sort_uniq Float.compare early_offsets) in
   let kept (f : Simnet.Flow.t) = not (f.Simnet.Flow.start >= horizon) in
-  (* a first pass checks every flow and bounds the steady probes *)
-  let estimate =
-    List.fold_left
-      (fun acc (f : Simnet.Flow.t) ->
-        check_flow f;
-        if kept f then
-          let lifetime = Float.min (Simnet.Flow.finish f) horizon -. f.Simnet.Flow.start in
-          acc +. (lifetime /. probe_interval)
-        else acc)
-      0. flows
+  (* a first pass checks every flow, bounds the steady probes and finds
+     the span every packet time lies in: from the earliest start to the
+     latest [min finish horizon] *)
+  let n_flows = ref 0 and estimate = ref 0. in
+  let lo = ref Float.infinity and hi = ref Float.neg_infinity in
+  (* a loop rather than a closure, so that the float refs stay unboxed *)
+  let rest = ref flows and more = ref true in
+  while !more do
+    match !rest with
+    | [] -> more := false
+    | f :: tl ->
+      rest := tl;
+      check_flow f;
+      if kept f then begin
+        let start = f.Simnet.Flow.start in
+        let finish = Float.min (start +. f.Simnet.Flow.duration) horizon in
+        incr n_flows;
+        estimate := !estimate +. ((finish -. start) /. probe_interval);
+        if start < !lo then lo := start;
+        if finish > !hi then hi := finish
+      end
+  done;
+  if !estimate > float_of_int max_packets then too_many ();
+  let n_flows = !n_flows in
+  (* a counting pass sizes the arrays and the buckets exactly *)
+  let s =
+    counting_sink
+      ~packets:(int_of_float !estimate + (n_flows * (2 + Array.length early)))
+      ~lo:!lo ~hi:!hi
   in
-  if estimate > float_of_int max_packets then too_many ();
-  (* a counting pass sizes the arrays exactly *)
-  let n_flows = ref 0 and total = ref 0 in
+  let total = ref 0 in
   List.iter
     (fun f ->
       if kept f then begin
-        incr n_flows;
-        total := emit_train ~early ~probe_interval ~horizon ~keys:[||] ~payload:[||] 0 f !total;
+        total := !total + emit_train ~early ~probe_interval ~horizon s 0 f;
         if !total > max_packets then too_many ()
       end)
     flows;
-  let n_flows = !n_flows and total = !total in
-  let vip_index = Hashtbl.create 16 in
+  let s = writing_sink s in
+  let vip_index = Netcore.Endpoint.Tbl.create 16 in
   let vips_rev = ref [] in
-  let n_vips = ref 0 in
   let vip_idx vip =
-    match Hashtbl.find_opt vip_index vip with
+    match Netcore.Endpoint.Tbl.find_opt vip_index vip with
     | Some i -> i
     | None ->
-      let i = !n_vips in
-      Hashtbl.replace vip_index vip i;
+      let i = Netcore.Endpoint.Tbl.length vip_index in
+      Netcore.Endpoint.Tbl.replace vip_index vip i;
       vips_rev := vip :: !vips_rev;
-      incr n_vips;
       i
   in
   let flow_ids = Array.make n_flows 0 in
   let flow_vip = Array.make n_flows 0 in
   let flow_tuples = Array.make n_flows dummy_tuple in
-  let keys = Array.make total 0 in
-  let payload = Array.make total 0 in
+  let flow_rate = Array.make n_flows 0. in
   (* flows in list order, so emission order is the tie order *)
-  let fi = ref 0 and p = ref 0 in
+  let fi = ref 0 in
   List.iter
     (fun (flow : Simnet.Flow.t) ->
       if kept flow then begin
@@ -245,21 +429,19 @@ let compile ?(early_offsets = default_early) ?(probe_interval = 15.) ~horizon fl
         flow_ids.(i) <- flow.Simnet.Flow.id;
         flow_tuples.(i) <- flow.Simnet.Flow.tuple;
         flow_vip.(i) <- vip_idx flow.Simnet.Flow.tuple.Netcore.Five_tuple.dst;
-        p := emit_train ~early ~probe_interval ~horizon ~keys ~payload i flow !p;
+        flow_rate.(i) <- flow.Simnet.Flow.bytes_per_sec;
+        ignore (emit_train ~early ~probe_interval ~horizon s i flow : int);
         fi := i + 1
       end)
     flows;
-  let keys, payload = radix_sort keys payload in
-  let times = Array.make total 0. in
-  let pkt_flags = Bytes.create total in
-  for i = 0 to total - 1 do
-    let pl = payload.(i) in
-    times.(i) <-
-      (if pl land neg_zero_bit <> 0 then -0.
-       else Int64.float_of_bits (Int64.logand (Int64.of_int keys.(i)) Int64.max_int));
+  sort_buckets s;
+  let payload = s.payload in
+  let pkt_flags = Bytes.create !total in
+  for i = 0 to !total - 1 do
+    let pl = Array.unsafe_get payload i in
     Bytes.unsafe_set pkt_flags i (Char.unsafe_chr (pl land 0xff));
     (* the payload array becomes [pkt_flow] in place *)
-    payload.(i) <- pl lsr flow_shift
+    Array.unsafe_set payload i (pl lsr flow_shift)
   done;
   {
     horizon;
@@ -267,7 +449,8 @@ let compile ?(early_offsets = default_early) ?(probe_interval = 15.) ~horizon fl
     flow_ids;
     flow_vip;
     flow_tuples;
-    times;
+    flow_rate;
+    times = s.times;
     pkt_flow = payload;
     pkt_flags;
   }

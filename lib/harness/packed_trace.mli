@@ -16,6 +16,7 @@ type t = {
   flow_ids : int array;
   flow_vip : int array;  (** per flow: index into [vips] *)
   flow_tuples : Netcore.Five_tuple.t array;
+  flow_rate : float array;  (** per flow: {!Simnet.Flow.t.bytes_per_sec} *)
   times : float array;  (** per packet; sorted, ties in emission order *)
   pkt_flow : int array;  (** per packet: flow index *)
   pkt_flags : Bytes.t;  (** per packet: {!Netcore.Tcp_flags.to_byte} *)
@@ -25,13 +26,12 @@ val n_flows : t -> int
 val n_packets : t -> int
 
 val time_order : float array -> int array
-[@@silkroad.allow "surface.unused-export: the radix sort compile applies; test_harness checks it against a stable sort"]
+[@@silkroad.allow "surface.unused-export: the bucket sort compile applies, exposed so test_harness can check it against a stable sort on times over every exponent"]
 (** The indices of [times] sorted by time, equal times in index order:
-    the permutation {!compile} applies to the emitted packets. A stable
-    LSD radix sort on the IEEE-754 bit pattern (six 11-bit passes), so
-    linear in the length;
-    [-0.0] ties with [+0.0]. Raises [Invalid_argument] on a negative or
-    non-finite time. *)
+    the permutation {!compile} applies to the emitted packets, by the
+    same bucket sort (see {!compile}'s cost), so linear in the length
+    for any spread of times; [-0.0] ties with [+0.0]. Raises
+    [Invalid_argument] on a negative or non-finite time. *)
 
 val compile :
   ?early_offsets:float list ->
@@ -57,14 +57,24 @@ val compile :
     [probe_interval]) before any flow's chain is walked, so a finite
     but huge lifetime fails at once instead of walking ~10{^13} probes.
 
-    Cost: linear in the packets. A counting pass sizes the arrays
-    exactly; each train is then written straight into them as (time
-    key, packed flow index and flags) int pairs, which the radix sort
-    behind {!time_order} orders, moving key and payload together so
-    that every read is sequential. No per-packet list, tuple or boxed float
-    is built. Peak memory is about 41 bytes a packet on top of the flow
-    list: the two key and two payload arrays of the sort (one payload
-    array becomes [pkt_flow]) and the sorted times and flags. *)
+    Cost: linear in the packets. The first pass over the flows finds
+    the span every packet time lies in (earliest start to latest
+    [min finish horizon]); a counting pass walks every train and counts
+    its packets into up to 2048 coarse time buckets, linear in time, so
+    bucket order is time order. The arrays are then sized exactly and
+    each train is written straight into its buckets as (float time,
+    packed flow index and flags) pairs, emission order kept inside each
+    bucket. Each bucket is sorted in place while it sits in cache: a
+    fine counting pass over the bucket's own span, then an insertion
+    sort of each fine bucket; a fine bucket of over 64 packets (times
+    clustered below the fine pass's resolution) takes a stable LSD
+    radix sort instead, so equal or clustered times stay linear. No
+    per-packet list, tuple or boxed float is built. Compile allocates
+    about 18 bytes a packet on the netwide-failover schedule (the
+    [times], [pkt_flow] and [pkt_flags] arrays, the payload array
+    becoming [pkt_flow] in place, plus the flow arrays and one bucket's
+    scratch); the radix sort over the whole schedule it replaced
+    allocated 44. *)
 
 type partition = {
   pt_shards : int;

@@ -19,8 +19,8 @@ type conn_state = {
   mutable age_pos : int;  (** aging-wheel position, or [Timer_wheel.no_pos] *)
 }
 
-(* A packet time as an int: its IEEE-754 bits, as [Packed_trace.compile]
-   keys them. Times are >= 0, so masking off the sign bit decodes every
+(* A packet time as an int: its IEEE-754 bits, as [Packed_trace]'s
+   radix fallback keys them. Times are >= 0, so masking off the sign bit decodes every
    one of them to an equal float. An int field lets a packet's boxed
    time die in the minor heap instead of being promoted with the
    connection that last saw it. *)

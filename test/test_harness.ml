@@ -43,7 +43,10 @@ let recording_balancer () =
 let probe_train_shape () =
   let b, log = recording_balancer () in
   let f = flow ~id:1 ~start:10. ~duration:40. in
-  let r = Harness.Driver.run ~balancer:b ~flows:[ f ] ~updates:[] ~horizon:100. () in
+  let r =
+    Harness.Driver.run ~balancer:b
+      ~trace:(Harness.Packed_trace.compile ~horizon:100. [ f ]) ~updates:[] ()
+  in
   let events = List.rev !log in
   (* first packet is the SYN at flow start *)
   (match events with
@@ -70,13 +73,18 @@ let probe_train_shape () =
 let horizon_truncates () =
   let b, log = recording_balancer () in
   let f = flow ~id:1 ~start:10. ~duration:1000. in
-  ignore (Harness.Driver.run ~balancer:b ~flows:[ f ] ~updates:[] ~horizon:30. ());
+  ignore
+    (Harness.Driver.run ~balancer:b
+       ~trace:(Harness.Packed_trace.compile ~horizon:30. [ f ])
+       ~updates:[] ());
   List.iter (fun (t, _) -> check Alcotest.bool "within horizon" true (t < 30.)) !log;
   (* flows starting after the horizon produce nothing *)
   let b2, log2 = recording_balancer () in
   ignore
-    (Harness.Driver.run ~balancer:b2 ~flows:[ flow ~id:2 ~start:50. ~duration:10. ]
-       ~updates:[] ~horizon:30. ());
+    (Harness.Driver.run ~balancer:b2
+       ~trace:
+         (Harness.Packed_trace.compile ~horizon:30. [ flow ~id:2 ~start:50. ~duration:10. ])
+       ~updates:[] ());
   check Alcotest.int "late flow skipped" 0 (List.length !log2)
 
 let unstable_balancer_counted () =
@@ -99,7 +107,10 @@ let unstable_balancer_counted () =
     }
   in
   let flows = List.init 5 (fun i -> flow ~id:i ~start:1. ~duration:20.) in
-  let r = Harness.Driver.run ~balancer:b ~flows ~updates:[] ~horizon:50. () in
+  let r =
+    Harness.Driver.run ~balancer:b
+      ~trace:(Harness.Packed_trace.compile ~horizon:50. flows) ~updates:[] ()
+  in
   check Alcotest.int "all broken" 5 r.Harness.Driver.broken_connections;
   check (Alcotest.float 1e-9) "fraction" 1. r.Harness.Driver.broken_fraction
 
@@ -120,7 +131,10 @@ let traffic_attribution () =
     }
   in
   let flows = List.init 20 (fun i -> flow ~id:i ~start:1. ~duration:60.) in
-  let r = Harness.Driver.run ~balancer:b ~flows ~updates:[] ~horizon:120. () in
+  let r =
+    Harness.Driver.run ~balancer:b
+      ~trace:(Harness.Packed_trace.compile ~horizon:120. flows) ~updates:[] ()
+  in
   check (Alcotest.float 1e-9) "all slb" 1. r.Harness.Driver.slb_traffic_fraction;
   check Alcotest.bool "slb-like latency" true
     (r.Harness.Driver.latency_median > 20e-6 && r.Harness.Driver.latency_median < 1e-3);
@@ -146,7 +160,10 @@ let update_delivery_order () =
     [ (5., vip, Lb.Balancer.Dip_add (dip 5)); (1., vip, Lb.Balancer.Dip_remove (dip 1));
       (3., vip, Lb.Balancer.Dip_add (dip 3)) ]
   in
-  ignore (Harness.Driver.run ~balancer:b ~flows:[] ~updates ~horizon:10. ());
+  ignore
+    (Harness.Driver.run ~balancer:b
+       ~trace:(Harness.Packed_trace.compile ~horizon:10. [])
+       ~updates ());
   check (Alcotest.list (Alcotest.float 1e-9)) "time order" [ 1.; 3.; 5. ] (List.rev !seen)
 
 (* Replay.retired_dip and Replay.apply_to are the one definition of
@@ -327,6 +344,7 @@ module Reference = struct
         (Netcore.Five_tuple.make ~src:Netcore.Endpoint.none ~dst:Netcore.Endpoint.none
            ~proto:Netcore.Protocol.Tcp)
     in
+    let flow_rate = Array.make n_flows 0. in
     let total = List.fold_left (fun acc (_, pts) -> acc + List.length pts) 0 kept in
     let raw_times = Array.make total 0. in
     let raw_flow = Array.make total 0 in
@@ -336,6 +354,7 @@ module Reference = struct
       (fun fi ((flow : Simnet.Flow.t), pts) ->
         flow_ids.(fi) <- flow.Simnet.Flow.id;
         flow_tuples.(fi) <- flow.Simnet.Flow.tuple;
+        flow_rate.(fi) <- flow.Simnet.Flow.bytes_per_sec;
         flow_vip.(fi) <- vip_idx flow.Simnet.Flow.tuple.Netcore.Five_tuple.dst;
         List.iter
           (fun (at, flags) ->
@@ -361,6 +380,7 @@ module Reference = struct
       flow_ids;
       flow_vip;
       flow_tuples;
+      flow_rate;
       times;
       pkt_flow;
       pkt_flags;
@@ -377,6 +397,7 @@ let same_trace (a : Harness.Packed_trace.t) (b : Harness.Packed_trace.t) =
   && a.flow_ids = b.flow_ids && a.flow_vip = b.flow_vip
   && Array.length a.flow_tuples = Array.length b.flow_tuples
   && Array.for_all2 Netcore.Five_tuple.equal a.flow_tuples b.flow_tuples
+  && Array.map bits a.flow_rate = Array.map bits b.flow_rate
   && Array.map bits a.times = Array.map bits b.times
   && a.pkt_flow = b.pkt_flow && Bytes.equal a.pkt_flags b.pkt_flags
 
@@ -459,13 +480,84 @@ let print_compile_input (early_offsets, probe_interval, horizon, flows) =
               (Netcore.Endpoint.to_string f.Simnet.Flow.tuple.Netcore.Five_tuple.dst))
           flows))
 
+(* Schedules aimed at each branch of compile's bucket sort: every flow
+   starting at one instant (one bucket of equal times), a dense cluster
+   of distinct starts inside one coarse bucket plus one far outlier
+   (the cluster's fine bucket is over the insertion sort's limit and
+   takes the radix fallback), -0.0 and +0.0 starts that tie, one flow,
+   no flows, and flows that end far past the horizon. *)
+let gen_sort_edge_input =
+  let open QCheck.Gen in
+  let* early_offsets = oneofl [ []; default_early ] in
+  let* durations = array_size (int_range 1 300) (float_bound_inclusive 2.) in
+  let* shape = int_bound 5 in
+  let n = Array.length durations in
+  let* order = shuffle_l (List.init n Fun.id) in
+  let* probe_interval, horizon, starts =
+    match shape with
+    | 0 ->
+      let* at = oneofl [ 0.; 5.; 17.25 ] in
+      return (1., 20., List.map (fun _ -> at) order)
+    | 1 ->
+      (* distinct starts 1e-12 apart, then one flow 1e6 s later *)
+      let cluster = List.map (fun k -> 1. +. (float_of_int k *. 1e-12)) order in
+      return (1e5, 1e6 +. 10., List.rev (1e6 :: List.tl (List.rev cluster)))
+    | 2 -> return (0.5, 10., List.map (fun k -> if k mod 2 = 0 then 0. else -0.) order)
+    | 3 -> return (1., 10., [ 3. ])
+    | 4 -> return (1., 10., [])
+    | _ -> return (1., 30., List.map (fun k -> float_of_int (k mod 25)) order)
+  in
+  let far = shape = 5 in
+  let flows =
+    List.mapi
+      (fun id start ->
+        let duration = durations.(id) in
+        {
+          Simnet.Flow.id;
+          tuple =
+            Netcore.Five_tuple.make
+              ~src:(Netcore.Endpoint.v4 1 2 3 4 (1000 + id))
+              ~dst:(Netcore.Endpoint.v4 20 0 0 (1 + (id mod 3)) 80)
+              ~proto:Netcore.Protocol.Tcp;
+          start;
+          duration = (if far then duration *. 1e9 else duration);
+          bytes_per_sec = float_of_int id;
+        })
+      starts
+  in
+  return (early_offsets, probe_interval, horizon, flows)
+
 let qcheck_compile_is_reference =
-  QCheck.Test.make ~name:"compile == list-and-stable-sort reference" ~count:500
-    (QCheck.make ~print:print_compile_input gen_compile_input)
+  QCheck.Test.make ~name:"compile == list-and-stable-sort reference" ~count:700
+    (QCheck.make ~print:print_compile_input
+       QCheck.Gen.(frequency [ (5, gen_compile_input); (2, gen_sort_edge_input) ]))
     (fun (early_offsets, probe_interval, horizon, flows) ->
       same_trace
         (Harness.Packed_trace.compile ~early_offsets ~probe_interval ~horizon flows)
         (Reference.compile ~early_offsets ~probe_interval ~horizon flows))
+
+(* What compile allocates, per packet, on a netwide-shaped schedule (the
+   perfbench netwide-failover shape at 2,000 flows: starts over 25 s,
+   0.5-60.5 s lifetimes, one probe a second): the three output arrays
+   (8 + 8 + 1 bytes a packet), the flow arrays and one bucket's
+   scratch. The six-pass radix sort with its key and payload scratch
+   arrays read 43.9. *)
+let compile_bytes_per_packet = 22.
+
+let compile_allocation () =
+  let vips = Experiments.Common.vips_of ~n_vips:4 ~dips_per_vip:8 in
+  let flows = Experiments.Common.fabric_flows ~seed:7011 ~n:2000 ~span:25. vips in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let t = Harness.Packed_trace.compile ~probe_interval:1. ~horizon:120. flows in
+  let per_packet =
+    (Gc.allocated_bytes () -. before) /. float_of_int (Harness.Packed_trace.n_packets t)
+  in
+  check Alcotest.bool
+    (Printf.sprintf "compile: %.2f bytes a packet (%d packets)" per_packet
+       (Harness.Packed_trace.n_packets t))
+    true
+    (per_packet <= compile_bytes_per_packet)
 
 (* The default early offsets and interval over a generated workload. *)
 let compile_workload_is_reference () =
@@ -619,6 +711,7 @@ let suites =
         tc "time order rejects negative and non-finite" `Quick time_order_rejects;
         QCheck_alcotest.to_alcotest qcheck_compile_is_reference;
         tc "workload compile == reference" `Quick compile_workload_is_reference;
+        tc "compile allocation per packet" `Quick compile_allocation;
         tc "input contract" `Quick compile_contract;
       ] );
     ("harness.driver_golden", List.map golden_case golden);

@@ -29,9 +29,9 @@ let updates ~seed ~per_min ~horizon =
     events
 
 let run balancer =
-  Harness.Driver.run ~balancer ~flows:(flows ~seed:21 ~rate:100. ~horizon:120.)
-    ~updates:(updates ~seed:22 ~per_min:12. ~horizon:120.)
-    ~horizon:180. ()
+  Harness.Driver.run ~balancer
+    ~trace:(Harness.Packed_trace.compile ~horizon:180. (flows ~seed:21 ~rate:100. ~horizon:120.))
+    ~updates:(updates ~seed:22 ~per_min:12. ~horizon:120.) ()
 
 let assert_invariants sw =
   match Silkroad.Switch.check_invariants sw with
@@ -112,9 +112,8 @@ let no_transit_table_ablation () =
     Silkroad.Switch.add_vip sw vip (pool ());
     let r =
       Harness.Driver.run ~balancer:(Silkroad.Switch.balancer sw)
-        ~flows:(flows ~seed ~rate:400. ~horizon:60.)
-        ~updates:(updates ~seed:(seed + 1) ~per_min:30. ~horizon:60.)
-        ~horizon:90. ()
+        ~trace:(Harness.Packed_trace.compile ~horizon:90. (flows ~seed ~rate:400. ~horizon:60.))
+        ~updates:(updates ~seed:(seed + 1) ~per_min:30. ~horizon:60.) ()
     in
     r.Harness.Driver.broken_connections
   in
@@ -137,8 +136,8 @@ let high_load_table_overflow () =
   Silkroad.Switch.add_vip sw vip (pool ());
   let r =
     Harness.Driver.run ~balancer:(Silkroad.Switch.balancer sw)
-      ~flows:(flows ~seed:41 ~rate:200. ~horizon:30.)
-      ~updates:[] ~horizon:60. ()
+      ~trace:(Harness.Packed_trace.compile ~horizon:60. (flows ~seed:41 ~rate:200. ~horizon:30.))
+      ~updates:[] ()
   in
   let s = Silkroad.Switch.stats sw in
   check Alcotest.bool "overflow detected" true (s.Silkroad.Switch.table_full_drops > 0);
@@ -170,8 +169,9 @@ let multi_vip_concurrent_updates () =
          vips)
   in
   let r =
-    Harness.Driver.run ~balancer:(Silkroad.Switch.balancer sw) ~flows:all_flows
-      ~updates:all_updates ~horizon:90. ()
+    Harness.Driver.run ~balancer:(Silkroad.Switch.balancer sw)
+      ~trace:(Harness.Packed_trace.compile ~horizon:90. all_flows)
+      ~updates:all_updates ()
   in
   check Alcotest.int "pcc across 5 vips updating concurrently" 0
     r.Harness.Driver.broken_connections;
@@ -199,7 +199,8 @@ let ipv6_end_to_end () =
       (30., vip6, Lb.Balancer.Dip_remove (List.nth dips6 3)) ]
   in
   let r =
-    Harness.Driver.run ~balancer:(Silkroad.Switch.balancer sw) ~flows ~updates ~horizon:90. ()
+    Harness.Driver.run ~balancer:(Silkroad.Switch.balancer sw)
+      ~trace:(Harness.Packed_trace.compile ~horizon:90. flows) ~updates ()
   in
   check Alcotest.int "ipv6: zero broken" 0 r.Harness.Driver.broken_connections;
   check Alcotest.int "ipv6: zero dropped" 0 r.Harness.Driver.dropped_packets;
@@ -258,7 +259,8 @@ let qcheck_silkroad_pcc =
           events
       in
       let r =
-        Harness.Driver.run ~balancer:(Silkroad.Switch.balancer sw) ~flows ~updates ~horizon:90. ()
+        Harness.Driver.run ~balancer:(Silkroad.Switch.balancer sw)
+          ~trace:(Harness.Packed_trace.compile ~horizon:90. flows) ~updates ()
       in
       float_of_int r.Harness.Driver.broken_connections
       <= 0.001 *. float_of_int r.Harness.Driver.connections
@@ -285,7 +287,8 @@ let qcheck_hybrid_pcc =
       in
       let updates = updates ~seed:(seed + 3) ~per_min:10. ~horizon:40. in
       let r =
-        Harness.Driver.run ~balancer:(Silkroad.Hybrid.balancer h) ~flows ~updates ~horizon:70. ()
+        Harness.Driver.run ~balancer:(Silkroad.Hybrid.balancer h)
+          ~trace:(Harness.Packed_trace.compile ~horizon:70. flows) ~updates ()
       in
       r.Harness.Driver.broken_connections = 0)
 
@@ -303,10 +306,12 @@ let soak_with_invariants () =
     (fun boundary ->
       let r =
         Harness.Driver.run ~balancer
-          ~flows:(List.filter (fun f -> f.Simnet.Flow.start < boundary
-                                        && f.Simnet.Flow.start >= boundary -. 60.) flows)
+          ~trace:
+            (Harness.Packed_trace.compile ~horizon:boundary
+               (List.filter (fun f -> f.Simnet.Flow.start < boundary
+                                      && f.Simnet.Flow.start >= boundary -. 60.) flows))
           ~updates:(List.filter (fun (t, _, _) -> t < boundary && t >= boundary -. 60.) updates)
-          ~horizon:boundary ()
+          ()
       in
       check Alcotest.int
         (Printf.sprintf "no broken connections by minute %.0f" (boundary /. 60.))

@@ -208,9 +208,7 @@ let differential_scripted () =
     Experiments.Common.scenario ~conns_per_sec_per_vip:20. ~updates_per_min:6.
       ~trace_seconds:60. ()
   in
-  let trace =
-    Harness.Packed_trace.compile ~horizon:s.Experiments.Common.horizon s.Experiments.Common.flows
-  in
+  let trace = Lazy.force s.Experiments.Common.trace in
   let controls =
     Harness.Replay.controls_of_updates ~horizon:s.Experiments.Common.horizon
       s.Experiments.Common.updates

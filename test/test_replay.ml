@@ -183,7 +183,7 @@ let scripted_scenario () =
     ()
 
 let replay_of_scenario ~mode (s : Experiments.Common.scenario) =
-  let trace = Harness.Packed_trace.compile ~horizon:s.Experiments.Common.horizon s.Experiments.Common.flows in
+  let trace = Lazy.force s.Experiments.Common.trace in
   let controls =
     Harness.Replay.controls_of_updates ~horizon:s.Experiments.Common.horizon
       s.Experiments.Common.updates
@@ -192,8 +192,8 @@ let replay_of_scenario ~mode (s : Experiments.Common.scenario) =
 
 let driver_of_scenario ?chaos (s : Experiments.Common.scenario) =
   let _sw, balancer = Experiments.Common.silkroad ~vips:default_vips () in
-  Harness.Driver.run ?chaos ~balancer ~flows:s.Experiments.Common.flows
-    ~updates:s.Experiments.Common.updates ~horizon:s.Experiments.Common.horizon ()
+  Harness.Driver.run ?chaos ~balancer ~trace:(Lazy.force s.Experiments.Common.trace)
+    ~updates:s.Experiments.Common.updates ()
 
 let driver_vs_scalar_scripted () =
   let s = scripted_scenario () in
@@ -214,8 +214,8 @@ let chaos_workload (scenario : Chaos.Scenario.t) =
 let driver_vs_scalar_chaos (scenario : Chaos.Scenario.t) () =
   let flows, inj, horizon = chaos_workload scenario in
   let _sw, balancer = Experiments.Common.silkroad ~vips:default_vips () in
-  let d = Harness.Driver.run ~chaos:inj ~balancer ~flows ~updates:[] ~horizon () in
   let trace = Harness.Packed_trace.compile ~horizon flows in
+  let d = Harness.Driver.run ~chaos:inj ~balancer ~trace ~updates:[] () in
   let controls = Harness.Replay.controls_of_chaos ~horizon (Chaos.Injector.events inj) in
   let r =
     Harness.Replay.run ~mode:Harness.Replay.Scalar ~make_switch:(make_switch ()) ~trace
@@ -259,10 +259,10 @@ let qcheck_driver_vs_scalar_ties =
       let scenario = Option.get (Chaos.Scenario.find (List.nth tie_scenarios sc)) in
       let inj = Chaos.Injector.create ~scenario ~seed ~vips:default_vips ~horizon () in
       let _sw, balancer = Experiments.Common.silkroad ~vips:default_vips () in
-      let d = Harness.Driver.run ~chaos:inj ~balancer ~flows ~updates ~horizon () in
+      let trace = Harness.Packed_trace.compile ~horizon flows in
+      let d = Harness.Driver.run ~chaos:inj ~balancer ~trace ~updates () in
       let r =
-        Harness.Replay.run ~mode:Harness.Replay.Scalar ~make_switch:(make_switch ())
-          ~trace:(Harness.Packed_trace.compile ~horizon flows)
+        Harness.Replay.run ~mode:Harness.Replay.Scalar ~make_switch:(make_switch ()) ~trace
           ~controls:
             (Harness.Replay.controls_of_chaos ~horizon (Chaos.Injector.events inj)
             @ Harness.Replay.controls_of_updates ~horizon updates)

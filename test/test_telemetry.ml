@@ -261,8 +261,9 @@ let driver_constant_memory () =
         })
   in
   let run n =
-    Harness.Driver.run ~probe_interval:0.1 ~balancer:(stub ())
-      ~flows:(flows n) ~updates:[] ~horizon:100. ()
+    Harness.Driver.run ~balancer:(stub ())
+      ~trace:(Harness.Packed_trace.compile ~probe_interval:0.1 ~horizon:100. (flows n))
+      ~updates:[] ()
   in
   let small = run 10 in
   let large = run 1_000 in
@@ -298,7 +299,8 @@ let switch_stats_match_registry () =
       (12., vip, Lb.Balancer.Dip_remove (Netcore.Endpoint.v4 10 0 0 99 20)) ]
   in
   let r =
-    Harness.Driver.run ~balancer:(Silkroad.Switch.balancer sw) ~flows ~updates ~horizon:60. ()
+    Harness.Driver.run ~balancer:(Silkroad.Switch.balancer sw)
+      ~trace:(Harness.Packed_trace.compile ~horizon:60. flows) ~updates ()
   in
   let stats = Silkroad.Switch.stats sw in
   let reg = Silkroad.Switch.metrics sw in
@@ -364,7 +366,10 @@ let driver_latency_agrees_with_exact () =
           bytes_per_sec = 100.;
         })
   in
-  let r = Harness.Driver.run ~balancer:b ~flows ~updates:[] ~horizon:200. () in
+  let r =
+    Harness.Driver.run ~balancer:b
+      ~trace:(Harness.Packed_trace.compile ~horizon:200. flows) ~updates:[] ()
+  in
   (* median probe is ASIC-handled: the fixed sub-microsecond latency *)
   check Alcotest.bool "median is asic latency within 5%" true
     (Float.abs (r.Harness.Driver.latency_median -. Harness.Driver.asic_latency)
