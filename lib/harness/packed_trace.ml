@@ -43,9 +43,6 @@ let coarse_max = 2048
 
 (* at least this many packets a coarse bucket on average *)
 let coarse_fill = 64
-
-(* a bucket this short is insertion-sorted without a fine pass *)
-let insertion_max = 16
 let fine_max = 64
 
 (* The bucket of time [t] among [last + 1] buckets spanning [lo, lo +.
@@ -82,8 +79,8 @@ let n_digits = 6
 (* Stable LSD radix sort of [payload] by [keys] (equal lengths, keys
    >= 0), one digit a pass; returns the sorted pair of arrays, which
    may be the inputs reused. One histogram pass counts every digit at
-   once, and a digit every key shares is skipped. Each pass is a stable
-   counting scatter, so equal keys keep their input order. *)
+   once. Each pass is a stable counting scatter, so equal keys keep
+   their input order. *)
 let radix_sort keys payload =
   let n = Array.length keys in
   let counts = Array.make (n_digits * radix) 0 in
@@ -98,56 +95,46 @@ let radix_sort keys payload =
   let dst_k = ref (Array.make n 0) and dst_p = ref (Array.make n 0) in
   for d = 0 to n_digits - 1 do
     let base = d * radix and shift = d * digit_bits in
-    if n > 0 && counts.(base + ((keys.(0) lsr shift) land (radix - 1))) < n then begin
-      (* bucket counts -> first output slot of each bucket *)
-      let pos = ref 0 in
-      for b = base to base + radix - 1 do
-        let c = counts.(b) in
-        counts.(b) <- !pos;
-        pos := !pos + c
-      done;
-      let sk = !src_k and sp = !src_p and dk = !dst_k and dp = !dst_p in
-      for j = 0 to n - 1 do
-        let k = Array.unsafe_get sk j in
-        let b = base + ((k lsr shift) land (radix - 1)) in
-        let at = Array.unsafe_get counts b in
-        Array.unsafe_set dk at k;
-        Array.unsafe_set dp at (Array.unsafe_get sp j);
-        Array.unsafe_set counts b (at + 1)
-      done;
-      src_k := dk;
-      src_p := dp;
-      dst_k := sk;
-      dst_p := sp
-    end
+    (* bucket counts -> first output slot of each bucket *)
+    let pos = ref 0 in
+    for b = base to base + radix - 1 do
+      let c = counts.(b) in
+      counts.(b) <- !pos;
+      pos := !pos + c
+    done;
+    let sk = !src_k and sp = !src_p and dk = !dst_k and dp = !dst_p in
+    for j = 0 to n - 1 do
+      let k = Array.unsafe_get sk j in
+      let b = base + ((k lsr shift) land (radix - 1)) in
+      let at = Array.unsafe_get counts b in
+      Array.unsafe_set dk at k;
+      Array.unsafe_set dp at (Array.unsafe_get sp j);
+      Array.unsafe_set counts b (at + 1)
+    done;
+    src_k := dk;
+    src_p := dp;
+    dst_k := sk;
+    dst_p := sp
   done;
   (!src_k, !src_p)
 
 (* Sort [a, b) of the pair by radix, through an index permutation so
-   that the float times move unchanged (-0.0 included). A run of equal
-   times (flows opened at one instant) is already in order. *)
+   that the float times move unchanged (-0.0 included). *)
 let radix_slice (times : float array) (payload : int array) a b =
-  let i = ref (a + 1) in
-  while !i < b && times.(!i) = times.(a) do
-    incr i
-  done;
-  if !i < b then begin
-    let m = b - a in
-    let keys = Array.init m (fun i -> Int64.to_int (Int64.bits_of_float times.(a + i))) in
-    let _, order = radix_sort keys (Array.init m Fun.id) in
-    let ts = Array.sub times a m and ps = Array.sub payload a m in
-    for i = 0 to m - 1 do
-      times.(a + i) <- ts.(order.(i));
-      payload.(a + i) <- ps.(order.(i))
-    done
-  end
+  let m = b - a in
+  let keys = Array.init m (fun i -> Int64.to_int (Int64.bits_of_float times.(a + i))) in
+  let _, order = radix_sort keys (Array.init m Fun.id) in
+  let ts = Array.sub times a m and ps = Array.sub payload a m in
+  for i = 0 to m - 1 do
+    times.(a + i) <- ts.(order.(i));
+    payload.(a + i) <- ps.(order.(i))
+  done
 
 (* Sort [a, b) of the pair in place, stably, through the scratch [st],
    [sp] (at least [b - a] long) and [cnt] (one longer). *)
 let sort_slice (times : float array) (payload : int array) ~(st : float array) ~sp ~cnt a b =
   let m = b - a in
-  if m <= insertion_max then insertion_sort times payload a b
-  else begin
+  if m > 1 then begin
     let lo = ref times.(a) and hi = ref times.(a) in
     for i = a + 1 to b - 1 do
       let t = Array.unsafe_get times i in
@@ -243,7 +230,7 @@ let sort_buckets s =
       widest := Int.max !widest (e - !start);
       start := e)
     s.cursor;
-  let w = if !widest > insertion_max then !widest else 0 in
+  let w = !widest in
   let st = Array.make w 0. and sp = Array.make w 0 and cnt = Array.make (w + 1) 0 in
   let start = ref 0 in
   Array.iter
