@@ -39,7 +39,7 @@
       options the program all passes is itself a warning.
       Options of a value only tests use are [surface.unused-export]'s
       to judge, and members of a functor's result, such as
-      [Asic.Cuckoo.Make]'s [create ?max_bfs_nodes], are out of reach:
+      [Asic.Cuckoo.Make]'s [create ?digest_bits], are out of reach:
       the rule reads only plain nested signatures.
     - [surface.no-cmt] ({e error}): some source file under those
       directories has no typed tree. [dune build @all] writes none for

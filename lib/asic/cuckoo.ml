@@ -48,6 +48,10 @@ let digest_mask = (1 lsl value_shift) - 1
 let max_value = digest_mask
 let[@inline] value_of word = word lsr value_shift
 
+(* Expansions one eviction-chain BFS may make before the insert reports
+   the table full. *)
+let max_bfs_nodes = 4096
+
 module Make (Key : KEY) = struct
   type key = Key.t
 
@@ -70,7 +74,6 @@ module Make (Key : KEY) = struct
     seed : int;
     digest_bits : int option;
     exact_mode : bool;
-    max_bfs_nodes : int;
     n_stages : int;
     n_rows : int;
     n_ways : int;
@@ -92,8 +95,7 @@ module Make (Key : KEY) = struct
     mutable placement_filter : (Key.t -> stage:int -> row:int -> bool) option;
   }
 
-  let create ?(seed = 0xc0c0) ?digest_bits ?(max_bfs_nodes = 4096) ~stages ~rows_per_stage
-      ~ways () =
+  let create ?(seed = 0xc0c0) ?digest_bits ~stages ~rows_per_stage ~ways () =
     assert (stages >= 2);
     assert (rows_per_stage > 0);
     assert (ways >= 1);
@@ -104,7 +106,6 @@ module Make (Key : KEY) = struct
       seed;
       digest_bits;
       exact_mode = digest_bits = None;
-      max_bfs_nodes;
       n_stages = stages;
       n_rows = rows_per_stage;
       n_ways = ways;
@@ -160,7 +161,7 @@ module Make (Key : KEY) = struct
     if Array.length t.visited = 0 then begin
       let arena_cap =
         Int.min (capacity t)
-          ((t.n_stages * t.n_ways) + (t.max_bfs_nodes * (t.n_stages - 1) * t.n_ways))
+          ((t.n_stages * t.n_ways) + (max_bfs_nodes * (t.n_stages - 1) * t.n_ways))
       in
       t.q_slot <- Array.make arena_cap 0;
       t.q_parent <- Array.make arena_cap (-1);
@@ -382,7 +383,7 @@ module Make (Key : KEY) = struct
     let expanded = ref 0 in
     let result =
       try
-        while !head < !tail && !expanded < t.max_bfs_nodes do
+        while !head < !tail && !expanded < max_bfs_nodes do
           let node = !head in
           incr head;
           incr expanded;

@@ -68,14 +68,14 @@ module Make (Key : KEY) : sig
   val create :
     ?seed:int ->
     ?digest_bits:int ->
-    ?max_bfs_nodes:int ->
     stages:int ->
     rows_per_stage:int ->
     ways:int ->
     unit ->
     t
-  (** [max_bfs_nodes] bounds the eviction-chain BFS (default 4096
-      expansions). [digest_bits] must be in [1, 30]. *)
+  (** An insert's eviction-chain BFS makes at most 4096 expansions
+      before it reports the table full. [digest_bits] must be in
+      [1, 30]. *)
 
   val stages : t -> int
   val capacity : t -> int

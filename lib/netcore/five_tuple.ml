@@ -2,7 +2,8 @@ type t = {
   src : Endpoint.t;
   dst : Endpoint.t;
   proto : Protocol.t;
-  pre : int64;
+  pre_hi : int;
+  pre_lo : int;
 }
 
 (* The seed-independent part of every seeded hash of the tuple: folded
@@ -12,7 +13,18 @@ let prehash ~src ~dst ~proto =
   let acc = Endpoint.hash_fold acc dst in
   Hashing.mix64 (Int64.logxor acc (Int64.of_int (Protocol.to_byte proto)))
 
-let make ~src ~dst ~proto = { src; dst; proto; pre = prehash ~src ~dst ~proto }
+(* The fold is stored as its unsigned 32-bit halves, in the tuple's own
+   block: an int64 field would point to a box in another size-class
+   pool, one more cache miss per hash. *)
+let make ~src ~dst ~proto =
+  let pre = prehash ~src ~dst ~proto in
+  {
+    src;
+    dst;
+    proto;
+    pre_hi = Int64.to_int (Int64.shift_right_logical pre 32);
+    pre_lo = Int64.to_int (Int64.logand pre 0xffff_ffffL);
+  }
 
 let compare a b =
   let c = Endpoint.compare a.src b.src in
@@ -22,26 +34,31 @@ let compare a b =
     if c <> 0 then c else Protocol.compare a.proto b.proto
 
 (* Physical equality first: the switch's tables are probed with the very
-   tuple that was stored. Equal tuples have equal [pre], so a [pre]
-   mismatch settles most unequal pairs without walking the endpoints. *)
-let equal a b = a == b || (Int64.equal a.pre b.pre && compare a b = 0)
+   tuple that was stored. Equal tuples have equal folds, so comparing
+   the two halves settles most unequal pairs without walking the
+   endpoints. *)
+let equal a b = a == b || (a.pre_lo = b.pre_lo && a.pre_hi = b.pre_hi && compare a b = 0)
 
-let hash ~seed t = Hashing.seeded ~seed t.pre
+let hash ~seed t =
+  let pre = Int64.logor (Int64.shift_left (Int64.of_int t.pre_hi) 32) (Int64.of_int t.pre_lo) in
+  Hashing.seeded ~seed pre
 
 (* [Hashing.seeded_range]/[seeded_bits] keep the int64 chain inside
    [Hashing]: under [-opaque] nothing is inlined across modules, so
    composing [hash] with [to_range] here would box the result. *)
-let range ~seed t n = Hashing.seeded_range ~seed t.pre n
-let bits ~seed t k = Hashing.seeded_bits ~seed t.pre k
+let range ~seed t n = Hashing.seeded_range ~seed ~hi:t.pre_hi ~lo:t.pre_lo n
+let bits ~seed t k = Hashing.seeded_bits ~seed ~hi:t.pre_hi ~lo:t.pre_lo k
 
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t
 
   let equal = equal
-  let hash t = Int64.to_int t.pre
+
+  (* the fold's low 63 bits: [Int64.to_int] of the int64 fold *)
+  let hash t = (t.pre_hi lsl 32) lor t.pre_lo
 end)
 
 let is_v6 { dst = { ip; _ }; _ } = Ip.is_v6 ip
 
-let pp ppf { src; dst; proto; pre = _ } =
+let pp ppf { src; dst; proto; pre_hi = _; pre_lo = _ } =
   Format.fprintf ppf "%a->%a/%a" Endpoint.pp src Endpoint.pp dst Protocol.pp proto

@@ -2,7 +2,9 @@
    profile compiles every module with [-opaque], so no other module sees
    these bodies and each cross-module call boxes its int64 result.
    [seeded_range]/[seeded_bits] below keep the whole chain in one body,
-   where the Int64 intermediates stay unboxed, and return a plain int. *)
+   where the Int64 intermediates stay unboxed, and return a plain int.
+   They take the key as two immediate halves, so the caller's key needs
+   no int64 box of its own either. *)
 let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
@@ -23,8 +25,9 @@ let[@inline] truncate_bits h k =
   assert (k > 0 && k <= 30);
   Int64.to_int (Int64.logand h (Int64.of_int ((1 lsl k) - 1)))
 
-let seeded_range ~seed x n = to_range (seeded ~seed x) n
-let seeded_bits ~seed x k = truncate_bits (seeded ~seed x) k
+let[@inline] of_halves hi lo = Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
+let seeded_range ~seed ~hi ~lo n = to_range (seeded ~seed (of_halves hi lo)) n
+let seeded_bits ~seed ~hi ~lo k = truncate_bits (seeded ~seed (of_halves hi lo)) k
 
 type family = { seed : int }
 

@@ -26,14 +26,17 @@ val truncate_bits : int64 -> int -> int
 (** [truncate_bits h k] keeps the low [k] bits of [h] (the hardware
     "digest" extraction). [0 < k <= 30]. *)
 
-val seeded_range : seed:int -> int64 -> int -> int
-(** [seeded_range ~seed x n] is [to_range (seeded ~seed x) n], computed
-    without boxing an intermediate: the int64 steps stay inside this
-    module, so callers elsewhere allocate nothing. *)
+val seeded_range : seed:int -> hi:int -> lo:int -> int -> int
+(** [seeded_range ~seed ~hi ~lo n] is [to_range (seeded ~seed x) n] for
+    [x = logor (shift_left hi 32) lo]. Splitting an int64 into its
+    unsigned high and low 32 bits gives halves that rebuild it; [~hi:0]
+    takes any int [i] as [lo] and gives [x = Int64.of_int i]. Computed
+    without boxing anything: the int64 steps stay inside this module,
+    so callers elsewhere allocate nothing. *)
 
-val seeded_bits : seed:int -> int64 -> int -> int
-(** [seeded_bits ~seed x k] is [truncate_bits (seeded ~seed x) k],
-    allocation-free like {!seeded_range}. *)
+val seeded_bits : seed:int -> hi:int -> lo:int -> int -> int
+(** [seeded_bits ~seed ~hi ~lo k] is [truncate_bits (seeded ~seed x) k]
+    for the same [x] as {!seeded_range}, and as allocation-free. *)
 
 type family
 (** A family of independent hash functions [h_0 ... h_{k-1}]. *)

@@ -3,8 +3,9 @@
    after a warm-up pass, under the same build (dune's dev profile, where
    every library is compiled [-opaque]) that the benchmark runs. The
    exact-hit path must allocate nothing: the only allowance is a few
-   words for the probe itself. Two pins read other counters: the words
-   an exact hit leaves to be promoted, and the ConnTable's footprint. *)
+   words for the probe itself. Three pins read other counters: the words
+   an exact hit leaves to be promoted, the ConnTable's footprint and a
+   5-tuple's. *)
 
 let check = Alcotest.check
 let tc = Alcotest.test_case
@@ -356,6 +357,18 @@ let conn_table_footprint () =
     true
     (w <= (footprint_words_per_slot *. float_of_int slots) +. footprint_constant_words)
 
+(* A tuple's own footprint, its endpoints aside: one block, a header
+   and five fields (src, dst, proto and the fold's two immediate
+   halves). Held as an [int64] field, the fold was a pointer to a
+   separate 3-word box that OCaml 5 allocates from another size class
+   than the tuple, so each packet's first hash touched a second cold
+   line: 8 words. *)
+let five_tuple_footprint () =
+  let t = flows.(0) in
+  let words x = Obj.reachable_words (Obj.repr x) in
+  check Alcotest.int "Five_tuple.t words beyond its endpoints" 6
+    (words t - words t.Netcore.Five_tuple.src - words t.Netcore.Five_tuple.dst)
+
 (* The judge every engine calls per packet: a consistent packet, and a
    packet of a flow excused by a logged exclusion, allocate nothing. *)
 let pcc_judge () =
@@ -403,5 +416,6 @@ let suites =
         tc "conn_table insert + remove" `Quick conn_table_insert_remove;
         tc "conn_table repair_collision" `Quick conn_table_repair;
         tc "conn_table footprint" `Quick conn_table_footprint;
+        tc "five_tuple footprint" `Quick five_tuple_footprint;
       ] );
   ]

@@ -116,8 +116,8 @@ module Int_key = struct
   type t = int
 
   let equal = Int.equal
-  let range ~seed x n = Netcore.Hashing.seeded_range ~seed (Int64.of_int x) n
-  let bits ~seed x k = Netcore.Hashing.seeded_bits ~seed (Int64.of_int x) k
+  let range ~seed x n = Netcore.Hashing.seeded_range ~seed ~hi:0 ~lo:x n
+  let bits ~seed x k = Netcore.Hashing.seeded_bits ~seed ~hi:0 ~lo:x k
 end
 
 module IC = Asic.Cuckoo.Make (Int_key)
@@ -304,11 +304,13 @@ let cuckoo_placement_filter_respected () =
 module ICB = Cuckoo_boxed.Make (Int_key)
 
 (* An insert that exhausts the BFS budget must fail cleanly: report
-   table-full after exactly [max_bfs_nodes] expansions and leave the
-   table untouched. *)
+   table-full after exactly the budget's expansions and leave the table
+   untouched. The table is large enough that the search runs out of
+   budget before it runs out of rows. *)
 let cuckoo_bfs_boundary () =
-  let max_bfs_nodes = 64 in
-  let t = IC.create ~stages:2 ~rows_per_stage:512 ~ways:4 ~max_bfs_nodes () in
+  (* [Asic.Cuckoo]'s fixed per-insert BFS budget *)
+  let max_bfs_nodes = 4096 in
+  let t = IC.create ~stages:2 ~rows_per_stage:4096 ~ways:4 () in
   let kept = ref [] in
   let failed_expansions = ref None in
   (try
