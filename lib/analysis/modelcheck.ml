@@ -76,7 +76,7 @@ let verify_config ?(use_transit = true) ~cpu_rate ~learn_timeout () =
 (* ----- regimes ----- *)
 
 (* All three keep worst-case CPU backlog well under
-   Switch.barrier_deadline, so shipped semantics never force-releases a
+   Update_job.barrier_deadline, so shipped semantics never force-releases a
    barrier inside the scope (asserted by check_scope). *)
 let rg_fast = { rg_name = "fast"; cpu_rate = 200.; learn_timeout = 0.01; gap = 0.25 }
 let rg_medium = { rg_name = "medium"; cpu_rate = 8.; learn_timeout = 0.1; gap = 0.25 }
@@ -230,12 +230,12 @@ let flags_of ~esyn ~eends =
 (* The Eager_version_gc mutation, realized in the checker: when an
    update completes, drop the old version's remaining references until
    DIPPoolTable destroys it, although connections still use it. *)
-let release_old_version (r : Sw.update_report) =
-  if r.Sw.ur_outcome = `Completed && r.Sw.ur_old_version <> r.Sw.ur_new_version then begin
-    let vs = r.Sw.ur_vip.Silkroad.Vip_table.pools in
-    let old = Silkroad.Dip_pool_table.lookup vs r.Sw.ur_old_version in
+let release_old_version (r : Silkroad.Update_job.report) =
+  if r.ur_outcome = `Completed && r.ur_old_version <> r.ur_new_version then begin
+    let vs = r.ur_vip.Silkroad.Vip_table.pools in
+    let old = Silkroad.Dip_pool_table.lookup vs r.ur_old_version in
     for _ = 1 to old.Silkroad.Dip_pool_table.refs do
-      Silkroad.Dip_pool_table.release vs old ~current:r.Sw.ur_new_version
+      Silkroad.Dip_pool_table.release vs old ~current:r.ur_new_version
     done
   end
 
@@ -281,7 +281,7 @@ let trace_of ~vip ~flows events =
 let run_switch ~cfg ~eager_gc ~flows ~removed ~events =
   let sw = Sw.create ~check:`Off cfg in
   Sw.add_vip sw model_vip (pool_full ());
-  if eager_gc then Sw.on_update_done sw release_old_version;
+  if eager_gc then Silkroad.Update_job.on_done (Sw.jobs sw) release_old_version;
   let sh = Stepper.make_shared ~trace:(trace_of ~vip:model_vip ~flows events) ~shards:1 in
   let st = Stepper.create sh ~shard:0 ~batched:false sw in
   let step (t, ev) =
@@ -388,16 +388,18 @@ let regime_config ?(use_transit = true) rg =
   verify_config ~use_transit ~cpu_rate:rg.cpu_rate ~learn_timeout:rg.learn_timeout ()
 
 
-(* The stuck regime force-releases barriers by design, and the switch
-   logs a warning for each; enumeration runs with the switch's log
-   source at Error so the report is not buried. *)
+(* The stuck regime force-releases barriers by design, and the update
+   job logs a warning for each; enumeration runs with the switch's and
+   the update job's log sources at Error so the report is not buried. *)
 let quietly f =
-  match List.find_opt (fun s -> Logs.Src.name s = "silkroad.switch") (Logs.Src.list ()) with
-  | None -> f ()
-  | Some src ->
-    let level = Logs.Src.level src in
-    Logs.Src.set_level src (Some Logs.Error);
-    Fun.protect ~finally:(fun () -> Logs.Src.set_level src level) f
+  let srcs =
+    List.filter
+      (fun s -> List.mem (Logs.Src.name s) [ "silkroad.switch"; "silkroad.update_job" ])
+      (Logs.Src.list ())
+  in
+  let levels = List.map Logs.Src.level srcs in
+  List.iter (fun src -> Logs.Src.set_level src (Some Logs.Error)) srcs;
+  Fun.protect ~finally:(fun () -> List.iter2 Logs.Src.set_level srcs levels) f
 
 let check_scope ?mutation scope =
   quietly @@ fun () ->

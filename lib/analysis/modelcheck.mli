@@ -66,12 +66,12 @@ type mutation =
       (** step 1 records nothing ([use_transit = false]) — Figure 16's
           ablation; updates apply instantly, unprotected *)
   | Barrier_force_release
-      (** the [Switch.barrier_deadline] liveness valve fires while the
+      (** the {!Silkroad.Update_job.barrier_deadline} liveness valve fires while the
           switch CPU is still installing the pending connection (the
           [stuck] regime: 10 s per install against the 5 s deadline) *)
   | Eager_version_gc
       (** when an update completes, the checker's
-          {!Silkroad.Switch.on_update_done} hook releases the old
+          {!Silkroad.Update_job.on_done} hook releases the old
           version's remaining references through
           {!Silkroad.Dip_pool_table.release} until it is destroyed while
           connections still use it — must trip the recycle property *)
@@ -117,7 +117,7 @@ val check_scope : ?mutation:mutation -> scope -> outcome
 (** Exhaust one scope. Without [?mutation], shipped semantics: the
     expectation is [oc_violating = 0], [oc_recycled = 0] and
     [oc_forced = 0] (the scope's regimes keep all delays under
-    {!Silkroad.Switch.barrier_deadline}). *)
+    {!Silkroad.Update_job.barrier_deadline}). *)
 
 val mutation_scope : mutation -> scope
 [@@silkroad.allow "surface.unused-export: test_verify hunts each mutation in its own scope"]

@@ -35,6 +35,7 @@ type t = {
 }
 
 let switch0 t = t.switches.(0)
+let jobs t = Silkroad.Switch.jobs (switch0 t)
 
 (* Population counts span 1 .. bloom bits, far beyond the latency
    histogram's default range. *)
@@ -83,7 +84,7 @@ let create ?(cfg = Silkroad.Config.default) ?(shards = 1) ?(vips = []) ?trace ()
       watches = [];
     }
   in
-  Silkroad.Switch.on_update_done (switch0 t) (fun (r : Silkroad.Switch.update_report) ->
+  Silkroad.Update_job.on_done (jobs t) (fun r ->
       Telemetry.Histogram.observe t.h_apply (r.ur_finished -. r.ur_requested);
       match r.ur_outcome with
       | `Completed when r.ur_old_version <> r.ur_new_version ->
@@ -95,7 +96,7 @@ let now t = t.now
 let drained t = t.phase <> Running
 let closed t = t.phase = Closed
 let switches t = Array.copy t.switches
-let pending_updates t = Silkroad.Switch.pending_updates (switch0 t)
+let pending_updates t = Silkroad.Update_job.pending (jobs t)
 
 let counts t =
   Harness.Replay.sum_counts (Array.to_list (Array.map Stepper.counts t.steppers))
@@ -140,7 +141,7 @@ let poll_watches t =
 let observe t =
   poll_watches t;
   Telemetry.Histogram.observe t.h_transit
-    (float_of_int (Asic.Bloom_filter.population (Silkroad.Switch.transit_filter (switch0 t))));
+    (float_of_int (Asic.Bloom_filter.population (Silkroad.Update_job.transit (jobs t))));
   Registry.Gauge.set t.g_pending (float_of_int (pending_updates t))
 
 let member_list t vip = Hashtbl.find_opt t.members vip

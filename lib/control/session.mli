@@ -38,7 +38,7 @@
     [control.commands] (labeled by command), [control.errors],
     [control.duplicates], [control.pending_updates],
     [control.update_apply_seconds] (request-to-finish latency of every
-    3-step update, via {!Silkroad.Switch.on_update_done}),
+    3-step update, via {!Silkroad.Update_job.on_done}),
     [control.version_recycle_seconds] (how long an update's old version
     lingered before DIPPoolTable destroyed it, observed at command
     granularity), and [control.transit_population] (TransitTable Bloom

@@ -39,13 +39,11 @@ let compare a b =
    endpoints. *)
 let equal a b = a == b || (a.pre_lo = b.pre_lo && a.pre_hi = b.pre_hi && compare a b = 0)
 
-let hash ~seed t =
-  let pre = Int64.logor (Int64.shift_left (Int64.of_int t.pre_hi) 32) (Int64.of_int t.pre_lo) in
-  Hashing.seeded ~seed pre
-
-(* [Hashing.seeded_range]/[seeded_bits] keep the int64 chain inside
-   [Hashing]: under [-opaque] nothing is inlined across modules, so
-   composing [hash] with [to_range] here would box the result. *)
+(* [Hashing.seeded_halves]/[seeded_range]/[seeded_bits] keep the int64
+   chain inside [Hashing]: under [-opaque] nothing is inlined across
+   modules, so rebuilding the fold here would box it as an argument,
+   and composing [hash] with [to_range] would box the result. *)
+let hash ~seed t = Hashing.seeded_halves ~seed ~hi:t.pre_hi ~lo:t.pre_lo
 let range ~seed t n = Hashing.seeded_range ~seed ~hi:t.pre_hi ~lo:t.pre_lo n
 let bits ~seed t k = Hashing.seeded_bits ~seed ~hi:t.pre_hi ~lo:t.pre_lo k
 

@@ -28,6 +28,7 @@ let[@inline] truncate_bits h k =
 let[@inline] of_halves hi lo = Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
 let seeded_range ~seed ~hi ~lo n = to_range (seeded ~seed (of_halves hi lo)) n
 let seeded_bits ~seed ~hi ~lo k = truncate_bits (seeded ~seed (of_halves hi lo)) k
+let seeded_halves ~seed ~hi ~lo = seeded ~seed (of_halves hi lo)
 
 type family = { seed : int }
 

@@ -38,6 +38,11 @@ val seeded_bits : seed:int -> hi:int -> lo:int -> int -> int
 (** [seeded_bits ~seed ~hi ~lo k] is [truncate_bits (seeded ~seed x) k]
     for the same [x] as {!seeded_range}, and as allocation-free. *)
 
+val seeded_halves : seed:int -> hi:int -> lo:int -> int64
+(** [seeded_halves ~seed ~hi ~lo] is [seeded ~seed x] for the same [x]
+    as {!seeded_range}. The key is never boxed; the result's box is the
+    call's only allocation. *)
+
 type family
 (** A family of independent hash functions [h_0 ... h_{k-1}]. *)
 

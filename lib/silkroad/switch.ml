@@ -29,16 +29,6 @@ let[@inline] time_bits now = Int64.to_int (Int64.bits_of_float now)
 let[@inline] last_seen st =
   Int64.float_of_bits (Int64.logand (Int64.of_int st.last_seen_bits) Int64.max_int)
 
-type update_report = {
-  ur_vip : Vip_table.entry;
-  ur_update : Lb.Balancer.update;
-  ur_requested : float;
-  ur_finished : float;
-  ur_old_version : int;
-  ur_new_version : int;
-  ur_outcome : [ `Completed | `Failed ];
-}
-
 (* CPU work names connections by record. A record destroyed while its
    work queued resolves through [flows] by its tuple ([live]), which may
    find a newer connection on the same 5-tuple. *)
@@ -70,12 +60,20 @@ type stats = {
   forced_transitions : int;
 }
 
+(* the pending connections: exactly the tracked flows neither inserted
+   nor ended, the only ones a §4.3 step-1 barrier can wait on. A flow
+   joins when its state is created and leaves for good when either flag
+   is set, so an update costs what is pending, not what is tracked. A
+   dense vector: each record keeps its slot, and leaving is a
+   swap-remove. *)
+type pending = { mutable vec : conn_state array; mutable len : int }
+
 type t = {
   cfg : Config.t;
   conns : Conn_table.t;
   pools : Dip_pool_table.t;
   vips : Vip_table.t;
-  transit : Asic.Bloom_filter.t;
+  jobs : Update_job.t;  (** the VIPs' §4.3 update jobs and the TransitTable *)
   learning : conn_state Asic.Learning_filter.t;
   cpu : Asic.Switch_cpu.t;
   (* completion times are monotone (FIFO CPU), so a plain queue works *)
@@ -88,22 +86,11 @@ type t = {
   overflow : (conn_state * int) Queue.t;
   mutable overflow_inflight : bool;
   flows : conn_state Ftbl.t;
-  (* the pending connections: exactly the tracked flows neither
-     inserted nor ended, the only ones a §4.3 step-1 barrier can wait
-     on. A flow joins when its state is created and leaves for good
-     when either flag is set, so an update costs what is pending, not
-     what is tracked. A dense vector: each record keeps its slot, and
-     leaving is a swap-remove. *)
-  mutable pending : conn_state array;
-  mutable pending_len : int;
+  pending : pending;
   (* lazy idle-timeout timers: one wheel entry per live tracked
      connection, verified against last_seen on expiry; the record keeps
      its own position *)
   aging : conn_state Asic.Timer_wheel.t;
-  (* serve-mode observer: called once per update job as it completes or
-     aborts, with virtual request/finish times and the version flip *)
-  mutable update_hook : (update_report -> unit) option;
-  mutable oldest_started : float;  (** see [refresh_oldest_started] *)
   mutable clock : float;  (** latest time the control plane has seen *)
   (* fast-path side channel: where the last processed packet went.
      [process_flow] returns only the DIP (or [no_dip]); callers that
@@ -121,10 +108,6 @@ type t = {
   c_table_full_drops : Telemetry.Registry.Counter.t;
   c_insert_overflows : Telemetry.Registry.Counter.t;
   c_overflow_retries : Telemetry.Registry.Counter.t;
-  c_updates_completed : Telemetry.Registry.Counter.t;
-  c_updates_failed : Telemetry.Registry.Counter.t;
-  c_transit_clears : Telemetry.Registry.Counter.t;
-  c_forced_transitions : Telemetry.Registry.Counter.t;
   c_metered_drops : Telemetry.Registry.Counter.t;
   c_repairs_completed : Telemetry.Registry.Counter.t;
   c_rerouted_flows : Telemetry.Registry.Counter.t;
@@ -137,12 +120,6 @@ type t = {
 let src = Logs.Src.create "silkroad.switch" ~doc:"SilkRoad switch control plane"
 
 module Log = (val Logs.src_log src : Logs.LOG)
-
-(* Updates stuck behind a barrier member that will never be inserted
-   (e.g. its learning event was dropped and the flow went quiet) are
-   force-released after this many seconds. Counted in [forced_transitions]
-   — always 0 in a healthy configuration. *)
-let barrier_deadline = 5.
 
 (* Insert-overflow queue tuning: a deferred insert is retried at most
    [max_overflow_retries] times, in batches of [overflow_batch], each
@@ -174,14 +151,21 @@ let create ?metrics ?(check = `Warn) cfg =
          | `Warn -> Log.warn (fun m -> m "%s" msg))));
   let reg = match metrics with Some r -> r | None -> Telemetry.Registry.create () in
   let counter = Telemetry.Registry.counter reg in
+  let pools = Dip_pool_table.create ~version_bits:cfg.Config.version_bits ~seed:cfg.Config.seed in
+  let vips = Vip_table.create ~metrics:reg in
+  let pending = { vec = [||]; len = 0 } in
+  let add_pending e waiting =
+    for i = 0 to pending.len - 1 do
+      let st = pending.vec.(i) in
+      if st.cs_vip == e then Ftbl.replace waiting st.cs_flow ()
+    done
+  in
   {
     cfg;
     conns = Conn_table.create ~metrics:reg cfg;
-    pools = Dip_pool_table.create ~version_bits:cfg.Config.version_bits ~seed:cfg.Config.seed;
-    vips = Vip_table.create ~metrics:reg;
-    transit =
-      Asic.Bloom_filter.create ~seed:cfg.Config.seed ~metrics:reg
-        ~bits:(cfg.Config.transit_bytes * 8) ~hashes:cfg.Config.transit_hashes ();
+    pools;
+    vips;
+    jobs = Update_job.create ~metrics:reg cfg vips pools ~add_pending;
     learning =
       Asic.Learning_filter.create ~metrics:reg ~capacity:cfg.Config.learning_capacity
         ~timeout:cfg.Config.learning_timeout ();
@@ -192,14 +176,11 @@ let create ?metrics ?(check = `Warn) cfg =
     overflow = Queue.create ();
     overflow_inflight = false;
     flows = Ftbl.create 4096;
-    pending = [||];
-    pending_len = 0;
+    pending;
     aging =
       Asic.Timer_wheel.create
         ~set_pos:(fun st pos -> st.age_pos <- pos)
         ~granularity:(cfg.Config.idle_timeout /. 4.) ~slots:16 ();
-    update_hook = None;
-    oldest_started = infinity;
     clock = 0.;
     last_location = Lb.Balancer.Asic;
     metrics = reg;
@@ -211,10 +192,6 @@ let create ?metrics ?(check = `Warn) cfg =
     c_table_full_drops = counter "switch.table_full_drops";
     c_insert_overflows = counter "switch.insert_overflows";
     c_overflow_retries = counter "switch.overflow_retries";
-    c_updates_completed = counter "switch.updates_completed";
-    c_updates_failed = counter "switch.updates_failed";
-    c_transit_clears = counter "switch.transit_clears";
-    c_forced_transitions = counter "switch.forced_transitions";
     c_metered_drops = counter "switch.metered_drops";
     c_repairs_completed = counter "switch.repairs_completed";
     c_rerouted_flows = counter "switch.rerouted_flows";
@@ -230,140 +207,18 @@ let add_vip t vip pool =
 
 let has_vip t vip = Vip_table.mem t.vips vip
 
-let flow_hash t flow = Netcore.Five_tuple.hash ~seed:(t.cfg.Config.seed lxor 0x7a17) flow
-
-(* ----- update job state machine ----- *)
-
-let clear_transit_if_idle t =
-  if Vip_table.updating_count t.vips = 0 && Asic.Bloom_filter.population t.transit > 0 then begin
-    Asic.Bloom_filter.clear t.transit;
-    Telemetry.Registry.Counter.incr t.c_transit_clears
-  end
-
-(* the earliest [started] among the VIPs' active jobs, [infinity] with
-   none: [advance] scans the VIPs for an overdue barrier only once this
-   one is overdue. Refreshed whenever a job starts or ends. *)
-let refresh_oldest_started t =
-  let oldest = ref infinity in
-  Vip_table.iter_jobs (fun _ job -> oldest := Float.min job.started !oldest) t.vips;
-  t.oldest_started <- !oldest
-
-let report t ~now (e : Vip_table.entry) (job : Vip_table.job) ~old_version outcome =
-  match t.update_hook with
-  | Some f ->
-    f
-      {
-        ur_vip = e;
-        ur_update = job.update;
-        ur_requested = job.requested;
-        ur_finished = now;
-        ur_old_version = old_version;
-        ur_new_version = e.current;
-        ur_outcome = outcome;
-      }
-  | None -> ()
-
-let rec start_next_queued t ~now (e : Vip_table.entry) =
-  match Queue.take_opt e.queued with
-  | None -> ()
-  | Some (requested, u) -> start_job t ~now ~requested e u
-
-and finish_job t ~now (e : Vip_table.entry) ~old_version (job : Vip_table.job) =
-  Log.debug (fun m ->
-      m "update %a on %a finished at %.6f (t_req %.6f)" Lb.Balancer.pp_update job.update
-        Netcore.Endpoint.pp e.vip now job.started);
-  Vip_table.finish t.vips e;
-  refresh_oldest_started t;
-  Telemetry.Registry.Counter.incr t.c_updates_completed;
-  (* per-VIP scope: update churn is the figure-2 axis, so keep it
-     attributable *)
-  Telemetry.Registry.Counter.incr (Lazy.force e.completed);
-  Dip_pool_table.gc e.pools ~current:e.current;
-  clear_transit_if_idle t;
-  report t ~now e job ~old_version `Completed;
-  start_next_queued t ~now e
-
-and execute_job t ~now (e : Vip_table.entry) (job : Vip_table.job) =
-  let current = e.current in
-  match Dip_pool_table.publish t.pools e.pools ~current job.update with
-  | Ok new_version ->
-    Vip_table.execute e ~new_version;
-    check_job_transition t ~now e
-  | Error ((`Versions_exhausted | `Bad_update _) as err) ->
-    Log.warn (fun m ->
-        m "update %a on %a aborted: %s" Lb.Balancer.pp_update job.update Netcore.Endpoint.pp
-          e.vip
-          (match err with
-           | `Versions_exhausted -> "version numbers exhausted"
-           | `Bad_update msg -> msg));
-    Vip_table.cancel_recording t.vips e;
-    refresh_oldest_started t;
-    Telemetry.Registry.Counter.incr t.c_updates_failed;
-    clear_transit_if_idle t;
-    report t ~now e job ~old_version:current `Failed;
-    start_next_queued t ~now e
-
-(* the next step of [e]'s job, once nothing gates it *)
-and check_job_transition t ~now (e : Vip_table.entry) =
-  match e.phase with
-  | Vip_table.Recording job when Ftbl.length job.waiting = 0 -> execute_job t ~now e job
-  | Vip_table.Dual { old_version; job } when Ftbl.length job.waiting = 0 ->
-    finish_job t ~now e ~old_version job
-  | Vip_table.Idle | Vip_table.Recording _ | Vip_table.Dual _ -> ()
-
-and start_job t ~now ~requested (e : Vip_table.entry) update =
-  let job =
-    {
-      Vip_table.update;
-      requested;
-      started = now;
-      waiting = Ftbl.create 64;
-      recorded = Ftbl.create 64;
-    }
-  in
-  Vip_table.start_recording t.vips e job;
-  (* step 1 barrier: every connection of this VIP that arrived before
-     the request but is not yet in ConnTable and has not ended — the
-     pending set filtered by VIP. That includes a flow parked on the
-     overflow queue, or left stateless after its retries ran out: it
-     gates the barrier until it is inserted, fails an insert again,
-     ends, expires, or the deadline force-releases it. Without a TransitTable there is
-     nothing to wait for — the update executes immediately and pending
-     connections are left unprotected (Figure 16's ablation). *)
-  if t.cfg.Config.use_transit then
-    for i = 0 to t.pending_len - 1 do
-      let st = t.pending.(i) in
-      if st.cs_vip == e then Ftbl.replace job.waiting st.cs_flow ()
-    done;
-  refresh_oldest_started t;
-  check_job_transition t ~now e
-
-(* a pending connection of [e] was installed (or abandoned): release
-   any barrier waiting on it. In [Dual], [waiting] is [recorded] itself,
-   so membership is read before the removal. *)
-let barrier_resolved t ~now (e : Vip_table.entry) flow =
-  match e.phase with
-  | Vip_table.Idle -> ()
-  | Vip_table.Recording job | Vip_table.Dual { job; _ } ->
-    let gating = Ftbl.mem job.waiting flow in
-    Ftbl.remove job.recorded flow;
-    if gating then begin
-      Ftbl.remove job.waiting flow;
-      check_job_transition t ~now e
-    end
-
 (* ----- connection state bookkeeping ----- *)
 
 (* [Array.append] doubles the vector: an [Array.make] too big for the
    minor heap whose filler is young (a record just created) forces a
    minor collection first *)
-let add_pending t st =
-  let n = t.pending_len in
-  if n = Array.length t.pending then
-    t.pending <- (if n = 0 then Array.make 64 st else Array.append t.pending t.pending);
-  t.pending.(n) <- st;
+let add_pending p st =
+  let n = p.len in
+  if n = Array.length p.vec then
+    p.vec <- (if n = 0 then Array.make 64 st else Array.append p.vec p.vec);
+  p.vec.(n) <- st;
   st.pend_pos <- n;
-  t.pending_len <- n + 1
+  p.len <- n + 1
 
 (* a new connection's state: tracked, aging, holding its version, and
    pending until it is inserted or ends. [flow] has no state yet, so
@@ -385,7 +240,7 @@ let track t ~now flow e pool =
     }
   in
   Ftbl.add t.flows flow st;
-  add_pending t st;
+  add_pending t.pending st;
   Asic.Timer_wheel.schedule t.aging ~key:st ~at:(now +. t.cfg.Config.idle_timeout);
   Dip_pool_table.retain pool;
   st
@@ -395,13 +250,14 @@ let track t ~now flow e pool =
 let settle t st =
   let i = st.pend_pos in
   if i >= 0 then begin
-    let last = t.pending_len - 1 in
-    let moved = t.pending.(last) in
-    t.pending.(i) <- moved;
+    let p = t.pending in
+    let last = p.len - 1 in
+    let moved = p.vec.(last) in
+    p.vec.(i) <- moved;
     moved.pend_pos <- i;
     (* the vacated cell must not keep a settled record reachable *)
-    t.pending.(last) <- t.pending.(0);
-    t.pending_len <- last;
+    p.vec.(last) <- p.vec.(0);
+    p.len <- last;
     st.pend_pos <- -1
   end
 
@@ -416,7 +272,7 @@ let destroy_state t (st : conn_state) =
    installed, any step-1 barrier it held, then its state *)
 let teardown t ~now (st : conn_state) =
   if st.inserted then ignore (Conn_table.remove t.conns st.cs_flow);
-  barrier_resolved t ~now st.cs_vip st.cs_flow;
+  Update_job.resolved t.jobs ~now st.cs_vip st.cs_flow;
   destroy_state t st
 
 (* the state CPU work queued for [st] now acts on: [st] itself, or, once
@@ -474,7 +330,7 @@ let rec complete_cpu_work t ~now =
                     end;
                     (* stays a pending connection; must not gate updates *)
                     st.inserted <- false);
-                 barrier_resolved t ~now st.cs_vip st.cs_flow
+                 Update_job.resolved t.jobs ~now st.cs_vip st.cs_flow
                end)
            batch
        | Delete st ->
@@ -486,7 +342,7 @@ let rec complete_cpu_work t ~now =
             ()
           | st ->
             ignore (Conn_table.remove t.conns st.cs_flow);
-            barrier_resolved t ~now st.cs_vip st.cs_flow;
+            Update_job.resolved t.jobs ~now st.cs_vip st.cs_flow;
             destroy_state t st
           | exception Not_found -> ignore (Conn_table.remove t.conns st.cs_flow))
        | Repairs n ->
@@ -512,7 +368,7 @@ let rec complete_cpu_work t ~now =
                    st.inserted <- true;
                    settle t st;
                    st.in_pipeline <- false;
-                   barrier_resolved t ~now st.cs_vip st.cs_flow
+                   Update_job.resolved t.jobs ~now st.cs_vip st.cs_flow
                  | Error `Full ->
                    if attempts < max_overflow_retries && Queue.length t.overflow < overflow_cap
                    then Queue.add (st, attempts + 1) t.overflow
@@ -521,7 +377,7 @@ let rec complete_cpu_work t ~now =
                         paper's §7 overflow outcome *)
                      st.in_pipeline <- false;
                      Telemetry.Registry.Counter.incr t.c_table_full_drops;
-                     barrier_resolved t ~now st.cs_vip st.cs_flow;
+                     Update_job.resolved t.jobs ~now st.cs_vip st.cs_flow;
                      Log.warn (fun m ->
                          m "ConnTable full (%.1f%%) after %d insert attempts: connection left \
                             stateless"
@@ -585,23 +441,6 @@ let rec expire_all t ~now = function
 
 let expire_idle t ~now = expire_all t ~now (Asic.Timer_wheel.advance t.aging ~now)
 
-let release_stuck_barriers t ~now =
-  let released = ref [] in
-  Vip_table.iter_jobs
-    (fun e job ->
-      if now -. job.started > barrier_deadline && Ftbl.length job.waiting > 0 then begin
-        Telemetry.Registry.Counter.incr t.c_forced_transitions;
-        Log.warn (fun m ->
-            m "update barrier on %a stuck for %.1fs: force-releasing %d pending connections"
-              Netcore.Endpoint.pp e.vip (now -. job.started) (Ftbl.length job.waiting));
-        Ftbl.reset job.waiting;
-        released := e :: !released
-      end)
-    t.vips;
-  (* the transitions run once the walk is over: they may end jobs and
-     start queued ones *)
-  List.iter (fun e -> check_job_transition t ~now e) (List.rev !released)
-
 (* due learning batches first: their completions may already be due.
    The bool probe keeps this per-packet loop off the GC; the deadline,
    a boxed float, is read only when a drain fires. *)
@@ -620,7 +459,7 @@ let advance t ~now =
     complete_cpu_work t ~now;
     schedule_overflow_retries t ~now;
     expire_idle t ~now;
-    if now -. t.oldest_started > barrier_deadline then release_stuck_barriers t ~now;
+    Update_job.advance t.jobs ~now;
     Telemetry.Registry.Gauge.set_int t.g_tracked_flows (Ftbl.length t.flows)
   end
 
@@ -665,42 +504,11 @@ let learn t ~now (st : conn_state) =
     | `Dropped -> Telemetry.Registry.Counter.incr t.c_learning_drops
   end
 
-(* the version VIPTable + TransitTable assign to a ConnTable miss,
-   encoded allocation-free as [(version lsl 2) lor how] with [how]:
-   0 = plain, 1 = recorded, 2 = cpu-checked *)
-let how_plain = 0
-let how_recorded = 1
-let how_cpu_checked = 2
-
-let version_for_miss_code t flow (e : Vip_table.entry) ~syn =
-  match e.phase with
-  | Vip_table.Idle -> (e.current lsl 2) lor how_plain
-  | Vip_table.Recording _ ->
-    (* step 1: old pool, and remember the connection *)
-    if t.cfg.Config.use_transit then Asic.Bloom_filter.add t.transit (flow_hash t flow);
-    (e.current lsl 2) lor how_recorded
-  | Vip_table.Dual { old_version; _ } ->
-    if t.cfg.Config.use_transit && Asic.Bloom_filter.mem t.transit (flow_hash t flow) then
-      if syn then
-        (* a SYN cannot be a pending connection: redirect to software,
-           which confirms it is new and uses the new version (§4.3) *)
-        (e.current lsl 2) lor how_cpu_checked
-      else (old_version lsl 2) lor how_plain
-    else (e.current lsl 2) lor how_plain
-
-(* step 1 remembers the connection in its VIP's job, to gate step 3 *)
-let record (e : Vip_table.entry) flow =
-  match e.phase with
-  | Vip_table.Recording job -> Ftbl.replace job.recorded flow ()
-  | Vip_table.Idle | Vip_table.Dual _ -> ()
-
+(* VIPTable + TransitTable assign the version. The software slow path
+   (a CPU-checked miss) knows the connection's true version; the
+   hardware fast path forwards with the freshly computed one — if that
+   differs from the connection's own, that is exactly a PCC hazard. *)
 let handle_miss t ~now ~ends flow e ~syn =
-  let code = version_for_miss_code t flow e ~syn in
-  let version = code lsr 2 in
-  let how = code land 3 in
-  let location =
-    if how = how_cpu_checked then Lb.Balancer.Switch_cpu else Lb.Balancer.Asic
-  in
   (* find + exception: pending flows take this path on every packet, and
      find_opt's [Some] box was visible in the replay allocation counters *)
   match Ftbl.find t.flows flow with
@@ -711,52 +519,44 @@ let handle_miss t ~now ~ends flow e ~syn =
       st.ended <- true;
       settle t st
     end;
-    if how = how_recorded && not st.inserted then record e flow;
+    let code = Update_job.miss t.jobs flow e ~syn ~record:(not st.inserted) in
     learn t ~now st;
-    (* the software slow path knows the connection's true version; the
-       hardware fast path forwards with the freshly computed one — if
-       that differs from the connection's own, that is exactly a PCC
-       hazard *)
-    let version = if how = how_cpu_checked then st.cs_pool.version else version in
-    forward t e ~version flow ~location
+    if code land 1 = 1 then
+      forward t e ~version:st.cs_pool.version flow ~location:Lb.Balancer.Switch_cpu
+    else forward t e ~version:(code lsr 1) flow ~location:Lb.Balancer.Asic
   | exception Not_found ->
-    if ends then
-      (* first-and-last packet: nothing worth learning *)
-      forward t e ~version flow ~location
-    else begin
-      let st = track t ~now flow e (Dip_pool_table.lookup e.pools version) in
-      if how = how_recorded then record e flow;
-      learn t ~now st;
-      forward t e ~version flow ~location
-    end
+    let code = Update_job.miss t.jobs flow e ~syn ~record:(not ends) in
+    let version = code lsr 1 in
+    (* a first-and-last packet has nothing worth learning *)
+    if not ends then learn t ~now (track t ~now flow e (Dip_pool_table.lookup e.pools version));
+    forward t e ~version flow
+      ~location:(if code land 1 = 1 then Lb.Balancer.Switch_cpu else Lb.Balancer.Asic)
 
 (* a SYN falsely hit an existing entry: the switch CPU repairs the
    digest collision and installs the newcomer's own entry (§4.2) *)
 let handle_false_hit_syn t ~now flow e =
-  let code = version_for_miss_code t flow e ~syn:true in
-  let version = code lsr 2 in
-  begin
-    let st =
-      match Ftbl.find_opt t.flows flow with
-      | Some st ->
-        st.last_seen_bits <- time_bits now;
-        st
-      | None -> track t ~now flow e (Dip_pool_table.lookup e.pools version)
-    in
-    let version = st.cs_pool.version in
-    (* the repair itself is applied synchronously below, but its CPU time
-       goes through the shared FIFO so the backlog it causes is visible in
-       the queue-delay histogram and accounted at completion *)
-    let done_at = Asic.Switch_cpu.submit t.cpu ~now ~work_items:3 in
-    Queue.add (done_at, Repairs 1) t.cpu_done;
-    (match Conn_table.repair_collision t.conns flow ~version with
-     | Ok () ->
-       st.inserted <- true;
-       settle t st;
-       barrier_resolved t ~now e flow
-     | Error `Full -> Telemetry.Registry.Counter.incr t.c_table_full_drops);
-    forward t e ~version flow ~location:Lb.Balancer.Switch_cpu
-  end
+  (* in step 1 the miss marks the flow in the TransitTable, tracked or not *)
+  let version = Update_job.miss t.jobs flow e ~syn:true ~record:false lsr 1 in
+  let st =
+    match Ftbl.find_opt t.flows flow with
+    | Some st ->
+      st.last_seen_bits <- time_bits now;
+      st
+    | None -> track t ~now flow e (Dip_pool_table.lookup e.pools version)
+  in
+  let version = st.cs_pool.version in
+  (* the repair itself is applied synchronously below, but its CPU time
+     goes through the shared FIFO so the backlog it causes is visible in
+     the queue-delay histogram and accounted at completion *)
+  let done_at = Asic.Switch_cpu.submit t.cpu ~now ~work_items:3 in
+  Queue.add (done_at, Repairs 1) t.cpu_done;
+  (match Conn_table.repair_collision t.conns flow ~version with
+   | Ok () ->
+     st.inserted <- true;
+     settle t st;
+     Update_job.resolved t.jobs ~now e flow
+   | Error `Full -> Telemetry.Registry.Counter.incr t.c_table_full_drops);
+  forward t e ~version flow ~location:Lb.Balancer.Switch_cpu
 
 (* Allocation-free packet path: returns the chosen DIP, or the
    physically-unique [no_dip] sentinel on a drop (compare with [==]);
@@ -835,21 +635,21 @@ let process_batch t ~times ~tuples ~pkt_flow ~pkt_flags ~flags_of_byte ~payload_
 
 let request_update t ~now ~vip update =
   advance t ~now;
-  let e =
-    match Vip_table.find t.vips vip with
-    | e -> e
-    | exception Not_found -> invalid_arg "Switch.request_update: unknown VIP"
+  match Vip_table.find t.vips vip with
+  | e -> Update_job.request t.jobs ~now e update
+  | exception Not_found -> invalid_arg "Switch.request_update: unknown VIP"
+
+(* tear down every tracked connection [select flow st] picks: ConnTable
+   entries, aging timers, version refcounts and step-1 barriers all go
+   through the same path a deletion takes. Returns how many. *)
+let teardown_where t ~now select =
+  let doomed =
+    Ftbl.fold
+      (fun flow (st : conn_state) acc -> if select flow st then st :: acc else acc)
+      t.flows []
   in
-  match e.phase with
-  | Vip_table.Idle -> start_job t ~now ~requested:now e update
-  | Vip_table.Recording _ | Vip_table.Dual _ -> Queue.add (now, update) e.queued
-
-let on_update_done t f = t.update_hook <- Some f
-
-let pending_updates t =
-  let n = ref 0 in
-  Vip_table.iter_jobs (fun e _ -> n := !n + 1 + Queue.length e.queued) t.vips;
-  !n
+  List.iter (teardown t ~now) doomed;
+  List.length doomed
 
 let remove_vip t vip =
   let e =
@@ -862,16 +662,8 @@ let remove_vip t vip =
    | Vip_table.Idle -> ()
    | Vip_table.Recording _ | Vip_table.Dual _ ->
      invalid_arg "Switch.remove_vip: update in progress");
-  (* tear down tracked connections: ConnTable entries, aging timers and
-     version refcounts all go through the same path a deletion takes *)
-  let doomed =
-    Ftbl.fold
-      (fun _ (st : conn_state) acc ->
-        if st.cs_vip == e then st :: acc else acc)
-      t.flows []
-  in
   (* an idle VIP holds no barrier, so the clock [teardown] reads is moot *)
-  List.iter (teardown t ~now:t.clock) doomed;
+  ignore (teardown_where t ~now:t.clock (fun _ st -> st.cs_vip == e));
   Vip_table.remove t.vips e;
   Dip_pool_table.remove_vip t.pools vip
 
@@ -894,24 +686,18 @@ let forget_flows t ~now select =
      holding — is torn down exactly as a deletion would. The flows
      themselves are still alive; they will reappear as unknown
      connections wherever ECMP sends them next. *)
-  let doomed =
-    Ftbl.fold
-      (fun flow (st : conn_state) acc -> if select flow st.cs_vip.vip then st :: acc else acc)
-      t.flows []
-  in
-  List.iter (teardown t ~now) doomed;
-  let n = List.length doomed in
+  let n = teardown_where t ~now (fun flow st -> select flow st.cs_vip.vip) in
   Telemetry.Registry.Counter.add t.c_rerouted_flows n;
   n
 
 let set_meter t ~vip ~cir ~cbs ~eir ~ebs =
   match Vip_table.find t.vips vip with
-  | e -> Vip_table.set_meter e (Some (Asic.Meter.create ~cir ~cbs ~eir ~ebs))
+  | e -> e.meter <- Some (Asic.Meter.create ~cir ~cbs ~eir ~ebs)
   | exception Not_found -> invalid_arg "Switch.set_meter: unknown VIP"
 
 let clear_meter t ~vip =
   match Vip_table.find t.vips vip with
-  | e -> Vip_table.set_meter e None
+  | e -> e.meter <- None
   | exception Not_found -> ()
 
 let metered_drops t = Telemetry.Registry.Counter.value t.c_metered_drops
@@ -936,6 +722,7 @@ let balancer t =
 
 let stats t =
   let v = Telemetry.Registry.Counter.value in
+  let c = Telemetry.Registry.counter_value t.metrics in
   {
     asic_packets = v t.c_asic_packets;
     cpu_packets = v t.c_cpu_packets;
@@ -947,17 +734,17 @@ let stats t =
     table_full_drops = v t.c_table_full_drops;
     insert_overflows = v t.c_insert_overflows;
     overflow_retries = v t.c_overflow_retries;
-    updates_completed = v t.c_updates_completed;
-    updates_failed = v t.c_updates_failed;
-    transit_clears = v t.c_transit_clears;
-    forced_transitions = v t.c_forced_transitions;
+    updates_completed = c "switch.updates_completed";
+    updates_failed = c "switch.updates_failed";
+    transit_clears = c "switch.transit_clears";
+    forced_transitions = c "switch.forced_transitions";
   }
 
 let connections t = Conn_table.size t.conns
 let conn_table t = t.conns
 let pools t = t.pools
 let vip_table t = t.vips
-let transit_filter t = t.transit
+let jobs t = t.jobs
 
 let memory_bits t =
   let vip_entry_bits vip = (Netcore.Endpoint.size_bytes vip * 8) + t.cfg.Config.version_bits in
@@ -967,7 +754,7 @@ let memory_bits t =
     !acc
   in
   Conn_table.sram_bits t.conns + Dip_pool_table.sram_bits t.pools + vip_bits
-  + Asic.Bloom_filter.bits t.transit
+  + Asic.Bloom_filter.bits (Update_job.transit t.jobs)
 
 let check_invariants t =
   let problems = ref [] in
@@ -1006,14 +793,14 @@ let check_invariants t =
     (fun flow (st : conn_state) ->
       if (not st.inserted) && not st.ended then begin
         incr pending;
-        if st.pend_pos < 0 || st.pend_pos >= t.pending_len || t.pending.(st.pend_pos) != st then
+        if st.pend_pos < 0 || st.pend_pos >= t.pending.len || t.pending.vec.(st.pend_pos) != st then
           bad "pending connection %a missing from the pending vector" Netcore.Five_tuple.pp flow
       end)
     t.flows;
-  if t.pending_len <> !pending then
-    bad "pending vector holds %d flows for %d pending connections" t.pending_len !pending;
-  for i = 0 to t.pending_len - 1 do
-    let st = t.pending.(i) in
+  if t.pending.len <> !pending then
+    bad "pending vector holds %d flows for %d pending connections" t.pending.len !pending;
+  for i = 0 to t.pending.len - 1 do
+    let st = t.pending.vec.(i) in
     if st.pend_pos <> i then
       bad "pending vector slot %d holds %a, which records slot %d" i Netcore.Five_tuple.pp
         st.cs_flow st.pend_pos;
@@ -1044,19 +831,8 @@ let check_invariants t =
   if Conn_table.size t.conns > Ftbl.length t.flows then
     bad "ConnTable holds %d entries for %d tracked connections" (Conn_table.size t.conns)
       (Ftbl.length t.flows);
-  (* VIP phases and current versions *)
-  Vip_table.iter
-    (fun (e : Vip_table.entry) ->
-      if not (Dip_pool_table.allocated e.pools e.current) then
-        bad "current version %d of %a not in DIPPoolTable" e.current Netcore.Endpoint.pp e.vip;
-      match e.phase with
-      | Vip_table.Idle when not (Queue.is_empty e.queued) ->
-        bad "%a: %d updates queued on an idle VIP" Netcore.Endpoint.pp e.vip
-          (Queue.length e.queued)
-      | Vip_table.Idle | Vip_table.Recording _ | Vip_table.Dual _ -> ())
-    t.vips;
   (* the accumulators above iterate hash tables: sort so a violation
      report reads the same regardless of table layout *)
-  match List.sort String.compare !problems with
+  match List.sort String.compare (Update_job.check t.jobs @ !problems) with
   | [] -> Ok ()
   | l -> Error l

@@ -8,24 +8,17 @@
     in DIPPoolTable. On a false hit, a SYN is redirected to the switch
     CPU for collision repair; a non-SYN packet is (wrongly) forwarded by
     the matched entry — the rare digest-false-positive cost §4.2
-    quantifies. On a miss, VIPTable supplies the version: the current
-    one when the VIP is idle or its update is still pending (step 1,
-    with the connection also recorded in the TransitTable Bloom filter),
-    or — after the update executed (step 2) — the old version when the
-    Bloom filter remembers the connection and the new one otherwise.
-    Misses raise a learning event so the switch CPU can install the
-    entry.
+    quantifies. On a miss, VIPTable and the TransitTable supply the
+    version, as the VIP's update job ({!Update_job}) has them. Misses
+    raise a learning event so the switch CPU can install the entry.
 
     {2 Control plane (switch CPU)}
 
     Learning events batch in the learning filter (capacity/timeout) and
     are inserted into ConnTable at the CPU's bounded rate; connection
     teardown (FIN/RST) and idle expiry delete entries and release their
-    version's refcount. A DIP-pool update runs the 3-step protocol:
-    step 1 waits for every connection that arrived before the request to
-    be inserted; step 2 executes the update on VIPTable; step 3 finishes
-    when every connection recorded during step 1 is inserted, then
-    clears the Bloom filter (once no VIP is updating).
+    version's refcount. A DIP-pool update runs {!Update_job}'s 3-step
+    protocol, whose barriers wait on the connections not yet inserted.
 
     Time is supplied by the caller ([now]), so the switch composes with
     the discrete-event harness. *)
@@ -65,14 +58,6 @@ val advance : t -> now:float -> unit
 (** Run the control plane up to [now]: drain due learning batches,
     complete due insertions/deletions, progress update jobs, expire idle
     entries. *)
-
-val barrier_deadline : float
-[@@silkroad.allow "surface.unused-export: test_silkroad advances past the deadline to force a barrier release"]
-(** Liveness valve on the §4.3 step-1/step-3 barriers: an update stuck
-    waiting longer than this (seconds of virtual time) is force-released
-    and counted under [forced_transitions]. Exposed so a timing regime
-    can be set against it: {!Analysis.Modelcheck}'s [stuck] regime
-    installs slower than the deadline to race it. *)
 
 val process : t -> now:float -> Netcore.Packet.t -> Lb.Balancer.outcome
 (** Forward one packet (implies [advance]). *)
@@ -137,31 +122,6 @@ val remove_vip : t -> Netcore.Endpoint.t -> unit
     VIP are dropped. Raises [Invalid_argument] when the VIP is unknown
     or has an active or queued update. *)
 
-(** {2 Control-plane observation (serve mode)} *)
-
-type update_report = {
-  ur_vip : Vip_table.entry;  (** the VIP's record *)
-  ur_update : Lb.Balancer.update;
-  ur_requested : float;  (** when {!request_update} accepted it *)
-  ur_finished : float;  (** when the job completed or aborted *)
-  ur_old_version : int;  (** version current when the update executed *)
-  ur_new_version : int;  (** version current after the flip *)
-  ur_outcome : [ `Completed | `Failed ];
-}
-(** One 3-step update job's life, as virtual times: [ur_finished -.
-    ur_requested] is the request-to-finish apply latency including any
-    per-VIP queue wait. A [`Failed] job reports [ur_old_version =
-    ur_new_version]. *)
-
-val on_update_done : t -> (update_report -> unit) -> unit
-(** Install the (single) update observer. The serve-mode control plane
-    uses it to feed the [control.update_apply_seconds] histogram and to
-    watch old versions drain for version-recycle latency. *)
-
-val pending_updates : t -> int
-(** Active update jobs plus queued updates — the control-path backlog a
-    [drain] waits out. *)
-
 val forget_flows : t -> now:float -> (Netcore.Five_tuple.t -> Netcore.Endpoint.t -> bool) -> int
 (** Drop every tracked connection [select flow vip] chooses, as an
     upstream re-route to another switch would: the ConnTable entry,
@@ -224,7 +184,9 @@ val connections : t -> int
 val conn_table : t -> Conn_table.t
 val pools : t -> Dip_pool_table.t
 val vip_table : t -> Vip_table.t
-val transit_filter : t -> Asic.Bloom_filter.t
+
+val jobs : t -> Update_job.t
+(** The VIPs' update jobs, which own the TransitTable. *)
 
 val memory_bits : t -> int
 (** Data-plane SRAM currently provisioned: ConnTable + DIPPoolTable +
@@ -244,6 +206,5 @@ val check_invariants : t -> (unit, string list) result
     - every tracked connection that has not ended has exactly one
       aging-wheel entry, at the position it records, and every entry
       belongs to a tracked connection;
-    - every VIP's current version is allocated;
-    - a VIP has an active update job iff it is not in phase [Idle].
+    - the VIPs' update state passes {!Update_job.check}.
     Returns the list of violated invariants. *)

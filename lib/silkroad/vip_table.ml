@@ -28,10 +28,9 @@ type entry = {
 type t = {
   entries : entry Netcore.Endpoint.Tbl.t;
   metrics : Telemetry.Registry.t;
-  mutable updating : int;
 }
 
-let create ~metrics = { entries = Netcore.Endpoint.Tbl.create 64; metrics; updating = 0 }
+let create ~metrics = { entries = Netcore.Endpoint.Tbl.create 64; metrics }
 
 let add t vip pools ~version =
   if Netcore.Endpoint.Tbl.mem t.entries vip then invalid_arg "Vip_table.add: VIP exists";
@@ -66,47 +65,5 @@ let current t vip =
   | e -> Some e.current
   | exception Not_found -> None
 
-let start_recording t e job =
-  (match e.phase with
-   | Idle -> ()
-   | Recording _ | Dual _ -> invalid_arg "Vip_table.start_recording: update in progress");
-  e.phase <- Recording job;
-  t.updating <- t.updating + 1
-
-let execute e ~new_version =
-  match e.phase with
-  | Recording job ->
-    (* step 3 waits for the connections recorded during step 1 *)
-    job.waiting <- job.recorded;
-    e.phase <- Dual { old_version = e.current; job };
-    e.current <- new_version
-  | Idle | Dual _ -> invalid_arg "Vip_table.execute: not recording"
-
-let finish t e =
-  (match e.phase with
-   | Dual _ -> ()
-   | Idle | Recording _ -> invalid_arg "Vip_table.finish: not in dual phase");
-  e.phase <- Idle;
-  t.updating <- t.updating - 1
-
-let cancel_recording t e =
-  (match e.phase with
-   | Recording _ -> ()
-   | Idle | Dual _ -> invalid_arg "Vip_table.cancel_recording: not recording");
-  e.phase <- Idle;
-  t.updating <- t.updating - 1
-
-let set_meter e m = e.meter <- m
-
-let remove t e =
-  (match e.phase with
-   | Idle -> ()
-   | Recording _ | Dual _ -> invalid_arg "Vip_table.remove: update in progress");
-  Netcore.Endpoint.Tbl.remove t.entries e.vip
-
-let updating_count t = t.updating
-
+let remove t e = Netcore.Endpoint.Tbl.remove t.entries e.vip
 let iter f t = Netcore.Endpoint.Tbl.iter (fun _ e -> f e) t.entries
-
-let iter_jobs f t =
-  iter (fun e -> match e.phase with Idle -> () | Recording job | Dual { job; _ } -> f e job) t

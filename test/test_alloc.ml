@@ -185,7 +185,8 @@ let advance_update_job_active () =
           Silkroad.Switch.advance sw ~now
         done)
   in
-  check Alcotest.int "the job waits on its barrier" 1 (Silkroad.Switch.pending_updates sw);
+  check Alcotest.int "the job waits on its barrier" 1
+    (Silkroad.Update_job.pending (Silkroad.Switch.jobs sw));
   check_free "Switch.advance, update job active" w
 
 (* One connection's whole life through the switch: its SYN misses and
@@ -269,6 +270,54 @@ let range_and_bits () =
         done)
   in
   check_free "Five_tuple.range and bits" w
+
+(* A 5-tuple's seeded hash, the int64 the TransitTable and netwide
+   routing consume: [Hashing.seeded_halves] takes the tuple's fold as
+   its two immediate halves, so the result's box (3 words) is all a
+   call allocates. Rebuilding the fold as an int64 and passing it to
+   [Hashing.seeded] boxed the argument too: 6 words a call. *)
+let hash_words_per_call = 3.
+
+let five_tuple_hash () =
+  let w =
+    words (fun () ->
+        for i = 0 to calls - 1 do
+          ignore (Netcore.Five_tuple.hash ~seed:i (Array.unsafe_get flows (i mod n_flows)))
+        done)
+  in
+  check Alcotest.bool
+    (Printf.sprintf "Five_tuple.hash: %.0f words for %d calls" w calls)
+    true
+    (w <= (hash_words_per_call *. float_of_int calls) +. slack)
+
+(* The switch that owns a flow on perfbench's netwide fabric (1 Core,
+   2 Agg, 4 ToR): one rendezvous pick per layer, each hashing the tuple
+   once and scoring every live node, then the path list it walks to
+   its last hop. Measured on OCaml 5.1.1: 1,100,400 words for 10,000
+   calls. While [Five_tuple.hash] boxed its int64 argument it read
+   1,190,400: 3 words more for each of the 3 layers' hash. *)
+let owner_words_per_call = 110.04
+
+let route_owner () =
+  let layer layer_name switches sram_budget_bits =
+    { Silkroad.Assignment.layer_name; switches; sram_budget_bits; capacity_gbps = 10_000. }
+  in
+  let topo =
+    Netwide.Topology.build
+      ~layers:[ layer "core" 1 0; layer "agg" 2 0; layer "tor" 4 (50 * 8 * 1024 * 1024) ]
+      ~vips:[ (vip, pool) ] ()
+  in
+  let w =
+    words (fun () ->
+        for i = 0 to calls - 1 do
+          ignore (Netwide.Route.owner topo ~vip (Array.unsafe_get flows (i mod n_flows)))
+        done)
+  in
+  check Alcotest.bool
+    (Printf.sprintf "Netwide.Route.owner: %.0f words for %d calls (%.2f a call)" w calls
+       (w /. float_of_int calls))
+    true
+    (w <= (owner_words_per_call *. float_of_int calls) +. slack)
 
 (* A connection's install and teardown on a low-occupancy ConnTable:
    every row, digest and shadow-index position comes from the tuple's
@@ -412,6 +461,8 @@ let suites =
         tc "one connection's life" `Quick connection_life;
         tc "process_flow metered drop" `Quick metered_drop;
         tc "range and bits" `Quick range_and_bits;
+        tc "five_tuple hash" `Quick five_tuple_hash;
+        tc "route owner" `Quick route_owner;
         tc "pcc judge consistent and excluded" `Quick pcc_judge;
         tc "conn_table insert + remove" `Quick conn_table_insert_remove;
         tc "conn_table repair_collision" `Quick conn_table_repair;

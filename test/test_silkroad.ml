@@ -232,67 +232,109 @@ let dpt_bad_updates () =
     (Dpt.select t (Dpt.lookup vs (v0 + 1)) (flow 1) ~none:Netcore.Endpoint.none
      == Netcore.Endpoint.none)
 
-(* ---------- Vip_table ---------- *)
+(* ---------- Update_job ---------- *)
 
-let vip_entry t ~version =
-  let vs, _ = Result.get_ok (Dpt.add_vip (dpt ()) vip (pool [ 1 ])) in
-  Silkroad.Vip_table.add t vip vs ~version
+module Job = Silkroad.Update_job
 
-let vipt_job () =
-  {
-    Silkroad.Vip_table.update = Lb.Balancer.Dip_add (dip 2);
-    requested = 0.;
-    started = 0.;
-    waiting = Netcore.Five_tuple.Tbl.create 1;
-    recorded = Netcore.Five_tuple.Tbl.create 1;
-  }
+(* one VIP at version 3 (DIP 1) with its update jobs; [held] is the
+   connection pending when an update is requested, so step 1 waits on
+   it. Reports are collected as jobs end. *)
+let job_fixture ~held =
+  let metrics = Telemetry.Registry.create () in
+  let vips = Silkroad.Vip_table.create ~metrics and pools = dpt () in
+  let vs, version = Result.get_ok (Dpt.add_vip pools vip (pool [ 1 ])) in
+  let e = Silkroad.Vip_table.add vips vip vs ~version in
+  let jobs =
+    Job.create ~metrics Silkroad.Config.default vips pools ~add_pending:(fun e' waiting ->
+        if e' == e then Netcore.Five_tuple.Tbl.replace waiting held ())
+  in
+  let reports = ref [] in
+  Job.on_done jobs (fun r -> reports := r :: !reports);
+  (jobs, e, reports)
 
-let vipt_phases () =
-  let t = Silkroad.Vip_table.create ~metrics:(Telemetry.Registry.create ()) in
-  let e = vip_entry t ~version:3 in
-  check (Alcotest.option Alcotest.int) "current" (Some 3) (Silkroad.Vip_table.current t vip);
-  check Alcotest.int "not updating" 0 (Silkroad.Vip_table.updating_count t);
-  let job = vipt_job () in
-  Silkroad.Vip_table.start_recording t e job;
-  check Alcotest.int "updating" 1 (Silkroad.Vip_table.updating_count t);
-  check Alcotest.bool "recording the job" true
-    (match e.Silkroad.Vip_table.phase with
-     | Silkroad.Vip_table.Recording j -> j == job
-     | Silkroad.Vip_table.Idle | Silkroad.Vip_table.Dual _ -> false);
-  Silkroad.Vip_table.execute e ~new_version:5;
-  check (Alcotest.option Alcotest.int) "flipped" (Some 5) (Silkroad.Vip_table.current t vip);
+let check_job jobs = check (Alcotest.list Alcotest.string) "job invariants" [] (Job.check jobs)
+
+let update_job_phases () =
+  let held = flow 0 in
+  let jobs, e, reports = job_fixture ~held in
+  let v0 = e.Silkroad.Vip_table.current in
+  check Alcotest.int "a miss takes the current version" (v0 lsl 1)
+    (Job.miss jobs (flow 1) e ~syn:true ~record:true);
+  Job.request jobs ~now:1. e (Lb.Balancer.Dip_add (dip 2));
+  let job =
+    match e.Silkroad.Vip_table.phase with
+    | Silkroad.Vip_table.Recording j -> j
+    | Silkroad.Vip_table.Idle | Silkroad.Vip_table.Dual _ -> Alcotest.fail "not recording"
+  in
+  check Alcotest.int "one job" 1 (Job.pending jobs);
+  check Alcotest.bool "step 1 waits on the pending connection" true
+    (Netcore.Five_tuple.Tbl.mem job.waiting held);
+  check_job jobs;
+  (* step 1: a new connection takes the old version and is recorded *)
+  check Alcotest.int "step 1 keeps the old version" (v0 lsl 1)
+    (Job.miss jobs (flow 1) e ~syn:true ~record:true);
+  Job.resolved jobs ~now:2. e held;
   (match e.Silkroad.Vip_table.phase with
    | Silkroad.Vip_table.Dual { old_version; job = j } ->
-     check Alcotest.int "old kept" 3 old_version;
+     check Alcotest.int "old kept" v0 old_version;
      check Alcotest.bool "same job" true (j == job);
      check Alcotest.bool "step 3 waits on the step-1 recorded set itself" true
-       (job.waiting == job.recorded)
-   | _ -> Alcotest.fail "not dual");
-  Silkroad.Vip_table.finish t e;
+       (job.waiting == job.recorded);
+     check Alcotest.bool "on the recorded connection" true
+       (Netcore.Five_tuple.Tbl.mem job.waiting (flow 1))
+   | Silkroad.Vip_table.Idle | Silkroad.Vip_table.Recording _ -> Alcotest.fail "not dual");
+  let v1 = e.Silkroad.Vip_table.current in
+  check Alcotest.bool "flipped" true (v1 <> v0);
+  check_job jobs;
+  (* step 2: the recorded connection keeps the old version; a SYN that
+     hits the TransitTable goes to the CPU; a new flow takes the new one *)
+  check Alcotest.int "recorded keeps old" (v0 lsl 1)
+    (Job.miss jobs (flow 1) e ~syn:false ~record:true);
+  check Alcotest.int "a SYN in the TransitTable is CPU-checked" ((v1 lsl 1) lor 1)
+    (Job.miss jobs (flow 1) e ~syn:true ~record:true);
+  check Alcotest.int "new flow takes new" (v1 lsl 1)
+    (Job.miss jobs (flow 2) e ~syn:true ~record:true);
+  Job.resolved jobs ~now:3. e (flow 1);
   check Alcotest.bool "idle" true (e.Silkroad.Vip_table.phase = Silkroad.Vip_table.Idle);
-  check Alcotest.int "not updating anymore" 0 (Silkroad.Vip_table.updating_count t);
-  check Alcotest.bool "found by address" true (Silkroad.Vip_table.find t vip == e)
+  check Alcotest.int "nothing pending" 0 (Job.pending jobs);
+  check_job jobs;
+  match !reports with
+  | [ r ] ->
+    check Alcotest.bool "completed" true (r.Job.ur_outcome = `Completed);
+    check Alcotest.int "old version" v0 r.Job.ur_old_version;
+    check Alcotest.int "new version" v1 r.Job.ur_new_version;
+    check (Alcotest.float 0.) "requested" 1. r.Job.ur_requested;
+    check (Alcotest.float 0.) "finished" 3. r.Job.ur_finished
+  | l -> Alcotest.failf "%d reports" (List.length l)
 
-let vipt_illegal_transitions () =
-  let t = Silkroad.Vip_table.create ~metrics:(Telemetry.Registry.create ()) in
-  let e = vip_entry t ~version:0 in
-  Alcotest.check_raises "execute w/o recording"
-    (Invalid_argument "Vip_table.execute: not recording") (fun () ->
-      Silkroad.Vip_table.execute e ~new_version:1);
-  Alcotest.check_raises "finish w/o dual" (Invalid_argument "Vip_table.finish: not in dual phase")
-    (fun () -> Silkroad.Vip_table.finish t e);
-  Silkroad.Vip_table.start_recording t e (vipt_job ());
-  Alcotest.check_raises "double recording"
-    (Invalid_argument "Vip_table.start_recording: update in progress") (fun () ->
-      Silkroad.Vip_table.start_recording t e (vipt_job ()));
-  Alcotest.check_raises "remove while recording"
-    (Invalid_argument "Vip_table.remove: update in progress") (fun () ->
-      Silkroad.Vip_table.remove t e);
-  Silkroad.Vip_table.cancel_recording t e;
-  check Alcotest.bool "cancelled to idle" true
-    (e.Silkroad.Vip_table.phase = Silkroad.Vip_table.Idle);
-  Silkroad.Vip_table.remove t e;
-  check Alcotest.bool "removed" false (Silkroad.Vip_table.mem t vip)
+(* An update that cannot be published (it removes a DIP the pool does
+   not hold) aborts from step 1 back to Idle, leaving the version, and
+   the update queued behind it starts. *)
+let update_job_cancel () =
+  let held = flow 0 in
+  let jobs, e, reports = job_fixture ~held in
+  let v0 = e.Silkroad.Vip_table.current in
+  Job.request jobs ~now:1. e (Lb.Balancer.Dip_remove (dip 9));
+  Job.request jobs ~now:1.5 e (Lb.Balancer.Dip_add (dip 2));
+  check Alcotest.int "one active, one queued" 2 (Job.pending jobs);
+  check_job jobs;
+  Job.resolved jobs ~now:2. e held;
+  (match !reports with
+   | [ r ] ->
+     check Alcotest.bool "failed" true (r.Job.ur_outcome = `Failed);
+     check Alcotest.int "version left current" v0 r.Job.ur_new_version;
+     check Alcotest.int "old = new" r.Job.ur_old_version r.Job.ur_new_version
+   | l -> Alcotest.failf "%d reports" (List.length l));
+  check Alcotest.int "cancelled, the queued update runs" 1 (Job.pending jobs);
+  check Alcotest.bool "recording the queued update" true
+    (match e.Silkroad.Vip_table.phase with
+     | Silkroad.Vip_table.Recording j -> j.requested = 1.5 && j.started = 2.
+     | Silkroad.Vip_table.Idle | Silkroad.Vip_table.Dual _ -> false);
+  check_job jobs;
+  Job.resolved jobs ~now:3. e held;
+  check Alcotest.bool "idle" true (e.Silkroad.Vip_table.phase = Silkroad.Vip_table.Idle);
+  check Alcotest.int "both reported" 2 (List.length !reports);
+  check_job jobs
 
 (* ---------- Conn_table ---------- *)
 
@@ -797,10 +839,10 @@ let switch_transit_cleared_after_updates () =
   Silkroad.Switch.request_update sw ~now:0.001 ~vip (Lb.Balancer.Dip_add (dip 9));
   ignore (Silkroad.Switch.process sw ~now:0.002 (syn 2));
   check Alcotest.bool "recorded in bloom" true
-    (Asic.Bloom_filter.population (Silkroad.Switch.transit_filter sw) > 0);
+    (Asic.Bloom_filter.population (Silkroad.Update_job.transit (Silkroad.Switch.jobs sw)) > 0);
   Silkroad.Switch.advance sw ~now:1.;
   check Alcotest.int "bloom cleared" 0
-    (Asic.Bloom_filter.population (Silkroad.Switch.transit_filter sw));
+    (Asic.Bloom_filter.population (Silkroad.Update_job.transit (Silkroad.Switch.jobs sw)));
   check Alcotest.bool "clear counted" true
     ((Silkroad.Switch.stats sw).Silkroad.Switch.transit_clears >= 1)
 
@@ -883,7 +925,7 @@ let switch_memory_accounting () =
   check Alcotest.bool "includes conn table" true
     (bits >= Silkroad.Conn_table.sram_bits (Silkroad.Switch.conn_table sw));
   check Alcotest.bool "includes bloom" true
-    (bits >= Asic.Bloom_filter.bits (Silkroad.Switch.transit_filter sw))
+    (bits >= Asic.Bloom_filter.bits (Silkroad.Update_job.transit (Silkroad.Switch.jobs sw)))
 
 (* ---------- Meters / isolation ---------- *)
 
@@ -1010,7 +1052,8 @@ let switch_overflow_gates_later_barrier () =
   let stats () = Silkroad.Switch.stats sw in
   check Alcotest.bool "the table overflowed" true ((stats ()).Silkroad.Switch.insert_overflows > 0);
   Silkroad.Switch.request_update sw ~now:0.1 ~vip (Lb.Balancer.Dip_add (dip 9));
-  check Alcotest.int "held by the queued flows" 1 (Silkroad.Switch.pending_updates sw);
+  check Alcotest.int "held by the queued flows" 1
+    (Silkroad.Update_job.pending (Silkroad.Switch.jobs sw));
   (* one retry batch per control-plane step *)
   List.iter (fun now -> Silkroad.Switch.advance sw ~now) [ 0.2; 0.3; 0.4 ];
   check Alcotest.bool "retries gave up" true ((stats ()).Silkroad.Switch.table_full_drops > 0);
@@ -1018,8 +1061,8 @@ let switch_overflow_gates_later_barrier () =
   Silkroad.Switch.request_update sw ~now:0.5 ~vip (Lb.Balancer.Dip_add (dip 10));
   Silkroad.Switch.advance sw ~now:2.;
   check Alcotest.int "a later update waits on the stateless flows" 1
-    (Silkroad.Switch.pending_updates sw);
-  Silkroad.Switch.advance sw ~now:(0.6 +. Silkroad.Switch.barrier_deadline);
+    (Silkroad.Update_job.pending (Silkroad.Switch.jobs sw));
+  Silkroad.Switch.advance sw ~now:(0.6 +. Silkroad.Update_job.barrier_deadline);
   check Alcotest.int "until force-released" 1 (stats ()).Silkroad.Switch.forced_transitions;
   check Alcotest.int "then completed" 2 (stats ()).Silkroad.Switch.updates_completed;
   check Alcotest.bool "invariants" true (Silkroad.Switch.check_invariants sw = Ok ())
@@ -1171,7 +1214,7 @@ let switch_exhausted_update_with_queue () =
   let sw = Silkroad.Switch.create ~check:`Off cfg in
   Silkroad.Switch.add_vip sw vip (pool [ 1; 2; 3; 4 ]);
   let reports = ref [] in
-  Silkroad.Switch.on_update_done sw (fun r -> reports := r :: !reports);
+  Silkroad.Update_job.on_done (Silkroad.Switch.jobs sw) (fun r -> reports := r :: !reports);
   let invariants what =
     check Alcotest.(result unit (list string)) ("invariants " ^ what) (Ok ())
       (Silkroad.Switch.check_invariants sw)
@@ -1190,22 +1233,22 @@ let switch_exhausted_update_with_queue () =
   step "update C" (fun () ->
       Silkroad.Switch.request_update sw ~now:0.02 ~vip (Lb.Balancer.Dip_add (dip 4)));
   check Alcotest.int "B gated by the second flow, C queued" 2
-    (Silkroad.Switch.pending_updates sw);
+    (Silkroad.Update_job.pending (Silkroad.Switch.jobs sw));
   step "barrier released" (fun () -> Silkroad.Switch.advance sw ~now:0.05);
-  check Alcotest.int "nothing pending" 0 (Silkroad.Switch.pending_updates sw);
+  check Alcotest.int "nothing pending" 0 (Silkroad.Update_job.pending (Silkroad.Switch.jobs sw));
   let s = Silkroad.Switch.stats sw in
   check Alcotest.int "B failed" 1 s.Silkroad.Switch.updates_failed;
   check Alcotest.int "A and C completed" 2 s.Silkroad.Switch.updates_completed;
   match List.rev !reports with
   | [ a; b; c ] ->
-    let outcome (r : Silkroad.Switch.update_report) =
+    let outcome (r : Silkroad.Update_job.report) =
       match r.ur_outcome with `Completed -> "completed" | `Failed -> "failed"
     in
     check Alcotest.(list string) "outcomes" [ "completed"; "failed"; "completed" ]
       (List.map outcome [ a; b; c ]);
     check Alcotest.bool "each names the VIP's record" true
       (List.for_all
-         (fun (r : Silkroad.Switch.update_report) ->
+         (fun (r : Silkroad.Update_job.report) ->
            r.ur_vip == Silkroad.Vip_table.find (Silkroad.Switch.vip_table sw) vip)
          [ a; b; c ]);
     check Alcotest.int "B's old = new" b.ur_old_version b.ur_new_version;
@@ -1226,12 +1269,12 @@ let switch_two_barriers_forced () =
   Silkroad.Switch.request_update sw ~now:0.0002 ~vip (Lb.Balancer.Dip_remove (dip 4));
   Silkroad.Switch.request_update sw ~now:0.0002 ~vip:vip2 (Lb.Balancer.Dip_remove (dip 7));
   Silkroad.Switch.advance sw ~now:5.;
-  check Alcotest.int "both held" 2 (Silkroad.Switch.pending_updates sw);
+  check Alcotest.int "both held" 2 (Silkroad.Update_job.pending (Silkroad.Switch.jobs sw));
   Silkroad.Switch.advance sw ~now:5.5;
   let s = Silkroad.Switch.stats sw in
   check Alcotest.int "both force-released" 2 s.Silkroad.Switch.forced_transitions;
   check Alcotest.int "both completed" 2 s.Silkroad.Switch.updates_completed;
-  check Alcotest.int "nothing pending" 0 (Silkroad.Switch.pending_updates sw);
+  check Alcotest.int "nothing pending" 0 (Silkroad.Update_job.pending (Silkroad.Switch.jobs sw));
   check Alcotest.(result unit (list string)) "invariants" (Ok ())
     (Silkroad.Switch.check_invariants sw);
   Silkroad.Switch.advance sw ~now:11.;
@@ -1549,8 +1592,8 @@ let suites =
         tc "reuse picks the lowest version" `Quick dpt_reuse_picks_lowest;
         tc "reuse of a mid-pool removal" `Quick dpt_reuse_mid_pool;
       ] );
-    ( "silkroad.vip_table",
-      [ tc "phases" `Quick vipt_phases; tc "illegal transitions" `Quick vipt_illegal_transitions ] );
+    ( "silkroad.update_job",
+      [ tc "phases" `Quick update_job_phases; tc "cancel to idle" `Quick update_job_cancel ] );
     ( "silkroad.conn_table",
       [
         tc "insert/lookup" `Quick ct_insert_lookup;
