@@ -1,4 +1,4 @@
-.PHONY: all build test check bench soak lint verify fmt fmt-check clean
+.PHONY: all build test check bench soak lint verify fmt fmt-check clean profile
 
 all: build
 
@@ -39,6 +39,22 @@ bench:
 lint: build
 	dune build @check
 	dune exec bin/silkroad_cli.exe -- lint
+
+# One workload of the repo benchmark under the bench/pcprof sampler
+# (`make profile W=replay-full-table`, SEED defaults to 7011): builds
+# perfbench/benchmark.exe and bench/pcprof/pcprof.so, runs 20
+# repetitions with the sampler preloaded into the benchmark itself
+# (never into a launcher: see bench/pcprof/pcprof.c), and prints the 40
+# symbols that took the most samples. The samples stay in
+# _build/pcprof.<W>.txt for report.py.
+W ?= replay-full-table
+SEED ?= 7011
+profile:
+	dune build ./perfbench/benchmark.exe ./bench/pcprof/pcprof.so
+	LD_PRELOAD=$(CURDIR)/_build/default/bench/pcprof/pcprof.so \
+	  PCPROF_OUT=$(CURDIR)/_build/pcprof.$(W).txt \
+	  _build/default/perfbench/benchmark.exe --workload $(W) --seed $(SEED) --repeat 20
+	python3 bench/pcprof/report.py _build/default/perfbench/benchmark.exe _build/pcprof.$(W).txt 40
 
 # silkroad-verify: the inter-procedural Domain-safety race analysis over
 # the built .cmt trees plus the bounded PCC model checker (exhausts the

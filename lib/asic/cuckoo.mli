@@ -9,13 +9,17 @@
     eviction frontier and then runs a breadth-first search over
     eviction chains to make room ("a sequence of moves").
 
-    Values are ints. This implementation stores the table as two flat
-    parallel arrays: one int word per slot holding the stored digest
+    Values are ints, and so are entries' owners: each entry is stored
+    under a {e handle}, an int the table resolves to the entry's true
+    key through the [key_of] function given to {!Make.create} (the
+    switch software's copy of the key, §4.2). The table is one flat int
+    array with two ints per slot: the word holding the stored digest
     and the value (the digest+version word of §4.2's ConnTable entry),
-    and a lazily-created companion array of true keys for the switch
-    software. A row's [ways] words sit side by side, as the hardware
-    packs them into one SRAM word, and a hit reads its value from the
-    word it matched. The eviction BFS runs in a scratch arena that the
+    and the handle beside it. A row's [ways] slots sit side by side, as
+    the hardware packs them into one SRAM word; a hit reads its value
+    and its handle from the slot it matched, and the true key through
+    the handle. The table holds no pointer, and its array is allocated
+    by the first insert. The eviction BFS runs in a scratch arena that the
     first insert reaching the BFS allocates and later ones reuse, so
     inserts allocate nothing and a table that never needs the BFS
     never holds the arena. The test suite keeps the original per-slot
@@ -24,13 +28,14 @@
 
     Two matching modes are supported:
 
-    - {b exact}: the full key is stored and compared — no false hits;
+    - {b exact}: the full key (through the handle) is compared — no false hits;
     - {b digest} ([digest_bits = Some b]): only a per-stage [b]-bit hash
       digest of the key is stored and compared, the compression at the
       heart of SilkRoad's ConnTable (§4.2). Lookups can then falsely hit
       an entry whose digest collides; software-side functions
       ({!Make.find_exact}, {!Make.remove}, {!Make.relocate}) always use
-      the true key, which the switch software keeps in its shadow copy.
+      the true key or the handle, which the switch software keeps in
+      its shadow copy.
 
     The table never resizes: when the BFS cannot free a slot the insert
     fails with [`Full], which is exactly the "ConnTable is full" overflow
@@ -61,21 +66,25 @@ module Make (Key : KEY) : sig
   type hit = {
     stage : int;  (** stage of the matching entry *)
     exact : bool;  (** false when the hit is a digest false positive *)
-    key : key;  (** the true key of the matched entry *)
+    handle : int;  (** the matched entry's handle *)
     value : int;
   }
 
   val create :
     ?seed:int ->
     ?digest_bits:int ->
+    key_of:(int -> key) ->
     stages:int ->
     rows_per_stage:int ->
     ways:int ->
     unit ->
     t
-  (** An insert's eviction-chain BFS makes at most 4096 expansions
-      before it reports the table full. [digest_bits] must be in
-      [1, 30]. *)
+  (** [key_of h] is the true key of the entry stored under handle [h];
+      the table calls it for every true-key comparison and whenever an
+      insert moves an entry (to hash the key for its new stage), so it
+      must answer for every handle in the table. An insert's
+      eviction-chain BFS makes at most 4096 expansions before it
+      reports the table full. [digest_bits] must be in [1, 30]. *)
 
   val stages : t -> int
   val capacity : t -> int
@@ -91,6 +100,7 @@ module Make (Key : KEY) : sig
     mutable probe_hit : bool;
     mutable probe_exact : bool;
     mutable probe_value : int;
+    mutable probe_handle : int;
   }
   (** Caller-owned result buffer for {!lookup_pos_into}: the replay fast
       path reuses one per table instead of allocating a hit record per
@@ -124,21 +134,24 @@ module Make (Key : KEY) : sig
 
   val mem_exact : t -> key -> bool
 
+  val handle_of : t -> key -> int
+  (** The handle of the entry whose true key is [key], or [-1]. *)
+
   val insert :
-    ?forbid_stages:int list -> t -> key -> int -> (int, [ `Full | `Duplicate ]) result
-  (** [insert t k v] places [k] with value [v], which must be in
-      [[0, 2^31)] (it shares the slot's word with the digest; raises
-      [Invalid_argument] otherwise), evicting residents as needed — first a
-      greedy depth-1 kick pass, then the BFS over eviction chains;
-      [Ok moves] reports how many existing entries were moved.
-      [forbid_stages] restricts only where [k] itself lands (entries
-      displaced along the eviction chain may go anywhere). [`Duplicate]
-      if [k] is already present. *)
+    ?forbid_stages:int list -> t -> int -> int -> (int, [ `Full | `Duplicate ]) result
+  (** [insert t h v] places an entry for handle [h] ([>= 0]; its key is
+      [key_of h]) with value [v], which must be in [[0, 2^31)] (it
+      shares the slot's word with the digest; raises [Invalid_argument]
+      otherwise), evicting residents as needed — first a greedy depth-1
+      kick pass, then the BFS over eviction chains; [Ok moves] reports
+      how many existing entries were moved. [forbid_stages] restricts
+      only where [h] itself lands (entries displaced along the eviction
+      chain may go anywhere). [`Duplicate] if [h] already has an entry. *)
 
-  val remove : t -> key -> bool
-  (** Remove by true key. Returns false when absent. *)
+  val remove : t -> int -> bool
+  (** Remove handle [h]'s entry. Returns false when absent. *)
 
-  val relocate : t -> key -> forbid_stages:int list -> (int, [ `Full | `Not_found ]) result
+  val relocate : t -> int -> forbid_stages:int list -> (int, [ `Full | `Not_found ]) result
   (** Move an existing entry so that it no longer occupies any of
       [forbid_stages]. Used to repair digest false positives (§4.2):
       the colliding resident entry is migrated to another stage, whose
@@ -165,8 +178,11 @@ module Make (Key : KEY) : sig
       switch software maintain a shadow index of which table positions
       each tracked connection would match. *)
 
-  val set_placement_filter : t -> (key -> stage:int -> row:int -> bool) option -> unit
-  (** Software veto over entry placement: when set, an entry for [key]
+  val iter : t -> (int -> int -> unit) -> unit
+  (** [iter t f] calls [f handle value] for every entry, in slot order. *)
+
+  val set_placement_filter : t -> (int -> stage:int -> row:int -> bool) option -> unit
+  (** Software veto over entry placement: when set, handle [h]'s entry
       may only be placed (by insertion, eviction moves or relocation) in
       a row where the filter returns [true]. Used to refuse positions
       that would make an existing connection falsely match the new

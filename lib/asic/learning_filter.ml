@@ -74,3 +74,8 @@ let drain t =
   Netcore.Five_tuple.Tbl.reset t.keys;
   Telemetry.Registry.Gauge.set_int t.g_pending 0;
   !events
+
+let iter t f =
+  for i = 0 to t.len - 1 do
+    f t.payloads.(i)
+  done

@@ -12,7 +12,7 @@
 
     Events are deduplicated by connection 5-tuple (hashed on its cached
     [pre], {!Netcore.Five_tuple.Tbl}) and carry a payload ['m]: the
-    switch passes its per-connection record, so the CPU batch needs no
+    switch passes its connection's handle, so the CPU batch needs no
     second lookup by tuple. Time is the simulator's float seconds. *)
 
 type 'm t
@@ -47,3 +47,6 @@ val due : _ t -> now:float -> bool
 val drain : 'm t -> 'm list
 (** Hand every pending event's payload to the CPU, oldest first, and
     empty the filter. *)
+
+val iter : 'm t -> ('m -> unit) -> unit
+(** Every pending event's payload, oldest first, without draining. *)

@@ -19,7 +19,7 @@ let cuckoo_geometry ~quick ppf =
   let rows = if quick then 1024 else 8192 in
   List.iter
     (fun (stages, ways) ->
-      let t = Int_cuckoo.create ~stages ~rows_per_stage:(rows / stages) ~ways () in
+      let t = Int_cuckoo.create ~key_of:Fun.id ~stages ~rows_per_stage:(rows / stages) ~ways () in
       let cap = Int_cuckoo.capacity t in
       let filled = ref 0 in
       (try

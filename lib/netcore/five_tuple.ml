@@ -44,6 +44,8 @@ let equal a b = a == b || (a.pre_lo = b.pre_lo && a.pre_hi = b.pre_hi && compare
    modules, so rebuilding the fold here would box it as an argument,
    and composing [hash] with [to_range] would box the result. *)
 let hash ~seed t = Hashing.seeded_halves ~seed ~hi:t.pre_hi ~lo:t.pre_lo
+let hash_hi ~seed t = Hashing.seeded_hi ~seed ~hi:t.pre_hi ~lo:t.pre_lo
+let hash_lo ~seed t = Hashing.seeded_lo ~seed ~hi:t.pre_hi ~lo:t.pre_lo
 let range ~seed t n = Hashing.seeded_range ~seed ~hi:t.pre_hi ~lo:t.pre_lo n
 let bits ~seed t k = Hashing.seeded_bits ~seed ~hi:t.pre_hi ~lo:t.pre_lo k
 

@@ -32,6 +32,13 @@ val hash : seed:int -> t -> int64
     functions (cuckoo stages, Bloom indices, ECMP selection each use
     their own seed). *)
 
+val hash_hi : seed:int -> t -> int
+(** The unsigned high 32 bits of {!hash}, as an int; allocation-free. *)
+
+val hash_lo : seed:int -> t -> int
+(** The unsigned low 32 bits of {!hash}: with {!hash_hi}, the key
+    {!Asic.Bloom_filter.add_halves} takes without an int64 box. *)
+
 val range : seed:int -> t -> int -> int
 (** [range ~seed t n] is [Hashing.to_range (hash ~seed t) n], without
     allocating. *)

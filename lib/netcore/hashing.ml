@@ -30,8 +30,22 @@ let seeded_range ~seed ~hi ~lo n = to_range (seeded ~seed (of_halves hi lo)) n
 let seeded_bits ~seed ~hi ~lo k = truncate_bits (seeded ~seed (of_halves hi lo)) k
 let seeded_halves ~seed ~hi ~lo = seeded ~seed (of_halves hi lo)
 
+let seeded_hi ~seed ~hi ~lo =
+  Int64.to_int (Int64.shift_right_logical (seeded ~seed (of_halves hi lo)) 32)
+
+let seeded_lo ~seed ~hi ~lo = Int64.to_int (Int64.logand (seeded ~seed (of_halves hi lo)) 0xffff_ffffL)
+
+let seeded_above ~seed ~hi ~lo ~a ~b =
+  let h = seeded ~seed (of_halves hi lo) in
+  Int64.unsigned_compare (seeded ~seed:a h) (seeded ~seed:b h) > 0
+
 type family = { seed : int }
 
 let family ~seed = { seed }
 
-let apply { seed } i x = seeded ~seed:(seed * 1013 + i * 7919 + 17) x
+let[@inline] member_seed seed i = (seed * 1013) + (i * 7919) + 17
+let apply { seed } i x = seeded ~seed:(member_seed seed i) x
+
+(* [apply]'s chain in this body: a call to [apply] would box its int64
+   argument and result *)
+let apply_range { seed } i ~hi ~lo n = to_range (seeded ~seed:(member_seed seed i) (of_halves hi lo)) n

@@ -14,6 +14,7 @@ val mix64 : int64 -> int64
 (** A strong 64-bit finalizer (splitmix64 / murmur3-style avalanche). *)
 
 val seeded : seed:int -> int64 -> int64
+[@@silkroad.allow "surface.unused-export: the int64 reference test_netcore checks seeded_halves, seeded_above and Five_tuple.hash against; the program calls its int-only forms"]
 (** [seeded ~seed x] applies a seed-keyed mix: functions with different
     seeds behave as independent hash functions. *)
 
@@ -43,9 +44,28 @@ val seeded_halves : seed:int -> hi:int -> lo:int -> int64
     as {!seeded_range}. The key is never boxed; the result's box is the
     call's only allocation. *)
 
+val seeded_hi : seed:int -> hi:int -> lo:int -> int
+(** The unsigned high 32 bits of [seeded_halves ~seed ~hi ~lo], as an
+    int: with {!seeded_lo}, the halves that {!apply_range} takes back,
+    so the int64 is never boxed. *)
+
+val seeded_lo : seed:int -> hi:int -> lo:int -> int
+(** The unsigned low 32 bits of [seeded_halves ~seed ~hi ~lo]. *)
+
+val seeded_above : seed:int -> hi:int -> lo:int -> a:int -> b:int -> bool
+(** Whether [seeded ~seed:a h] is above [seeded ~seed:b h] in unsigned
+    64-bit order, for [h = seeded_halves ~seed ~hi ~lo]: rendezvous
+    hashing's comparison of two nodes' scores for one key, with no
+    int64 leaving this module. *)
+
 type family
 (** A family of independent hash functions [h_0 ... h_{k-1}]. *)
 
 val family : seed:int -> family
 val apply : family -> int -> int64 -> int64
+[@@silkroad.allow "surface.unused-export: the int64 reference test_netcore checks apply_range against; the Bloom filter calls apply_range"]
 (** [apply fam i x] is the i-th function of the family applied to [x]. *)
+
+val apply_range : family -> int -> hi:int -> lo:int -> int -> int
+(** [apply_range fam i ~hi ~lo n] is [to_range (apply fam i x) n] for
+    [x] rebuilt from its halves as in {!seeded_range}; allocation-free. *)

@@ -4,39 +4,47 @@
    the property the qcheck suite pins ("an Agg failure changes only
    flows that transited the dead switch"). *)
 
-let score t (n : Topology.node) h =
-  Netcore.Hashing.seeded ~seed:(t.Topology.seed + (n.Topology.node_id * 0x9e3779b1)) h
+(* A node's score for a flow is [Hashing.seeded ~seed:(node_seed t n) h],
+   [h] the flow's [Five_tuple.hash ~seed:t.seed]; [Hashing.seeded_above]
+   compares two of them without boxing an int64. *)
+let node_seed t (n : Topology.node) = t.Topology.seed + (n.Topology.node_id * 0x9e3779b1)
 
-let pick t ~layer flow =
-  let h = Netcore.Five_tuple.hash ~seed:t.Topology.seed flow in
+(* The live node of [layer] with the highest score, or -1: a
+   closure-free loop over the layer's nodes that keeps the best one's
+   index; a tie keeps the earlier node. *)
+let pick_index t ~layer (flow : Netcore.Five_tuple.t) =
   let nodes = t.Topology.layer_nodes.(layer) in
-  let best = ref None in
-  Array.iter
-    (fun (n : Topology.node) ->
-      if n.Topology.up then begin
-        let s = score t n h in
-        match !best with
-        | Some (bs, _) when Int64.unsigned_compare bs s >= 0 -> ()
-        | _ -> best := Some (s, n)
-      end)
-    nodes;
-  Option.map snd !best
+  let best = ref (-1) in
+  for i = 0 to Array.length nodes - 1 do
+    let n = nodes.(i) in
+    if
+      n.Topology.up
+      && (!best < 0
+         || Netcore.Hashing.seeded_above ~seed:t.Topology.seed ~hi:flow.Netcore.Five_tuple.pre_hi
+              ~lo:flow.Netcore.Five_tuple.pre_lo ~a:(node_seed t n) ~b:(node_seed t nodes.(!best)))
+    then best := i
+  done;
+  !best
 
 let path t ~vip flow =
   let dest = Topology.layer_of_vip t vip in
   let rec go layer acc =
     if layer > dest then List.rev acc
     else
-      match pick t ~layer flow with
-      | None -> List.rev acc
-      | Some n -> go (layer + 1) (n :: acc)
+      match pick_index t ~layer flow with
+      | -1 -> List.rev acc
+      | i -> go (layer + 1) (t.Topology.layer_nodes.(layer).(i) :: acc)
   in
   go 0 []
 
-let owner t ~vip flow =
-  let dest = Topology.layer_of_vip t vip in
-  match path t ~vip flow with
-  | [] -> None
-  | hops ->
-    let last = List.nth hops (List.length hops - 1) in
-    if last.Topology.layer_pos = dest then Some last else None
+(* [path]'s last hop when the path reaches [dest]: every layer down to
+   it has a live node, and each layer's pick is independent of the
+   others' *)
+let rec owner_from t ~dest ~layer flow =
+  match pick_index t ~layer flow with
+  | -1 -> None
+  | i ->
+    if layer = dest then t.Topology.owned.(t.Topology.layer_nodes.(layer).(i).Topology.node_id)
+    else owner_from t ~dest ~layer:(layer + 1) flow
+
+let owner t ~vip flow = owner_from t ~dest:(Topology.layer_of_vip t vip) ~layer:0 flow

@@ -14,6 +14,7 @@ type t = {
   placement : Silkroad.Assignment.placement;
   vip_layer : int Netcore.Endpoint.Tbl.t;
   vips : (Netcore.Endpoint.t * Lb.Dip_pool.t) list;
+  owned : node option array;
 }
 
 (* a "mouse" VIP of Feasibility.default_demands: 50 K connections at
@@ -67,7 +68,8 @@ let build ?(seed = 0x7090) ~layers ~vips () =
       | Some pos -> Netcore.Endpoint.Tbl.replace vip_layer vip pos
       | None -> ())
     placement.Silkroad.Assignment.assignment;
-  { seed; layers; layer_nodes; nodes; placement; vip_layer; vips }
+  { seed; layers; layer_nodes; nodes; placement; vip_layer; vips;
+    owned = Array.map Option.some nodes }
 
 let n_nodes t = Array.length t.nodes
 

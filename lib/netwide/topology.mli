@@ -30,6 +30,9 @@ type t = {
   placement : Silkroad.Assignment.placement;
   vip_layer : int Netcore.Endpoint.Tbl.t;  (** VIP → layer position *)
   vips : (Netcore.Endpoint.t * Lb.Dip_pool.t) list;
+  owned : node option array;
+      (** [Some n] for each node, by [node_id]: built once, so
+          {!Route.owner} allocates no option *)
 }
 
 val build :

@@ -1,44 +1,164 @@
 module Ftbl = Netcore.Five_tuple.Tbl
 
-(* One record per connection, and the handle for everything it owns:
-   [flows] maps the tuple to it, and the pending vector, the aging wheel,
-   the learning filter and the CPU batches hold the record itself. A
-   connection's life therefore costs five 5-tuple table operations: the
-   [flows] find on its first packet, the [flows] add and remove, and the
-   learning filter's two dedupe operations. *)
-type conn_state = {
-  cs_flow : Netcore.Five_tuple.t;
-  cs_vip : Vip_table.entry;  (** its VIP's record *)
-  cs_pool : Dip_pool_table.info;  (** the version assigned when it arrived *)
-  mutable inserted : bool;
-  mutable in_pipeline : bool;  (** learning event in the filter or at the CPU *)
-  mutable ended : bool;
-  mutable destroyed : bool;  (** torn down and gone from [flows] *)
-  mutable last_seen_bits : int;  (** the last packet's time, as [time_bits] *)
-  mutable pend_pos : int;  (** slot in the pending vector, or -1 *)
-  mutable age_pos : int;  (** aging-wheel position, or [Timer_wheel.no_pos] *)
+(* Connection state lives in a slab the switch owns: flat columns
+   indexed by an int handle, one handle per connection (its tuple, its
+   VIP's record, its version's record, its flag bits, the last packet's
+   time, its pending-vector slot and its aging-wheel position). [flows]
+   maps a tuple to its handle; the ConnTable stores the handle beside
+   each entry's word, so an exact hit reads its connection through the
+   slot it matched and does no [flows] find; the pending vector, the
+   aging wheel, the learning filter's payload and the CPU work carry
+   handles. Storing a handle is a plain int write, and the GC marks
+   three pointer columns instead of a record per connection and every
+   pointer to it.
+
+   The columns come in chunks of [chunk_size] handles, each column's
+   chunks listed in a directory that starts empty and doubles. Growing
+   adds a chunk and never copies a column: doubling whole columns left
+   each old copy to the GC and raised perfbench replay-full-table's
+   peak RSS by 3.5 MB. The four int fields are one strided column, so a
+   connection's flags and [last_seen], which an exact hit reads and
+   writes, share a cache line. Freed handles are reused from a free
+   list, and a pin count guards each handle that queued work still
+   names ([pin_unit]). *)
+let chunk_bits = 10
+let chunk_size = 1 lsl chunk_bits
+let chunk_mask = chunk_size - 1
+
+type slab = {
+  mutable tuples : Netcore.Five_tuple.t array array;
+  mutable vips : Vip_table.entry array array;  (** its VIP's record *)
+  mutable pools : Dip_pool_table.info array array;
+      (** the version assigned when it arrived *)
+  mutable ints : int array array;
+      (** per handle, four ints: the flag bits below with the pin count
+          above them; the last packet's time, as [time_bits]; the slot
+          in the pending vector, or -1 (on a free handle, the next free
+          handle, or -1); the aging-wheel position, or
+          [Timer_wheel.no_pos] *)
+  mutable used : int;  (** handles [0, used) have been handed out *)
+  mutable free_head : int;  (** a free handle, or -1 *)
 }
+
+let[@inline] cell dir h =
+  Array.unsafe_get (Array.unsafe_get dir (h lsr chunk_bits)) (h land chunk_mask)
+
+let[@inline] tuple s h = cell s.tuples h
+let[@inline] vip s h = cell s.vips h
+let[@inline] pool s h = cell s.pools h
+
+let[@inline] int_at s h k =
+  Array.unsafe_get (Array.unsafe_get s.ints (h lsr chunk_bits)) ((4 * (h land chunk_mask)) + k)
+
+let[@inline] set_int s h k v =
+  Array.unsafe_set (Array.unsafe_get s.ints (h lsr chunk_bits)) ((4 * (h land chunk_mask)) + k) v
+
+let[@inline] flags s h = int_at s h 0
+let[@inline] set_flags s h f = set_int s h 0 f
+let[@inline] seen s h = int_at s h 1
+let[@inline] set_seen s h b = set_int s h 1 b
+let[@inline] pend s h = int_at s h 2
+let[@inline] set_pend s h i = set_int s h 2 i
+let[@inline] age s h = int_at s h 3
+let[@inline] set_age s h pos = set_int s h 3 pos
+
+let inserted = 1
+let in_pipeline = 2  (* learning event in the filter or at the CPU *)
+let ended = 4
+
+(* torn down and gone from [flows], while queued work still names it *)
+let destroyed = 8
+let free = 16
+
+(* The guard that keeps a handle from outliving its connection: each
+   learning event, CPU work item and overflow entry naming a handle
+   pins it, and a destroyed handle returns to the free list only when
+   its last pin goes. Until then its tuple stays, so the work resolves
+   through [flows] by that tuple ([live]), as it did when it held the
+   connection's record, and no reuse of the handle can reach it. *)
+let pin_unit = 32
+
+let[@inline] has s h bit = flags s h land bit <> 0
+let[@inline] set s h bit = set_flags s h (flags s h lor bit)
+let[@inline] unset s h bit = set_flags s h (flags s h land lnot bit)
+let[@inline] pins s h = flags s h / pin_unit
 
 (* A packet time as an int: its IEEE-754 bits, as [Packed_trace]'s
    radix fallback keys them. Times are >= 0, so masking off the sign bit decodes every
-   one of them to an equal float. An int field lets a packet's boxed
-   time die in the minor heap instead of being promoted with the
-   connection that last saw it. *)
+   one of them to an equal float. An int column lets a packet's boxed
+   time die in the minor heap. *)
 let[@inline] time_bits now = Int64.to_int (Int64.bits_of_float now)
 
-let[@inline] last_seen st =
-  Int64.float_of_bits (Int64.logand (Int64.of_int st.last_seen_bits) Int64.max_int)
+let[@inline] last_seen s h =
+  Int64.float_of_bits (Int64.logand (Int64.of_int (seen s h)) Int64.max_int)
 
-(* CPU work names connections by record. A record destroyed while its
+(* Doubling by [Array.append]: an [Array.make] too big for the minor
+   heap whose filler is young forces a minor collection first *)
+let grow a fill = if Array.length a = 0 then Array.make 16 fill else Array.append a a
+
+(* chunk [n] of a column: a new chunk of a pointer column is a copy of
+   the first, since an [Array.make] this big whose filler is young (a
+   version record an update just made) forces a minor collection *)
+let add_column dir n col =
+  let dir = if n = Array.length dir then grow dir col else dir in
+  dir.(n) <- col;
+  dir
+
+let alloc s flow e info ~seen =
+  let h =
+    if s.free_head >= 0 then begin
+      let h = s.free_head in
+      s.free_head <- pend s h;
+      h
+    end
+    else begin
+      let h = s.used in
+      if h land chunk_mask = 0 then begin
+        let n = h lsr chunk_bits in
+        let fresh dir fill =
+          if n = 0 then Array.make chunk_size fill else Array.sub dir.(0) 0 chunk_size
+        in
+        s.tuples <- add_column s.tuples n (fresh s.tuples flow);
+        s.vips <- add_column s.vips n (fresh s.vips e);
+        s.pools <- add_column s.pools n (fresh s.pools info);
+        s.ints <- add_column s.ints n (Array.make (4 * chunk_size) 0)
+      end;
+      s.used <- h + 1;
+      h
+    end
+  in
+  let i = h land chunk_mask and n = h lsr chunk_bits in
+  s.tuples.(n).(i) <- flow;
+  s.vips.(n).(i) <- e;
+  s.pools.(n).(i) <- info;
+  set_flags s h 0;
+  set_seen s h seen;
+  set_pend s h (-1);
+  set_age s h Asic.Timer_wheel.no_pos;
+  h
+
+let release_handle s h =
+  set_flags s h free;
+  set_pend s h s.free_head;
+  s.free_head <- h
+
+let pin s h = set_flags s h (flags s h + pin_unit)
+
+let unpin s h =
+  let f = flags s h - pin_unit in
+  set_flags s h f;
+  if f < pin_unit && f land destroyed <> 0 then release_handle s h
+
+(* CPU work names connections by handle. A handle destroyed while its
    work queued resolves through [flows] by its tuple ([live]), which may
    find a newer connection on the same 5-tuple. *)
 type cpu_work =
-  | Insert_batch of conn_state list
-  | Delete of conn_state
+  | Insert_batch of int list
+  | Delete of int
   | Repairs of int
       (** collision repairs already applied to the table; completion
           accounts the CPU time so the backlog is observable *)
-  | Overflow_retry_batch of (conn_state * int) list
+  | Overflow_retry_batch of (int * int) list
       (** deferred inserts from the overflow queue, with their attempt
           count; each retry re-runs the cuckoo search at a higher CPU
           cost than a first-time insert *)
@@ -64,9 +184,9 @@ type stats = {
    nor ended, the only ones a §4.3 step-1 barrier can wait on. A flow
    joins when its state is created and leaves for good when either flag
    is set, so an update costs what is pending, not what is tracked. A
-   dense vector: each record keeps its slot, and leaving is a
-   swap-remove. *)
-type pending = { mutable vec : conn_state array; mutable len : int }
+   dense vector of handles: each connection keeps its slot, and leaving
+   is a swap-remove. *)
+type pending = { mutable vec : int array; mutable len : int }
 
 type t = {
   cfg : Config.t;
@@ -74,7 +194,8 @@ type t = {
   pools : Dip_pool_table.t;
   vips : Vip_table.t;
   jobs : Update_job.t;  (** the VIPs' §4.3 update jobs and the TransitTable *)
-  learning : conn_state Asic.Learning_filter.t;
+  slab : slab;
+  learning : int Asic.Learning_filter.t;
   cpu : Asic.Switch_cpu.t;
   (* completion times are monotone (FIFO CPU), so a plain queue works *)
   cpu_done : (float * cpu_work) Queue.t;
@@ -83,14 +204,14 @@ type t = {
      instead of being dropped from state on first failure. At most one
      retry batch is in flight at a time so overflow work never starves
      the learning pipeline. *)
-  overflow : (conn_state * int) Queue.t;
+  overflow : (int * int) Queue.t;
   mutable overflow_inflight : bool;
-  flows : conn_state Ftbl.t;
+  flows : int Ftbl.t;
   pending : pending;
   (* lazy idle-timeout timers: one wheel entry per live tracked
-     connection, verified against last_seen on expiry; the record keeps
-     its own position *)
-  aging : conn_state Asic.Timer_wheel.t;
+     connection, verified against last_seen on expiry; the slab keeps
+     each one's position *)
+  aging : int Asic.Timer_wheel.t;
   mutable clock : float;  (** latest time the control plane has seen *)
   (* fast-path side channel: where the last processed packet went.
      [process_flow] returns only the DIP (or [no_dip]); callers that
@@ -153,19 +274,21 @@ let create ?metrics ?(check = `Warn) cfg =
   let counter = Telemetry.Registry.counter reg in
   let pools = Dip_pool_table.create ~version_bits:cfg.Config.version_bits ~seed:cfg.Config.seed in
   let vips = Vip_table.create ~metrics:reg in
+  let slab = { tuples = [||]; vips = [||]; pools = [||]; ints = [||]; used = 0; free_head = -1 } in
   let pending = { vec = [||]; len = 0 } in
   let add_pending e waiting =
     for i = 0 to pending.len - 1 do
-      let st = pending.vec.(i) in
-      if st.cs_vip == e then Ftbl.replace waiting st.cs_flow ()
+      let h = pending.vec.(i) in
+      if vip slab h == e then Ftbl.replace waiting (tuple slab h) ()
     done
   in
   {
     cfg;
-    conns = Conn_table.create ~metrics:reg cfg;
+    conns = Conn_table.create ~metrics:reg ~key_of:(fun h -> tuple slab h) cfg;
     pools;
     vips;
     jobs = Update_job.create ~metrics:reg cfg vips pools ~add_pending;
+    slab;
     learning =
       Asic.Learning_filter.create ~metrics:reg ~capacity:cfg.Config.learning_capacity
         ~timeout:cfg.Config.learning_timeout ();
@@ -179,7 +302,7 @@ let create ?metrics ?(check = `Warn) cfg =
     pending;
     aging =
       Asic.Timer_wheel.create
-        ~set_pos:(fun st pos -> st.age_pos <- pos)
+        ~set_pos:(fun h pos -> set_age slab h pos)
         ~granularity:(cfg.Config.idle_timeout /. 4.) ~slots:16 ();
     clock = 0.;
     last_location = Lb.Balancer.Asic;
@@ -209,15 +332,12 @@ let has_vip t vip = Vip_table.mem t.vips vip
 
 (* ----- connection state bookkeeping ----- *)
 
-(* [Array.append] doubles the vector: an [Array.make] too big for the
-   minor heap whose filler is young (a record just created) forces a
-   minor collection first *)
-let add_pending p st =
+let add_pending t h =
+  let p = t.pending in
   let n = p.len in
-  if n = Array.length p.vec then
-    p.vec <- (if n = 0 then Array.make 64 st else Array.append p.vec p.vec);
-  p.vec.(n) <- st;
-  st.pend_pos <- n;
+  if n = Array.length p.vec then p.vec <- grow p.vec 0;
+  p.vec.(n) <- h;
+  set_pend t.slab h n;
   p.len <- n + 1
 
 (* a new connection's state: tracked, aging, holding its version, and
@@ -225,60 +345,51 @@ let add_pending p st =
    [add] (no bucket search) leaves [flows] as [replace] would. *)
 let track t ~now flow e pool =
   Telemetry.Registry.Counter.incr t.c_connections_seen;
-  let st =
-    {
-      cs_flow = flow;
-      cs_vip = e;
-      cs_pool = pool;
-      inserted = false;
-      in_pipeline = false;
-      ended = false;
-      destroyed = false;
-      last_seen_bits = time_bits now;
-      pend_pos = -1;
-      age_pos = Asic.Timer_wheel.no_pos;
-    }
-  in
-  Ftbl.add t.flows flow st;
-  add_pending t.pending st;
-  Asic.Timer_wheel.schedule t.aging ~key:st ~at:(now +. t.cfg.Config.idle_timeout);
+  let h = alloc t.slab flow e pool ~seen:(time_bits now) in
+  Ftbl.add t.flows flow h;
+  add_pending t h;
+  Asic.Timer_wheel.schedule t.aging ~key:h ~at:(now +. t.cfg.Config.idle_timeout);
   Dip_pool_table.retain pool;
-  st
+  h
 
 (* [inserted] or [ended] was just set: the flow is no longer pending.
-   Swap-remove: the vector's last record takes the freed slot. *)
-let settle t st =
-  let i = st.pend_pos in
+   Swap-remove: the vector's last handle takes the freed slot. *)
+let settle t h =
+  let s = t.slab in
+  let i = pend s h in
   if i >= 0 then begin
     let p = t.pending in
     let last = p.len - 1 in
     let moved = p.vec.(last) in
     p.vec.(i) <- moved;
-    moved.pend_pos <- i;
-    (* the vacated cell must not keep a settled record reachable *)
-    p.vec.(last) <- p.vec.(0);
+    set_pend s moved i;
     p.len <- last;
-    st.pend_pos <- -1
+    set_pend s h (-1)
   end
 
-let destroy_state t (st : conn_state) =
-  settle t st;
-  Asic.Timer_wheel.cancel t.aging ~pos:st.age_pos;
-  Dip_pool_table.release st.cs_vip.pools st.cs_pool ~current:st.cs_vip.current;
-  Ftbl.remove t.flows st.cs_flow;
-  st.destroyed <- true
+(* gone from every structure but the slab; the handle is freed now, or
+   by the [unpin] of the last work that names it *)
+let destroy_state t h =
+  let s = t.slab in
+  settle t h;
+  Asic.Timer_wheel.cancel t.aging ~pos:(age s h);
+  let e = vip s h in
+  Dip_pool_table.release e.pools (pool s h) ~current:e.current;
+  Ftbl.remove t.flows (tuple s h);
+  if pins s h = 0 then release_handle s h else set s h destroyed
 
-(* tear [st] down as a deletion does: its ConnTable entry when it was
+(* tear [h] down as a deletion does: its ConnTable entry when it was
    installed, any step-1 barrier it held, then its state *)
-let teardown t ~now (st : conn_state) =
-  if st.inserted then ignore (Conn_table.remove t.conns st.cs_flow);
-  Update_job.resolved t.jobs ~now st.cs_vip st.cs_flow;
-  destroy_state t st
+let teardown t ~now h =
+  let s = t.slab in
+  if has s h inserted then ignore (Conn_table.remove_handle t.conns h);
+  Update_job.resolved t.jobs ~now (vip s h) (tuple s h);
+  destroy_state t h
 
-(* the state CPU work queued for [st] now acts on: [st] itself, or, once
-   [st] was destroyed, whichever newer connection holds its tuple.
+(* the connection CPU work queued for [h] now acts on: [h] itself, or,
+   once [h] was destroyed, whichever newer connection holds its tuple.
    Raises [Not_found] when there is none. *)
-let live t st = if st.destroyed then Ftbl.find t.flows st.cs_flow else st
+let live t h = if has t.slab h destroyed then Ftbl.find t.flows (tuple t.slab h) else h
 
 (* ----- control plane ----- *)
 
@@ -291,60 +402,64 @@ let rec complete_cpu_work t ~now =
     let at, _ = Queue.peek t.cpu_done in
     if at <= now then begin
       let _, work = Queue.pop t.cpu_done in
+      let s = t.slab in
       (match work with
        | Insert_batch batch ->
          List.iter
-           (fun st ->
-             match live t st with
-             | exception Not_found -> ()  (* state already destroyed *)
-             | st ->
-               st.in_pipeline <- false;
-               if st.inserted then
-                 (* installed meanwhile (a collision repair), possibly as
-                    a newer connection on the same 5-tuple; if it has
-                    ended, its own delete is queued and tears it down *)
-                 ()
-               else if st.ended then
-                 (* flow finished before its entry was installed *)
-                 teardown t ~now st
-               else begin
-                 (match Conn_table.insert t.conns st.cs_flow ~version:st.cs_pool.version with
-                  | Ok _ | Error `Duplicate ->
-                    st.inserted <- true;
-                    settle t st
-                  | Error `Full ->
-                    (* defer to the overflow queue: the switch CPU
-                       retries the insert later at its real cost
-                       instead of abandoning state on first failure *)
-                    if Queue.length t.overflow < overflow_cap then begin
-                      Telemetry.Registry.Counter.incr t.c_insert_overflows;
-                      Queue.add (st, 1) t.overflow;
-                      st.in_pipeline <- true
-                    end
-                    else begin
-                      Telemetry.Registry.Counter.incr t.c_table_full_drops;
-                      Log.warn (fun m ->
-                          m "ConnTable full (%.1f%%), overflow queue full: connection left \
-                             stateless"
-                            (100. *. Conn_table.occupancy t.conns))
-                    end;
-                    (* stays a pending connection; must not gate updates *)
-                    st.inserted <- false);
-                 Update_job.resolved t.jobs ~now st.cs_vip st.cs_flow
-               end)
+           (fun h0 ->
+             (match live t h0 with
+              | exception Not_found -> ()  (* state already destroyed *)
+              | h ->
+                unset s h in_pipeline;
+                if has s h inserted then
+                  (* installed meanwhile (a collision repair), possibly as
+                     a newer connection on the same 5-tuple; if it has
+                     ended, its own delete is queued and tears it down *)
+                  ()
+                else if has s h ended then
+                  (* flow finished before its entry was installed *)
+                  teardown t ~now h
+                else begin
+                  (match Conn_table.insert_handle t.conns h ~version:(pool s h).version with
+                   | Ok _ | Error `Duplicate ->
+                     set s h inserted;
+                     settle t h
+                   | Error `Full ->
+                     (* defer to the overflow queue: the switch CPU
+                        retries the insert later at its real cost
+                        instead of abandoning state on first failure *)
+                     if Queue.length t.overflow < overflow_cap then begin
+                       Telemetry.Registry.Counter.incr t.c_insert_overflows;
+                       pin s h;
+                       Queue.add (h, 1) t.overflow;
+                       set s h in_pipeline
+                     end
+                     else begin
+                       Telemetry.Registry.Counter.incr t.c_table_full_drops;
+                       Log.warn (fun m ->
+                           m "ConnTable full (%.1f%%), overflow queue full: connection left \
+                              stateless"
+                             (100. *. Conn_table.occupancy t.conns))
+                     end;
+                     (* stays a pending connection; must not gate updates *)
+                     unset s h inserted);
+                  Update_job.resolved t.jobs ~now (vip s h) (tuple s h)
+                end);
+             unpin s h0)
            batch
-       | Delete st ->
-         (match live t st with
-          | st when not st.ended ->
+       | Delete h0 ->
+         (match live t h0 with
+          | h when not (has s h ended) ->
             (* a newer connection on the same 5-tuple: the state this
                delete was issued for was torn down while it queued
                (re-route, VIP removal), entry included *)
             ()
-          | st ->
-            ignore (Conn_table.remove t.conns st.cs_flow);
-            Update_job.resolved t.jobs ~now st.cs_vip st.cs_flow;
-            destroy_state t st
-          | exception Not_found -> ignore (Conn_table.remove t.conns st.cs_flow))
+          | h ->
+            ignore (Conn_table.remove_handle t.conns h);
+            Update_job.resolved t.jobs ~now (vip s h) (tuple s h);
+            destroy_state t h
+          | exception Not_found -> ignore (Conn_table.remove t.conns (tuple s h0)));
+         unpin s h0
        | Repairs n ->
          (* repairs were applied synchronously at submission; completion
             only accounts the CPU time *)
@@ -352,38 +467,42 @@ let rec complete_cpu_work t ~now =
        | Overflow_retry_batch items ->
          t.overflow_inflight <- false;
          List.iter
-           (fun (st, attempts) ->
+           (fun (h0, attempts) ->
              Telemetry.Registry.Counter.incr t.c_overflow_retries;
-             match live t st with
-             | exception Not_found -> ()  (* state destroyed while queued *)
-             | st ->
-               if st.inserted then st.in_pipeline <- false
-               else if st.ended then begin
-                 st.in_pipeline <- false;
-                 teardown t ~now st
-               end
-               else (
-                 match Conn_table.insert t.conns st.cs_flow ~version:st.cs_pool.version with
-                 | Ok _ | Error `Duplicate ->
-                   st.inserted <- true;
-                   settle t st;
-                   st.in_pipeline <- false;
-                   Update_job.resolved t.jobs ~now st.cs_vip st.cs_flow
-                 | Error `Full ->
-                   if attempts < max_overflow_retries && Queue.length t.overflow < overflow_cap
-                   then Queue.add (st, attempts + 1) t.overflow
-                   else begin
-                     (* give up: the connection stays stateless, the
-                        paper's §7 overflow outcome *)
-                     st.in_pipeline <- false;
-                     Telemetry.Registry.Counter.incr t.c_table_full_drops;
-                     Update_job.resolved t.jobs ~now st.cs_vip st.cs_flow;
-                     Log.warn (fun m ->
-                         m "ConnTable full (%.1f%%) after %d insert attempts: connection left \
-                            stateless"
-                           (100. *. Conn_table.occupancy t.conns)
-                           (attempts + 1))
-                   end))
+             (match live t h0 with
+              | exception Not_found -> ()  (* state destroyed while queued *)
+              | h ->
+                if has s h inserted then unset s h in_pipeline
+                else if has s h ended then begin
+                  unset s h in_pipeline;
+                  teardown t ~now h
+                end
+                else (
+                  match Conn_table.insert_handle t.conns h ~version:(pool s h).version with
+                  | Ok _ | Error `Duplicate ->
+                    set s h inserted;
+                    settle t h;
+                    unset s h in_pipeline;
+                    Update_job.resolved t.jobs ~now (vip s h) (tuple s h)
+                  | Error `Full ->
+                    if attempts < max_overflow_retries && Queue.length t.overflow < overflow_cap
+                    then begin
+                      pin s h;
+                      Queue.add (h, attempts + 1) t.overflow
+                    end
+                    else begin
+                      (* give up: the connection stays stateless, the
+                         paper's §7 overflow outcome *)
+                      unset s h in_pipeline;
+                      Telemetry.Registry.Counter.incr t.c_table_full_drops;
+                      Update_job.resolved t.jobs ~now (vip s h) (tuple s h);
+                      Log.warn (fun m ->
+                          m "ConnTable full (%.1f%%) after %d insert attempts: connection left \
+                             stateless"
+                            (100. *. Conn_table.occupancy t.conns)
+                            (attempts + 1))
+                    end));
+             unpin s h0)
            items);
       complete_cpu_work t ~now
     end
@@ -411,32 +530,34 @@ let drain_learning t ~at =
     let done_at = Asic.Switch_cpu.submit t.cpu ~now:at ~work_items:n in
     Queue.add (done_at, Insert_batch batch) t.cpu_done
 
-let submit_delete t ~now st =
+let submit_delete t ~now h =
+  pin t.slab h;
   let done_at = Asic.Switch_cpu.submit t.cpu ~now ~work_items:1 in
-  Queue.add (done_at, Delete st) t.cpu_done
+  Queue.add (done_at, Delete h) t.cpu_done
 
-(* [st] just left the wheel: a record in it is never destroyed, since
+(* [h] just left the wheel: a handle in it is never destroyed, since
    destruction cancels its entry *)
-let expire_one t ~now (st : conn_state) =
-  if st.ended then ()
-  else if now -. last_seen st >= t.cfg.Config.idle_timeout then begin
+let expire_one t ~now h =
+  let s = t.slab in
+  if has s h ended then ()
+  else if now -. last_seen s h >= t.cfg.Config.idle_timeout then begin
     (* no [settle]: an installed flow left the pending set when it was
        inserted, and an uninstalled one is destroyed right here *)
-    st.ended <- true;
-    if st.inserted then submit_delete t ~now st
+    set s h ended;
+    if has s h inserted then submit_delete t ~now h
     else
       (* never installed (e.g. table full): just drop the state *)
-      teardown t ~now st
+      teardown t ~now h
   end
   else
     (* saw traffic since: re-arm for the remaining idle budget *)
-    Asic.Timer_wheel.schedule t.aging ~key:st ~at:(last_seen st +. t.cfg.Config.idle_timeout)
+    Asic.Timer_wheel.schedule t.aging ~key:h ~at:(last_seen s h +. t.cfg.Config.idle_timeout)
 
 (* closure-free: the wheel returns [] on every same-tick packet *)
 let rec expire_all t ~now = function
   | [] -> ()
-  | st :: rest ->
-    expire_one t ~now st;
+  | h :: rest ->
+    expire_one t ~now h;
     expire_all t ~now rest
 
 let expire_idle t ~now = expire_all t ~now (Asic.Timer_wheel.advance t.aging ~now)
@@ -493,14 +614,16 @@ let forward t (e : Vip_table.entry) ~version flow ~location =
   end
 
 (* learning: raise an event for a connection whose entry is missing *)
-let learn t ~now (st : conn_state) =
-  if not st.in_pipeline then begin
-    match Asic.Learning_filter.offer t.learning ~now st.cs_flow st with
+let learn t ~now h =
+  let s = t.slab in
+  if not (has s h in_pipeline) then begin
+    match Asic.Learning_filter.offer t.learning ~now (tuple s h) h with
     | `Accepted ->
-      st.in_pipeline <- true;
+      set s h in_pipeline;
+      pin s h;
       if Asic.Learning_filter.pending t.learning >= Asic.Learning_filter.capacity t.learning
       then drain_learning t ~at:now
-    | `Duplicate -> st.in_pipeline <- true
+    | `Duplicate -> set s h in_pipeline
     | `Dropped -> Telemetry.Registry.Counter.incr t.c_learning_drops
   end
 
@@ -512,17 +635,18 @@ let handle_miss t ~now ~ends flow e ~syn =
   (* find + exception: pending flows take this path on every packet, and
      find_opt's [Some] box was visible in the replay allocation counters *)
   match Ftbl.find t.flows flow with
-  | st ->
+  | h ->
     (* a pending connection's later packet *)
-    st.last_seen_bits <- time_bits now;
+    let s = t.slab in
+    set_seen s h (time_bits now);
     if ends then begin
-      st.ended <- true;
-      settle t st
+      set s h ended;
+      settle t h
     end;
-    let code = Update_job.miss t.jobs flow e ~syn ~record:(not st.inserted) in
-    learn t ~now st;
+    let code = Update_job.miss t.jobs flow e ~syn ~record:(not (has s h inserted)) in
+    learn t ~now h;
     if code land 1 = 1 then
-      forward t e ~version:st.cs_pool.version flow ~location:Lb.Balancer.Switch_cpu
+      forward t e ~version:(pool s h).version flow ~location:Lb.Balancer.Switch_cpu
     else forward t e ~version:(code lsr 1) flow ~location:Lb.Balancer.Asic
   | exception Not_found ->
     let code = Update_job.miss t.jobs flow e ~syn ~record:(not ends) in
@@ -537,23 +661,24 @@ let handle_miss t ~now ~ends flow e ~syn =
 let handle_false_hit_syn t ~now flow e =
   (* in step 1 the miss marks the flow in the TransitTable, tracked or not *)
   let version = Update_job.miss t.jobs flow e ~syn:true ~record:false lsr 1 in
-  let st =
-    match Ftbl.find_opt t.flows flow with
-    | Some st ->
-      st.last_seen_bits <- time_bits now;
-      st
-    | None -> track t ~now flow e (Dip_pool_table.lookup e.pools version)
+  let s = t.slab in
+  let h =
+    match Ftbl.find t.flows flow with
+    | h ->
+      set_seen s h (time_bits now);
+      h
+    | exception Not_found -> track t ~now flow e (Dip_pool_table.lookup e.pools version)
   in
-  let version = st.cs_pool.version in
+  let version = (pool s h).version in
   (* the repair itself is applied synchronously below, but its CPU time
      goes through the shared FIFO so the backlog it causes is visible in
      the queue-delay histogram and accounted at completion *)
   let done_at = Asic.Switch_cpu.submit t.cpu ~now ~work_items:3 in
   Queue.add (done_at, Repairs 1) t.cpu_done;
-  (match Conn_table.repair_collision t.conns flow ~version with
+  (match Conn_table.repair_handle t.conns h ~version with
    | Ok () ->
-     st.inserted <- true;
-     settle t st;
+     set s h inserted;
+     settle t h;
      Update_job.resolved t.jobs ~now e flow
    | Error `Full -> Telemetry.Registry.Counter.incr t.c_table_full_drops);
   forward t e ~version flow ~location:Lb.Balancer.Switch_cpu
@@ -587,21 +712,19 @@ let process_flow t ~now ~flags ~payload_len flow =
     else begin
       let syn = Netcore.Tcp_flags.is_connection_start flags in
       let ends = Netcore.Tcp_flags.is_connection_end flags in
-      let code = Conn_table.lookup_code t.conns flow in
+      let code = Conn_table.lookup_entry t.conns flow in
       if code < 0 then handle_miss t ~now ~ends flow e ~syn
       else begin
-        let version = code lsr 1 in
+        let version = (code lsr 1) land 0x7FFF_FFFF in
         if code land 1 = 1 then begin
-          (* exact hit *)
-          (match Ftbl.find t.flows flow with
-           | st ->
-             st.last_seen_bits <- time_bits now;
-             (* an exact hit is installed, so not pending: no [settle] *)
-             if ends && not st.ended then begin
-               st.ended <- true;
-               submit_delete t ~now st
-             end
-           | exception Not_found -> ());
+          (* exact hit: the entry's handle is the flow's connection *)
+          let h = code lsr 32 and s = t.slab in
+          set_seen s h (time_bits now);
+          (* an exact hit is installed, so not pending: no [settle] *)
+          if ends && not (has s h ended) then begin
+            set s h ended;
+            submit_delete t ~now h
+          end;
           forward t e ~version flow ~location:Lb.Balancer.Asic
         end
         else if syn then handle_false_hit_syn t ~now flow e
@@ -639,14 +762,12 @@ let request_update t ~now ~vip update =
   | e -> Update_job.request t.jobs ~now e update
   | exception Not_found -> invalid_arg "Switch.request_update: unknown VIP"
 
-(* tear down every tracked connection [select flow st] picks: ConnTable
+(* tear down every tracked connection [select flow vip] picks: ConnTable
    entries, aging timers, version refcounts and step-1 barriers all go
    through the same path a deletion takes. Returns how many. *)
 let teardown_where t ~now select =
-  let doomed =
-    Ftbl.fold
-      (fun flow (st : conn_state) acc -> if select flow st then st :: acc else acc)
-      t.flows []
+    let doomed =
+    Ftbl.fold (fun flow h acc -> if select flow (vip t.slab h) then h :: acc else acc) t.flows []
   in
   List.iter (teardown t ~now) doomed;
   List.length doomed
@@ -663,7 +784,7 @@ let remove_vip t vip =
    | Vip_table.Recording _ | Vip_table.Dual _ ->
      invalid_arg "Switch.remove_vip: update in progress");
   (* an idle VIP holds no barrier, so the clock [teardown] reads is moot *)
-  ignore (teardown_where t ~now:t.clock (fun _ st -> st.cs_vip == e));
+  ignore (teardown_where t ~now:t.clock (fun _ e' -> e' == e));
   Vip_table.remove t.vips e;
   Dip_pool_table.remove_vip t.pools vip
 
@@ -686,7 +807,7 @@ let forget_flows t ~now select =
      holding — is torn down exactly as a deletion would. The flows
      themselves are still alive; they will reappear as unknown
      connections wherever ECMP sends them next. *)
-  let n = teardown_where t ~now (fun flow st -> select flow st.cs_vip.vip) in
+  let n = teardown_where t ~now (fun flow (e : Vip_table.entry) -> select flow e.vip) in
   Telemetry.Registry.Counter.add t.c_rerouted_flows n;
   n
 
@@ -759,20 +880,30 @@ let memory_bits t =
 let check_invariants t =
   let problems = ref [] in
   let bad fmt = Format.kasprintf (fun s -> problems := s :: !problems) fmt in
-  (* installed flows have entries; count tracked users per (vip, version) *)
+  let s = t.slab in
+  let pp_flow = Netcore.Five_tuple.pp in
+  (* [flows] maps each tuple to a live handle holding that tuple;
+     installed flows have entries; count tracked users per (vip,
+     version) *)
   let users = Hashtbl.create 64 in
   Ftbl.iter
-    (fun flow (st : conn_state) ->
-      if st.inserted && not (Conn_table.mem_exact t.conns flow) then
-        bad "installed connection %a has no ConnTable entry" Netcore.Five_tuple.pp flow;
-      let version = st.cs_pool.version in
-      let live = Dip_pool_table.lookup st.cs_vip.pools version in
-      if not (Dip_pool_table.allocated st.cs_vip.pools version) then
-        bad "connection %a uses dead version %d" Netcore.Five_tuple.pp flow version;
-      let key = (st.cs_vip.vip, version) in
-      (match Hashtbl.find_opt users key with
-       | Some (_, n) -> Hashtbl.replace users key (live, n + 1)
-       | None -> Hashtbl.replace users key (live, 1)))
+    (fun flow h ->
+      if h < 0 || h >= s.used || has s h (destroyed lor free) then
+        bad "flows maps %a to handle %d, which is not live" pp_flow flow h
+      else begin
+        if not (Netcore.Five_tuple.equal (tuple s h) flow) then
+          bad "flows maps %a to handle %d, which holds %a" pp_flow flow h pp_flow (tuple s h);
+        if has s h inserted && not (Conn_table.mem_exact t.conns flow) then
+          bad "installed connection %a has no ConnTable entry" pp_flow flow;
+        let e = vip s h and version = (pool s h).version in
+        let live = Dip_pool_table.lookup e.pools version in
+        if not (Dip_pool_table.allocated e.pools version) then
+          bad "connection %a uses dead version %d" pp_flow flow version;
+        let key = (e.vip, version) in
+        match Hashtbl.find_opt users key with
+        | Some (_, n) -> Hashtbl.replace users key (live, n + 1)
+        | None -> Hashtbl.replace users key (live, 1)
+      end)
     t.flows;
   (* refcounts match tracked users *)
   Hashtbl.iter
@@ -781,56 +912,95 @@ let check_invariants t =
         bad "version %d of %a has refcount %d but %d tracked users" version Netcore.Endpoint.pp
           vip live.refs n)
     users;
-  (* a record the pending vector or the aging wheel holds must be the
-     one [flows] maps its tuple to *)
-  let tracked (st : conn_state) =
-    match Ftbl.find_opt t.flows st.cs_flow with Some s -> s == st | None -> false
+  (* a handle the pending vector, the aging wheel or the ConnTable
+     holds must be the one [flows] maps its tuple to *)
+  let tracked h =
+    h >= 0 && h < s.used
+    && (not (has s h free))
+    && match Ftbl.find t.flows (tuple s h) with h' -> h' = h | exception Not_found -> false
   in
   (* the pending vector holds exactly the tracked flows neither inserted
      nor ended, each at the slot it records *)
   let pending = ref 0 in
   Ftbl.iter
-    (fun flow (st : conn_state) ->
-      if (not st.inserted) && not st.ended then begin
+    (fun flow h ->
+      if not (has s h (inserted lor ended)) then begin
         incr pending;
-        if st.pend_pos < 0 || st.pend_pos >= t.pending.len || t.pending.vec.(st.pend_pos) != st then
-          bad "pending connection %a missing from the pending vector" Netcore.Five_tuple.pp flow
+        let i = pend s h in
+        if i < 0 || i >= t.pending.len || t.pending.vec.(i) <> h then
+          bad "pending connection %a missing from the pending vector" pp_flow flow
       end)
     t.flows;
   if t.pending.len <> !pending then
     bad "pending vector holds %d flows for %d pending connections" t.pending.len !pending;
   for i = 0 to t.pending.len - 1 do
-    let st = t.pending.vec.(i) in
-    if st.pend_pos <> i then
-      bad "pending vector slot %d holds %a, which records slot %d" i Netcore.Five_tuple.pp
-        st.cs_flow st.pend_pos;
-    if st.inserted || st.ended || not (tracked st) then
-      bad "pending vector holds %a, which is not pending" Netcore.Five_tuple.pp st.cs_flow
+    let h = t.pending.vec.(i) in
+    if not (tracked h) then bad "pending vector slot %d holds handle %d, which is not tracked" i h
+    else begin
+      if pend s h <> i then
+        bad "pending vector slot %d holds %a, which records slot %d" i pp_flow (tuple s h)
+          (pend s h);
+      if has s h (inserted lor ended) then
+        bad "pending vector holds %a, which is not pending" pp_flow (tuple s h)
+    end
   done;
   (* every live tracked connection has exactly one aging entry, at the
-     position it records: each entry's record names that entry, so no
-     record has two, and the entries are exactly the tracked records
+     position it records: each entry's handle names that entry, so no
+     handle has two, and the entries are exactly the tracked handles
      with a position *)
   let aged = ref 0 in
-  Asic.Timer_wheel.iter t.aging (fun pos (st : conn_state) ->
-      if st.age_pos <> pos then
-        bad "aging entry %d holds %a, which records position %d" pos Netcore.Five_tuple.pp
-          st.cs_flow st.age_pos;
-      if not (tracked st) then
-        bad "aging entry %d holds untracked %a" pos Netcore.Five_tuple.pp st.cs_flow);
+  Asic.Timer_wheel.iter t.aging (fun pos h ->
+      if not (tracked h) then bad "aging entry %d holds untracked handle %d" pos h
+      else if age s h <> pos then
+        bad "aging entry %d holds %a, which records position %d" pos pp_flow (tuple s h)
+          (age s h));
   Ftbl.iter
-    (fun flow (st : conn_state) ->
-      if st.age_pos <> Asic.Timer_wheel.no_pos then incr aged
-      else if not st.ended then
-        bad "live connection %a has no aging entry" Netcore.Five_tuple.pp flow)
+    (fun flow h ->
+      if age s h <> Asic.Timer_wheel.no_pos then incr aged
+      else if not (has s h ended) then bad "live connection %a has no aging entry" pp_flow flow)
     t.flows;
   if Asic.Timer_wheel.scheduled t.aging <> !aged then
     bad "aging wheel holds %d entries for %d connections with a position"
       (Asic.Timer_wheel.scheduled t.aging) !aged;
-  (* ConnTable entries all belong to tracked flows *)
+  (* every ConnTable entry's handle names the connection [flows] maps
+     its tuple to, so an exact hit reads the state a [flows] find would *)
+  Conn_table.iter_handles t.conns (fun h ->
+      if not (tracked h) then bad "ConnTable entry of handle %d belongs to no tracked connection" h);
   if Conn_table.size t.conns > Ftbl.length t.flows then
     bad "ConnTable holds %d entries for %d tracked connections" (Conn_table.size t.conns)
       (Ftbl.length t.flows);
+  (* the pins: each learning event, queued CPU work item and overflow
+     entry pins the handle it names, which is never free; a destroyed
+     handle waits for exactly those pins *)
+  let held = Array.make s.used 0 in
+  let hold what h =
+    if h < 0 || h >= s.used || has s h free then bad "%s holds free handle %d" what h
+    else held.(h) <- held.(h) + 1
+  in
+  Asic.Learning_filter.iter t.learning (hold "the learning filter");
+  Queue.iter (fun (h, _) -> hold "the overflow queue" h) t.overflow;
+  Queue.iter
+    (fun (_, work) ->
+      match work with
+      | Insert_batch hs -> List.iter (hold "a CPU insert batch") hs
+      | Delete h -> hold "a CPU delete" h
+      | Overflow_retry_batch items -> List.iter (fun (h, _) -> hold "a CPU retry batch" h) items
+      | Repairs _ -> ())
+    t.cpu_done;
+  let n_free = ref 0 in
+  for h = 0 to s.used - 1 do
+    if has s h free then incr n_free
+    else if pins s h <> held.(h) then
+      bad "handle %d has %d pins but %d queued references" h (pins s h) held.(h)
+    else if has s h destroyed && held.(h) = 0 then bad "destroyed handle %d is not freed" h
+  done;
+  let listed = ref 0 and h = ref s.free_head in
+  while !h >= 0 && !listed <= s.used do
+    if not (has s !h free) then bad "free list holds handle %d, which is not free" !h;
+    incr listed;
+    h := pend s !h
+  done;
+  if !listed <> !n_free then bad "free list holds %d handles for %d free ones" !listed !n_free;
   (* the accumulators above iterate hash tables: sort so a violation
      report reads the same regardless of table layout *)
   match List.sort String.compare (Update_job.check t.jobs @ !problems) with

@@ -206,5 +206,12 @@ val check_invariants : t -> (unit, string list) result
     - every tracked connection that has not ended has exactly one
       aging-wheel entry, at the position it records, and every entry
       belongs to a tracked connection;
+    - every connection is a live handle of the switch's slab, holding
+      the tuple it is tracked under, and every ConnTable entry's handle
+      names the connection tracked under its tuple;
+    - every learning event, queued CPU work item and overflow entry
+      names a handle that is not free, each handle's pin count equals
+      those references, a destroyed handle is still pinned, and the
+      free list holds exactly the free handles;
     - the VIPs' update state passes {!Update_job.check}.
     Returns the list of violated invariants. *)

@@ -212,13 +212,17 @@ let miss t flow (e : Vip_table.entry) ~syn ~record =
   | Recording job ->
     (* step 1: old pool, and remember the connection, to gate step 3 *)
     if t.use_transit then
-      Asic.Bloom_filter.add t.transit (Netcore.Five_tuple.hash ~seed:t.hash_seed flow);
+      Asic.Bloom_filter.add_halves t.transit
+        ~hi:(Netcore.Five_tuple.hash_hi ~seed:t.hash_seed flow)
+        ~lo:(Netcore.Five_tuple.hash_lo ~seed:t.hash_seed flow);
     if record then Ftbl.replace job.recorded flow ();
     e.current lsl 1
   | Dual { old_version; _ } ->
     if
       t.use_transit
-      && Asic.Bloom_filter.mem t.transit (Netcore.Five_tuple.hash ~seed:t.hash_seed flow)
+      && Asic.Bloom_filter.mem_halves t.transit
+           ~hi:(Netcore.Five_tuple.hash_hi ~seed:t.hash_seed flow)
+           ~lo:(Netcore.Five_tuple.hash_lo ~seed:t.hash_seed flow)
     then
       if syn then
         (* a SYN cannot be a pending connection: redirect to software,

@@ -15,6 +15,7 @@ module Gauge = struct
 
   let set g v = g.v <- v
   let set_int g n = g.v <- float_of_int n
+  let set_ratio g n d = g.v <- float_of_int n /. float_of_int d
   let add g v = g.v <- g.v +. v
   let value g = g.v
 end

@@ -33,6 +33,10 @@ module Gauge : sig
   (** [set g (float_of_int n)], without boxing a float: for the
       count-valued gauges the packet path writes. *)
 
+  val set_ratio : t -> int -> int -> unit
+  (** [set_ratio g n d] is [set g (float_of_int n /. float_of_int d)],
+      without boxing a float: for the fill and occupancy gauges. *)
+
   val add : t -> float -> unit
   val value : t -> float
 end

@@ -3,9 +3,9 @@
    after a warm-up pass, under the same build (dune's dev profile, where
    every library is compiled [-opaque]) that the benchmark runs. The
    exact-hit path must allocate nothing: the only allowance is a few
-   words for the probe itself. Three pins read other counters: the words
-   an exact hit leaves to be promoted, the ConnTable's footprint and a
-   5-tuple's. *)
+   words for the probe itself. Four pins read other counters: the words
+   an exact hit leaves to be promoted, the ConnTable's footprint, a
+   switch's per live connection and a 5-tuple's. *)
 
 let check = Alcotest.check
 let tc = Alcotest.test_case
@@ -193,17 +193,20 @@ let advance_update_job_active () =
    raises a learning event; an [advance] past the filter's timeout
    drains it and completes the CPU's insert; the FIN hits exactly and
    queues the delete; an [advance] completes it and destroys the state.
-   Every structure the connection passes through holds its one record,
-   so the words are the calls' boxed times, the CPU queue's cells, the
-   drained batch, the insert's [Ok], and the float arguments of the
-   ConnTable occupancy, CPU backlog and queue-delay gauges (the
-   count-valued gauges are written as ints). Measured on OCaml 5.1.1:
-   83.0 words per connection, bounded at the next whole word. The same
-   life cost 93.0 while every gauge write boxed its float, 106.0 while
-   the VIP was also resolved through option-returning lookups, and
-   146.0 when the pending set, the aging wheel, the learning filter's
-   payload and the CPU batches were keyed by 5-tuple. *)
-let life_words_per_connection = 84.
+   The connection is a handle into the switch's slab, so every
+   structure it passes through holds an int and nothing is allocated
+   for the connection itself: the words are the calls' boxed times, the
+   [flows] binding, the CPU queue's cells, the drained batch, the
+   insert's [Ok], and the float arguments of the CPU backlog and
+   queue-delay gauges (the count-valued gauges are written as ints, the
+   ConnTable occupancy as a ratio of ints). Measured on OCaml 5.1.1:
+   69.0 words per connection, bounded at the next whole word. The same
+   life cost 83.0 with a record per connection and a boxed occupancy,
+   93.0 while every gauge write boxed its float, 106.0 while the VIP
+   was also resolved through option-returning lookups, and 146.0 when
+   the pending set, the aging wheel, the learning filter's payload and
+   the CPU batches were keyed by 5-tuple. *)
+let life_words_per_connection = 70.
 
 let connection_life () =
   let sw = Silkroad.Switch.create ~check:`Off Silkroad.Config.default in
@@ -260,6 +263,79 @@ let metered_drop () =
     true
     (w <= (metered_drop_words_per_packet *. float_of_int calls) +. slack)
 
+(* A ConnTable miss while the VIP's update records step 1: every
+   packet of a connection still being learned marks the TransitTable.
+   [Update_job.miss] hands the Bloom filter the tuple's hash as two
+   int halves ([Five_tuple.hash_hi]/[hash_lo]) and the filter writes
+   its fill gauge as a ratio of ints, so the miss allocates nothing. It
+   was 11 words a call while the hash crossed into the filter as a
+   boxed int64 (3), each of the filter's two hash functions boxed its
+   argument and result (6), and the fill gauge boxed its float (2). *)
+let update_miss () =
+  let sw = Silkroad.Switch.create ~check:`Off Silkroad.Config.default in
+  Silkroad.Switch.add_vip sw vip pool;
+  Array.iter
+    (fun f ->
+      ignore
+        (Silkroad.Switch.process_flow sw ~now:1. ~flags:Netcore.Tcp_flags.syn ~payload_len:0 f))
+    flows;
+  Silkroad.Switch.request_update sw ~now:1.00005 ~vip
+    (Lb.Balancer.Dip_remove (Lb.Dip_pool.members pool).(0));
+  let now = Sys.opaque_identity 1.0001 in
+  let w =
+    words (fun () ->
+        for i = 0 to calls - 1 do
+          ignore
+            (Silkroad.Switch.process_flow sw ~now ~flags:Netcore.Tcp_flags.data ~payload_len:1024
+               (Array.unsafe_get flows (i mod n_flows)))
+        done)
+  in
+  check Alcotest.int "no flow installed yet" 0 (Silkroad.Switch.connections sw);
+  check Alcotest.bool "the job records step 1" true
+    (match (Silkroad.Vip_table.find (Silkroad.Switch.vip_table sw) vip).Silkroad.Vip_table.phase with
+     | Silkroad.Vip_table.Recording _ -> true
+     | Silkroad.Vip_table.Idle | Silkroad.Vip_table.Dual _ -> false);
+  check_free "ConnTable miss during an update" w
+
+(* What a live, installed connection costs the switch: the words
+   reachable from a switch holding [n] of them, less those of the same
+   switch before its first packet, per connection. That counts the
+   connection's tuple and its own source endpoint (14 words), its 7
+   slab columns, its [flows] binding, its aging-wheel entry, its two
+   shadow-index entries, its ConnTable slot (the table, sized for twice
+   [n], allocates its 2-int slots at the first insert: 4 words a
+   connection) and each structure's slack. Measured on OCaml 5.1.1:
+   41.52 words (332 bytes) a connection. With a record per connection,
+   a tuple-keyed shadow index and the table's word array allocated at
+   creation (so outside the difference), it read 43.50. *)
+let footprint_words_per_connection = 41.6
+
+let switch_footprint () =
+  let n = 4096 in
+  let cfg = { Silkroad.Config.default with Silkroad.Config.conn_table_rows = 1024 } in
+  let sw = Silkroad.Switch.create ~check:`Off cfg in
+  Silkroad.Switch.add_vip sw vip pool;
+  let reachable () = Obj.reachable_words (Obj.repr sw) in
+  let empty = reachable () in
+  for i = 0 to n - 1 do
+    let flow =
+      Netcore.Five_tuple.make
+        ~src:(Netcore.Endpoint.v4 9 (i lsr 8) (i land 255) 1 (1000 + i))
+        ~dst:vip ~proto:Netcore.Protocol.Tcp
+    in
+    ignore
+      (Silkroad.Switch.process_flow sw
+         ~now:(1. +. (float_of_int i *. 1e-6))
+         ~flags:Netcore.Tcp_flags.syn ~payload_len:0 flow)
+  done;
+  Silkroad.Switch.advance sw ~now:2.;
+  check Alcotest.int "every connection installed" n (Silkroad.Switch.connections sw);
+  let per = float_of_int (reachable () - empty) /. float_of_int n in
+  check Alcotest.bool
+    (Printf.sprintf "switch words per live connection: %.2f" per)
+    true
+    (per <= footprint_words_per_connection)
+
 let range_and_bits () =
   let w =
     words (fun () ->
@@ -291,12 +367,15 @@ let five_tuple_hash () =
     (w <= (hash_words_per_call *. float_of_int calls) +. slack)
 
 (* The switch that owns a flow on perfbench's netwide fabric (1 Core,
-   2 Agg, 4 ToR): one rendezvous pick per layer, each hashing the tuple
-   once and scoring every live node, then the path list it walks to
-   its last hop. Measured on OCaml 5.1.1: 1,100,400 words for 10,000
-   calls. While [Five_tuple.hash] boxed its int64 argument it read
-   1,190,400: 3 words more for each of the 3 layers' hash. *)
-let owner_words_per_call = 110.04
+   2 Agg, 4 ToR): one rendezvous pick per layer, each a closure-free
+   loop that keeps the best live node's index and compares two nodes'
+   scores inside [Hashing.seeded_above], so no int64 crosses a module
+   boundary, and the owner's [Some] is the topology's own. Measured on
+   OCaml 5.1.1: 0 words. It read 110.04 words a call while each score
+   was a boxed int64, the best node a fresh [Some (score, node)], each
+   layer a closure and the owner the last hop of a built path list
+   (119.04 while [Five_tuple.hash] also boxed its argument). *)
+let owner_words_per_call = 0.
 
 let route_owner () =
   let layer layer_name switches sram_budget_bits =
@@ -321,14 +400,14 @@ let route_owner () =
 
 (* A connection's install and teardown on a low-occupancy ConnTable:
    every row, digest and shadow-index position comes from the tuple's
-   cached hash as a plain int, the index is two flat arrays, and the
-   cuckoo insert ladder and removal scan are closure-free loops. The
-   residents grow the shadow index beforehand, and the warm-up pass
-   makes the same inserts and removals, so the measured pairs never
-   resize it. What remains is [Ok moves] and the occupancy gauge's
-   boxed float: 6 words per pair on OCaml 5.1.1 (10 while the size
-   gauge boxed its float too). *)
-let insert_remove_words_per_pair = 6.
+   cached hash as a plain int, the index is one flat int array, the
+   cuckoo insert ladder and removal scan are closure-free loops, and the
+   table keeps each tuple's handle from its first insert. The residents
+   grow the shadow index beforehand, and the warm-up pass makes the same
+   inserts and removals, so the measured pairs never resize it. What
+   remains is [Ok moves]: 2 words per pair on OCaml 5.1.1 (6 while the
+   occupancy gauge boxed its float, 10 while the size gauge did too). *)
+let insert_remove_words_per_pair = 2.
 
 let conn_table_insert_remove () =
   let cfg = { Silkroad.Config.default with Silkroad.Config.conn_table_rows = 4096 } in
@@ -380,9 +459,9 @@ let conn_table_repair () =
     (w <= (repair_words_per_call *. float_of_int calls) +. slack)
 
 (* The ConnTable's own footprint on the default geometry (1,048,576
-   slots): one int word a slot for the packed digest and version, one
-   key pointer a slot (allocated by the first insert), and a constant
-   for the shadow index, the seeds and the telemetry handles. The BFS
+   slots): two ints a slot, the packed digest and version and the
+   entry's handle (allocated by the first insert), and a constant for
+   the shadow index, the seeds and the telemetry handles. The BFS
    arena is allocated only by an insert that reaches the BFS. A layout
    with separate digest and version arrays and an eagerly allocated
    arena reads ~3.28 words a slot. *)
@@ -463,6 +542,8 @@ let suites =
         tc "range and bits" `Quick range_and_bits;
         tc "five_tuple hash" `Quick five_tuple_hash;
         tc "route owner" `Quick route_owner;
+        tc "ConnTable miss during an update" `Quick update_miss;
+        tc "switch words per live connection" `Quick switch_footprint;
         tc "pcc judge consistent and excluded" `Quick pcc_judge;
         tc "conn_table insert + remove" `Quick conn_table_insert_remove;
         tc "conn_table repair_collision" `Quick conn_table_repair;

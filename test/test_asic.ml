@@ -123,7 +123,7 @@ end
 module IC = Asic.Cuckoo.Make (Int_key)
 
 let cuckoo_insert_find () =
-  let t = IC.create ~stages:2 ~rows_per_stage:64 ~ways:4 () in
+  let t = IC.create ~key_of:Fun.id ~stages:2 ~rows_per_stage:64 ~ways:4 () in
   for i = 0 to 99 do
     match IC.insert t i (i * 10) with
     | Ok _ -> ()
@@ -140,14 +140,14 @@ let cuckoo_insert_find () =
   done
 
 let cuckoo_duplicate () =
-  let t = IC.create ~stages:2 ~rows_per_stage:16 ~ways:2 () in
+  let t = IC.create ~key_of:Fun.id ~stages:2 ~rows_per_stage:16 ~ways:2 () in
   (match IC.insert t 1 10 with Ok _ -> () | Error _ -> Alcotest.fail "first insert");
   match IC.insert t 1 20 with
   | Error `Duplicate -> ()
   | Ok _ | Error `Full -> Alcotest.fail "expected duplicate"
 
 let cuckoo_remove () =
-  let t = IC.create ~stages:2 ~rows_per_stage:16 ~ways:2 () in
+  let t = IC.create ~key_of:Fun.id ~stages:2 ~rows_per_stage:16 ~ways:2 () in
   ignore (IC.insert t 5 50);
   check Alcotest.bool "present" true (IC.mem_exact t 5);
   check Alcotest.bool "removed" true (IC.remove t 5);
@@ -156,7 +156,7 @@ let cuckoo_remove () =
   check Alcotest.int "size" 0 (IC.size t)
 
 let cuckoo_high_occupancy () =
-  let t = IC.create ~stages:4 ~rows_per_stage:64 ~ways:4 () in
+  let t = IC.create ~key_of:Fun.id ~stages:4 ~rows_per_stage:64 ~ways:4 () in
   let cap = IC.capacity t in
   let inserted = ref 0 in
   (try
@@ -173,7 +173,7 @@ let cuckoo_high_occupancy () =
     (float_of_int !inserted /. float_of_int cap >= 0.9)
 
 let cuckoo_relocate () =
-  let t = IC.create ~stages:3 ~rows_per_stage:64 ~ways:2 () in
+  let t = IC.create ~key_of:Fun.id ~stages:3 ~rows_per_stage:64 ~ways:2 () in
   for i = 0 to 50 do
     ignore (IC.insert t i i)
   done;
@@ -192,13 +192,13 @@ let cuckoo_relocate () =
      | None -> Alcotest.fail "value lost")
 
 let cuckoo_relocate_missing () =
-  let t = IC.create ~stages:2 ~rows_per_stage:8 ~ways:2 () in
+  let t = IC.create ~key_of:Fun.id ~stages:2 ~rows_per_stage:8 ~ways:2 () in
   match IC.relocate t 42 ~forbid_stages:[ 0 ] with
   | Error `Not_found -> ()
   | Ok _ | Error `Full -> Alcotest.fail "expected Not_found"
 
 let cuckoo_forbid_stage () =
-  let t = IC.create ~stages:3 ~rows_per_stage:64 ~ways:2 () in
+  let t = IC.create ~key_of:Fun.id ~stages:3 ~rows_per_stage:64 ~ways:2 () in
   for i = 0 to 30 do
     match IC.insert ~forbid_stages:[ 0 ] t i i with
     | Ok _ ->
@@ -212,7 +212,7 @@ let qcheck_cuckoo_model =
   QCheck.Test.make ~name:"cuckoo table = reference map" ~count:60
     QCheck.(list (pair (int_bound 500) bool))
     (fun ops ->
-      let t = IC.create ~stages:3 ~rows_per_stage:128 ~ways:4 () in
+      let t = IC.create ~key_of:Fun.id ~stages:3 ~rows_per_stage:128 ~ways:4 () in
       let model = Hashtbl.create 64 in
       List.iter
         (fun (k, ins) ->
@@ -236,7 +236,7 @@ let qcheck_cuckoo_moves_preserve =
   QCheck.Test.make ~name:"evictions never lose entries" ~count:20
     QCheck.(int_range 100 400)
     (fun n ->
-      let t = IC.create ~stages:2 ~rows_per_stage:64 ~ways:4 () in
+      let t = IC.create ~key_of:Fun.id ~stages:2 ~rows_per_stage:64 ~ways:4 () in
       let kept = ref [] in
       for i = 0 to n - 1 do
         match IC.insert t i i with
@@ -246,7 +246,7 @@ let qcheck_cuckoo_moves_preserve =
       List.for_all (fun k -> IC.find_exact t k = Some k) !kept)
 
 let cuckoo_digest_mode () =
-  let t = IC.create ~digest_bits:8 ~stages:2 ~rows_per_stage:256 ~ways:4 () in
+  let t = IC.create ~digest_bits:8 ~key_of:Fun.id ~stages:2 ~rows_per_stage:256 ~ways:4 () in
   for i = 0 to 499 do
     ignore (IC.insert t i i)
   done;
@@ -264,7 +264,7 @@ let cuckoo_digest_mode () =
   check Alcotest.bool "some false positives with 8-bit digest" true (!fp > 0)
 
 let cuckoo_probe_positions () =
-  let t = IC.create ~digest_bits:8 ~stages:3 ~rows_per_stage:64 ~ways:2 () in
+  let t = IC.create ~digest_bits:8 ~key_of:Fun.id ~stages:3 ~rows_per_stage:64 ~ways:2 () in
   let ps = IC.probe_positions t 42 in
   check Alcotest.int "one per stage" 3 (List.length ps);
   List.iteri
@@ -277,7 +277,7 @@ let cuckoo_probe_positions () =
   check Alcotest.bool "stable" true (ps = IC.probe_positions t 42)
 
 let cuckoo_placement_filter_respected () =
-  let t = IC.create ~stages:3 ~rows_per_stage:64 ~ways:2 () in
+  let t = IC.create ~key_of:Fun.id ~stages:3 ~rows_per_stage:64 ~ways:2 () in
   (* forbid stage 1 entirely via the filter *)
   IC.set_placement_filter t (Some (fun _ ~stage ~row:_ -> stage <> 1));
   for i = 0 to 60 do
@@ -310,7 +310,7 @@ module ICB = Cuckoo_boxed.Make (Int_key)
 let cuckoo_bfs_boundary () =
   (* [Asic.Cuckoo]'s fixed per-insert BFS budget *)
   let max_bfs_nodes = 4096 in
-  let t = IC.create ~stages:2 ~rows_per_stage:4096 ~ways:4 () in
+  let t = IC.create ~key_of:Fun.id ~stages:2 ~rows_per_stage:4096 ~ways:4 () in
   let kept = ref [] in
   let failed_expansions = ref None in
   (try
@@ -376,7 +376,7 @@ let arb_cuckoo_ops ~max_len =
    identical — the reference the flat insert ladder and probe loop are
    checked against. *)
 let layout_differential ?digest_bits ?placement_filter ops =
-  let tf = IC.create ?digest_bits ~stages:3 ~rows_per_stage:64 ~ways:2 () in
+  let tf = IC.create ?digest_bits ~key_of:Fun.id ~stages:3 ~rows_per_stage:64 ~ways:2 () in
   let tb = ICB.create ?digest_bits ~stages:3 ~rows_per_stage:64 ~ways:2 () in
   (match placement_filter with
    | None -> ()
@@ -435,7 +435,7 @@ let qcheck_flat_boxed_differential_filtered =
    and count its kicks into [moves] exactly as the boxed BFS counts the
    same depth-1 moves, without changing outcomes. *)
 let cuckoo_greedy_kicks_counter () =
-  let t = IC.create ~stages:2 ~rows_per_stage:64 ~ways:4 () in
+  let t = IC.create ~key_of:Fun.id ~stages:2 ~rows_per_stage:64 ~ways:4 () in
   let tb = ICB.create ~stages:2 ~rows_per_stage:64 ~ways:4 () in
   (try
      for i = 0 to IC.capacity t - 1 do
@@ -462,7 +462,7 @@ let cuckoo_value_contract () =
     (fun digest_bits ->
       let mode = match digest_bits with None -> "exact" | Some b -> Printf.sprintf "%d-bit" b in
       let name s = Printf.sprintf "%s: %s" mode s in
-      let t = IC.create ?digest_bits ~stages:2 ~rows_per_stage:16 ~ways:1 () in
+      let t = IC.create ?digest_bits ~key_of:Fun.id ~stages:2 ~rows_per_stage:16 ~ways:1 () in
       List.iter
         (fun v ->
           match IC.insert t 0 v with
@@ -486,7 +486,7 @@ let cuckoo_value_contract () =
         IC.find_exact t k = Some (max_value - k)
         &&
         match IC.lookup t k with
-        | Some h -> h.IC.exact && h.IC.key = k && h.IC.value = max_value - k
+        | Some h -> h.IC.exact && h.IC.handle = k && h.IC.value = max_value - k
         | None -> false
       in
       List.iter

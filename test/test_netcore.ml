@@ -205,7 +205,30 @@ let qcheck_cached_hash_bit_identical =
       let h = reference_hash ~seed t in
       Int64.equal (Netcore.Five_tuple.hash ~seed t) h
       && Netcore.Five_tuple.range ~seed t n = Netcore.Hashing.to_range h n
-      && Netcore.Five_tuple.bits ~seed t k = Netcore.Hashing.truncate_bits h k)
+      && Netcore.Five_tuple.bits ~seed t k = Netcore.Hashing.truncate_bits h k
+      && Int64.equal
+           (Int64.logor
+              (Int64.shift_left (Int64.of_int (Netcore.Five_tuple.hash_hi ~seed t)) 32)
+              (Int64.of_int (Netcore.Five_tuple.hash_lo ~seed t)))
+           h)
+
+(* The int-only forms that routing and the TransitTable use keep the
+   int64 order and bits of the chains they replace: a rendezvous
+   comparison is the unsigned order of the two seeded scores, and a
+   family member's range is [to_range] of [apply]. *)
+let qcheck_int_forms_bit_identical =
+  QCheck.Test.make ~name:"seeded_above and apply_range equal their int64 chains" ~count:1000
+    QCheck.(quad int64 small_nat small_nat (int_range 1 1_000_000))
+    (fun (x, a, b, n) ->
+      let hi = Int64.to_int (Int64.shift_right_logical x 32)
+      and lo = Int64.to_int (Int64.logand x 0xffff_ffffL) in
+      let h = Netcore.Hashing.seeded_halves ~seed:5 ~hi ~lo in
+      let fam = Netcore.Hashing.family ~seed:a in
+      Netcore.Hashing.seeded_above ~seed:5 ~hi ~lo ~a ~b
+      = (Int64.unsigned_compare (Netcore.Hashing.seeded ~seed:a h) (Netcore.Hashing.seeded ~seed:b h)
+         > 0)
+      && Netcore.Hashing.apply_range fam b ~hi ~lo n
+         = Netcore.Hashing.to_range (Netcore.Hashing.apply fam b x) n)
 
 let qcheck_to_range =
   QCheck.Test.make ~name:"to_range stays in range" ~count:500
@@ -302,6 +325,7 @@ let suites =
         tc "digest collision rate" `Quick digest_collision_rate;
         QCheck_alcotest.to_alcotest qcheck_hash_equal_tuples;
         QCheck_alcotest.to_alcotest qcheck_cached_hash_bit_identical;
+        QCheck_alcotest.to_alcotest qcheck_int_forms_bit_identical;
       ] );
     ( "netcore.hashing",
       [

@@ -475,7 +475,22 @@ module Ref_conn_table = struct
     probe_index : (int, Netcore.Five_tuple.t list ref) Hashtbl.t;
     mutable false_hits : int;
     mutable repairs : int;
+    (* the cuckoo table stores handles: one per tuple, for good *)
+    keys : Netcore.Five_tuple.t array ref;
+    ids : int Netcore.Five_tuple.Tbl.t;
   }
+
+  let key t h = !(t.keys).(h)
+
+  let handle t k =
+    match Netcore.Five_tuple.Tbl.find t.ids k with
+    | h -> h
+    | exception Not_found ->
+      let h = Netcore.Five_tuple.Tbl.length t.ids in
+      if h = Array.length !(t.keys) then t.keys := Array.append !(t.keys) (Array.make (h + 1) k);
+      !(t.keys).(h) <- k;
+      Netcore.Five_tuple.Tbl.add t.ids k h;
+      h
 
   let pack_pos t ~stage ~row ~digest = (((stage * t.n_rows) + row) lsl t.digest_bits) lor digest
 
@@ -506,11 +521,12 @@ module Ref_conn_table = struct
     | exception Not_found -> true
 
   let create (cfg : Silkroad.Config.t) =
+    let keys = ref [||] in
     let t =
       {
         table =
           Table.create ~seed:cfg.Silkroad.Config.seed ~digest_bits:cfg.Silkroad.Config.digest_bits
-            ~stages:cfg.Silkroad.Config.conn_table_stages
+            ~key_of:(fun h -> !keys.(h)) ~stages:cfg.Silkroad.Config.conn_table_stages
             ~rows_per_stage:cfg.Silkroad.Config.conn_table_rows
             ~ways:cfg.Silkroad.Config.conn_table_ways ();
         digest_bits = cfg.Silkroad.Config.digest_bits;
@@ -518,9 +534,12 @@ module Ref_conn_table = struct
         probe_index = Hashtbl.create 16;
         false_hits = 0;
         repairs = 0;
+        keys;
+        ids = Netcore.Five_tuple.Tbl.create 64;
       }
     in
-    Table.set_placement_filter t.table (Some (fun k ~stage ~row -> placement_safe t k ~stage ~row));
+    Table.set_placement_filter t.table
+      (Some (fun h ~stage ~row -> placement_safe t (key t h) ~stage ~row));
     t
 
   let lookup t flow =
@@ -531,14 +550,14 @@ module Ref_conn_table = struct
       Some (hit.Table.value, hit.Table.exact)
 
   let insert t flow ~version =
-    match Table.insert t.table flow version with
+    match Table.insert t.table (handle t flow) version with
     | Ok moves ->
       register t flow;
       Ok moves
     | (Error (`Full | `Duplicate)) as e -> e
 
   let remove t flow =
-    if Table.remove t.table flow then begin
+    if Table.remove t.table (handle t flow) then begin
       unregister t flow;
       true
     end
@@ -558,18 +577,19 @@ module Ref_conn_table = struct
           let forbidden =
             if List.mem hit.Table.stage forbidden then forbidden else hit.Table.stage :: forbidden
           in
-          (match Table.relocate t.table hit.Table.key ~forbid_stages:forbidden with
-           | Ok _ | Error `Not_found -> attempt forbidden (tries + 1) (hit.Table.key :: residents)
+          (match Table.relocate t.table hit.Table.handle ~forbid_stages:forbidden with
+           | Ok _ | Error `Not_found ->
+             attempt forbidden (tries + 1) (key t hit.Table.handle :: residents)
            | Error `Full -> Error `Full)
         | Some _ | None ->
           (match
              if Table.mem_exact t.table flow then Ok 0
-             else Table.insert ~forbid_stages:forbidden t.table flow version
+             else Table.insert ~forbid_stages:forbidden t.table (handle t flow) version
            with
            | Error `Full -> Error `Full
            | Error `Duplicate | Ok _ ->
              if not (exact_hit flow) then begin
-               ignore (Table.remove t.table flow);
+               ignore (Table.remove t.table (handle t flow));
                attempt forbidden (tries + 1) residents
              end
              else
@@ -587,10 +607,10 @@ module Ref_conn_table = struct
                        if List.mem h.Table.stage forbidden then forbidden
                        else h.Table.stage :: forbidden
                      in
-                     ignore (Table.remove t.table flow);
+                     ignore (Table.remove t.table (handle t flow));
                      attempt forbidden (tries + 1) residents
                    | None ->
-                     ignore (Table.remove t.table flow);
+                     ignore (Table.remove t.table (handle t flow));
                      Error `Full)))
     in
     attempt [] 0 []
@@ -1203,6 +1223,74 @@ let qcheck_switch_invariants =
        QCheck.Gen.(list_size (int_range 20 150) gen_sw_cmd))
     invariants_hold_throughout
 
+(* Handle lifetime. Six tuples over two VIPs, so every tuple is reused:
+   a FIN, an idle expiry, a re-route or a VIP removal ends a connection
+   while its learning event, insert or delete may still be queued at
+   the slow CPU, and a SYN on the same tuple starts a newer one, which
+   may get the freed handle of another. Before each packet the
+   ConnTable is asked, by tuple, for the flow's entry; an exact hit
+   must then forward by the ASIC to the DIP of exactly that entry's
+   version, and leave the entry as it was. After every command the
+   switch's invariants hold: every entry's handle names the connection
+   [flows] maps its tuple to, and no free handle is held by the pending
+   vector, the wheel, the learning filter or queued CPU work. *)
+let gen_lifetime_cmd =
+  QCheck.Gen.(
+    let flow = int_bound 5 in
+    frequency
+      [ (5, map (fun i -> Syn i) flow);
+        (5, map (fun i -> Data i) flow);
+        (3, map (fun i -> Fin i) flow);
+        (4, map (fun dt -> Wait dt) (oneofl [ 0.0002; 0.001; 0.003; 0.01 ]));
+        (1, return Idle);
+        (2, map (fun b -> Forget b) (int_bound 1));
+        (1, return Vip_readd);
+        (1, return Vip_remove);
+        (1, return Vip_add);
+        (1, map (fun n -> Backlog n) (int_range 1 20)) ])
+
+let handles_track_connections cmds =
+  let sw = Silkroad.Switch.create ~check:`Off pending_cfg in
+  Silkroad.Switch.add_vip sw vip (pool_of_side 0);
+  Silkroad.Switch.add_vip sw vip2 (pool_of_side 1);
+  let ct = Silkroad.Switch.conn_table sw in
+  let now = ref 0. in
+  let exact_hit_forwarded i =
+    let f = side_flow i in
+    let before = Silkroad.Conn_table.lookup ct f in
+    let v = f.Netcore.Five_tuple.dst in
+    match before with
+    | Some { Silkroad.Conn_table.exact = true; version } when Silkroad.Switch.has_vip sw v ->
+      let out = Silkroad.Switch.process sw ~now:!now (Netcore.Packet.data f) in
+      let expected =
+        Silkroad.Dip_pool_table.select_dip_fast (Silkroad.Switch.pools sw) ~vip:v ~version f
+          ~none:Silkroad.Switch.no_dip
+      in
+      (out.Lb.Balancer.location = Lb.Balancer.Asic
+       && (match out.Lb.Balancer.dip with Some d -> d == expected | None -> expected == Silkroad.Switch.no_dip)
+       && Silkroad.Conn_table.lookup ct f = before)
+      || QCheck.Test.fail_reportf "exact hit on %d (version %d) went elsewhere" i version
+    | Some _ | None ->
+      ignore (Silkroad.Switch.process sw ~now:!now (Netcore.Packet.data f));
+      true
+  in
+  List.for_all
+    (fun cmd ->
+      (match cmd with Data i -> exact_hit_forwarded i | _ -> (run_sw_cmd sw now cmd; true))
+      &&
+      match Silkroad.Switch.check_invariants sw with
+      | Ok () -> true
+      | Error problems ->
+        QCheck.Test.fail_reportf "after %s: %s" (pp_sw_cmd cmd) (String.concat "; " problems))
+    cmds
+
+let qcheck_handle_lifetime =
+  QCheck.Test.make ~name:"handles stay bound to their connections" ~count:300
+    (QCheck.make
+       ~print:(fun cmds -> String.concat ", " (List.map pp_sw_cmd cmds))
+       QCheck.Gen.(list_size (int_range 20 200) gen_lifetime_cmd))
+    handles_track_connections
+
 (* With one version bit a VIP has two version numbers. A connection
    pins the first, an update takes the second, and the next update
    finds none free: it aborts with [Versions_exhausted] while a third
@@ -1626,6 +1714,7 @@ let suites =
         tc "exhausted update with one queued" `Quick switch_exhausted_update_with_queue;
         tc "two barriers force-released at once" `Quick switch_two_barriers_forced;
         QCheck_alcotest.to_alcotest qcheck_switch_invariants;
+        QCheck_alcotest.to_alcotest qcheck_handle_lifetime;
       ] );
     ( "silkroad.isolation",
       [
