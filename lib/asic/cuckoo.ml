@@ -15,7 +15,7 @@
    SRAM table per stage, also keeps each allocation at half of a
    two-stage table: glibc raises its mmap threshold to the largest
    block a program frees, and one 16 MB block instead of two 8 MB ones
-   raised perfbench serve-churn's peak RSS by 16 MB.
+   raised perfbench serve-churn's peak RSS by 8 MB.
 
    The insert path escalates through three regimes (§4.1's switch-CPU
    insert at its real costs):

@@ -12,14 +12,14 @@
     Values are ints, and so are entries' owners: each entry is stored
     under a {e handle}, an int the table resolves to the entry's true
     key through the [key_of] function given to {!Make.create} (the
-    switch software's copy of the key, §4.2). The table is one flat int
-    array with two ints per slot: the word holding the stored digest
+    switch software's copy of the key, §4.2). Each stage is one flat
+    int array with two ints per slot: the word holding the stored digest
     and the value (the digest+version word of §4.2's ConnTable entry),
     and the handle beside it. A row's [ways] slots sit side by side, as
     the hardware packs them into one SRAM word; a hit reads its value
     and its handle from the slot it matched, and the true key through
-    the handle. The table holds no pointer, and its array is allocated
-    by the first insert. The eviction BFS runs in a scratch arena that the
+    the handle. The table holds no pointer, and its arrays are
+    allocated by the first insert. The eviction BFS runs in a scratch arena that the
     first insert reaching the BFS allocates and later ones reuse, so
     inserts allocate nothing and a table that never needs the BFS
     never holds the arena. The test suite keeps the original per-slot

@@ -8,9 +8,9 @@ module Ftbl = Netcore.Five_tuple.Tbl
    each entry's word, so an exact hit reads its connection through the
    slot it matched and does no [flows] find; the pending vector, the
    aging wheel, the learning filter's payload and the CPU work carry
-   handles. Storing a handle is a plain int write, and the GC marks
-   three pointer columns instead of a record per connection and every
-   pointer to it.
+   handles. No structure points to a connection, so the GC marks three
+   pointer columns instead of a record per connection and every pointer
+   to it.
 
    The columns come in chunks of [chunk_size] handles, each column's
    chunks listed in a directory that starts empty and doubles. Growing
