@@ -659,7 +659,9 @@ let verify_cmd =
     Arg.(value & opt (some string) None
          & info [ "out" ] ~docv:"DIR"
              ~doc:"Write each mutation-killing counterexample as a serve-mode protocol \
-                   script under $(docv) (replayable with silkroad serve --script).")
+                   script under $(docv). Replaying one also needs the counterexample's \
+                   packet trace and the switch config its header names, which silkroad \
+                   serve cannot take yet.")
   in
   let run json races model root out verbose =
     setup_logs verbose;

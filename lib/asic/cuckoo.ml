@@ -1,10 +1,10 @@
 (* Flat cuckoo layout: one int array per stage, two ints per slot.
 
    Slot [row * ways + way] of a stage is the pair at [2i], [2i + 1] of
-   the stage's array: its word, the stored digest in the low 31 bits (0 as
-   the occupied marker in exact mode) and the value in the bits above,
-   or -1 for an empty slot; and the handle of the entry's owner, an int
-   the table's [key_of] resolves to the true key. Lookups touch only
+   the stage's array: its word, the stored digest in the low 31 bits and
+   the value in the bits above, or -1 for an empty slot; and the handle
+   of the entry's owner, an int the table's [key_of] resolves to the
+   true key. Lookups touch only
    the words until one matches; a hit then finds its value and its
    handle in the same cache line, and reads the true key through the
    handle once. The table holds no pointer, so a store into it is a
@@ -75,8 +75,7 @@ module Make (Key : KEY) = struct
 
   type t = {
     seed : int;
-    digest_bits : int option;
-    exact_mode : bool;
+    digest_bits : int;
     n_stages : int;
     n_rows : int;
     n_ways : int;
@@ -100,17 +99,14 @@ module Make (Key : KEY) = struct
     mutable placement_filter : (int -> stage:int -> row:int -> bool) option;
   }
 
-  let create ?(seed = 0xc0c0) ?digest_bits ~key_of ~stages ~rows_per_stage ~ways () =
+  let create ?(seed = 0xc0c0) ~digest_bits ~key_of ~stages ~rows_per_stage ~ways () =
     assert (stages >= 2);
     assert (rows_per_stage > 0);
     assert (ways >= 1);
-    (match digest_bits with
-     | None -> ()
-     | Some b -> assert (b >= 1 && b <= 30));
+    assert (digest_bits >= 1 && digest_bits <= 30);
     {
       seed;
       digest_bits;
-      exact_mode = digest_bits = None;
       n_stages = stages;
       n_rows = rows_per_stage;
       n_ways = ways;
@@ -141,12 +137,8 @@ module Make (Key : KEY) = struct
   let digest_seed t ~stage = t.seed + 0x5eed + (stage * 2)
   let row_of t stage k = Key.range ~seed:(row_seed t ~stage) k t.n_rows
 
-  (* The stored per-slot code: the digest, or 0 as the exact-mode
-     occupied marker (empty slots store -1 in either mode). *)
-  let code_of t stage k =
-    match t.digest_bits with
-    | None -> 0
-    | Some bits -> Key.bits ~seed:(digest_seed t ~stage) k bits
+  (* The stored per-slot code: the stage's digest of the key. *)
+  let code_of t stage k = Key.bits ~seed:(digest_seed t ~stage) k t.digest_bits
 
   (* A slot index is its stage in the bits above [offset_bits] and its
      offset in the stage, [row * ways + way], below them, so [b + way]
@@ -186,15 +178,15 @@ module Make (Key : KEY) = struct
   let make_probe () = { probe_hit = false; probe_exact = false; probe_value = 0; probe_handle = -1 }
 
   (* The hardware lookup: the first slot, in stage then way order, whose
-     word's code matches — the stage's digest, or in exact mode the true
-     key. [rows.(stage)] and [digests.(stage)] are the key's probe
-     positions. Returns the slot index, or -1. A plain loop over local
-     refs, not local recursive functions: those closures would be
-     allocated on every call. A match ends both loops by moving their
-     counters past the end, and the function is inlined into the
-     per-packet [lookup_pos_into]: a [found] test in both loop
-     conditions, or a call per lookup, each measured slower. *)
-  let[@inline] first_match t k ~(rows : int array) ~(digests : int array) =
+     word's code is the stage's digest. [rows.(stage)] and
+     [digests.(stage)] are the key's probe positions. Returns the slot
+     index, or -1. A plain loop over local refs, not local recursive
+     functions: those closures would be allocated on every call. A
+     match ends both loops by moving their counters past the end, and
+     the function is inlined into the per-packet [lookup_pos_into]: a
+     [found] test in both loop conditions, or a call per lookup, each
+     measured slower. *)
+  let[@inline] first_match t ~(rows : int array) ~(digests : int array) =
     let found = ref (-1) and stage = ref 0 in
     while !stage < t.n_stages do
       let a = Array.unsafe_get t.slots !stage in
@@ -202,12 +194,7 @@ module Make (Key : KEY) = struct
       let code = Array.unsafe_get digests !stage in
       let way = ref 0 in
       while !way < t.n_ways do
-        let j = 2 * (o + !way) in
-        let stored = Array.unsafe_get a j in
-        if
-          if t.exact_mode then stored >= 0 && Key.equal (t.key_of (Array.unsafe_get a (j + 1))) k
-          else stored land digest_mask = code
-        then begin
+        if Array.unsafe_get a (2 * (o + !way)) land digest_mask = code then begin
           found := (!stage lsl offset_bits) lor (o + !way);
           way := t.n_ways;
           stage := t.n_stages
@@ -224,7 +211,7 @@ module Make (Key : KEY) = struct
      the outcome lands in a caller-owned buffer, so the hardware fast
      path allocates nothing. *)
   let lookup_pos_into t ~key:k ~rows ~digests (p : probe) =
-    let i = if Array.length t.slots = 0 then -1 else first_match t k ~rows ~digests in
+    let i = if Array.length t.slots = 0 then -1 else first_match t ~rows ~digests in
     p.probe_hit <- i >= 0;
     if i >= 0 then begin
       let h = handle_at t i in
@@ -239,7 +226,7 @@ module Make (Key : KEY) = struct
       rows.(stage) <- row_of t stage k;
       digests.(stage) <- code_of t stage k
     done;
-    let i = if Array.length t.slots = 0 then -1 else first_match t k ~rows ~digests in
+    let i = if Array.length t.slots = 0 then -1 else first_match t ~rows ~digests in
     if i < 0 then None
     else
       let h = handle_at t i in
@@ -255,9 +242,8 @@ module Make (Key : KEY) = struct
      and removal starts here, so it is a closure-free loop like
      [first_match]. Digest first: [place] always stores
      [code_of t stage k], so a way whose code differs cannot hold [k]
-     (an empty word's code is above every digest, and above the
-     exact-mode marker 0), and only the ways that match it are
-     examined further. *)
+     (an empty word's code is above every digest), and only the ways
+     that match it are examined further. *)
   let locate t k ~handle =
     let found = ref (-1) and stage = ref (if Array.length t.slots = 0 then t.n_stages else 0) in
     while !found < 0 && !stage < t.n_stages do
@@ -531,9 +517,7 @@ module Make (Key : KEY) = struct
   let bfs_expansions t = t.bfs_expansions
 
   let probe_positions t k =
-    List.init t.n_stages (fun stage ->
-        let digest = if t.exact_mode then -1 else code_of t stage k in
-        (stage, row_of t stage k, digest))
+    List.init t.n_stages (fun stage -> (stage, row_of t stage k, code_of t stage k))
 
   let iter t f =
     Array.iter

@@ -26,16 +26,13 @@
     boxed layout as a reference and pins this one placement-identical
     to it.
 
-    Two matching modes are supported:
-
-    - {b exact}: the full key (through the handle) is compared — no false hits;
-    - {b digest} ([digest_bits = Some b]): only a per-stage [b]-bit hash
-      digest of the key is stored and compared, the compression at the
-      heart of SilkRoad's ConnTable (§4.2). Lookups can then falsely hit
-      an entry whose digest collides; software-side functions
-      ({!Make.find_exact}, {!Make.remove}, {!Make.relocate}) always use
-      the true key or the handle, which the switch software keeps in
-      its shadow copy.
+    The hardware matches on digests: only a per-stage [digest_bits]-bit
+    hash digest of the key is stored and compared, the compression at
+    the heart of SilkRoad's ConnTable (§4.2). Lookups can then falsely
+    hit an entry whose digest collides ({!Make.hit}'s [exact] tells);
+    software-side functions ({!Make.find_exact}, {!Make.remove},
+    {!Make.relocate}) always use the true key or the handle, which the
+    switch software keeps in its shadow copy.
 
     The table never resizes: when the BFS cannot free a slot the insert
     fails with [`Full], which is exactly the "ConnTable is full" overflow
@@ -72,7 +69,7 @@ module Make (Key : KEY) : sig
 
   val create :
     ?seed:int ->
-    ?digest_bits:int ->
+    digest_bits:int ->
     key_of:(int -> key) ->
     stages:int ->
     rows_per_stage:int ->
@@ -93,8 +90,8 @@ module Make (Key : KEY) : sig
 
   val lookup : t -> key -> hit option
   (** Hardware lookup: probes stages in pipeline order, and each row's
-      ways in order, and returns the first slot whose stored key (digest
-      or full key) matches. *)
+      ways in order, and returns the first slot whose stored digest
+      matches. *)
 
   type probe = {
     mutable probe_hit : bool;
@@ -127,7 +124,7 @@ module Make (Key : KEY) : sig
       row and digest {!probe_positions} gives for [key] at [stage]
       (computed via {!row_seed}/{!digest_seed}). Probes the same slots
       in the same order as {!lookup} and writes the outcome into the
-      buffer; [digests] is ignored in exact mode. *)
+      buffer. *)
 
   val find_exact : t -> key -> int option
   (** Software lookup by true key. *)
@@ -174,9 +171,9 @@ module Make (Key : KEY) : sig
 
   val probe_positions : t -> key -> (int * int * int) list
   (** [(stage, row, digest)] triples the hardware probes when looking up
-      this key — one per stage ([digest] is [-1] in exact mode). Lets the
-      switch software maintain a shadow index of which table positions
-      each tracked connection would match. *)
+      this key — one per stage. Lets the switch software maintain a
+      shadow index of which table positions each tracked connection
+      would match. *)
 
   val iter : t -> (int -> int -> unit) -> unit
   (** [iter t f] calls [f handle value] for every entry, in slot order. *)

@@ -82,6 +82,7 @@ val insert : t -> Netcore.Five_tuple.t -> version:int -> (int, [ `Full | `Duplic
     otherwise), as are {!repair_collision} and {!remove}'s effect. *)
 
 val remove : t -> Netcore.Five_tuple.t -> bool
+[@@silkroad.allow "surface.unused-export: remove_handle by tuple, which test_silkroad's Ct_remove reference differential and test_alloc's insert + remove pin drive; the switch removes by handle"]
 
 val insert_handle : t -> int -> version:int -> (int, [ `Full | `Duplicate ]) result
 (** {!insert} of handle [h]'s connection; [`Duplicate] when [h] already

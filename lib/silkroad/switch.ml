@@ -393,6 +393,54 @@ let live t h = if has t.slab h destroyed then Ftbl.find t.flows (tuple t.slab h)
 
 (* ----- control plane ----- *)
 
+(* The switch CPU installs [h0]'s entry, from a learning batch
+   ([attempt] 0) or the overflow queue (1 .. [max_overflow_retries]). A
+   connection installed meanwhile (a collision repair, possibly of a
+   newer connection on the same 5-tuple) is left as it is, since its own
+   delete tears it down once it ends; one that has ended uninstalled is
+   torn down here. On [`Full] it is parked on the overflow queue
+   while it has retries left and the queue has room, else it stays
+   stateless (§7). The first failure counts an overflow and releases the
+   running update's barrier; a re-queue after it resolves nothing, so a
+   later update waits for the parked flow until its install or its last
+   retry giving up ([Update_job.start]). *)
+let install t ~now h0 ~attempt =
+  let s = t.slab in
+  (match live t h0 with
+   | exception Not_found -> ()  (* state destroyed while queued *)
+   | h ->
+     unset s h in_pipeline;
+     if has s h inserted then ()
+     else if has s h ended then teardown t ~now h
+     else begin
+       match Conn_table.insert_handle t.conns h ~version:(pool s h).version with
+       | Ok _ | Error `Duplicate ->
+         set s h inserted;
+         settle t h;
+         Update_job.resolved t.jobs ~now (vip s h) (tuple s h)
+       | Error `Full
+         when attempt < max_overflow_retries && Queue.length t.overflow < overflow_cap ->
+         pin s h;
+         Queue.add (h, attempt + 1) t.overflow;
+         set s h in_pipeline;
+         if attempt = 0 then begin
+           Telemetry.Registry.Counter.incr t.c_insert_overflows;
+           Update_job.resolved t.jobs ~now (vip s h) (tuple s h)
+         end
+       | Error `Full ->
+         Telemetry.Registry.Counter.incr t.c_table_full_drops;
+         let pct = 100. *. Conn_table.occupancy t.conns in
+         if attempt = 0 then
+           Log.warn (fun m ->
+               m "ConnTable full (%.1f%%), overflow queue full: connection left stateless" pct)
+         else
+           Log.warn (fun m ->
+               m "ConnTable full (%.1f%%) after %d insert attempts: connection left stateless" pct
+                 (attempt + 1));
+         Update_job.resolved t.jobs ~now (vip s h) (tuple s h)
+     end);
+  unpin s h0
+
 (* A top-level recursion, not a local [go] closure: [advance] calls
    this on every packet, and a closure would be allocated even when
    nothing is due. *)
@@ -402,64 +450,17 @@ let rec complete_cpu_work t ~now =
     let at, _ = Queue.peek t.cpu_done in
     if at <= now then begin
       let _, work = Queue.pop t.cpu_done in
-      let s = t.slab in
       (match work with
-       | Insert_batch batch ->
-         List.iter
-           (fun h0 ->
-             (match live t h0 with
-              | exception Not_found -> ()  (* state already destroyed *)
-              | h ->
-                unset s h in_pipeline;
-                if has s h inserted then
-                  (* installed meanwhile (a collision repair), possibly as
-                     a newer connection on the same 5-tuple; if it has
-                     ended, its own delete is queued and tears it down *)
-                  ()
-                else if has s h ended then
-                  (* flow finished before its entry was installed *)
-                  teardown t ~now h
-                else begin
-                  (match Conn_table.insert_handle t.conns h ~version:(pool s h).version with
-                   | Ok _ | Error `Duplicate ->
-                     set s h inserted;
-                     settle t h
-                   | Error `Full ->
-                     (* defer to the overflow queue: the switch CPU
-                        retries the insert later at its real cost
-                        instead of abandoning state on first failure *)
-                     if Queue.length t.overflow < overflow_cap then begin
-                       Telemetry.Registry.Counter.incr t.c_insert_overflows;
-                       pin s h;
-                       Queue.add (h, 1) t.overflow;
-                       set s h in_pipeline
-                     end
-                     else begin
-                       Telemetry.Registry.Counter.incr t.c_table_full_drops;
-                       Log.warn (fun m ->
-                           m "ConnTable full (%.1f%%), overflow queue full: connection left \
-                              stateless"
-                             (100. *. Conn_table.occupancy t.conns))
-                     end;
-                     (* stays a pending connection; must not gate updates *)
-                     unset s h inserted);
-                  Update_job.resolved t.jobs ~now (vip s h) (tuple s h)
-                end);
-             unpin s h0)
-           batch
+       | Insert_batch batch -> List.iter (fun h0 -> install t ~now h0 ~attempt:0) batch
        | Delete h0 ->
+         (* no connection, or one that has not ended (a newer one on
+            the same 5-tuple): the state this delete was issued for was
+            torn down while it queued (re-route, VIP removal), entry
+            included *)
          (match live t h0 with
-          | h when not (has s h ended) ->
-            (* a newer connection on the same 5-tuple: the state this
-               delete was issued for was torn down while it queued
-               (re-route, VIP removal), entry included *)
-            ()
-          | h ->
-            ignore (Conn_table.remove_handle t.conns h);
-            Update_job.resolved t.jobs ~now (vip s h) (tuple s h);
-            destroy_state t h
-          | exception Not_found -> ignore (Conn_table.remove t.conns (tuple s h0)));
-         unpin s h0
+          | h when has t.slab h ended -> teardown t ~now h
+          | _ | (exception Not_found) -> ());
+         unpin t.slab h0
        | Repairs n ->
          (* repairs were applied synchronously at submission; completion
             only accounts the CPU time *)
@@ -467,42 +468,9 @@ let rec complete_cpu_work t ~now =
        | Overflow_retry_batch items ->
          t.overflow_inflight <- false;
          List.iter
-           (fun (h0, attempts) ->
+           (fun (h0, attempt) ->
              Telemetry.Registry.Counter.incr t.c_overflow_retries;
-             (match live t h0 with
-              | exception Not_found -> ()  (* state destroyed while queued *)
-              | h ->
-                if has s h inserted then unset s h in_pipeline
-                else if has s h ended then begin
-                  unset s h in_pipeline;
-                  teardown t ~now h
-                end
-                else (
-                  match Conn_table.insert_handle t.conns h ~version:(pool s h).version with
-                  | Ok _ | Error `Duplicate ->
-                    set s h inserted;
-                    settle t h;
-                    unset s h in_pipeline;
-                    Update_job.resolved t.jobs ~now (vip s h) (tuple s h)
-                  | Error `Full ->
-                    if attempts < max_overflow_retries && Queue.length t.overflow < overflow_cap
-                    then begin
-                      pin s h;
-                      Queue.add (h, attempts + 1) t.overflow
-                    end
-                    else begin
-                      (* give up: the connection stays stateless, the
-                         paper's §7 overflow outcome *)
-                      unset s h in_pipeline;
-                      Telemetry.Registry.Counter.incr t.c_table_full_drops;
-                      Update_job.resolved t.jobs ~now (vip s h) (tuple s h);
-                      Log.warn (fun m ->
-                          m "ConnTable full (%.1f%%) after %d insert attempts: connection left \
-                             stateless"
-                            (100. *. Conn_table.occupancy t.conns)
-                            (attempts + 1))
-                    end));
-             unpin s h0)
+             install t ~now h0 ~attempt)
            items);
       complete_cpu_work t ~now
     end
@@ -963,9 +931,14 @@ let check_invariants t =
     bad "aging wheel holds %d entries for %d connections with a position"
       (Asic.Timer_wheel.scheduled t.aging) !aged;
   (* every ConnTable entry's handle names the connection [flows] maps
-     its tuple to, so an exact hit reads the state a [flows] find would *)
+     its tuple to, so an exact hit reads the state a [flows] find would,
+     and that connection is marked installed, so a teardown removes the
+     entry *)
   Conn_table.iter_handles t.conns (fun h ->
-      if not (tracked h) then bad "ConnTable entry of handle %d belongs to no tracked connection" h);
+      if not (tracked h) then bad "ConnTable entry of handle %d belongs to no tracked connection" h
+      else if not (has s h inserted) then
+        bad "ConnTable entry of %a belongs to a connection not marked installed" pp_flow
+          (tuple s h));
   if Conn_table.size t.conns > Ftbl.length t.flows then
     bad "ConnTable holds %d entries for %d tracked connections" (Conn_table.size t.conns)
       (Ftbl.length t.flows);

@@ -209,6 +209,7 @@ val check_invariants : t -> (unit, string list) result
     - every connection is a live handle of the switch's slab, holding
       the tuple it is tracked under, and every ConnTable entry's handle
       names the connection tracked under its tuple;
+    - every ConnTable entry's connection is marked installed;
     - every learning event, queued CPU work item and overflow entry
       names a handle that is not free, each handle's pin count equals
       those references, a destroyed handle is still pinned, and the

@@ -16,12 +16,12 @@ module Make (Key : Asic.Cuckoo.KEY) = struct
 
   type 'v entry = {
     key : Key.t;
-    mutable stored_digest : int;  (** digest under the entry's current stage; -1 in exact mode *)
+    mutable stored_digest : int;  (** digest under the entry's current stage *)
     value : 'v;
   }
 
   type 'v t = {
-    digest_bits : int option;
+    digest_bits : int;
     n_stages : int;
     n_rows : int;
     n_ways : int;
@@ -36,7 +36,7 @@ module Make (Key : Asic.Cuckoo.KEY) = struct
   let seed = 0xc0c0
   let max_bfs_nodes = 4096
 
-  let create ?digest_bits ~stages ~rows_per_stage ~ways () =
+  let create ~digest_bits ~stages ~rows_per_stage ~ways () =
     {
       digest_bits;
       n_stages = stages;
@@ -55,20 +55,14 @@ module Make (Key : Asic.Cuckoo.KEY) = struct
      Seeds are decorrelated by distinct multipliers. *)
   let row_of t stage k = Key.range ~seed:(seed + (stage * 2) + 1) k t.n_rows
 
-  let digest_of t stage k =
-    match t.digest_bits with
-    | None -> -1
-    | Some bits -> Key.bits ~seed:(seed + 0x5eed + (stage * 2)) k bits
+  let digest_of t stage k = Key.bits ~seed:(seed + 0x5eed + (stage * 2)) k t.digest_bits
 
   let slot_index t row way = (row * t.n_ways) + way
 
   let matches t stage k (slot : _ entry option) =
     match slot with
     | None -> false
-    | Some e ->
-      (match t.digest_bits with
-       | None -> Key.equal e.key k
-       | Some _ -> e.stored_digest = digest_of t stage k)
+    | Some e -> e.stored_digest = digest_of t stage k
 
   let lookup t k =
     let rec by_stage stage =

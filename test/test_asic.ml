@@ -123,7 +123,7 @@ end
 module IC = Asic.Cuckoo.Make (Int_key)
 
 let cuckoo_insert_find () =
-  let t = IC.create ~key_of:Fun.id ~stages:2 ~rows_per_stage:64 ~ways:4 () in
+  let t = IC.create ~digest_bits:16 ~key_of:Fun.id ~stages:2 ~rows_per_stage:64 ~ways:4 () in
   for i = 0 to 99 do
     match IC.insert t i (i * 10) with
     | Ok _ -> ()
@@ -140,14 +140,14 @@ let cuckoo_insert_find () =
   done
 
 let cuckoo_duplicate () =
-  let t = IC.create ~key_of:Fun.id ~stages:2 ~rows_per_stage:16 ~ways:2 () in
+  let t = IC.create ~digest_bits:16 ~key_of:Fun.id ~stages:2 ~rows_per_stage:16 ~ways:2 () in
   (match IC.insert t 1 10 with Ok _ -> () | Error _ -> Alcotest.fail "first insert");
   match IC.insert t 1 20 with
   | Error `Duplicate -> ()
   | Ok _ | Error `Full -> Alcotest.fail "expected duplicate"
 
 let cuckoo_remove () =
-  let t = IC.create ~key_of:Fun.id ~stages:2 ~rows_per_stage:16 ~ways:2 () in
+  let t = IC.create ~digest_bits:16 ~key_of:Fun.id ~stages:2 ~rows_per_stage:16 ~ways:2 () in
   ignore (IC.insert t 5 50);
   check Alcotest.bool "present" true (IC.mem_exact t 5);
   check Alcotest.bool "removed" true (IC.remove t 5);
@@ -156,7 +156,7 @@ let cuckoo_remove () =
   check Alcotest.int "size" 0 (IC.size t)
 
 let cuckoo_high_occupancy () =
-  let t = IC.create ~key_of:Fun.id ~stages:4 ~rows_per_stage:64 ~ways:4 () in
+  let t = IC.create ~digest_bits:16 ~key_of:Fun.id ~stages:4 ~rows_per_stage:64 ~ways:4 () in
   let cap = IC.capacity t in
   let inserted = ref 0 in
   (try
@@ -173,7 +173,7 @@ let cuckoo_high_occupancy () =
     (float_of_int !inserted /. float_of_int cap >= 0.9)
 
 let cuckoo_relocate () =
-  let t = IC.create ~key_of:Fun.id ~stages:3 ~rows_per_stage:64 ~ways:2 () in
+  let t = IC.create ~digest_bits:16 ~key_of:Fun.id ~stages:3 ~rows_per_stage:64 ~ways:2 () in
   for i = 0 to 50 do
     ignore (IC.insert t i i)
   done;
@@ -192,13 +192,13 @@ let cuckoo_relocate () =
      | None -> Alcotest.fail "value lost")
 
 let cuckoo_relocate_missing () =
-  let t = IC.create ~key_of:Fun.id ~stages:2 ~rows_per_stage:8 ~ways:2 () in
+  let t = IC.create ~digest_bits:16 ~key_of:Fun.id ~stages:2 ~rows_per_stage:8 ~ways:2 () in
   match IC.relocate t 42 ~forbid_stages:[ 0 ] with
   | Error `Not_found -> ()
   | Ok _ | Error `Full -> Alcotest.fail "expected Not_found"
 
 let cuckoo_forbid_stage () =
-  let t = IC.create ~key_of:Fun.id ~stages:3 ~rows_per_stage:64 ~ways:2 () in
+  let t = IC.create ~digest_bits:16 ~key_of:Fun.id ~stages:3 ~rows_per_stage:64 ~ways:2 () in
   for i = 0 to 30 do
     match IC.insert ~forbid_stages:[ 0 ] t i i with
     | Ok _ ->
@@ -212,7 +212,7 @@ let qcheck_cuckoo_model =
   QCheck.Test.make ~name:"cuckoo table = reference map" ~count:60
     QCheck.(list (pair (int_bound 500) bool))
     (fun ops ->
-      let t = IC.create ~key_of:Fun.id ~stages:3 ~rows_per_stage:128 ~ways:4 () in
+      let t = IC.create ~digest_bits:16 ~key_of:Fun.id ~stages:3 ~rows_per_stage:128 ~ways:4 () in
       let model = Hashtbl.create 64 in
       List.iter
         (fun (k, ins) ->
@@ -236,7 +236,7 @@ let qcheck_cuckoo_moves_preserve =
   QCheck.Test.make ~name:"evictions never lose entries" ~count:20
     QCheck.(int_range 100 400)
     (fun n ->
-      let t = IC.create ~key_of:Fun.id ~stages:2 ~rows_per_stage:64 ~ways:4 () in
+      let t = IC.create ~digest_bits:16 ~key_of:Fun.id ~stages:2 ~rows_per_stage:64 ~ways:4 () in
       let kept = ref [] in
       for i = 0 to n - 1 do
         match IC.insert t i i with
@@ -277,7 +277,7 @@ let cuckoo_probe_positions () =
   check Alcotest.bool "stable" true (ps = IC.probe_positions t 42)
 
 let cuckoo_placement_filter_respected () =
-  let t = IC.create ~key_of:Fun.id ~stages:3 ~rows_per_stage:64 ~ways:2 () in
+  let t = IC.create ~digest_bits:16 ~key_of:Fun.id ~stages:3 ~rows_per_stage:64 ~ways:2 () in
   (* forbid stage 1 entirely via the filter *)
   IC.set_placement_filter t (Some (fun _ ~stage ~row:_ -> stage <> 1));
   for i = 0 to 60 do
@@ -310,7 +310,7 @@ module ICB = Cuckoo_boxed.Make (Int_key)
 let cuckoo_bfs_boundary () =
   (* [Asic.Cuckoo]'s fixed per-insert BFS budget *)
   let max_bfs_nodes = 4096 in
-  let t = IC.create ~key_of:Fun.id ~stages:2 ~rows_per_stage:4096 ~ways:4 () in
+  let t = IC.create ~digest_bits:16 ~key_of:Fun.id ~stages:2 ~rows_per_stage:4096 ~ways:4 () in
   let kept = ref [] in
   let failed_expansions = ref None in
   (try
@@ -375,9 +375,9 @@ let arb_cuckoo_ops ~max_len =
    move counts, sizes, stage assignments and hardware lookups must be
    identical — the reference the flat insert ladder and probe loop are
    checked against. *)
-let layout_differential ?digest_bits ?placement_filter ops =
-  let tf = IC.create ?digest_bits ~key_of:Fun.id ~stages:3 ~rows_per_stage:64 ~ways:2 () in
-  let tb = ICB.create ?digest_bits ~stages:3 ~rows_per_stage:64 ~ways:2 () in
+let layout_differential ~digest_bits ?placement_filter ops =
+  let tf = IC.create ~digest_bits ~key_of:Fun.id ~stages:3 ~rows_per_stage:64 ~ways:2 () in
+  let tb = ICB.create ~digest_bits ~stages:3 ~rows_per_stage:64 ~ways:2 () in
   (match placement_filter with
    | None -> ()
    | Some f ->
@@ -419,7 +419,7 @@ let layout_differential ?digest_bits ?placement_filter ops =
 let qcheck_flat_boxed_differential =
   QCheck.Test.make ~name:"flat and boxed layouts place identically" ~count:60
     (arb_cuckoo_ops ~max_len:500)
-    (fun ops -> layout_differential ops && layout_differential ~digest_bits:8 ops)
+    (fun ops -> layout_differential ~digest_bits:16 ops && layout_differential ~digest_bits:8 ops)
 
 let qcheck_flat_boxed_differential_filtered =
   QCheck.Test.make ~name:"flat and boxed layouts place identically under a placement filter"
@@ -428,15 +428,15 @@ let qcheck_flat_boxed_differential_filtered =
       (* the filter ConnTable actually installs: veto some (stage, row)
          cells as a pure predicate of the key *)
       let placement_filter k ~stage ~row = (k + stage + row) mod 7 <> 0 in
-      layout_differential ~placement_filter ops
+      layout_differential ~digest_bits:16 ~placement_filter ops
       && layout_differential ~digest_bits:8 ~placement_filter ops)
 
 (* The greedy depth-1 kick pass must actually fire on the flat layout
    and count its kicks into [moves] exactly as the boxed BFS counts the
    same depth-1 moves, without changing outcomes. *)
 let cuckoo_greedy_kicks_counter () =
-  let t = IC.create ~key_of:Fun.id ~stages:2 ~rows_per_stage:64 ~ways:4 () in
-  let tb = ICB.create ~stages:2 ~rows_per_stage:64 ~ways:4 () in
+  let t = IC.create ~digest_bits:16 ~key_of:Fun.id ~stages:2 ~rows_per_stage:64 ~ways:4 () in
+  let tb = ICB.create ~digest_bits:16 ~stages:2 ~rows_per_stage:64 ~ways:4 () in
   (try
      for i = 0 to IC.capacity t - 1 do
        let rf = IC.insert t i i and rb = ICB.insert tb i i in
@@ -460,9 +460,8 @@ let cuckoo_value_contract () =
   let max_value = (1 lsl 31) - 1 in
   List.iter
     (fun digest_bits ->
-      let mode = match digest_bits with None -> "exact" | Some b -> Printf.sprintf "%d-bit" b in
-      let name s = Printf.sprintf "%s: %s" mode s in
-      let t = IC.create ?digest_bits ~key_of:Fun.id ~stages:2 ~rows_per_stage:16 ~ways:1 () in
+      let name s = Printf.sprintf "%d-bit: %s" digest_bits s in
+      let t = IC.create ~digest_bits ~key_of:Fun.id ~stages:2 ~rows_per_stage:16 ~ways:1 () in
       List.iter
         (fun v ->
           match IC.insert t 0 v with
@@ -502,7 +501,7 @@ let cuckoo_value_contract () =
       check Alcotest.int (name "rollback keeps the size") size (IC.size t);
       check Alcotest.(option int) (name "rollback keeps the stage") stage (IC.stage_of_exact t 0);
       check Alcotest.bool (name "2^31 - 1 survives the rollback") true (intact 0))
-    [ None; Some 16; Some 30 ]
+    [ 16; 30 ]
 
 (* ---------- Learning_filter ---------- *)
 

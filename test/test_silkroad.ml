@@ -1051,32 +1051,43 @@ let switch_udp_connections () =
   Silkroad.Switch.advance sw ~now:8.;
   check Alcotest.int "udp entries expired" 0 (Silkroad.Switch.connections sw)
 
+(* The table behind the overflow tests: 2 stages x 4 rows x 2 ways, 16
+   slots, so a burst of SYNs fills it and overflows. *)
+let tiny_table_cfg =
+  { Silkroad.Config.default with
+    Silkroad.Config.conn_table_rows = 4;
+    conn_table_stages = 2;
+    conn_table_ways = 2 }
+
 (* A flow parked on the overflow queue is uninstalled and unended:
    pending, so an update requested meanwhile waits for it in step 1
    until its retries succeed or give up. One left stateless after
    giving up is still pending, so a later update on its VIP waits for
    it too — here until the barrier deadline force-releases it. The
-   model's [mjob] rule pins the same predicate. *)
+   model's [mjob] rule pins the same predicate. 64 SYNs fill the 16
+   slots and park 48 flows; each is retried twice, one batch per
+   control-plane step, and gives up. *)
 let switch_overflow_gates_later_barrier () =
-  let cfg =
-    { Silkroad.Config.default with
-      Silkroad.Config.conn_table_rows = 4;
-      conn_table_stages = 2;
-      conn_table_ways = 2 }
-  in
-  let sw = mk_switch ~cfg () in
+  let sw = mk_switch ~cfg:tiny_table_cfg () in
   for i = 0 to 63 do
     ignore (Silkroad.Switch.process sw ~now:0. (syn i))
   done;
   Silkroad.Switch.advance sw ~now:0.1;
   let stats () = Silkroad.Switch.stats sw in
-  check Alcotest.bool "the table overflowed" true ((stats ()).Silkroad.Switch.insert_overflows > 0);
+  check Alcotest.int "the table overflowed" 48 (stats ()).Silkroad.Switch.insert_overflows;
+  check Alcotest.int "16 installed" 16 (Silkroad.Switch.connections sw);
   Silkroad.Switch.request_update sw ~now:0.1 ~vip (Lb.Balancer.Dip_add (dip 9));
   check Alcotest.int "held by the queued flows" 1
     (Silkroad.Update_job.pending (Silkroad.Switch.jobs sw));
   (* one retry batch per control-plane step *)
-  List.iter (fun now -> Silkroad.Switch.advance sw ~now) [ 0.2; 0.3; 0.4 ];
-  check Alcotest.bool "retries gave up" true ((stats ()).Silkroad.Switch.table_full_drops > 0);
+  Silkroad.Switch.advance sw ~now:0.2;
+  check Alcotest.int "first retries" 48 (stats ()).Silkroad.Switch.overflow_retries;
+  check Alcotest.int "re-queued, none given up" 0 (stats ()).Silkroad.Switch.table_full_drops;
+  check Alcotest.int "a re-queue keeps the barrier" 0 (stats ()).Silkroad.Switch.updates_completed;
+  List.iter (fun now -> Silkroad.Switch.advance sw ~now) [ 0.3; 0.4 ];
+  check Alcotest.int "second retries" 96 (stats ()).Silkroad.Switch.overflow_retries;
+  check Alcotest.int "retries gave up" 48 (stats ()).Silkroad.Switch.table_full_drops;
+  check Alcotest.int "overflows counted once a flow" 48 (stats ()).Silkroad.Switch.insert_overflows;
   check Alcotest.int "released when they gave up" 1 (stats ()).Silkroad.Switch.updates_completed;
   Silkroad.Switch.request_update sw ~now:0.5 ~vip (Lb.Balancer.Dip_add (dip 10));
   Silkroad.Switch.advance sw ~now:2.;
@@ -1085,7 +1096,63 @@ let switch_overflow_gates_later_barrier () =
   Silkroad.Switch.advance sw ~now:(0.6 +. Silkroad.Update_job.barrier_deadline);
   check Alcotest.int "until force-released" 1 (stats ()).Silkroad.Switch.forced_transitions;
   check Alcotest.int "then completed" 2 (stats ()).Silkroad.Switch.updates_completed;
+  check Alcotest.int "no retry after giving up" 96 (stats ()).Silkroad.Switch.overflow_retries;
   check Alcotest.bool "invariants" true (Silkroad.Switch.check_invariants sw = Ok ())
+
+let tracked_flows sw =
+  Telemetry.Registry.Gauge.value
+    (Telemetry.Registry.gauge (Silkroad.Switch.metrics sw) "switch.tracked_flows")
+
+let installed sw i = Silkroad.Conn_table.mem_exact (Silkroad.Switch.conn_table sw) (flow i)
+
+(* The two other ends of a parked flow: it ends while parked, and its
+   next retry tears its state down instead of installing it; or a FIN
+   frees a slot, and its next retry installs it and releases the
+   barrier it held. *)
+let switch_overflow_retry_outcomes () =
+  (* flow 63 is parked, then its FIN arrives before the first retry *)
+  let sw = mk_switch ~cfg:tiny_table_cfg () in
+  for i = 0 to 63 do
+    ignore (Silkroad.Switch.process sw ~now:0. (syn i))
+  done;
+  Silkroad.Switch.advance sw ~now:0.1;
+  check Alcotest.bool "flow 63 parked" false (installed sw 63);
+  check (Alcotest.float 0.) "64 tracked" 64. (tracked_flows sw);
+  ignore (Silkroad.Switch.process sw ~now:0.1 (fin 63));
+  Silkroad.Switch.advance sw ~now:0.2;
+  check (Alcotest.float 0.) "the retry tore the ended flow down" 63. (tracked_flows sw);
+  List.iter (fun now -> Silkroad.Switch.advance sw ~now) [ 0.3; 0.4 ];
+  let stats = Silkroad.Switch.stats sw in
+  check Alcotest.int "torn down, not re-queued" 95 stats.Silkroad.Switch.overflow_retries;
+  check Alcotest.int "the rest gave up" 47 stats.Silkroad.Switch.table_full_drops;
+  check Alcotest.bool "invariants after a teardown" true
+    (Silkroad.Switch.check_invariants sw = Ok ());
+  (* 15 SYNs install 14 flows and park flow 14; flow 0's FIN frees a
+     slot after the first retry was submitted, so the second one
+     installs flow 14 *)
+  let sw = mk_switch ~cfg:tiny_table_cfg () in
+  for i = 0 to 14 do
+    ignore (Silkroad.Switch.process sw ~now:0. (syn i))
+  done;
+  Silkroad.Switch.advance sw ~now:0.1;
+  check Alcotest.bool "flow 14 parked" false (installed sw 14);
+  check Alcotest.int "one overflow" 1 (Silkroad.Switch.stats sw).Silkroad.Switch.insert_overflows;
+  Silkroad.Switch.request_update sw ~now:0.1 ~vip (Lb.Balancer.Dip_add (dip 9));
+  ignore (Silkroad.Switch.process sw ~now:0.1 (fin 0));
+  Silkroad.Switch.advance sw ~now:0.2;
+  let stats = Silkroad.Switch.stats sw in
+  check Alcotest.int "the first retry failed" 1 stats.Silkroad.Switch.overflow_retries;
+  check Alcotest.int "the FIN's delete freed a slot" 13 (Silkroad.Switch.connections sw);
+  check Alcotest.int "the parked flow holds the barrier" 1
+    (Silkroad.Update_job.pending (Silkroad.Switch.jobs sw));
+  Silkroad.Switch.advance sw ~now:0.3;
+  let stats = Silkroad.Switch.stats sw in
+  check Alcotest.int "second retry" 2 stats.Silkroad.Switch.overflow_retries;
+  check Alcotest.bool "installed" true (installed sw 14);
+  check Alcotest.int "nothing given up" 0 stats.Silkroad.Switch.table_full_drops;
+  check Alcotest.int "the install released the barrier" 1 stats.Silkroad.Switch.updates_completed;
+  check Alcotest.bool "invariants after the install" true
+    (Silkroad.Switch.check_invariants sw = Ok ())
 
 (* ---------- pending set: invariants under random command streams ---------- *)
 
@@ -1711,6 +1778,7 @@ let suites =
         tc "memory accounting" `Quick switch_memory_accounting;
         tc "udp connections" `Quick switch_udp_connections;
         tc "overflowed flows gate a later barrier" `Quick switch_overflow_gates_later_barrier;
+        tc "overflow retry tears down or installs" `Quick switch_overflow_retry_outcomes;
         tc "exhausted update with one queued" `Quick switch_exhausted_update_with_queue;
         tc "two barriers force-released at once" `Quick switch_two_barriers_forced;
         QCheck_alcotest.to_alcotest qcheck_switch_invariants;
