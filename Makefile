@@ -2,6 +2,10 @@
 
 all: build
 
+# Everything, in the release profile the root dune-workspace selects for
+# every dune command: no library is compiled -opaque, so small functions
+# are inlined across modules, and the dev profile's warnings stay
+# errors. This is the build tier-1 tests and perfbench measure.
 build:
 	dune build @all
 
@@ -42,7 +46,8 @@ lint: build
 
 # One workload of the repo benchmark under the bench/pcprof sampler
 # (`make profile W=replay-full-table`, SEED defaults to 7011): builds
-# perfbench/benchmark.exe and bench/pcprof/pcprof.so, runs 20
+# perfbench/benchmark.exe and bench/pcprof/pcprof.so in the same
+# release profile as `build` (the binary perfbench/run.py measures), runs 20
 # repetitions with the sampler preloaded into the benchmark itself
 # (never into a launcher: see bench/pcprof/pcprof.c), and prints the 40
 # symbols that took the most samples. The samples stay in

@@ -25,15 +25,14 @@ let create ?(seed = 0x710f) ?metrics ~bits ~hashes () =
   }
 
 let bits t = t.nbits
-(* A key is handled as its unsigned 32-bit halves, so the per-miss
-   path ([add_halves]/[mem_halves]) passes no int64 across a module
-   boundary; the int64 entry points split their key and share the same
-   bodies. *)
-let index t i ~hi ~lo = Netcore.Hashing.apply_range t.family i ~hi ~lo t.nbits
+(* [add] and [mem] are inlined into their callers, so a key computed
+   there ([Five_tuple.hash] on the per-miss path) reaches the probe loop
+   without an int64 box. *)
+let[@inline] index t i key = Netcore.Hashing.to_range (Netcore.Hashing.apply t.family i key) t.nbits
 
-let add_halves t ~hi ~lo =
+let[@inline] add t key =
   for i = 0 to t.hashes - 1 do
-    let idx = index t i ~hi ~lo in
+    let idx = index t i key in
     if Register_array.read t.regs idx = 0 then begin
       Register_array.write t.regs idx 1;
       t.population <- t.population + 1
@@ -42,17 +41,12 @@ let add_halves t ~hi ~lo =
   Telemetry.Registry.Counter.incr t.c_adds;
   Telemetry.Registry.Gauge.set_ratio t.g_fill t.population t.nbits
 
-let mem_halves t ~hi ~lo =
+let[@inline] mem t key =
   let i = ref 0 in
-  while !i < t.hashes && Register_array.read t.regs (index t !i ~hi ~lo) = 1 do
+  while !i < t.hashes && Register_array.read t.regs (index t !i key) = 1 do
     incr i
   done;
   !i >= t.hashes
-
-let[@inline] hi_of key = Int64.to_int (Int64.shift_right_logical key 32)
-let[@inline] lo_of key = Int64.to_int (Int64.logand key 0xffff_ffffL)
-let add t key = add_halves t ~hi:(hi_of key) ~lo:(lo_of key)
-let mem t key = mem_halves t ~hi:(hi_of key) ~lo:(lo_of key)
 
 let clear t =
   Register_array.clear t.regs;

@@ -24,14 +24,6 @@ val bits : t -> int
 val add : t -> int64 -> unit
 val mem : t -> int64 -> bool
 
-val add_halves : t -> hi:int -> lo:int -> unit
-(** [add] of the key whose unsigned high and low 32 bits are [hi] and
-    [lo] (as {!Netcore.Five_tuple.hash_hi}/[hash_lo] give them): the
-    same bits, set without boxing an int64. *)
-
-val mem_halves : t -> hi:int -> lo:int -> bool
-(** [mem] of the key given as its halves, as {!add_halves}. *)
-
 val clear : t -> unit
 
 val population : t -> int

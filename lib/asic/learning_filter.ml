@@ -61,8 +61,8 @@ let offer t ~now k m =
 
 let next_deadline t = if t.len = 0 then None else Some (t.times.(0) +. t.timeout)
 
-(* The per-packet probe returns a bool: a float result would be boxed
-   across the module boundary on every call while an event waits. *)
+(* The per-packet probe returns a bool: [next_deadline]'s [Some] would
+   be allocated on every call while an event waits. *)
 let due t ~now = t.len > 0 && t.times.(0) +. t.timeout <= now
 
 let drain t =

@@ -8,8 +8,9 @@ module Int_cuckoo = Asic.Cuckoo.Make (struct
   type t = int
 
   let equal = Int.equal
-  let range ~seed x n = Netcore.Hashing.seeded_range ~seed ~hi:0 ~lo:x n
-  let bits ~seed x k = Netcore.Hashing.seeded_bits ~seed ~hi:0 ~lo:x k
+  let range ~seed x n = Netcore.Hashing.to_range (Netcore.Hashing.seeded ~seed (Int64.of_int x)) n
+  let bits ~seed x k =
+    Netcore.Hashing.truncate_bits (Netcore.Hashing.seeded ~seed (Int64.of_int x)) k
 end)
 
 let cuckoo_geometry ~quick ppf =

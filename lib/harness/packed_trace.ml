@@ -280,8 +280,7 @@ let fin_byte = Netcore.Tcp_flags.to_byte Netcore.Tcp_flags.fin
    being boxed. *)
 let emit_train ~early ~probe_interval ~horizon s fi (flow : Simnet.Flow.t) =
   let start = flow.Simnet.Flow.start in
-  (* [Simnet.Flow.finish], inline: a call across modules boxes it *)
-  let fin = start +. flow.Simnet.Flow.duration in
+  let fin = Simnet.Flow.finish flow in
   let finish = Float.min fin horizon in
   let tag = fi lsl flow_shift in
   put s start (tag lor syn_byte);

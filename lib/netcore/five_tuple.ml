@@ -39,15 +39,12 @@ let compare a b =
    endpoints. *)
 let equal a b = a == b || (a.pre_lo = b.pre_lo && a.pre_hi = b.pre_hi && compare a b = 0)
 
-(* [Hashing.seeded_halves]/[seeded_range]/[seeded_bits] keep the int64
-   chain inside [Hashing]: under [-opaque] nothing is inlined across
-   modules, so rebuilding the fold here would box it as an argument,
-   and composing [hash] with [to_range] would box the result. *)
-let hash ~seed t = Hashing.seeded_halves ~seed ~hi:t.pre_hi ~lo:t.pre_lo
-let hash_hi ~seed t = Hashing.seeded_hi ~seed ~hi:t.pre_hi ~lo:t.pre_lo
-let hash_lo ~seed t = Hashing.seeded_lo ~seed ~hi:t.pre_hi ~lo:t.pre_lo
-let range ~seed t n = Hashing.seeded_range ~seed ~hi:t.pre_hi ~lo:t.pre_lo n
-let bits ~seed t k = Hashing.seeded_bits ~seed ~hi:t.pre_hi ~lo:t.pre_lo k
+(* Inlined into its callers, here and in other modules, so neither the
+   rebuilt fold nor the result is boxed: [range] and [bits] are one
+   unboxed chain that returns an int. *)
+let[@inline] hash ~seed t = Hashing.seeded ~seed (Hashing.of_halves t.pre_hi t.pre_lo)
+let range ~seed t n = Hashing.to_range (hash ~seed t) n
+let bits ~seed t k = Hashing.truncate_bits (hash ~seed t) k
 
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t

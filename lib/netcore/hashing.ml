@@ -1,10 +1,7 @@
-(* [@inline] only reaches callers in this module: dune's default dev
-   profile compiles every module with [-opaque], so no other module sees
-   these bodies and each cross-module call boxes its int64 result.
-   [seeded_range]/[seeded_bits] below keep the whole chain in one body,
-   where the Int64 intermediates stay unboxed, and return a plain int.
-   They take the key as two immediate halves, so the caller's key needs
-   no int64 box of its own either. *)
+(* The chains below are marked [@inline], and the libraries are built
+   without [-opaque], so a caller in another module that composes them
+   ([to_range (seeded ~seed (of_halves hi lo)) n]) compiles to one body
+   in which the Int64 intermediates stay unboxed. *)
 let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
@@ -26,14 +23,6 @@ let[@inline] truncate_bits h k =
   Int64.to_int (Int64.logand h (Int64.of_int ((1 lsl k) - 1)))
 
 let[@inline] of_halves hi lo = Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
-let seeded_range ~seed ~hi ~lo n = to_range (seeded ~seed (of_halves hi lo)) n
-let seeded_bits ~seed ~hi ~lo k = truncate_bits (seeded ~seed (of_halves hi lo)) k
-let seeded_halves ~seed ~hi ~lo = seeded ~seed (of_halves hi lo)
-
-let seeded_hi ~seed ~hi ~lo =
-  Int64.to_int (Int64.shift_right_logical (seeded ~seed (of_halves hi lo)) 32)
-
-let seeded_lo ~seed ~hi ~lo = Int64.to_int (Int64.logand (seeded ~seed (of_halves hi lo)) 0xffff_ffffL)
 
 let seeded_above ~seed ~hi ~lo ~a ~b =
   let h = seeded ~seed (of_halves hi lo) in
@@ -44,8 +33,4 @@ type family = { seed : int }
 let family ~seed = { seed }
 
 let[@inline] member_seed seed i = (seed * 1013) + (i * 7919) + 17
-let apply { seed } i x = seeded ~seed:(member_seed seed i) x
-
-(* [apply]'s chain in this body: a call to [apply] would box its int64
-   argument and result *)
-let apply_range { seed } i ~hi ~lo n = to_range (seeded ~seed:(member_seed seed i) (of_halves hi lo)) n
+let[@inline] apply { seed } i x = seeded ~seed:(member_seed seed i) x

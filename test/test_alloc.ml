@@ -1,11 +1,14 @@
 (* Allocation guard for the per-packet path. Each probe counts
    [Gc.minor_words] around 10,000 calls made from a closure-free loop,
-   after a warm-up pass, under the same build (dune's dev profile, where
-   every library is compiled [-opaque]) that the benchmark runs. The
-   exact-hit path must allocate nothing: the only allowance is a few
-   words for the probe itself. Four pins read other counters: the words
-   an exact hit leaves to be promoted, the ConnTable's footprint, a
-   switch's per live connection and a 5-tuple's. *)
+   after a warm-up pass, under the same build that the benchmark runs:
+   the release profile the root dune-workspace selects, where no library
+   is compiled [-opaque], so small functions are inlined across modules
+   and a float or int64 they return stays unboxed ([cross_library_inline]
+   fails under [--profile dev]). The exact-hit path must allocate
+   nothing: the only allowance is a few words for the probe itself.
+   Four pins read other counters: the words an exact hit leaves to be
+   promoted, the ConnTable's footprint, a switch's per live connection
+   and a 5-tuple's. *)
 
 let check = Alcotest.check
 let tc = Alcotest.test_case
@@ -200,13 +203,15 @@ let advance_update_job_active () =
    insert's [Ok], and the float arguments of the CPU backlog and
    queue-delay gauges (the count-valued gauges are written as ints, the
    ConnTable occupancy as a ratio of ints). Measured on OCaml 5.1.1:
-   69.0 words per connection, bounded at the next whole word. The same
-   life cost 83.0 with a record per connection and a boxed occupancy,
+   64.0 words per connection, bounded at the next whole word. It read
+   68.0 with every library compiled [-opaque], where each float that
+   crossed a module boundary was boxed. The same life cost 83.0 with a
+   record per connection and a boxed occupancy,
    93.0 while every gauge write boxed its float, 106.0 while the VIP
    was also resolved through option-returning lookups, and 146.0 when
    the pending set, the aging wheel, the learning filter's payload and
    the CPU batches were keyed by 5-tuple. *)
-let life_words_per_connection = 70.
+let life_words_per_connection = 65.
 
 let connection_life () =
   let sw = Silkroad.Switch.create ~check:`Off Silkroad.Config.default in
@@ -265,12 +270,13 @@ let metered_drop () =
 
 (* A ConnTable miss while the VIP's update records step 1: every
    packet of a connection still being learned marks the TransitTable.
-   [Update_job.miss] hands the Bloom filter the tuple's hash as two
-   int halves ([Five_tuple.hash_hi]/[hash_lo]) and the filter writes
-   its fill gauge as a ratio of ints, so the miss allocates nothing. It
-   was 11 words a call while the hash crossed into the filter as a
-   boxed int64 (3), each of the filter's two hash functions boxed its
-   argument and result (6), and the fill gauge boxed its float (2). *)
+   [Five_tuple.hash] and [Bloom_filter.add] are inlined into
+   [Update_job.miss], so the tuple's hash reaches the filter's probe
+   loop unboxed, and the filter writes its fill gauge as a ratio of
+   ints: the miss allocates nothing. It was 11 words a call while the
+   hash crossed into the filter as a boxed int64 (3), each of the
+   filter's two hash functions boxed its argument and result (6), and
+   the fill gauge boxed its float (2). *)
 let update_miss () =
   let sw = Silkroad.Switch.create ~check:`Off Silkroad.Config.default in
   Silkroad.Switch.add_vip sw vip pool;
@@ -347,19 +353,25 @@ let range_and_bits () =
   in
   check_free "Five_tuple.range and bits" w
 
-(* A 5-tuple's seeded hash, the int64 the TransitTable and netwide
-   routing consume: [Hashing.seeded_halves] takes the tuple's fold as
-   its two immediate halves, so the result's box (3 words) is all a
-   call allocates. Rebuilding the fold as an int64 and passing it to
-   [Hashing.seeded] boxed the argument too: 6 words a call. *)
-let hash_words_per_call = 3.
+(* A 5-tuple's seeded hash, the int64 the TransitTable consumes,
+   folded into an int64 accumulator: [Five_tuple.hash] is inlined, so
+   neither the rebuilt fold nor the result is boxed, and only the
+   accumulator's final box is allocated. It was 3 words a call (the
+   result's box) while each library was compiled [-opaque] and the
+   fold's halves went to [Hashing.seeded_halves], and 6 while the fold
+   was also boxed as the argument of [Hashing.seeded]. *)
+let hash_words_per_call = 0.
 
 let five_tuple_hash () =
   let w =
     words (fun () ->
+        let acc = ref 0L in
         for i = 0 to calls - 1 do
-          ignore (Netcore.Five_tuple.hash ~seed:i (Array.unsafe_get flows (i mod n_flows)))
-        done)
+          acc :=
+            Int64.logxor !acc
+              (Netcore.Five_tuple.hash ~seed:i (Array.unsafe_get flows (i mod n_flows)))
+        done;
+        ignore (Sys.opaque_identity !acc))
   in
   check Alcotest.bool
     (Printf.sprintf "Five_tuple.hash: %.0f words for %d calls" w calls)
@@ -497,6 +509,29 @@ let five_tuple_footprint () =
   check Alcotest.int "Five_tuple.t words beyond its endpoints" 6
     (words t - words t.Netcore.Five_tuple.src - words t.Netcore.Five_tuple.dst)
 
+(* The build itself: a tiny float-returning function of another
+   library, [Simnet.Flow.finish] ([start +. duration]), summed into a
+   float accumulator. Without [-opaque] the call is inlined and the
+   float never leaves a register; compiled [-opaque] (dune's dev
+   profile, which the root dune-workspace overrides) every call returns
+   a boxed float, 2 words. *)
+let cross_library_inline () =
+  let fl =
+    Array.map
+      (fun tuple ->
+        { Simnet.Flow.id = 0; tuple; start = 1.; duration = 0.5; bytes_per_sec = 1e6 })
+      flows
+  in
+  let w =
+    words (fun () ->
+        let acc = ref 0. in
+        for i = 0 to calls - 1 do
+          acc := !acc +. Simnet.Flow.finish (Array.unsafe_get fl (i mod n_flows))
+        done;
+        ignore (Sys.opaque_identity !acc))
+  in
+  check_free "Simnet.Flow.finish, inlined across libraries" w
+
 (* The judge every engine calls per packet: a consistent packet, and a
    packet of a flow excused by a logged exclusion, allocate nothing. *)
 let pcc_judge () =
@@ -549,5 +584,6 @@ let suites =
         tc "conn_table repair_collision" `Quick conn_table_repair;
         tc "conn_table footprint" `Quick conn_table_footprint;
         tc "five_tuple footprint" `Quick five_tuple_footprint;
+        tc "cross-library float inlined" `Quick cross_library_inline;
       ] );
   ]
