@@ -16,7 +16,7 @@ let default_roots =
     "Harness.Replay.Stepper";
     "Control.Session";
     "Silkroad.Switch.process_flow";
-    "Silkroad.Switch.process_batch";
+    "Netwide.Replay.run";
   ]
 
 (* ----- names ----- *)

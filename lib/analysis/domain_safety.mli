@@ -1,8 +1,10 @@
 (** Inter-procedural Domain-safety (race) analysis — [verify --races].
 
     The sharded replay path ({!Harness.Replay} with
-    [Sharded {parallel = true}]) runs one {!Silkroad.Switch} per Domain;
-    the serve-mode control plane ({!Control.Session}) mutates switches a
+    [Sharded {parallel = true}]) runs one {!Silkroad.Switch} per Domain,
+    and network-wide replay ([Netwide.Replay.run ~parallel:true]) runs
+    a segment's switches on a worker group of Domains; the serve-mode
+    control plane ({!Control.Session}) mutates switches a
     replay may be stepping. Any {e module-toplevel} mutable value that
     code on those call paths touches is shared by every Domain and is a
     data race waiting for a schedule. PR 3's [det.domain-unsafe] lint

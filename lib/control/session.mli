@@ -56,7 +56,7 @@ val create :
 [@@silkroad.allow "surface.unused-option: cfg lets test_verify replay each model-checker counterexample through serve on the checker's small tables, and test_control slow the switch CPU"]
 (** [?cfg] (default {!Silkroad.Config.default}) builds every switch.
     [?shards] (default 1) switches partitioned as in sharded replay,
-    each on the {!Silkroad.Switch.process_batch} packet path; [?vips]
+    each on the replay stepper's direct {!Harness.Replay.step} path; [?vips]
     are pre-registered on every switch before any traffic, exactly like
     [make_switch] in a batch run. A [vip-add] at time 0 is equivalent
     only when no flow of the trace starts at exactly 0: like every pool

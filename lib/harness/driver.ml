@@ -74,7 +74,7 @@ let run ?chaos ~balancer ~(trace : Packed_trace.t) ~updates () =
   let probe fi at flags =
     let bytes = rate.(fi) *. Float.max (at -. last.(fi)) 1e-4 in
     last.(fi) <- at;
-    let pkt = Netcore.Packet.make ~flags ~payload_len:1024 tuples.(fi) in
+    let pkt = Netcore.Packet.make ~flags ~payload_len:Replay.payload_len tuples.(fi) in
     balancer.Lb.Balancer.advance ~now:at;
     let outcome = balancer.Lb.Balancer.process ~now:at pkt in
     (match outcome.Lb.Balancer.location with

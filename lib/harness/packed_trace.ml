@@ -443,6 +443,27 @@ let compile ?(early_offsets = default_early) ?(probe_interval = 15.) ~horizon fl
 
 (* ----- shard partitioning ----- *)
 
+(* Counting-sort gather of packet indices: a counting pass, then one
+   exactly sized array per part, filled in packet order. Within a part,
+   packets keep the global (time, emission) order — exactly the
+   subsequence that part's switch would have seen in a scalar run. *)
+let gather t ~part ~parts ~lo ~hi =
+  let counts = Array.make parts 0 in
+  for i = lo to hi - 1 do
+    let k = part.(t.pkt_flow.(i)) in
+    if k >= 0 then counts.(k) <- counts.(k) + 1
+  done;
+  let idx = Array.map (fun c -> Array.make c 0) counts in
+  Array.fill counts 0 parts 0;
+  for i = lo to hi - 1 do
+    let k = part.(t.pkt_flow.(i)) in
+    if k >= 0 then begin
+      idx.(k).(counts.(k)) <- i;
+      counts.(k) <- counts.(k) + 1
+    end
+  done;
+  idx
+
 type partition = {
   pt_shards : int;
   sh_times : float array array;

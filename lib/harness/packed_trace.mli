@@ -76,6 +76,13 @@ val compile :
     scratch); the radix sort over the whole schedule it replaced
     allocated 44. *)
 
+val gather : t -> part:int array -> parts:int -> lo:int -> hi:int -> int array array
+(** [gather t ~part ~parts ~lo ~hi]: for each [k] in [\[0, parts)], the
+    indices [i] in [\[lo, hi)] of the packets whose flow's part
+    [part.(pkt_flow.(i))] is [k], in packet order; packets of a flow
+    whose part is negative are left out. A counting sort: two passes
+    and one exactly sized array per part. *)
+
 type partition = {
   pt_shards : int;
   sh_times : float array array;  (** per shard: packet times, globally ordered *)
@@ -86,8 +93,8 @@ type partition = {
 (** A trace copied into per-shard packed sub-traces: one contiguous
     (times, flows, flags, flow-index) quadruple per shard, each
     preserving the global (time, emission) order. {!Replay.Stepper}
-    does not build one: it reads the trace in place through per-shard
-    packet-index arrays. perfbench still times [partition] as
+    does not build one: it reads the trace in place through the
+    per-shard packet-index arrays {!gather} makes. perfbench still times [partition] as
     [packed_trace.partition_s]. *)
 
 val partition : t -> shards:int -> shard_of:(Netcore.Five_tuple.t -> int) -> partition

@@ -9,7 +9,8 @@
      first) and control semantics ([retired_dip] and [apply_to] below)
      by construction; the tests pin the two probes' counters equal.
    - [Batch] is byte-identical to [Scalar]: same single switch, same
-     packet order — only the boxing differs.
+     packet order, same per-packet step ([step] below), called directly
+     instead of through the probe closure.
    - [Sharded] partitions flows by 5-tuple hash across K independent
      switches. PCC is preserved trivially: every packet of a flow lands
      on the same switch, so each connection sees one consistent view.
@@ -165,6 +166,25 @@ let run_tasks ~parallel n task =
   end
   else run_worker 0
 
+(* Every trace packet carries this payload; a VIP's meter charges its
+   wire size *)
+let payload_len = 1024
+
+(* flag byte -> flag set; each stepper and each netwide run builds its
+   own, so no decoding table is a module-level value domains share *)
+let flag_table () = Array.init 256 Netcore.Tcp_flags.of_byte
+
+(* The per-packet step of every engine that drives a switch over a
+   packed trace: packet [i] through [switch], then judged *)
+let[@inline] step switch (tr : Packed_trace.t) ~flags_of_byte pcc c i =
+  let fi = tr.Packed_trace.pkt_flow.(i) in
+  let flags = flags_of_byte.(Char.code (Bytes.get tr.Packed_trace.pkt_flags i)) in
+  let dip =
+    Silkroad.Switch.process_flow switch ~now:tr.Packed_trace.times.(i) ~flags ~payload_len
+      tr.Packed_trace.flow_tuples.(fi)
+  in
+  Lb.Pcc.Flat.judge pcc c fi dip ~ends:(Netcore.Tcp_flags.is_connection_end flags)
+
 module Stepper = struct
   type shared = {
     shards : int;
@@ -175,29 +195,16 @@ module Stepper = struct
     pcc : Lb.Pcc.Flat.t;
   }
 
-  (* Counting-sort gather of packet indices: within a shard, packets keep
-     the global (time, emission) order — exactly the subsequence a
-     per-shard switch would have seen in a scalar run. The trace itself
-     is read in place, and a single shard needs no index at all. *)
+  (* The trace is read in place: each shard's packet indices, in the
+     global (time, emission) order, and a single shard needs no index *)
   let make_shared ~(trace : Packed_trace.t) ~shards =
     if shards < 1 then invalid_arg "Replay.Stepper.make_shared: shards must be >= 1";
     let idx =
       if shards = 1 then [| [||] |]
-      else begin
-        let flow_shard = Array.map (shard_of ~shards) trace.Packed_trace.flow_tuples in
-        let pkt_flow = trace.Packed_trace.pkt_flow in
-        let counts = Array.make shards 0 in
-        Array.iter (fun fi -> counts.(flow_shard.(fi)) <- counts.(flow_shard.(fi)) + 1) pkt_flow;
-        let idx = Array.map (fun c -> Array.make c 0) counts in
-        let fill = Array.make shards 0 in
-        Array.iteri
-          (fun i fi ->
-            let k = flow_shard.(fi) in
-            idx.(k).(fill.(k)) <- i;
-            fill.(k) <- fill.(k) + 1)
-          pkt_flow;
-        idx
-      end
+      else
+        Packed_trace.gather trace
+          ~part:(Array.map (shard_of ~shards) trace.Packed_trace.flow_tuples)
+          ~parts:shards ~lo:0 ~hi:(Packed_trace.n_packets trace)
     in
     {
       shards;
@@ -209,14 +216,10 @@ module Stepper = struct
   let horizon sh = sh.trace.Packed_trace.horizon
   let first_dip sh = Lb.Pcc.Flat.first_dip sh.pcc
 
-  (* How a stepper moves its packets: the switch's batch call, or one
-     call per packet to any balancer's probe *)
+  (* How a stepper moves a packet: straight through its switch by
+     [step], or through any balancer's probe *)
   type path =
-    | Batched of {
-        switch : Silkroad.Switch.t;
-        ids : int array;  (** one batch's packet indices *)
-        dips : Netcore.Endpoint.t array;  (** one batch's results *)
-      }
+    | Direct of Silkroad.Switch.t
     | Each of {
         probe : int -> float -> Netcore.Tcp_flags.t -> Netcore.Endpoint.t;
         on_violation : float -> unit;
@@ -231,17 +234,9 @@ module Stepper = struct
     balancer : Lb.Balancer.t;  (** the control side: {!apply_to} and the final advance *)
     path : path;
     counters : Lb.Pcc.Flat.counters;
-    (* flag byte -> flag set; the stepper's own, so no decoding table
-       is shared between domains *)
-    flags_of_byte : Netcore.Tcp_flags.t array;
+    flags_of_byte : Netcore.Tcp_flags.t array;  (** the stepper's own {!flag_table} *)
     mutable cursor : int;  (** next unprocessed packet of this shard *)
   }
-
-  (* packets per [process_batch] call: the batch's results are judged
-     before the next call, so [dips] stays this small *)
-  let batch = 1024
-
-  let payload_len = 1024
 
   let make sh ~shard balancer path =
     if shard < 0 || shard >= sh.shards then invalid_arg "Replay.Stepper.create: bad shard";
@@ -255,7 +250,7 @@ module Stepper = struct
       balancer;
       path;
       counters = Lb.Pcc.Flat.counters ();
-      flags_of_byte = Array.init 256 Netcore.Tcp_flags.of_byte;
+      flags_of_byte = flag_table ();
       cursor = 0;
     }
 
@@ -264,10 +259,7 @@ module Stepper = struct
 
   let create sh ~shard ~batched switch =
     let balancer = Silkroad.Switch.balancer switch in
-    if batched then
-      make sh ~shard balancer
-        (Batched
-           { switch; ids = Array.make batch 0; dips = Array.make batch Silkroad.Switch.no_dip })
+    if batched then make sh ~shard balancer (Direct switch)
     else
       let tuples = sh.trace.Packed_trace.flow_tuples in
       of_balancer sh ~shard balancer ~on_violation:ignore ~probe:(fun fi now flags ->
@@ -277,33 +269,17 @@ module Stepper = struct
   let[@inline] packet st j = if st.whole then j else st.idx.(j)
 
   let process_range st lo hi =
-    let tr = st.sh.trace in
-    let times = tr.Packed_trace.times
-    and pkt_flow = tr.Packed_trace.pkt_flow
-    and pkt_flags = tr.Packed_trace.pkt_flags
-    and flags_of_byte = st.flags_of_byte in
+    let tr = st.sh.trace and flags_of_byte = st.flags_of_byte in
     let pcc = st.sh.pcc and c = st.counters in
     match st.path with
-    | Batched { switch; ids; dips } ->
-      let tuples = tr.Packed_trace.flow_tuples in
-      let pos = ref lo in
-      while !pos < hi do
-        let len = Int.min batch (hi - !pos) in
-        for k = 0 to len - 1 do
-          ids.(k) <- packet st (!pos + k)
-        done;
-        Silkroad.Switch.process_batch switch ~times ~tuples ~pkt_flow ~pkt_flags ~flags_of_byte
-          ~payload_len ~idx:ids ~dips ~len;
-        for k = 0 to len - 1 do
-          let i = ids.(k) in
-          Lb.Pcc.Flat.judge pcc c pkt_flow.(i) dips.(k)
-            ~ends:
-              (Netcore.Tcp_flags.is_connection_end
-                 flags_of_byte.(Char.code (Bytes.get pkt_flags i)))
-        done;
-        pos := !pos + len
+    | Direct switch ->
+      for j = lo to hi - 1 do
+        step switch tr ~flags_of_byte pcc c (packet st j)
       done
     | Each { probe; on_violation } ->
+      let times = tr.Packed_trace.times
+      and pkt_flow = tr.Packed_trace.pkt_flow
+      and pkt_flags = tr.Packed_trace.pkt_flags in
       for j = lo to hi - 1 do
         let i = packet st j in
         let fi = pkt_flow.(i) and at = times.(i) in

@@ -1,8 +1,9 @@
 (** The fast-path replay engine: stream a {!Packed_trace.t} through one
     or more {!Silkroad.Switch.t} instances with flat-array PCC
-    accounting. On an exact ConnTable hit the per-packet path allocates
-    only the boxed packet time the switch keeps as the connection's
-    last-seen time.
+    accounting. Every packet takes one {!step}. On an exact ConnTable
+    hit it allocates only the packet time it boxes for
+    {!Silkroad.Switch.process_flow}, which keeps the time's bits as the
+    connection's last-seen time, not the box, so the box dies young.
 
     Three modes, with a pinned equivalence contract:
 
@@ -12,9 +13,9 @@
       probe. Packet order, control tie-breaking and control semantics
       are therefore shared by construction; its counters equal the
       Driver's on a SilkRoad balancer.
-    - [Batch] — one switch, {!Silkroad.Switch.process_batch} over the
-      packet runs between control events. Byte-identical to [Scalar],
-      including the merged telemetry snapshot.
+    - [Batch] — one switch, {!step} called directly on each packet.
+      Byte-identical to [Scalar], including the merged telemetry
+      snapshot.
     - [Sharded] — flows partitioned by 5-tuple hash over K independent
       switches ([parallel] runs them on Domains). PCC is preserved
       trivially: every packet of a flow lands on the same switch.
@@ -142,6 +143,25 @@ val registry_of_counts : counts -> Telemetry.Registry.t
 (** A fresh registry holding the five [replay.*] counters every replay
     engine merges into its telemetry. *)
 
+val payload_len : int
+(** The payload length of every trace packet: 1024 bytes. *)
+
+val flag_table : unit -> Netcore.Tcp_flags.t array
+(** A fresh table from a {!Packed_trace.t} flag byte to its flag set. *)
+
+val step :
+  Silkroad.Switch.t ->
+  Packed_trace.t ->
+  flags_of_byte:Netcore.Tcp_flags.t array ->
+  Lb.Pcc.Flat.t ->
+  Lb.Pcc.Flat.counters ->
+  int ->
+  unit
+(** [step switch trace ~flags_of_byte pcc c i] sends packet [i] of
+    [trace] through {!Silkroad.Switch.process_flow} and judges its DIP
+    into [c]: the one per-packet step of the {!Stepper}'s direct path
+    and of [Netwide.Replay]. [flags_of_byte] is a {!flag_table}. *)
+
 val run_tasks : parallel:bool -> int -> (int -> unit) -> unit
 (** [run_tasks ~parallel n task] runs [task 0 .. task (n-1)]: in order on
     the calling domain, or, when [parallel], on a worker group of
@@ -177,11 +197,11 @@ module Stepper : sig
   type t
 
   val create : shared -> shard:int -> batched:bool -> Silkroad.Switch.t -> t
-  (** A stepper on a switch, [shard] in [0 .. shards-1]. [batched] uses
-      {!Silkroad.Switch.process_batch} over runs of up to 1024 packets
-      (the fast path); [false] is {!of_balancer} with
-      {!Silkroad.Switch.process_flow} as the probe and no violation
-      observer. *)
+  (** A stepper on a switch, [shard] in [0 .. shards-1]. [batched]
+      runs {!step} on each packet (the fast path); [false] is
+      {!of_balancer} with {!Silkroad.Switch.process_flow} as the probe
+      and no violation observer. Both send each packet through the
+      switch once, with the same arguments. *)
 
   val of_balancer :
     shared ->
@@ -199,8 +219,8 @@ module Stepper : sig
   val flush_to : t -> float -> unit
   (** Process this shard's packets with time [<= t] (monotone: already
       processed packets are never revisited). Does {e not} advance the
-      balancer's control plane beyond what the probe itself does —
-      exactly the batch loop's behaviour between controls. *)
+      balancer's control plane beyond what each packet's
+      {!Silkroad.Switch.process_flow} (or probe) does itself. *)
 
   val apply : t -> at:float -> control -> unit
   (** [flush_to at], log the {!retired_dip} in this shard's judge

@@ -11,8 +11,8 @@ let make ?(flags = Tcp_flags.data) ?(payload_len = 0) flow =
 let syn flow = make ~flags:Tcp_flags.syn ~payload_len:0 flow
 let data flow = make ~flags:Tcp_flags.data ~payload_len:1024 flow
 
-(* Wire size without a packet record in hand — the batched replay path
-   meters flows it never boxes into [t]. *)
+(* Wire size without a packet record in hand, for the switch's
+   per-packet path, which the replay engines never hand a [t] *)
 let wire_size_of ~payload_len flow =
   let eth = 14 in
   let ip = if Five_tuple.is_v6 flow then 40 else 20 in

@@ -22,5 +22,6 @@ val wire_size : t -> int
     Used by meters and throughput accounting. *)
 
 val wire_size_of : payload_len:int -> Five_tuple.t -> int
-(** {!wire_size} without building a packet record — the batched replay
-    path meters flows it never boxes into [t]. *)
+(** {!wire_size} without building a packet record — what
+    [Silkroad.Switch.process_flow] meters, since the replay engines
+    hand it a packet's fields, never a [t]. *)

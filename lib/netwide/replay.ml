@@ -4,9 +4,9 @@
    driven independently (optionally on a worker group) while one global
    flow-indexed judge enforces PCC across the whole network.
 
-   The judge is Lb.Pcc.Flat, the one Harness.Replay calls; the
-   degenerate-topology differential in test/test_netwide.ml pins the two
-   engines byte-identical. *)
+   Each packet takes Harness.Replay.step, the stepper's per-packet step
+   and judge (Lb.Pcc.Flat); the degenerate-topology differential in
+   test/test_netwide.ml pins the two engines byte-identical. *)
 
 type event =
   | Switch_down of int
@@ -24,8 +24,6 @@ type result = {
   telemetry : Telemetry.Registry.t;
   elapsed : float;
 }
-
-let payload_len = 1024
 
 type action =
   | A_control of Harness.Replay.control
@@ -45,7 +43,7 @@ let run ?(cfg = Silkroad.Config.default) ?(parallel = false) ?(events = []) ?(co
       (fun v -> trace.Harness.Packed_trace.vips.(v))
       trace.Harness.Packed_trace.flow_vip
   in
-  let flag_tbl = Array.init 256 Netcore.Tcp_flags.of_byte in
+  let flags_of_byte = Harness.Replay.flag_table () in
   let n_nodes = Topology.n_nodes topo in
   (* node registries persist across switch failure/recovery so counters
      continue; switches themselves are the volatile state *)
@@ -120,12 +118,7 @@ let run ?(cfg = Silkroad.Config.default) ?(parallel = false) ?(events = []) ?(co
   let process_node id (idxs : int array) =
     let sw = ensure_switch id and c = node_counters.(id) in
     for j = 0 to Array.length idxs - 1 do
-      let i = idxs.(j) in
-      let flags = flag_tbl.(Char.code (Bytes.get pkt_flags i)) in
-      let dip =
-        Silkroad.Switch.process_flow sw ~now:times.(i) ~flags ~payload_len tuples.(pkt_flow.(i))
-      in
-      Lb.Pcc.Flat.judge pcc c pkt_flow.(i) dip ~ends:(Netcore.Tcp_flags.is_connection_end flags)
+      Harness.Replay.step sw trace ~flags_of_byte pcc c idxs.(j)
     done
   in
   (* process every packet with time <= [at]: probes stamped at a
@@ -137,29 +130,19 @@ let run ?(cfg = Silkroad.Config.default) ?(parallel = false) ?(events = []) ?(co
     done;
     let lo = !cursor and hi = !stop in
     if hi > lo then begin
-      let counts = Array.make n_nodes 0 in
       (* undeliverable packets (layer fully down): judged as drops *)
       for i = lo to hi - 1 do
-        let o = owner.(pkt_flow.(i)) in
-        if o >= 0 then counts.(o) <- counts.(o) + 1
-        else
-          Lb.Pcc.Flat.judge pcc undelivered pkt_flow.(i) Lb.Pcc.Flat.no_dip
+        let fi = pkt_flow.(i) in
+        if owner.(fi) < 0 then
+          Lb.Pcc.Flat.judge pcc undelivered fi Lb.Pcc.Flat.no_dip
             ~ends:
               (Netcore.Tcp_flags.is_connection_end
-                 flag_tbl.(Char.code (Bytes.get pkt_flags i)))
+                 flags_of_byte.(Char.code (Bytes.get pkt_flags i)))
       done;
-      let bufs = Array.map (fun c -> Array.make c 0) counts in
-      let fill = Array.make n_nodes 0 in
-      for i = lo to hi - 1 do
-        let o = owner.(pkt_flow.(i)) in
-        if o >= 0 then begin
-          bufs.(o).(fill.(o)) <- i;
-          fill.(o) <- fill.(o) + 1
-        end
-      done;
+      let bufs = Harness.Packed_trace.gather trace ~part:owner ~parts:n_nodes ~lo ~hi in
       let active = ref [] in
       for id = n_nodes - 1 downto 0 do
-        if counts.(id) > 0 then begin
+        if Array.length bufs.(id) > 0 then begin
           (* switch creation stays sequential: the workers below only
              drive pre-existing switches *)
           ignore (ensure_switch id);

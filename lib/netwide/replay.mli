@@ -12,11 +12,14 @@
     claim stated as code — a connection must survive pool updates
     {e and} a re-route to a different switch.
 
-    Equivalence contract (pinned by test/test_netwide.ml): on a
-    degenerate topology whose placement puts every VIP on a single
-    switch and with no topology events, [run] is byte-identical in
-    merged telemetry to {!Harness.Replay.run} (in [Scalar] and in
-    [Batch] mode) over the same trace and controls. The
+    Equivalence contract (pinned by test/test_netwide.ml): each switch
+    takes the packets it owns in a segment, gathered by
+    {!Harness.Packed_trace.gather}, through {!Harness.Replay.step}, the
+    per-packet step the single-switch stepper runs. So on a degenerate
+    topology whose placement puts every VIP on a single switch and with
+    no topology events, [run] is byte-identical in merged telemetry to
+    {!Harness.Replay.run} (in [Scalar] and in [Batch] mode) over the
+    same trace and controls. The
     [netwide.*] counters are registered only when a topology event
     actually fires, so event-free runs add nothing to the snapshot. *)
 
@@ -64,8 +67,9 @@ val run :
     an attack SYN to its {!Route.owner}, and every other control to
     every live switch.
     Packets at a control's time fire first, and at equal times controls
-    fire before topology [events]. Each switch gets one
-    {!Silkroad.Switch.process_flow} call per packet. [parallel] (default
+    fire before topology [events]. Each packet a switch owns takes one
+    {!Harness.Replay.step}; a packet no switch owns (its layer is fully
+    down) is judged as a drop. [parallel] (default
     false) processes the switches of each segment on a worker group of
     [min switches (auto_shards ())] domains — safe because a flow is
     owned by exactly one switch between consecutive topology events, and

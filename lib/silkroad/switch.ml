@@ -654,8 +654,8 @@ let handle_false_hit_syn t ~now flow e =
 (* Allocation-free packet path: returns the chosen DIP, or the
    physically-unique [no_dip] sentinel on a drop (compare with [==]);
    the location is left in [t.last_location]. [process] wraps this into
-   the [Lb.Balancer.outcome] record; the replay engine calls it (and
-   [process_batch]) directly to keep the hot loop off the GC. The VIP's
+   the [Lb.Balancer.outcome] record; the replay engines call it
+   directly, once a packet, to keep the hot loop off the GC. The VIP's
    record is found once, and every table after it is matched through
    that record. *)
 let process_flow t ~now ~flags ~payload_len flow =
@@ -712,17 +712,6 @@ let process t ~now pkt =
   in
   if dip == no_dip then { Lb.Balancer.dip = None; location = t.last_location }
   else { Lb.Balancer.dip = Some dip; location = t.last_location }
-
-let process_batch t ~times ~tuples ~pkt_flow ~pkt_flags ~flags_of_byte ~payload_len ~idx ~dips
-    ~len =
-  for k = 0 to len - 1 do
-    let i = idx.(k) in
-    dips.(k) <-
-      process_flow t ~now:times.(i)
-        ~flags:flags_of_byte.(Char.code (Bytes.get pkt_flags i))
-        ~payload_len
-        tuples.(pkt_flow.(i))
-  done
 
 let request_update t ~now ~vip update =
   advance t ~now;

@@ -83,33 +83,14 @@ val process_flow :
   Netcore.Endpoint.t
 (** Exactly {!process} (same counters, same control-plane side effects)
     without the packet/outcome boxing. Returns the chosen DIP or
-    {!no_dip}; {!last_location} reports where the packet went. *)
+    {!no_dip}; {!last_location} reports where the packet went. An exact
+    hit allocates nothing, and keeps [now]'s bits, not its box, as the
+    connection's last-seen time, so a caller's boxed packet time dies
+    young; [test/test_alloc.ml] checks both. *)
 
 val last_location : t -> Lb.Balancer.location
 [@@silkroad.allow "surface.unused-export: test_alloc checks where an allocation-free exact hit went"]
 (** Location taken by the most recent {!process_flow}/{!process} call. *)
-
-val process_batch :
-  t ->
-  times:float array ->
-  tuples:Netcore.Five_tuple.t array ->
-  pkt_flow:int array ->
-  pkt_flags:Bytes.t ->
-  flags_of_byte:Netcore.Tcp_flags.t array ->
-  payload_len:int ->
-  idx:int array ->
-  dips:Netcore.Endpoint.t array ->
-  len:int ->
-  unit
-(** Run {!process_flow} over the packets [i = idx.(k)], [k] in
-    [0 .. len-1] (times must be non-decreasing), in place in a packed
-    schedule: packet [i] is at [times.(i)], of the flow
-    [tuples.(pkt_flow.(i))], with the flags [flags_of_byte] decodes
-    from byte [i] of [pkt_flags] (a 256-entry table). Result [k] goes
-    to [dips.(k)]. On the exact-hit path the loop allocates only the
-    boxed packet time it hands to {!process_flow} (two words a packet),
-    which allocates nothing itself and keeps the time's bits, not the
-    box, so the box dies young; [test/test_alloc.ml] checks all three. *)
 
 val request_update : t -> now:float -> vip:Netcore.Endpoint.t -> Lb.Balancer.update -> unit
 (** Request a DIP-pool update; updates to a VIP already updating are

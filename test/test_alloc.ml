@@ -77,56 +77,70 @@ let process_flow_exact_hit () =
     (Silkroad.Switch.last_location sw = Lb.Balancer.Asic);
   check_free "Switch.process_flow, exact hit" w
 
-(* The batch loop reads each packet in place in a packed schedule,
-   through an index array, and boxes its time for [process_flow]: two
-   words a packet, and nothing else. The box dies young, because the
-   connection keeps the time's bits as its [last_seen], not the box
-   ([exact_hits_promote_nothing] pins that). *)
-(* [n] data packets at [now], cycling through [flows], laid out as a
-   packed schedule: the [process_batch] call over them, and the array
-   it writes their DIPs to *)
-let exact_hit_batch sw ~now n =
-  let times = Array.make n now in
-  let pkt_flow = Array.init n (fun i -> i mod n_flows) in
-  let pkt_flags = Bytes.make n (Char.chr (Netcore.Tcp_flags.to_byte Netcore.Tcp_flags.data)) in
-  let flags_of_byte = Array.init 256 Netcore.Tcp_flags.of_byte in
-  let idx = Array.init n Fun.id in
-  let dips = Array.make n Silkroad.Switch.no_dip in
-  let run () =
-    Silkroad.Switch.process_batch sw ~times ~tuples:flows ~pkt_flow ~pkt_flags ~flags_of_byte
-      ~payload_len:1024 ~idx ~dips ~len:n
-  in
-  (run, dips)
+(* The replay stepper's direct loop reads each packet in place in a
+   packed trace and boxes its time for [process_flow]: two words a
+   packet, and nothing else ([Lb.Pcc.Flat.judge] is pinned at 0 below).
+   The box dies young, because the connection keeps the time's bits as
+   its [last_seen], not the box ([stepper_promotes_nothing] pins
+   that). *)
+module Stepper = Harness.Replay.Stepper
 
-let process_batch_exact_hit () =
+(* [n] data packets at [now], cycling through [flows], as a packed
+   trace shared by the steppers [stepper] makes: each one a fresh
+   direct stepper on [sw], whose [flush_to st now] runs every packet *)
+let exact_hit_steppers sw ~now n =
+  let trace =
+    {
+      Harness.Packed_trace.horizon = now;
+      vips = [| vip |];
+      flow_ids = Array.init n_flows Fun.id;
+      flow_vip = Array.make n_flows 0;
+      flow_tuples = flows;
+      flow_rate = Array.make n_flows 0.;
+      times = Array.make n now;
+      pkt_flow = Array.init n (fun i -> i mod n_flows);
+      pkt_flags = Bytes.make n (Char.chr (Netcore.Tcp_flags.to_byte Netcore.Tcp_flags.data));
+    }
+  in
+  let sh = Stepper.make_shared ~trace ~shards:1 in
+  fun () -> Stepper.create sh ~shard:0 ~batched:true sw
+
+let check_forwarded st n =
+  let c = Stepper.counts st in
+  check Alcotest.(pair int int) "every packet judged and forwarded" (n, 0)
+    (c.Harness.Replay.c_packets, c.Harness.Replay.c_dropped)
+
+let direct_stepper_exact_hit () =
   let sw, now = installed_switch () in
-  let run, dips = exact_hit_batch sw ~now calls in
-  let w = words run in
-  check Alcotest.bool "every packet forwarded" true
-    (Array.for_all (fun d -> d != Silkroad.Switch.no_dip) dips);
+  let stepper = exact_hit_steppers sw ~now calls in
+  Stepper.flush_to (stepper ()) now;
+  let st = stepper () in
+  let before = Gc.minor_words () in
+  Stepper.flush_to st now;
+  let w = Gc.minor_words () -. before in
+  check_forwarded st calls;
   check Alcotest.bool
-    (Printf.sprintf "Switch.process_batch, exact hit: %.0f words for %d packets" w calls)
+    (Printf.sprintf "direct stepper, exact hit: %.0f words for %d packets" w calls)
     true
     (w <= (2. *. float_of_int calls) +. slack)
 
 (* One exact hit on each of [n_flows] installed connections, through
-   the batch loop, which boxes every packet time. Storing the time in
-   the long-lived connection record as a float would keep each box
+   the direct stepper, which boxes every packet time. Storing the time
+   in the long-lived connection state as a float would keep each box
    alive into the next minor collection, which then promotes it: two
-   words a connection. The record stores the time's bits as an int, so
+   words a connection. The slab stores the time's bits as an int, so
    only the probe's own boxed counter reading survives. *)
-let exact_hits_promote_nothing () =
+let stepper_promotes_nothing () =
   let sw, now = installed_switch () in
-  let run, dips = exact_hit_batch sw ~now n_flows in
+  let st = exact_hit_steppers sw ~now n_flows () in
   Gc.minor ();
   let before = (Gc.quick_stat ()).Gc.promoted_words in
-  run ();
+  Stepper.flush_to st now;
   Gc.minor ();
   let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before in
-  check Alcotest.bool "every packet forwarded" true
-    (Array.for_all (fun d -> d != Silkroad.Switch.no_dip) dips);
+  check_forwarded st n_flows;
   check Alcotest.bool
-    (Printf.sprintf "Switch.process_batch, %d exact hits: %.0f words promoted" n_flows promoted)
+    (Printf.sprintf "direct stepper, %d exact hits: %.0f words promoted" n_flows promoted)
     true (promoted <= slack)
 
 let lookup_code () =
@@ -566,8 +580,8 @@ let suites =
     ( "alloc.hot_path",
       [
         tc "process_flow exact hit" `Quick process_flow_exact_hit;
-        tc "process_batch exact hit" `Quick process_batch_exact_hit;
-        tc "exact hits promote nothing" `Quick exact_hits_promote_nothing;
+        tc "direct stepper exact hit" `Quick direct_stepper_exact_hit;
+        tc "stepper promotes nothing" `Quick stepper_promotes_nothing;
         tc "lookup_code" `Quick lookup_code;
         tc "advance same tick" `Quick advance_same_tick;
         tc "advance with a learning event pending" `Quick advance_learning_pending;
